@@ -4,8 +4,9 @@ N*n at truncation 4n, n = 1..5, one text file per window."""
 
 import os
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from horomod.monoids import make_weight_monoid
 from horomod.mulaw import law_equations, tangent_at_horospherical

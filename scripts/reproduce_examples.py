@@ -8,53 +8,26 @@ and the rank-three point in k4 + wedge2 + wedge3.
 
 import sys
 import time
-from fractions import Fraction as Q
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from horomod.liealg import (
-    DiagCongruence,
-    StabilizerSpec,
-    build_module,
-    unipotent_radical_spec,
-)
-from horomod.monoids import make_weight_monoid
-from horomod.mulaw import law_equations, tangent_at_horospherical
-from horomod.rootdata import make_root_datum
-from horomod.tangent import t1_invariant
+from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
 
 
-def binary_family():
-    rd = make_root_datum("A1")
+def print_binary_family():
     print("binary-form cones, closure of the orbit of x^n in V(n)")
     print(f"{'n':>3} {'T1 dim':>7} {'law dim':>8}  weights")
-    for n in range(1, 7):
-        m = build_module(rd, f"sym({n},natural(2))")
-        x = [Q(0)] * m.dim
-        x[m.basis_weights.index((n,))] = Q(1)
-        stab = StabilizerSpec(
-            lie_part=unipotent_radical_spec(rd).lie_part,
-            diag_part=(DiagCongruence(coeffs=(1,), modulus=n),),
-        )
-        report = t1_invariant(m, x, stab)
-        if n <= 5:
-            mon = make_weight_monoid(rd, [(n,)])
-            law_dim, _ = tangent_at_horospherical(law_equations(mon, 4 * n))
-            law_txt = str(law_dim)
-        else:
-            law_txt = "-"
+    for n in BINARY_DEGREES:
+        report = binary_cone(n)
+        law_txt = str(binary_cone_law_dim(n, 4 * n)) if n <= 5 else "-"
         ws = " ".join(f"{w[0]}*alpha" for w in report.weights) or "-"
         print(f"{n:>3} {report.dim_T1_invariant:>7} {law_txt:>8}  {ws}")
     print()
 
 
-def flag_point():
-    rd = make_root_datum("A3")
-    m = build_module(rd, "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))")
-    x = [Q(0)] * m.dim
-    for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        x[m.basis_weights.index(w)] = Q(1)
-    report = t1_invariant(m, x, unipotent_radical_spec(rd))
+def print_flag_point():
+    report = flag_point()
     print("rank-three point e1 + e1^e2 + e1^e2^e3")
     print(f"  T1 dim   {report.dim_T1_invariant}")
     for w in report.weights:
@@ -67,6 +40,6 @@ def flag_point():
 
 if __name__ == "__main__":
     t0 = time.monotonic()
-    binary_family()
-    flag_point()
+    print_binary_family()
+    print_flag_point()
     print(f"total {time.monotonic() - t0:.2f}s")

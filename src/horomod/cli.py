@@ -19,10 +19,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import ResourceError, ValidationError
+from .examples import BINARY_DEGREES, HYPOTHESES, binary_cone, flag_point
 from .liealg import (
     DiagCongruence,
     StabilizerSpec,
@@ -96,7 +97,22 @@ def _load_law(path: str):
         raise ValidationError(f"cannot read law file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"law file {path} is not valid JSON: {exc}")
-    return law_from_json_dict(blob)
+    try:
+        return law_from_json_dict(blob)
+    except ValidationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(
+            f"law file {path} is malformed: {type(exc).__name__}: {exc}"
+        )
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
 
 
 def _stab_from_args(rd, args) -> StabilizerSpec:
@@ -239,8 +255,7 @@ def _cmd_law_equations(args):
     _, mon = _law_monoid(args)
     system = law_equations(mon, args.truncation)
     if args.export_system:
-        with open(args.export_system, "w", encoding="utf-8") as fh:
-            fh.write(system_to_text(system))
+        _write_file(args.export_system, system_to_text(system))
     payload = {
         "unknown_count": len(system.unknowns),
         "equation_count": len(system.equations),
@@ -266,9 +281,7 @@ def _cmd_contract(args):
     moved = contract(law, _parse_point(args.point))
     payload = law_to_json_dict(moved)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_file(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload, {"truncation": law.truncation}, None
 
 
@@ -291,9 +304,7 @@ def _cmd_orbit_law(args):
     law = orbit_law(forms, mon, args.truncation)
     payload = law_to_json_dict(law)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_file(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload, {"truncation": args.truncation}, None
 
 
@@ -324,37 +335,24 @@ def _cmd_presentation(args):
 
 
 def _cmd_reproduce_example1(args):
-    rd = make_root_datum("A1")
     dims = []
-    weight_table: Dict[str, List[List[int]]] = {}
-    for n in range(1, 7):
-        m = build_module(rd, f"sym({n},natural(2))")
-        x = [Q(0)] * m.dim
-        x[m.basis_weights.index((n,))] = Q(1)
-        stab = StabilizerSpec(
-            lie_part=unipotent_radical_spec(rd).lie_part,
-            diag_part=(DiagCongruence(coeffs=(1,), modulus=n),),
-        )
-        report = t1_invariant(m, x, stab)
+    weight_table = {}
+    for n in BINARY_DEGREES:
+        report = binary_cone(n)
         dims.append(report.dim_T1_invariant)
         if report.weights:
             weight_table[str(n)] = [list(w) for w in report.weights]
     payload = {"dims": dims, "weights": weight_table}
-    return payload, {}, {"normal": True, "boundary_codim_ge_2": True}
+    return payload, {}, HYPOTHESES
 
 
 def _cmd_reproduce_example2(args):
-    rd = make_root_datum("A3")
-    m = build_module(rd, "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))")
-    x = [Q(0)] * m.dim
-    for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        x[m.basis_weights.index(w)] = Q(1)
-    report = t1_invariant(m, x, unipotent_radical_spec(rd))
+    report = flag_point()
     payload = {
         "dim": report.dim_T1_invariant,
         "weights": [list(w) for w in report.weights],
     }
-    return payload, {}, {"normal": True, "boundary_codim_ge_2": True}
+    return payload, {}, HYPOTHESES
 
 
 # ------------------------------------------------------------ wiring
@@ -372,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         help="indent output for humans")
-    common.add_argument("--json", action="store_true",
-                        help="compact JSON output (the default)")
 
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_, parents=[common])
@@ -505,16 +501,6 @@ def _emit(obj: dict, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _table(payload: dict) -> Optional[str]:
-    if not payload or not all(
-        isinstance(v, (int, str, bool)) for v in payload.values()
-    ):
-        return None
-    width = max(len(str(k)) for k in payload)
-    lines = [f"{str(k).ljust(width)}  {v}" for k, v in sorted(payload.items())]
-    return "\n".join(lines)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -557,8 +543,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         {"status": "ok", "payload": payload, "provenance": provenance},
         args.pretty,
     )
-    if args.pretty:
-        table = _table(payload)
-        if table:
-            sys.stdout.write("\n" + table + "\n")
     return 0

@@ -21,33 +21,18 @@ def to_row(entries: Iterable) -> List[Q]:
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Q]], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = [to_row(r) for r in rows]
-    if not mat:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    The reduced echelon form of a row space is unique, so inserting the
+    rows one at a time into a RowSpace gives the same answer as any other
+    Gauss-Jordan order.
+    """
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Q(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    space = RowSpace(len(rows[0]))
+    for row in rows:
+        space.add(row)
+    return space.rows, space.pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -88,9 +73,10 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
 
 
 class RowSpace:
-    """Incrementally maintained reduced row space.
+    """Incrementally maintained reduced row space: the one Gauss-Jordan
+    loop of the package, behind rref and everything built on it.
 
-    Used for orbit spans, independence tests and quotient bases.  The
+    Rows stay fully reduced with leading entry 1, sorted by pivot.  The
     reduction of a vector against the current rows is linear, so the
     residual map can double as projection onto a complement.
     """

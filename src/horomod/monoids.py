@@ -202,18 +202,6 @@ def _hnf(rows: Sequence[Gen]) -> List[List[int]]:
     return [row for row in mat[:r]]
 
 
-def _in_lattice(basis: List[List[int]], y: Gen) -> bool:
-    v = list(y)
-    for row in basis:
-        c = next((k for k, x in enumerate(row) if x != 0), None)
-        assert c is not None
-        if v[c] % row[c] != 0:
-            return False
-        q = v[c] // row[c]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 def _in_cone(gens: Sequence[Gen], y: Gen) -> bool:
     """Exact cone membership via independent generator subsets."""
     if not any(y):

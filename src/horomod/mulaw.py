@@ -31,6 +31,9 @@ from .polysys import (
     canonical_poly,
     evaluate,
     linear_part,
+    poly_add,
+    poly_scale,
+    primitive_ints,
     render_poly,
 )
 from .rootdata import RootDatum, make_root_datum, to_root_coords
@@ -204,12 +207,6 @@ def horospherical_law(
             if sumw in wset:
                 coeffs[(lam, mu, sumw, 0)] = Q(1)
     return MultiplicationLaw(rd, monoid, truncation, coeffs)
-
-
-def law_grades(law: MultiplicationLaw) -> Dict[LawKey, Grade]:
-    return {
-        key: coeff_grade(law.rd, key[0], key[1], key[2]) for key in law.coeffs
-    }
 
 
 def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
@@ -532,7 +529,8 @@ def system_residuals(system: PolySystem, values: Mapping[str, Q]) -> Tuple[Q, ..
 # Functions on the group are polynomials in the four matrix entries
 # with the relation (top-left)(bottom-right) = 1 + (top-right)(bottom-left);
 # monomials are exponent quadruples reduced so the first and last slots
-# are never both positive.
+# are never both positive.  Sums and scalar multiples keep that form, so
+# they are the polysys ones; products and the sl2 operators reduce.
 
 NFPoly = Dict[Tuple[int, int, int, int], Q]
 
@@ -567,24 +565,6 @@ def nf_mul(f: NFPoly, g: NFPoly) -> NFPoly:
     return out
 
 
-def nf_add(f: NFPoly, g: NFPoly) -> NFPoly:
-    out = dict(f)
-    for mono, c in g.items():
-        v = out.get(mono, Q(0)) + c
-        if v:
-            out[mono] = v
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def nf_scale(f: NFPoly, c) -> NFPoly:
-    c = Q(c)
-    if not c:
-        return {}
-    return {m: c * v for m, v in f.items()}
-
-
 def _op_raise(f: NFPoly) -> NFPoly:
     out: NFPoly = {}
     for (p, q, r, s), c in f.items():
@@ -602,15 +582,6 @@ def _op_lower(f: NFPoly) -> NFPoly:
             _nf_into(out, (p + 1, q, r - 1, s), -c * r)
         if s:
             _nf_into(out, (p, q + 1, r, s - 1), -c * s)
-    return out
-
-
-def _op_weight(f: NFPoly) -> NFPoly:
-    out: NFPoly = {}
-    for (p, q, r, s), c in f.items():
-        v = c * (r + s - p - q)
-        if v:
-            out[(p, q, r, s)] = v
     return out
 
 
@@ -633,27 +604,6 @@ def _coordinate_pullbacks(form: BinaryForm) -> List[NFPoly]:
                 raw[mono] = raw.get(mono, Q(0)) + vt * comb(n - t, k) * comb(t, l)
         out.append(nf_poly(raw))
     return out
-
-
-def _normalize_nf(f: NFPoly) -> NFPoly:
-    items = sorted(f.items())
-    if not items:
-        return {}
-    denlcm = 1
-    for _, c in items:
-        denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for _, c in items]
-    content = 0
-    for c in ints:
-        content = _gcd(content, abs(c))
-    sign = 1 if ints[0] > 0 else -1
-    return {m: Q(sign * c, content) for (m, _), c in zip(items, ints)}
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _single_generator(monoid: WeightMonoid) -> int:
@@ -688,17 +638,17 @@ def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> NFPoly:
     z: NFPoly = {}
     for coef, pb in zip(kern[0], cands):
         if coef:
-            z = nf_add(z, nf_scale(pb, coef))
-    z = _normalize_nf(z)
+            z = poly_add(z, poly_scale(pb, coef))
     if not z:
         raise ValidationError("singular covariant vanished after normalization")
-    return z
+    monos = sorted(z)
+    return {m: Q(c) for m, c in zip(monos, primitive_ints([z[m] for m in monos]))}
 
 
 def _lowering_basis(top: NFPoly, weight: int) -> List[NFPoly]:
     basis = [top]
     for s in range(weight):
-        nxt = nf_scale(_op_lower(basis[-1]), Q(1, weight - s))
+        nxt = poly_scale(_op_lower(basis[-1]), Q(1, weight - s))
         if not nxt:
             raise ValidationError("covariant span collapsed while lowering")
         basis.append(nxt)
@@ -813,7 +763,7 @@ def _solve_pair(
                 continue
             m = s + t - i
             if 0 <= m <= a + b - 2 * i:
-                acc = nf_add(acc, nf_scale(bases[a + b - 2 * i][m], val * k))
+                acc = poly_add(acc, poly_scale(bases[a + b - 2 * i][m], val * k))
         if acc != prod:
             raise ValidationError(
                 f"decomposition check failed on rows ({s},{t}) for the "

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -40,19 +40,6 @@ def poly_scale(p: Poly, c) -> Poly:
     if not c:
         return {}
     return {m: c * v for m, v in p.items()}
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            v = out.get(m, Q(0)) + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
 
 
 def poly_degree(p: Poly) -> int:
@@ -88,23 +75,23 @@ def _mono_key(names: Sequence[str], m: Mono):
     return (len(m), tuple(names[i] for i in m))
 
 
+def primitive_ints(coeffs: Sequence[Q]) -> List[int]:
+    """The integer vector proportional to the nonzero rationals coeffs
+    with content one and a positive first entry."""
+    denlcm = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denlcm // c.denominator) for c in coeffs]
+    content = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+    return [c // content for c in ints]
+
+
 def canonical_poly(p: Poly, names: Sequence[str]) -> CanonPoly:
     """Sorted, integer-cleared, positive leading coefficient; () if zero."""
     items = [(m, c) for m, c in p.items() if c]
     if not items:
         return ()
     items.sort(key=lambda mc: _mono_key(names, mc[0]))
-    denlcm = 1
-    for _, c in items:
-        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-    ints = [c * denlcm for _, c in items]
-    content = 0
-    for c in ints:
-        content = gcd(content, int(c))
-    sign = 1 if ints[0] > 0 else -1
-    return tuple(
-        (m, sign * int(c) // content) for (m, _), c in zip(items, ints)
-    )
+    ints = primitive_ints([c for _, c in items])
+    return tuple((m, c) for (m, _), c in zip(items, ints))
 
 
 def canon_to_poly(cp: CanonPoly) -> Poly:

@@ -124,10 +124,6 @@ def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
         for c in positive_roots(rd)
     ]
 
-    def mult_of(nu) -> int:
-        conj, _, _ = dominant_conjugate(rd, nu)
-        return table.get(conj, 0)
-
     for mu in dom:
         if mu == lam:
             continue

@@ -88,11 +88,6 @@ def is_dominant(rd: RootDatum, lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 
 
-def simple_root(rd: RootDatum, i: int) -> Weight:
-    """Fundamental coordinates of alpha_i (0-based index)."""
-    return tuple(rd.cartan[i])
-
-
 @lru_cache(maxsize=None)
 def _cartan_t_inverse(rd: RootDatum) -> Tuple[Tuple[Q, ...], ...]:
     n = rd.rank
@@ -111,14 +106,6 @@ def to_root_coords(rd: RootDatum, lam: Sequence[int]) -> RootVector:
     v = [Q(x) for x in lam]
     inv = _cartan_t_inverse(rd)
     return tuple(sum(inv[i][j] * v[j] for j in range(rd.rank)) for i in range(rd.rank))
-
-
-def from_root_coords(rd: RootDatum, x: Sequence) -> Tuple[Q, ...]:
-    """Fundamental coordinates of sum x_i alpha_i."""
-    xs = [Q(e) for e in x]
-    return tuple(
-        sum(xs[i] * rd.cartan[i][j] for i in range(rd.rank)) for j in range(rd.rank)
-    )
 
 
 def dominance_leq(rd: RootDatum, mu: Sequence[int], lam: Sequence[int]) -> bool:
@@ -217,8 +204,3 @@ def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, b
     """
     mu = check_weight(rd, mu)
     return _reflect_until(rd, mu, want_negative=False)
-
-
-def height(rd: RootDatum, lam: Sequence[int]) -> Q:
-    """Sum of root coordinates; monotone for the dominance order."""
-    return sum(to_root_coords(rd, lam))

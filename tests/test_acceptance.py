@@ -9,12 +9,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 
-from horomod.liealg import (
-    DiagCongruence,
-    StabilizerSpec,
-    build_module,
-    unipotent_radical_spec,
-)
+from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
 from horomod.monoids import is_free, make_weight_monoid, minimal_generators, saturation
 from horomod.mulaw import (
     contract,
@@ -26,7 +21,6 @@ from horomod.mulaw import (
     orbit_law,
     root_monoid_of_law,
     system_residuals,
-    tangent_at_horospherical,
 )
 from horomod.polysys import canon_to_poly, poly_degree
 from horomod.repcalc import (
@@ -36,11 +30,9 @@ from horomod.repcalc import (
     weyl_dim,
 )
 from horomod.rootdata import dominance_leq, make_root_datum
-from horomod.tangent import t1_invariant
 
 A1 = make_root_datum("A1")
 A2 = make_root_datum("A2")
-A3 = make_root_datum("A3")
 
 
 def _gate(num, desc, body, limit=None):
@@ -59,27 +51,12 @@ def _gate(num, desc, body, limit=None):
 
 @lru_cache(maxsize=None)
 def _t1_dims():
-    out = []
-    for n in range(1, 7):
-        m = build_module(A1, f"sym({n},natural(2))")
-        x = [Q(0)] * m.dim
-        x[m.basis_weights.index((n,))] = Q(1)
-        stab = StabilizerSpec(
-            lie_part=unipotent_radical_spec(A1).lie_part,
-            diag_part=(DiagCongruence(coeffs=(1,), modulus=n),),
-        )
-        out.append(t1_invariant(m, x, stab).dim_T1_invariant)
-    return tuple(out)
+    return tuple(binary_cone(n).dim_T1_invariant for n in BINARY_DEGREES)
 
 
 @lru_cache(maxsize=None)
 def _law_dims(scale):
-    out = []
-    for n in range(1, 6):
-        mon = make_weight_monoid(A1, [(n,)])
-        dim, _ = tangent_at_horospherical(law_equations(mon, scale * n))
-        out.append(dim)
-    return tuple(out)
+    return tuple(binary_cone_law_dim(n, scale * n) for n in range(1, 6))
 
 
 @lru_cache(maxsize=None)
@@ -126,13 +103,7 @@ def test_criterion_2():
 
 def test_criterion_3():
     def body():
-        m = build_module(
-            A3, "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
-        )
-        x = [Q(0)] * m.dim
-        for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            x[m.basis_weights.index(w)] = Q(1)
-        report = t1_invariant(m, x, unipotent_radical_spec(A3))
+        report = flag_point()
         assert report.dim_T1_invariant == 2
         assert report.weights == ((0, 1, 1), (1, 1, 0))
 

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from horomod.cli import main
 
 
@@ -165,6 +163,34 @@ def test_pretty_is_indented(capsys):
     code, out = run(capsys, "dim", "A1", "4", "--pretty")
     assert code == 0
     assert out.startswith("{\n")
+    assert json.loads(out)["payload"] == {"dim": 5}
+
+
+def test_json_flag_is_gone(capsys):
+    assert main(["dim", "A1", "4", "--json"]) == 2
+    capsys.readouterr()
+
+
+def test_law_file_without_rd_is_validation_error(tmp_path, capsys):
+    law_file = tmp_path / "no_rd.json"
+    law_file.write_text(
+        json.dumps({"monoid": {"generators": [[2]]}, "truncation": 4, "coeffs": []})
+    )
+    code, blob = run_json(capsys, "root-monoid", str(law_file))
+    assert code == 3
+    assert blob["error"]["type"] == "validation"
+
+
+def test_output_into_missing_directory_is_validation_error(tmp_path, capsys):
+    code, blob = run_json(
+        capsys,
+        "orbit-law", "A1", "2",
+        "--form", "1,0,1",
+        "--truncation", "4",
+        "--output", str(tmp_path / "missing" / "law.json"),
+    )
+    assert code == 3
+    assert blob["error"]["type"] == "validation"
 
 
 def test_stabilizer_labels(capsys):

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horomod.errors import ValidationError
-from horomod.monoids import make_root_monoid, make_weight_monoid, minimal_generators
+from horomod.monoids import make_weight_monoid, minimal_generators
 from horomod.mulaw import (
     contract,
     horospherical_law,
     law_equations,
     law_from_json_dict,
-    law_grades,
     law_to_json_dict,
     law_unknown_values,
     make_binary_form,
@@ -140,7 +139,6 @@ def test_make_law_rejects_weight_outside_monoid():
 def test_law_grades_and_contract_identity():
     mon = nat2([2])
     law = horospherical_law(A1, mon, 8)
-    assert law_grades(law) == {key: (0,) for key in law.coeffs}
     same = contract(law, [Q(5)])
     assert same.coeffs == law.coeffs
 

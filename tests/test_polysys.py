@@ -11,18 +11,11 @@ from horomod.polysys import (
     linear_part,
     poly_add,
     poly_degree,
-    poly_mul,
     render_poly,
     system_to_text,
 )
 
 NAMES = ("m[2,2,1]", "m[2,2,2]", "m[2,4,1]")
-
-
-def test_poly_mul_collects_squares():
-    p = {(0,): Q(2), (): Q(1)}
-    out = poly_mul(p, p)
-    assert out == {(0, 0): Q(4), (0,): Q(4), (): Q(1)}
 
 
 def test_canonical_clears_content_and_sign():
