@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
-from .linalg import RowSpace, kernel_basis
+from .linalg import RowSpace, kernel_basis, rank
 from .rootdata import RootDatum, Weight, make_root_datum
 
 Q = Fraction
@@ -86,6 +87,11 @@ class ExplicitModule:
     e: Tuple[Matrix, ...] = field(repr=False)
     f: Tuple[Matrix, ...] = field(repr=False)
     h: Tuple[Matrix, ...] = field(repr=False)
+
+    @cached_property
+    def chevalley(self) -> Tuple[Matrix, ...]:
+        """chevalley_matrices(self), built once per module object."""
+        return tuple(chevalley_matrices(self))
 
 
 def _require_type_a(rd: RootDatum) -> int:
@@ -583,7 +589,7 @@ def orbit_tangent(m: ExplicitModule, x: Sequence) -> List[Vector]:
     """Reduced basis of the span of all Chevalley basis images of x."""
     vec = _check_point(m, x)
     span = RowSpace(m.dim)
-    for mat in chevalley_matrices(m):
+    for mat in m.chevalley:
         span.add(mat_apply(mat, vec))
     return span.basis()
 
@@ -591,7 +597,7 @@ def orbit_tangent(m: ExplicitModule, x: Sequence) -> List[Vector]:
 def stabilizer_lie(m: ExplicitModule, x: Sequence) -> List[Vector]:
     """Kernel of xi -> xi.x, as Chevalley coefficient vectors."""
     vec = _check_point(m, x)
-    mats = chevalley_matrices(m)
+    mats = m.chevalley
     images = [mat_apply(mat, vec) for mat in mats]
     rows = [[images[k][r] for k in range(len(mats))] for r in range(m.dim)]
     return kernel_basis(rows, len(mats))
@@ -652,7 +658,7 @@ def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
 
 
 def lie_matrix(m: ExplicitModule, coeffs: Sequence) -> Matrix:
-    mats = chevalley_matrices(m)
+    mats = m.chevalley
     if len(coeffs) != len(mats):
         raise ValidationError(
             f"stabilizer vector length {len(coeffs)} != {len(mats)} basis elements"
@@ -661,34 +667,6 @@ def lie_matrix(m: ExplicitModule, coeffs: Sequence) -> Matrix:
     for c, mat in zip(coeffs, mats):
         if c:
             out = mat_add(out, mat_scale(mat, Q(c)))
-    return out
-
-
-def fixed_subspace(m: ExplicitModule, stab: StabilizerSpec) -> List[Vector]:
-    """Vectors killed by the Lie part and supported on congruence-passing
-    weights."""
-    passing = [i for i in range(m.dim) if stab.passes(m.basis_weights[i])]
-    rows: List[List[Q]] = []
-    for coeffs in stab.lie_part:
-        mat = lie_matrix(m, coeffs)
-        cols = _columns(mat)
-        for r in range(m.dim):
-            row = [Q(0)] * len(passing)
-            touched = False
-            for k, p in enumerate(passing):
-                for rr, val in cols.get(p, ()):  # entries of column p
-                    if rr == r:
-                        row[k] = val
-                        touched = True
-            if touched:
-                rows.append(row)
-    kern = kernel_basis(rows, len(passing))
-    out = []
-    for k in kern:
-        v = [Q(0)] * m.dim
-        for p, val in zip(passing, k):
-            v[p] = val
-        out.append(tuple(v))
     return out
 
 
@@ -701,26 +679,28 @@ def fixed_in_quotient(
     tangents at the stabilized point); fixedness of a class means the
     Lie part maps a representative into the span and the class has a
     representative supported on congruence-passing weights.  Returned
-    representatives are independent modulo the span.
+    representatives are independent modulo the span; with an empty span
+    they are a basis of the fixed subspace of M itself.
     """
     span = RowSpace(m.dim)
     for v in span_vectors:
         span.add(v)
     passing = [i for i in range(m.dim) if stab.passes(m.basis_weights[i])]
+    zero = Q(0)
     rows: List[List[Q]] = []
     for coeffs in stab.lie_part:
-        mat = lie_matrix(m, coeffs)
-        reduced_cols = []
+        cols = _columns(lie_matrix(m, coeffs))
+        reduced: List[Dict[int, Q]] = []
         for p in passing:
-            col = [Q(0)] * m.dim
-            for (r, c), val in mat.items():
-                if c == p:
-                    col[r] = val
-            reduced_cols.append(span.reduce(col))
-        for r in range(m.dim):
-            row = [reduced_cols[k][r] for k in range(len(passing))]
-            if any(x != 0 for x in row):
-                rows.append(row)
+            col = dict(cols.get(p, ()))
+            if span.dim and col:
+                dense = [zero] * m.dim
+                for r, val in col.items():
+                    dense[r] = val
+                col = {r: val for r, val in enumerate(span.reduce(dense)) if val}
+            reduced.append(col)
+        for r in sorted(set().union(*reduced)):
+            rows.append([col.get(r, zero) for col in reduced])
     kern = kernel_basis(rows, len(passing))
     w_basis = []
     for k in kern:
@@ -728,23 +708,15 @@ def fixed_in_quotient(
         for p, val in zip(passing, k):
             v[p] = val
         w_basis.append(tuple(v))
-    # part of the span supported on passing weights
-    non_passing = [i for i in range(m.dim) if i not in set(passing)]
+    # s_triv_dim is the dimension of the part of the span supported on
+    # passing weights.  A w supported there lies in span + (reps so far)
+    # exactly when it lies in that part + (reps so far), so adding to the
+    # whole span picks the classes independent modulo the span.
+    passing_set = set(passing)
+    non_passing = [i for i in range(m.dim) if i not in passing_set]
     srows = span.basis()
-    trows = [[row[q] for q in non_passing] for row in srows]
-    tker = kernel_basis(
-        [[trows[k][q] for k in range(len(srows))] for q in range(len(non_passing))],
-        len(srows),
-    )
-    base = RowSpace(m.dim)
-    for t in tker:
-        vec = [Q(0)] * m.dim
-        for coef, row in zip(t, srows):
-            if coef:
-                vec = [a + coef * b for a, b in zip(vec, row)]
-        base.add(vec)
-    s_triv_dim = base.dim
-    reps = [w for w in w_basis if base.add(w)]
+    s_triv_dim = len(srows) - rank([[row[q] for q in non_passing] for row in srows])
+    reps = [w for w in w_basis if span.add(w)]
     assert len(reps) == len(w_basis) - s_triv_dim
     return len(reps), reps
 

@@ -255,23 +255,43 @@ def law_to_json_dict(law: MultiplicationLaw) -> dict:
     }
 
 
+def _json_int(field: str, x) -> int:
+    """A law JSON integer; floats and booleans are refused, since a
+    float is no exact value."""
+    if type(x) is not int:
+        raise ValidationError(f"law JSON {field} must be an integer, got {x!r}")
+    return x
+
+
+def _json_ints(field: str, values) -> Tuple[int, ...]:
+    return tuple(_json_int(field, x) for x in values)
+
+
 def law_from_json_dict(data: dict) -> MultiplicationLaw:
+    """Inverse of law_to_json_dict.  Integer fields must be JSON integers
+    and each value a string or a JSON integer, so every number is exact."""
     rdinfo = data["rd"]
     if rdinfo.get("label") and rdinfo["label"] != "custom":
         rd = make_root_datum(rdinfo["label"])
     else:
-        rd = make_root_datum(rdinfo["cartan"])
-    monoid = make_weight_monoid(rd, [tuple(g) for g in data["monoid"]["generators"]])
-    coeffs = {
-        (
-            tuple(e["lam"]),
-            tuple(e["mu"]),
-            tuple(e["nu"]),
-            int(e["channel"]),
-        ): Q(e["value"])
-        for e in data["coeffs"]
-    }
-    return make_law(rd, monoid, int(data["truncation"]), coeffs)
+        rd = make_root_datum([_json_ints("cartan entry", row) for row in rdinfo["cartan"]])
+    monoid = make_weight_monoid(
+        rd, [_json_ints("generator entry", g) for g in data["monoid"]["generators"]]
+    )
+    coeffs: Dict[LawKey, Q] = {}
+    for e in data["coeffs"]:
+        if type(e["value"]) not in (int, str):
+            raise ValidationError(
+                f"law JSON value must be a string or an integer, got {e['value']!r}"
+            )
+        key = (
+            _json_ints("lam entry", e["lam"]),
+            _json_ints("mu entry", e["mu"]),
+            _json_ints("nu entry", e["nu"]),
+            _json_int("channel", e["channel"]),
+        )
+        coeffs[key] = Q(e["value"])
+    return make_law(rd, monoid, _json_int("truncation", data["truncation"]), coeffs)
 
 
 # --------------------------------------------- rank-one equation system
@@ -331,20 +351,14 @@ def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int,
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
     """Commutativity and associativity constraints on a rank-one law
     window, as an exact polynomial system in the non-top coefficients."""
-    return _law_equations_with_kinds(monoid, truncation)[0]
+    return law_equations_with_kinds(monoid, truncation)[0]
 
 
-def law_equation_kinds(
-    monoid: WeightMonoid, truncation: int
-) -> Tuple[str, ...]:
-    """Origin of each equation of law_equations, in matching order:
-    "commutativity" or "associativity"."""
-    return _law_equations_with_kinds(monoid, truncation)[1]
-
-
-def _law_equations_with_kinds(
+def law_equations_with_kinds(
     monoid: WeightMonoid, truncation: int
 ) -> Tuple[PolySystem, Tuple[str, ...]]:
+    """law_equations together with the origin of each equation, in
+    matching order: "commutativity" or "associativity"."""
     ints = _a1_window_ints(monoid, truncation)
     sset = set(ints)
     pos = [x for x in ints if x >= 1]

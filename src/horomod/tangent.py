@@ -20,9 +20,9 @@ from .errors import ValidationError
 from .liealg import (
     ExplicitModule,
     StabilizerSpec,
+    _check_point,
     adjoint_module,
     fixed_in_quotient,
-    fixed_subspace,
     isotypic_components,
     lie_matrix,
     mat_apply,
@@ -115,11 +115,12 @@ def moduli_tangent_dim(t1_inv: int, dim_derT_Y: int, dim_derG_X: int) -> int:
 
 
 def _component_weights(
-    m: ExplicitModule, rep: Sequence[Q]
+    m: ExplicitModule,
+    comps: Sequence[Tuple[Weight, List[Sequence[Q]]]],
+    rep: Sequence[Q],
 ) -> List[RootVector]:
-    """Weights lambda - mu over the isotypic pieces meeting the
+    """Weights lambda - mu over the isotypic pieces comps of m meeting the
     representative, one per (piece, T-weight) pair in its support."""
-    comps = isotypic_components(m)
     cols: List[Tuple[Weight, Tuple[Q, ...]]] = []
     for lam, basis in comps:
         for b in basis:
@@ -158,11 +159,7 @@ def t1_invariant(
     closure and boundary codimension at least two are the caller's
     responsibility; the flags are echoed into the report.
     """
-    vec = tuple(Q(c) for c in x)
-    if len(vec) != m.dim:
-        raise ValidationError(
-            f"point has length {len(vec)}, module dimension {m.dim}"
-        )
+    vec = _check_point(m, x)
     for coeffs in stab.lie_part:
         img = mat_apply(lie_matrix(m, coeffs), vec)
         if any(c != 0 for c in img):
@@ -173,7 +170,7 @@ def t1_invariant(
     gx = stabilizer_lie(m, vec)
     ad = adjoint_module(m.rd)
     dim_a, _ = fixed_in_quotient(ad, gx, stab)
-    v_fixed = fixed_subspace(m, stab)
+    v_fixed = fixed_in_quotient(m, (), stab)[1]
     dim_b = len(v_fixed)
     tangent = orbit_tangent(m, vec)
     dim_c, reps = fixed_in_quotient(m, tangent, stab)
@@ -192,16 +189,15 @@ def t1_invariant(
         span.add(t)
     for v in v_fixed:
         span.add(v)
+    survivors = [rep for rep in reps if span.add(rep)]
+    comps = isotypic_components(m) if survivors else []
     weights: List[RootVector] = []
-    survivors = 0
-    for rep in reps:
-        if span.add(rep):
-            survivors += 1
-            weights.extend(_component_weights(m, rep))
-    if survivors != dim_t1:
+    for rep in survivors:
+        weights.extend(_component_weights(m, comps, rep))
+    if len(survivors) != dim_t1:
         raise ValidationError(
             "exactness check failed: the cokernel has dimension "
-            f"{survivors}, the alternating sum gives {dim_t1}"
+            f"{len(survivors)}, the alternating sum gives {dim_t1}"
         )
 
     return TangentReport(

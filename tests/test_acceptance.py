@@ -14,8 +14,8 @@ from horomod.monoids import is_free, make_weight_monoid, minimal_generators, sat
 from horomod.mulaw import (
     contract,
     horospherical_law,
-    law_equation_kinds,
     law_equations,
+    law_equations_with_kinds,
     law_unknown_values,
     make_binary_form,
     orbit_law,
@@ -180,8 +180,7 @@ def test_criterion_8():
     def body():
         for n in range(1, 6):
             mon = make_weight_monoid(A1, [(n,)])
-            system = law_equations(mon, 4 * n)
-            kinds = law_equation_kinds(mon, 4 * n)
+            system, kinds = law_equations_with_kinds(mon, 4 * n)
             assert len(kinds) == len(system.equations)
             for (cp, grade), kind in zip(system.equations, kinds):
                 poly = canon_to_poly(cp)

@@ -1,4 +1,7 @@
 import json
+from math import comb
+
+import pytest
 
 from horomod.cli import main
 
@@ -151,6 +154,36 @@ def test_t1_subcommand(capsys):
     assert blob["payload"]["weights"] == [[2]]
 
 
+# Payloads of the flag multicones: T1 dimension r-1, weights
+# alpha_i + alpha_(i+1).
+MULTICONES = {
+    2: {"dims": {"V_fixed": 2, "g_mod_gx_fixed": 2, "normal_fixed": 1, "t1_invariant": 1},
+        "weights": [[1, 1]]},
+    3: {"dims": {"V_fixed": 3, "g_mod_gx_fixed": 3, "normal_fixed": 2, "t1_invariant": 2},
+        "weights": [[0, 1, 1], [1, 1, 0]]},
+    4: {"dims": {"V_fixed": 4, "g_mod_gx_fixed": 4, "normal_fixed": 3, "t1_invariant": 3},
+        "weights": [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("r", sorted(MULTICONES))
+def test_t1_flag_multicone(capsys, r):
+    # Sum of the fundamental modules of A_r at the sum of their
+    # highest-weight vectors, which come first in each summand's basis.
+    n = r + 1
+    parts = [f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]
+    point = []
+    for k in range(1, n):
+        point += [1] + [0] * (comb(n, k) - 1)
+    code, blob = run_json(
+        capsys,
+        "t1", f"A{r}", "sum(" + ",".join(parts) + ")",
+        ",".join(map(str, point)), "--lie-u",
+    )
+    assert code == 0
+    assert blob["payload"] == MULTICONES[r]
+
+
 def test_tangent_weight_negative_entries(capsys):
     code, blob = run_json(
         capsys, "tangent-weight", "A3", "--", "0,1,0", "-1,0,1"
@@ -179,6 +212,39 @@ def test_law_file_without_rd_is_validation_error(tmp_path, capsys):
     code, blob = run_json(capsys, "root-monoid", str(law_file))
     assert code == 3
     assert blob["error"]["type"] == "validation"
+
+
+def test_law_file_numbers_must_be_exact(tmp_path, capsys):
+    law_file = str(tmp_path / "law.json")
+    code, blob = run_json(
+        capsys,
+        "orbit-law", "A1", "2",
+        "--form", "1,0,1",
+        "--truncation", "4",
+        "--output", law_file,
+    )
+    assert code == 0
+    law = blob["payload"]
+
+    def channel_two(d):
+        return next(e for e in d["coeffs"] if e["channel"] == 2)
+
+    # A float is no exact value: 0.1 would be read as its binary double,
+    # 4.9 as 4, and [0.0] would be echoed back by contract.
+    edits = {
+        "value": lambda d: channel_two(d).update(value=0.1),
+        "truncation": lambda d: d.update(truncation=4.9),
+        "lam": lambda d: d["coeffs"][0].update(lam=[0.0]),
+    }
+    for field, edit in edits.items():
+        edited = json.loads(json.dumps(law))
+        edit(edited)
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(edited))
+        code, blob = run_json(capsys, "contract", str(path), "2")
+        assert code == 3, field
+        assert blob["error"]["type"] == "validation"
+        assert field in blob["error"]["message"]
 
 
 def test_output_into_missing_directory_is_validation_error(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_fixed_subspace_congruence():
             lie_part=(unit(3, (0, 1)),),
             diag_part=(la.DiagCongruence((1,), n),),
         )
-        fixed = la.fixed_subspace(m, stab)
+        _, fixed = la.fixed_in_quotient(m, [], stab)
         assert len(fixed) == expected
         assert fixed[0] == unit(m.dim, (0, 1))
 

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from horomod import examples, liealg, tangent
 from horomod.errors import ValidationError
 from horomod.liealg import (
     DiagCongruence,
@@ -66,6 +67,28 @@ def test_flag_point_dim_and_weights():
     rep = flag_point_report()
     assert rep.dim_T1_invariant == 2
     assert rep.weights == ((0, 1, 1), (1, 1, 0))
+
+
+def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
+    chevalley_args = []
+    isotypic_args = []
+    build_chevalley = liealg.chevalley_matrices
+    split = tangent.isotypic_components
+
+    def counted_chevalley(m):
+        chevalley_args.append(m)
+        return build_chevalley(m)
+
+    def counted_split(m):
+        isotypic_args.append(m)
+        return split(m)
+
+    monkeypatch.setattr(liealg, "chevalley_matrices", counted_chevalley)
+    monkeypatch.setattr(tangent, "isotypic_components", counted_split)
+    assert examples.flag_point().dim_T1_invariant == 2
+    # once for the module, once for its adjoint
+    assert len(chevalley_args) == len({id(m) for m in chevalley_args}) == 2
+    assert len(isotypic_args) <= 1
 
 
 def test_report_identity_enforced():
