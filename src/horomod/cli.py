@@ -515,26 +515,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         payload, bounds, hyps = args.func(args)
-    except ValidationError as exc:
-        _emit(
-            {
-                "status": "error",
-                "error": {"type": "validation", "message": str(exc)},
-                "provenance": provenance,
-            },
-            args.pretty,
-        )
-        return 3
-    except ResourceError as exc:
-        _emit(
-            {
-                "status": "error",
-                "error": {"type": "resource", "message": str(exc)},
-                "provenance": provenance,
-            },
-            args.pretty,
-        )
-        return 4
+    except (ValidationError, ResourceError) as exc:
+        kind = "validation" if isinstance(exc, ValidationError) else "resource"
+        error = {"type": kind, "message": str(exc)}
+        _emit({"status": "error", "error": error, "provenance": provenance}, args.pretty)
+        return 3 if kind == "validation" else 4
 
     provenance["bounds"] = bounds
     if hyps is not None:

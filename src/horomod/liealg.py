@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from .linalg import RowSpace, kernel_basis, rank
@@ -197,47 +197,6 @@ def _columns(mat: Matrix) -> Dict[int, List[Tuple[int, Q]]]:
     return cols
 
 
-def sym(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
-    if k < 0:
-        raise ValidationError("sym degree must be >= 0")
-    basis = list(combinations_with_replacement(range(m.dim), k))
-    dim = len(basis)
-    if dim > cap:
-        raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
-    index = {mono: i for i, mono in enumerate(basis)}
-
-    def induced(mat: Matrix) -> Matrix:
-        cols = _columns(mat)
-        out: Matrix = {}
-        for ci, mono in enumerate(basis):
-            counts: Dict[int, int] = {}
-            for u in mono:
-                counts[u] = counts.get(u, 0) + 1
-            for u, cnt in counts.items():
-                pos = mono.index(u)
-                for v, val in cols.get(u, ()):  # replace one u by v
-                    new = list(mono)
-                    new[pos] = v
-                    new.sort()
-                    key = (index[tuple(new)], ci)
-                    out[key] = out.get(key, Q(0)) + cnt * val
-        return {kk: v for kk, v in out.items() if v != 0}
-
-    weights = tuple(
-        tuple(sum(m.basis_weights[u][i] for u in mono) for i in range(m.rd.rank))
-        for mono in basis
-    )
-    return ExplicitModule(
-        m.rd,
-        f"sym({k},{m.label})",
-        dim,
-        weights,
-        tuple(induced(x) for x in m.e),
-        tuple(induced(x) for x in m.f),
-        tuple(induced(x) for x in m.h),
-    )
-
-
 def _sort_sign(seq: List[int]) -> int:
     """Sign of the permutation sorting seq; 0 on duplicates."""
     s = list(seq)
@@ -252,10 +211,13 @@ def _sort_sign(seq: List[int]) -> int:
     return sign
 
 
-def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
-    if k < 0 or k > m.dim:
-        raise ValidationError("ext degree out of range")
-    basis = list(combinations(range(m.dim), k))
+def _power(
+    name: str, k: int, m: ExplicitModule, combos: Callable, sign: Callable, cap: int
+) -> ExplicitModule:
+    """Degree-k power of m on the index tuples combos(range(dim), k): an
+    operator replaces one factor at a time, and the sorted result carries
+    sign(replaced tuple), a term of sign 0 being dropped."""
+    basis = list(combos(range(m.dim), k))
     dim = len(basis)
     if dim > cap:
         raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
@@ -269,11 +231,11 @@ def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> Explici
                 for v, val in cols.get(u, ()):
                     new = list(mono)
                     new[pos] = v
-                    sign = _sort_sign(new)
-                    if sign == 0:
+                    sg = sign(new)
+                    if sg == 0:
                         continue
                     key = (index[tuple(sorted(new))], ci)
-                    out[key] = out.get(key, Q(0)) + sign * val
+                    out[key] = out.get(key, Q(0)) + sg * val
         return {kk: v for kk, v in out.items() if v != 0}
 
     weights = tuple(
@@ -282,13 +244,25 @@ def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> Explici
     )
     return ExplicitModule(
         m.rd,
-        f"ext({k},{m.label})",
+        f"{name}({k},{m.label})",
         dim,
         weights,
         tuple(induced(x) for x in m.e),
         tuple(induced(x) for x in m.f),
         tuple(induced(x) for x in m.h),
     )
+
+
+def sym(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
+    if k < 0:
+        raise ValidationError("sym degree must be >= 0")
+    return _power("sym", k, m, combinations_with_replacement, lambda seq: 1, cap)
+
+
+def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
+    if k < 0 or k > m.dim:
+        raise ValidationError("ext degree out of range")
+    return _power("ext", k, m, combinations, _sort_sign, cap)
 
 
 # ---------------------------------------------------------------- parser

@@ -17,7 +17,8 @@ Vector = Tuple[Q, ...]
 
 
 def to_row(entries: Iterable) -> List[Q]:
-    return [Q(e) for e in entries]
+    """A fresh list of exact entries; Fraction entries are kept as they are."""
+    return [e if type(e) is Q else Q(e) for e in entries]
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Q]], List[int]]:

@@ -36,7 +36,7 @@ from .polysys import (
     primitive_ints,
     render_poly,
 )
-from .rootdata import RootDatum, make_root_datum, to_root_coords
+from .rootdata import RootDatum, make_root_datum, natural_root_coords
 
 Q = Fraction
 
@@ -143,16 +143,12 @@ def _is_a1(rd: RootDatum) -> bool:
 
 
 def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Grade:
-    diff = tuple(l + m - n for l, m, n in zip(lam, mu, nu))
-    rc = to_root_coords(rd, diff)
-    out = []
-    for x in rc:
-        if x.denominator != 1 or x < 0:
-            raise ValidationError(
-                f"grade of ({lam},{mu})->{nu} is not a natural root combination"
-            )
-        out.append(int(x))
-    return tuple(out)
+    grade = natural_root_coords(rd, tuple(l + m - n for l, m, n in zip(lam, mu, nu)))
+    if grade is None:
+        raise ValidationError(
+            f"grade of ({lam},{mu})->{nu} is not a natural root combination"
+        )
+    return grade
 
 
 def make_law(
@@ -188,10 +184,7 @@ def make_law(
                 raise ValidationError(f"bad channel {ch} for ({lam},{mu})->{nu}")
         if (not any(lam) and nu != mu) or (not any(mu) and nu != lam):
             raise ValidationError("multiplication by the unit component must be trivial")
-        key: LawKey = (lam, mu, nu, ch)
-        if key in table:
-            raise ValidationError(f"duplicate coefficient {key}")
-        table[key] = val
+        table[(lam, mu, nu, ch)] = val
     return MultiplicationLaw(rd, monoid, truncation, table)
 
 
@@ -290,6 +283,8 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
             _json_ints("nu entry", e["nu"]),
             _json_int("channel", e["channel"]),
         )
+        if key in coeffs:
+            raise ValidationError(f"duplicate coefficient {key}")
         coeffs[key] = Q(e["value"])
     return make_law(rd, monoid, _json_int("truncation", data["truncation"]), coeffs)
 
@@ -418,46 +413,37 @@ def law_equations_with_kinds(
                     for eta in _triple_top_vectors(a, b, c, nu):
                         poly = {}
                         for (s, t, u), coef in eta.items():
-                            for i in range(min(a, b) + 1):
-                                j = r - i
-                                e = a + b - 2 * i
-                                if j < 0 or e < 0 or j > min(e, c):
-                                    continue
-                                if e not in sset:
-                                    continue
-                                k1 = _channel_coeff(a, s, b, t, i)
-                                if not k1:
-                                    continue
-                                k2 = _channel_coeff(e, s + t - i, c, u, j)
-                                if not k2:
-                                    continue
-                                left = channel_factor(a, b, i)
-                                right = channel_factor(e, c, j)
-                                if left is None or right is None:
-                                    continue
-                                m = tuple(sorted(left + right))
-                                v = poly.get(m, Q(0)) + coef * k1 * k2
-                                poly[m] = v
-                            for p in range(min(b, c) + 1):
-                                q = r - p
-                                d = b + c - 2 * p
-                                if q < 0 or d < 0 or q > min(a, d):
-                                    continue
-                                if d not in sset:
-                                    continue
-                                k1 = _channel_coeff(b, t, c, u, p)
-                                if not k1:
-                                    continue
-                                k2 = _channel_coeff(a, s, d, t + u - p, q)
-                                if not k2:
-                                    continue
-                                left = channel_factor(b, c, p)
-                                right = channel_factor(a, d, q)
-                                if left is None or right is None:
-                                    continue
-                                m = tuple(sorted(left + right))
-                                v = poly.get(m, Q(0)) - coef * k1 * k2
-                                poly[m] = v
+                            # (a.b).c counts positively, a.(b.c) negatively.
+                            # The inner product x.y goes through channel i;
+                            # its result e meets z in channel j, as the left
+                            # outer factor in (a.b).c and the right in a.(b.c).
+                            for first in (True, False):
+                                if first:
+                                    x, sx, y, sy, z, sz = a, s, b, t, c, u
+                                else:
+                                    x, sx, y, sy, z, sz = b, t, c, u, a, s
+                                    coef = -coef
+                                for i in range(min(x, y) + 1):
+                                    j = r - i
+                                    e = x + y - 2 * i
+                                    if j < 0 or j > min(e, z) or e not in sset:
+                                        continue
+                                    k1 = _channel_coeff(x, sx, y, sy, i)
+                                    if not k1:
+                                        continue
+                                    if first:
+                                        p, sp, q, sq = e, sx + sy - i, z, sz
+                                    else:
+                                        p, sp, q, sq = z, sz, e, sx + sy - i
+                                    k2 = _channel_coeff(p, sp, q, sq, j)
+                                    if not k2:
+                                        continue
+                                    left = channel_factor(x, y, i)
+                                    right = channel_factor(p, q, j)
+                                    if left is None or right is None:
+                                        continue
+                                    m = tuple(sorted(left + right))
+                                    poly[m] = poly.get(m, Q(0)) + coef * k1 * k2
                         poly = {m: v for m, v in poly.items() if v}
                         if poly:
                             raw_equations.append((poly, (r,), "associativity"))
@@ -729,26 +715,18 @@ def orbit_law(
 def _solve_pair(
     a: int, b: int, channels: List[int], bases: Dict[int, List[NFPoly]]
 ) -> List[Q]:
-    mn = min(a, b)
-    solve_pairs = [(0, t) for t in range(mn + 1)]
-    if (a + 1) * (b + 1) <= 25:
-        verify_pairs = [(s, t) for s in range(a + 1) for t in range(b + 1)]
-    else:
-        verify_pairs = [(s, 0) for s in range(1, mn + 1)] + [
-            (1, 1),
-            (1, min(2, b)),
-            (min(2, a), 1),
-        ]
+    """Channel values of the (a, b) product: solved on the rows (0, t),
+    then checked on every row pair (s, t)."""
     rows: List[List[Q]] = []
     rhs: List[Q] = []
-    for s, t in solve_pairs:
-        prod = nf_mul(bases[a][s], bases[b][t])
+    for t in range(min(a, b) + 1):
+        prod = nf_mul(bases[a][0], bases[b][t])
         terms: List[Tuple[int, Q, NFPoly]] = []
         for i in channels:
-            k = _channel_coeff(a, s, b, t, i)
+            k = _channel_coeff(a, 0, b, t, i)
             if not k:
                 continue
-            terms.append((i, Q(k), bases[a + b - 2 * i][s + t - i]))
+            terms.append((i, Q(k), bases[a + b - 2 * i][t - i]))
         monos = sorted(set(prod) | {m for _, _, vec in terms for m in vec})
         for m in monos:
             row = [Q(0)] * len(channels)
@@ -764,23 +742,22 @@ def _solve_pair(
         )
     if sol[channels.index(0)] != 1:
         raise ValidationError("top-channel normalization failed")
-    for s, t in verify_pairs:
-        if t > b or s > a:
-            continue
-        prod = nf_mul(bases[a][s], bases[b][t])
-        acc: NFPoly = {}
-        for i, val in zip(channels, sol):
-            if not val:
-                continue
-            k = _channel_coeff(a, s, b, t, i)
-            if not k:
-                continue
-            m = s + t - i
-            if 0 <= m <= a + b - 2 * i:
-                acc = poly_add(acc, poly_scale(bases[a + b - 2 * i][m], val * k))
-        if acc != prod:
-            raise ValidationError(
-                f"decomposition check failed on rows ({s},{t}) for the "
-                f"({a},{b}) product"
-            )
+    for s in range(a + 1):
+        for t in range(b + 1):
+            prod = nf_mul(bases[a][s], bases[b][t])
+            acc: NFPoly = {}
+            for i, val in zip(channels, sol):
+                if not val:
+                    continue
+                k = _channel_coeff(a, s, b, t, i)
+                if not k:
+                    continue
+                m = s + t - i
+                if 0 <= m <= a + b - 2 * i:
+                    acc = poly_add(acc, poly_scale(bases[a + b - 2 * i][m], val * k))
+            if acc != prod:
+                raise ValidationError(
+                    f"decomposition check failed on rows ({s},{t}) for the "
+                    f"({a},{b}) product"
+                )
     return list(sol)

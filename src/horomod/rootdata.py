@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -108,13 +108,19 @@ def to_root_coords(rd: RootDatum, lam: Sequence[int]) -> RootVector:
     return tuple(sum(inv[i][j] * v[j] for j in range(rd.rank)) for i in range(rd.rank))
 
 
+def natural_root_coords(rd: RootDatum, lam: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """Root coordinates of lam as integers if all are natural, else None."""
+    coords = to_root_coords(rd, lam)
+    if any(c.denominator != 1 or c < 0 for c in coords):
+        return None
+    return tuple(int(c) for c in coords)
+
+
 def dominance_leq(rd: RootDatum, mu: Sequence[int], lam: Sequence[int]) -> bool:
     """True iff lam - mu is a sum of simple roots with natural coefficients."""
     mu = check_weight(rd, mu)
     lam = check_weight(rd, lam)
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    x = to_root_coords(rd, diff)
-    return all(c.denominator == 1 and c >= 0 for c in x)
+    return natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu))) is not None
 
 
 @lru_cache(maxsize=None)

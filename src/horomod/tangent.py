@@ -29,8 +29,8 @@ from .liealg import (
     orbit_tangent,
     stabilizer_lie,
 )
-from .linalg import RowSpace, solve
-from .rootdata import RootDatum, Weight, to_root_coords
+from .linalg import RowSpace, rref
+from .rootdata import RootDatum, Weight, natural_root_coords
 
 RootVector = Tuple[int, ...]
 
@@ -85,18 +85,14 @@ def tangent_weight(rd: RootDatum, lam: Weight, mu: Weight) -> RootVector:
     """Grading character lambda - mu of the deformation moving the
     highest-weight line of V(lambda) toward a weight-mu direction,
     in root coordinates."""
-    diff = tuple(a - b for a, b in zip(lam, mu))
     if len(lam) != rd.rank or len(mu) != rd.rank:
         raise ValidationError("weights must have one entry per simple root")
-    coords = to_root_coords(rd, diff)
-    out = []
-    for c in coords:
-        if c.denominator != 1 or c < 0:
-            raise ValidationError(
-                f"weight {mu} is not below {lam} in the dominance order"
-            )
-        out.append(int(c))
-    return tuple(out)
+    coords = natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
+    if coords is None:
+        raise ValidationError(
+            f"weight {mu} is not below {lam} in the dominance order"
+        )
+    return coords
 
 
 def moduli_tangent_dim(t1_inv: int, dim_derT_Y: int, dim_derG_X: int) -> int:
@@ -117,31 +113,30 @@ def moduli_tangent_dim(t1_inv: int, dim_derT_Y: int, dim_derG_X: int) -> int:
 def _component_weights(
     m: ExplicitModule,
     comps: Sequence[Tuple[Weight, List[Sequence[Q]]]],
-    rep: Sequence[Q],
+    reps: Sequence[Sequence[Q]],
 ) -> List[RootVector]:
-    """Weights lambda - mu over the isotypic pieces comps of m meeting the
-    representative, one per (piece, T-weight) pair in its support."""
-    cols: List[Tuple[Weight, Tuple[Q, ...]]] = []
-    for lam, basis in comps:
-        for b in basis:
-            cols.append((lam, b))
-    rows = [[cols[k][1][r] for k in range(len(cols))] for r in range(m.dim)]
-    coeffs = solve(rows, list(rep))
-    if coeffs is None:
+    """Weights lambda - mu over the isotypic pieces comps of m meeting each
+    representative, one per (piece, T-weight) pair in its support.  One
+    elimination of [B | reps], the columns of B being the basis vectors
+    of the pieces, gives the coordinates of every representative."""
+    cols = [(lam, b) for lam, basis in comps for b in basis]
+    n = len(cols)
+    red, pivots = rref(
+        [[b[r] for _, b in cols] + [rep[r] for rep in reps] for r in range(m.dim)]
+    )
+    if pivots != list(range(n)):
         raise ValidationError("representative escapes the module decomposition")
-    parts: Dict[Weight, List[Q]] = {}
-    for (lam, b), c in zip(cols, coeffs):
-        if not c:
-            continue
-        acc = parts.setdefault(lam, [Q(0)] * m.dim)
-        for r in range(m.dim):
-            acc[r] += c * b[r]
     out: List[RootVector] = []
-    for lam in sorted(parts):
-        part = parts[lam]
-        mus = sorted({m.basis_weights[i] for i, v in enumerate(part) if v})
-        for mu in mus:
-            out.append(tangent_weight(m.rd, lam, mu))
+    for j in range(n, n + len(reps)):
+        parts: Dict[Weight, List[Q]] = {}
+        for (lam, b), row in zip(cols, red):
+            if row[j]:
+                acc = parts.setdefault(lam, [Q(0)] * m.dim)
+                for r in range(m.dim):
+                    acc[r] += row[j] * b[r]
+        for lam, part in sorted(parts.items()):
+            for mu in sorted({m.basis_weights[i] for i, v in enumerate(part) if v}):
+                out.append(tangent_weight(m.rd, lam, mu))
     return out
 
 
@@ -190,10 +185,9 @@ def t1_invariant(
     for v in v_fixed:
         span.add(v)
     survivors = [rep for rep in reps if span.add(rep)]
-    comps = isotypic_components(m) if survivors else []
-    weights: List[RootVector] = []
-    for rep in survivors:
-        weights.extend(_component_weights(m, comps, rep))
+    weights = (
+        _component_weights(m, isotypic_components(m), survivors) if survivors else []
+    )
     if len(survivors) != dim_t1:
         raise ValidationError(
             "exactness check failed: the cokernel has dimension "

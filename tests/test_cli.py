@@ -247,6 +247,30 @@ def test_law_file_numbers_must_be_exact(tmp_path, capsys):
         assert field in blob["error"]["message"]
 
 
+def test_duplicate_law_entry_is_validation_error(tmp_path, capsys):
+    law_file = str(tmp_path / "law.json")
+    code, blob = run_json(
+        capsys,
+        "orbit-law", "A1", "2",
+        "--form", "1,0,1",
+        "--truncation", "4",
+        "--output", law_file,
+    )
+    assert code == 0
+    law = blob["payload"]
+    entry = next(e for e in law["coeffs"] if e["channel"] == 2)
+    assert entry["value"] == "1/6"
+    # A second entry for the same (lam, mu, nu, channel) must not
+    # silently replace the first.
+    law["coeffs"].append(dict(entry, value="5"))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(law))
+    code, blob = run_json(capsys, "contract", str(path), "1")
+    assert code == 3
+    assert blob["error"]["type"] == "validation"
+    assert "duplicate coefficient" in blob["error"]["message"]
+
+
 def test_output_into_missing_directory_is_validation_error(tmp_path, capsys):
     code, blob = run_json(
         capsys,

@@ -59,6 +59,8 @@ EXPRS_A3 = [
     "ext(3,natural(4))",
     "dual(ext(2,natural(4)))",
     "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))",
+    "sym(2,ext(2,natural(4)))",
+    "ext(2,sym(2,natural(4)))",
 ]
 
 

@@ -227,6 +227,22 @@ def test_orbit_law_satisfies_equations():
     assert all(r == 0 for r in system_residuals(sys_, vals))
 
 
+def test_orbit_law_checks_every_row_pair(monkeypatch):
+    import horomod.mulaw as mulaw
+
+    seen = set()
+    channel_coeff = mulaw._channel_coeff
+
+    def spy(a, s, b, t, i):
+        if (a, b) == (6, 6):
+            seen.add((s, t))
+        return channel_coeff(a, s, b, t, i)
+
+    monkeypatch.setattr(mulaw, "_channel_coeff", spy)
+    orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], nat2([2]), 12)
+    assert seen == {(s, t) for s in range(7) for t in range(7)}
+
+
 def test_orbit_law_root_monoid():
     mon = nat2([2])
     law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
