@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
@@ -212,15 +213,15 @@ def _sort_sign(seq: List[int]) -> int:
 
 
 def _power(
-    name: str, k: int, m: ExplicitModule, combos: Callable, sign: Callable, cap: int
+    name: str, k: int, m: ExplicitModule, dim: int, combos: Callable, sign: Callable, cap: int
 ) -> ExplicitModule:
-    """Degree-k power of m on the index tuples combos(range(dim), k): an
-    operator replaces one factor at a time, and the sorted result carries
-    sign(replaced tuple), a term of sign 0 being dropped."""
-    basis = list(combos(range(m.dim), k))
-    dim = len(basis)
+    """Degree-k power of m, of dimension dim, on the index tuples
+    combos(range(m.dim), k): an operator replaces one factor at a time,
+    and the sorted result carries sign(replaced tuple), a term of sign 0
+    being dropped.  The cap is checked before any tuple is listed."""
     if dim > cap:
         raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
+    basis = list(combos(range(m.dim), k))
     index = {mono: i for i, mono in enumerate(basis)}
 
     def induced(mat: Matrix) -> Matrix:
@@ -256,13 +257,15 @@ def _power(
 def sym(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
     if k < 0:
         raise ValidationError("sym degree must be >= 0")
-    return _power("sym", k, m, combinations_with_replacement, lambda seq: 1, cap)
+    return _power(
+        "sym", k, m, comb(m.dim + k - 1, k), combinations_with_replacement, lambda seq: 1, cap
+    )
 
 
 def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
     if k < 0 or k > m.dim:
         raise ValidationError("ext degree out of range")
-    return _power("ext", k, m, combinations, _sort_sign, cap)
+    return _power("ext", k, m, comb(m.dim, k), combinations, _sort_sign, cap)
 
 
 # ---------------------------------------------------------------- parser

@@ -9,10 +9,9 @@ bound-limited flag.
 
 Saturation computes the Hilbert basis of cone(gens) intersect
 lattice(gens) for rank at most 3 by enumerating lattice points of the
-generator zonotope box, filtering by exact cone membership (solving
-against linearly independent generator subsets), and discarding
-reducible points in increasing grading order.  Ties break
-lexicographically so results are reproducible.
+generator zonotope box, filtering by exact cone membership (a
+non-negative solution on a generator subset), and keeping the
+irreducible points with minimal_generators.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
@@ -33,6 +33,7 @@ Gen = Tuple[int, ...]
 DEFAULT_MEMBERSHIP_BOUND = 64
 _ENUM_CAP = 200_000
 _CONGRUENCE_CAP = 20_000
+_PAIR_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -202,25 +203,14 @@ def _hnf(rows: Sequence[Gen]) -> List[List[int]]:
     return [row for row in mat[:r]]
 
 
-def _in_cone(gens: Sequence[Gen], y: Gen) -> bool:
-    """Exact cone membership via independent generator subsets."""
-    if not any(y):
-        return True
-    n = len(y)
-    nz = [g for g in gens if any(g)]
-    r = linalg.rank(nz) if nz else 0
+def _in_cone(gens: Sequence[Gen], y: Gen, r: int) -> bool:
+    """Exact cone membership: a non-negative solution on some set of at
+    most r generators, r the rank of gens (Caratheodory)."""
     for size in range(1, r + 1):
-        for subset in combinations(nz, size):
-            if linalg.rank(subset) != size:
-                continue
-            rows = [[Q(subset[k][j]) for k in range(size)] for j in range(n)]
-            sol = linalg.solve(rows, [Q(x) for x in y])
+        for subset in combinations(gens, size):
+            sol = linalg.solve(list(zip(*subset)), y)
             if sol is not None and all(t >= 0 for t in sol):
-                back = [
-                    sum(sol[k] * subset[k][j] for k in range(size)) for j in range(n)
-                ]
-                if all(b == v for b, v in zip(back, y)):
-                    return True
+                return True
     return False
 
 
@@ -232,8 +222,7 @@ def saturation(monoid):
     basis = _hnf(gens)
     if len(basis) > 3:
         raise ValidationError("saturation implemented for lattice rank <= 3")
-    phi = _positive_functional(gens)
-    if phi is None:
+    if _positive_functional(gens) is None:
         raise ValidationError("no strictly positive grading; cone may not be pointed")
     n = len(gens[0])
     lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
@@ -244,12 +233,8 @@ def saturation(monoid):
     for row in basis:
         cols.append(next(k for k, x in enumerate(row) if x != 0))
     sub = [[Q(basis[k][c]) for k in range(r)] for c in cols]  # column-major square
-    inv_cols = []
-    for k in range(r):
-        rhs = [Q(1) if i == k else Q(0) for i in range(r)]
-        sol = linalg.solve(sub, rhs)
-        assert sol is not None
-        inv_cols.append(sol)
+    # the pivot columns make sub triangular with nonzero diagonal
+    inv_cols = [linalg.solve(sub, [int(i == k) for i in range(r)]) for k in range(r)]
     # bounds for z where lattice point = z . basis and z_k = sum inv[k][j] y_{cols[j]}
     zlo, zhi = [], []
     for k in range(r):
@@ -283,26 +268,11 @@ def saturation(monoid):
             continue
         if any(v < l or v > h for v, l, h in zip(y, lo, hi)):
             continue
-        if _in_cone(gens, y):
+        if _in_cone(gens, y, r):
             candidates.add(y)
-    for g in gens:
-        candidates.add(tuple(g))
-
-    def grade(y):
-        return sum(p * x for p, x in zip(phi, y))
-
-    hilbert: List[Gen] = []
-    for y in sorted(candidates, key=lambda v: (grade(v), v)):
-        if not hilbert:
-            hilbert.append(y)
-            continue
-        probe = WeightMonoid(monoid.rd, tuple(hilbert))
-        res = membership(probe, y, bound=max(1, grade(y)))
-        if res.found:
-            continue
-        assert not res.bound_limited
-        hilbert.append(y)
-    return type(monoid)(monoid.rd, tuple(sorted(hilbert)))
+    return type(monoid)(
+        monoid.rd, minimal_generators(WeightMonoid(monoid.rd, tuple(candidates)))
+    )
 
 
 def minimal_generators(monoid) -> Tuple[Gen, ...]:
@@ -313,14 +283,11 @@ def minimal_generators(monoid) -> Tuple[Gen, ...]:
         raise ValidationError("no strictly positive grading on the generators")
     keep: List[Gen] = []
     for g in sorted(gens, key=lambda v: (sum(p * x for p, x in zip(phi, v)), v)):
-        others = keep + [h for h in gens if h != g and h not in keep]
-        probe = WeightMonoid(monoid.rd, tuple(others)) if others else None
-        if probe is not None:
-            grade = sum(p * x for p, x in zip(phi, g))
-            res = membership(probe, g, bound=max(1, grade))
-            if res.found:
-                continue
-        keep.append(g)
+        # phi >= 1 on every generator, so a sum for g has at most phi(g)
+        # terms, all lighter than g: searching keep that far is complete.
+        grade = sum(p * x for p, x in zip(phi, g))
+        if not membership(WeightMonoid(monoid.rd, tuple(keep)), g, bound=grade).found:
+            keep.append(g)
     return tuple(sorted(keep))
 
 
@@ -375,6 +342,8 @@ def semigroup_presentation(monoid, degree_bound: int) -> Presentation:
     m = len(gens)
     if m == 0:
         return Presentation((), True)
+    if comb(max(degree_bound, 0) + m, m) > _ENUM_CAP:
+        raise ResourceError("presentation enumeration cap exceeded")
     fibers: Dict[Gen, List[Tuple[int, ...]]] = {}
 
     def rec(i, acc, left):
@@ -388,6 +357,8 @@ def semigroup_presentation(monoid, degree_bound: int) -> Presentation:
             rec(i + 1, acc + [c], left - c)
 
     rec(0, [], degree_bound)
+    if sum(comb(len(exps), 2) for exps in fibers.values()) > _PAIR_CAP:
+        raise ResourceError("presentation candidate-pair cap exceeded")
     candidates = set()
     for val, exps in fibers.items():
         if len(exps) < 2:

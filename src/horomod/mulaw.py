@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
@@ -63,13 +63,6 @@ def make_binary_form(degree: int, coeffs: Sequence) -> BinaryForm:
     return BinaryForm(degree, co)
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
 def _channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
     """Coefficient of the i-th transvectant on the monomial pair
     (x^(a-s) y^s, x^(b-t) y^t); the result is the single monomial of
@@ -79,10 +72,10 @@ def _channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
         total += (
             (-1) ** j
             * comb(i, j)
-            * _falling(a - s, i - j)
-            * _falling(s, j)
-            * _falling(b - t, j)
-            * _falling(t, i - j)
+            * perm(a - s, i - j)
+            * perm(s, j)
+            * perm(b - t, j)
+            * perm(t, i - j)
         )
     return total
 
@@ -716,11 +709,11 @@ def _solve_pair(
     a: int, b: int, channels: List[int], bases: Dict[int, List[NFPoly]]
 ) -> List[Q]:
     """Channel values of the (a, b) product: solved on the rows (0, t),
-    then checked on every row pair (s, t)."""
+    then checked on every row pair (s, t), each product formed once."""
     rows: List[List[Q]] = []
     rhs: List[Q] = []
-    for t in range(min(a, b) + 1):
-        prod = nf_mul(bases[a][0], bases[b][t])
+    first = [nf_mul(bases[a][0], bases[b][t]) for t in range(min(a, b) + 1)]
+    for t, prod in enumerate(first):
         terms: List[Tuple[int, Q, NFPoly]] = []
         for i in channels:
             k = _channel_coeff(a, 0, b, t, i)
@@ -744,7 +737,10 @@ def _solve_pair(
         raise ValidationError("top-channel normalization failed")
     for s in range(a + 1):
         for t in range(b + 1):
-            prod = nf_mul(bases[a][s], bases[b][t])
+            if s == 0 and t < len(first):
+                prod = first[t]
+            else:
+                prod = nf_mul(bases[a][s], bases[b][t])
             acc: NFPoly = {}
             for i, val in zip(channels, sol):
                 if not val:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import time
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from horomod.cli import main
 
@@ -141,6 +145,47 @@ def test_saturate_and_presentation(capsys):
     assert code == 0
     assert blob["payload"]["relations"] == [[[0, 2], [3, 0]]]
     assert blob["provenance"]["bounds"] == {"bound": 6}
+
+
+def test_saturate_past_a_bound_limited_probe(capsys):
+    # The Hilbert basis of the cone between (1,-1) and (3,2); the old
+    # grade-sorted filter tripped an assert on its bound-limited flag here.
+    code, blob = run_json(capsys, "saturate", "--", "A2", "1,0;3,1;3,2;1,-1")
+    assert code == 0
+    assert blob["payload"]["generators"] == [[1, -1], [1, 0], [2, 1], [3, 2]]
+
+
+@st.composite
+def _saturate_argv(draw):
+    group = draw(st.sampled_from(["A2", "A3"]))
+    rank = int(group[1:])
+    gens = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+        min_size=1, max_size=4,
+    ))
+    flags = ["--root"] if draw(st.booleans()) else []
+    return ["saturate", *flags, "--", group, ";".join(",".join(map(str, g)) for g in gens)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_saturate_argv())
+@example(["saturate", "--", "A2", "1,0;3,1;3,2;1,-1"])
+def test_saturate_always_ends_in_an_envelope(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    blob = json.loads(out.getvalue())
+    assert code in (0, 3, 4)
+    assert blob["status"] == ("ok" if code == 0 else "error")
+
+
+@pytest.mark.parametrize("bound", ["12", "30"])
+def test_presentation_cost_is_refused_up_front(capsys, bound):
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "presentation", "A1", "1;2;3;4;5", "--bound", bound)
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert blob["error"]["type"] == "resource"
 
 
 def test_t1_subcommand(capsys):

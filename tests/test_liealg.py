@@ -262,3 +262,12 @@ def test_sym_dim_formula(n, k):
         from math import comb
 
         assert w.dim == comb(n + k, k)
+
+
+def test_power_cap_is_checked_before_listing_the_basis(monkeypatch):
+    def unlisted(*args):
+        raise AssertionError("basis listed before the cap check")
+
+    monkeypatch.setattr(la, "combinations_with_replacement", unlisted)
+    with pytest.raises(ResourceError):
+        la.build_module(rda.make_root_datum("A19"), "sym(6,natural(20))", cap=10)

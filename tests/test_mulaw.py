@@ -243,6 +243,30 @@ def test_orbit_law_checks_every_row_pair(monkeypatch):
     assert seen == {(s, t) for s in range(7) for t in range(7)}
 
 
+def test_orbit_law_forms_each_product_once(monkeypatch):
+    import horomod.mulaw as mulaw
+
+    muls = [0]
+    counts = {}
+    nf_mul, solve_pair = mulaw.nf_mul, mulaw._solve_pair
+
+    def counting_mul(f, g):
+        muls[0] += 1
+        return nf_mul(f, g)
+
+    def counting_pair(a, b, channels, bases):
+        before = muls[0]
+        out = solve_pair(a, b, channels, bases)
+        counts[(a, b)] = muls[0] - before
+        return out
+
+    monkeypatch.setattr(mulaw, "nf_mul", counting_mul)
+    monkeypatch.setattr(mulaw, "_solve_pair", counting_pair)
+    orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], nat2([2]), 12)
+    assert counts[(4, 6)] == 5 * 7
+    assert all(n == (a + 1) * (b + 1) for (a, b), n in counts.items())
+
+
 def test_orbit_law_root_monoid():
     mon = nat2([2])
     law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
