@@ -2,8 +2,9 @@
 
 Chevalley conventions on the natural module of A_{n-1}: e_i is the
 matrix unit E_{i,i+1}, f_i is E_{i+1,i}, h_i is E_{ii} - E_{i+1,i+1}
-(1-based i).  Vectors are dense tuples of Fraction, operators sparse
-dicts keyed by (row, col).  Constructions: natural, dual, tensor, sum,
+(1-based i).  Operators are sparse dicts keyed by (row, col); vectors
+are sparse {index: Fraction} dicts inside the package and dense tuples
+of Fraction at its surface.  Constructions: natural, dual, tensor, sum,
 sym, ext, all with deterministic bases: tensor indices in row-major
 order, sym on sorted monomials in lexicographic order, ext on strictly
 increasing index tuples with Koszul signs.
@@ -24,7 +25,7 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
-from .linalg import RowSpace, kernel_basis, rank
+from .linalg import RowSpace, Sparse, dense, kernel_basis, sparse
 from .rootdata import RootDatum, Weight, make_root_datum
 
 Q = Fraction
@@ -35,14 +36,18 @@ Vector = Tuple[Q, ...]
 DEFAULT_MODULE_DIM_CAP = 2000
 
 
-def mat_apply(mat: Matrix, vec: Sequence) -> Vector:
-    n = len(vec)
-    out = [Q(0)] * n
+def act(mat: Matrix, vec: Sparse) -> Sparse:
+    """mat applied to a sparse vector, as a sparse vector."""
+    out: Sparse = {}
     for (r, c), val in mat.items():
-        x = vec[c]
-        if x:
-            out[r] += val * x
-    return tuple(out)
+        x = vec.get(c)
+        if x is not None:
+            out[r] = out.get(r, 0) + val * x
+    return {r: x for r, x in out.items() if x}
+
+
+def mat_apply(mat: Matrix, vec: Sequence) -> Vector:
+    return dense(act(mat, sparse(vec)), len(vec))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -439,46 +444,29 @@ def chevalley_weights(rd: RootDatum) -> List[Weight]:
 def adjoint_module(rd: RootDatum) -> ExplicitModule:
     """sl_n acting on itself, coordinates in the Chevalley basis order."""
     n = _require_type_a(rd)
-    units: List[Matrix] = []
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                units.append({(i, j): Q(1)})
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                units.append({(j, i): Q(1)})
-    for i in range(rd.rank):
-        units.append({(i, i): Q(1), (i + 1, i + 1): Q(-1)})
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    off_diagonal = upper + [(j, i) for i, j in upper]
+    index = {key: k for k, key in enumerate(off_diagonal)}
+    units: List[Matrix] = [{key: Q(1)} for key in off_diagonal]
+    units += [{(i, i): Q(1), (i + 1, i + 1): Q(-1)} for i in range(rd.rank)]
     dim = len(units)
 
-    def expand(mat: Matrix) -> Vector:
-        coords = [Q(0)] * dim
-        pos = 0
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    coords[pos] = mat.get((i, j), Q(0))
-                    pos += 1
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    coords[pos] = mat.get((j, i), Q(0))
-                    pos += 1
+    def expand(mat: Matrix) -> Sparse:
+        """Coordinates of a traceless matrix: its off-diagonal entries,
+        then the partial sums of its diagonal on the h[i]."""
+        coords = {index[key]: v for key, v in mat.items() if key[0] != key[1]}
         partial = Q(0)
         for i in range(rd.rank):
-            partial += mat.get((i, i), Q(0))
-            coords[pos] = partial
-            pos += 1
-        return tuple(coords)
+            partial += mat.get((i, i), 0)
+            if partial:
+                coords[len(off_diagonal) + i] = partial
+        return coords
 
     def ad_matrix(x: Matrix) -> Matrix:
         out: Matrix = {}
         for col, b in enumerate(units):
-            vec = expand(mat_commutator(x, b))
-            for row, v in enumerate(vec):
-                if v != 0:
-                    out[(row, col)] = v
+            for row, v in sorted(expand(mat_commutator(x, b)).items()):
+                out[(row, col)] = v
         return out
 
     e = tuple(ad_matrix({(i, i + 1): Q(1)}) for i in range(rd.rank))
@@ -504,30 +492,27 @@ def _weight_blocks(m: ExplicitModule) -> Dict[Weight, List[int]]:
 def highest_weight_vectors(m: ExplicitModule) -> Dict[Weight, List[Vector]]:
     """Basis of the joint kernel of the raising operators, one entry per
     dominant weight that actually carries highest weight vectors."""
+    return {
+        chi: [dense(v, m.dim) for v in vecs] for chi, vecs in _hw_vectors(m).items()
+    }
+
+
+def _hw_vectors(m: ExplicitModule) -> Dict[Weight, List[Sparse]]:
     blocks = _weight_blocks(m)
-    out: Dict[Weight, List[Vector]] = {}
+    out: Dict[Weight, List[Sparse]] = {}
     order = sorted(blocks, key=lambda w: (sum(w), w), reverse=True)
     for chi in order:
         if any(c < 0 for c in chi):
             continue
         src = blocks[chi]
-        rows: List[List[Q]] = []
+        space = RowSpace(len(src))
         for i in range(m.rd.rank):
             target = tuple(c + a for c, a in zip(chi, m.rd.cartan[i]))
             for t in blocks.get(target, []):
-                row = [m.e[i].get((t, s), Q(0)) for s in src]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-        kern = kernel_basis(rows, len(src))
-        if not kern:
-            continue
-        vecs = []
-        for k in kern:
-            v = [Q(0)] * m.dim
-            for s, val in zip(src, k):
-                v[s] = val
-            vecs.append(tuple(v))
-        out[chi] = vecs
+                space.add({j: m.e[i][(t, s)] for j, s in enumerate(src) if (t, s) in m.e[i]})
+        kern = space.kernel()
+        if kern:
+            out[chi] = [{src[j]: val for j, val in k.items()} for k in kern]
     return out
 
 
@@ -549,10 +534,7 @@ def u_coinvariants(m: ExplicitModule) -> Coinvariants:
     for i in range(m.rd.rank):
         cols = _columns(m.e[i])
         for c, entries in sorted(cols.items()):
-            v = [Q(0)] * m.dim
-            for r, val in entries:
-                v[r] = val
-            span.add(v)
+            span.add(dict(entries))
     pivot_set = set(span.pivots)
     reps = tuple(i for i in range(m.dim) if i not in pivot_set)
     return Coinvariants(
@@ -564,20 +546,21 @@ def u_coinvariants(m: ExplicitModule) -> Coinvariants:
 
 def orbit_tangent(m: ExplicitModule, x: Sequence) -> List[Vector]:
     """Reduced basis of the span of all Chevalley basis images of x."""
-    vec = _check_point(m, x)
+    vec = sparse(_check_point(m, x))
     span = RowSpace(m.dim)
     for mat in m.chevalley:
-        span.add(mat_apply(mat, vec))
+        span.add(act(mat, vec))
     return span.basis()
 
 
 def stabilizer_lie(m: ExplicitModule, x: Sequence) -> List[Vector]:
     """Kernel of xi -> xi.x, as Chevalley coefficient vectors."""
-    vec = _check_point(m, x)
-    mats = m.chevalley
-    images = [mat_apply(mat, vec) for mat in mats]
-    rows = [[images[k][r] for k in range(len(mats))] for r in range(m.dim)]
-    return kernel_basis(rows, len(mats))
+    vec = sparse(_check_point(m, x))
+    rows: Dict[int, Sparse] = {}
+    for k, mat in enumerate(m.chevalley):
+        for r, val in act(mat, vec).items():
+            rows.setdefault(r, {})[k] = val
+    return kernel_basis(list(rows.values()), len(m.chevalley))
 
 
 def _check_point(m: ExplicitModule, x: Sequence) -> Vector:
@@ -659,62 +642,53 @@ def fixed_in_quotient(
     representatives are independent modulo the span; with an empty span
     they are a basis of the fixed subspace of M itself.
     """
-    span = RowSpace(m.dim)
-    for v in span_vectors:
-        span.add(v)
+    span = RowSpace(m.dim, span_vectors)
     passing = [i for i in range(m.dim) if stab.passes(m.basis_weights[i])]
-    zero = Q(0)
-    rows: List[List[Q]] = []
+    # One row per (Lie generator, coordinate) of the map sending the
+    # passing basis vector j to its class modulo the span.
+    rows: List[Sparse] = []
     for coeffs in stab.lie_part:
         cols = _columns(lie_matrix(m, coeffs))
-        reduced: List[Dict[int, Q]] = []
-        for p in passing:
-            col = dict(cols.get(p, ()))
-            if span.dim and col:
-                dense = [zero] * m.dim
-                for r, val in col.items():
-                    dense[r] = val
-                col = {r: val for r, val in enumerate(span.reduce(dense)) if val}
-            reduced.append(col)
-        for r in sorted(set().union(*reduced)):
-            rows.append([col.get(r, zero) for col in reduced])
-    kern = kernel_basis(rows, len(passing))
-    w_basis = []
-    for k in kern:
-        v = [Q(0)] * m.dim
-        for p, val in zip(passing, k):
-            v[p] = val
-        w_basis.append(tuple(v))
+        by_coord: Dict[int, Sparse] = {}
+        for j, p in enumerate(passing):
+            for r, val in span.reduce(dict(cols.get(p, ()))).items():
+                by_coord.setdefault(r, {})[j] = val
+        rows.extend(by_coord.values())
+    w_basis = [
+        {passing[j]: val for j, val in k.items()}
+        for k in RowSpace(len(passing), rows).kernel()
+    ]
     # s_triv_dim is the dimension of the part of the span supported on
     # passing weights.  A w supported there lies in span + (reps so far)
     # exactly when it lies in that part + (reps so far), so adding to the
     # whole span picks the classes independent modulo the span.
     passing_set = set(passing)
-    non_passing = [i for i in range(m.dim) if i not in passing_set]
-    srows = span.basis()
-    s_triv_dim = len(srows) - rank([[row[q] for q in non_passing] for row in srows])
-    reps = [w for w in w_basis if span.add(w)]
+    off_passing = RowSpace(
+        m.dim,
+        [{q: x for q, x in row.items() if q not in passing_set} for row in span.rows.values()],
+    )
+    s_triv_dim = span.dim - off_passing.dim
+    reps = [dense(w, m.dim) for w in w_basis if span.add(w)]
     assert len(reps) == len(w_basis) - s_triv_dim
     return len(reps), reps
 
 
-def isotypic_components(m: ExplicitModule) -> List[Tuple[Weight, List[Vector]]]:
+def isotypic_components(m: ExplicitModule) -> List[Tuple[Weight, List[Sparse]]]:
     """Decomposition into isotypic pieces: highest weight vectors closed
-    under the lowering operators."""
+    under the lowering operators.  Each piece comes with the sparse
+    reduced basis of its span, in pivot order."""
     comps = []
     total = 0
-    for lam, vecs in highest_weight_vectors(m).items():
-        space = RowSpace(m.dim)
+    for lam, vecs in _hw_vectors(m).items():
+        space = RowSpace(m.dim, vecs)
         queue = list(vecs)
-        for v in queue:
-            space.add(v)
         while queue:
             v = queue.pop()
             for i in range(m.rd.rank):
-                img = mat_apply(m.f[i], v)
-                if any(c != 0 for c in img) and space.add(img):
+                img = act(m.f[i], v)
+                if space.add(img):
                     queue.append(img)
-        comps.append((lam, space.basis()))
+        comps.append((lam, [space.rows[pc] for pc in space.pivots]))
         total += space.dim
     assert total == m.dim, "module did not split into isotypic pieces"
     return comps

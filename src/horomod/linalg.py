@@ -1,58 +1,67 @@
 """Exact Gaussian elimination over the rationals.
 
-Matrices are lists of rows, rows are lists of Fraction.  Everything is
-computed with exact arithmetic so rank decisions are never subject to
-rounding.  Row echelon forms are fully reduced (Gauss-Jordan) with
-leading entry 1, which makes every derived basis deterministic.
+RowSpace is the one Gauss-Jordan kernel of the package.  It keeps each
+reduced row as a sparse dict {column: Fraction} of its nonzero entries,
+keyed by pivot, and takes vectors either dense (a sequence) or sparse (a
+{column: value} mapping).  Everything is computed with exact arithmetic
+so rank decisions are never subject to rounding.  Row echelon forms are
+fully reduced with leading entry 1; that form is unique, so every derived
+basis is deterministic.  rref, rank, kernel_basis and solve are thin
+views over the kernel and return dense rows and vectors.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Q = Fraction
 
 Vector = Tuple[Q, ...]
+Sparse = Dict[int, Q]
+AnyVector = Union[Sequence, Mapping[int, object]]
 
 
-def to_row(entries: Iterable) -> List[Q]:
-    """A fresh list of exact entries; Fraction entries are kept as they are."""
-    return [e if type(e) is Q else Q(e) for e in entries]
+def sparse(vec: AnyVector) -> Sparse:
+    """The nonzero entries of a dense or {column: value} vector, exact."""
+    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    return {c: x for c, e in items if (x := e if type(e) is Q else Q(e))}
+
+
+def dense(vec: Mapping[int, Q], ncols: int) -> Vector:
+    out = [Q(0)] * ncols
+    for c, x in vec.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _subtract(v: Sparse, f: Q, row: Mapping[int, Q]) -> None:
+    """v -= f * row in place, dropping the entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c, 0) - f * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Q]], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
-
-    The reduced echelon form of a row space is unique, so inserting the
-    rows one at a time into a RowSpace gives the same answer as any other
-    Gauss-Jordan order.
-    """
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
     if not rows:
         return [], []
-    space = RowSpace(len(rows[0]))
-    for row in rows:
-        space.add(row)
-    return space.rows, space.pivots
+    space = RowSpace(len(rows[0]), rows)
+    return [list(r) for r in space.basis()], list(space.pivots)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return RowSpace(len(rows[0]) if rows else 0, rows).dim
 
 
-def kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[Vector]:
+def kernel_basis(rows: Sequence[AnyVector], ncols: int) -> List[Vector]:
     """Basis of the right kernel, one vector per free column, deterministic."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
+    return [dense(k, ncols) for k in RowSpace(ncols, rows).kernel()]
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
@@ -63,61 +72,76 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     if not rows:
         return tuple() if all(Q(b) == 0 for b in rhs) else None
     ncols = len(rows[0])
-    aug = [to_row(r) + [Q(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    sol = [Q(0)] * ncols
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-        sol[pc] = row[ncols]
-    return tuple(sol)
+    space = RowSpace(ncols + 1, [{**sparse(r), ncols: b} for r, b in zip(rows, rhs)])
+    if ncols in space.rows:
+        return None
+    return dense({pc: row[ncols] for pc, row in space.rows.items() if ncols in row}, ncols)
 
 
 class RowSpace:
-    """Incrementally maintained reduced row space: the one Gauss-Jordan
-    loop of the package, behind rref and everything built on it.
+    """Incrementally maintained reduced row space.
 
-    Rows stay fully reduced with leading entry 1, sorted by pivot.  The
-    reduction of a vector against the current rows is linear, so the
-    residual map can double as projection onto a complement.
+    rows maps each pivot to its row, a dict of nonzero entries with 1 at
+    the pivot and 0 at every other pivot; pivots lists them in order.
+    The reduction of a vector against the rows is linear, so the residual
+    map can double as projection onto a complement.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, vectors: Iterable[AnyVector] = ()):
         self.ncols = ncols
-        self.rows: List[List[Q]] = []
+        self.rows: Dict[int, Sparse] = {}
         self.pivots: List[int] = []
+        for vec in vectors:
+            self.add(vec)
 
-    def reduce(self, vec: Sequence) -> List[Q]:
-        v = to_row(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
+    def reduce(self, vec: AnyVector) -> Sparse:
+        """The residual of vec, as {column: value} of its nonzeros.
+
+        Every row vanishes at the other pivots, so subtracting one never
+        changes the vector at another pivot: one pass over the pivots in
+        the vector's own support clears them all.
+        """
+        v = sparse(vec)
+        rows = self.rows
+        for pc in [c for c in v if c in rows]:
+            _subtract(v, v[pc], rows[pc])
         return v
 
-    def add(self, vec: Sequence) -> bool:
+    def add(self, vec: AnyVector) -> bool:
         """Insert vec; True if the rank grew."""
         v = self.reduce(vec)
-        pc = next((c for c in range(self.ncols) if v[c] != 0), None)
-        if pc is None:
+        if not v:
             return False
-        inv = Q(1) / v[pc]
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if row[pc] != 0:
-                f = row[pc]
-                row[:] = [a - f * b for a, b in zip(row, v)]
-        at = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pc)
+        pc = min(v)
+        lead = v[pc]
+        if lead != 1:
+            v = {c: x / lead for c, x in v.items()}
+        for row in self.rows.values():
+            if pc in row:
+                _subtract(row, row[pc], v)
+        self.rows[pc] = v
+        insort(self.pivots, pc)
         return True
 
-    def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+    def contains(self, vec: AnyVector) -> bool:
+        return not self.reduce(vec)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def basis(self) -> List[Vector]:
-        return [tuple(r) for r in self.rows]
+        """The reduced rows, dense, in pivot order."""
+        return [dense(self.rows[pc], self.ncols) for pc in self.pivots]
+
+    def kernel(self) -> List[Sparse]:
+        """Right kernel of the rows, one sparse vector per free column in
+        order: 1 at the free column c and -row[c] at each row's pivot."""
+        out: Dict[int, Sparse] = {
+            c: {c: Q(1)} for c in range(self.ncols) if c not in self.rows
+        }
+        for pc in self.pivots:
+            for c, x in self.rows[pc].items():
+                if c != pc:
+                    out[c][pc] = -x
+        return list(out.values())

@@ -34,6 +34,9 @@ DEFAULT_MEMBERSHIP_BOUND = 64
 _ENUM_CAP = 200_000
 _CONGRUENCE_CAP = 20_000
 _PAIR_CAP = 100_000
+# Recursion nodes of the membership searches of one membership or
+# minimal_generators call.
+_SEARCH_CAP = 150_000
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,11 @@ def _positive_functional(gens: Sequence[Gen]) -> Optional[Tuple[int, ...]]:
 
 
 def _search(
-    gens: Sequence[Gen], target: Gen, bound: int
+    gens: Sequence[Gen], target: Gen, bound: int, budget: List[int]
 ) -> Tuple[Optional[Tuple[int, ...]], bool]:
     """First certificate in lexicographic coefficient order, plus a flag
-    telling whether the search was exhaustive."""
+    telling whether the search was exhaustive.  budget[0] is the number
+    of search nodes left; the search is refused when it runs out."""
     m = len(gens)
     phi = _positive_functional(gens)
     exhaustive = False
@@ -118,21 +122,24 @@ def _search(
 
     coeffs = [0] * m
 
-    def rec(i: int, remaining: Gen, budget: int) -> bool:
+    def rec(i: int, remaining: Gen, terms: int) -> bool:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceError(f"membership search exceeded {_SEARCH_CAP} nodes")
         if all(x == 0 for x in remaining):
             return True
-        if i == m or budget == 0:
+        if i == m or terms == 0:
             return False
         g = gens[i]
         if not any(g):
             coeffs[i] = 0
-            return rec(i + 1, remaining, budget)
-        for c in range(0, budget + 1):
+            return rec(i + 1, remaining, terms)
+        for c in range(0, terms + 1):
             coeffs[i] = c
             rest = tuple(r - c * x for r, x in zip(remaining, g)) if c else remaining
             if phi is not None and sum(p * x for p, x in zip(phi, rest)) < 0:
                 break
-            if rec(i + 1, rest, budget - c):
+            if rec(i + 1, rest, terms - c):
                 return True
         coeffs[i] = 0
         return False
@@ -157,7 +164,7 @@ def membership(
         raise ValidationError("target length does not match generators")
     if not gens:
         return MembershipResult(not any(t), tuple() if not any(t) else None, False)
-    cert, exhaustive = _search(gens, t, bound)
+    cert, exhaustive = _search(gens, t, bound, [_SEARCH_CAP])
     if cert is not None:
         return MembershipResult(True, cert, False)
     return MembershipResult(False, None, not exhaustive)
@@ -282,11 +289,12 @@ def minimal_generators(monoid) -> Tuple[Gen, ...]:
     if phi is None:
         raise ValidationError("no strictly positive grading on the generators")
     keep: List[Gen] = []
+    budget = [_SEARCH_CAP]
     for g in sorted(gens, key=lambda v: (sum(p * x for p, x in zip(phi, v)), v)):
         # phi >= 1 on every generator, so a sum for g has at most phi(g)
         # terms, all lighter than g: searching keep that far is complete.
         grade = sum(p * x for p, x in zip(phi, g))
-        if not membership(WeightMonoid(monoid.rd, tuple(keep)), g, bound=grade).found:
+        if not keep or _search(keep, g, grade, budget)[0] is None:
             keep.append(g)
     return tuple(sorted(keep))
 

@@ -253,9 +253,21 @@ def _json_ints(field: str, values) -> Tuple[int, ...]:
     return tuple(_json_int(field, x) for x in values)
 
 
+def _json_keys(where: str, obj, known: Tuple[str, ...]) -> None:
+    """Refuse a law JSON object carrying a key law_to_json_dict never writes."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in known:
+                raise ValidationError(f"unknown key {key!r} in law JSON {where}")
+
+
 def law_from_json_dict(data: dict) -> MultiplicationLaw:
     """Inverse of law_to_json_dict.  Integer fields must be JSON integers
-    and each value a string or a JSON integer, so every number is exact."""
+    and each value a string or a JSON integer, so every number is exact.
+    Keys law_to_json_dict does not write are refused."""
+    _json_keys("top level", data, ("rd", "monoid", "truncation", "coeffs"))
+    _json_keys("rd", data["rd"], ("label", "cartan"))
+    _json_keys("monoid", data["monoid"], ("generators",))
     rdinfo = data["rd"]
     if rdinfo.get("label") and rdinfo["label"] != "custom":
         rd = make_root_datum(rdinfo["label"])
@@ -266,6 +278,7 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
     )
     coeffs: Dict[LawKey, Q] = {}
     for e in data["coeffs"]:
+        _json_keys("coefficient", e, ("lam", "mu", "nu", "channel", "value"))
         if type(e["value"]) not in (int, str):
             raise ValidationError(
                 f"law JSON value must be a string or an integer, got {e['value']!r}"

@@ -21,15 +21,15 @@ from .liealg import (
     ExplicitModule,
     StabilizerSpec,
     _check_point,
+    act,
     adjoint_module,
     fixed_in_quotient,
     isotypic_components,
     lie_matrix,
-    mat_apply,
     orbit_tangent,
     stabilizer_lie,
 )
-from .linalg import RowSpace, rref
+from .linalg import RowSpace, Sparse, sparse
 from .rootdata import RootDatum, Weight, natural_root_coords
 
 RootVector = Tuple[int, ...]
@@ -112,7 +112,7 @@ def moduli_tangent_dim(t1_inv: int, dim_derT_Y: int, dim_derG_X: int) -> int:
 
 def _component_weights(
     m: ExplicitModule,
-    comps: Sequence[Tuple[Weight, List[Sequence[Q]]]],
+    comps: Sequence[Tuple[Weight, List[Sparse]]],
     reps: Sequence[Sequence[Q]],
 ) -> List[RootVector]:
     """Weights lambda - mu over the isotypic pieces comps of m meeting each
@@ -121,21 +121,24 @@ def _component_weights(
     of the pieces, gives the coordinates of every representative."""
     cols = [(lam, b) for lam, basis in comps for b in basis]
     n = len(cols)
-    red, pivots = rref(
-        [[b[r] for _, b in cols] + [rep[r] for rep in reps] for r in range(m.dim)]
-    )
-    if pivots != list(range(n)):
+    by_coord: Dict[int, Sparse] = {}
+    for j, v in enumerate([b for _, b in cols] + [sparse(rep) for rep in reps]):
+        for r, x in v.items():
+            by_coord.setdefault(r, {})[j] = x
+    red = RowSpace(n + len(reps), by_coord.values())
+    if red.pivots != list(range(n)):
         raise ValidationError("representative escapes the module decomposition")
     out: List[RootVector] = []
     for j in range(n, n + len(reps)):
-        parts: Dict[Weight, List[Q]] = {}
-        for (lam, b), row in zip(cols, red):
-            if row[j]:
-                acc = parts.setdefault(lam, [Q(0)] * m.dim)
-                for r in range(m.dim):
-                    acc[r] += row[j] * b[r]
+        parts: Dict[Weight, Sparse] = {}
+        for pc, (lam, b) in enumerate(cols):
+            coef = red.rows[pc].get(j)
+            if coef:
+                acc = parts.setdefault(lam, {})
+                for r, x in b.items():
+                    acc[r] = acc.get(r, 0) + coef * x
         for lam, part in sorted(parts.items()):
-            for mu in sorted({m.basis_weights[i] for i, v in enumerate(part) if v}):
+            for mu in sorted({m.basis_weights[i] for i, v in part.items() if v}):
                 out.append(tangent_weight(m.rd, lam, mu))
     return out
 
@@ -155,9 +158,9 @@ def t1_invariant(
     responsibility; the flags are echoed into the report.
     """
     vec = _check_point(m, x)
+    point = sparse(vec)
     for coeffs in stab.lie_part:
-        img = mat_apply(lie_matrix(m, coeffs), vec)
-        if any(c != 0 for c in img):
+        if act(lie_matrix(m, coeffs), point):
             raise ValidationError(
                 "stabilizer Lie part does not annihilate the point"
             )
@@ -179,11 +182,7 @@ def t1_invariant(
 
     # Classes surviving modulo both the orbit directions and the fixed
     # vectors of the ambient module are the invariant deformations.
-    span = RowSpace(m.dim)
-    for t in tangent:
-        span.add(t)
-    for v in v_fixed:
-        span.add(v)
+    span = RowSpace(m.dim, tangent + v_fixed)
     survivors = [rep for rep in reps if span.add(rep)]
     weights = (
         _component_weights(m, isotypic_components(m), survivors) if survivors else []

@@ -188,6 +188,15 @@ def test_presentation_cost_is_refused_up_front(capsys, bound):
     assert blob["error"]["type"] == "resource"
 
 
+def test_membership_search_cost_is_capped(capsys):
+    # 2.6 million search nodes over 311 membership searches without a cap.
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "saturate", "A3", "1,0,-2;3,-1,2;3,1,-1;1,3,3")
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert blob["error"]["type"] == "resource"
+
+
 def test_t1_subcommand(capsys):
     code, blob = run_json(
         capsys,
@@ -199,22 +208,20 @@ def test_t1_subcommand(capsys):
     assert blob["payload"]["weights"] == [[2]]
 
 
-# Payloads of the flag multicones: T1 dimension r-1, weights
-# alpha_i + alpha_(i+1).
-MULTICONES = {
-    2: {"dims": {"V_fixed": 2, "g_mod_gx_fixed": 2, "normal_fixed": 1, "t1_invariant": 1},
-        "weights": [[1, 1]]},
-    3: {"dims": {"V_fixed": 3, "g_mod_gx_fixed": 3, "normal_fixed": 2, "t1_invariant": 2},
-        "weights": [[0, 1, 1], [1, 1, 0]]},
-    4: {"dims": {"V_fixed": 4, "g_mod_gx_fixed": 4, "normal_fixed": 3, "t1_invariant": 3},
-        "weights": [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]]},
-}
+def multicone_payload(r):
+    """Payload of the flag multicone of A_r: V_fixed = g_mod_gx_fixed = r,
+    normal_fixed = t1_invariant = r - 1, weights alpha_i + alpha_(i+1)."""
+    return {
+        "dims": {"V_fixed": r, "g_mod_gx_fixed": r, "normal_fixed": r - 1, "t1_invariant": r - 1},
+        "weights": sorted([[int(j in (i, i + 1)) for j in range(r)] for i in range(r - 1)]),
+    }
 
 
-@pytest.mark.parametrize("r", sorted(MULTICONES))
+@pytest.mark.parametrize("r", range(2, 8))
 def test_t1_flag_multicone(capsys, r):
     # Sum of the fundamental modules of A_r at the sum of their
     # highest-weight vectors, which come first in each summand's basis.
+    # A7 (module dimension 254) also guards the cost of the sparse kernel.
     n = r + 1
     parts = [f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]
     point = []
@@ -226,7 +233,7 @@ def test_t1_flag_multicone(capsys, r):
         ",".join(map(str, point)), "--lie-u",
     )
     assert code == 0
-    assert blob["payload"] == MULTICONES[r]
+    assert blob["payload"] == multicone_payload(r)
 
 
 def test_tangent_weight_negative_entries(capsys):
@@ -314,6 +321,32 @@ def test_duplicate_law_entry_is_validation_error(tmp_path, capsys):
     assert code == 3
     assert blob["error"]["type"] == "validation"
     assert "duplicate coefficient" in blob["error"]["message"]
+
+
+def _edited(law, where):
+    law = json.loads(json.dumps(law))
+    if where == "top":
+        law["bogus"] = 1
+    elif where == "coefficient":
+        law["coeffs"][0]["extra"] = 5
+    else:
+        law[where]["extra"] = 5
+    return law
+
+
+@pytest.mark.parametrize("where", ["top", "rd", "monoid", "coefficient"])
+def test_unknown_law_key_is_validation_error(tmp_path, capsys, where):
+    law_file = str(tmp_path / "law.json")
+    code, blob = run_json(
+        capsys, "orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "4", "--output", law_file
+    )
+    assert code == 0
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(_edited(blob["payload"], where)))
+    code, blob = run_json(capsys, "root-monoid", str(path))
+    assert code == 3
+    assert blob["error"]["type"] == "validation"
+    assert ("'bogus'" if where == "top" else "'extra'") in blob["error"]["message"]
 
 
 def test_output_into_missing_directory_is_validation_error(tmp_path, capsys):

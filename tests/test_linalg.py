@@ -1,0 +1,108 @@
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from horomod.linalg import RowSpace, kernel_basis, rank, rref, solve
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def matrices(draw, min_rows=0):
+    """Small integer matrices, zeros frequent, with a zero row and
+    repeated rows mixed in."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=min_rows, max_size=6))
+    if rows and draw(st.booleans()):
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return ncols, rows
+
+
+def _times(row, vec):
+    return sum(Q(a) * b for a, b in zip(row, vec))
+
+
+@PROPERTY
+@given(matrices(min_rows=1), st.randoms(use_true_random=False))
+def test_rref_is_idempotent_and_ignores_row_order(mat, rnd):
+    _, rows = mat
+    red, pivots = rref(rows)
+    if red:
+        assert rref(red) == (red, pivots)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert rref(shuffled) == (red, pivots)
+    for row, pc in zip(red, pivots):
+        assert row[pc] == 1 and all(x == 0 for x in row[:pc])
+        assert all(other[pc] == 0 for other in red if other is not row)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_nullity_and_kernel_is_annihilated(mat):
+    ncols, rows = mat
+    kern = kernel_basis(rows, ncols)
+    assert rank(rows) + len(kern) == ncols
+    assert all(_times(row, k) == 0 for row in rows for k in kern)
+    if kern:
+        assert rank(kern) == len(kern)
+
+
+@PROPERTY
+@given(matrices(min_rows=1), st.data())
+def test_solve_answers_exactly_when_consistent(mat, data):
+    ncols, rows = mat
+    rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    consistent = rank(rows) == rank([row + [b] for row, b in zip(rows, rhs)])
+    sol = solve(rows, rhs)
+    assert (sol is not None) == consistent
+    if sol is not None:
+        assert len(sol) == ncols
+        assert all(_times(row, sol) == b for row, b in zip(rows, rhs))
+
+
+@PROPERTY
+@given(matrices(), st.lists(st.sampled_from([0, 1, -2]), min_size=6, max_size=6))
+def test_dense_and_sparse_input_give_one_row_space(mat, probe):
+    ncols, rows = mat
+    from_dense = RowSpace(ncols, rows)
+    from_sparse = RowSpace(ncols, [{c: x for c, x in enumerate(row) if x} for row in rows])
+    assert from_dense.rows == from_sparse.rows
+    assert from_dense.pivots == from_sparse.pivots
+    assert from_dense.basis() == from_sparse.basis()
+    vec = probe[:ncols]
+    residual = from_dense.reduce(vec)
+    assert residual == from_sparse.reduce({c: x for c, x in enumerate(vec) if x})
+    assert all(x != 0 for x in residual.values())
+    assert from_dense.contains(vec) == (not residual) == from_sparse.contains(dict(enumerate(vec)))
+
+
+def test_rows_stay_reduced_and_sparse():
+    space = RowSpace(4)
+    assert space.add({3: 2, 1: 1})
+    assert space.add([0, 1, 0, 0])
+    assert not space.add({1: Q(5), 3: Q(-7)})
+    assert not space.add([0, 0, 0, 0])
+    assert space.pivots == [1, 3]
+    assert space.rows == {1: {1: 1}, 3: {3: 1}}
+    assert space.basis() == [(0, 1, 0, 0), (0, 0, 0, 1)]
+    assert space.kernel() == [{0: 1}, {2: 1}]
+
+
+def test_rref_and_rank_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @PROPERTY
+    @given(matrices(min_rows=1))
+    def check(mat):
+        _, rows = mat
+        red, pivots = sympy.Matrix(rows).rref()
+        expected = [[Q(int(x.p), int(x.q)) for x in red.row(i)] for i in range(len(pivots))]
+        assert rref(rows) == (expected, list(pivots))
+        assert rank(rows) == len(pivots)
+
+    check()
