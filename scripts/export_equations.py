@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Dump the commutativity and associativity systems for the windows
-N*n at truncation 4n, n = 1..5, one text file per window."""
+N*n at truncation 4n, n = 1..5, one text file per window.
+
+Each window's linearized solution space is also computed from the
+linear rows alone (law_tangent); the script fails if the two routes
+disagree."""
 
 import os
 import sys
@@ -9,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from horomod.monoids import make_weight_monoid
-from horomod.mulaw import law_equations, tangent_at_horospherical
+from horomod.mulaw import law_equations, law_tangent, tangent_at_horospherical
 from horomod.polysys import system_to_text
 from horomod.rootdata import make_root_datum
 
@@ -23,6 +27,8 @@ def main():
         mon = make_weight_monoid(rd, [(n,)])
         system = law_equations(mon, 4 * n)
         dim, weights = tangent_at_horospherical(system)
+        if law_tangent(mon, 4 * n) != (dim, weights):
+            sys.exit(f"n={n}: law_tangent disagrees with the full system")
         path = os.path.join(OUT_DIR, f"law_system_n{n}_D{4 * n}.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(system_to_text(system))

@@ -45,11 +45,11 @@ from .mulaw import (
     contract,
     law_equations,
     law_from_json_dict,
+    law_tangent,
     law_to_json_dict,
     make_binary_form,
     orbit_law,
     root_monoid_of_law,
-    tangent_at_horospherical,
 )
 from .polysys import render_poly, system_to_text
 from .rootdata import dominance_leq, make_root_datum, to_root_coords
@@ -271,7 +271,7 @@ def _cmd_law_equations(args):
 
 def _cmd_law_tangent(args):
     _, mon = _law_monoid(args)
-    dim, weights = tangent_at_horospherical(law_equations(mon, args.truncation))
+    dim, weights = law_tangent(mon, args.truncation)
     payload = {"dim": dim, "weights": [list(w) for w in weights]}
     return payload, {"truncation": args.truncation}, None
 

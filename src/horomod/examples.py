@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 
 from .liealg import DiagCongruence, StabilizerSpec, build_module, unipotent_radical_spec
 from .monoids import make_weight_monoid
-from .mulaw import law_equations, tangent_at_horospherical
+from .mulaw import law_tangent
 from .rootdata import make_root_datum
 from .tangent import TangentReport, t1_invariant
 
@@ -42,9 +42,11 @@ def binary_cone(n: int) -> TangentReport:
 
 def binary_cone_law_dim(n: int, truncation: int) -> int:
     """Dimension of the linearized law equations of the monoid N*n at the
-    graded law, on the window up to truncation."""
+    graded law, on the window up to truncation, from their linear rows
+    alone (mulaw.law_tangent; the full system of mulaw.law_equations is
+    its oracle in the tests)."""
     mon = make_weight_monoid(make_root_datum("A1"), [(n,)])
-    return tangent_at_horospherical(law_equations(mon, truncation))[0]
+    return law_tangent(mon, truncation)[0]
 
 
 def flag_point() -> TangentReport:

@@ -11,6 +11,12 @@ binary forms, commutativity and associativity expand into an exact
 polynomial system, the linearization at the all-zero point computes
 the tangent space with its torus weights, and coordinate rings of
 small orbit closures give honest numeric laws to feed back in.
+
+The tangent space has two routes.  law_tangent builds only the linear
+rows of the system, grade by grade, with integer coefficients;
+law_equations builds the full quadratic system, and
+tangent_at_horospherical linearizes it, as the oracle for the first.
+Both refuse a window past a cost estimate before building anything.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -45,6 +51,11 @@ LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
 _WINDOW_CAP = 100_000
+# Caps on the cost estimate of _check_law_cost.  In-process, the largest
+# window N*n admitted for n = 1..6 takes 0.2-1.5 s for the full system
+# and 0.9-2.8 s for the linear rows.
+_SYSTEM_COST_CAP = 1_000_000
+_TANGENT_COST_CAP = 100_000_000
 
 
 # ------------------------------------------------------------ binary forms
@@ -304,28 +315,15 @@ def _a1_window_ints(monoid: WeightMonoid, bound: int) -> List[int]:
     return [w[0] for w in monoid_window(monoid, bound)]
 
 
-def _pair_embed(r: int) -> Dict[Tuple[int, int], Q]:
-    """Top vector of the depth-r component in a tensor of two forms,
-    keyed by y-exponents."""
-    return {(j, r - j): Q((-1) ** j * comb(r, j)) for j in range(r + 1)}
-
-
-def _lower_pair(vec: Dict[Tuple[int, int], Q], p: int, q: int) -> Dict[Tuple[int, int], Q]:
-    out: Dict[Tuple[int, int], Q] = {}
-    for (y1, y2), c in vec.items():
-        if y1 < p:
-            key = (y1 + 1, y2)
-            out[key] = out.get(key, Q(0)) + c * (p - y1)
-        if y2 < q:
-            key = (y1, y2 + 1)
-            out[key] = out.get(key, Q(0)) + c * (q - y2)
-    return {k: v for k, v in out.items() if v}
-
-
-def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], Q]]:
+def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
     """Spanning set of the singular vectors of weight nu in the triple
-    tensor of forms of degrees a, b, c: one per admissible splitting
-    through the first two factors."""
+    tensor of forms of degrees a, b, c, keyed by y-exponents: one per
+    admissible splitting through the first two factors.
+
+    The splitting through the degree-e component of the first two
+    factors pairs its m-th lowered image L^m(top)/perm(e, m) with the
+    third factor; each vector is scaled by perm(e, k) > 0, which clears
+    every denominator and leaves integers."""
     out = []
     for i0 in range(min(a, b) + 1):
         e = a + b - 2 * i0
@@ -335,18 +333,99 @@ def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int,
         k = k2 // 2
         if k > min(e, c):
             continue
-        img = [_pair_embed(i0)]
-        for m in range(k):
-            low = _lower_pair(img[-1], a, b)
-            img.append({key: v / (e - m) for key, v in low.items()})
-        eta: Dict[Tuple[int, int, int], Q] = {}
+        low = {(j, i0 - j): (-1) ** j * comb(i0, j) for j in range(i0 + 1)}
+        eta: Dict[Tuple[int, int, int], int] = {}
         for m in range(k + 1):
-            outer = Q((-1) ** m * comb(k, m))
-            for (s, t), v in img[m].items():
-                key = (s, t, k - m)
-                eta[key] = eta.get(key, Q(0)) + outer * v
-        out.append({k_: v for k_, v in eta.items() if v})
+            if m:
+                nxt: Dict[Tuple[int, int], int] = {}
+                for (s, t), v in low.items():
+                    if s < a:
+                        nxt[(s + 1, t)] = nxt.get((s + 1, t), 0) + v * (a - s)
+                    if t < b:
+                        nxt[(s, t + 1)] = nxt.get((s, t + 1), 0) + v * (b - t)
+                low = {key: v for key, v in nxt.items() if v}
+            outer = (-1) ** m * comb(k, m) * perm(e - m, k - m)
+            for (s, t), v in low.items():
+                eta[(s, t, k - m)] = outer * v
+        out.append(eta)
     return out
+
+
+def _triples(pos: List[int], truncation: int) -> Iterable[Tuple[int, int, int]]:
+    """Each (a, b, c) of positive window weights with a+b+c <= truncation."""
+    for a in pos:
+        for b in pos:
+            for c in pos:
+                if a + b + c > truncation:
+                    break
+                yield a, b, c
+
+
+def _check_law_cost(pos: List[int], truncation: int, cap: int) -> None:
+    """Refuse a window whose cost estimate, the sum of (a+b+c)^3 over
+    its triples, exceeds cap; the sum stops as soon as it does, so a
+    refusal costs little."""
+    total = 0
+    for a, b, c in _triples(pos, truncation):
+        total += (a + b + c) ** 3
+        if total > cap:
+            raise ResourceError(
+                f"law window cost estimate exceeds the cap {cap}; lower the truncation"
+            )
+
+
+def _law_unknowns(
+    monoid: WeightMonoid, truncation: int, cap: int
+) -> Tuple[List[int], List[int], Dict[Tuple[int, int, int], int]]:
+    """Window weights, positive window weights and the index of each
+    unknown m[a,b,i] (of grade i) of a rank-one law window, after the
+    cost check against cap."""
+    ints = _a1_window_ints(monoid, truncation)
+    sset = set(ints)
+    pos = [x for x in ints if x >= 1]
+    if not any(x + y <= truncation for x in pos for y in pos):
+        raise ValidationError("truncation too small to contain any generator product")
+    _check_law_cost(pos, truncation, cap)
+    index: Dict[Tuple[int, int, int], int] = {}
+    for a in pos:
+        for b in pos:
+            if a + b > truncation:
+                continue
+            for i in range(1, min(a, b) + 1):
+                if a + b - 2 * i in sset:
+                    index[(a, b, i)] = len(index)
+    return ints, pos, index
+
+
+def _commutativity_rows(
+    index: Mapping[Tuple[int, int, int], int]
+) -> Iterable[Tuple[Dict[int, int], int]]:
+    """The linear equations m[a,b,i] = (-1)^i m[b,a,i], a <= b, as
+    ({unknown: coefficient}, grade i); those that vanish are left out."""
+    for (a, b, i) in sorted(index):
+        if a < b:
+            yield {index[(a, b, i)]: 1, index[(b, a, i)]: -((-1) ** i)}, i
+        elif a == b and i % 2:
+            yield {index[(a, b, i)]: 2}, i
+
+
+def _associativity_windows(
+    ints: List[int], pos: List[int], truncation: int
+) -> Iterable[Tuple[int, int, int, int, int]]:
+    """Each (a, b, c, nu) of the associativity equations with its grade
+    r = (a + b + c - nu) / 2 > 0."""
+    for a, b, c in _triples(pos, truncation):
+        for nu in ints:
+            tot = a + b + c - nu
+            if tot > 0 and tot % 2 == 0:
+                yield a, b, c, nu, tot // 2
+
+
+def _bracketings(a: int, b: int, c: int, s: int, t: int, u: int, coef: int):
+    """(a.b).c counts positively, a.(b.c) negatively.  Each side as
+    (x, sx, y, sy, z, sz, coef, first): the inner product x.y meets z as
+    the left outer factor when first, else as the right one."""
+    return (a, s, b, t, c, u, coef, True), (b, t, c, u, a, s, -coef, False)
 
 
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
@@ -360,99 +439,47 @@ def law_equations_with_kinds(
 ) -> Tuple[PolySystem, Tuple[str, ...]]:
     """law_equations together with the origin of each equation, in
     matching order: "commutativity" or "associativity"."""
-    ints = _a1_window_ints(monoid, truncation)
+    ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
     sset = set(ints)
-    pos = [x for x in ints if x >= 1]
-    if not any(x + y <= truncation for x in pos for y in pos):
-        raise ValidationError("truncation too small to contain any generator product")
+    names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
+    grades: List[Grade] = [(i,) for (_, _, i) in index]
 
-    index: Dict[Tuple[int, int, int], int] = {}
-    names: List[str] = []
-    grades: List[Grade] = []
-    for a in pos:
-        for b in pos:
-            if a + b > truncation:
-                continue
-            for i in range(1, min(a, b) + 1):
-                if a + b - 2 * i not in sset:
-                    continue
-                index[(a, b, i)] = len(names)
-                names.append(f"m[{a},{b},{i}]")
-                grades.append((i,))
+    raw_equations: List[Tuple[Poly, Grade, str]] = [
+        ({(u,): v for u, v in row.items()}, (i,), "commutativity")
+        for row, i in _commutativity_rows(index)
+    ]
 
-    raw_equations: List[Tuple[Poly, Grade, str]] = []
-
-    for (a, b, i) in sorted(index):
-        if a > b:
-            continue
-        poly: Poly = {}
-        if a == b:
-            if i % 2:
-                poly[(index[(a, b, i)],)] = Q(2)
-        else:
-            poly[(index[(a, b, i)],)] = Q(1)
-            other = (index[(b, a, i)],)
-            poly[other] = poly.get(other, Q(0)) - Q((-1) ** i)
-        poly = {m: v for m, v in poly.items() if v}
-        if poly:
-            raw_equations.append((poly, (i,), "commutativity"))
-
-    def channel_factor(x: int, y: int, ch: int) -> Optional[Tuple[int, ...]]:
-        """Monomial contributed by the coefficient c[x,y,ch]; None when
-        that coefficient is identically zero, () for the fixed top one."""
-        if ch == 0:
-            return ()
-        if x + y - 2 * ch not in sset:
-            return None
-        return (index[(x, y, ch)],)
-
-    for a in pos:
-        for b in pos:
-            for c in pos:
-                if a + b + c > truncation:
-                    continue
-                for nu in ints:
-                    tot = a + b + c - nu
-                    if tot <= 0 or tot % 2:
-                        continue
-                    r = tot // 2
-                    for eta in _triple_top_vectors(a, b, c, nu):
-                        poly = {}
-                        for (s, t, u), coef in eta.items():
-                            # (a.b).c counts positively, a.(b.c) negatively.
-                            # The inner product x.y goes through channel i;
-                            # its result e meets z in channel j, as the left
-                            # outer factor in (a.b).c and the right in a.(b.c).
-                            for first in (True, False):
-                                if first:
-                                    x, sx, y, sy, z, sz = a, s, b, t, c, u
-                                else:
-                                    x, sx, y, sy, z, sz = b, t, c, u, a, s
-                                    coef = -coef
-                                for i in range(min(x, y) + 1):
-                                    j = r - i
-                                    e = x + y - 2 * i
-                                    if j < 0 or j > min(e, z) or e not in sset:
-                                        continue
-                                    k1 = _channel_coeff(x, sx, y, sy, i)
-                                    if not k1:
-                                        continue
-                                    if first:
-                                        p, sp, q, sq = e, sx + sy - i, z, sz
-                                    else:
-                                        p, sp, q, sq = z, sz, e, sx + sy - i
-                                    k2 = _channel_coeff(p, sp, q, sq, j)
-                                    if not k2:
-                                        continue
-                                    left = channel_factor(x, y, i)
-                                    right = channel_factor(p, q, j)
-                                    if left is None or right is None:
-                                        continue
-                                    m = tuple(sorted(left + right))
-                                    poly[m] = poly.get(m, Q(0)) + coef * k1 * k2
-                        poly = {m: v for m, v in poly.items() if v}
-                        if poly:
-                            raw_equations.append((poly, (r,), "associativity"))
+    for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
+        for eta in _triple_top_vectors(a, b, c, nu):
+            poly = {}
+            for (s, t, u), coef in eta.items():
+                # The inner product x.y goes through channel i; its result
+                # e meets z in channel j.  Channel 0 is the fixed top one;
+                # any other is an unknown, since e and the outer result
+                # nu lie in the window.
+                for x, sx, y, sy, z, sz, sgn, first in _bracketings(a, b, c, s, t, u, coef):
+                    for i in range(min(x, y) + 1):
+                        j = r - i
+                        e = x + y - 2 * i
+                        if j < 0 or j > min(e, z) or e not in sset:
+                            continue
+                        k1 = _channel_coeff(x, sx, y, sy, i)
+                        if not k1:
+                            continue
+                        if first:
+                            p, sp, q, sq = e, sx + sy - i, z, sz
+                        else:
+                            p, sp, q, sq = z, sz, e, sx + sy - i
+                        k2 = _channel_coeff(p, sp, q, sq, j)
+                        if not k2:
+                            continue
+                        left = (index[(x, y, i)],) if i else ()
+                        right = (index[(p, q, j)],) if j else ()
+                        m = tuple(sorted(left + right))
+                        poly[m] = poly.get(m, 0) + sgn * k1 * k2
+            poly = {m: v for m, v in poly.items() if v}
+            if poly:
+                raw_equations.append((poly, (r,), "associativity"))
 
     seen = set()
     canon = []
@@ -475,6 +502,56 @@ def law_equations_with_kinds(
         tuple((cp, grade) for cp, grade, _ in canon),
     )
     return system, tuple(kind for _, _, kind in canon)
+
+
+def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Grade, ...]]:
+    """tangent_at_horospherical(law_equations(monoid, truncation)), from
+    the linear rows alone.
+
+    At the all-zero point a product of two unknowns vanishes to first
+    order, and the top channel is 1.  So an associativity term of grade
+    r is linear exactly when one of its two channels is the top one:
+    inner channel 0 and outer r (unknown m[p,q,r]), or inner r and
+    outer 0 (unknown m[x,y,r]).  Only those terms are generated, with
+    integer coefficients, into one RowSpace per grade."""
+    ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
+    sset = set(ints)
+    columns: Dict[int, Dict[int, int]] = {}  # grade -> {unknown: column}
+    for u, (_, _, i) in enumerate(index):
+        cols = columns.setdefault(i, {})
+        cols[u] = len(cols)
+    spaces = {i: linalg.RowSpace(len(cols)) for i, cols in columns.items()}
+
+    def add(row: Mapping[int, int], r: int) -> None:
+        cols = columns[r]
+        assert all(u in cols for u in row), "linear term off its equation grade"
+        spaces[r].add({cols[u]: v for u, v in row.items() if v})
+
+    for row, i in _commutativity_rows(index):
+        add(row, i)
+    for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
+        space = spaces.get(r)
+        if space is None or space.dim == space.ncols:
+            continue  # no row of grade r can change the rank
+        for eta in _triple_top_vectors(a, b, c, nu):
+            row: Dict[int, int] = {}
+            for (s, t, u), coef in eta.items():
+                for x, sx, y, sy, z, sz, sgn, first in _bracketings(a, b, c, s, t, u, coef):
+                    if r <= min(x + y, z):
+                        # x + y <= truncation lies in the window, and the
+                        # outer product lands on p + q - 2r = nu.
+                        if first:
+                            p, sp, q, sq = x + y, sx + sy, z, sz
+                        else:
+                            p, sp, q, sq = z, sz, x + y, sx + sy
+                        key = index[(p, q, r)]
+                        row[key] = row.get(key, 0) + sgn * _channel_coeff(p, sp, q, sq, r)
+                    if r <= min(x, y) and x + y - 2 * r in sset:
+                        key = index[(x, y, r)]
+                        row[key] = row.get(key, 0) + sgn * _channel_coeff(x, sx, y, sy, r)
+            add(row, r)
+    weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
+    return len(weights), weights
 
 
 def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]]:

@@ -56,7 +56,7 @@ def _t1_dims():
 
 @lru_cache(maxsize=None)
 def _law_dims(scale):
-    return tuple(binary_cone_law_dim(n, scale * n) for n in range(1, 6))
+    return tuple(binary_cone_law_dim(n, scale * n) for n in BINARY_DEGREES)
 
 
 @lru_cache(maxsize=None)
@@ -95,10 +95,10 @@ def test_criterion_1():
 def test_criterion_2():
     def body():
         dims = _law_dims(4)
-        assert dims == (0, 1, 0, 1, 0)
-        assert dims == _t1_dims()[:5]
+        assert dims == (0, 1, 0, 1, 0, 0)
+        assert dims == _t1_dims()
 
-    _gate(2, "law-linearization dims match, n=1..5 at D=4n", body, limit=30.0)
+    _gate(2, "law-linearization dims match, n=1..6 at D=4n", body, limit=30.0)
 
 
 def test_criterion_3():
@@ -198,6 +198,6 @@ def test_criterion_8():
 
 def test_criterion_9():
     def body():
-        assert _law_dims(4) == _law_dims(5)
+        assert _law_dims(4) == _law_dims(8)
 
-    _gate(9, "linearization dims stable from D=4n to D=5n", body)
+    _gate(9, "linearization dims stable from D=4n to D=8n", body)

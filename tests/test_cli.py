@@ -188,6 +188,15 @@ def test_presentation_cost_is_refused_up_front(capsys, bound):
     assert blob["error"]["type"] == "resource"
 
 
+@pytest.mark.parametrize("command", ["law-tangent", "law-equations"])
+def test_law_window_cost_is_refused_up_front(capsys, command):
+    start = time.perf_counter()
+    code, blob = run_json(capsys, command, "A1", "1", "--truncation", "60")
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert blob["error"]["type"] == "resource"
+
+
 def test_membership_search_cost_is_capped(capsys):
     # 2.6 million search nodes over 311 membership searches without a cap.
     start = time.perf_counter()

@@ -106,3 +106,41 @@ def test_rref_and_rank_match_sympy():
         assert rank(rows) == len(pivots)
 
     check()
+
+
+@PROPERTY
+@given(matrices())
+def test_integer_rows_give_the_fraction_row_space(mat):
+    """{col: int} rows, as mulaw.law_tangent feeds them, reduce exactly
+    as the same rows given as Fractions, and every stored entry is a
+    Fraction (int / int would be a float)."""
+    ncols, rows = mat
+    ints = RowSpace(ncols, [{c: x for c, x in enumerate(row) if x} for row in rows])
+    fracs = RowSpace(ncols, [{c: Q(x) for c, x in enumerate(row) if x} for row in rows])
+    assert ints.pivots == fracs.pivots
+    assert ints.rows == fracs.rows
+    assert all(type(x) is Q for row in ints.rows.values() for x in row.values())
+
+
+def test_kernel_basis_and_solve_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def exact(entries):
+        return tuple(Q(int(x.p), int(x.q)) for x in entries)
+
+    @PROPERTY
+    @given(matrices(min_rows=1), st.data())
+    def check(mat, data):
+        ncols, rows = mat
+        m = sympy.Matrix(rows)
+        assert kernel_basis(rows, ncols) == [exact(v) for v in m.nullspace()]
+        rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        try:
+            sol, params = m.gauss_jordan_solve(sympy.Matrix(rhs))
+        except ValueError:  # inconsistent
+            expected = None
+        else:
+            expected = exact(sol.subs({p: 0 for p in params}))
+        assert solve(rows, rhs) == expected
+
+    check()

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from horomod.errors import ValidationError
 from horomod.monoids import make_weight_monoid, minimal_generators
 from horomod.mulaw import (
+    _triple_top_vectors,
     contract,
     horospherical_law,
     law_equations,
     law_from_json_dict,
+    law_tangent,
     law_to_json_dict,
     law_unknown_values,
     make_binary_form,
@@ -175,6 +178,21 @@ def test_equation_grades_homogeneous_n3():
             assert (sum(sys_.grades[i][0] for i in mono),) == grade
 
 
+def test_triple_top_vectors_are_integer_singular_vectors():
+    """Each vector is integer, of weight nu, and killed by the raising
+    operator x d/dy acting on the three factors."""
+    for a, b, c in product(range(1, 6), repeat=3):
+        for nu in range(a + b + c + 1):
+            for eta in _triple_top_vectors(a, b, c, nu):
+                assert eta and all(type(v) is int for v in eta.values())
+                assert {s + t + u for s, t, u in eta} == {(a + b + c - nu) // 2}
+                raised = {}
+                for (s, t, u), v in eta.items():
+                    for key, k in (((s - 1, t, u), s), ((s, t - 1, u), t), ((s, t, u - 1), u)):
+                        raised[key] = raised.get(key, 0) + k * v
+                assert not any(raised.values())
+
+
 def test_tangent_dims_small_families():
     dims = []
     for n in range(1, 6):
@@ -196,6 +214,26 @@ def test_tangent_dims_stable_under_window_growth():
 def test_equations_need_room():
     with pytest.raises(ValidationError):
         law_equations(nat2([2]), 2)
+
+
+@pytest.mark.parametrize(
+    "gens, top",
+    [((n,), (8 if n <= 3 else 5) * n) for n in range(1, 7)] + [((2, 3), 12), ((3, 5), 16)],
+)
+def test_linear_rows_agree_with_the_full_system(gens, top):
+    """law_tangent against its oracle, the linearization of the full
+    system, on every window from 2 up to top; the windows too small to
+    hold a product are refused alike."""
+    mon = nat2(gens)
+    for d in range(2, top + 1):
+        if d < 2 * min(gens):
+            with pytest.raises(ValidationError) as full:
+                law_equations(mon, d)
+            with pytest.raises(ValidationError) as direct:
+                law_tangent(mon, d)
+            assert str(direct.value) == str(full.value)
+        else:
+            assert law_tangent(mon, d) == tangent_at_horospherical(law_equations(mon, d))
 
 
 # ---------------------------------------------------------------- orbit laws
