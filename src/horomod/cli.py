@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import ResourceError, ValidationError
@@ -35,6 +35,7 @@ from .liealg import (
     u_coinvariants,
     unipotent_radical_spec,
 )
+from .linalg import dense
 from .monoids import (
     make_root_monoid,
     make_weight_monoid,
@@ -85,8 +86,9 @@ def _fmt_weight(w: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in w) + ")"
 
 
-def _fmt_vec(v: Sequence[Q]) -> List[str]:
-    return [str(Q(c)) for c in v]
+def _fmt_vec(v: Mapping[int, Q], dim: int) -> List[str]:
+    """A sparse vector, printed densely: the one place vectors densify."""
+    return [str(c) for c in dense(v, dim)]
 
 
 def _load_law(path: str):
@@ -187,7 +189,7 @@ def _cmd_hwv(args):
     m = build_module(rd, args.module, cap=args.cap)
     vecs = highest_weight_vectors(m)
     payload = {
-        _fmt_weight(w): [_fmt_vec(v) for v in vs] for w, vs in vecs.items()
+        _fmt_weight(w): [_fmt_vec(v, m.dim) for v in vs] for w, vs in vecs.items()
     }
     return payload, {"cap": args.cap}, None
 
@@ -207,8 +209,11 @@ def _cmd_coinv(args):
 def _cmd_orbit_tangent(args):
     rd = make_root_datum(args.group)
     m = build_module(rd, args.module, cap=args.cap)
-    basis = orbit_tangent(m, _parse_point(args.point))
-    payload = {"dim": len(basis), "basis": [_fmt_vec(v) for v in basis]}
+    span = orbit_tangent(m, _parse_point(args.point))
+    payload = {
+        "dim": span.dim,
+        "basis": [_fmt_vec(span.rows[pc], m.dim) for pc in span.pivots],
+    }
     return payload, {"cap": args.cap}, None
 
 
@@ -216,10 +221,11 @@ def _cmd_stabilizer(args):
     rd = make_root_datum(args.group)
     m = build_module(rd, args.module, cap=args.cap)
     basis = stabilizer_lie(m, _parse_point(args.point))
+    labels = chevalley_labels(rd)
     payload = {
         "dim": len(basis),
-        "labels": list(chevalley_labels(rd)),
-        "basis": [_fmt_vec(v) for v in basis],
+        "labels": labels,
+        "basis": [_fmt_vec(v, len(labels)) for v in basis],
     }
     return payload, {"cap": args.cap}, None
 

@@ -2,12 +2,14 @@
 
 Chevalley conventions on the natural module of A_{n-1}: e_i is the
 matrix unit E_{i,i+1}, f_i is E_{i+1,i}, h_i is E_{ii} - E_{i+1,i+1}
-(1-based i).  Operators are sparse dicts keyed by (row, col); vectors
-are sparse {index: Fraction} dicts inside the package and dense tuples
-of Fraction at its surface.  Constructions: natural, dual, tensor, sum,
-sym, ext, all with deterministic bases: tensor indices in row-major
-order, sym on sorted monomials in lexicographic order, ext on strictly
-increasing index tuples with Koszul signs.
+(1-based i).  Operators are sparse dicts keyed by (row, col) that store
+no zeros, so two operators are equal exactly when == says so.  Vectors
+are sparse {index: Fraction} dicts and spans are linalg.RowSpaces; the
+functions here return those, and only the CLI densifies, to print.
+Constructions: natural, dual, tensor, sum, sym, ext, all with
+deterministic bases: tensor indices in row-major order, sym on sorted
+monomials in lexicographic order, ext on strictly increasing index
+tuples with Koszul signs.
 
 The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
@@ -25,13 +27,12 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
-from .linalg import RowSpace, Sparse, dense, kernel_basis, sparse
+from .linalg import RowSpace, Sparse, sparse
 from .rootdata import RootDatum, Weight, make_root_datum
 
 Q = Fraction
 
 Matrix = Dict[Tuple[int, int], Q]
-Vector = Tuple[Q, ...]
 
 DEFAULT_MODULE_DIM_CAP = 2000
 
@@ -44,10 +45,6 @@ def act(mat: Matrix, vec: Sparse) -> Sparse:
         if x is not None:
             out[r] = out.get(r, 0) + val * x
     return {r: x for r, x in out.items() if x}
-
-
-def mat_apply(mat: Matrix, vec: Sequence) -> Vector:
-    return dense(act(mat, sparse(vec)), len(vec))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -78,10 +75,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     for k, v in b.items():
         out[k] = out.get(k, Q(0)) + v
     return {k: v for k, v in out.items() if v != 0}
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return mat_add(a, mat_scale(b, Q(-1))) == {}
 
 
 @dataclass(frozen=True)
@@ -370,10 +363,9 @@ def check_brackets(m: ExplicitModule) -> None:
     for i in range(r):
         for j in range(r):
             cij = m.rd.cartan[i][j]
-            assert mat_eq(mat_commutator(m.h[i], m.e[j]), mat_scale(m.e[j], Q(cij)))
-            assert mat_eq(mat_commutator(m.h[i], m.f[j]), mat_scale(m.f[j], Q(-cij)))
-            comm = mat_commutator(m.e[i], m.f[j])
-            assert mat_eq(comm, m.h[i] if i == j else {})
+            assert mat_commutator(m.h[i], m.e[j]) == mat_scale(m.e[j], Q(cij))
+            assert mat_commutator(m.h[i], m.f[j]) == mat_scale(m.f[j], Q(-cij))
+            assert mat_commutator(m.e[i], m.f[j]) == (m.h[i] if i == j else {})
     for idx, w in enumerate(m.basis_weights):
         for i in range(r):
             col = [v for (rr, cc), v in m.h[i].items() if cc == idx and rr != idx]
@@ -489,15 +481,9 @@ def _weight_blocks(m: ExplicitModule) -> Dict[Weight, List[int]]:
     return blocks
 
 
-def highest_weight_vectors(m: ExplicitModule) -> Dict[Weight, List[Vector]]:
+def highest_weight_vectors(m: ExplicitModule) -> Dict[Weight, List[Sparse]]:
     """Basis of the joint kernel of the raising operators, one entry per
     dominant weight that actually carries highest weight vectors."""
-    return {
-        chi: [dense(v, m.dim) for v in vecs] for chi, vecs in _hw_vectors(m).items()
-    }
-
-
-def _hw_vectors(m: ExplicitModule) -> Dict[Weight, List[Sparse]]:
     blocks = _weight_blocks(m)
     out: Dict[Weight, List[Sparse]] = {}
     order = sorted(blocks, key=lambda w: (sum(w), w), reverse=True)
@@ -544,30 +530,30 @@ def u_coinvariants(m: ExplicitModule) -> Coinvariants:
     )
 
 
-def orbit_tangent(m: ExplicitModule, x: Sequence) -> List[Vector]:
-    """Reduced basis of the span of all Chevalley basis images of x."""
-    vec = sparse(_check_point(m, x))
+def orbit_tangent(m: ExplicitModule, x: Sequence) -> RowSpace:
+    """The span g.x of all Chevalley basis images of x."""
+    vec = _check_point(m, x)
     span = RowSpace(m.dim)
     for mat in m.chevalley:
         span.add(act(mat, vec))
-    return span.basis()
+    return span
 
 
-def stabilizer_lie(m: ExplicitModule, x: Sequence) -> List[Vector]:
+def stabilizer_lie(m: ExplicitModule, x: Sequence) -> List[Sparse]:
     """Kernel of xi -> xi.x, as Chevalley coefficient vectors."""
-    vec = sparse(_check_point(m, x))
+    vec = _check_point(m, x)
     rows: Dict[int, Sparse] = {}
     for k, mat in enumerate(m.chevalley):
         for r, val in act(mat, vec).items():
             rows.setdefault(r, {})[k] = val
-    return kernel_basis(list(rows.values()), len(m.chevalley))
+    return RowSpace(len(m.chevalley), rows.values()).kernel()
 
 
-def _check_point(m: ExplicitModule, x: Sequence) -> Vector:
-    v = tuple(Q(c) for c in x)
-    if len(v) != m.dim:
-        raise ValidationError(f"point has length {len(v)}, module dimension {m.dim}")
-    return v
+def _check_point(m: ExplicitModule, x: Sequence) -> Sparse:
+    """x as a sparse vector, after checking its length."""
+    if len(x) != m.dim:
+        raise ValidationError(f"point has length {len(x)}, module dimension {m.dim}")
+    return sparse(x)
 
 
 # ------------------------------------------------------------ stabilizers
@@ -601,8 +587,11 @@ class StabilizerSpec:
     lie_part: Tuple[Tuple[Q, ...], ...] = ()
     diag_part: Tuple[DiagCongruence, ...] = ()
 
-    def passes(self, w: Weight) -> bool:
-        return all(c.passes(w) for c in self.diag_part)
+    def passing(self, weights: Sequence[Weight]) -> List[int]:
+        """Indices of the weights that pass every congruence."""
+        return [
+            i for i, w in enumerate(weights) if all(c.passes(w) for c in self.diag_part)
+        ]
 
 
 def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
@@ -631,24 +620,24 @@ def lie_matrix(m: ExplicitModule, coeffs: Sequence) -> Matrix:
 
 
 def fixed_in_quotient(
-    m: ExplicitModule, span_vectors: Sequence[Sequence], stab: StabilizerSpec
-) -> Tuple[int, List[Vector]]:
-    """Fixed subspace of M / span under the stabilizer.
+    span: RowSpace, lie: Sequence[Matrix], passing: Sequence[int]
+) -> List[Sparse]:
+    """Fixed subspace of M / span under a stabilizer whose Lie part acts
+    on M by the matrices lie, and whose diagonalizable part fixes the
+    basis vectors passing (StabilizerSpec.passing) and no others.
 
     The span must be stable under the stabilizer (true for orbit
     tangents at the stabilized point); fixedness of a class means the
     Lie part maps a representative into the span and the class has a
-    representative supported on congruence-passing weights.  Returned
-    representatives are independent modulo the span; with an empty span
-    they are a basis of the fixed subspace of M itself.
+    representative supported on passing coordinates.  The returned
+    representatives are independent modulo the span, and are added to
+    it; with an empty span they are a basis of the fixed subspace of M.
     """
-    span = RowSpace(m.dim, span_vectors)
-    passing = [i for i in range(m.dim) if stab.passes(m.basis_weights[i])]
     # One row per (Lie generator, coordinate) of the map sending the
     # passing basis vector j to its class modulo the span.
     rows: List[Sparse] = []
-    for coeffs in stab.lie_part:
-        cols = _columns(lie_matrix(m, coeffs))
+    for mat in lie:
+        cols = _columns(mat)
         by_coord: Dict[int, Sparse] = {}
         for j, p in enumerate(passing):
             for r, val in span.reduce(dict(cols.get(p, ()))).items():
@@ -664,13 +653,13 @@ def fixed_in_quotient(
     # whole span picks the classes independent modulo the span.
     passing_set = set(passing)
     off_passing = RowSpace(
-        m.dim,
+        span.ncols,
         [{q: x for q, x in row.items() if q not in passing_set} for row in span.rows.values()],
     )
     s_triv_dim = span.dim - off_passing.dim
-    reps = [dense(w, m.dim) for w in w_basis if span.add(w)]
+    reps = [w for w in w_basis if span.add(w)]
     assert len(reps) == len(w_basis) - s_triv_dim
-    return len(reps), reps
+    return reps
 
 
 def isotypic_components(m: ExplicitModule) -> List[Tuple[Weight, List[Sparse]]]:
@@ -679,7 +668,7 @@ def isotypic_components(m: ExplicitModule) -> List[Tuple[Weight, List[Sparse]]]:
     reduced basis of its span, in pivot order."""
     comps = []
     total = 0
-    for lam, vecs in _hw_vectors(m).items():
+    for lam, vecs in highest_weight_vectors(m).items():
         space = RowSpace(m.dim, vecs)
         queue = list(vecs)
         while queue:

@@ -6,8 +6,9 @@ keyed by pivot, and takes vectors either dense (a sequence) or sparse (a
 {column: value} mapping).  Everything is computed with exact arithmetic
 so rank decisions are never subject to rounding.  Row echelon forms are
 fully reduced with leading entry 1; that form is unique, so every derived
-basis is deterministic.  rref, rank, kernel_basis and solve are thin
-views over the kernel and return dense rows and vectors.
+basis is deterministic.  The package passes RowSpaces and sparse vectors
+between its layers; solve and RowSpace.basis are the only dense views,
+and dense converts a sparse vector where output is formatted.
 """
 
 from __future__ import annotations
@@ -45,23 +46,6 @@ def _subtract(v: Sparse, f: Q, row: Mapping[int, Q]) -> None:
             v[c] = y
         else:
             del v[c]
-
-
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Q]], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    if not rows:
-        return [], []
-    space = RowSpace(len(rows[0]), rows)
-    return [list(r) for r in space.basis()], list(space.pivots)
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return RowSpace(len(rows[0]) if rows else 0, rows).dim
-
-
-def kernel_basis(rows: Sequence[AnyVector], ncols: int) -> List[Vector]:
-    """Basis of the right kernel, one vector per free column, deterministic."""
-    return [dense(k, ncols) for k in RowSpace(ncols, rows).kernel()]
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:

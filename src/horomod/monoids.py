@@ -304,7 +304,7 @@ def is_free(monoid) -> bool:
     gens = minimal_generators(monoid)
     if not gens:
         return True
-    return linalg.rank(gens) == len(gens)
+    return linalg.RowSpace(len(gens[0]), gens).dim == len(gens)
 
 
 # ---------------------------------------------------------- presentation

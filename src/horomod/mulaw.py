@@ -260,44 +260,53 @@ def _json_int(field: str, x) -> int:
     return x
 
 
+def _json_list(field: str, x) -> list:
+    if type(x) is not list:
+        raise ValidationError(f"law JSON {field} must be a list, got {type(x).__name__}")
+    return x
+
+
 def _json_ints(field: str, values) -> Tuple[int, ...]:
-    return tuple(_json_int(field, x) for x in values)
+    return tuple(_json_int(f"{field} entry", x) for x in _json_list(field, values))
 
 
-def _json_keys(where: str, obj, known: Tuple[str, ...]) -> None:
-    """Refuse a law JSON object carrying a key law_to_json_dict never writes."""
-    if isinstance(obj, dict):
-        for key in obj:
-            if key not in known:
-                raise ValidationError(f"unknown key {key!r} in law JSON {where}")
+def _json_object(where: str, obj, known: Tuple[str, ...]) -> dict:
+    """obj, refused unless it is a law JSON object whose keys are all
+    ones law_to_json_dict writes."""
+    if type(obj) is not dict:
+        raise ValidationError(f"law JSON {where} must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in known:
+            raise ValidationError(f"unknown key {key!r} in law JSON {where}")
+    return obj
 
 
 def law_from_json_dict(data: dict) -> MultiplicationLaw:
     """Inverse of law_to_json_dict.  Integer fields must be JSON integers
     and each value a string or a JSON integer, so every number is exact.
-    Keys law_to_json_dict does not write are refused."""
-    _json_keys("top level", data, ("rd", "monoid", "truncation", "coeffs"))
-    _json_keys("rd", data["rd"], ("label", "cartan"))
-    _json_keys("monoid", data["monoid"], ("generators",))
-    rdinfo = data["rd"]
+    A field of the wrong shape, and a key law_to_json_dict does not
+    write, are refused by name."""
+    _json_object("top level", data, ("rd", "monoid", "truncation", "coeffs"))
+    rdinfo = _json_object("rd", data["rd"], ("label", "cartan"))
+    mondata = _json_object("monoid", data["monoid"], ("generators",))
     if rdinfo.get("label") and rdinfo["label"] != "custom":
         rd = make_root_datum(rdinfo["label"])
     else:
-        rd = make_root_datum([_json_ints("cartan entry", row) for row in rdinfo["cartan"]])
-    monoid = make_weight_monoid(
-        rd, [_json_ints("generator entry", g) for g in data["monoid"]["generators"]]
-    )
+        cartan = _json_list("cartan", rdinfo["cartan"])
+        rd = make_root_datum([_json_ints("cartan", row) for row in cartan])
+    gens = _json_list("generators", mondata["generators"])
+    monoid = make_weight_monoid(rd, [_json_ints("generator", g) for g in gens])
     coeffs: Dict[LawKey, Q] = {}
-    for e in data["coeffs"]:
-        _json_keys("coefficient", e, ("lam", "mu", "nu", "channel", "value"))
+    for e in _json_list("coeffs", data["coeffs"]):
+        _json_object("coefficient", e, ("lam", "mu", "nu", "channel", "value"))
         if type(e["value"]) not in (int, str):
             raise ValidationError(
                 f"law JSON value must be a string or an integer, got {e['value']!r}"
             )
         key = (
-            _json_ints("lam entry", e["lam"]),
-            _json_ints("mu entry", e["mu"]),
-            _json_ints("nu entry", e["nu"]),
+            _json_ints("lam", e["lam"]),
+            _json_ints("mu", e["mu"]),
+            _json_ints("nu", e["nu"]),
             _json_int("channel", e["channel"]),
         )
         if key in coeffs:
@@ -307,12 +316,6 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
 
 
 # --------------------------------------------- rank-one equation system
-
-
-def _a1_window_ints(monoid: WeightMonoid, bound: int) -> List[int]:
-    if not _is_a1(monoid.rd):
-        raise ValidationError("equation generation is implemented for rank one")
-    return [w[0] for w in monoid_window(monoid, bound)]
 
 
 def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
@@ -361,7 +364,7 @@ def _triples(pos: List[int], truncation: int) -> Iterable[Tuple[int, int, int]]:
                 yield a, b, c
 
 
-def _check_law_cost(pos: List[int], truncation: int, cap: int) -> None:
+def _check_law_cost(pos: Sequence[int], truncation: int, cap: int) -> None:
     """Refuse a window whose cost estimate, the sum of (a+b+c)^3 over
     its triples, exceeds cap; the sum stops as soon as it does, so a
     refusal costs little."""
@@ -379,8 +382,15 @@ def _law_unknowns(
 ) -> Tuple[List[int], List[int], Dict[Tuple[int, int, int], int]]:
     """Window weights, positive window weights and the index of each
     unknown m[a,b,i] (of grade i) of a rank-one law window, after the
-    cost check against cap."""
-    ints = _a1_window_ints(monoid, truncation)
+    cost check against cap.  The multiples of the smallest generator lie
+    in the window, so their cost bounds the window's from below and is
+    checked before the window is listed."""
+    if not _is_a1(monoid.rd):
+        raise ValidationError("equation generation is implemented for rank one")
+    step = min((g[0] for g in monoid.generators if g[0]), default=0)
+    if step > 0:
+        _check_law_cost(range(step, truncation + 1, step), truncation, cap)
+    ints = [w[0] for w in monoid_window(monoid, truncation)]
     sset = set(ints)
     pos = [x for x in ints if x >= 1]
     if not any(x + y <= truncation for x in pos for y in pos):
@@ -557,34 +567,21 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Grade
 def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]]:
     """Kernel of the degree-one truncation at the all-zero point,
     reported blockwise per grade."""
-    by_grade: Dict[Grade, List[int]] = {}
-    for idx, g in enumerate(system.grades):
-        by_grade.setdefault(g, []).append(idx)
-    rows_by_grade: Dict[Grade, List[List[Q]]] = {}
+    columns: Dict[Grade, Dict[int, int]] = {}  # grade -> {unknown: column}
+    for u, g in enumerate(system.grades):
+        cols = columns.setdefault(g, {})
+        cols[u] = len(cols)
+    spaces = {g: linalg.RowSpace(len(cols)) for g, cols in columns.items()}
     for cp, g in system.equations:
         poly = canon_to_poly(cp)
         if () in poly:
             raise ValidationError("system is not centered at the all-zero point")
         lin = linear_part(poly)
-        if not lin:
-            continue
-        cols = by_grade[g]
-        colpos = {u: k for k, u in enumerate(cols)}
-        row = [Q(0)] * len(cols)
-        for (u,), cval in lin.items():
-            assert system.grades[u] == g, "linear term off its equation grade"
-            row[colpos[u]] = cval
-        rows_by_grade.setdefault(g, []).append(row)
-    dim = 0
-    weights: List[Grade] = []
-    for g in sorted(by_grade):
-        cols = by_grade[g]
-        rows = rows_by_grade.get(g, [])
-        rank = linalg.rank(rows) if rows else 0
-        free = len(cols) - rank
-        dim += free
-        weights.extend([g] * free)
-    return dim, tuple(weights)
+        if lin:
+            assert all(system.grades[u] == g for (u,) in lin), "linear term off its equation grade"
+            spaces[g].add({columns[g][u]: cval for (u,), cval in lin.items()})
+    weights = tuple(g for g in sorted(spaces) for _ in range(spaces[g].ncols - spaces[g].dim))
+    return len(weights), weights
 
 
 def law_unknown_values(law: MultiplicationLaw) -> Dict[str, Q]:
@@ -708,9 +705,11 @@ def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> NFPoly:
     if not cands:
         raise ValidationError("no coordinate function of the generator weight")
     raised = [_op_raise(pb) for pb in cands]
-    monos = sorted({m for rp in raised for m in rp})
-    rows = [[rp.get(m, Q(0)) for rp in raised] for m in monos]
-    kern = linalg.kernel_basis(rows, len(cands))
+    rows: Dict[Tuple[int, int, int, int], Dict[int, Q]] = {}  # monomial -> {candidate: coeff}
+    for j, rp in enumerate(raised):
+        for m, c in rp.items():
+            rows.setdefault(m, {})[j] = c
+    kern = linalg.RowSpace(len(cands), rows.values()).kernel()
     if not kern:
         raise ValidationError("no singular covariant of the generator weight")
     if len(kern) > 1:
@@ -719,9 +718,8 @@ def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> NFPoly:
             "the orbit closure is not multiplicity-free in this window"
         )
     z: NFPoly = {}
-    for coef, pb in zip(kern[0], cands):
-        if coef:
-            z = poly_add(z, poly_scale(pb, coef))
+    for j, coef in kern[0].items():
+        z = poly_add(z, poly_scale(cands[j], coef))
     if not z:
         raise ValidationError("singular covariant vanished after normalization")
     monos = sorted(z)
@@ -757,7 +755,7 @@ def orbit_law(
     if not forms or all(not any(f.coeffs) for f in forms):
         raise ValidationError("zero vector has no orbit law")
     nbar = _single_generator(monoid)
-    ints = _a1_window_ints(monoid, truncation)
+    ints = [w[0] for w in monoid_window(monoid, truncation)]
     sset = set(ints)
 
     z = _hw_covariant(forms, nbar)

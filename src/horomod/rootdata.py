@@ -73,7 +73,7 @@ def _validate_cartan(rd: RootDatum) -> None:
         for j in range(n):
             if i != j and rd.cartan[i][j] > 0:
                 raise ValidationError("off-diagonal Cartan entries must be <= 0")
-    if len(linalg.rref(rd.cartan)[0]) != n:
+    if linalg.RowSpace(n, rd.cartan).dim != n:
         raise ValidationError("Cartan matrix must be invertible")
 
 

@@ -13,7 +13,6 @@ caller-asserted and recorded in the report, never checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError
@@ -29,7 +28,7 @@ from .liealg import (
     orbit_tangent,
     stabilizer_lie,
 )
-from .linalg import RowSpace, Sparse, sparse
+from .linalg import RowSpace, Sparse
 from .rootdata import RootDatum, Weight, natural_root_coords
 
 RootVector = Tuple[int, ...]
@@ -113,7 +112,7 @@ def moduli_tangent_dim(t1_inv: int, dim_derT_Y: int, dim_derG_X: int) -> int:
 def _component_weights(
     m: ExplicitModule,
     comps: Sequence[Tuple[Weight, List[Sparse]]],
-    reps: Sequence[Sequence[Q]],
+    reps: Sequence[Sparse],
 ) -> List[RootVector]:
     """Weights lambda - mu over the isotypic pieces comps of m meeting each
     representative, one per (piece, T-weight) pair in its support.  One
@@ -122,7 +121,7 @@ def _component_weights(
     cols = [(lam, b) for lam, basis in comps for b in basis]
     n = len(cols)
     by_coord: Dict[int, Sparse] = {}
-    for j, v in enumerate([b for _, b in cols] + [sparse(rep) for rep in reps]):
+    for j, v in enumerate([b for _, b in cols] + list(reps)):
         for r, x in v.items():
             by_coord.setdefault(r, {})[j] = x
     red = RowSpace(n + len(reps), by_coord.values())
@@ -153,25 +152,38 @@ def t1_invariant(
     """Invariant deformation dimensions of the orbit closure of x, with
     isotropy described by stab.
 
-    The Lie part of stab must annihilate x (checked).  Normality of the
-    closure and boundary codimension at least two are the caller's
-    responsibility; the flags are echoed into the report.
+    The Lie part of stab must annihilate x, and every weight of x must
+    pass each congruence of its diagonalizable part (both checked).
+    Normality of the closure and boundary codimension at least two are
+    the caller's responsibility; the flags are echoed into the report.
     """
-    vec = _check_point(m, x)
-    point = sparse(vec)
-    for coeffs in stab.lie_part:
-        if act(lie_matrix(m, coeffs), point):
-            raise ValidationError(
-                "stabilizer Lie part does not annihilate the point"
-            )
+    point = _check_point(m, x)
+    lie = [lie_matrix(m, coeffs) for coeffs in stab.lie_part]
+    if any(act(mat, point) for mat in lie):
+        raise ValidationError("stabilizer Lie part does not annihilate the point")
+    for i in point:
+        w = m.basis_weights[i]
+        for c in stab.diag_part:
+            if not c.passes(w):
+                raise ValidationError(
+                    f"the point has weight {w}, which fails the congruence "
+                    f"{','.join(map(str, c.coeffs))}:{c.modulus}"
+                )
 
-    gx = stabilizer_lie(m, vec)
     ad = adjoint_module(m.rd)
-    dim_a, _ = fixed_in_quotient(ad, gx, stab)
-    v_fixed = fixed_in_quotient(m, (), stab)[1]
-    dim_b = len(v_fixed)
-    tangent = orbit_tangent(m, vec)
-    dim_c, reps = fixed_in_quotient(m, tangent, stab)
+    gx = RowSpace(ad.dim, stabilizer_lie(m, x))
+    lie_ad = [lie_matrix(ad, coeffs) for coeffs in stab.lie_part]
+    dim_a = len(fixed_in_quotient(gx, lie_ad, stab.passing(ad.basis_weights)))
+    # fixed becomes V^{G_x}, then V^{G_x} + g.x: the span the survivors
+    # are independent of.
+    passing = stab.passing(m.basis_weights)
+    fixed = RowSpace(m.dim)
+    dim_b = len(fixed_in_quotient(fixed, lie, passing))
+    tangent = orbit_tangent(m, x)
+    for pc in tangent.pivots:
+        fixed.add(tangent.rows[pc])
+    reps = fixed_in_quotient(tangent, lie, passing)
+    dim_c = len(reps)
 
     dim_t1 = dim_c - dim_b + dim_a
     if dim_t1 < 0:
@@ -182,8 +194,7 @@ def t1_invariant(
 
     # Classes surviving modulo both the orbit directions and the fixed
     # vectors of the ambient module are the invariant deformations.
-    span = RowSpace(m.dim, tangent + v_fixed)
-    survivors = [rep for rep in reps if span.add(rep)]
+    survivors = [rep for rep in reps if fixed.add(rep)]
     weights = (
         _component_weights(m, isotypic_components(m), survivors) if survivors else []
     )

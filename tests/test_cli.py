@@ -370,6 +370,67 @@ def test_output_into_missing_directory_is_validation_error(tmp_path, capsys):
     assert blob["error"]["type"] == "validation"
 
 
+def _law_with(field, value):
+    """A well-formed law JSON with one field replaced by value."""
+    law = {
+        "rd": {"label": "A1", "cartan": [[2]]},
+        "monoid": {"generators": [[2]]},
+        "truncation": 4,
+        "coeffs": [{"lam": [2], "mu": [2], "nu": [4], "channel": 0, "value": "1"}],
+    }
+    if field == "top level":
+        return value
+    if field in ("rd", "monoid", "truncation", "coeffs"):
+        law[field] = value
+    elif field == "cartan":
+        law["rd"] = {"label": "custom", "cartan": value}
+    elif field == "generators":
+        law["monoid"]["generators"] = value
+    elif field == "coefficient":
+        law["coeffs"][0] = value
+    else:
+        law["coeffs"][0][field] = value
+    return law
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("top level", [1], "top level must be an object, got list"),
+        ("rd", ["A1"], "rd must be an object, got list"),
+        ("monoid", [[2]], "monoid must be an object, got list"),
+        ("coefficient", [[2], [2], [4], 0, "1"], "coefficient must be an object, got list"),
+        ("coeffs", 3, "coeffs must be a list, got int"),
+        ("coeffs", {"lam": [2]}, "coeffs must be a list, got dict"),
+        ("generators", 2, "generators must be a list, got int"),
+        ("generators", [2], "generator must be a list, got int"),
+        ("cartan", 2, "cartan must be a list, got int"),
+        ("cartan", [2], "cartan must be a list, got int"),
+        ("lam", 2, "lam must be a list, got int"),
+        ("mu", "2", "mu must be a list, got str"),
+        ("nu", {"0": 4}, "nu must be a list, got dict"),
+    ],
+)
+def test_law_json_of_the_wrong_shape_names_the_field(tmp_path, capsys, field, value, message):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(_law_with(field, value)))
+    for argv in (["root-monoid", str(path)], ["contract", str(path), "2"]):
+        code, blob = run_json(capsys, *argv)
+        assert code == 3, argv
+        assert blob["error"] == {"type": "validation", "message": "law JSON " + message}
+
+
+@pytest.mark.parametrize("module, point", [("sym(2,natural(2))", "1,0,0"), ("sym(4,natural(2))", "1,0,0,0,0")])
+def test_t1_refuses_a_point_the_diagonal_part_moves(capsys, module, point):
+    code, blob = run_json(capsys, "t1", "A1", module, point, "--lie-u", "--diag", "1:3")
+    assert code == 3
+    weight = module[4]
+    assert blob["error"] == {
+        "type": "validation",
+        "message": f"the point has weight ({weight},), which fails the congruence 1:3",
+    }
+
+
 def test_stabilizer_labels(capsys):
     code, blob = run_json(
         capsys, "stabilizer", "A1", "sym(2,natural(2))", "0,1,0"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from horomod.errors import ResourceError, ValidationError
 from horomod import liealg as la
 from horomod import repcalc, rootdata as rda
+from horomod.linalg import RowSpace
 
 A1 = rda.make_root_datum("A1")
 A2 = rda.make_root_datum("A2")
@@ -17,6 +18,12 @@ def unit(dim, *pairs):
     for i, c in pairs:
         v[i] = Q(c)
     return tuple(v)
+
+
+def fixed_space(m, span, stab):
+    """fixed_in_quotient of m modulo span under stab, as t1 calls it."""
+    lie = [la.lie_matrix(m, c) for c in stab.lie_part]
+    return la.fixed_in_quotient(span, lie, stab.passing(m.basis_weights))
 
 
 def test_natural_shapes():
@@ -78,12 +85,9 @@ def test_ext_signs():
     m = la.build_module(A3, "ext(2,natural(4))")
     # f3 sends e3 to e4, so on e3^e4 the only term is e4^e4 = 0
     idx = {mono: i for i, mono in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])}
-    v = unit(6, (idx[(2, 3)], 1))
-    assert all(c == 0 for c in la.mat_apply(m.f[2], v))
+    assert la.act(m.f[2], {idx[(2, 3)]: Q(1)}) == {}
     # f3 on e1^e3 gives e1^e4
-    v = unit(6, (idx[(0, 2)], 1))
-    img = la.mat_apply(m.f[2], v)
-    assert img == unit(6, (idx[(0, 3)], 1))
+    assert la.act(m.f[2], {idx[(0, 2)]: Q(1)}) == {idx[(0, 3)]: 1}
 
 
 def test_hwv_tensor_a1():
@@ -171,12 +175,13 @@ def x0_slfour():
 
 def test_orbit_and_stabilizer_slfour():
     m, x0 = x0_slfour()
-    assert len(la.orbit_tangent(m, x0)) == 9
+    assert la.orbit_tangent(m, x0).dim == 9
     stab = la.stabilizer_lie(m, x0)
     assert len(stab) == 6
     # the stabilizer is the full upper triangular nilradical
     labels = la.chevalley_labels(A3)
-    span = {labels[k] for vec in stab for k, c in enumerate(vec) if c != 0}
+    assert all(all(vec.values()) for vec in stab)  # sparse: no stored zeros
+    span = {labels[k] for vec in stab for k in vec}
     assert span == {"e[1,2]", "e[1,3]", "e[1,4]", "e[2,3]", "e[2,4]", "e[3,4]"}
 
 
@@ -184,7 +189,7 @@ def test_stabilizer_top_monomial():
     m = la.build_module(A1, "sym(3,natural(2))")
     x = unit(4, (0, 1))
     stab = la.stabilizer_lie(m, x)
-    assert stab == [unit(3, (0, 1))]
+    assert stab == [{0: 1}]
 
 
 def test_fixed_subspace_congruence():
@@ -195,9 +200,9 @@ def test_fixed_subspace_congruence():
             lie_part=(unit(3, (0, 1)),),
             diag_part=(la.DiagCongruence((1,), n),),
         )
-        _, fixed = la.fixed_in_quotient(m, [], stab)
+        fixed = fixed_space(m, RowSpace(m.dim), stab)
         assert len(fixed) == expected
-        assert fixed[0] == unit(m.dim, (0, 1))
+        assert fixed[0] == {0: 1}
 
 
 def test_fixed_in_quotient_binary_forms():
@@ -209,36 +214,25 @@ def test_fixed_in_quotient_binary_forms():
             lie_part=(unit(3, (0, 1)),),
             diag_part=(la.DiagCongruence((1,), n),),
         )
-        span = la.orbit_tangent(m, x)
-        dim, reps = la.fixed_in_quotient(m, span, stab)
-        assert dim == want, f"n={n}"
-        if n == 2:
-            assert reps == [unit(3, (2, 1))]
-        if n == 4:
-            assert reps == [unit(5, (2, 1))]
+        reps = fixed_space(m, la.orbit_tangent(m, x), stab)
+        assert len(reps) == want, f"n={n}"
+        if n in (2, 4):
+            assert reps == [{2: 1}]
 
 
 def test_fixed_in_quotient_slfour():
     m, x0 = x0_slfour()
     span = la.orbit_tangent(m, x0)
-    stab = la.unipotent_radical_spec(A3)
-    dim, reps = la.fixed_in_quotient(m, span, stab)
-    assert dim == 2
-    # classes of e1^e4 (index 6) and e2^e3 (index 7) span the fixed space
-    from horomod.linalg import RowSpace
-
-    wedges = [unit(14, (6, 1)), unit(14, (7, 1))]
-    computed = RowSpace(14)
-    named = RowSpace(14)
-    for v in span:
-        computed.add(v)
-        named.add(v)
-    for r in reps:
-        computed.add(r)
+    named = RowSpace(14, [span.rows[pc] for pc in span.pivots])
+    reps = fixed_space(m, span, la.unipotent_radical_spec(A3))
+    assert len(reps) == 2
+    # classes of e1^e4 (index 6) and e2^e3 (index 7) span the fixed space;
+    # fixed_in_quotient has added the representatives to span
+    wedges = [{6: 1}, {7: 1}]
     for w in wedges:
         named.add(w)
-    assert computed.dim == named.dim == len(span) + 2
-    assert all(computed.contains(w) for w in wedges)
+    assert span.dim == named.dim == 9 + 2
+    assert all(span.contains(w) for w in wedges)
     assert all(named.contains(r) for r in reps)
 
 

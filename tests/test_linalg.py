@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horomod.linalg import RowSpace, kernel_basis, rank, rref, solve
+from horomod.linalg import RowSpace, dense, solve
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -29,13 +29,15 @@ def _times(row, vec):
 @PROPERTY
 @given(matrices(min_rows=1), st.randoms(use_true_random=False))
 def test_rref_is_idempotent_and_ignores_row_order(mat, rnd):
-    _, rows = mat
-    red, pivots = rref(rows)
-    if red:
-        assert rref(red) == (red, pivots)
+    ncols, rows = mat
+    space = RowSpace(ncols, rows)
+    red, pivots = space.basis(), space.pivots
+    again = RowSpace(ncols, red)
+    assert (again.basis(), again.pivots) == (red, pivots)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    assert rref(shuffled) == (red, pivots)
+    reordered = RowSpace(ncols, shuffled)
+    assert (reordered.basis(), reordered.pivots) == (red, pivots)
     for row, pc in zip(red, pivots):
         assert row[pc] == 1 and all(x == 0 for x in row[:pc])
         assert all(other[pc] == 0 for other in red if other is not row)
@@ -45,11 +47,10 @@ def test_rref_is_idempotent_and_ignores_row_order(mat, rnd):
 @given(matrices())
 def test_rank_nullity_and_kernel_is_annihilated(mat):
     ncols, rows = mat
-    kern = kernel_basis(rows, ncols)
-    assert rank(rows) + len(kern) == ncols
-    assert all(_times(row, k) == 0 for row in rows for k in kern)
-    if kern:
-        assert rank(kern) == len(kern)
+    kern = RowSpace(ncols, rows).kernel()
+    assert RowSpace(ncols, rows).dim + len(kern) == ncols
+    assert all(_times(row, dense(k, ncols)) == 0 for row in rows for k in kern)
+    assert RowSpace(ncols, kern).dim == len(kern)
 
 
 @PROPERTY
@@ -57,7 +58,8 @@ def test_rank_nullity_and_kernel_is_annihilated(mat):
 def test_solve_answers_exactly_when_consistent(mat, data):
     ncols, rows = mat
     rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-    consistent = rank(rows) == rank([row + [b] for row, b in zip(rows, rhs)])
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    consistent = RowSpace(ncols, rows).dim == RowSpace(ncols + 1, augmented).dim
     sol = solve(rows, rhs)
     assert (sol is not None) == consistent
     if sol is not None:
@@ -99,11 +101,12 @@ def test_rref_and_rank_match_sympy():
     @PROPERTY
     @given(matrices(min_rows=1))
     def check(mat):
-        _, rows = mat
+        ncols, rows = mat
         red, pivots = sympy.Matrix(rows).rref()
-        expected = [[Q(int(x.p), int(x.q)) for x in red.row(i)] for i in range(len(pivots))]
-        assert rref(rows) == (expected, list(pivots))
-        assert rank(rows) == len(pivots)
+        expected = [tuple(Q(int(x.p), int(x.q)) for x in red.row(i)) for i in range(len(pivots))]
+        space = RowSpace(ncols, rows)
+        assert (space.basis(), space.pivots) == (expected, list(pivots))
+        assert space.dim == len(pivots)
 
     check()
 
@@ -133,7 +136,8 @@ def test_kernel_basis_and_solve_match_sympy():
     def check(mat, data):
         ncols, rows = mat
         m = sympy.Matrix(rows)
-        assert kernel_basis(rows, ncols) == [exact(v) for v in m.nullspace()]
+        kern = [dense(k, ncols) for k in RowSpace(ncols, rows).kernel()]
+        assert kern == [exact(v) for v in m.nullspace()]
         rhs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
         try:
             sol, params = m.gauss_jordan_solve(sympy.Matrix(rhs))

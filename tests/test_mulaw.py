@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horomod.errors import ValidationError
+from horomod import mulaw
+from horomod.errors import ResourceError, ValidationError
 from horomod.monoids import make_weight_monoid, minimal_generators
 from horomod.mulaw import (
     _triple_top_vectors,
@@ -214,6 +215,20 @@ def test_tangent_dims_stable_under_window_growth():
 def test_equations_need_room():
     with pytest.raises(ValidationError):
         law_equations(nat2([2]), 2)
+
+
+@pytest.mark.parametrize("route", [law_tangent, law_equations])
+@pytest.mark.parametrize("gens", [(1,), (2, 3)])
+def test_law_cost_is_checked_before_the_window_is_listed(monkeypatch, route, gens):
+    """The multiples of the smallest generator already cost too much, so
+    the window of 10^5 weights is refused without being listed."""
+
+    def unlisted(*args):
+        raise AssertionError("window listed before the cost check")
+
+    monkeypatch.setattr(mulaw, "monoid_window", unlisted)
+    with pytest.raises(ResourceError):
+        route(nat2(gens), 99999)
 
 
 @pytest.mark.parametrize(

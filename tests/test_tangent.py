@@ -72,8 +72,14 @@ def test_flag_point_dim_and_weights():
 def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
     chevalley_args = []
     isotypic_args = []
+    lie_args = []
+    orbit_spans = []
+    quotient_spans = []
     build_chevalley = liealg.chevalley_matrices
     split = tangent.isotypic_components
+    build_lie = tangent.lie_matrix
+    orbit = tangent.orbit_tangent
+    quotient = tangent.fixed_in_quotient
 
     def counted_chevalley(m):
         chevalley_args.append(m)
@@ -83,12 +89,35 @@ def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
         isotypic_args.append(m)
         return split(m)
 
+    def counted_lie(m, coeffs):
+        lie_args.append((id(m), tuple(coeffs)))
+        return build_lie(m, coeffs)
+
+    def recorded_orbit(m, x):
+        orbit_spans.append(orbit(m, x))
+        return orbit_spans[-1]
+
+    def recorded_quotient(span, lie, passing):
+        quotient_spans.append(span)
+        return quotient(span, lie, passing)
+
     monkeypatch.setattr(liealg, "chevalley_matrices", counted_chevalley)
     monkeypatch.setattr(tangent, "isotypic_components", counted_split)
+    monkeypatch.setattr(tangent, "lie_matrix", counted_lie)
+    monkeypatch.setattr(tangent, "orbit_tangent", recorded_orbit)
+    monkeypatch.setattr(tangent, "fixed_in_quotient", recorded_quotient)
     assert examples.flag_point().dim_T1_invariant == 2
     # once for the module, once for its adjoint
     assert len(chevalley_args) == len({id(m) for m in chevalley_args}) == 2
     assert len(isotypic_args) <= 1
+    # one matrix per Lie generator (6 for the unipotent radical of A3)
+    # and module: 6 on the module, 6 on its adjoint
+    assert len(lie_args) == len(set(lie_args)) == 12
+    assert len({m for m, _ in lie_args}) == 2
+    # the orbit span is built once, and the quotient by it extends it
+    assert len(orbit_spans) == 1 and len(quotient_spans) == 3
+    assert quotient_spans[-1] is orbit_spans[0]
+    assert orbit_spans[0].dim == 9 + 2
 
 
 def test_report_identity_enforced():
@@ -115,6 +144,26 @@ def test_stabilizer_must_annihilate():
     x[m.basis_weights.index((-2,))] = Q(1)  # lowest weight vector
     with pytest.raises(ValidationError):
         t1_invariant(m, x, unipotent_radical_spec(A1))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_diagonal_part_must_fix_the_point(monkeypatch, n):
+    """x^n has weight n, which 3 does not divide: the cube roots of unity
+    move the point, and t1 refuses before any fixed space is computed."""
+
+    def unreached(*args):
+        raise AssertionError("fixed space computed for a point the group moves")
+
+    monkeypatch.setattr(tangent, "fixed_in_quotient", unreached)
+    m = build_module(A1, f"sym({n},natural(2))")
+    x = [Q(0)] * m.dim
+    x[m.basis_weights.index((n,))] = Q(1)
+    stab = StabilizerSpec(
+        lie_part=unipotent_radical_spec(A1).lie_part,
+        diag_part=(DiagCongruence((1,), 3),),
+    )
+    with pytest.raises(ValidationError, match=rf"weight \({n},\), which fails the congruence 1:3"):
+        t1_invariant(m, x, stab)
 
 
 def test_tangent_weight_values():
