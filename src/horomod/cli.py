@@ -122,13 +122,13 @@ def _stab_from_args(rd, args) -> StabilizerSpec:
     diag = []
     for entry in args.diag or []:
         head, _, mod = entry.partition(":")
-        if not mod:
+        try:
+            modulus = int(mod)
+        except ValueError:
             raise ValidationError(
                 f"malformed congruence {entry!r}: expected coeffs:modulus"
             )
-        diag.append(
-            DiagCongruence(coeffs=_parse_weight(head), modulus=int(mod))
-        )
+        diag.append(DiagCongruence(coeffs=_parse_weight(head), modulus=modulus))
     return StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
 
 
@@ -234,16 +234,8 @@ def _cmd_t1(args):
     rd = make_root_datum(args.group)
     m = build_module(rd, args.module, cap=args.cap)
     stab = _stab_from_args(rd, args)
-    report = t1_invariant(
-        m,
-        _parse_point(args.point),
-        stab,
-        normal_assumed=args.normal,
-        small_boundary_assumed=args.small_boundary,
-    )
-    blob = report_to_json_dict(report)
-    hyps = blob.pop("hypotheses")
-    return blob, {"cap": args.cap}, hyps
+    report = t1_invariant(m, _parse_point(args.point), stab)
+    return report_to_json_dict(report), {"cap": args.cap}, HYPOTHESES
 
 
 def _cmd_tangent_weight(args):
@@ -439,10 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stabilizer Lie part = maximal unipotent")
     p.add_argument("--diag", action="append",
                    help="weight congruence coeffs:modulus, repeatable")
-    p.add_argument("--normal", action=argparse.BooleanOptionalAction,
-                   default=True)
-    p.add_argument("--small-boundary", action=argparse.BooleanOptionalAction,
-                   default=True)
     with_cap(p)
 
     p = add("tangent-weight", _cmd_tangent_weight, "lam - mu in root coords")

@@ -19,8 +19,9 @@ from .mulaw import law_tangent
 from .rootdata import make_root_datum
 from .tangent import TangentReport, t1_invariant
 
-# Both closures are normal with boundary of codimension at least two;
-# the four-term sequence needs this and the code does not check it.
+# The four-term sequence needs the closure normal with boundary of
+# codimension at least two.  Both examples satisfy this; the code does
+# not check it, so every t1 report carries it in its provenance.
 HYPOTHESES = {"normal": True, "boundary_codim_ge_2": True}
 
 BINARY_DEGREES = range(1, 7)

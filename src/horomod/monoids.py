@@ -8,25 +8,24 @@ negative answer is definitive, otherwise the result carries a
 bound-limited flag.
 
 Saturation computes the Hilbert basis of cone(gens) intersect
-lattice(gens) for rank at most 3 by enumerating lattice points of the
-generator zonotope box, filtering by exact cone membership (a
-non-negative solution on a generator subset), and keeping the
-irreducible points with minimal_generators.
+lattice(gens) for rank at most 3, in integer lattice coordinates.  The
+lattice points of the generator zonotope box are enumerated by
+back-substitution over the Hermite normal form rows, each level counted
+against a cap before it is built; the cone is described once by integer
+facet normals, so membership is a sign test on each point; and
+minimal_generators keeps the irreducible points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
 from .rootdata import RootDatum
-
-Q = Fraction
 
 Gen = Tuple[int, ...]
 
@@ -210,15 +209,45 @@ def _hnf(rows: Sequence[Gen]) -> List[List[int]]:
     return [row for row in mat[:r]]
 
 
-def _in_cone(gens: Sequence[Gen], y: Gen, r: int) -> bool:
-    """Exact cone membership: a non-negative solution on some set of at
-    most r generators, r the rank of gens (Caratheodory)."""
-    for size in range(1, r + 1):
-        for subset in combinations(gens, size):
-            sol = linalg.solve(list(zip(*subset)), y)
-            if sol is not None and all(t >= 0 for t in sol):
-                return True
-    return False
+def _box_points(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[Gen]:
+    """The points of the lattice spanned by the _hnf rows basis inside the
+    zonotope box lo..hi of gens, by back-substitution.  Later rows vanish
+    at the pivot of row k, so once z_k is chosen that coordinate is final
+    and bounds z_k in integers.  The number of points each level builds
+    is checked against the cap before the level is built."""
+    lo = [sum(min(0, x) for x in col) for col in zip(*gens)]
+    hi = [sum(max(0, x) for x in col) for col in zip(*gens)]
+    points = [tuple([0] * len(lo))]
+    for row in basis:
+        c, p = next((c, x) for c, x in enumerate(row) if x)
+        spans = [(y, range(-((y[c] - lo[c]) // p), (hi[c] - y[c]) // p + 1)) for y in points]
+        if sum(len(zs) for _, zs in spans) > _ENUM_CAP:
+            raise ResourceError("saturation enumeration cap exceeded")
+        points = [tuple(a + z * b for a, b in zip(y, row)) for y, zs in spans for z in zs]
+    return [y for y in points if all(l <= v <= h for v, l, h in zip(y, lo, hi))]
+
+
+def _facet_normals(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[Gen]:
+    """Integer inequalities u . y >= 0 cutting cone(gens) out of its span.
+
+    Each candidate is the one-dimensional kernel of r - 1 generators and
+    the complement of the span, r = len(basis); it is kept, with its sign
+    fixed, when no generator is negative on it.  The kept ones include
+    every facet, so a point of the span lies in the cone iff all are
+    non-negative on it."""
+    n = len(gens[0])
+    perp = linalg.RowSpace(n, basis).kernel()
+    normals = set()
+    for subset in combinations(gens, len(basis) - 1):
+        kernel = linalg.RowSpace(n, list(subset) + perp).kernel()
+        if len(kernel) != 1:
+            continue
+        d = lcm(*(x.denominator for x in kernel[0].values()))
+        u = tuple(int(kernel[0].get(j, 0) * d) for j in range(n))
+        for s in (1, -1):
+            if all(s * sum(a * b for a, b in zip(u, g)) >= 0 for g in gens):
+                normals.add(tuple(s * a for a in u))
+    return sorted(normals)
 
 
 def saturation(monoid):
@@ -231,54 +260,14 @@ def saturation(monoid):
         raise ValidationError("saturation implemented for lattice rank <= 3")
     if _positive_functional(gens) is None:
         raise ValidationError("no strictly positive grading; cone may not be pointed")
-    n = len(gens[0])
-    lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
-    hi = [sum(max(0, g[j]) for g in gens) for j in range(n)]
-    r = len(basis)
-    # r independent columns of the lattice basis
-    cols: List[int] = []
-    for row in basis:
-        cols.append(next(k for k, x in enumerate(row) if x != 0))
-    sub = [[Q(basis[k][c]) for k in range(r)] for c in cols]  # column-major square
-    # the pivot columns make sub triangular with nonzero diagonal
-    inv_cols = [linalg.solve(sub, [int(i == k) for i in range(r)]) for k in range(r)]
-    # bounds for z where lattice point = z . basis and z_k = sum inv[k][j] y_{cols[j]}
-    zlo, zhi = [], []
-    for k in range(r):
-        a, b = Q(0), Q(0)
-        for j in range(r):
-            coef = inv_cols[j][k]
-            la_, hb = Q(lo[cols[j]]), Q(hi[cols[j]])
-            if coef >= 0:
-                a += coef * la_
-                b += coef * hb
-            else:
-                a += coef * hb
-                b += coef * la_
-        zlo.append(a)
-        zhi.append(b)
-    ranges = []
-    total = 1
-    for k in range(r):
-        lo_k = -(-zlo[k].numerator // zlo[k].denominator)  # ceil
-        hi_k = zhi[k].numerator // zhi[k].denominator  # floor
-        ranges.append(range(lo_k, hi_k + 1))
-        total *= max(0, hi_k - lo_k + 1)
-    if total > _ENUM_CAP:
-        raise ResourceError("saturation enumeration cap exceeded")
-    candidates = set()
-    for z in product(*ranges):
-        y = tuple(
-            sum(z[k] * basis[k][j] for k in range(r)) for j in range(n)
-        )
-        if not any(y):
-            continue
-        if any(v < l or v > h for v, l, h in zip(y, lo, hi)):
-            continue
-        if _in_cone(gens, y, r):
-            candidates.add(y)
+    normals = _facet_normals(gens, basis)
+    candidates = tuple(
+        y
+        for y in _box_points(gens, basis)
+        if any(y) and all(sum(a * b for a, b in zip(u, y)) >= 0 for u in normals)
+    )
     return type(monoid)(
-        monoid.rd, minimal_generators(WeightMonoid(monoid.rd, tuple(candidates)))
+        monoid.rd, minimal_generators(WeightMonoid(monoid.rd, candidates))
     )
 
 

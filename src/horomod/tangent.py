@@ -7,7 +7,8 @@ The four-term exact sequence
 reduces the invariant part of the deformation space of an orbit closure
 to three fixed-space dimensions, all computed in exact arithmetic.  The
 normality and boundary-codimension hypotheses behind the sequence are
-caller-asserted and recorded in the report, never checked here.
+never checked here; the CLI records them (examples.HYPOTHESES) in the
+provenance of every report.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError
 from .liealg import (
+    DiagCongruence,
     ExplicitModule,
     StabilizerSpec,
     _check_point,
@@ -41,8 +43,6 @@ class TangentReport:
     dim_normal_fixed: int
     dim_T1_invariant: int
     weights: Tuple[RootVector, ...]
-    normal_assumed: bool = True
-    small_boundary_assumed: bool = True
 
     def __post_init__(self) -> None:
         lhs = self.dim_T1_invariant
@@ -73,10 +73,6 @@ def report_to_json_dict(report: TangentReport) -> dict:
             "t1_invariant": report.dim_T1_invariant,
         },
         "weights": [list(w) for w in report.weights],
-        "hypotheses": {
-            "normal": report.normal_assumed,
-            "boundary_codim_ge_2": report.small_boundary_assumed,
-        },
     }
 
 
@@ -142,21 +138,26 @@ def _component_weights(
     return out
 
 
-def t1_invariant(
-    m: ExplicitModule,
-    x: Sequence,
-    stab: StabilizerSpec,
-    normal_assumed: bool = True,
-    small_boundary_assumed: bool = True,
-) -> TangentReport:
+def _fmt_congruence(c: DiagCongruence) -> str:
+    return f"{','.join(map(str, c.coeffs))}:{c.modulus}"
+
+
+def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> TangentReport:
     """Invariant deformation dimensions of the orbit closure of x, with
     isotropy described by stab.
 
-    The Lie part of stab must annihilate x, and every weight of x must
-    pass each congruence of its diagonalizable part (both checked).
+    Each congruence of the diagonalizable part of stab must have one
+    coefficient per simple root, its Lie part must annihilate x, and
+    every weight of x must pass each congruence (all checked).
     Normality of the closure and boundary codimension at least two are
-    the caller's responsibility; the flags are echoed into the report.
+    the caller's responsibility.
     """
+    for c in stab.diag_part:
+        if len(c.coeffs) != m.rd.rank:
+            raise ValidationError(
+                f"congruence {_fmt_congruence(c)} has {len(c.coeffs)} "
+                f"coefficients, expected one per simple root ({m.rd.rank})"
+            )
     point = _check_point(m, x)
     lie = [lie_matrix(m, coeffs) for coeffs in stab.lie_part]
     if any(act(mat, point) for mat in lie):
@@ -167,7 +168,7 @@ def t1_invariant(
             if not c.passes(w):
                 raise ValidationError(
                     f"the point has weight {w}, which fails the congruence "
-                    f"{','.join(map(str, c.coeffs))}:{c.modulus}"
+                    f"{_fmt_congruence(c)}"
                 )
 
     ad = adjoint_module(m.rd)
@@ -210,6 +211,4 @@ def t1_invariant(
         dim_normal_fixed=dim_c,
         dim_T1_invariant=dim_t1,
         weights=tuple(sorted(weights)),
-        normal_assumed=normal_assumed,
-        small_boundary_assumed=small_boundary_assumed,
     )

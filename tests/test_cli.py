@@ -206,6 +206,15 @@ def test_membership_search_cost_is_capped(capsys):
     assert blob["error"]["type"] == "resource"
 
 
+def test_saturate_counts_the_lattice_points_it_builds(capsys):
+    # Three independent generators are a basis of their own lattice.  The
+    # box holds 44 lattice points, but bounding each lattice coordinate
+    # over the whole box allows 254 082 tuples, past the enumeration cap.
+    code, blob = run_json(capsys, "saturate", "--", "A3", "-15,16,-10;-15,17,-15;22,17,12")
+    assert code == 0
+    assert blob["payload"]["generators"] == [[-15, 16, -10], [-15, 17, -15], [22, 17, 12]]
+
+
 def test_t1_subcommand(capsys):
     code, blob = run_json(
         capsys,
@@ -215,6 +224,15 @@ def test_t1_subcommand(capsys):
     assert code == 0
     assert blob["payload"]["dims"]["t1_invariant"] == 1
     assert blob["payload"]["weights"] == [[2]]
+    # the hypotheses of the four-term sequence are asserted, not checked
+    assert blob["provenance"]["hypotheses"] == {"normal": True, "boundary_codim_ge_2": True}
+
+
+@pytest.mark.parametrize("flag", ["--no-normal", "--no-small-boundary"])
+def test_t1_has_no_hypothesis_flags(capsys, flag):
+    code, out = run(capsys, "t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1:2", flag)
+    assert code == 2
+    assert out == ""
 
 
 def multicone_payload(r):
@@ -438,3 +456,25 @@ def test_stabilizer_labels(capsys):
     assert code == 0
     assert blob["payload"]["labels"] == ["e[1,2]", "f[1,2]", "h[1]"]
     assert blob["payload"]["dim"] == 1
+
+
+def test_t1_refuses_a_modulus_that_is_not_an_integer(capsys):
+    code, blob = run_json(capsys, "t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1:x")
+    assert code == 3
+    assert blob["error"] == {
+        "type": "validation",
+        "message": "malformed congruence '1:x': expected coeffs:modulus",
+    }
+
+
+def test_t1_refuses_a_congruence_of_the_wrong_length_first(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the point was checked before the congruence")
+
+    monkeypatch.setattr("horomod.tangent._check_point", no_work)
+    code, blob = run_json(capsys, "t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1,5:2")
+    assert code == 3
+    assert blob["error"] == {
+        "type": "validation",
+        "message": "congruence 1,5:2 has 2 coefficients, expected one per simple root (1)",
+    }

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horomod import linalg, monoids
 from horomod.errors import ValidationError
 from horomod.monoids import (
     Presentation,
@@ -189,3 +191,61 @@ def test_positive_roots_monoid_contains_simples_after_saturation():
     m = make_root_monoid(A2, gens)
     sat = saturation(m)
     assert sat.generators == ((0, 1), (1, 0))
+
+
+def _caratheodory(gens, y, r):
+    """Reference cone membership: a non-negative solution on some set of
+    at most r generators, r the rank of gens."""
+    for size in range(1, r + 1):
+        for subset in combinations(gens, size):
+            sol = linalg.solve(list(zip(*subset)), y)
+            if sol is not None and all(t >= 0 for t in sol):
+                return True
+    return False
+
+
+@st.composite
+def _generator_lists(draw):
+    rank = draw(st.integers(1, 3))
+    gens = draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=4, unique=True,
+    ))
+    return [g for g in gens if any(g)] or [(1,) * rank]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_generator_lists())
+def test_facet_test_agrees_with_caratheodory(gens):
+    basis = monoids._hnf(gens)
+    n = len(gens[0])
+    lo = tuple(sum(min(0, g[j]) for g in gens) for j in range(n))
+    hi = tuple(sum(max(0, g[j]) for g in gens) for j in range(n))
+    normals = monoids._facet_normals(gens, basis)
+    points = monoids._box_points(gens, basis)
+    assert len(set(points)) == len(points)
+    for y in points:
+        assert all(l <= v <= h for v, l, h in zip(y, lo, hi))
+        in_cone = all(sum(a * b for a, b in zip(u, y)) >= 0 for u in normals)
+        assert in_cone == _caratheodory(gens, y, len(basis)), (gens, y)
+
+
+SATURATION_CASES = [
+    (make_weight_monoid, A1, [(2,), (3,)], ((1,),)),
+    (make_weight_monoid, A1, [(4,)], ((4,),)),
+    (make_weight_monoid, A1, [(4,), (6,)], ((2,),)),
+    (make_weight_monoid, A2, [(1, 0), (1, 2)], ((1, 0), (1, 2))),
+    (make_weight_monoid, A2, [(1, 0), (1, 1), (1, 3)], ((1, 0), (1, 1), (1, 2), (1, 3))),
+    (make_weight_monoid, A2, [(1, 0), (3, 1), (3, 2), (1, -1)], ((1, -1), (1, 0), (2, 1), (3, 2))),
+    (make_root_monoid, A3, [(1, 1, 0), (0, 1, 1), (1, 2, 1)], ((0, 1, 1), (1, 1, 0))),
+    (make_root_monoid, A2, [(2, 0)], ((2, 0),)),
+    (make_root_monoid, A2, [(0, 1), (1, 0), (1, 1)], ((0, 1), (1, 0))),
+]
+
+
+def test_saturation_makes_no_linear_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("saturation called linalg.solve")
+
+    monkeypatch.setattr(monoids.linalg, "solve", no_solve)
+    for make, rd, gens, want in SATURATION_CASES:
+        assert saturation(make(rd, gens)).generators == want

@@ -135,7 +135,7 @@ def test_report_json_layout():
     blob = report_to_json_dict(flag_point_report())
     assert blob["dims"]["t1_invariant"] == 2
     assert blob["weights"] == [[0, 1, 1], [1, 1, 0]]
-    assert blob["hypotheses"] == {"normal": True, "boundary_codim_ge_2": True}
+    assert set(blob) == {"dims", "weights"}
 
 
 def test_stabilizer_must_annihilate():
