@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from .linalg import RowSpace, Sparse, sparse
-from .rootdata import RootDatum, Weight, make_root_datum
+from .rootdata import RootDatum, Weight
 
 Q = Fraction
 
@@ -93,15 +93,6 @@ class ExplicitModule:
         return tuple(chevalley_matrices(self))
 
 
-def _require_type_a(rd: RootDatum) -> int:
-    """Returns n for sl_n after checking the Cartan matrix is type A."""
-    n = rd.rank + 1
-    expected = make_root_datum(f"A{rd.rank}").cartan
-    if rd.cartan != expected:
-        raise ValidationError("explicit modules require a type-A root datum")
-    return n
-
-
 def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
     out = []
     for j in range(n):
@@ -112,7 +103,7 @@ def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
 
 
 def natural(rd: RootDatum) -> ExplicitModule:
-    n = _require_type_a(rd)
+    n = rd.rank + 1
     e = tuple({(i, i + 1): Q(1)} for i in range(rd.rank))
     f = tuple({(i + 1, i): Q(1)} for i in range(rd.rank))
     h = tuple({(i, i): Q(1), (i + 1, i + 1): Q(-1)} for i in range(rd.rank))
@@ -435,7 +426,7 @@ def chevalley_weights(rd: RootDatum) -> List[Weight]:
 
 def adjoint_module(rd: RootDatum) -> ExplicitModule:
     """sl_n acting on itself, coordinates in the Chevalley basis order."""
-    n = _require_type_a(rd)
+    n = rd.rank + 1
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     off_diagonal = upper + [(j, i) for i, j in upper]
     index = {key: k for k, key in enumerate(off_diagonal)}

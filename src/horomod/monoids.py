@@ -5,7 +5,9 @@ monoids, simple-root coordinates for root monoids.  Membership is a
 bounded exhaustive search that returns a certificate; when a strictly
 positive grading functional exists the search is exhaustive and a
 negative answer is definitive, otherwise the result carries a
-bound-limited flag.
+bound-limited flag.  The grading is the sum of the cone's facet
+normals, computed once per call; it exists exactly when the cone is
+pointed.
 
 Saturation computes the Hilbert basis of cone(gens) intersect
 lattice(gens) for rank at most 3, in integer lattice coordinates.  The
@@ -19,7 +21,7 @@ minimal_generators keeps the irreducible points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -79,30 +81,15 @@ class MembershipResult:
     bound_limited: bool
 
 
-def _positive_functional(gens: Sequence[Gen]) -> Optional[Tuple[int, ...]]:
-    """Integer functional strictly positive on every nonzero generator."""
-    nonzero = [g for g in gens if any(g)]
-    if not nonzero:
-        return tuple([1] * (len(gens[0]) if gens else 1))
-    n = len(nonzero[0])
-    ones = tuple([1] * n)
-    if all(sum(c * x for c, x in zip(ones, g)) > 0 for g in nonzero):
-        return ones
-    for radius in (1, 2, 3, 5):
-        for cand in product(range(-radius, radius + 1), repeat=n):
-            if all(sum(c * x for c, x in zip(cand, g)) > 0 for g in nonzero):
-                return cand
-    return None
-
-
 def _search(
-    gens: Sequence[Gen], target: Gen, bound: int, budget: List[int]
+    gens: Sequence[Gen], target: Gen, bound: int, budget: List[int], phi: Optional[Gen]
 ) -> Tuple[Optional[Tuple[int, ...]], bool]:
     """First certificate in lexicographic coefficient order, plus a flag
-    telling whether the search was exhaustive.  budget[0] is the number
-    of search nodes left; the search is refused when it runs out."""
+    telling whether the search was exhaustive.  phi, when not None, is
+    an integer functional positive on every nonzero generator.
+    budget[0] is the number of search nodes left; the search is refused
+    when it runs out."""
     m = len(gens)
-    phi = _positive_functional(gens)
     exhaustive = False
     limit = bound
     if phi is not None:
@@ -163,7 +150,8 @@ def membership(
         raise ValidationError("target length does not match generators")
     if not gens:
         return MembershipResult(not any(t), tuple() if not any(t) else None, False)
-    cert, exhaustive = _search(gens, t, bound, [_SEARCH_CAP])
+    phi = _grading(gens, _facet_normals(gens, _hnf(gens)))
+    cert, exhaustive = _search(gens, t, bound, [_SEARCH_CAP], phi)
     if cert is not None:
         return MembershipResult(True, cert, False)
     return MembershipResult(False, None, not exhaustive)
@@ -235,6 +223,8 @@ def _facet_normals(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[
     fixed, when no generator is negative on it.  The kept ones include
     every facet, so a point of the span lies in the cone iff all are
     non-negative on it."""
+    if not basis:
+        return []
     n = len(gens[0])
     perp = linalg.RowSpace(n, basis).kernel()
     normals = set()
@@ -250,6 +240,16 @@ def _facet_normals(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[
     return sorted(normals)
 
 
+def _grading(gens: Sequence[Gen], normals: Sequence[Gen]) -> Optional[Gen]:
+    """The sum of the facet normals of cone(gens), or None when it is not
+    positive on every nonzero generator.  It is positive on them all
+    exactly when the cone is pointed: only 0 lies on every facet."""
+    phi = tuple(sum(u[j] for u in normals) for j in range(len(gens[0])))
+    if all(sum(p * x for p, x in zip(phi, g)) > 0 for g in gens if any(g)):
+        return phi
+    return None
+
+
 def saturation(monoid):
     """Hilbert basis of cone(gens) intersect lattice(gens), rank <= 3."""
     gens = [g for g in monoid.generators if any(g)]
@@ -258,32 +258,39 @@ def saturation(monoid):
     basis = _hnf(gens)
     if len(basis) > 3:
         raise ValidationError("saturation implemented for lattice rank <= 3")
-    if _positive_functional(gens) is None:
-        raise ValidationError("no strictly positive grading; cone may not be pointed")
     normals = _facet_normals(gens, basis)
-    candidates = tuple(
+    phi = _grading(gens, normals)
+    if phi is None:
+        raise ValidationError("no strictly positive grading; cone may not be pointed")
+    candidates = [
         y
         for y in _box_points(gens, basis)
         if any(y) and all(sum(a * b for a, b in zip(u, y)) >= 0 for u in normals)
-    )
-    return type(monoid)(
-        monoid.rd, minimal_generators(WeightMonoid(monoid.rd, candidates))
-    )
+    ]
+    return type(monoid)(monoid.rd, _irreducible(candidates, phi))
 
 
 def minimal_generators(monoid) -> Tuple[Gen, ...]:
     """Generators with the reducible ones removed (needs a positive grading)."""
     gens = [g for g in monoid.generators if any(g)]
-    phi = _positive_functional(gens) if gens else (1,)
+    if not gens:
+        return ()
+    phi = _grading(gens, _facet_normals(gens, _hnf(gens)))
     if phi is None:
         raise ValidationError("no strictly positive grading on the generators")
+    return _irreducible(gens, phi)
+
+
+def _irreducible(gens: Sequence[Gen], phi: Gen) -> Tuple[Gen, ...]:
+    """The nonzero gens that are no natural sum of other gens, phi a
+    grading positive on each."""
     keep: List[Gen] = []
     budget = [_SEARCH_CAP]
     for g in sorted(gens, key=lambda v: (sum(p * x for p, x in zip(phi, v)), v)):
         # phi >= 1 on every generator, so a sum for g has at most phi(g)
         # terms, all lighter than g: searching keep that far is complete.
         grade = sum(p * x for p, x in zip(phi, g))
-        if not keep or _search(keep, g, grade, budget)[0] is None:
+        if not keep or _search(keep, g, grade, budget, phi)[0] is None:
             keep.append(g)
     return tuple(sorted(keep))
 

@@ -143,7 +143,7 @@ class MultiplicationLaw:
 
 
 def _is_a1(rd: RootDatum) -> bool:
-    return rd.cartan == ((2,),)
+    return rd.rank == 1
 
 
 def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Grade:
@@ -270,35 +270,40 @@ def _json_ints(field: str, values) -> Tuple[int, ...]:
     return tuple(_json_int(f"{field} entry", x) for x in _json_list(field, values))
 
 
-def _json_object(where: str, obj, known: Tuple[str, ...]) -> dict:
-    """obj, refused unless it is a law JSON object whose keys are all
-    ones law_to_json_dict writes."""
+def _json_object(where: str, obj, required: Tuple[str, ...], optional: Tuple[str, ...]) -> dict:
+    """obj, refused unless it is a law JSON object that has every
+    required key and no key law_to_json_dict does not write."""
     if type(obj) is not dict:
         raise ValidationError(f"law JSON {where} must be an object, got {type(obj).__name__}")
     for key in obj:
-        if key not in known:
+        if key not in required + optional:
             raise ValidationError(f"unknown key {key!r} in law JSON {where}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(f"law JSON {where} is missing {key!r}")
     return obj
 
 
 def law_from_json_dict(data: dict) -> MultiplicationLaw:
     """Inverse of law_to_json_dict.  Integer fields must be JSON integers
     and each value a string or a JSON integer, so every number is exact.
-    A field of the wrong shape, and a key law_to_json_dict does not
-    write, are refused by name."""
-    _json_object("top level", data, ("rd", "monoid", "truncation", "coeffs"))
-    rdinfo = _json_object("rd", data["rd"], ("label", "cartan"))
-    mondata = _json_object("monoid", data["monoid"], ("generators",))
-    if rdinfo.get("label") and rdinfo["label"] != "custom":
-        rd = make_root_datum(rdinfo["label"])
-    else:
+    A missing key, a field of the wrong shape, and a key
+    law_to_json_dict does not write, are refused by name.  The root
+    datum is named by its type-A label; a cartan field, if present, must
+    be the label's Cartan matrix."""
+    _json_object("top level", data, ("rd", "monoid", "truncation", "coeffs"), ())
+    rdinfo = _json_object("rd", data["rd"], ("label",), ("cartan",))
+    mondata = _json_object("monoid", data["monoid"], ("generators",), ())
+    rd = make_root_datum(rdinfo["label"])
+    if "cartan" in rdinfo:
         cartan = _json_list("cartan", rdinfo["cartan"])
-        rd = make_root_datum([_json_ints("cartan", row) for row in cartan])
+        if tuple(_json_ints("cartan", row) for row in cartan) != rd.cartan:
+            raise ValidationError(f"law JSON cartan is not the Cartan matrix of {rd.label}")
     gens = _json_list("generators", mondata["generators"])
     monoid = make_weight_monoid(rd, [_json_ints("generator", g) for g in gens])
     coeffs: Dict[LawKey, Q] = {}
     for e in _json_list("coeffs", data["coeffs"]):
-        _json_object("coefficient", e, ("lam", "mu", "nu", "channel", "value"))
+        _json_object("coefficient", e, ("lam", "mu", "nu", "channel", "value"), ())
         if type(e["value"]) not in (int, str):
             raise ValidationError(
                 f"law JSON value must be a string or an integer, got {e['value']!r}"

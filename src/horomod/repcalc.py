@@ -14,7 +14,6 @@ suite insists they agree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .errors import ResourceError, ValidationError
@@ -25,7 +24,6 @@ from .rootdata import (
     dominant_conjugate,
     is_dominant,
     lowest_weight,
-    positive_coroots,
     positive_roots,
     to_root_coords,
 )
@@ -45,7 +43,9 @@ def weyl_dim(rd: RootDatum, lam) -> int:
         raise ValidationError(f"{lam} is not dominant")
     num = Q(1)
     den = Q(1)
-    for beta in positive_coroots(rd):
+    # Type A is simply laced, so each positive coroot has the root's
+    # coordinates.
+    for beta in positive_roots(rd):
         num *= sum(b * (l + 1) for b, l in zip(beta, lam))
         den *= sum(beta)
     d = num / den
@@ -53,35 +53,9 @@ def weyl_dim(rd: RootDatum, lam) -> int:
     return int(d)
 
 
-@lru_cache(maxsize=None)
-def _symmetrizer(rd: RootDatum) -> Tuple[Q, ...]:
-    """Positive rationals d with d_i C_ij = d_j C_ji (invariant form data)."""
-    n = rd.rank
-    d: List[Q] = [Q(0)] * n
-    for start in range(n):
-        if d[start] != 0:
-            continue
-        d[start] = Q(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i == j or rd.cartan[i][j] == 0:
-                    continue
-                val = d[i] * rd.cartan[i][j] / rd.cartan[j][i]
-                if d[j] == 0:
-                    d[j] = val
-                    stack.append(j)
-                elif d[j] != val:
-                    raise ValidationError("Cartan matrix is not symmetrizable")
-    return tuple(d)
-
-
 def _inner(rd: RootDatum, mu, nu) -> Q:
     """Weyl-invariant pairing of two weights in fundamental coordinates."""
-    d = _symmetrizer(rd)
-    x = to_root_coords(rd, nu)
-    return sum(Q(m) * xi * di for m, xi, di in zip(mu, x, d))
+    return sum(Q(m) * x for m, x in zip(mu, to_root_coords(rd, nu)))
 
 
 def dominant_weights_below(rd: RootDatum, lam: Weight) -> List[Weight]:

@@ -1,16 +1,19 @@
-"""Root data, weights in fundamental coordinates, and dominance order.
+"""Root data of type A, weights in fundamental coordinates, and dominance order.
 
+Every root datum is A_n, named by its label "An", n <= _MAX_RANK.
 Conventions.  A weight is a tuple of integers: its coordinates against
 the fundamental weights.  The simple root alpha_i has fundamental
 coordinates equal to the i-th row of the Cartan matrix, so a vector of
 root coordinates x relates to fundamental coordinates v by
-cartan^T . x = v.  Root coordinates are tuples of Fraction since a
-weight need not lie in the root lattice.
+cartan^T . x = v, solved in closed form.  Root coordinates are tuples
+of Fraction since a weight need not lie in the root lattice.
 
 The reflection s_i sends mu to mu - mu_i * alpha_i where mu_i is the
 i-th fundamental coordinate.  Repeated reflection at positive
 coordinates reaches the antidominant chamber in at most as many steps
-as there are positive roots; that count doubles as the overflow guard.
+as there are positive roots, n(n+1)/2: s_i permutes the positive roots
+other than alpha_i, so each step lowers by one the number of positive
+roots that pair positively with the weight.
 """
 
 from __future__ import annotations
@@ -18,18 +21,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
-from . import linalg
 
 Q = Fraction
 
 Weight = Tuple[int, ...]
 RootVector = Tuple[Q, ...]
 
-_ROOT_ENUM_CAP = 10_000
+# A140 has 9 870 positive roots, the most below 10 000.
+_MAX_RANK = 140
 
 
 @dataclass(frozen=True)
@@ -49,32 +51,16 @@ def _type_a_cartan(n: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def make_root_datum(source: Union[str, Sequence[Sequence[int]]]) -> RootDatum:
-    """Build a root datum from a label like "A3" or from a Cartan matrix."""
-    if isinstance(source, str):
-        m = re.fullmatch(r"A([1-9][0-9]*)", source)
-        if not m:
-            raise ValidationError(f"unknown root datum label {source!r}")
-        n = int(m.group(1))
-        return RootDatum(source, _type_a_cartan(n))
-    cartan = tuple(tuple(int(x) for x in row) for row in source)
-    rd = RootDatum("custom", cartan)
-    _validate_cartan(rd)
-    return rd
-
-
-def _validate_cartan(rd: RootDatum) -> None:
-    n = rd.rank
-    if n == 0 or any(len(row) != n for row in rd.cartan):
-        raise ValidationError("Cartan matrix must be square and nonempty")
-    for i in range(n):
-        if rd.cartan[i][i] != 2:
-            raise ValidationError("Cartan diagonal must be 2")
-        for j in range(n):
-            if i != j and rd.cartan[i][j] > 0:
-                raise ValidationError("off-diagonal Cartan entries must be <= 0")
-    if linalg.RowSpace(n, rd.cartan).dim != n:
-        raise ValidationError("Cartan matrix must be invertible")
+def make_root_datum(label: str) -> RootDatum:
+    """The root datum of type A_n named by a label like "A3".  The rank
+    cap is checked on the label's digits, before anything is built."""
+    m = re.fullmatch(r"A([1-9][0-9]*)", label) if isinstance(label, str) else None
+    if not m:
+        raise ValidationError(f"unknown root datum label {label!r}")
+    digits = m.group(1)
+    if len(digits) > len(str(_MAX_RANK)) or int(digits) > _MAX_RANK:
+        raise ResourceError(f"root datum rank exceeds the cap {_MAX_RANK}")
+    return RootDatum(label, _type_a_cartan(int(digits)))
 
 
 def check_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
@@ -88,24 +74,19 @@ def is_dominant(rd: RootDatum, lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 
 
-@lru_cache(maxsize=None)
-def _cartan_t_inverse(rd: RootDatum) -> Tuple[Tuple[Q, ...], ...]:
-    n = rd.rank
-    cols = []
-    ct = [[Q(rd.cartan[j][i]) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        rhs = [Q(1) if i == k else Q(0) for i in range(n)]
-        sol = linalg.solve(ct, rhs)
-        assert sol is not None
-        cols.append(sol)
-    return tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
-
-
 def to_root_coords(rd: RootDatum, lam: Sequence[int]) -> RootVector:
-    """Coordinates of lam against the simple roots (exact rationals)."""
-    v = [Q(x) for x in lam]
-    inv = _cartan_t_inverse(rd)
-    return tuple(sum(inv[i][j] * v[j] for j in range(rd.rank)) for i in range(rd.rank))
+    """Coordinates of lam against the simple roots (exact rationals).
+
+    The inverse of the A_n Cartan matrix is symmetric, with entry
+    min(i, j) (n + 1 - max(i, j)) / (n + 1) for 1-based i and j."""
+    n = rd.rank
+    return tuple(
+        Q(
+            sum(min(i, j) * (n + 1 - max(i, j)) * lam[j - 1] for j in range(1, n + 1)),
+            n + 1,
+        )
+        for i in range(1, n + 1)
+    )
 
 
 def natural_root_coords(rd: RootDatum, lam: Sequence[int]) -> Optional[Tuple[int, ...]]:
@@ -123,46 +104,16 @@ def dominance_leq(rd: RootDatum, mu: Sequence[int], lam: Sequence[int]) -> bool:
     return natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu))) is not None
 
 
-@lru_cache(maxsize=None)
-def _positive_roots_of(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
-    """All positive roots, as integer root-coordinate vectors.
-
-    Closure of the simple roots under the reflections
-    s_j(c) = c - <c, alpha_j^vee> e_j with <c, alpha_j^vee> = (C^T c)_j,
-    keeping vectors with all coordinates >= 0.  Diverges only for
-    non-finite Cartan matrices, which the cap turns into an error.
-    """
-    n = len(cartan)
-    seen = set()
-    queue = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    for q in queue:
-        seen.add(q)
-    while queue:
-        c = queue.pop()
-        for j in range(n):
-            pairing = sum(c[i] * cartan[i][j] for i in range(n))
-            refl = tuple(
-                c[k] - pairing if k == j else c[k] for k in range(n)
-            )
-            if all(x >= 0 for x in refl) and any(x > 0 for x in refl):
-                if refl not in seen:
-                    if len(seen) >= _ROOT_ENUM_CAP:
-                        raise ResourceError("positive root enumeration cap exceeded")
-                    seen.add(refl)
-                    queue.append(refl)
-    return tuple(sorted(seen))
-
-
 def positive_roots(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
-    return _positive_roots_of(rd.cartan)
-
-
-def positive_coroots(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
-    """Positive coroots in coroot coordinates: the dual system has the
-    transposed Cartan matrix."""
+    """All positive roots alpha_i + ... + alpha_j, in root coordinates."""
     n = rd.rank
-    ct = tuple(tuple(rd.cartan[j][i] for j in range(n)) for i in range(n))
-    return _positive_roots_of(ct)
+    return tuple(
+        sorted(
+            tuple(1 if i <= k <= j else 0 for k in range(n))
+            for i in range(n)
+            for j in range(i, n)
+        )
+    )
 
 
 def _reflect_until(rd: RootDatum, lam: Weight, want_negative: bool):
@@ -173,8 +124,6 @@ def _reflect_until(rd: RootDatum, lam: Weight, want_negative: bool):
     """
     cur = list(lam)
     sign = 1
-    limit = len(positive_roots(rd)) + 1
-    steps = 0
     while True:
         idx = None
         for i, c in enumerate(cur):
@@ -187,9 +136,6 @@ def _reflect_until(rd: RootDatum, lam: Weight, want_negative: bool):
         alpha = rd.cartan[idx]
         cur = [c - ci * a for c, a in zip(cur, alpha)]
         sign = -sign
-        steps += 1
-        if steps > limit:
-            raise ResourceError("reflection loop exceeded positive root count")
     return tuple(cur), sign, any(c == 0 for c in cur)
 
 

@@ -90,21 +90,6 @@ def tangent_weight(rd: RootDatum, lam: Weight, mu: Weight) -> RootVector:
     return coords
 
 
-def moduli_tangent_dim(t1_inv: int, dim_derT_Y: int, dim_derG_X: int) -> int:
-    """Moduli tangent dimension from the invariant deformation count and
-    the two derivation counts, by the six-term sequence with vanishing
-    toric tail."""
-    for v in (t1_inv, dim_derT_Y, dim_derG_X):
-        if not isinstance(v, int) or v < 0:
-            raise ValidationError("dimension inputs must be non-negative integers")
-    out = t1_inv + dim_derT_Y - dim_derG_X
-    if out < 0:
-        raise ValidationError(
-            f"inconsistent inputs: {t1_inv} + {dim_derT_Y} - {dim_derG_X} < 0"
-        )
-    return out
-
-
 def _component_weights(
     m: ExplicitModule,
     comps: Sequence[Tuple[Weight, List[Sparse]]],

@@ -179,6 +179,13 @@ def test_saturate_always_ends_in_an_envelope(argv):
     assert blob["status"] == ("ok" if code == 0 else "error")
 
 
+def test_saturate_finds_a_grading_past_small_coefficients(capsys):
+    # Pointed, but every positive functional has a coefficient above 5.
+    code, blob = run_json(capsys, "saturate", "--", "A2", "1,-10;-1,11")
+    assert code == 0
+    assert blob["payload"]["generators"] == [[-1, 11], [1, -10]]
+
+
 @pytest.mark.parametrize("bound", ["12", "30"])
 def test_presentation_cost_is_refused_up_front(capsys, bound):
     start = time.perf_counter()
@@ -401,7 +408,7 @@ def _law_with(field, value):
     if field in ("rd", "monoid", "truncation", "coeffs"):
         law[field] = value
     elif field == "cartan":
-        law["rd"] = {"label": "custom", "cartan": value}
+        law["rd"]["cartan"] = value
     elif field == "generators":
         law["monoid"]["generators"] = value
     elif field == "coefficient":
@@ -427,6 +434,7 @@ def _law_with(field, value):
         ("lam", 2, "lam must be a list, got int"),
         ("mu", "2", "mu must be a list, got str"),
         ("nu", {"0": 4}, "nu must be a list, got dict"),
+        ("cartan", [[1]], "cartan is not the Cartan matrix of A1"),
     ],
 )
 def test_law_json_of_the_wrong_shape_names_the_field(tmp_path, capsys, field, value, message):
@@ -436,6 +444,60 @@ def test_law_json_of_the_wrong_shape_names_the_field(tmp_path, capsys, field, va
         code, blob = run_json(capsys, *argv)
         assert code == 3, argv
         assert blob["error"] == {"type": "validation", "message": "law JSON " + message}
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        ("top level", "rd"),
+        ("top level", "monoid"),
+        ("top level", "truncation"),
+        ("top level", "coeffs"),
+        ("rd", "label"),
+        ("monoid", "generators"),
+        ("coefficient", "lam"),
+        ("coefficient", "value"),
+    ],
+)
+def test_law_json_missing_a_key_names_it(tmp_path, capsys, where, key):
+    law = _law_with("truncation", 4)
+    obj = {"top level": law, "coefficient": law["coeffs"][0]}.get(where) or law[where]
+    del obj[key]
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    code, blob = run_json(capsys, "root-monoid", str(path))
+    assert code == 3
+    assert blob["error"] == {"type": "validation", "message": f"law JSON {where} is missing {key!r}"}
+
+
+@pytest.mark.parametrize("label", ["custom", 1, None])
+def test_law_json_root_datum_is_a_type_a_label(tmp_path, capsys, label):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(_law_with("rd", {"label": label, "cartan": [[2]]})))
+    code, blob = run_json(capsys, "root-monoid", str(path))
+    assert code == 3
+    assert blob["error"] == {"type": "validation", "message": f"unknown root datum label {label!r}"}
+
+
+def test_law_json_without_cartan_reads_the_label(tmp_path, capsys):
+    outputs = []
+    for rd in ({"label": "A1"}, {"label": "A1", "cartan": [[2]]}):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(_law_with("rd", rd)))
+        outputs.append(run(capsys, "contract", str(path), "2"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "label", ["A141", "A100000", pytest.param("A" + "1" * 5000, id="A-5000-digits")]
+)
+def test_root_datum_rank_is_capped_from_the_label(capsys, label):
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "root-datum", label)
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert blob["error"] == {"type": "resource", "message": "root datum rank exceeds the cap 140"}
 
 
 @pytest.mark.parametrize("module, point", [("sym(2,natural(2))", "1,0,0"), ("sym(4,natural(2))", "1,0,0,0,0")])

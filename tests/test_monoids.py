@@ -249,3 +249,38 @@ def test_saturation_makes_no_linear_solve(monkeypatch):
     monkeypatch.setattr(monoids.linalg, "solve", no_solve)
     for make, rd, gens, want in SATURATION_CASES:
         assert saturation(make(rd, gens)).generators == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: saturation(m),
+        lambda m: minimal_generators(m),
+        lambda m: membership(m, (7, 9)),
+    ],
+    ids=["saturation", "minimal_generators", "membership"],
+)
+def test_grading_is_computed_once_per_call(monkeypatch, call):
+    calls = []
+    grading = monoids._grading
+
+    def spy(gens, normals):
+        calls.append(gens)
+        return grading(gens, normals)
+
+    monkeypatch.setattr(monoids, "_grading", spy)
+    call(make_weight_monoid(A2, [(1, 0), (1, 1), (1, 3), (2, 3)]))
+    assert len(calls) == 1
+
+
+def test_grading_is_the_facet_sum_and_none_off_pointed_cones():
+    # Every positive functional on (1,-10), (-1,11) has a coefficient
+    # above 5; the facet normals (11,1) and (10,1) sum to one.
+    gens = [(1, -10), (-1, 11)]
+    normals = monoids._facet_normals(gens, monoids._hnf(gens))
+    assert monoids._grading(gens, normals) == (21, 2)
+    assert minimal_generators(make_weight_monoid(A2, gens)) == ((-1, 11), (1, -10))
+    line = [(1, -1), (-1, 1)]
+    assert monoids._grading(line, monoids._facet_normals(line, monoids._hnf(line))) is None
+    with pytest.raises(ValidationError):
+        minimal_generators(make_weight_monoid(A2, line))

@@ -15,7 +15,6 @@ from horomod.monoids import make_weight_monoid
 from horomod.rootdata import make_root_datum
 from horomod.tangent import (
     TangentReport,
-    moduli_tangent_dim,
     report_to_json_dict,
     t1_invariant,
     tangent_weight,
@@ -177,13 +176,3 @@ def test_tangent_weight_rejects_incomparable():
         tangent_weight(A1, (2,), (1,))  # difference not in the root lattice
     with pytest.raises(ValidationError):
         tangent_weight(A3, (0, 1, 0), (0, 0, 0))
-
-
-def test_moduli_tangent_dim():
-    assert moduli_tangent_dim(1, 1, 1) == 1
-    assert moduli_tangent_dim(0, 5, 5) == 0
-    assert moduli_tangent_dim(2, 0, 0) == 2
-    with pytest.raises(ValidationError):
-        moduli_tangent_dim(0, 1, 2)
-    with pytest.raises(ValidationError):
-        moduli_tangent_dim(-1, 0, 0)
