@@ -11,51 +11,51 @@ rational numbers are printed as exact "p/q" strings.  Exit codes:
 
 Arguments that may start with a minus sign (negative weight entries,
 contraction points) can be passed after a literal "--" separator.
+
+The layers load on first use: each is bound here as a lazy module
+whose body runs on its first attribute access, so a request compiles
+only the layers its subcommand calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from fractions import Fraction as Q
+from types import ModuleType
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import ResourceError, ValidationError
-from .examples import BINARY_DEGREES, HYPOTHESES, binary_cone, flag_point
-from .liealg import (
-    DiagCongruence,
-    StabilizerSpec,
-    build_module,
-    chevalley_labels,
-    highest_weight_vectors,
-    orbit_tangent,
-    stabilizer_lie,
-    u_coinvariants,
-    unipotent_radical_spec,
-)
-from .linalg import dense
-from .monoids import (
-    make_root_monoid,
-    make_weight_monoid,
-    semigroup_presentation,
-    saturation,
-)
-from .mulaw import (
-    contract,
-    law_equations,
-    law_from_json_dict,
-    law_tangent,
-    law_to_json_dict,
-    make_binary_form,
-    orbit_law,
-    root_monoid_of_law,
-)
-from .polysys import render_poly, system_to_text
-from .rootdata import dominance_leq, make_root_datum, to_root_coords
-from .repcalc import tensor_decompose, weight_multiplicities, weyl_dim
-from .tangent import report_to_json_dict, t1_invariant, tangent_weight
+
+
+def _lazy(name: str) -> ModuleType:
+    """The layer horomod.<name>, bound now and executed on its first
+    attribute access, so a subcommand compiles only the layers it calls.
+    A layer imported earlier is reused, keeping one copy of each."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+examples = _lazy("examples")
+liealg = _lazy("liealg")
+linalg = _lazy("linalg")
+monoids = _lazy("monoids")
+mulaw = _lazy("mulaw")
+polysys = _lazy("polysys")
+repcalc = _lazy("repcalc")
+rootdata = _lazy("rootdata")
+tangent = _lazy("tangent")
 
 
 # ------------------------------------------------------------ parsing helpers
@@ -88,7 +88,7 @@ def _fmt_weight(w: Sequence[int]) -> str:
 
 def _fmt_vec(v: Mapping[int, Q], dim: int) -> List[str]:
     """A sparse vector, printed densely: the one place vectors densify."""
-    return [str(c) for c in dense(v, dim)]
+    return [str(c) for c in linalg.dense(v, dim)]
 
 
 def _load_law(path: str):
@@ -100,7 +100,7 @@ def _load_law(path: str):
     except json.JSONDecodeError as exc:
         raise ValidationError(f"law file {path} is not valid JSON: {exc}")
     try:
-        return law_from_json_dict(blob)
+        return mulaw.law_from_json_dict(blob)
     except ValidationError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -117,8 +117,8 @@ def _write_file(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
-def _stab_from_args(rd, args) -> StabilizerSpec:
-    lie = unipotent_radical_spec(rd).lie_part if args.lie_u else ()
+def _stab_from_args(rd, args) -> liealg.StabilizerSpec:
+    lie = liealg.unipotent_radical_spec(rd).lie_part if args.lie_u else ()
     diag = []
     for entry in args.diag or []:
         head, _, mod = entry.partition(":")
@@ -128,43 +128,41 @@ def _stab_from_args(rd, args) -> StabilizerSpec:
             raise ValidationError(
                 f"malformed congruence {entry!r}: expected coeffs:modulus"
             )
-        diag.append(DiagCongruence(coeffs=_parse_weight(head), modulus=modulus))
-    return StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
+        diag.append(liealg.DiagCongruence(coeffs=_parse_weight(head), modulus=modulus))
+    return liealg.StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
 
 
 # ------------------------------------------------------------ subcommands
 
 
 def _cmd_root_datum(args):
-    rd = make_root_datum(args.group)
-    from .rootdata import positive_roots
-
+    rd = rootdata.make_root_datum(args.group)
     payload = {
         "label": rd.label,
         "rank": rd.rank,
         "cartan": [list(row) for row in rd.cartan],
-        "positive_roots": [list(r) for r in positive_roots(rd)],
+        "positive_roots": [list(r) for r in rootdata.positive_roots(rd)],
     }
     return payload, {}, None
 
 
 def _cmd_dominance(args):
-    rd = make_root_datum(args.group)
+    rd = rootdata.make_root_datum(args.group)
     lam = _parse_weight(args.lam)
     mu = _parse_weight(args.mu)
-    leq = dominance_leq(rd, mu, lam)
+    leq = rootdata.dominance_leq(rd, mu, lam)
     payload = {"leq": leq}
     if leq:
         diff = tuple(a - b for a, b in zip(lam, mu))
         payload["difference_root_coords"] = [
-            str(c) for c in to_root_coords(rd, diff)
+            str(c) for c in rootdata.to_root_coords(rd, diff)
         ]
     return payload, {}, None
 
 
 def _cmd_tensor(args):
-    rd = make_root_datum(args.group)
-    dec = tensor_decompose(
+    rd = rootdata.make_root_datum(args.group)
+    dec = repcalc.tensor_decompose(
         rd, _parse_weight(args.lam), _parse_weight(args.mu), cap=args.cap
     )
     payload = {_fmt_weight(w): k for w, k in dec.items()}
@@ -172,22 +170,22 @@ def _cmd_tensor(args):
 
 
 def _cmd_dim(args):
-    rd = make_root_datum(args.group)
-    payload = {"dim": weyl_dim(rd, _parse_weight(args.lam))}
+    rd = rootdata.make_root_datum(args.group)
+    payload = {"dim": repcalc.weyl_dim(rd, _parse_weight(args.lam))}
     return payload, {}, None
 
 
 def _cmd_weights(args):
-    rd = make_root_datum(args.group)
-    table = weight_multiplicities(rd, _parse_weight(args.lam), cap=args.cap)
+    rd = rootdata.make_root_datum(args.group)
+    table = repcalc.weight_multiplicities(rd, _parse_weight(args.lam), cap=args.cap)
     payload = {_fmt_weight(w): k for w, k in table.items()}
     return payload, {"cap": args.cap}, None
 
 
 def _cmd_hwv(args):
-    rd = make_root_datum(args.group)
-    m = build_module(rd, args.module, cap=args.cap)
-    vecs = highest_weight_vectors(m)
+    rd = rootdata.make_root_datum(args.group)
+    m = liealg.build_module(rd, args.module, cap=args.cap)
+    vecs = liealg.highest_weight_vectors(m)
     payload = {
         _fmt_weight(w): [_fmt_vec(v, m.dim) for v in vs] for w, vs in vecs.items()
     }
@@ -195,9 +193,9 @@ def _cmd_hwv(args):
 
 
 def _cmd_coinv(args):
-    rd = make_root_datum(args.group)
-    m = build_module(rd, args.module, cap=args.cap)
-    co = u_coinvariants(m)
+    rd = rootdata.make_root_datum(args.group)
+    m = liealg.build_module(rd, args.module, cap=args.cap)
+    co = liealg.u_coinvariants(m)
     payload = {
         "dim": co.dim,
         "rep_indices": list(co.rep_indices),
@@ -207,9 +205,9 @@ def _cmd_coinv(args):
 
 
 def _cmd_orbit_tangent(args):
-    rd = make_root_datum(args.group)
-    m = build_module(rd, args.module, cap=args.cap)
-    span = orbit_tangent(m, _parse_point(args.point))
+    rd = rootdata.make_root_datum(args.group)
+    m = liealg.build_module(rd, args.module, cap=args.cap)
+    span = liealg.orbit_tangent(m, _parse_point(args.point))
     payload = {
         "dim": span.dim,
         "basis": [_fmt_vec(span.rows[pc], m.dim) for pc in span.pivots],
@@ -218,10 +216,10 @@ def _cmd_orbit_tangent(args):
 
 
 def _cmd_stabilizer(args):
-    rd = make_root_datum(args.group)
-    m = build_module(rd, args.module, cap=args.cap)
-    basis = stabilizer_lie(m, _parse_point(args.point))
-    labels = chevalley_labels(rd)
+    rd = rootdata.make_root_datum(args.group)
+    m = liealg.build_module(rd, args.module, cap=args.cap)
+    basis = liealg.stabilizer_lie(m, _parse_point(args.point))
+    labels = liealg.chevalley_labels(rd)
     payload = {
         "dim": len(basis),
         "labels": labels,
@@ -231,35 +229,35 @@ def _cmd_stabilizer(args):
 
 
 def _cmd_t1(args):
-    rd = make_root_datum(args.group)
-    m = build_module(rd, args.module, cap=args.cap)
+    rd = rootdata.make_root_datum(args.group)
+    m = liealg.build_module(rd, args.module, cap=args.cap)
     stab = _stab_from_args(rd, args)
-    report = t1_invariant(m, _parse_point(args.point), stab)
-    return report_to_json_dict(report), {"cap": args.cap}, HYPOTHESES
+    report = tangent.t1_invariant(m, _parse_point(args.point), stab)
+    return tangent.report_to_json_dict(report), {"cap": args.cap}, tangent.HYPOTHESES
 
 
 def _cmd_tangent_weight(args):
-    rd = make_root_datum(args.group)
-    w = tangent_weight(rd, _parse_weight(args.lam), _parse_weight(args.mu))
+    rd = rootdata.make_root_datum(args.group)
+    w = tangent.tangent_weight(rd, _parse_weight(args.lam), _parse_weight(args.mu))
     return {"weight_root_coords": list(w)}, {}, None
 
 
 def _law_monoid(args):
-    rd = make_root_datum(args.group)
-    return rd, make_weight_monoid(rd, _parse_weight_list(args.monoid))
+    rd = rootdata.make_root_datum(args.group)
+    return rd, monoids.make_weight_monoid(rd, _parse_weight_list(args.monoid))
 
 
 def _cmd_law_equations(args):
     _, mon = _law_monoid(args)
-    system = law_equations(mon, args.truncation)
+    system = mulaw.law_equations(mon, args.truncation)
     if args.export_system:
-        _write_file(args.export_system, system_to_text(system))
+        _write_file(args.export_system, polysys.system_to_text(system))
     payload = {
         "unknown_count": len(system.unknowns),
         "equation_count": len(system.equations),
         "unknowns": list(system.unknowns),
         "equations": [
-            render_poly(cp, system.unknowns) for cp, _ in system.equations
+            polysys.render_poly(cp, system.unknowns) for cp, _ in system.equations
         ],
     }
     if args.export_system:
@@ -269,15 +267,15 @@ def _cmd_law_equations(args):
 
 def _cmd_law_tangent(args):
     _, mon = _law_monoid(args)
-    dim, weights = law_tangent(mon, args.truncation)
+    dim, weights = mulaw.law_tangent(mon, args.truncation)
     payload = {"dim": dim, "weights": [list(w) for w in weights]}
     return payload, {"truncation": args.truncation}, None
 
 
 def _cmd_contract(args):
     law = _load_law(args.law_file)
-    moved = contract(law, _parse_point(args.point))
-    payload = law_to_json_dict(moved)
+    moved = mulaw.contract(law, _parse_point(args.point))
+    payload = mulaw.law_to_json_dict(moved)
     if args.output:
         _write_file(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload, {"truncation": law.truncation}, None
@@ -285,7 +283,7 @@ def _cmd_contract(args):
 
 def _cmd_root_monoid(args):
     law = _load_law(args.law_file)
-    rm = root_monoid_of_law(law)
+    rm = mulaw.root_monoid_of_law(law)
     payload = {
         "generators": [list(g) for g in rm.generators],
         "bound_limited": True,
@@ -298,31 +296,31 @@ def _cmd_orbit_law(args):
     forms = []
     for text in args.form:
         coeffs = _parse_point(text)
-        forms.append(make_binary_form(len(coeffs) - 1, coeffs))
-    law = orbit_law(forms, mon, args.truncation)
-    payload = law_to_json_dict(law)
+        forms.append(mulaw.make_binary_form(len(coeffs) - 1, coeffs))
+    law = mulaw.orbit_law(forms, mon, args.truncation)
+    payload = mulaw.law_to_json_dict(law)
     if args.output:
         _write_file(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload, {"truncation": args.truncation}, None
 
 
 def _cmd_saturate(args):
-    rd = make_root_datum(args.group)
+    rd = rootdata.make_root_datum(args.group)
     gens = _parse_weight_list(args.generators)
     mon = (
-        make_root_monoid(rd, gens)
+        monoids.make_root_monoid(rd, gens)
         if args.root
-        else make_weight_monoid(rd, gens)
+        else monoids.make_weight_monoid(rd, gens)
     )
-    sat = saturation(mon)
+    sat = monoids.saturation(mon)
     payload = {"generators": [list(g) for g in sat.generators]}
     return payload, {}, None
 
 
 def _cmd_presentation(args):
-    rd = make_root_datum(args.group)
-    mon = make_weight_monoid(rd, _parse_weight_list(args.generators))
-    pres = semigroup_presentation(mon, args.bound)
+    rd = rootdata.make_root_datum(args.group)
+    mon = monoids.make_weight_monoid(rd, _parse_weight_list(args.generators))
+    pres = monoids.semigroup_presentation(mon, args.bound)
     payload = {
         "relations": [
             [list(lhs), list(rhs)] for lhs, rhs in pres.relations
@@ -335,22 +333,22 @@ def _cmd_presentation(args):
 def _cmd_reproduce_example1(args):
     dims = []
     weight_table = {}
-    for n in BINARY_DEGREES:
-        report = binary_cone(n)
+    for n in examples.BINARY_DEGREES:
+        report = examples.binary_cone(n)
         dims.append(report.dim_T1_invariant)
         if report.weights:
             weight_table[str(n)] = [list(w) for w in report.weights]
     payload = {"dims": dims, "weights": weight_table}
-    return payload, {}, HYPOTHESES
+    return payload, {}, tangent.HYPOTHESES
 
 
 def _cmd_reproduce_example2(args):
-    report = flag_point()
+    report = examples.flag_point()
     payload = {
         "dim": report.dim_T1_invariant,
         "weights": [list(w) for w in report.weights],
     }
-    return payload, {}, HYPOTHESES
+    return payload, {}, tangent.HYPOTHESES
 
 
 # ------------------------------------------------------------ wiring

@@ -17,12 +17,7 @@ from .liealg import DiagCongruence, StabilizerSpec, build_module, unipotent_radi
 from .monoids import make_weight_monoid
 from .mulaw import law_tangent
 from .rootdata import make_root_datum
-from .tangent import TangentReport, t1_invariant
-
-# The four-term sequence needs the closure normal with boundary of
-# codimension at least two.  Both examples satisfy this; the code does
-# not check it, so every t1 report carries it in its provenance.
-HYPOTHESES = {"normal": True, "boundary_codim_ge_2": True}
+from .tangent import HYPOTHESES, TangentReport, t1_invariant
 
 BINARY_DEGREES = range(1, 7)
 

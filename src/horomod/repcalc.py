@@ -23,7 +23,6 @@ from .rootdata import (
     check_weight,
     dominant_conjugate,
     is_dominant,
-    lowest_weight,
     positive_roots,
     to_root_coords,
 )
@@ -58,33 +57,43 @@ def _inner(rd: RootDatum, mu, nu) -> Q:
     return sum(Q(m) * x for m, x in zip(mu, to_root_coords(rd, nu)))
 
 
+def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, ...]]:
+    """The positive roots alpha_i + ... + alpha_j in fundamental
+    coordinates: the Cartan rows i..j sum to 1 at i and j (2 if i = j)
+    and -1 at i - 1 and j + 1."""
+    n = rd.rank
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            beta = [0] * n
+            beta[i] += 1
+            beta[j] += 1
+            if i > 0:
+                beta[i - 1] -= 1
+            if j + 1 < n:
+                beta[j + 1] -= 1
+            out.append(tuple(beta))
+    return out
+
+
 def dominant_weights_below(rd: RootDatum, lam: Weight) -> List[Weight]:
-    """All dominant mu with lam - mu a natural sum of simple roots."""
-    kmax = to_root_coords(rd, tuple(a - b for a, b in zip(lam, lowest_weight(rd, lam))))
-    bounds = []
-    for c in kmax:
-        assert c.denominator == 1 and c >= 0
-        bounds.append(int(c))
-    found = []
-    ks = [0] * rd.rank
+    """All dominant mu with lam - mu a natural sum of simple roots.
 
-    def rec(i):
-        if i == rd.rank:
-            mu = tuple(
-                lam[j] - sum(ks[t] * rd.cartan[t][j] for t in range(rd.rank))
-                for j in range(rd.rank)
-            )
-            if all(c >= 0 for c in mu):
-                found.append(mu)
-            return
-        for v in range(bounds[i] + 1):
-            ks[i] = v
-            rec(i + 1)
-        ks[i] = 0
-
-    rec(0)
-    found.sort(key=lambda mu: (sum(to_root_coords(rd, mu)), mu), reverse=True)
-    return found
+    Walks down from lam by positive roots, keeping the dominant results.
+    A dominant weight covers another in dominance order only if their
+    difference is a positive root (Stembridge 1998), so the walk reaches
+    every dominant mu below lam."""
+    roots = _positive_roots_fund(rd)
+    found = {lam}
+    todo = [lam]
+    while todo:
+        mu = todo.pop()
+        for beta in roots:
+            nu = tuple(m - b for m, b in zip(mu, beta))
+            if min(nu) >= 0 and nu not in found:
+                found.add(nu)
+                todo.append(nu)
+    return sorted(found, key=lambda mu: (sum(to_root_coords(rd, mu)), mu), reverse=True)
 
 
 def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
@@ -93,10 +102,7 @@ def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
     table: Dict[Weight, int] = {lam: 1}
     dom_set = set(dom)
     rho_norm = _inner(rd, _shift(lam), _shift(lam))
-    roots_fund = [
-        tuple(sum(c[i] * rd.cartan[i][j] for i in range(rd.rank)) for j in range(rd.rank))
-        for c in positive_roots(rd)
-    ]
+    roots_fund = _positive_roots_fund(rd)
 
     for mu in dom:
         if mu == lam:

@@ -7,8 +7,8 @@ The four-term exact sequence
 reduces the invariant part of the deformation space of an orbit closure
 to three fixed-space dimensions, all computed in exact arithmetic.  The
 normality and boundary-codimension hypotheses behind the sequence are
-never checked here; the CLI records them (examples.HYPOTHESES) in the
-provenance of every report.
+never checked here; they are HYPOTHESES below, which the CLI records in
+the provenance of every report.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ from .rootdata import RootDatum, Weight, natural_root_coords
 
 RootVector = Tuple[int, ...]
 
+# The four-term sequence needs the closure normal with boundary of
+# codimension at least two.  The worked examples satisfy this; the code
+# does not check it, so every t1 report carries it in its provenance.
+HYPOTHESES = {"normal": True, "boundary_codim_ge_2": True}
+
 
 @dataclass(frozen=True)
 class TangentReport:
@@ -56,6 +61,11 @@ class TangentReport:
                 f"fixed-space dimensions {self.dim_g_mod_gx_fixed}, "
                 f"{self.dim_V_fixed}, {self.dim_normal_fixed} break the "
                 f"exact-sequence identity (got {lhs}, expected {rhs})"
+            )
+        if len(self.weights) != lhs:
+            raise ValidationError(
+                f"{len(self.weights)} tangent weights for an invariant "
+                f"deformation space of dimension {lhs}"
             )
         for w in self.weights:
             if any(c < 0 for c in w):
@@ -94,11 +104,14 @@ def _component_weights(
     m: ExplicitModule,
     comps: Sequence[Tuple[Weight, List[Sparse]]],
     reps: Sequence[Sparse],
+    v_fixed: RowSpace,
 ) -> List[RootVector]:
     """Weights lambda - mu over the isotypic pieces comps of m meeting each
     representative, one per (piece, T-weight) pair in its support.  One
     elimination of [B | reps], the columns of B being the basis vectors
-    of the pieces, gives the coordinates of every representative."""
+    of the pieces, gives the coordinates of every representative.  A part
+    inside v_fixed (V^{G_x}) is projected off first: the representative
+    stands for its class modulo V^{G_x}, where that part is zero."""
     cols = [(lam, b) for lam, basis in comps for b in basis]
     n = len(cols)
     by_coord: Dict[int, Sparse] = {}
@@ -118,6 +131,8 @@ def _component_weights(
                 for r, x in b.items():
                     acc[r] = acc.get(r, 0) + coef * x
         for lam, part in sorted(parts.items()):
+            if v_fixed.contains(part):
+                continue
             for mu in sorted({m.basis_weights[i] for i, v in part.items() if v}):
                 out.append(tangent_weight(m.rd, lam, mu))
     return out
@@ -165,6 +180,7 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
     passing = stab.passing(m.basis_weights)
     fixed = RowSpace(m.dim)
     dim_b = len(fixed_in_quotient(fixed, lie, passing))
+    v_fixed = RowSpace(m.dim, fixed.rows.values())
     tangent = orbit_tangent(m, x)
     for pc in tangent.pivots:
         fixed.add(tangent.rows[pc])
@@ -182,7 +198,9 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
     # vectors of the ambient module are the invariant deformations.
     survivors = [rep for rep in reps if fixed.add(rep)]
     weights = (
-        _component_weights(m, isotypic_components(m), survivors) if survivors else []
+        _component_weights(m, isotypic_components(m), survivors, v_fixed)
+        if survivors
+        else []
     )
     if len(survivors) != dim_t1:
         raise ValidationError(

@@ -204,6 +204,19 @@ def test_law_window_cost_is_refused_up_front(capsys, command):
     assert blob["error"]["type"] == "resource"
 
 
+@pytest.mark.parametrize("rank", [18, 140])
+def test_weights_of_the_last_fundamental_weight_are_fast(capsys, rank):
+    # The box of root coordinates below it has 2^rank points; the
+    # dominant weights below it are only itself.
+    last = ",".join(["0"] * (rank - 1) + ["1"])
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "weights", f"A{rank}", last)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert len(blob["payload"]) == rank + 1
+    assert set(blob["payload"].values()) == {1}
+
+
 def test_membership_search_cost_is_capped(capsys):
     # 2.6 million search nodes over 311 membership searches without a cap.
     start = time.perf_counter()

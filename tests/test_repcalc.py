@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,3 +92,36 @@ def test_tensor_routes_agree_a2(lam, mu):
     dec = repcalc.tensor_decompose(A2, lam, mu, cap=100_000)
     oracle = repcalc.character_product_peel(A2, lam, mu, cap=100_000)
     assert dec == oracle
+
+
+def _dominant_weights_in_box(rd, lam):
+    """Oracle: every point of the box of root coordinates of lam - w0 lam,
+    kept when lam minus it is dominant, in the order of
+    dominant_weights_below."""
+    kmax = rda.to_root_coords(rd, tuple(a - b for a, b in zip(lam, rda.lowest_weight(rd, lam))))
+    found = []
+    for ks in itertools.product(*(range(int(c) + 1) for c in kmax)):
+        mu = tuple(
+            lam[j] - sum(ks[t] * rd.cartan[t][j] for t in range(rd.rank))
+            for j in range(rd.rank)
+        )
+        if all(c >= 0 for c in mu):
+            found.append(mu)
+    found.sort(key=lambda mu: (sum(rda.to_root_coords(rd, mu)), mu), reverse=True)
+    return found
+
+
+@st.composite
+def _dominant_weight(draw):
+    # Entry bounds keep the oracle's box under about 30 000 points.
+    rank = draw(st.integers(1, 5))
+    top = {1: 8, 2: 4, 3: 3, 4: 2, 5: 1}[rank]
+    lam = tuple(draw(st.lists(st.integers(0, top), min_size=rank, max_size=rank)))
+    return rda.make_root_datum(f"A{rank}"), lam
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(_dominant_weight())
+def test_dominant_walk_matches_the_box(case):
+    rd, lam = case
+    assert repcalc.dominant_weights_below(rd, lam) == _dominant_weights_in_box(rd, lam)

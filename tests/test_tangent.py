@@ -130,6 +130,36 @@ def test_report_identity_enforced():
         )
 
 
+def test_report_refuses_a_weight_list_of_the_wrong_length():
+    with pytest.raises(ValidationError, match="2 tangent weights"):
+        TangentReport(
+            dim_g_mod_gx_fixed=1,
+            dim_V_fixed=2,
+            dim_normal_fixed=2,
+            dim_T1_invariant=1,
+            weights=((0, 0), (1, 1)),
+        )
+
+
+@pytest.mark.parametrize(
+    "module, point",
+    [
+        ("tensor(natural(3),ext(2,natural(3)))", (1, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ("tensor(natural(3),dual(natural(3)))", (0, 0, 1, 0, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_weights_ignore_the_trivial_summand(module, point):
+    """Both modules are the adjoint module plus a trivial summand, and the
+    point is the highest root vector.  The surviving class has a
+    representative of weight zero with a part in the trivial summand,
+    inside V^{G_x}; only the adjoint part carries a weight."""
+    A2 = make_root_datum("A2")
+    m = build_module(A2, module)
+    report = t1_invariant(m, [Q(c) for c in point], unipotent_radical_spec(A2))
+    assert (report.dim_V_fixed, report.dim_T1_invariant) == (2, 1)
+    assert report.weights == ((1, 1),)
+
+
 def test_report_json_layout():
     blob = report_to_json_dict(flag_point_report())
     assert blob["dims"]["t1_invariant"] == 2
