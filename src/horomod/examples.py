@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .liealg import DiagCongruence, StabilizerSpec, build_module, unipotent_radical_spec
-from .monoids import make_weight_monoid
-from .mulaw import law_tangent
 from .rootdata import make_root_datum
 from .tangent import HYPOTHESES, TangentReport, t1_invariant
 
@@ -40,9 +38,12 @@ def binary_cone_law_dim(n: int, truncation: int) -> int:
     """Dimension of the linearized law equations of the monoid N*n at the
     graded law, on the window up to truncation, from their linear rows
     alone (mulaw.law_tangent; the full system of mulaw.law_equations is
-    its oracle in the tests)."""
-    mon = make_weight_monoid(make_root_datum("A1"), [(n,)])
-    return law_tangent(mon, truncation)[0]
+    its oracle in the tests).  The law layers load here, so the
+    fixed-space examples never run them."""
+    from . import monoids, mulaw
+
+    mon = monoids.make_weight_monoid(make_root_datum("A1"), [(n,)])
+    return mulaw.law_tangent(mon, truncation)[0]
 
 
 def flag_point() -> TangentReport:

@@ -14,17 +14,19 @@ tuples with Koszul signs.
 The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
 (acting as E_{ji}), then h[i] for i = 1..n-1.  Stabilizer coefficient
-vectors and adjoint module coordinates all use this order.
+vectors and adjoint module coordinates all use this order.  A module's
+table of Chevalley matrices comes from commutators of its simple
+generators, except the adjoint module's, which is written down in
+closed form from the brackets of matrix units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from .linalg import RowSpace, Sparse, sparse
@@ -77,15 +79,19 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return {k: v for k, v in out.items() if v != 0}
 
 
-@dataclass(frozen=True)
-class ExplicitModule:
+class _ModuleFields(NamedTuple):
     rd: RootDatum
     label: str
     dim: int
     basis_weights: Tuple[Weight, ...]
-    e: Tuple[Matrix, ...] = field(repr=False)
-    f: Tuple[Matrix, ...] = field(repr=False)
-    h: Tuple[Matrix, ...] = field(repr=False)
+    e: Tuple[Matrix, ...]
+    f: Tuple[Matrix, ...]
+    h: Tuple[Matrix, ...]
+
+
+class ExplicitModule(_ModuleFields):
+    """A module given by the action of its simple generators e, f, h.
+    The fields form a tuple; chevalley is cached in the instance dict."""
 
     @cached_property
     def chevalley(self) -> Tuple[Matrix, ...]:
@@ -425,41 +431,62 @@ def chevalley_weights(rd: RootDatum) -> List[Weight]:
 
 
 def adjoint_module(rd: RootDatum) -> ExplicitModule:
-    """sl_n acting on itself, coordinates in the Chevalley basis order."""
+    """sl_n acting on itself, coordinates in the Chevalley basis order,
+    in closed form: the basis is E_pq (p != q) in label order, then
+    h_k = E_kk - E_{k+1,k+1}, all indices 0-based.  By
+    [E_pq, E_ij] = delta_qi E_pj - delta_jp E_iq, ad(E_pq) sends E_qj to
+    E_pj for j != p, E_ip to -E_iq for i != q, and E_qp to E_pp - E_qq,
+    whose h-coordinates are +-1 on h_p ... h_{q-1} (p < q) or on
+    h_q ... h_{p-1} (p > q).  It sends h_k to -(eps_p - eps_q)(h_k) E_pq,
+    and ad(h_k) is diagonal, (eps_i - eps_j)(h_k) on E_ij.  The table of
+    these matrices is the module's chevalley; e, f, h are its simple
+    entries."""
     n = rd.rank + 1
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     off_diagonal = upper + [(j, i) for i, j in upper]
     index = {key: k for k, key in enumerate(off_diagonal)}
-    units: List[Matrix] = [{key: Q(1)} for key in off_diagonal]
-    units += [{(i, i): Q(1), (i + 1, i + 1): Q(-1)} for i in range(rd.rank)]
-    dim = len(units)
+    h0 = len(off_diagonal)
+    one, minus_one = Q(1), Q(-1)
 
-    def expand(mat: Matrix) -> Sparse:
-        """Coordinates of a traceless matrix: its off-diagonal entries,
-        then the partial sums of its diagonal on the h[i]."""
-        coords = {index[key]: v for key, v in mat.items() if key[0] != key[1]}
-        partial = Q(0)
-        for i in range(rd.rank):
-            partial += mat.get((i, i), 0)
-            if partial:
-                coords[len(off_diagonal) + i] = partial
-        return coords
+    def pairing(p: int, q: int, k: int) -> int:
+        """(eps_p - eps_q)(h_k)."""
+        return (p == k) - (p == k + 1) - (q == k) + (q == k + 1)
 
-    def ad_matrix(x: Matrix) -> Matrix:
-        out: Matrix = {}
-        for col, b in enumerate(units):
-            for row, v in sorted(expand(mat_commutator(x, b)).items()):
-                out[(row, col)] = v
-        return out
-
-    e = tuple(ad_matrix({(i, i + 1): Q(1)}) for i in range(rd.rank))
-    f = tuple(ad_matrix({(i + 1, i): Q(1)}) for i in range(rd.rank))
-    h = tuple(
-        ad_matrix({(i, i): Q(1), (i + 1, i + 1): Q(-1)}) for i in range(rd.rank)
+    table: List[Matrix] = []
+    for p, q in off_diagonal:
+        mat: Matrix = {}
+        for j in range(n):
+            if j != p and j != q:
+                mat[(index[(p, j)], index[(q, j)])] = one
+                mat[(index[(j, q)], index[(j, p)])] = minus_one
+        sign = one if p < q else minus_one
+        for k in range(min(p, q), max(p, q)):
+            mat[(h0 + k, index[(q, p)])] = sign
+        for k in range(rd.rank):
+            c = pairing(p, q, k)
+            if c:
+                mat[(index[(p, q)], h0 + k)] = Q(-c)
+        table.append(mat)
+    for k in range(rd.rank):
+        table.append(
+            {
+                (c, c): Q(v)
+                for c, (i, j) in enumerate(off_diagonal)
+                if (v := pairing(i, j, k))
+            }
+        )
+    simple = [index[(i, i + 1)] for i in range(rd.rank)]
+    ad = ExplicitModule(
+        rd,
+        "adjoint",
+        h0 + rd.rank,
+        tuple(chevalley_weights(rd)),
+        tuple(table[c] for c in simple),
+        tuple(table[len(upper) + c] for c in simple),
+        tuple(table[h0:]),
     )
-    return ExplicitModule(
-        rd, "adjoint", dim, tuple(chevalley_weights(rd)), e, f, h
-    )
+    ad.chevalley = tuple(table)  # fills the cache, so it is never rebuilt
+    return ad
 
 
 # ------------------------------------------------------------ operations
@@ -493,8 +520,7 @@ def highest_weight_vectors(m: ExplicitModule) -> Dict[Weight, List[Sparse]]:
     return out
 
 
-@dataclass(frozen=True)
-class Coinvariants:
+class Coinvariants(NamedTuple):
     dim: int
     rep_indices: Tuple[int, ...]
     rep_weights: Tuple[Weight, ...]
@@ -550,8 +576,7 @@ def _check_point(m: ExplicitModule, x: Sequence) -> Sparse:
 # ------------------------------------------------------------ stabilizers
 
 
-@dataclass(frozen=True)
-class DiagCongruence:
+class DiagCongruence(NamedTuple):
     """Integer functional on weights plus a modulus.
 
     Modulus 0 demands the value vanish exactly (a torus factor);
@@ -569,8 +594,7 @@ class DiagCongruence:
         return val % self.modulus == 0
 
 
-@dataclass(frozen=True)
-class StabilizerSpec:
+class StabilizerSpec(NamedTuple):
     """Generators of an isotropy group: a Lie algebra part given by
     Chevalley coefficient vectors, and a diagonalizable part given by
     weight congruences."""
@@ -603,10 +627,12 @@ def lie_matrix(m: ExplicitModule, coeffs: Sequence) -> Matrix:
         raise ValidationError(
             f"stabilizer vector length {len(coeffs)} != {len(mats)} basis elements"
         )
+    terms = [(c, mat) for c, mat in zip(coeffs, mats) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]  # shared with m.chevalley; callers only read it
     out: Matrix = {}
-    for c, mat in zip(coeffs, mats):
-        if c:
-            out = mat_add(out, mat_scale(mat, Q(c)))
+    for c, mat in terms:
+        out = mat_add(out, mat_scale(mat, Q(c)))
     return out
 
 

@@ -20,10 +20,9 @@ minimal_generators keeps the irreducible points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -40,14 +39,12 @@ _PAIR_CAP = 100_000
 _SEARCH_CAP = 150_000
 
 
-@dataclass(frozen=True)
-class WeightMonoid:
+class WeightMonoid(NamedTuple):
     rd: RootDatum
     generators: Tuple[Gen, ...]
 
 
-@dataclass(frozen=True)
-class RootMonoid:
+class RootMonoid(NamedTuple):
     rd: RootDatum
     generators: Tuple[Gen, ...]
 
@@ -74,8 +71,7 @@ def make_root_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> RootMonoid
     return RootMonoid(rd, _check_gens(rd, gens, nonneg=True))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     found: bool
     certificate: Optional[Tuple[int, ...]]
     bound_limited: bool
@@ -306,8 +302,7 @@ def is_free(monoid) -> bool:
 # ---------------------------------------------------------- presentation
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     relations: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
     bound_limited: bool = True
 

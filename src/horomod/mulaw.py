@@ -21,10 +21,9 @@ Both refuse a window past a cost estimate before building anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -61,8 +60,7 @@ _TANGENT_COST_CAP = 100_000_000
 # ------------------------------------------------------------ binary forms
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(NamedTuple):
     degree: int
     coeffs: Tuple[Q, ...]  # against x^(d-j) y^j
 
@@ -134,8 +132,7 @@ def monoid_window(monoid: WeightMonoid, bound: int) -> Tuple[Weight, ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class MultiplicationLaw:
+class MultiplicationLaw(NamedTuple):
     rd: RootDatum
     monoid: WeightMonoid
     truncation: int

@@ -9,10 +9,9 @@ and a plain-text export with one polynomial per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -60,15 +59,20 @@ def evaluate(p: Poly, values: Mapping[int, Q]) -> Q:
     return total
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class _SystemFields(NamedTuple):
     unknowns: Tuple[str, ...]
     grades: Tuple[Grade, ...]  # one per unknown
     equations: Tuple[Tuple[CanonPoly, Grade], ...]
 
-    def __post_init__(self):
+
+class PolySystem(_SystemFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.unknowns) != len(self.grades):
             raise ValidationError("one grade per unknown required")
+        return self
 
 
 def _mono_key(names: Sequence[str], m: Mono):

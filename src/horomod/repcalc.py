@@ -14,6 +14,8 @@ suite insists they agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 from typing import Dict, List, Tuple
 
 from .errors import ResourceError, ValidationError
@@ -23,7 +25,6 @@ from .rootdata import (
     check_weight,
     dominant_conjugate,
     is_dominant,
-    positive_roots,
     to_root_coords,
 )
 
@@ -36,20 +37,21 @@ Decomposition = Dict[Weight, int]
 
 
 def weyl_dim(rd: RootDatum, lam) -> int:
-    """Dimension of the simple module with highest weight lam."""
+    """Dimension of the simple module with highest weight lam.
+
+    Weyl's product over the positive roots alpha_i + ... + alpha_j of
+    (lam + rho, alpha) / (rho, alpha), in integers: with S the prefix
+    sums of lam + 1 (S_0 = 0), the factor is (S_{j+1} - S_i) / (j - i + 1)."""
     lam = check_weight(rd, lam)
     if not is_dominant(rd, lam):
         raise ValidationError(f"{lam} is not dominant")
-    num = Q(1)
-    den = Q(1)
-    # Type A is simply laced, so each positive coroot has the root's
-    # coordinates.
-    for beta in positive_roots(rd):
-        num *= sum(b * (l + 1) for b, l in zip(beta, lam))
-        den *= sum(beta)
-    d = num / den
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    s = list(accumulate((l + 1 for l in lam), initial=0))
+    n = len(s)
+    num = prod(s[b] - s[a] for a in range(n) for b in range(a + 1, n))
+    den = prod(b - a for a in range(n) for b in range(a + 1, n))
+    d, rem = divmod(num, den)
+    assert rem == 0 and d > 0
+    return d
 
 
 def _inner(rd: RootDatum, mu, nu) -> Q:
@@ -57,9 +59,16 @@ def _inner(rd: RootDatum, mu, nu) -> Q:
     return sum(Q(m) * x for m, x in zip(mu, to_root_coords(rd, nu)))
 
 
-def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, ...]]:
-    """The positive roots alpha_i + ... + alpha_j in fundamental
-    coordinates: the Cartan rows i..j sum to 1 at i and j (2 if i = j)
+def _inner_root(nu: Weight, i: int, j: int) -> int:
+    """(nu, alpha_i + ... + alpha_j) for nu in fundamental coordinates,
+    which pair with the simple roots as the identity (type A is simply
+    laced): the sum of nu_i .. nu_j."""
+    return sum(nu[i : j + 1])
+
+
+def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """The positive roots alpha_i + ... + alpha_j as (i, j, fundamental
+    coordinates): the Cartan rows i..j sum to 1 at i and j (2 if i = j)
     and -1 at i - 1 and j + 1."""
     n = rd.rank
     out = []
@@ -72,7 +81,7 @@ def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, ...]]:
                 beta[i - 1] -= 1
             if j + 1 < n:
                 beta[j + 1] -= 1
-            out.append(tuple(beta))
+            out.append((i, j, tuple(beta)))
     return out
 
 
@@ -83,7 +92,7 @@ def dominant_weights_below(rd: RootDatum, lam: Weight) -> List[Weight]:
     A dominant weight covers another in dominance order only if their
     difference is a positive root (Stembridge 1998), so the walk reaches
     every dominant mu below lam."""
-    roots = _positive_roots_fund(rd)
+    roots = [beta for _, _, beta in _positive_roots_fund(rd)]
     found = {lam}
     todo = [lam]
     while todo:
@@ -107,8 +116,8 @@ def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
     for mu in dom:
         if mu == lam:
             continue
-        rhs = Q(0)
-        for alpha in roots_fund:
+        rhs = 0
+        for i, j, alpha in roots_fund:
             k = 1
             while True:
                 nu = tuple(m + k * a for m, a in zip(mu, alpha))
@@ -117,7 +126,7 @@ def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
                     break
                 m = table.get(conj)
                 assert m is not None, "recursion order violated"
-                rhs += m * _inner(rd, nu, alpha)
+                rhs += m * _inner_root(nu, i, j)
                 k += 1
         denom = rho_norm - _inner(rd, _shift(mu), _shift(mu))
         assert denom > 0

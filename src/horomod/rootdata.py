@@ -19,9 +19,8 @@ roots that pair positively with the weight.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 
@@ -34,8 +33,7 @@ RootVector = Tuple[Q, ...]
 _MAX_RANK = 140
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     label: str
     cartan: Tuple[Tuple[int, ...], ...]
 

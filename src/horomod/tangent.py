@@ -13,8 +13,7 @@ the provenance of every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
 from .liealg import (
@@ -41,15 +40,22 @@ RootVector = Tuple[int, ...]
 HYPOTHESES = {"normal": True, "boundary_codim_ge_2": True}
 
 
-@dataclass(frozen=True)
-class TangentReport:
+class _ReportFields(NamedTuple):
     dim_g_mod_gx_fixed: int
     dim_V_fixed: int
     dim_normal_fixed: int
     dim_T1_invariant: int
     weights: Tuple[RootVector, ...]
 
-    def __post_init__(self) -> None:
+
+class TangentReport(_ReportFields):
+    """The fixed-space dimensions and tangent weights, checked against
+    the exact-sequence identity when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         lhs = self.dim_T1_invariant
         rhs = (
             self.dim_normal_fixed
@@ -72,6 +78,7 @@ class TangentReport:
                 raise ValidationError(
                     f"tangent weight {w} is not a non-negative root vector"
                 )
+        return self
 
 
 def report_to_json_dict(report: TangentReport) -> dict:

@@ -3,6 +3,7 @@ import io
 import json
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -217,6 +218,15 @@ def test_weights_of_the_last_fundamental_weight_are_fast(capsys, rank):
     assert set(blob["payload"].values()) == {1}
 
 
+def test_dim_of_the_last_fundamental_weight_of_a140_is_fast(capsys):
+    # Weyl's product has 9870 factors here, one per positive root.
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "dim", "A140", ",".join(["0"] * 139 + ["1"]))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert blob["payload"] == {"dim": 141}
+
+
 def test_membership_search_cost_is_capped(capsys):
     # 2.6 million search nodes over 311 membership searches without a cap.
     start = time.perf_counter()
@@ -264,23 +274,33 @@ def multicone_payload(r):
     }
 
 
-@pytest.mark.parametrize("r", range(2, 8))
-def test_t1_flag_multicone(capsys, r):
-    # Sum of the fundamental modules of A_r at the sum of their
-    # highest-weight vectors, which come first in each summand's basis.
-    # A7 (module dimension 254) also guards the cost of the sparse kernel.
+def multicone_argv(r):
+    """t1 on the sum of the fundamental modules of A_r at the sum of their
+    highest-weight vectors, which come first in each summand's basis."""
     n = r + 1
     parts = [f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]
     point = []
     for k in range(1, n):
         point += [1] + [0] * (comb(n, k) - 1)
-    code, blob = run_json(
-        capsys,
-        "t1", f"A{r}", "sum(" + ",".join(parts) + ")",
-        ",".join(map(str, point)), "--lie-u",
-    )
+    return ("t1", f"A{r}", "sum(" + ",".join(parts) + ")", ",".join(map(str, point)), "--lie-u")
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_t1_flag_multicone(capsys, r):
+    # A7 (module dimension 254) also guards the cost of the sparse kernel.
+    code, blob = run_json(capsys, *multicone_argv(r))
     assert code == 0
     assert blob["payload"] == multicone_payload(r)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_t1_flag_multicone_matches_the_reference_payload(capsys, r):
+    # The benchmark's reference payloads, read only, in its canonical form.
+    ref = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / f"multicone_A{r}.json"
+    code, blob = run_json(capsys, *multicone_argv(r))
+    assert code == 0
+    got = json.dumps(blob["payload"], sort_keys=True, separators=(",", ":")) + "\n"
+    assert got.encode() == ref.read_bytes()
 
 
 def test_tangent_weight_negative_entries(capsys):

@@ -4,9 +4,12 @@ type; type() does not trigger the load."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import horomod
 
@@ -78,3 +81,37 @@ def test_a_layer_imported_first_is_reused():
     )
     assert out["code"] == 0
     assert out["probe"] is True
+
+
+HEAVY = 'sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["t1", "A2", "sum(natural(3),ext(2,natural(3)))", "1,0,0,1,0,0", "--lie-u"],
+        ["law-tangent", "A1", "2", "--truncation", "8"],
+    ],
+)
+def test_requests_load_no_dataclasses_or_inspect(argv):
+    floor = probe(["--version"], expr=HEAVY)["probe"]
+    out = probe(argv, expr=HEAVY)
+    assert out["code"] == 0
+    assert set(out["probe"]) <= set(floor)
+
+
+@pytest.mark.parametrize("argv", [["reproduce-example1"], ["reproduce-example2"]])
+def test_examples_run_no_law_layer(argv):
+    out = probe(argv)
+    assert out["code"] == 0
+    ran = {name for name, did in out["layers"].items() if did}
+    assert {"horomod.examples", "horomod.tangent"} <= ran
+    assert not ran & {"horomod.mulaw", "horomod.monoids", "horomod.polysys"}
+
+
+def test_no_layer_imports_dataclasses():
+    package = Path(horomod.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path

@@ -265,3 +265,74 @@ def test_power_cap_is_checked_before_listing_the_basis(monkeypatch):
     monkeypatch.setattr(la, "combinations_with_replacement", unlisted)
     with pytest.raises(ResourceError):
         la.build_module(rda.make_root_datum("A19"), "sym(6,natural(20))", cap=10)
+
+
+def _bracket_coords(rd, x, y):
+    """Oracle: coordinates of [X, Y] in the Chevalley basis order, from
+    plain n x n matrix products, X and Y given as basis indices."""
+    n = rd.rank + 1
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    off = upper + [(j, i) for i, j in upper]
+
+    def dense(k):
+        mat = [[0] * n for _ in range(n)]
+        if k < len(off):
+            p, q = off[k]
+            mat[p][q] = 1
+        else:
+            i = k - len(off)
+            mat[i][i], mat[i + 1][i + 1] = 1, -1
+        return mat
+
+    a, b = dense(x), dense(y)
+    c = [
+        [sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    coords = {k: Q(c[p][q]) for k, (p, q) in enumerate(off) if c[p][q]}
+    partial = 0
+    for i in range(rd.rank):
+        partial += c[i][i]
+        if partial:
+            coords[len(off) + i] = Q(partial)
+    return coords
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_adjoint_table_is_the_bracket(rank):
+    rd = rda.make_root_datum(f"A{rank}")
+    ad = la.adjoint_module(rd)
+    assert len(ad.chevalley) == ad.dim
+    for x, mat in enumerate(ad.chevalley):
+        for y in range(ad.dim):
+            column = {r: v for (r, c), v in mat.items() if c == y}
+            assert column == _bracket_coords(rd, x, y)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_adjoint_table_matches_the_commutator_route(rank):
+    rd = rda.make_root_datum(f"A{rank}")
+    ad = la.adjoint_module(rd)
+    # A module with the same e, f, h but no table: chevalley_matrices
+    # builds its table from commutators of the simple generators.
+    plain = la.ExplicitModule(rd, "adjoint", ad.dim, ad.basis_weights, ad.e, ad.f, ad.h)
+    assert list(ad.chevalley) == la.chevalley_matrices(plain)
+    if rank <= 5:
+        la.check_brackets(ad)
+
+
+def test_lie_matrix_of_a_unit_vector_is_the_chevalley_matrix():
+    m = la.build_module(A2, "sum(natural(3),ext(2,natural(3)))")
+    mats = m.chevalley
+    for k, mat in enumerate(mats):
+        coeffs = [0] * len(mats)
+        coeffs[k] = 1
+        assert la.lie_matrix(m, coeffs) is mat
+    coeffs = [Q(0)] * len(mats)
+    coeffs[1] = Q(3)
+    assert la.lie_matrix(m, coeffs) == la.mat_scale(mats[1], Q(3))
+    coeffs[1] = Q(0)
+    coeffs[0], coeffs[3] = Q(2), Q(-1)
+    assert la.lie_matrix(m, coeffs) == la.mat_add(
+        la.mat_scale(mats[0], Q(2)), la.mat_scale(mats[3], Q(-1))
+    )

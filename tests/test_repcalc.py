@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,3 +126,31 @@ def _dominant_weight(draw):
 def test_dominant_walk_matches_the_box(case):
     rd, lam = case
     assert repcalc.dominant_weights_below(rd, lam) == _dominant_weights_in_box(rd, lam)
+
+
+def _weyl_dim_over_roots(rd, lam):
+    """Oracle: Weyl's product over rootdata.positive_roots, in Fractions."""
+    num = den = Fraction(1)
+    for beta in rda.positive_roots(rd):
+        num *= sum(b * (l + 1) for b, l in zip(beta, lam))
+        den *= sum(beta)
+    return num / den
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_weyl_dim_matches_the_product_over_roots(rank):
+    rd = rda.make_root_datum(f"A{rank}")
+    top = {1: 9, 2: 5, 3: 3, 4: 2}.get(rank, 1)
+    for lam in itertools.product(range(top + 1), repeat=rank):
+        assert repcalc.weyl_dim(rd, lam) == _weyl_dim_over_roots(rd, lam)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_root_pairing_matches_the_general_pairing(rank):
+    rd = rda.make_root_datum(f"A{rank}")
+    values = {1: range(-4, 5), 2: range(-3, 4), 3: range(-2, 3), 6: (-1, 2)}
+    roots = repcalc._positive_roots_fund(rd)
+    assert len(roots) == rank * (rank + 1) // 2
+    for nu in itertools.product(values.get(rank, range(-1, 2)), repeat=rank):
+        for i, j, alpha in roots:
+            assert repcalc._inner_root(nu, i, j) == repcalc._inner(rd, nu, alpha)

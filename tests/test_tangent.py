@@ -106,8 +106,8 @@ def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
     monkeypatch.setattr(tangent, "orbit_tangent", recorded_orbit)
     monkeypatch.setattr(tangent, "fixed_in_quotient", recorded_quotient)
     assert examples.flag_point().dim_T1_invariant == 2
-    # once for the module, once for its adjoint
-    assert len(chevalley_args) == len({id(m) for m in chevalley_args}) == 2
+    # once, for the module: the adjoint's table is built in closed form
+    assert len(chevalley_args) == 1 and chevalley_args[0].label != "adjoint"
     assert len(isotypic_args) <= 1
     # one matrix per Lie generator (6 for the unipotent radical of A3)
     # and module: 6 on the module, 6 on its adjoint
