@@ -12,8 +12,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from horomod.channels import law_tangent
 from horomod.monoids import make_weight_monoid
-from horomod.mulaw import law_equations, law_tangent, tangent_at_horospherical
+from horomod.mulaw import law_equations, tangent_at_horospherical
 from horomod.polysys import system_to_text
 from horomod.rootdata import make_root_datum
 

@@ -47,6 +47,7 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
+channels = _lazy("channels")
 examples = _lazy("examples")
 liealg = _lazy("liealg")
 linalg = _lazy("linalg")
@@ -267,7 +268,7 @@ def _cmd_law_equations(args):
 
 def _cmd_law_tangent(args):
     _, mon = _law_monoid(args)
-    dim, weights = mulaw.law_tangent(mon, args.truncation)
+    dim, weights = channels.law_tangent(mon, args.truncation)
     payload = {"dim": dim, "weights": [list(w) for w in weights]}
     return payload, {"truncation": args.truncation}, None
 

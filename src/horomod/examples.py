@@ -37,13 +37,13 @@ def binary_cone(n: int) -> TangentReport:
 def binary_cone_law_dim(n: int, truncation: int) -> int:
     """Dimension of the linearized law equations of the monoid N*n at the
     graded law, on the window up to truncation, from their linear rows
-    alone (mulaw.law_tangent; the full system of mulaw.law_equations is
-    its oracle in the tests).  The law layers load here, so the
+    alone (channels.law_tangent; the full system of mulaw.law_equations
+    is its oracle in the tests).  The law layers load here, so the
     fixed-space examples never run them."""
-    from . import monoids, mulaw
+    from . import channels, monoids
 
     mon = monoids.make_weight_monoid(make_root_datum("A1"), [(n,)])
-    return mulaw.law_tangent(mon, truncation)[0]
+    return channels.law_tangent(mon, truncation)[0]
 
 
 def flag_point() -> TangentReport:

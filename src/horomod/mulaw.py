@@ -12,21 +12,33 @@ polynomial system, the linearization at the all-zero point computes
 the tangent space with its torus weights, and coordinate rings of
 small orbit closures give honest numeric laws to feed back in.
 
-The tangent space has two routes.  law_tangent builds only the linear
-rows of the system, grade by grade, with integer coefficients;
-law_equations builds the full quadratic system, and
+The tangent space has two routes.  channels.law_tangent builds only
+the linear rows of the system, grade by grade, with integer
+coefficients; law_equations here builds the full quadratic system, and
 tangent_at_horospherical linearizes it, as the oracle for the first.
-Both refuse a window past a cost estimate before building anything.
+Both refuse a window past a cost estimate before building anything,
+and both read the window, its unknowns and the channel coefficients
+from the channels layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
 from . import linalg
+from .channels import (
+    ChannelTable,
+    _associativity_windows,
+    _bracketings,
+    _commutativity_rows,
+    _is_a1,
+    _law_unknowns,
+    _triple_top_vectors,
+    monoid_window,
+)
 from .monoids import RootMonoid, WeightMonoid, make_root_monoid, make_weight_monoid
 from .polysys import (
     Grade,
@@ -49,12 +61,10 @@ Weight = Tuple[int, ...]
 LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
-_WINDOW_CAP = 100_000
-# Caps on the cost estimate of _check_law_cost.  In-process, the largest
-# window N*n admitted for n = 1..6 takes 0.2-1.5 s for the full system
-# and 0.9-2.8 s for the linear rows.
+# Cap on the cost estimate of channels._check_law_cost for the full
+# system.  In-process, the largest window N*n admitted for n = 1..6
+# takes 0.1-0.8 s.
 _SYSTEM_COST_CAP = 1_000_000
-_TANGENT_COST_CAP = 100_000_000
 
 
 # ------------------------------------------------------------ binary forms
@@ -72,27 +82,11 @@ def make_binary_form(degree: int, coeffs: Sequence) -> BinaryForm:
     return BinaryForm(degree, co)
 
 
-def _channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
-    """Coefficient of the i-th transvectant on the monomial pair
-    (x^(a-s) y^s, x^(b-t) y^t); the result is the single monomial of
-    y-exponent s+t-i in degree a+b-2i."""
-    total = 0
-    for j in range(i + 1):
-        total += (
-            (-1) ** j
-            * comb(i, j)
-            * perm(a - s, i - j)
-            * perm(s, j)
-            * perm(b - t, j)
-            * perm(t, i - j)
-        )
-    return total
-
-
 def transvectant(f: BinaryForm, g: BinaryForm, i: int) -> BinaryForm:
     if i < 0 or i > min(f.degree, g.degree):
         raise ValidationError(f"transvectant index {i} out of range")
     d = f.degree + g.degree - 2 * i
+    coeff = ChannelTable()
     out = [Q(0)] * (d + 1)
     for s, fc in enumerate(f.coeffs):
         if not fc:
@@ -102,34 +96,11 @@ def transvectant(f: BinaryForm, g: BinaryForm, i: int) -> BinaryForm:
                 continue
             m = s + t - i
             if 0 <= m <= d:
-                out[m] += fc * gc * _channel_coeff(f.degree, s, g.degree, t, i)
+                out[m] += fc * gc * coeff[f.degree, s, g.degree, t, i]
     return BinaryForm(d, tuple(out))
 
 
 # ------------------------------------------------------- law container
-
-
-def monoid_window(monoid: WeightMonoid, bound: int) -> Tuple[Weight, ...]:
-    """Monoid elements with every fundamental coordinate <= bound."""
-    gens = [g for g in monoid.generators if any(g)]
-    if any(x < 0 for g in gens for x in g):
-        raise ValidationError("window enumeration needs dominant generators")
-    zero = tuple(0 for _ in range(monoid.rd.rank))
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                cand = tuple(a + b for a, b in zip(w, g))
-                if cand in seen or any(c > bound for c in cand):
-                    continue
-                seen.add(cand)
-                nxt.append(cand)
-        if len(seen) > _WINDOW_CAP:
-            raise ResourceError("monoid window enumeration cap exceeded")
-        frontier = nxt
-    return tuple(sorted(seen))
 
 
 class MultiplicationLaw(NamedTuple):
@@ -137,10 +108,6 @@ class MultiplicationLaw(NamedTuple):
     monoid: WeightMonoid
     truncation: int
     coeffs: Dict[LawKey, Q]
-
-
-def _is_a1(rd: RootDatum) -> bool:
-    return rd.rank == 1
 
 
 def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Grade:
@@ -320,126 +287,6 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
 # --------------------------------------------- rank-one equation system
 
 
-def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
-    """Spanning set of the singular vectors of weight nu in the triple
-    tensor of forms of degrees a, b, c, keyed by y-exponents: one per
-    admissible splitting through the first two factors.
-
-    The splitting through the degree-e component of the first two
-    factors pairs its m-th lowered image L^m(top)/perm(e, m) with the
-    third factor; each vector is scaled by perm(e, k) > 0, which clears
-    every denominator and leaves integers."""
-    out = []
-    for i0 in range(min(a, b) + 1):
-        e = a + b - 2 * i0
-        k2 = e + c - nu
-        if k2 < 0 or k2 % 2:
-            continue
-        k = k2 // 2
-        if k > min(e, c):
-            continue
-        low = {(j, i0 - j): (-1) ** j * comb(i0, j) for j in range(i0 + 1)}
-        eta: Dict[Tuple[int, int, int], int] = {}
-        for m in range(k + 1):
-            if m:
-                nxt: Dict[Tuple[int, int], int] = {}
-                for (s, t), v in low.items():
-                    if s < a:
-                        nxt[(s + 1, t)] = nxt.get((s + 1, t), 0) + v * (a - s)
-                    if t < b:
-                        nxt[(s, t + 1)] = nxt.get((s, t + 1), 0) + v * (b - t)
-                low = {key: v for key, v in nxt.items() if v}
-            outer = (-1) ** m * comb(k, m) * perm(e - m, k - m)
-            for (s, t), v in low.items():
-                eta[(s, t, k - m)] = outer * v
-        out.append(eta)
-    return out
-
-
-def _triples(pos: List[int], truncation: int) -> Iterable[Tuple[int, int, int]]:
-    """Each (a, b, c) of positive window weights with a+b+c <= truncation."""
-    for a in pos:
-        for b in pos:
-            for c in pos:
-                if a + b + c > truncation:
-                    break
-                yield a, b, c
-
-
-def _check_law_cost(pos: Sequence[int], truncation: int, cap: int) -> None:
-    """Refuse a window whose cost estimate, the sum of (a+b+c)^3 over
-    its triples, exceeds cap; the sum stops as soon as it does, so a
-    refusal costs little."""
-    total = 0
-    for a, b, c in _triples(pos, truncation):
-        total += (a + b + c) ** 3
-        if total > cap:
-            raise ResourceError(
-                f"law window cost estimate exceeds the cap {cap}; lower the truncation"
-            )
-
-
-def _law_unknowns(
-    monoid: WeightMonoid, truncation: int, cap: int
-) -> Tuple[List[int], List[int], Dict[Tuple[int, int, int], int]]:
-    """Window weights, positive window weights and the index of each
-    unknown m[a,b,i] (of grade i) of a rank-one law window, after the
-    cost check against cap.  The multiples of the smallest generator lie
-    in the window, so their cost bounds the window's from below and is
-    checked before the window is listed."""
-    if not _is_a1(monoid.rd):
-        raise ValidationError("equation generation is implemented for rank one")
-    step = min((g[0] for g in monoid.generators if g[0]), default=0)
-    if step > 0:
-        _check_law_cost(range(step, truncation + 1, step), truncation, cap)
-    ints = [w[0] for w in monoid_window(monoid, truncation)]
-    sset = set(ints)
-    pos = [x for x in ints if x >= 1]
-    if not any(x + y <= truncation for x in pos for y in pos):
-        raise ValidationError("truncation too small to contain any generator product")
-    _check_law_cost(pos, truncation, cap)
-    index: Dict[Tuple[int, int, int], int] = {}
-    for a in pos:
-        for b in pos:
-            if a + b > truncation:
-                continue
-            for i in range(1, min(a, b) + 1):
-                if a + b - 2 * i in sset:
-                    index[(a, b, i)] = len(index)
-    return ints, pos, index
-
-
-def _commutativity_rows(
-    index: Mapping[Tuple[int, int, int], int]
-) -> Iterable[Tuple[Dict[int, int], int]]:
-    """The linear equations m[a,b,i] = (-1)^i m[b,a,i], a <= b, as
-    ({unknown: coefficient}, grade i); those that vanish are left out."""
-    for (a, b, i) in sorted(index):
-        if a < b:
-            yield {index[(a, b, i)]: 1, index[(b, a, i)]: -((-1) ** i)}, i
-        elif a == b and i % 2:
-            yield {index[(a, b, i)]: 2}, i
-
-
-def _associativity_windows(
-    ints: List[int], pos: List[int], truncation: int
-) -> Iterable[Tuple[int, int, int, int, int]]:
-    """Each (a, b, c, nu) of the associativity equations with its grade
-    r = (a + b + c - nu) / 2 > 0."""
-    for a, b, c in _triples(pos, truncation):
-        for nu in ints:
-            tot = a + b + c - nu
-            if tot > 0 and tot % 2 == 0:
-                yield a, b, c, nu, tot // 2
-
-
-def _bracketings(a: int, b: int, c: int, s: int, t: int, u: int, coef: int):
-    """(a.b).c counts positively, a.(b.c) negatively.  Each side as
-    (x, sx, y, sy, z, sz, coef, first): the inner product x.y meets z as
-    the left outer factor when first, else as the right one."""
-    return (a, s, b, t, c, u, coef, True), (b, t, c, u, a, s, -coef, False)
-
-
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
     """Commutativity and associativity constraints on a rank-one law
     window, as an exact polynomial system in the non-top coefficients."""
@@ -453,6 +300,7 @@ def law_equations_with_kinds(
     matching order: "commutativity" or "associativity"."""
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
     sset = set(ints)
+    coeff = ChannelTable()
     names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
     grades: List[Grade] = [(i,) for (_, _, i) in index]
 
@@ -475,14 +323,14 @@ def law_equations_with_kinds(
                         e = x + y - 2 * i
                         if j < 0 or j > min(e, z) or e not in sset:
                             continue
-                        k1 = _channel_coeff(x, sx, y, sy, i)
+                        k1 = coeff[x, sx, y, sy, i]
                         if not k1:
                             continue
                         if first:
                             p, sp, q, sq = e, sx + sy - i, z, sz
                         else:
                             p, sp, q, sq = z, sz, e, sx + sy - i
-                        k2 = _channel_coeff(p, sp, q, sq, j)
+                        k2 = coeff[p, sp, q, sq, j]
                         if not k2:
                             continue
                         left = (index[(x, y, i)],) if i else ()
@@ -514,56 +362,6 @@ def law_equations_with_kinds(
         tuple((cp, grade) for cp, grade, _ in canon),
     )
     return system, tuple(kind for _, _, kind in canon)
-
-
-def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Grade, ...]]:
-    """tangent_at_horospherical(law_equations(monoid, truncation)), from
-    the linear rows alone.
-
-    At the all-zero point a product of two unknowns vanishes to first
-    order, and the top channel is 1.  So an associativity term of grade
-    r is linear exactly when one of its two channels is the top one:
-    inner channel 0 and outer r (unknown m[p,q,r]), or inner r and
-    outer 0 (unknown m[x,y,r]).  Only those terms are generated, with
-    integer coefficients, into one RowSpace per grade."""
-    ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
-    sset = set(ints)
-    columns: Dict[int, Dict[int, int]] = {}  # grade -> {unknown: column}
-    for u, (_, _, i) in enumerate(index):
-        cols = columns.setdefault(i, {})
-        cols[u] = len(cols)
-    spaces = {i: linalg.RowSpace(len(cols)) for i, cols in columns.items()}
-
-    def add(row: Mapping[int, int], r: int) -> None:
-        cols = columns[r]
-        assert all(u in cols for u in row), "linear term off its equation grade"
-        spaces[r].add({cols[u]: v for u, v in row.items() if v})
-
-    for row, i in _commutativity_rows(index):
-        add(row, i)
-    for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
-        space = spaces.get(r)
-        if space is None or space.dim == space.ncols:
-            continue  # no row of grade r can change the rank
-        for eta in _triple_top_vectors(a, b, c, nu):
-            row: Dict[int, int] = {}
-            for (s, t, u), coef in eta.items():
-                for x, sx, y, sy, z, sz, sgn, first in _bracketings(a, b, c, s, t, u, coef):
-                    if r <= min(x + y, z):
-                        # x + y <= truncation lies in the window, and the
-                        # outer product lands on p + q - 2r = nu.
-                        if first:
-                            p, sp, q, sq = x + y, sx + sy, z, sz
-                        else:
-                            p, sp, q, sq = z, sz, x + y, sx + sy
-                        key = index[(p, q, r)]
-                        row[key] = row.get(key, 0) + sgn * _channel_coeff(p, sp, q, sq, r)
-                    if r <= min(x, y) and x + y - 2 * r in sset:
-                        key = index[(x, y, r)]
-                        row[key] = row.get(key, 0) + sgn * _channel_coeff(x, sx, y, sy, r)
-            add(row, r)
-    weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
-    return len(weights), weights
 
 
 def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]]:
@@ -777,6 +575,7 @@ def orbit_law(
         bases[a] = _lowering_basis(power, a)
 
     coeffs: Dict[LawKey, Q] = {}
+    coeff = ChannelTable()
     wset = set(ints)
     for a in ints:
         for b in ints:
@@ -788,7 +587,7 @@ def orbit_law(
             channels = [
                 i for i in range(min(a, b) + 1) if a + b - 2 * i in sset
             ]
-            sol = _solve_pair(a, b, channels, bases)
+            sol = _solve_pair(a, b, channels, bases, coeff)
             for i, val in zip(channels, sol):
                 if i and val:
                     coeffs[((a,), (b,), (a + b - 2 * i,), i)] = val
@@ -796,17 +595,18 @@ def orbit_law(
 
 
 def _solve_pair(
-    a: int, b: int, channels: List[int], bases: Dict[int, List[NFPoly]]
+    a: int, b: int, channels: List[int], bases: Dict[int, List[NFPoly]], coeff: ChannelTable
 ) -> List[Q]:
     """Channel values of the (a, b) product: solved on the rows (0, t),
-    then checked on every row pair (s, t), each product formed once."""
+    then checked on every row pair (s, t), each product formed once;
+    coeff is the orbit law's channel table."""
     rows: List[List[Q]] = []
     rhs: List[Q] = []
     first = [nf_mul(bases[a][0], bases[b][t]) for t in range(min(a, b) + 1)]
     for t, prod in enumerate(first):
         terms: List[Tuple[int, Q, NFPoly]] = []
         for i in channels:
-            k = _channel_coeff(a, 0, b, t, i)
+            k = coeff[a, 0, b, t, i]
             if not k:
                 continue
             terms.append((i, Q(k), bases[a + b - 2 * i][t - i]))
@@ -835,7 +635,7 @@ def _solve_pair(
             for i, val in zip(channels, sol):
                 if not val:
                     continue
-                k = _channel_coeff(a, s, b, t, i)
+                k = coeff[a, s, b, t, i]
                 if not k:
                     continue
                 m = s + t - i

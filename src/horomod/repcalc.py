@@ -85,21 +85,37 @@ def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, int, Tuple[int, ...]]
     return out
 
 
-def dominant_weights_below(rd: RootDatum, lam: Weight) -> List[Weight]:
-    """All dominant mu with lam - mu a natural sum of simple roots.
+def dominant_weights_below(
+    rd: RootDatum, lam: Weight, roots: List[Tuple[int, int, Tuple[int, ...]]]
+) -> List[Weight]:
+    """All dominant mu with lam - mu a natural sum of simple roots;
+    roots is _positive_roots_fund(rd).
 
     Walks down from lam by positive roots, keeping the dominant results.
     A dominant weight covers another in dominance order only if their
     difference is a positive root (Stembridge 1998), so the walk reaches
-    every dominant mu below lam."""
-    roots = [beta for _, _, beta in _positive_roots_fund(rd)]
+    every dominant mu below lam.  A root alpha_i + ... + alpha_j is
+    nonzero only at i - 1, i, j and j + 1, so it is subtracted there."""
+    steps = [
+        tuple(
+            (k, beta[k])
+            for k in ((i - 1, i, j, j + 1) if i < j else (i - 1, i, i + 1))
+            if 0 <= k < rd.rank
+        )
+        for i, j, beta in roots
+    ]
     found = {lam}
     todo = [lam]
     while todo:
         mu = todo.pop()
-        for beta in roots:
-            nu = tuple(m - b for m, b in zip(mu, beta))
-            if min(nu) >= 0 and nu not in found:
+        for step in steps:
+            if any(mu[k] < b for k, b in step):
+                continue
+            nu = list(mu)
+            for k, b in step:
+                nu[k] -= b
+            nu = tuple(nu)
+            if nu not in found:
                 found.add(nu)
                 todo.append(nu)
     return sorted(found, key=lambda mu: (sum(to_root_coords(rd, mu)), mu), reverse=True)
@@ -107,11 +123,11 @@ def dominant_weights_below(rd: RootDatum, lam: Weight) -> List[Weight]:
 
 def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
     """Freudenthal recursion for multiplicities at dominant weights."""
-    dom = dominant_weights_below(rd, lam)
+    roots_fund = _positive_roots_fund(rd)
+    dom = dominant_weights_below(rd, lam, roots_fund)
     table: Dict[Weight, int] = {lam: 1}
     dom_set = set(dom)
     rho_norm = _inner(rd, _shift(lam), _shift(lam))
-    roots_fund = _positive_roots_fund(rd)
 
     for mu in dom:
         if mu == lam:

@@ -9,18 +9,19 @@ cartan^T . x = v, solved in closed form.  Root coordinates are tuples
 of Fraction since a weight need not lie in the root lattice.
 
 The reflection s_i sends mu to mu - mu_i * alpha_i where mu_i is the
-i-th fundamental coordinate.  Repeated reflection at positive
-coordinates reaches the antidominant chamber in at most as many steps
-as there are positive roots, n(n+1)/2: s_i permutes the positive roots
-other than alpha_i, so each step lowers by one the number of positive
-roots that pair positively with the weight.
+i-th fundamental coordinate.  In the epsilon-coordinates e_k = mu_k +
+... + mu_n (k = 1..n+1, so e_{n+1} = 0), which fix mu up to a common
+shift by mu_k = e_k - e_{k+1}, s_i swaps e_i and e_{i+1}.  So the Weyl
+group permutes the epsilon-coordinates: the dominant conjugate sorts
+them in descending order, the antidominant one in ascending order.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 
@@ -114,43 +115,47 @@ def positive_roots(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def _reflect_until(rd: RootDatum, lam: Weight, want_negative: bool):
-    """Reflect toward the (anti)dominant chamber, tracking sign and walls.
+def _epsilon(mu: Sequence[int]) -> List[int]:
+    """The epsilon-coordinates e_1..e_{n+1} of mu: its suffix sums."""
+    return list(accumulate(reversed(mu), initial=0))[::-1]
 
-    Returns (weight, sign, hit_wall).  hit_wall reports a zero coordinate
-    in the final chamber representative.
-    """
-    cur = list(lam)
-    sign = 1
-    while True:
-        idx = None
-        for i, c in enumerate(cur):
-            if (c > 0) if want_negative else (c < 0):
-                idx = i
-                break
-        if idx is None:
-            break
-        ci = cur[idx]
-        alpha = rd.cartan[idx]
-        cur = [c - ci * a for c, a in zip(cur, alpha)]
-        sign = -sign
-    return tuple(cur), sign, any(c == 0 for c in cur)
+
+def _from_epsilon(e: Sequence[int]) -> Weight:
+    return tuple(a - b for a, b in zip(e, e[1:]))
 
 
 def lowest_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
-    """Image of the dominant weight lam under the longest Weyl element."""
+    """Image of the dominant weight lam under the longest Weyl element:
+    its epsilon-coordinates in ascending order."""
     lam = check_weight(rd, lam)
     if not is_dominant(rd, lam):
         raise ValidationError(f"{lam} is not dominant")
-    w, _, _ = _reflect_until(rd, lam, want_negative=True)
-    return w
+    return _from_epsilon(sorted(_epsilon(lam)))
 
 
 def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, bool]:
     """Dominant Weyl conjugate with the sign of the element used.
 
-    The third component flags a wall (some coordinate zero), which is
+    The conjugate sorts the epsilon-coordinates in descending order.  A
+    chain of simple reflections at negative coordinates swaps one
+    adjacent strict inversion at each step, so its sign is (-1) to the
+    number of strict inversions: the parity of the stable sort's
+    permutation.  The third component flags a wall (some coordinate of
+    the conjugate zero, that is two equal epsilon-coordinates), which is
     what the tensor product weight-push needs to discard singular terms.
     """
     mu = check_weight(rd, mu)
-    return _reflect_until(rd, mu, want_negative=False)
+    e = _epsilon(mu)
+    order = sorted(range(len(e)), key=lambda k: -e[k])
+    # A permutation of m points with c cycles has parity m - c.
+    parity = len(order)
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        if not seen[start]:
+            parity -= 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = order[k]
+    top = [e[k] for k in order]
+    return _from_epsilon(top), -1 if parity % 2 else 1, any(a == b for a, b in zip(top, top[1:]))

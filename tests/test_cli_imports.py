@@ -43,7 +43,7 @@ def probe(argv, setup="", expr="None"):
 
 LAYERS = {
     f"horomod.{name}"
-    for name in ("examples", "liealg", "linalg", "monoids", "mulaw",
+    for name in ("channels", "examples", "liealg", "linalg", "monoids", "mulaw",
                  "polysys", "repcalc", "rootdata", "tangent")
 }
 
@@ -71,6 +71,14 @@ def test_t1_runs_no_law_layer():
     ran = {name for name, did in out["layers"].items() if did}
     assert {"horomod.liealg", "horomod.tangent"} <= ran
     assert "horomod.mulaw" not in ran
+
+
+def test_law_tangent_runs_no_full_system_layer():
+    out = probe(["law-tangent", "A1", "2", "--truncation", "8"])
+    assert out["code"] == 0
+    ran = {name for name, did in out["layers"].items() if did}
+    assert {"horomod.channels", "horomod.linalg", "horomod.monoids"} <= ran
+    assert not ran & {"horomod.mulaw", "horomod.polysys"}
 
 
 def test_a_layer_imported_first_is_reused():

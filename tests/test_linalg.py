@@ -114,7 +114,7 @@ def test_rref_and_rank_match_sympy():
 @PROPERTY
 @given(matrices())
 def test_integer_rows_give_the_fraction_row_space(mat):
-    """{col: int} rows, as mulaw.law_tangent feeds them, reduce exactly
+    """{col: int} rows, as channels.law_tangent feeds them, reduce exactly
     as the same rows given as Fractions, and every stored entry is a
     Fraction (int / int would be a float)."""
     ncols, rows = mat

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horomod import mulaw
+from horomod import channels
+from horomod.channels import _triple_top_vectors, law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
 from horomod.monoids import make_weight_monoid, minimal_generators
 from horomod.mulaw import (
-    _triple_top_vectors,
     contract,
     horospherical_law,
     law_equations,
     law_from_json_dict,
-    law_tangent,
     law_to_json_dict,
     law_unknown_values,
     make_binary_form,
     make_law,
-    monoid_window,
     orbit_law,
     root_monoid_of_law,
     system_residuals,
@@ -226,7 +224,7 @@ def test_law_cost_is_checked_before_the_window_is_listed(monkeypatch, route, gen
     def unlisted(*args):
         raise AssertionError("window listed before the cost check")
 
-    monkeypatch.setattr(mulaw, "monoid_window", unlisted)
+    monkeypatch.setattr(channels, "monoid_window", unlisted)
     with pytest.raises(ResourceError):
         route(nat2(gens), 99999)
 
@@ -281,17 +279,15 @@ def test_orbit_law_satisfies_equations():
 
 
 def test_orbit_law_checks_every_row_pair(monkeypatch):
-    import horomod.mulaw as mulaw
-
     seen = set()
-    channel_coeff = mulaw._channel_coeff
+    channel_coeff = channels._channel_coeff
 
     def spy(a, s, b, t, i):
         if (a, b) == (6, 6):
             seen.add((s, t))
         return channel_coeff(a, s, b, t, i)
 
-    monkeypatch.setattr(mulaw, "_channel_coeff", spy)
+    monkeypatch.setattr(channels, "_channel_coeff", spy)
     orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], nat2([2]), 12)
     assert seen == {(s, t) for s in range(7) for t in range(7)}
 
@@ -307,9 +303,9 @@ def test_orbit_law_forms_each_product_once(monkeypatch):
         muls[0] += 1
         return nf_mul(f, g)
 
-    def counting_pair(a, b, channels, bases):
+    def counting_pair(a, b, channels, bases, coeff):
         before = muls[0]
-        out = solve_pair(a, b, channels, bases)
+        out = solve_pair(a, b, channels, bases, coeff)
         counts[(a, b)] = muls[0] - before
         return out
 

@@ -125,7 +125,8 @@ def _dominant_weight(draw):
 @given(_dominant_weight())
 def test_dominant_walk_matches_the_box(case):
     rd, lam = case
-    assert repcalc.dominant_weights_below(rd, lam) == _dominant_weights_in_box(rd, lam)
+    roots = repcalc._positive_roots_fund(rd)
+    assert repcalc.dominant_weights_below(rd, lam, roots) == _dominant_weights_in_box(rd, lam)
 
 
 def _weyl_dim_over_roots(rd, lam):

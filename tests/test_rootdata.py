@@ -129,3 +129,33 @@ def test_closed_form_positive_roots_are_closed_under_reflections(n):
         rest = set(roots) - {simple}
         assert {reflect(c) for c in rest} == rest
         assert reflect(simple) == tuple(-x for x in simple)
+
+
+def _reflect_until(rd, lam, want_negative):
+    """Oracle: reflect at one simple root at a time toward the
+    (anti)dominant chamber, flipping the sign at each step; returns
+    (weight, sign, some coordinate zero)."""
+    cur = list(lam)
+    sign = 1
+    while True:
+        idx = next((i for i, c in enumerate(cur) if (c > 0 if want_negative else c < 0)), None)
+        if idx is None:
+            return tuple(cur), sign, any(c == 0 for c in cur)
+        ci = cur[idx]
+        cur = [c - ci * a for c, a in zip(cur, rd.cartan[idx])]
+        sign = -sign
+
+
+@st.composite
+def _small_type_a_weight(draw):
+    rd = rda.make_root_datum(f"A{draw(st.integers(1, 8))}")
+    return rd, tuple(draw(st.lists(small_weight, min_size=rd.rank, max_size=rd.rank)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_type_a_weight())
+def test_sorted_chambers_match_the_reflection_walk(case):
+    rd, mu = case
+    assert rda.dominant_conjugate(rd, mu) == _reflect_until(rd, mu, want_negative=False)
+    lam = tuple(abs(c) for c in mu)
+    assert rda.lowest_weight(rd, lam) == _reflect_until(rd, lam, want_negative=True)[0]
