@@ -2,10 +2,12 @@
 
 Chevalley conventions on the natural module of A_{n-1}: e_i is the
 matrix unit E_{i,i+1}, f_i is E_{i+1,i}, h_i is E_{ii} - E_{i+1,i+1}
-(1-based i).  Operators are sparse dicts keyed by (row, col) that store
-no zeros, so two operators are equal exactly when == says so.  Vectors
-are sparse {index: Fraction} dicts and spans are linalg.RowSpaces; the
-functions here return those, and only the CLI densifies, to print.
+(1-based i).  Vectors are sparse {index: Fraction} dicts (linalg.Sparse)
+and spans are linalg.RowSpaces; the functions here return those, and
+only the CLI densifies, to print.  An operator is the map {column: its
+nonzero entries as a sparse vector}, storing no zeros and no empty
+column, so two operators are equal exactly when == says so, and applying
+one to a vector reads only the columns in the vector's support.
 Constructions: natural, dual, tensor, sum, sym, ext, all with
 deterministic bases: tensor indices in row-major order, sym on sorted
 monomials in lexicographic order, ext on strictly increasing index
@@ -14,17 +16,17 @@ tuples with Koszul signs.
 The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
 (acting as E_{ji}), then h[i] for i = 1..n-1.  Stabilizer coefficient
-vectors and adjoint module coordinates all use this order.  A module's
-table of Chevalley matrices comes from commutators of its simple
-generators, except the adjoint module's, which is written down in
-closed form from the brackets of matrix units.
+vectors, sparse over this order, and adjoint module coordinates all use
+it.  A module's table of Chevalley matrices comes from commutators of
+its simple generators, except the adjoint module's, which is written
+down in closed form from the brackets of matrix units.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,49 +36,53 @@ from .rootdata import RootDatum, Weight
 
 Q = Fraction
 
-Matrix = Dict[Tuple[int, int], Q]
+Matrix = Dict[int, Sparse]
 
 DEFAULT_MODULE_DIM_CAP = 2000
+
+
+def _pruned(mat: Matrix) -> Matrix:
+    """mat without its zero entries and empty columns."""
+    out: Matrix = {}
+    for c, col in mat.items():
+        col = {r: x for r, x in col.items() if x}
+        if col:
+            out[c] = col
+    return out
 
 
 def act(mat: Matrix, vec: Sparse) -> Sparse:
     """mat applied to a sparse vector, as a sparse vector."""
     out: Sparse = {}
-    for (r, c), val in mat.items():
-        x = vec.get(c)
-        if x is not None:
-            out[r] = out.get(r, 0) + val * x
-    return {r: x for r, x in out.items() if x}
+    for c, x in vec.items():
+        if c in mat:
+            for r, y in mat[c].items():
+                v = out.get(r)
+                out[r] = y * x if v is None else v + y * x
+    return {r: v for r, v in out.items() if v}
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    by_row: Dict[int, List[Tuple[int, Q]]] = {}
-    for (r, c), val in b.items():
-        by_row.setdefault(r, []).append((c, val))
+def mat_combination(terms: Sequence[Tuple[Q, Matrix]]) -> Matrix:
+    """The sum of s * mat over the (s, mat) terms."""
     out: Matrix = {}
-    for (r, c), va in a.items():
-        for c2, vb in by_row.get(c, ()):  # a[r,c] * b[c,c2]
-            key = (r, c2)
-            out[key] = out.get(key, Q(0)) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
+    for s, mat in terms:
+        for c, col in mat.items():
+            acc = out.setdefault(c, {})
+            for r, x in col.items():
+                acc[r] = acc.get(r, 0) + s * x
+    return _pruned(out)
 
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    out = dict(mat_mul(a, b))
-    for k, v in mat_mul(b, a).items():
-        out[k] = out.get(k, Q(0)) - v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def mat_scale(a: Matrix, s: Q) -> Matrix:
-    return {} if s == 0 else {k: v * s for k, v in a.items()}
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Q(0)) + v
-    return {k: v for k, v in out.items() if v != 0}
+    """[a, b], whose column c is a(b[c]) - b(a[c])."""
+    out: Matrix = {}
+    for c in a.keys() | b.keys():
+        col = act(a, b[c]) if c in b else {}
+        for r, x in (act(b, a[c]) if c in a else {}).items():
+            v = col.get(r)
+            col[r] = -x if v is None else v - x
+        out[c] = col
+    return _pruned(out)
 
 
 class _ModuleFields(NamedTuple):
@@ -100,25 +106,24 @@ class ExplicitModule(_ModuleFields):
 
 
 def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
-    out = []
-    for j in range(n):
-        out.append(
-            tuple((1 if j == i else 0) - (1 if j == i + 1 else 0) for i in range(rd.rank))
-        )
-    return tuple(out)
+    return tuple(tuple((j == i) - (j == i + 1) for i in range(rd.rank)) for j in range(n))
 
 
 def natural(rd: RootDatum) -> ExplicitModule:
     n = rd.rank + 1
-    e = tuple({(i, i + 1): Q(1)} for i in range(rd.rank))
-    f = tuple({(i + 1, i): Q(1)} for i in range(rd.rank))
-    h = tuple({(i, i): Q(1), (i + 1, i + 1): Q(-1)} for i in range(rd.rank))
+    e = tuple({i + 1: {i: Q(1)}} for i in range(rd.rank))
+    f = tuple({i: {i + 1: Q(1)}} for i in range(rd.rank))
+    h = tuple({i: {i: Q(1)}, i + 1: {i + 1: Q(-1)}} for i in range(rd.rank))
     return ExplicitModule(rd, f"natural({n})", n, _natural_weights(rd, n), e, f, h)
 
 
 def dual(m: ExplicitModule) -> ExplicitModule:
     def neg_t(mat: Matrix) -> Matrix:
-        return {(c, r): -v for (r, c), v in mat.items()}
+        out: Matrix = {}
+        for c, col in mat.items():
+            for r, v in col.items():
+                out.setdefault(r, {})[c] = -v
+        return out
 
     return ExplicitModule(
         m.rd,
@@ -140,14 +145,16 @@ def tensor(a: ExplicitModule, b: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_C
 
     def both(ma: Matrix, mb: Matrix) -> Matrix:
         out: Matrix = {}
-        for (r, c), v in ma.items():
+        for c, col in ma.items():
             for j in range(b.dim):
-                out[(r * b.dim + j, c * b.dim + j)] = v
-        for (r, c), v in mb.items():
+                out[c * b.dim + j] = {r * b.dim + j: v for r, v in col.items()}
+        for c, col in mb.items():
             for i in range(a.dim):
-                key = (i * b.dim + r, i * b.dim + c)
-                out[key] = out.get(key, Q(0)) + v
-        return {k: v for k, v in out.items() if v != 0}
+                target = out.setdefault(i * b.dim + c, {})
+                for r, v in col.items():
+                    key = i * b.dim + r
+                    target[key] = target.get(key, 0) + v
+        return _pruned(out)
 
     weights = tuple(
         tuple(x + y for x, y in zip(a.basis_weights[i], b.basis_weights[j]))
@@ -165,32 +172,28 @@ def tensor(a: ExplicitModule, b: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_C
     )
 
 
-def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
+def direct_sum(a: ExplicitModule, b: ExplicitModule, cap: int) -> ExplicitModule:
     if a.rd != b.rd:
         raise ValidationError("sum terms over different root data")
+    dim = a.dim + b.dim
+    if dim > cap:
+        raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
 
     def block(ma: Matrix, mb: Matrix) -> Matrix:
         out = dict(ma)
-        for (r, c), v in mb.items():
-            out[(r + a.dim, c + a.dim)] = v
+        for c, col in mb.items():
+            out[c + a.dim] = {r + a.dim: v for r, v in col.items()}
         return out
 
     return ExplicitModule(
         a.rd,
         f"sum({a.label},{b.label})",
-        a.dim + b.dim,
+        dim,
         a.basis_weights + b.basis_weights,
         tuple(block(x, y) for x, y in zip(a.e, b.e)),
         tuple(block(x, y) for x, y in zip(a.f, b.f)),
         tuple(block(x, y) for x, y in zip(a.h, b.h)),
     )
-
-
-def _columns(mat: Matrix) -> Dict[int, List[Tuple[int, Q]]]:
-    cols: Dict[int, List[Tuple[int, Q]]] = {}
-    for (r, c), v in mat.items():
-        cols.setdefault(c, []).append((r, v))
-    return cols
 
 
 def _sort_sign(seq: List[int]) -> int:
@@ -218,21 +221,25 @@ def _power(
         raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
     basis = list(combos(range(m.dim), k))
     index = {mono: i for i, mono in enumerate(basis)}
+    # containing[u]: the (tuple index, position) of each occurrence of u
+    containing: Dict[int, List[Tuple[int, int]]] = {}
+    for ci, mono in enumerate(basis):
+        for pos, u in enumerate(mono):
+            containing.setdefault(u, []).append((ci, pos))
 
     def induced(mat: Matrix) -> Matrix:
-        cols = _columns(mat)
         out: Matrix = {}
-        for ci, mono in enumerate(basis):
-            for pos, u in enumerate(mono):
-                for v, val in cols.get(u, ()):
-                    new = list(mono)
+        for u, col in mat.items():
+            for ci, pos in containing.get(u, ()):
+                target = out.setdefault(ci, {})
+                for v, val in col.items():
+                    new = list(basis[ci])
                     new[pos] = v
                     sg = sign(new)
-                    if sg == 0:
-                        continue
-                    key = (index[tuple(sorted(new))], ci)
-                    out[key] = out.get(key, Q(0)) + sg * val
-        return {kk: v for kk, v in out.items() if v != 0}
+                    if sg:
+                        r = index[tuple(sorted(new))]
+                        target[r] = target.get(r, 0) + sg * val
+        return _pruned(out)
 
     weights = tuple(
         tuple(sum(m.basis_weights[u][i] for u in mono) for i in range(m.rd.rank))
@@ -266,38 +273,44 @@ def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> Explici
 # ---------------------------------------------------------------- parser
 
 _TOKEN_NAMES = {"natural", "dual", "tensor", "sum", "sym", "ext"}
+# Each level of nesting is one recursive call of the parser.
+_MAX_DEPTH = 100
 
 
 def _tokenize(expr: str) -> List[str]:
+    """Runs of digits and runs of letters are tokens, and so is each of
+    "(", ")" and ","; whitespace separates them."""
     out: List[str] = []
-    i = 0
-    while i < len(expr):
-        ch = expr[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            out.append(expr[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(expr) and expr[j].isalpha():
-                j += 1
-            out.append(expr[i:j])
-            i = j
-        else:
-            raise ValidationError(f"bad character {ch!r} in module expression")
+    for kind, run in groupby(expr, _char_kind):
+        text = "".join(run)
+        if kind in ("d", "a"):
+            out.append(text)
+        elif kind == "p":
+            bad = [ch for ch in text if ch not in "(),"]
+            if bad:
+                raise ValidationError(f"bad character {bad[0]!r} in module expression")
+            out.extend(text)
     return out
 
 
+def _char_kind(ch: str) -> str:
+    if ch.isdigit():
+        return "d"
+    if ch.isalpha():
+        return "a"
+    return "s" if ch.isspace() else "p"
+
+
 def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
-    """Parse expressions like sum(natural(4),ext(2,natural(4)))."""
+    """Parse expressions like sum(natural(4),ext(2,natural(4))).  The
+    nesting depth is bounded before parsing, and the dimension of a sum
+    or tensor product as each term is folded in."""
     toks = _tokenize(expr)
+    depth = 0
+    for t in toks:
+        depth += (t == "(") - (t == ")")
+        if depth > _MAX_DEPTH:
+            raise ResourceError(f"module expression nests deeper than {_MAX_DEPTH}")
     pos = 0
 
     def peek() -> Optional[str]:
@@ -313,13 +326,20 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
         pos += 1
         return t
 
+    def number() -> int:
+        t = eat()
+        try:
+            return int(t)
+        except ValueError:
+            raise ValidationError(f"expected a number, got {t!r}")
+
     def parse() -> ExplicitModule:
         name = eat()
         if name not in _TOKEN_NAMES:
             raise ValidationError(f"unknown construction {name!r}")
         eat("(")
         if name == "natural":
-            n = int(eat())
+            n = number()
             eat(")")
             if n != rd.rank + 1:
                 raise ValidationError(
@@ -331,21 +351,17 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
             eat(")")
             return dual(inner)
         if name in ("sym", "ext"):
-            k = int(eat())
+            k = number()
             eat(",")
             inner = parse()
             eat(")")
             return (sym if name == "sym" else ext)(k, inner, cap=cap)
-        terms = [parse()]
+        fold = tensor if name == "tensor" else direct_sum
+        out = parse()
         while peek() == ",":
             eat(",")
-            terms.append(parse())
+            out = fold(out, parse(), cap=cap)
         eat(")")
-        out = terms[0]
-        for t in terms[1:]:
-            out = tensor(out, t, cap=cap) if name == "tensor" else direct_sum(out, t)
-        if out.dim > cap:
-            raise ResourceError(f"module dimension {out.dim} exceeds cap {cap}")
         return out
 
     mod = parse()
@@ -360,14 +376,14 @@ def check_brackets(m: ExplicitModule) -> None:
     for i in range(r):
         for j in range(r):
             cij = m.rd.cartan[i][j]
-            assert mat_commutator(m.h[i], m.e[j]) == mat_scale(m.e[j], Q(cij))
-            assert mat_commutator(m.h[i], m.f[j]) == mat_scale(m.f[j], Q(-cij))
+            assert mat_commutator(m.h[i], m.e[j]) == mat_combination([(Q(cij), m.e[j])])
+            assert mat_commutator(m.h[i], m.f[j]) == mat_combination([(Q(-cij), m.f[j])])
             assert mat_commutator(m.e[i], m.f[j]) == (m.h[i] if i == j else {})
     for idx, w in enumerate(m.basis_weights):
         for i in range(r):
-            col = [v for (rr, cc), v in m.h[i].items() if cc == idx and rr != idx]
-            assert not col, "h is not diagonal on the weight basis"
-            assert m.h[i].get((idx, idx), Q(0)) == w[i]
+            col = m.h[i].get(idx, {})
+            assert set(col) <= {idx}, "h is not diagonal on the weight basis"
+            assert col.get(idx, 0) == w[i]
 
 
 # ------------------------------------------------- Chevalley basis order
@@ -385,8 +401,8 @@ def chevalley_matrices(m: ExplicitModule) -> List[Matrix]:
     """Action matrices for the full Chevalley basis, in label order.
 
     e[i,j] represents E_{ij} = [E_{i,i+1}, E_{i+1,j}] and f[i,j]
-    represents E_{ji} = [E_{j,i+1}-part commutators] built from the
-    simple generators, so all structure constants are consistent.
+    represents E_{ji} = [E_{j,i+1}, E_{i+1,i}], commutators built from
+    the simple generators, so all structure constants are consistent.
     """
     n = m.rd.rank + 1
     upper: Dict[Tuple[int, int], Matrix] = {}
@@ -399,35 +415,18 @@ def chevalley_matrices(m: ExplicitModule) -> List[Matrix]:
             j = i + span
             upper[(i, j)] = mat_commutator(upper[(i, i + 1)], upper[(i + 1, j)])
             lower[(i, j)] = mat_commutator(lower[(i + 1, j)], lower[(i, i + 1)])
-    out: List[Matrix] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(upper[(i, j)])
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(lower[(i, j)])
-    out.extend(m.h)
-    return out
+    keys = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return [upper[k] for k in keys] + [lower[k] for k in keys] + list(m.h)
 
 
 def chevalley_weights(rd: RootDatum) -> List[Weight]:
     """Adjoint weights of the Chevalley basis elements, in label order."""
     n = rd.rank + 1
     nat = _natural_weights(rd, n)
-    out = [
-        tuple(a - b for a, b in zip(nat[i], nat[j]))
-        for i in range(n)
-        for j in range(n)
-        if i < j
+    upper = [
+        tuple(a - b for a, b in zip(nat[i], nat[j])) for i in range(n) for j in range(i + 1, n)
     ]
-    out += [
-        tuple(b - a for a, b in zip(nat[i], nat[j]))
-        for i in range(n)
-        for j in range(n)
-        if i < j
-    ]
-    out += [tuple(0 for _ in range(rd.rank))] * rd.rank
-    return out
+    return upper + [tuple(-c for c in w) for w in upper] + [(0,) * rd.rank] * rd.rank
 
 
 def adjoint_module(rd: RootDatum) -> ExplicitModule:
@@ -457,20 +456,19 @@ def adjoint_module(rd: RootDatum) -> ExplicitModule:
         mat: Matrix = {}
         for j in range(n):
             if j != p and j != q:
-                mat[(index[(p, j)], index[(q, j)])] = one
-                mat[(index[(j, q)], index[(j, p)])] = minus_one
+                mat[index[(q, j)]] = {index[(p, j)]: one}
+                mat[index[(j, p)]] = {index[(j, q)]: minus_one}
         sign = one if p < q else minus_one
-        for k in range(min(p, q), max(p, q)):
-            mat[(h0 + k, index[(q, p)])] = sign
+        mat[index[(q, p)]] = {h0 + k: sign for k in range(min(p, q), max(p, q))}
         for k in range(rd.rank):
             c = pairing(p, q, k)
             if c:
-                mat[(index[(p, q)], h0 + k)] = Q(-c)
+                mat[h0 + k] = {index[(p, q)]: Q(-c)}
         table.append(mat)
     for k in range(rd.rank):
         table.append(
             {
-                (c, c): Q(v)
+                c: {c: Q(v)}
                 for c, (i, j) in enumerate(off_diagonal)
                 if (v := pairing(i, j, k))
             }
@@ -509,12 +507,13 @@ def highest_weight_vectors(m: ExplicitModule) -> Dict[Weight, List[Sparse]]:
         if any(c < 0 for c in chi):
             continue
         src = blocks[chi]
-        space = RowSpace(len(src))
-        for i in range(m.rd.rank):
-            target = tuple(c + a for c, a in zip(chi, m.rd.cartan[i]))
-            for t in blocks.get(target, []):
-                space.add({j: m.e[i][(t, s)] for j, s in enumerate(src) if (t, s) in m.e[i]})
-        kern = space.kernel()
+        # One row per (raising operator, image coordinate).
+        rows: Dict[Tuple[int, int], Sparse] = {}
+        for i, e in enumerate(m.e):
+            for j, s in enumerate(src):
+                for t, val in e.get(s, {}).items():
+                    rows.setdefault((i, t), {})[j] = val
+        kern = RowSpace(len(src), rows.values()).kernel()
         if kern:
             out[chi] = [{src[j]: val for j, val in k.items()} for k in kern]
     return out
@@ -534,10 +533,9 @@ def u_coinvariants(m: ExplicitModule) -> Coinvariants:
     commutator of simple ones.
     """
     span = RowSpace(m.dim)
-    for i in range(m.rd.rank):
-        cols = _columns(m.e[i])
-        for c, entries in sorted(cols.items()):
-            span.add(dict(entries))
+    for e in m.e:
+        for col in e.values():
+            span.add(col)
     pivot_set = set(span.pivots)
     reps = tuple(i for i in range(m.dim) if i not in pivot_set)
     return Coinvariants(
@@ -596,10 +594,10 @@ class DiagCongruence(NamedTuple):
 
 class StabilizerSpec(NamedTuple):
     """Generators of an isotropy group: a Lie algebra part given by
-    Chevalley coefficient vectors, and a diagonalizable part given by
-    weight congruences."""
+    sparse Chevalley coefficient vectors (as stabilizer_lie returns
+    them), and a diagonalizable part given by weight congruences."""
 
-    lie_part: Tuple[Tuple[Q, ...], ...] = ()
+    lie_part: Tuple[Sparse, ...] = ()
     diag_part: Tuple[DiagCongruence, ...] = ()
 
     def passing(self, weights: Sequence[Weight]) -> List[int]:
@@ -611,29 +609,23 @@ class StabilizerSpec(NamedTuple):
 
 def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
     """Lie algebra of the standard maximal unipotent subgroup."""
-    total = len(chevalley_labels(rd))
     n_upper = (rd.rank + 1) * rd.rank // 2
-    vecs = []
-    for k in range(n_upper):
-        v = [Q(0)] * total
-        v[k] = Q(1)
-        vecs.append(tuple(v))
-    return StabilizerSpec(lie_part=tuple(vecs))
+    return StabilizerSpec(lie_part=tuple({k: Q(1)} for k in range(n_upper)))
 
 
-def lie_matrix(m: ExplicitModule, coeffs: Sequence) -> Matrix:
+def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
+    """The action of the sparse Chevalley coefficient vector coeffs."""
     mats = m.chevalley
-    if len(coeffs) != len(mats):
+    bad = [k for k in coeffs if not 0 <= k < len(mats)]
+    if bad:
         raise ValidationError(
-            f"stabilizer vector length {len(coeffs)} != {len(mats)} basis elements"
+            f"stabilizer vector index {bad[0]} is outside the {len(mats)} basis elements"
         )
-    terms = [(c, mat) for c, mat in zip(coeffs, mats) if c]
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]  # shared with m.chevalley; callers only read it
-    out: Matrix = {}
-    for c, mat in terms:
-        out = mat_add(out, mat_scale(mat, Q(c)))
-    return out
+    if len(coeffs) == 1:
+        (k, c), = coeffs.items()
+        if c == 1:
+            return mats[k]  # shared with m.chevalley; callers only read it
+    return mat_combination([(Q(c), mats[k]) for k, c in coeffs.items()])
 
 
 def fixed_in_quotient(
@@ -651,14 +643,16 @@ def fixed_in_quotient(
     it; with an empty span they are a basis of the fixed subspace of M.
     """
     # One row per (Lie generator, coordinate) of the map sending the
-    # passing basis vector j to its class modulo the span.
+    # passing basis vector j to its class modulo the span; an empty
+    # column of a generator adds nothing.
+    position = {p: j for j, p in enumerate(passing)}
     rows: List[Sparse] = []
     for mat in lie:
-        cols = _columns(mat)
         by_coord: Dict[int, Sparse] = {}
-        for j, p in enumerate(passing):
-            for r, val in span.reduce(dict(cols.get(p, ()))).items():
-                by_coord.setdefault(r, {})[j] = val
+        for p, col in mat.items():
+            if p in position:
+                for r, val in span.reduce(col).items():
+                    by_coord.setdefault(r, {})[position[p]] = val
         rows.extend(by_coord.values())
     w_basis = [
         {passing[j]: val for j, val in k.items()}

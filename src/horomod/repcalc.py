@@ -66,27 +66,33 @@ def _inner_root(nu: Weight, i: int, j: int) -> int:
     return sum(nu[i : j + 1])
 
 
-def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """The positive roots alpha_i + ... + alpha_j as (i, j, fundamental
-    coordinates): the Cartan rows i..j sum to 1 at i and j (2 if i = j)
-    and -1 at i - 1 and j + 1."""
+Step = Tuple[Tuple[int, int], ...]
+
+
+def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, int, Step]]:
+    """The positive roots alpha_i + ... + alpha_j as (i, j, nonzero
+    fundamental coordinates as (index, value) pairs): the Cartan rows
+    i..j sum to 1 at i and j (2 if i = j) and -1 at i - 1 and j + 1."""
     n = rd.rank
     out = []
     for i in range(n):
         for j in range(i, n):
-            beta = [0] * n
-            beta[i] += 1
-            beta[j] += 1
-            if i > 0:
-                beta[i - 1] -= 1
-            if j + 1 < n:
-                beta[j + 1] -= 1
-            out.append((i, j, tuple(beta)))
+            ends = ((i, 1), (j, 1)) if i < j else ((i, 2),)
+            step = ((i - 1, -1),) + ends + ((j + 1, -1),)
+            out.append((i, j, tuple((k, b) for k, b in step if 0 <= k < n)))
     return out
 
 
+def _shifted(mu: Weight, k: int, step: Step) -> Weight:
+    """mu + k * the root whose nonzero coordinates are step."""
+    nu = list(mu)
+    for p, b in step:
+        nu[p] += k * b
+    return tuple(nu)
+
+
 def dominant_weights_below(
-    rd: RootDatum, lam: Weight, roots: List[Tuple[int, int, Tuple[int, ...]]]
+    rd: RootDatum, lam: Weight, roots: List[Tuple[int, int, Step]]
 ) -> List[Weight]:
     """All dominant mu with lam - mu a natural sum of simple roots;
     roots is _positive_roots_fund(rd).
@@ -94,27 +100,16 @@ def dominant_weights_below(
     Walks down from lam by positive roots, keeping the dominant results.
     A dominant weight covers another in dominance order only if their
     difference is a positive root (Stembridge 1998), so the walk reaches
-    every dominant mu below lam.  A root alpha_i + ... + alpha_j is
-    nonzero only at i - 1, i, j and j + 1, so it is subtracted there."""
-    steps = [
-        tuple(
-            (k, beta[k])
-            for k in ((i - 1, i, j, j + 1) if i < j else (i - 1, i, i + 1))
-            if 0 <= k < rd.rank
-        )
-        for i, j, beta in roots
-    ]
+    every dominant mu below lam.  A root is subtracted at its at most
+    four nonzero coordinates."""
     found = {lam}
     todo = [lam]
     while todo:
         mu = todo.pop()
-        for step in steps:
+        for _, _, step in roots:
             if any(mu[k] < b for k, b in step):
                 continue
-            nu = list(mu)
-            for k, b in step:
-                nu[k] -= b
-            nu = tuple(nu)
+            nu = _shifted(mu, -1, step)
             if nu not in found:
                 found.add(nu)
                 todo.append(nu)
@@ -133,10 +128,10 @@ def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
         if mu == lam:
             continue
         rhs = 0
-        for i, j, alpha in roots_fund:
+        for i, j, step in roots_fund:
             k = 1
             while True:
-                nu = tuple(m + k * a for m, a in zip(mu, alpha))
+                nu = _shifted(mu, k, step)
                 conj, _, _ = dominant_conjugate(rd, nu)
                 if conj not in dom_set:
                     break

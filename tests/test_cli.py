@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from horomod import __version__
 from horomod.cli import main
 
 
@@ -301,6 +302,177 @@ def test_t1_flag_multicone_matches_the_reference_payload(capsys, r):
     assert code == 0
     got = json.dumps(blob["payload"], sort_keys=True, separators=(",", ":")) + "\n"
     assert got.encode() == ref.read_bytes()
+
+
+FLAG_MODULE = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
+FLAG_POINT = "1,0,0,0,1,0,0,0,0,0,1,0,0,0"
+
+# Exact payloads of module requests, so that a change of the matrix
+# format inside liealg cannot alter stdout unnoticed.
+MODULE_PAYLOADS = {
+    ("hwv", "A1", "natural(2)"): '{"(1)":[["1","0"]]}',
+    ("coinv", "A1", "natural(2)"): '{"dim":1,"rep_indices":[1],"rep_weights":["(-1)"]}',
+    ("hwv", "A1", "dual(natural(2))"): '{"(1)":[["0","1"]]}',
+    ("coinv", "A1", "dual(natural(2))"): '{"dim":1,"rep_indices":[0],"rep_weights":["(-1)"]}',
+    ("hwv", "A1", "sym(3,natural(2))"): '{"(3)":[["1","0","0","0"]]}',
+    ("coinv", "A1", "sym(3,natural(2))"): '{"dim":1,"rep_indices":[3],"rep_weights":["(-3)"]}',
+    ("hwv", "A1", "tensor(natural(2),natural(2))"): (
+        '{"(0)":[["0","-1","1","0"]],"(2)":[["1","0","0","0"]]}'
+    ),
+    ("coinv", "A1", "tensor(natural(2),natural(2))"): (
+        '{"dim":2,"rep_indices":[2,3],"rep_weights":["(0)","(-2)"]}'
+    ),
+    ("hwv", "A1", "sum(natural(2),sym(2,natural(2)))"): (
+        '{"(1)":[["1","0","0","0","0"]],"(2)":[["0","0","1","0","0"]]}'
+    ),
+    ("coinv", "A1", "sum(natural(2),sym(2,natural(2)))"): (
+        '{"dim":2,"rep_indices":[1,4],"rep_weights":["(-1)","(-2)"]}'
+    ),
+    ("hwv", "A3", "natural(4)"): '{"(1,0,0)":[["1","0","0","0"]]}',
+    ("coinv", "A3", "natural(4)"): '{"dim":1,"rep_indices":[3],"rep_weights":["(0,0,-1)"]}',
+    ("hwv", "A3", "ext(2,natural(4))"): '{"(0,1,0)":[["1","0","0","0","0","0"]]}',
+    ("coinv", "A3", "ext(2,natural(4))"): '{"dim":1,"rep_indices":[5],"rep_weights":["(0,-1,0)"]}',
+    ("hwv", "A3", "ext(3,natural(4))"): '{"(0,0,1)":[["1","0","0","0"]]}',
+    ("coinv", "A3", "ext(3,natural(4))"): '{"dim":1,"rep_indices":[3],"rep_weights":["(-1,0,0)"]}',
+    ("hwv", "A3", "dual(ext(2,natural(4)))"): '{"(0,1,0)":[["0","0","0","0","0","1"]]}',
+    ("coinv", "A3", "dual(ext(2,natural(4)))"): (
+        '{"dim":1,"rep_indices":[0],"rep_weights":["(0,-1,0)"]}'
+    ),
+    ("hwv", "A3", "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"): (
+        '{"(0,0,1)":[["0","0","0","0","0","0","0","0","0","0","1","0","0","0"]],"(0,1,'
+        '0)":[["0","0","0","0","1","0","0","0","0","0","0","0","0","0"]],"(1,0,0)":[["1","0",'
+        '"0","0","0","0","0","0","0","0","0","0","0","0"]]}'
+    ),
+    ("coinv", "A3", "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"): (
+        '{"dim":3,"rep_indices":[3,9,13],"rep_weights":["(0,0,-1)","(0,-1,0)","(-1,0,0)"]}'
+    ),
+    ("hwv", "A3", "sym(2,ext(2,natural(4)))"): (
+        '{"(0,0,0)":[["0","0","0","0","0","1","0","0","0","-1","0","0","1","0","0","0","0",'
+        '"0","0","0","0"]],"(0,2,0)":[["1","0","0","0","0","0","0","0","0","0","0","0","0",'
+        '"0","0","0","0","0","0","0","0"]]}'
+    ),
+    ("coinv", "A3", "sym(2,ext(2,natural(4)))"): (
+        '{"dim":2,"rep_indices":[12,20],"rep_weights":["(0,0,0)","(0,-2,0)"]}'
+    ),
+    ("hwv", "A3", "ext(2,sym(2,natural(4)))"): (
+        '{"(2,1,0)":[["1","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0",'
+        '"0","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0","0",'
+        '"0","0","0","0","0","0","0"]]}'
+    ),
+    ("coinv", "A3", "ext(2,sym(2,natural(4)))"): (
+        '{"dim":1,"rep_indices":[44],"rep_weights":["(0,-1,-2)"]}'
+    ),
+    ("orbit-tangent", "A3", FLAG_MODULE, FLAG_POINT): (
+        '{"basis":[["1","0","0","0","0","0","0","0","0","0","0","0","0","0"],'
+        '["0","1","0","0","0","0","0","0","0","0","0","0","0","0"],'
+        '["0","0","1","0","0","0","0","-1","0","0","0","0","0","0"],'
+        '["0","0","0","1","0","0","0","0","-1","0","0","0","0","1"],'
+        '["0","0","0","0","1","0","0","0","0","0","0","0","0","0"],'
+        '["0","0","0","0","0","1","0","0","0","0","0","0","0","0"],'
+        '["0","0","0","0","0","0","1","0","0","0","0","0","-1","0"],'
+        '["0","0","0","0","0","0","0","0","0","0","1","0","0","0"],'
+        '["0","0","0","0","0","0","0","0","0","0","0","1","0","0"]],"dim":9}'
+    ),
+    ("stabilizer", "A3", FLAG_MODULE, FLAG_POINT): (
+        '{"basis":[["1","0","0","0","0","0","0","0","0","0","0","0","0","0","0"],'
+        '["0","1","0","0","0","0","0","0","0","0","0","0","0","0","0"],'
+        '["0","0","1","0","0","0","0","0","0","0","0","0","0","0","0"],'
+        '["0","0","0","1","0","0","0","0","0","0","0","0","0","0","0"],'
+        '["0","0","0","0","1","0","0","0","0","0","0","0","0","0","0"],'
+        '["0","0","0","0","0","1","0","0","0","0","0","0","0","0","0"]],"dim":6,'
+        '"labels":["e[1,2]","e[1,3]","e[1,4]","e[2,3]","e[2,4]","e[3,4]","f[1,2]","f[1,3]",'
+        '"f[1,4]","f[2,3]","f[2,4]","f[3,4]","h[1]","h[2]","h[3]"]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(MODULE_PAYLOADS), ids=" ".join)
+def test_module_stdout_is_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    provenance = json.dumps(
+        {"bounds": {"cap": 2000}, "command": "horomod " + " ".join(argv), "version": __version__},
+        separators=(",", ":"),
+    )
+    payload = MODULE_PAYLOADS[argv]
+    assert out == f'{{"payload":{payload},"provenance":{provenance},"status":"ok"}}\n'
+
+
+def nested_dual(depth):
+    return "dual(" * depth + "natural(2)" + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("hwv", "A1", "sym(x,natural(2))"), 3),
+        (("hwv", "A1", "natural()"), 3),
+        (("hwv", "A1", "ext(,natural(2))"), 3),
+        (("coinv", "A1", nested_dual(1200)), 4),
+    ],
+)
+def test_malformed_module_expression_ends_in_an_envelope(capsys, argv, code):
+    got, blob = run_json(capsys, *argv)
+    assert got == code
+    assert blob["error"]["type"] == ("validation" if code == 3 else "resource")
+
+
+@pytest.mark.parametrize("name,terms", [("sum", 40), ("tensor", 20)])
+def test_module_cap_is_checked_as_each_term_is_folded(capsys, name, terms):
+    # Each term has dimension 1140; the first two already pass the cap.
+    expr = name + "(" + ",".join(["ext(3,natural(20))"] * terms) + ")"
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "coinv", "A19", expr)
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert blob["error"]["type"] == "resource"
+
+
+@st.composite
+def _module_argv(draw):
+    rank = draw(st.integers(1, 3))
+
+    def expr(depth):
+        kind = draw(st.sampled_from(
+            ["natural", "dual", "sym", "ext", "sum", "tensor"] if depth < 3 else ["natural"]
+        ))
+        if kind == "natural":
+            return f"natural({draw(st.sampled_from([rank + 1] * 4 + [rank + 2]))})"
+        if kind == "dual":
+            return f"dual({expr(depth + 1)})"
+        if kind in ("sym", "ext"):
+            return f"{kind}({draw(st.integers(0, 4))},{expr(depth + 1)})"
+        terms = [expr(depth + 1) for _ in range(draw(st.integers(1, 3)))]
+        return f"{kind}({','.join(terms)})"
+
+    text = expr(0)
+    if draw(st.integers(0, 2)) == 0:
+        # Malformed: one character dropped, inserted or replaced.
+        pos = draw(st.integers(0, len(text) - 1))
+        ch = draw(st.sampled_from(list("(),0123x -")))
+        edit = draw(st.sampled_from(["drop", "insert", "replace"]))
+        tail = text[pos + 1:] if edit != "insert" else text[pos:]
+        text = text[:pos] + ("" if edit == "drop" else ch) + tail
+    command = draw(st.sampled_from(["hwv", "coinv"]))
+    cap = draw(st.sampled_from(["10", "40", "200"]))
+    return [command, "--cap", cap, "--", f"A{rank}", text]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_module_argv())
+@example(["hwv", "A1", "sym(x,natural(2))"])
+@example(["hwv", "A1", "natural()"])
+@example(["hwv", "A1", "ext(,natural(2))"])
+@example(["coinv", "A1", nested_dual(1200)])
+@example(["coinv", "A19", "sum(" + ",".join(["ext(3,natural(20))"] * 40) + ")"])
+def test_module_expressions_always_end_in_an_envelope(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert out.getvalue().count("\n") == 1
+    blob = json.loads(out.getvalue())
+    assert code in (0, 3, 4)
+    assert blob["status"] == ("ok" if code == 0 else "error")
 
 
 def test_tangent_weight_negative_entries(capsys):

@@ -50,6 +50,14 @@ def test_parser_rejects_garbage():
         la.build_module(A1, "sym(2,natural(2)))")
     with pytest.raises(ResourceError):
         la.build_module(A1, "sym(40,natural(2))", cap=10)
+    for expr in ("sym(x,natural(2))", "natural()", "ext(,natural(2))", "natural(\u00b2)"):
+        with pytest.raises(ValidationError, match="expected a number"):
+            la.build_module(A1, expr)
+    # The depth is counted on the tokens: no recursion for 1 200 levels.
+    with pytest.raises(ResourceError, match="nests deeper"):
+        la.build_module(A1, "dual(" * 1200 + "natural(2)" + ")" * 1200)
+    with pytest.raises(ResourceError):
+        la.build_module(A1, "sum(sym(6,natural(2)),sym(6,natural(2)))", cap=10)
 
 
 EXPRS_A1 = [
@@ -154,7 +162,7 @@ def test_chevalley_dim():
     assert len(la.chevalley_labels(A3)) == 15
     # e[1,3] acts as E_{13} on the natural module
     idx = la.chevalley_labels(A3).index("e[1,3]")
-    assert mats[idx] == {(0, 2): Q(1)}
+    assert mats[idx] == {2: {0: Q(1)}}
 
 
 def test_adjoint_brackets_and_weights():
@@ -197,7 +205,7 @@ def test_fixed_subspace_congruence():
     for n, expected in [(2, 1), (3, 1), (4, 1)]:
         m = la.build_module(A1, f"sym({n},natural(2))")
         stab = la.StabilizerSpec(
-            lie_part=(unit(3, (0, 1)),),
+            lie_part=({0: Q(1)},),
             diag_part=(la.DiagCongruence((1,), n),),
         )
         fixed = fixed_space(m, RowSpace(m.dim), stab)
@@ -211,7 +219,7 @@ def test_fixed_in_quotient_binary_forms():
         m = la.build_module(A1, f"sym({n},natural(2))")
         x = unit(m.dim, (0, 1))
         stab = la.StabilizerSpec(
-            lie_part=(unit(3, (0, 1)),),
+            lie_part=({0: Q(1)},),
             diag_part=(la.DiagCongruence((1,), n),),
         )
         reps = fixed_space(m, la.orbit_tangent(m, x), stab)
@@ -305,8 +313,7 @@ def test_adjoint_table_is_the_bracket(rank):
     assert len(ad.chevalley) == ad.dim
     for x, mat in enumerate(ad.chevalley):
         for y in range(ad.dim):
-            column = {r: v for (r, c), v in mat.items() if c == y}
-            assert column == _bracket_coords(rd, x, y)
+            assert mat.get(y, {}) == _bracket_coords(rd, x, y)
 
 
 @pytest.mark.parametrize("rank", range(1, 7))
@@ -325,14 +332,10 @@ def test_lie_matrix_of_a_unit_vector_is_the_chevalley_matrix():
     m = la.build_module(A2, "sum(natural(3),ext(2,natural(3)))")
     mats = m.chevalley
     for k, mat in enumerate(mats):
-        coeffs = [0] * len(mats)
-        coeffs[k] = 1
-        assert la.lie_matrix(m, coeffs) is mat
-    coeffs = [Q(0)] * len(mats)
-    coeffs[1] = Q(3)
-    assert la.lie_matrix(m, coeffs) == la.mat_scale(mats[1], Q(3))
-    coeffs[1] = Q(0)
-    coeffs[0], coeffs[3] = Q(2), Q(-1)
-    assert la.lie_matrix(m, coeffs) == la.mat_add(
-        la.mat_scale(mats[0], Q(2)), la.mat_scale(mats[3], Q(-1))
+        assert la.lie_matrix(m, {k: Q(1)}) is mat
+    assert la.lie_matrix(m, {1: Q(3)}) == la.mat_combination([(Q(3), mats[1])])
+    assert la.lie_matrix(m, {0: Q(2), 3: Q(-1)}) == la.mat_combination(
+        [(Q(2), mats[0]), (Q(-1), mats[3])]
     )
+    with pytest.raises(ValidationError, match="outside the 8 basis elements"):
+        la.lie_matrix(m, {8: Q(1)})

@@ -152,6 +152,12 @@ def test_root_pairing_matches_the_general_pairing(rank):
     values = {1: range(-4, 5), 2: range(-3, 4), 3: range(-2, 3), 6: (-1, 2)}
     roots = repcalc._positive_roots_fund(rd)
     assert len(roots) == rank * (rank + 1) // 2
+    # Each step is the nonzero part of the sum of the Cartan rows i..j.
+    dense = {}
+    for i, j, step in roots:
+        alpha = tuple(sum(rd.cartan[t][c] for t in range(i, j + 1)) for c in range(rank))
+        assert step == tuple((c, a) for c, a in enumerate(alpha) if a)
+        dense[(i, j)] = alpha
     for nu in itertools.product(values.get(rank, range(-1, 2)), repeat=rank):
-        for i, j, alpha in roots:
+        for (i, j), alpha in dense.items():
             assert repcalc._inner_root(nu, i, j) == repcalc._inner(rd, nu, alpha)

@@ -195,6 +195,31 @@ def test_diagonal_part_must_fix_the_point(monkeypatch, n):
         t1_invariant(m, x, stab)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stabilizer_lie_output_is_the_lie_part_at_x_to_the_n(n):
+    # stabilizer_lie returns sparse Chevalley coefficient vectors, which
+    # StabilizerSpec takes unchanged; at x^n they span the radical, e.
+    m = build_module(A1, f"sym({n},natural(2))")
+    x = [Q(0)] * m.dim
+    x[m.basis_weights.index((n,))] = Q(1)
+    lie = tuple(liealg.stabilizer_lie(m, x))
+    assert lie == unipotent_radical_spec(A1).lie_part
+    stab = StabilizerSpec(lie_part=lie, diag_part=(DiagCongruence((1,), n),))
+    assert t1_invariant(m, x, stab) == binary_family_report(n)
+
+
+def test_stabilizer_lie_output_is_the_lie_part_at_e1_plus_e2():
+    # The orbit of e1 + e2 is k3 minus the origin, whose closure is smooth,
+    # and its stabilizer is connected; the Lie part has vectors with
+    # several nonzero coefficients.
+    m = build_module(make_root_datum("A2"), "natural(3)")
+    x = [Q(1), Q(1), Q(0)]
+    lie = tuple(liealg.stabilizer_lie(m, x))
+    assert len(lie) == 5 and max(len(v) for v in lie) == 3
+    report = t1_invariant(m, x, StabilizerSpec(lie_part=lie))
+    assert report.dim_T1_invariant == 0 and report.weights == ()
+
+
 def test_tangent_weight_values():
     assert tangent_weight(A1, (4,), (0,)) == (2,)
     assert tangent_weight(A3, (0, 1, 0), (-1, 0, 1)) == (1, 1, 0)
