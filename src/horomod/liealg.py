@@ -17,15 +17,17 @@ The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
 (acting as E_{ji}), then h[i] for i = 1..n-1.  Stabilizer coefficient
 vectors, sparse over this order, and adjoint module coordinates all use
-it.  A module's table of Chevalley matrices comes from commutators of
-its simple generators, except the adjoint module's, which is written
-down in closed form from the brackets of matrix units.
+it.  A module carries the action of every element of this basis: natural
+writes the matrix units down, each other construction induces the
+operators of its factors one by one, and the adjoint module's are
+written down in closed form from the brackets of matrix units.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -41,14 +43,19 @@ Matrix = Dict[int, Sparse]
 DEFAULT_MODULE_DIM_CAP = 2000
 
 
-def _pruned(mat: Matrix) -> Matrix:
-    """mat without its zero entries and empty columns."""
-    out: Matrix = {}
-    for c, col in mat.items():
-        col = {r: x for r, x in col.items() if x}
-        if col:
-            out[c] = col
-    return out
+def _add(col: Sparse, r: int, x: Q) -> None:
+    """col[r] += x, storing no zero."""
+    old = col.get(r)
+    total = x if old is None else old + x
+    if total:
+        col[r] = total
+    elif old is not None:
+        del col[r]
+
+
+def _nonempty(mat: Matrix) -> Matrix:
+    """mat without its empty columns."""
+    return {c: col for c, col in mat.items() if col}
 
 
 def act(mat: Matrix, vec: Sparse) -> Sparse:
@@ -69,40 +76,44 @@ def mat_combination(terms: Sequence[Tuple[Q, Matrix]]) -> Matrix:
         for c, col in mat.items():
             acc = out.setdefault(c, {})
             for r, x in col.items():
-                acc[r] = acc.get(r, 0) + s * x
-    return _pruned(out)
+                _add(acc, r, s * x)
+    return _nonempty(out)
 
 
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    """[a, b], whose column c is a(b[c]) - b(a[c])."""
-    out: Matrix = {}
-    for c in a.keys() | b.keys():
-        col = act(a, b[c]) if c in b else {}
-        for r, x in (act(b, a[c]) if c in a else {}).items():
-            v = col.get(r)
-            col[r] = -x if v is None else v - x
-        out[c] = col
-    return _pruned(out)
+def _off_diagonal(n: int) -> List[Tuple[int, int]]:
+    """The (p, q) of the E_pq among the Chevalley basis, 0-based, in order."""
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return upper + [(j, i) for i, j in upper]
 
 
-class _ModuleFields(NamedTuple):
+class ExplicitModule(NamedTuple):
+    """A module given by the action of the whole Chevalley basis: ops[k]
+    is the matrix of the k-th element in chevalley_labels order."""
+
     rd: RootDatum
     label: str
     dim: int
     basis_weights: Tuple[Weight, ...]
-    e: Tuple[Matrix, ...]
-    f: Tuple[Matrix, ...]
-    h: Tuple[Matrix, ...]
+    ops: Tuple[Matrix, ...]
 
+    @property
+    def e(self) -> Tuple[Matrix, ...]:
+        """The simple raising operators e_i = E_{i,i+1}, the e[i,i+1]."""
+        n = self.rd.rank + 1
+        return tuple(self.ops[i * n - i * (i + 1) // 2] for i in range(n - 1))
 
-class ExplicitModule(_ModuleFields):
-    """A module given by the action of its simple generators e, f, h.
-    The fields form a tuple; chevalley is cached in the instance dict."""
+    @property
+    def f(self) -> Tuple[Matrix, ...]:
+        """The simple lowering operators f_i = E_{i+1,i}, the f[i,i+1]."""
+        n = self.rd.rank + 1
+        upper = n * (n - 1) // 2
+        return tuple(self.ops[upper + i * n - i * (i + 1) // 2] for i in range(n - 1))
 
-    @cached_property
-    def chevalley(self) -> Tuple[Matrix, ...]:
-        """chevalley_matrices(self), built once per module object."""
-        return tuple(chevalley_matrices(self))
+    @property
+    def h(self) -> Tuple[Matrix, ...]:
+        """The h_i, which end the basis."""
+        n = self.rd.rank + 1
+        return self.ops[n * (n - 1) :]
 
 
 def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
@@ -111,10 +122,10 @@ def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
 
 def natural(rd: RootDatum) -> ExplicitModule:
     n = rd.rank + 1
-    e = tuple({i + 1: {i: Q(1)}} for i in range(rd.rank))
-    f = tuple({i: {i + 1: Q(1)}} for i in range(rd.rank))
-    h = tuple({i: {i: Q(1)}, i + 1: {i + 1: Q(-1)}} for i in range(rd.rank))
-    return ExplicitModule(rd, f"natural({n})", n, _natural_weights(rd, n), e, f, h)
+    one = Q(1)
+    ops = [{q: {p: one}} for p, q in _off_diagonal(n)]
+    ops += [{k: {k: one}, k + 1: {k + 1: -one}} for k in range(rd.rank)]
+    return ExplicitModule(rd, f"natural({n})", n, _natural_weights(rd, n), tuple(ops))
 
 
 def dual(m: ExplicitModule) -> ExplicitModule:
@@ -130,18 +141,13 @@ def dual(m: ExplicitModule) -> ExplicitModule:
         f"dual({m.label})",
         m.dim,
         tuple(tuple(-c for c in w) for w in m.basis_weights),
-        tuple(neg_t(x) for x in m.e),
-        tuple(neg_t(x) for x in m.f),
-        tuple(neg_t(x) for x in m.h),
+        tuple(neg_t(x) for x in m.ops),
     )
 
 
-def tensor(a: ExplicitModule, b: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
+def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     if a.rd != b.rd:
         raise ValidationError("tensor factors over different root data")
-    dim = a.dim * b.dim
-    if dim > cap:
-        raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
 
     def both(ma: Matrix, mb: Matrix) -> Matrix:
         out: Matrix = {}
@@ -152,9 +158,8 @@ def tensor(a: ExplicitModule, b: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_C
             for i in range(a.dim):
                 target = out.setdefault(i * b.dim + c, {})
                 for r, v in col.items():
-                    key = i * b.dim + r
-                    target[key] = target.get(key, 0) + v
-        return _pruned(out)
+                    _add(target, i * b.dim + r, v)
+        return _nonempty(out)
 
     weights = tuple(
         tuple(x + y for x, y in zip(a.basis_weights[i], b.basis_weights[j]))
@@ -164,20 +169,15 @@ def tensor(a: ExplicitModule, b: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_C
     return ExplicitModule(
         a.rd,
         f"tensor({a.label},{b.label})",
-        dim,
+        a.dim * b.dim,
         weights,
-        tuple(both(x, y) for x, y in zip(a.e, b.e)),
-        tuple(both(x, y) for x, y in zip(a.f, b.f)),
-        tuple(both(x, y) for x, y in zip(a.h, b.h)),
+        tuple(both(x, y) for x, y in zip(a.ops, b.ops)),
     )
 
 
-def direct_sum(a: ExplicitModule, b: ExplicitModule, cap: int) -> ExplicitModule:
+def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     if a.rd != b.rd:
         raise ValidationError("sum terms over different root data")
-    dim = a.dim + b.dim
-    if dim > cap:
-        raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
 
     def block(ma: Matrix, mb: Matrix) -> Matrix:
         out = dict(ma)
@@ -188,38 +188,20 @@ def direct_sum(a: ExplicitModule, b: ExplicitModule, cap: int) -> ExplicitModule
     return ExplicitModule(
         a.rd,
         f"sum({a.label},{b.label})",
-        dim,
+        a.dim + b.dim,
         a.basis_weights + b.basis_weights,
-        tuple(block(x, y) for x, y in zip(a.e, b.e)),
-        tuple(block(x, y) for x, y in zip(a.f, b.f)),
-        tuple(block(x, y) for x, y in zip(a.h, b.h)),
+        tuple(block(x, y) for x, y in zip(a.ops, b.ops)),
     )
 
 
-def _sort_sign(seq: List[int]) -> int:
-    """Sign of the permutation sorting seq; 0 on duplicates."""
-    s = list(seq)
-    sign = 1
-    for i in range(len(s)):
-        for j in range(len(s) - 1 - i):
-            if s[j] > s[j + 1]:
-                s[j], s[j + 1] = s[j + 1], s[j]
-                sign = -sign
-            elif s[j] == s[j + 1]:
-                return 0
-    return sign
-
-
-def _power(
-    name: str, k: int, m: ExplicitModule, dim: int, combos: Callable, sign: Callable, cap: int
-) -> ExplicitModule:
-    """Degree-k power of m, of dimension dim, on the index tuples
-    combos(range(m.dim), k): an operator replaces one factor at a time,
-    and the sorted result carries sign(replaced tuple), a term of sign 0
-    being dropped.  The cap is checked before any tuple is listed."""
-    if dim > cap:
-        raise ResourceError(f"module dimension {dim} exceeds cap {cap}")
-    basis = list(combos(range(m.dim), k))
+def _power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
+    """Degree-k power of m: sym on the sorted index tuples, ext on the
+    strictly increasing ones.  An operator replaces one factor at a time,
+    and the new factor moves from position pos to the position j among
+    the others that bisection finds; in ext the term carries the Koszul
+    sign (-1)^|pos - j|, and a repeated index drops it."""
+    alternating = name == "ext"
+    basis = list((combinations if alternating else combinations_with_replacement)(range(m.dim), k))
     index = {mono: i for i, mono in enumerate(basis)}
     # containing[u]: the (tuple index, position) of each occurrence of u
     containing: Dict[int, List[Tuple[int, int]]] = {}
@@ -230,44 +212,39 @@ def _power(
     def induced(mat: Matrix) -> Matrix:
         out: Matrix = {}
         for u, col in mat.items():
+            terms = [(v, val, -val) for v, val in col.items()]
             for ci, pos in containing.get(u, ()):
+                mono = basis[ci]
                 target = out.setdefault(ci, {})
-                for v, val in col.items():
-                    new = list(basis[ci])
-                    new[pos] = v
-                    sg = sign(new)
-                    if sg:
-                        r = index[tuple(sorted(new))]
-                        target[r] = target.get(r, 0) + sg * val
-        return _pruned(out)
+                for v, val, negated in terms:
+                    b = bisect_left(mono, v)
+                    if alternating:
+                        if b != pos and b < k and mono[b] == v:
+                            continue
+                        if (pos - b + (b > pos)) & 1:  # j = b - (b > pos)
+                            val = negated
+                    if b > pos:
+                        new = mono[:pos] + mono[pos + 1 : b] + (v,) + mono[b:]
+                    else:
+                        new = mono[:b] + (v,) + mono[b:pos] + mono[pos + 1 :]
+                    _add(target, index[new], val)
+        return _nonempty(out)
 
     weights = tuple(
         tuple(sum(m.basis_weights[u][i] for u in mono) for i in range(m.rd.rank))
         for mono in basis
     )
     return ExplicitModule(
-        m.rd,
-        f"{name}({k},{m.label})",
-        dim,
-        weights,
-        tuple(induced(x) for x in m.e),
-        tuple(induced(x) for x in m.f),
-        tuple(induced(x) for x in m.h),
+        m.rd, f"{name}({k},{m.label})", len(basis), weights, tuple(induced(x) for x in m.ops)
     )
 
 
-def sym(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
-    if k < 0:
-        raise ValidationError("sym degree must be >= 0")
-    return _power(
-        "sym", k, m, comb(m.dim + k - 1, k), combinations_with_replacement, lambda seq: 1, cap
-    )
+def sym(k: int, m: ExplicitModule) -> ExplicitModule:
+    return _power("sym", k, m)
 
 
-def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
-    if k < 0 or k > m.dim:
-        raise ValidationError("ext degree out of range")
-    return _power("ext", k, m, comb(m.dim, k), combinations, _sort_sign, cap)
+def ext(k: int, m: ExplicitModule) -> ExplicitModule:
+    return _power("ext", k, m)
 
 
 # ---------------------------------------------------------------- parser
@@ -275,6 +252,19 @@ def ext(k: int, m: ExplicitModule, cap: int = DEFAULT_MODULE_DIM_CAP) -> Explici
 _TOKEN_NAMES = {"natural", "dual", "tensor", "sum", "sym", "ext"}
 # Each level of nesting is one recursive call of the parser.
 _MAX_DEPTH = 100
+# Python's default limit on the digits of an int read from a string or
+# printed; a dimension past it is reported by its number of digits.
+_MAX_DIGITS = 4300
+_BIG = 10**_MAX_DIGITS
+
+
+def _binomial(n: int, k: int) -> int:
+    """comb(n, k); or _BIG once (n/d)^d <= comb(n, k), d = min(k, n - k),
+    passes it by bit length, so no binomial that big is multiplied out."""
+    d = min(k, n - k)
+    if d > 0 and ((n // d).bit_length() - 1) * d >= _BIG.bit_length():
+        return _BIG
+    return comb(n, k)
 
 
 def _tokenize(expr: str) -> List[str]:
@@ -302,9 +292,11 @@ def _char_kind(ch: str) -> str:
 
 
 def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
-    """Parse expressions like sum(natural(4),ext(2,natural(4))).  The
-    nesting depth is bounded before parsing, and the dimension of a sum
-    or tensor product as each term is folded in."""
+    """Parse expressions like sum(natural(4),ext(2,natural(4))), then
+    build the module.  The nesting depth is bounded before parsing.  The
+    parse folds dimensions, checking the cap on each sym and ext and on a
+    sum or tensor product as each term is folded in, so nothing is built
+    until the whole expression parses and fits."""
     toks = _tokenize(expr)
     depth = 0
     for t in toks:
@@ -328,12 +320,23 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
 
     def number() -> int:
         t = eat()
+        if t.isdecimal() and len(t) > _MAX_DIGITS:
+            raise ValidationError(
+                f"number {t[:20]}... is too long: {len(t)} digits, at most {_MAX_DIGITS}"
+            )
         try:
             return int(t)
         except ValueError:
             raise ValidationError(f"expected a number, got {t!r}")
 
-    def parse() -> ExplicitModule:
+    def fits(dim: int) -> int:
+        if dim > cap:
+            shown = dim if dim < _BIG else f"of more than {_MAX_DIGITS} digits"
+            raise ResourceError(f"module dimension {shown} exceeds cap {cap}")
+        return dim
+
+    def parse() -> Tuple[int, Callable[[], ExplicitModule]]:
+        """The dimension of the next term, and a function that builds it."""
         name = eat()
         if name not in _TOKEN_NAMES:
             raise ValidationError(f"unknown construction {name!r}")
@@ -345,45 +348,36 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
                 raise ValidationError(
                     f"natural({n}) does not match rank {rd.rank} datum"
                 )
-            return natural(rd)
+            return n, lambda: natural(rd)
         if name == "dual":
-            inner = parse()
+            dim, inner = parse()
             eat(")")
-            return dual(inner)
+            return dim, lambda: dual(inner())
         if name in ("sym", "ext"):
             k = number()
             eat(",")
-            inner = parse()
+            dim, inner = parse()
             eat(")")
-            return (sym if name == "sym" else ext)(k, inner, cap=cap)
-        fold = tensor if name == "tensor" else direct_sum
-        out = parse()
+            if name == "sym":
+                return fits(_binomial(dim + k - 1, k)), lambda: sym(k, inner())
+            if k > dim:
+                raise ValidationError("ext degree out of range")
+            return fits(_binomial(dim, k)), lambda: ext(k, inner())
+        is_tensor = name == "tensor"
+        dim, first = parse()
+        terms = [first]
         while peek() == ",":
             eat(",")
-            out = fold(out, parse(), cap=cap)
+            d, term = parse()
+            dim = fits(dim * d if is_tensor else dim + d)
+            terms.append(term)
         eat(")")
-        return out
+        return dim, lambda: reduce(tensor if is_tensor else direct_sum, (t() for t in terms))
 
-    mod = parse()
+    _, build = parse()
     if pos != len(toks):
         raise ValidationError("trailing input in module expression")
-    return mod
-
-
-def check_brackets(m: ExplicitModule) -> None:
-    """Assert the defining relations hold on this module."""
-    r = m.rd.rank
-    for i in range(r):
-        for j in range(r):
-            cij = m.rd.cartan[i][j]
-            assert mat_commutator(m.h[i], m.e[j]) == mat_combination([(Q(cij), m.e[j])])
-            assert mat_commutator(m.h[i], m.f[j]) == mat_combination([(Q(-cij), m.f[j])])
-            assert mat_commutator(m.e[i], m.f[j]) == (m.h[i] if i == j else {})
-    for idx, w in enumerate(m.basis_weights):
-        for i in range(r):
-            col = m.h[i].get(idx, {})
-            assert set(col) <= {idx}, "h is not diagonal on the weight basis"
-            assert col.get(idx, 0) == w[i]
+    return build()
 
 
 # ------------------------------------------------- Chevalley basis order
@@ -397,36 +391,12 @@ def chevalley_labels(rd: RootDatum) -> List[str]:
     return labels
 
 
-def chevalley_matrices(m: ExplicitModule) -> List[Matrix]:
-    """Action matrices for the full Chevalley basis, in label order.
-
-    e[i,j] represents E_{ij} = [E_{i,i+1}, E_{i+1,j}] and f[i,j]
-    represents E_{ji} = [E_{j,i+1}, E_{i+1,i}], commutators built from
-    the simple generators, so all structure constants are consistent.
-    """
-    n = m.rd.rank + 1
-    upper: Dict[Tuple[int, int], Matrix] = {}
-    lower: Dict[Tuple[int, int], Matrix] = {}
-    for i in range(1, n):
-        upper[(i, i + 1)] = m.e[i - 1]
-        lower[(i, i + 1)] = m.f[i - 1]
-    for span in range(2, n):
-        for i in range(1, n - span + 1):
-            j = i + span
-            upper[(i, j)] = mat_commutator(upper[(i, i + 1)], upper[(i + 1, j)])
-            lower[(i, j)] = mat_commutator(lower[(i + 1, j)], lower[(i, i + 1)])
-    keys = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return [upper[k] for k in keys] + [lower[k] for k in keys] + list(m.h)
-
-
 def chevalley_weights(rd: RootDatum) -> List[Weight]:
     """Adjoint weights of the Chevalley basis elements, in label order."""
     n = rd.rank + 1
     nat = _natural_weights(rd, n)
-    upper = [
-        tuple(a - b for a, b in zip(nat[i], nat[j])) for i in range(n) for j in range(i + 1, n)
-    ]
-    return upper + [tuple(-c for c in w) for w in upper] + [(0,) * rd.rank] * rd.rank
+    roots = [tuple(a - b for a, b in zip(nat[p], nat[q])) for p, q in _off_diagonal(n)]
+    return roots + [(0,) * rd.rank] * rd.rank
 
 
 def adjoint_module(rd: RootDatum) -> ExplicitModule:
@@ -437,12 +407,10 @@ def adjoint_module(rd: RootDatum) -> ExplicitModule:
     E_pj for j != p, E_ip to -E_iq for i != q, and E_qp to E_pp - E_qq,
     whose h-coordinates are +-1 on h_p ... h_{q-1} (p < q) or on
     h_q ... h_{p-1} (p > q).  It sends h_k to -(eps_p - eps_q)(h_k) E_pq,
-    and ad(h_k) is diagonal, (eps_i - eps_j)(h_k) on E_ij.  The table of
-    these matrices is the module's chevalley; e, f, h are its simple
-    entries."""
+    and ad(h_k) is diagonal, (eps_i - eps_j)(h_k) on E_ij.  These
+    matrices are the module's ops."""
     n = rd.rank + 1
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    off_diagonal = upper + [(j, i) for i, j in upper]
+    off_diagonal = _off_diagonal(n)
     index = {key: k for k, key in enumerate(off_diagonal)}
     h0 = len(off_diagonal)
     one, minus_one = Q(1), Q(-1)
@@ -473,18 +441,7 @@ def adjoint_module(rd: RootDatum) -> ExplicitModule:
                 if (v := pairing(i, j, k))
             }
         )
-    simple = [index[(i, i + 1)] for i in range(rd.rank)]
-    ad = ExplicitModule(
-        rd,
-        "adjoint",
-        h0 + rd.rank,
-        tuple(chevalley_weights(rd)),
-        tuple(table[c] for c in simple),
-        tuple(table[len(upper) + c] for c in simple),
-        tuple(table[h0:]),
-    )
-    ad.chevalley = tuple(table)  # fills the cache, so it is never rebuilt
-    return ad
+    return ExplicitModule(rd, "adjoint", h0 + rd.rank, tuple(chevalley_weights(rd)), tuple(table))
 
 
 # ------------------------------------------------------------ operations
@@ -549,7 +506,7 @@ def orbit_tangent(m: ExplicitModule, x: Sequence) -> RowSpace:
     """The span g.x of all Chevalley basis images of x."""
     vec = _check_point(m, x)
     span = RowSpace(m.dim)
-    for mat in m.chevalley:
+    for mat in m.ops:
         span.add(act(mat, vec))
     return span
 
@@ -558,10 +515,10 @@ def stabilizer_lie(m: ExplicitModule, x: Sequence) -> List[Sparse]:
     """Kernel of xi -> xi.x, as Chevalley coefficient vectors."""
     vec = _check_point(m, x)
     rows: Dict[int, Sparse] = {}
-    for k, mat in enumerate(m.chevalley):
+    for k, mat in enumerate(m.ops):
         for r, val in act(mat, vec).items():
             rows.setdefault(r, {})[k] = val
-    return RowSpace(len(m.chevalley), rows.values()).kernel()
+    return RowSpace(len(m.ops), rows.values()).kernel()
 
 
 def _check_point(m: ExplicitModule, x: Sequence) -> Sparse:
@@ -615,7 +572,7 @@ def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
 
 def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
     """The action of the sparse Chevalley coefficient vector coeffs."""
-    mats = m.chevalley
+    mats = m.ops
     bad = [k for k in coeffs if not 0 <= k < len(mats)]
     if bad:
         raise ValidationError(
@@ -624,7 +581,7 @@ def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
     if len(coeffs) == 1:
         (k, c), = coeffs.items()
         if c == 1:
-            return mats[k]  # shared with m.chevalley; callers only read it
+            return mats[k]  # shared with m.ops; callers only read it
     return mat_combination([(Q(c), mats[k]) for k, c in coeffs.items()])
 
 
@@ -679,13 +636,14 @@ def isotypic_components(m: ExplicitModule) -> List[Tuple[Weight, List[Sparse]]]:
     reduced basis of its span, in pivot order."""
     comps = []
     total = 0
+    lowering = m.f
     for lam, vecs in highest_weight_vectors(m).items():
         space = RowSpace(m.dim, vecs)
         queue = list(vecs)
         while queue:
             v = queue.pop()
-            for i in range(m.rd.rank):
-                img = act(m.f[i], v)
+            for f in lowering:
+                img = act(f, v)
                 if space.add(img):
                     queue.append(img)
         comps.append((lam, [space.rows[pc] for pc in space.pivots]))

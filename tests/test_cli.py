@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horomod import __version__
+from horomod import __version__, liealg
 from horomod.cli import main
 
 
@@ -418,14 +418,41 @@ def test_malformed_module_expression_ends_in_an_envelope(capsys, argv, code):
 
 
 @pytest.mark.parametrize("name,terms", [("sum", 40), ("tensor", 20)])
-def test_module_cap_is_checked_as_each_term_is_folded(capsys, name, terms):
-    # Each term has dimension 1140; the first two already pass the cap.
+def test_module_cap_is_checked_as_each_term_is_folded(capsys, monkeypatch, name, terms):
+    def unbuilt(*args):
+        raise AssertionError("a power was built before the cap check")
+
+    # Each term has dimension 1140; the first two already pass the cap,
+    # which is refused before any term is built.
+    monkeypatch.setattr(liealg, "_power", unbuilt)
     expr = name + "(" + ",".join(["ext(3,natural(20))"] * terms) + ")"
     start = time.perf_counter()
     code, blob = run_json(capsys, "coinv", "A19", expr)
     assert time.perf_counter() - start < 2
     assert code == 4
     assert blob["error"]["type"] == "resource"
+    size = 1140 * 2 if name == "sum" else 1140 * 1140
+    assert blob["error"]["message"] == f"module dimension {size} exceeds cap 2000"
+
+
+def test_a_number_past_the_int_digit_limit_is_too_long(capsys):
+    nines = "9" * 4300
+    code, blob = run_json(capsys, "hwv", "A1", f"natural({nines}{'9' * 700})")
+    assert code == 3
+    message = blob["error"]["message"]
+    assert "too long" in message and "5000 digits" in message
+    assert len(message) < 100
+    # At the limit the number is read, and a dimension past it is not
+    # printed, nor multiplied out.
+    code, blob = run_json(capsys, "hwv", "A1", f"natural({nines})")
+    assert code == 3
+    assert blob["error"]["message"] == f"natural({nines}) does not match rank 1 datum"
+    for group, expr in (("A2", f"sym({nines},natural(3))"), ("A1", f"sym({nines},sym(1000,natural(2)))")):
+        start = time.perf_counter()
+        code, blob = run_json(capsys, "coinv", group, expr)
+        assert time.perf_counter() - start < 2
+        assert code == 4
+        assert blob["error"]["message"] == "module dimension of more than 4300 digits exceeds cap 2000"
 
 
 @st.composite

@@ -1,4 +1,6 @@
 from fractions import Fraction as Q
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,115 @@ def unit(dim, *pairs):
     return tuple(v)
 
 
+# ------------------------------------------- the commutator route, an oracle
+
+
+def pruned(mat):
+    """mat without its zero entries and empty columns."""
+    out = {}
+    for c, col in mat.items():
+        col = {r: x for r, x in col.items() if x}
+        if col:
+            out[c] = col
+    return out
+
+
+def mat_commutator(a, b):
+    """[a, b], whose column c is a(b[c]) - b(a[c])."""
+    out = {}
+    for c in a.keys() | b.keys():
+        col = la.act(a, b[c]) if c in b else {}
+        for r, x in (la.act(b, a[c]) if c in a else {}).items():
+            v = col.get(r)
+            col[r] = -x if v is None else v - x
+        out[c] = col
+    return pruned(out)
+
+
+def chevalley_matrices(m):
+    """The full Chevalley table from commutators of the simple generators
+    alone: e[i,j] as E_{ij} = [E_{i,i+1}, E_{i+1,j}] and f[i,j] as
+    E_{ji} = [E_{j,i+1}, E_{i+1,i}], in label order."""
+    n = m.rd.rank + 1
+    upper = {}
+    lower = {}
+    for i in range(1, n):
+        upper[(i, i + 1)] = m.e[i - 1]
+        lower[(i, i + 1)] = m.f[i - 1]
+    for span in range(2, n):
+        for i in range(1, n - span + 1):
+            j = i + span
+            upper[(i, j)] = mat_commutator(upper[(i, i + 1)], upper[(i + 1, j)])
+            lower[(i, j)] = mat_commutator(lower[(i + 1, j)], lower[(i, i + 1)])
+    keys = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return [upper[k] for k in keys] + [lower[k] for k in keys] + list(m.h)
+
+
+def check_brackets(m):
+    """Assert the defining relations hold on this module."""
+    r = m.rd.rank
+    for i in range(r):
+        for j in range(r):
+            cij = m.rd.cartan[i][j]
+            assert mat_commutator(m.h[i], m.e[j]) == la.mat_combination([(Q(cij), m.e[j])])
+            assert mat_commutator(m.h[i], m.f[j]) == la.mat_combination([(Q(-cij), m.f[j])])
+            assert mat_commutator(m.e[i], m.f[j]) == (m.h[i] if i == j else {})
+    for idx, w in enumerate(m.basis_weights):
+        for i in range(r):
+            col = m.h[i].get(idx, {})
+            assert set(col) <= {idx}, "h is not diagonal on the weight basis"
+            assert col.get(idx, 0) == w[i]
+
+
+def check_one_route(m):
+    """m.ops is the commutator-built table, and the relations hold."""
+    assert list(m.ops) == chevalley_matrices(m)
+    check_brackets(m)
+
+
+def _sort_sign(seq):
+    """Sign of the permutation sorting seq; 0 on duplicates."""
+    s = list(seq)
+    sign = 1
+    for i in range(len(s)):
+        for j in range(len(s) - 1 - i):
+            if s[j] > s[j + 1]:
+                s[j], s[j + 1] = s[j + 1], s[j]
+                sign = -sign
+            elif s[j] == s[j + 1]:
+                return 0
+    return sign
+
+
+def sorted_power_ops(name, k, m):
+    """The ops of sym^k m or ext^k m with each replaced tuple sorted in
+    full, its sign (ext) from _sort_sign."""
+    alternating = name == "ext"
+    basis = list((combinations if alternating else combinations_with_replacement)(range(m.dim), k))
+    index = {mono: i for i, mono in enumerate(basis)}
+    ops = []
+    for mat in m.ops:
+        out = {}
+        for ci, mono in enumerate(basis):
+            for pos, u in enumerate(mono):
+                for v, val in mat.get(u, {}).items():
+                    new = list(mono)
+                    new[pos] = v
+                    sg = _sort_sign(new) if alternating else 1
+                    if sg:
+                        target = out.setdefault(ci, {})
+                        r = index[tuple(sorted(new))]
+                        target[r] = target.get(r, 0) + sg * val
+        ops.append(pruned(out))
+    return ops
+
+
+def multicone(r):
+    """The sum of the fundamental modules of A_r."""
+    n = r + 1
+    return "sum(" + ",".join([f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]) + ")"
+
+
 def fixed_space(m, span, stab):
     """fixed_in_quotient of m modulo span under stab, as t1 calls it."""
     lie = [la.lie_matrix(m, c) for c in stab.lie_part]
@@ -31,14 +142,14 @@ def test_natural_shapes():
     assert m.dim == 4
     assert m.basis_weights[0] == (1, 0, 0)
     assert m.basis_weights[3] == (0, 0, -1)
-    la.check_brackets(m)
+    check_one_route(m)
 
 
 def test_sym_square_a1():
     m = la.build_module(A1, "sym(2,natural(2))")
     assert m.dim == 3
     assert set(m.basis_weights) == {(2,), (0,), (-2,)}
-    la.check_brackets(m)
+    check_brackets(m)
 
 
 def test_parser_rejects_garbage():
@@ -81,12 +192,34 @@ EXPRS_A3 = [
 
 @pytest.mark.parametrize("expr", EXPRS_A1)
 def test_brackets_a1(expr):
-    la.check_brackets(la.build_module(A1, expr))
+    check_one_route(la.build_module(A1, expr))
 
 
 @pytest.mark.parametrize("expr", EXPRS_A3)
 def test_brackets_a3(expr):
-    la.check_brackets(la.build_module(A3, expr))
+    check_one_route(la.build_module(A3, expr))
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_multicone_table_matches_the_commutator_route(rank):
+    rd = rda.make_root_datum(f"A{rank}")
+    check_one_route(la.natural(rd))
+    check_one_route(la.build_module(rd, multicone(rank)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_power_signs_match_a_full_sort(n):
+    nat = la.natural(rda.make_root_datum(f"A{n - 1}"))
+    for k in range(n + 1):
+        assert list(la.ext(k, nat).ops) == sorted_power_ops("ext", k, nat)
+    for k in range(4):
+        assert list(la.sym(k, nat).ops) == sorted_power_ops("sym", k, nat)
+
+
+def test_power_signs_match_a_full_sort_on_a_power_of_a_power():
+    inner = la.sym(2, la.natural(A3))
+    assert list(la.ext(2, inner).ops) == sorted_power_ops("ext", 2, inner)
+    assert list(la.sym(2, inner).ops) == sorted_power_ops("sym", 2, inner)
 
 
 def test_ext_signs():
@@ -157,7 +290,7 @@ def test_coinvariants_match_hwv_count():
 
 
 def test_chevalley_dim():
-    mats = la.chevalley_matrices(la.natural(A3))
+    mats = la.natural(A3).ops
     assert len(mats) == 15
     assert len(la.chevalley_labels(A3)) == 15
     # e[1,3] acts as E_{13} on the natural module
@@ -168,7 +301,7 @@ def test_chevalley_dim():
 def test_adjoint_brackets_and_weights():
     for rd in (A1, A2, A3):
         ad = la.adjoint_module(rd)
-        la.check_brackets(ad)
+        check_brackets(ad)
         assert ad.dim == (rd.rank + 1) ** 2 - 1
         hw = la.highest_weight_vectors(ad)
         theta = {1: (2,), 2: (1, 1), 3: (1, 0, 1)}[rd.rank]
@@ -261,8 +394,6 @@ def test_sym_dim_formula(n, k):
     w = la.build_module(A1, f"sym({k},sym({n},natural(2)))") if k else None
     assert m.dim == n + 1
     if w is not None:
-        from math import comb
-
         assert w.dim == comb(n + k, k)
 
 
@@ -273,6 +404,15 @@ def test_power_cap_is_checked_before_listing_the_basis(monkeypatch):
     monkeypatch.setattr(la, "combinations_with_replacement", unlisted)
     with pytest.raises(ResourceError):
         la.build_module(rda.make_root_datum("A19"), "sym(6,natural(20))", cap=10)
+
+
+def test_binomial_is_exact_below_the_digit_limit():
+    big = 10**4300
+    for n, k in [(10, 3), (2000, 1000), (big, 1), (big - 1, 1), (big + 5, 5), (7 * 10**500, 9)]:
+        got, want = la._binomial(n, k), comb(n, k)
+        assert got == want or got == big < want
+    # past it, (n/d)^d alone decides, for any size of n
+    assert la._binomial(10**4300 + 1999, 1999) == big
 
 
 def _bracket_coords(rd, x, y):
@@ -310,8 +450,8 @@ def _bracket_coords(rd, x, y):
 def test_adjoint_table_is_the_bracket(rank):
     rd = rda.make_root_datum(f"A{rank}")
     ad = la.adjoint_module(rd)
-    assert len(ad.chevalley) == ad.dim
-    for x, mat in enumerate(ad.chevalley):
+    assert len(ad.ops) == ad.dim
+    for x, mat in enumerate(ad.ops):
         for y in range(ad.dim):
             assert mat.get(y, {}) == _bracket_coords(rd, x, y)
 
@@ -320,17 +460,15 @@ def test_adjoint_table_is_the_bracket(rank):
 def test_adjoint_table_matches_the_commutator_route(rank):
     rd = rda.make_root_datum(f"A{rank}")
     ad = la.adjoint_module(rd)
-    # A module with the same e, f, h but no table: chevalley_matrices
-    # builds its table from commutators of the simple generators.
-    plain = la.ExplicitModule(rd, "adjoint", ad.dim, ad.basis_weights, ad.e, ad.f, ad.h)
-    assert list(ad.chevalley) == la.chevalley_matrices(plain)
+    # chevalley_matrices builds a table from the simple entries alone.
+    assert list(ad.ops) == chevalley_matrices(ad)
     if rank <= 5:
-        la.check_brackets(ad)
+        check_brackets(ad)
 
 
 def test_lie_matrix_of_a_unit_vector_is_the_chevalley_matrix():
     m = la.build_module(A2, "sum(natural(3),ext(2,natural(3)))")
-    mats = m.chevalley
+    mats = m.ops
     for k, mat in enumerate(mats):
         assert la.lie_matrix(m, {k: Q(1)}) is mat
     assert la.lie_matrix(m, {1: Q(3)}) == la.mat_combination([(Q(3), mats[1])])

@@ -69,28 +69,22 @@ def test_flag_point_dim_and_weights():
 
 
 def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
-    chevalley_args = []
     isotypic_args = []
-    lie_args = []
+    lie_calls = []
     orbit_spans = []
     quotient_spans = []
-    build_chevalley = liealg.chevalley_matrices
     split = tangent.isotypic_components
     build_lie = tangent.lie_matrix
     orbit = tangent.orbit_tangent
     quotient = tangent.fixed_in_quotient
-
-    def counted_chevalley(m):
-        chevalley_args.append(m)
-        return build_chevalley(m)
 
     def counted_split(m):
         isotypic_args.append(m)
         return split(m)
 
     def counted_lie(m, coeffs):
-        lie_args.append((id(m), tuple(coeffs)))
-        return build_lie(m, coeffs)
+        lie_calls.append((m, tuple(coeffs), build_lie(m, coeffs)))
+        return lie_calls[-1][2]
 
     def recorded_orbit(m, x):
         orbit_spans.append(orbit(m, x))
@@ -100,19 +94,21 @@ def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
         quotient_spans.append(span)
         return quotient(span, lie, passing)
 
-    monkeypatch.setattr(liealg, "chevalley_matrices", counted_chevalley)
     monkeypatch.setattr(tangent, "isotypic_components", counted_split)
     monkeypatch.setattr(tangent, "lie_matrix", counted_lie)
     monkeypatch.setattr(tangent, "orbit_tangent", recorded_orbit)
     monkeypatch.setattr(tangent, "fixed_in_quotient", recorded_quotient)
     assert examples.flag_point().dim_T1_invariant == 2
-    # once, for the module: the adjoint's table is built in closed form
-    assert len(chevalley_args) == 1 and chevalley_args[0].label != "adjoint"
+    # The Chevalley table is built with each module, the adjoint's in
+    # closed form: a unit Lie generator's matrix is its table entry.
+    assert all(mat is m.ops[k] for m, (k,), mat in lie_calls)
     assert len(isotypic_args) <= 1
     # one matrix per Lie generator (6 for the unipotent radical of A3)
     # and module: 6 on the module, 6 on its adjoint
+    lie_args = [(id(m), coeffs) for m, coeffs, _ in lie_calls]
     assert len(lie_args) == len(set(lie_args)) == 12
     assert len({m for m, _ in lie_args}) == 2
+    assert "adjoint" in {m.label for m, _, _ in lie_calls}
     # the orbit span is built once, and the quotient by it extends it
     assert len(orbit_spans) == 1 and len(quotient_spans) == 3
     assert quotient_spans[-1] is orbit_spans[0]
