@@ -16,11 +16,9 @@ tuples with Koszul signs.
 The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
 (acting as E_{ji}), then h[i] for i = 1..n-1.  Stabilizer coefficient
-vectors, sparse over this order, and adjoint module coordinates all use
-it.  A module carries the action of every element of this basis: natural
-writes the matrix units down, each other construction induces the
-operators of its factors one by one, and the adjoint module's are
-written down in closed form from the brackets of matrix units.
+vectors are sparse over this order.  A module carries the action of
+every element of this basis: natural writes the matrix units down, and
+each other construction induces the operators of its factors one by one.
 """
 
 from __future__ import annotations
@@ -267,6 +265,12 @@ def _binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def _clip(token: str) -> str:
+    """token as an error message echoes it: its first 20 characters and
+    "..." if it is longer."""
+    return token if len(token) <= 20 else token[:20] + "..."
+
+
 def _tokenize(expr: str) -> List[str]:
     """Runs of digits and runs of letters are tokens, and so is each of
     "(", ")" and ","; whitespace separates them."""
@@ -314,7 +318,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
             raise ValidationError("unexpected end of module expression")
         t = toks[pos]
         if expected is not None and t != expected:
-            raise ValidationError(f"expected {expected!r}, got {t!r}")
+            raise ValidationError(f"expected {expected!r}, got {_clip(t)!r}")
         pos += 1
         return t
 
@@ -322,12 +326,12 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
         t = eat()
         if t.isdecimal() and len(t) > _MAX_DIGITS:
             raise ValidationError(
-                f"number {t[:20]}... is too long: {len(t)} digits, at most {_MAX_DIGITS}"
+                f"number {_clip(t)} is too long: {len(t)} digits, at most {_MAX_DIGITS}"
             )
         try:
             return int(t)
         except ValueError:
-            raise ValidationError(f"expected a number, got {t!r}")
+            raise ValidationError(f"expected a number, got {_clip(t)!r}")
 
     def fits(dim: int) -> int:
         if dim > cap:
@@ -339,7 +343,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
         """The dimension of the next term, and a function that builds it."""
         name = eat()
         if name not in _TOKEN_NAMES:
-            raise ValidationError(f"unknown construction {name!r}")
+            raise ValidationError(f"unknown construction {_clip(name)!r}")
         eat("(")
         if name == "natural":
             n = number()
@@ -389,59 +393,6 @@ def chevalley_labels(rd: RootDatum) -> List[str]:
     labels += [f"f[{i},{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     labels += [f"h[{i}]" for i in range(1, n)]
     return labels
-
-
-def chevalley_weights(rd: RootDatum) -> List[Weight]:
-    """Adjoint weights of the Chevalley basis elements, in label order."""
-    n = rd.rank + 1
-    nat = _natural_weights(rd, n)
-    roots = [tuple(a - b for a, b in zip(nat[p], nat[q])) for p, q in _off_diagonal(n)]
-    return roots + [(0,) * rd.rank] * rd.rank
-
-
-def adjoint_module(rd: RootDatum) -> ExplicitModule:
-    """sl_n acting on itself, coordinates in the Chevalley basis order,
-    in closed form: the basis is E_pq (p != q) in label order, then
-    h_k = E_kk - E_{k+1,k+1}, all indices 0-based.  By
-    [E_pq, E_ij] = delta_qi E_pj - delta_jp E_iq, ad(E_pq) sends E_qj to
-    E_pj for j != p, E_ip to -E_iq for i != q, and E_qp to E_pp - E_qq,
-    whose h-coordinates are +-1 on h_p ... h_{q-1} (p < q) or on
-    h_q ... h_{p-1} (p > q).  It sends h_k to -(eps_p - eps_q)(h_k) E_pq,
-    and ad(h_k) is diagonal, (eps_i - eps_j)(h_k) on E_ij.  These
-    matrices are the module's ops."""
-    n = rd.rank + 1
-    off_diagonal = _off_diagonal(n)
-    index = {key: k for k, key in enumerate(off_diagonal)}
-    h0 = len(off_diagonal)
-    one, minus_one = Q(1), Q(-1)
-
-    def pairing(p: int, q: int, k: int) -> int:
-        """(eps_p - eps_q)(h_k)."""
-        return (p == k) - (p == k + 1) - (q == k) + (q == k + 1)
-
-    table: List[Matrix] = []
-    for p, q in off_diagonal:
-        mat: Matrix = {}
-        for j in range(n):
-            if j != p and j != q:
-                mat[index[(q, j)]] = {index[(p, j)]: one}
-                mat[index[(j, p)]] = {index[(j, q)]: minus_one}
-        sign = one if p < q else minus_one
-        mat[index[(q, p)]] = {h0 + k: sign for k in range(min(p, q), max(p, q))}
-        for k in range(rd.rank):
-            c = pairing(p, q, k)
-            if c:
-                mat[h0 + k] = {index[(p, q)]: Q(-c)}
-        table.append(mat)
-    for k in range(rd.rank):
-        table.append(
-            {
-                c: {c: Q(v)}
-                for c, (i, j) in enumerate(off_diagonal)
-                if (v := pairing(i, j, k))
-            }
-        )
-    return ExplicitModule(rd, "adjoint", h0 + rd.rank, tuple(chevalley_weights(rd)), tuple(table))
 
 
 # ------------------------------------------------------------ operations

@@ -5,8 +5,12 @@ The four-term exact sequence
     0 -> (g/g_x)^{G_x} -> V^{G_x} -> (V/g.x)^{G_x} -> T1(X)^G -> 0
 
 reduces the invariant part of the deformation space of an orbit closure
-to three fixed-space dimensions, all computed in exact arithmetic.  The
-normality and boundary-codimension hypotheses behind the sequence are
+to three fixed-space dimensions, all computed in exact arithmetic inside
+V.  The first needs no adjoint module: xi -> xi.x is a G_x-equivariant
+isomorphism g/g_x -> g.x (eta.x = 0 gives [eta, xi].x = eta.(xi.x), and
+the weights of x pass every congruence), so (g/g_x)^{G_x} is
+g.x meet V^{G_x}, of dimension dim g.x + dim V^{G_x} - dim(V^{G_x} + g.x).
+The normality and boundary-codimension hypotheses behind the sequence are
 never checked here; they are HYPOTHESES below, which the CLI records in
 the provenance of every report.
 """
@@ -22,12 +26,10 @@ from .liealg import (
     StabilizerSpec,
     _check_point,
     act,
-    adjoint_module,
     fixed_in_quotient,
     isotypic_components,
     lie_matrix,
     orbit_tangent,
-    stabilizer_lie,
 )
 from .linalg import RowSpace, Sparse
 from .rootdata import RootDatum, Weight, natural_root_coords
@@ -114,7 +116,8 @@ def _component_weights(
     v_fixed: RowSpace,
 ) -> List[RootVector]:
     """Weights lambda - mu over the isotypic pieces comps of m meeting each
-    representative, one per (piece, T-weight) pair in its support.  One
+    representative, each distinct weight of a representative once, though
+    several (piece, T-weight) pairs in its support may give it.  One
     elimination of [B | reps], the columns of B being the basis vectors
     of the pieces, gives the coordinates of every representative.  A part
     inside v_fixed (V^{G_x}) is projected off first: the representative
@@ -130,6 +133,7 @@ def _component_weights(
         raise ValidationError("representative escapes the module decomposition")
     out: List[RootVector] = []
     for j in range(n, n + len(reps)):
+        weights = set()
         parts: Dict[Weight, Sparse] = {}
         for pc, (lam, b) in enumerate(cols):
             coef = red.rows[pc].get(j)
@@ -137,11 +141,12 @@ def _component_weights(
                 acc = parts.setdefault(lam, {})
                 for r, x in b.items():
                     acc[r] = acc.get(r, 0) + coef * x
-        for lam, part in sorted(parts.items()):
+        for lam, part in parts.items():
             if v_fixed.contains(part):
                 continue
-            for mu in sorted({m.basis_weights[i] for i, v in part.items() if v}):
-                out.append(tangent_weight(m.rd, lam, mu))
+            for mu in {m.basis_weights[i] for i, v in part.items() if v}:
+                weights.add(tangent_weight(m.rd, lam, mu))
+        out.extend(sorted(weights))
     return out
 
 
@@ -178,10 +183,6 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
                     f"{_fmt_congruence(c)}"
                 )
 
-    ad = adjoint_module(m.rd)
-    gx = RowSpace(ad.dim, stabilizer_lie(m, x))
-    lie_ad = [lie_matrix(ad, coeffs) for coeffs in stab.lie_part]
-    dim_a = len(fixed_in_quotient(gx, lie_ad, stab.passing(ad.basis_weights)))
     # fixed becomes V^{G_x}, then V^{G_x} + g.x: the span the survivors
     # are independent of.
     passing = stab.passing(m.basis_weights)
@@ -191,6 +192,8 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
     tangent = orbit_tangent(m, x)
     for pc in tangent.pivots:
         fixed.add(tangent.rows[pc])
+    # dim(g.x meet V^{G_x}), read before the quotient below extends tangent.
+    dim_a = tangent.dim + dim_b - fixed.dim
     reps = fixed_in_quotient(tangent, lie, passing)
     dim_c = len(reps)
 

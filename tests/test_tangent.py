@@ -1,6 +1,9 @@
 from fractions import Fraction as Q
+from functools import cache, reduce
+from math import gcd
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from horomod import examples, liealg, tangent
 from horomod.errors import ValidationError
@@ -10,6 +13,7 @@ from horomod.liealg import (
     build_module,
     unipotent_radical_spec,
 )
+from horomod.linalg import RowSpace
 from horomod.mulaw import law_equations, tangent_at_horospherical
 from horomod.monoids import make_weight_monoid
 from horomod.rootdata import make_root_datum
@@ -19,12 +23,14 @@ from horomod.tangent import (
     t1_invariant,
     tangent_weight,
 )
+from test_liealg import adjoint_module, multicone
 
 A1 = make_root_datum("A1")
 A3 = make_root_datum("A3")
 
 
-def binary_family_report(n):
+def binary_family(n):
+    """The module, point and stabilizer of the binary cone x^n."""
     m = build_module(A1, f"sym({n},natural(2))")
     x = [Q(0)] * m.dim
     x[m.basis_weights.index((n,))] = Q(1)
@@ -33,15 +39,26 @@ def binary_family_report(n):
         lie_part=u.lie_part,
         diag_part=(DiagCongruence(coeffs=(1,), modulus=n),),
     )
-    return t1_invariant(m, x, stab)
+    return m, x, stab
+
+
+def binary_family_report(n):
+    return t1_invariant(*binary_family(n))
+
+
+def multicone_point(r):
+    """The sum of the fundamental modules of A_r, the sum of their
+    highest-weight vectors, and the maximal unipotent stabilizer."""
+    rd = make_root_datum(f"A{r}")
+    m = build_module(rd, multicone(r))
+    x = [Q(0)] * m.dim
+    for k in range(r):
+        x[m.basis_weights.index(tuple(int(i == k) for i in range(r)))] = Q(1)
+    return m, x, unipotent_radical_spec(rd)
 
 
 def flag_point_report():
-    m = build_module(A3, "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))")
-    x = [Q(0)] * m.dim
-    for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        x[m.basis_weights.index(w)] = Q(1)
-    return t1_invariant(m, x, unipotent_radical_spec(A3))
+    return t1_invariant(*multicone_point(3))
 
 
 def test_binary_family_dims():
@@ -94,23 +111,28 @@ def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
         quotient_spans.append(span)
         return quotient(span, lie, passing)
 
+    def unreached(*args):
+        raise AssertionError("t1 computed the stabilizer of the point")
+
     monkeypatch.setattr(tangent, "isotypic_components", counted_split)
     monkeypatch.setattr(tangent, "lie_matrix", counted_lie)
     monkeypatch.setattr(tangent, "orbit_tangent", recorded_orbit)
     monkeypatch.setattr(tangent, "fixed_in_quotient", recorded_quotient)
+    monkeypatch.setattr(liealg, "stabilizer_lie", unreached)
     assert examples.flag_point().dim_T1_invariant == 2
-    # The Chevalley table is built with each module, the adjoint's in
-    # closed form: a unit Lie generator's matrix is its table entry.
+    # The Chevalley table is built with the module: a unit Lie
+    # generator's matrix is its table entry.
     assert all(mat is m.ops[k] for m, (k,), mat in lie_calls)
     assert len(isotypic_args) <= 1
-    # one matrix per Lie generator (6 for the unipotent radical of A3)
-    # and module: 6 on the module, 6 on its adjoint
+    # one matrix per Lie generator (6 for the unipotent radical of A3),
+    # all on the module itself: no adjoint module is built
     lie_args = [(id(m), coeffs) for m, coeffs, _ in lie_calls]
-    assert len(lie_args) == len(set(lie_args)) == 12
-    assert len({m for m, _ in lie_args}) == 2
-    assert "adjoint" in {m.label for m, _, _ in lie_calls}
-    # the orbit span is built once, and the quotient by it extends it
-    assert len(orbit_spans) == 1 and len(quotient_spans) == 3
+    assert len(lie_args) == len(set(lie_args)) == 6
+    assert len({m for m, _ in lie_args}) == 1
+    assert "adjoint" not in {m.label for m, _, _ in lie_calls}
+    # the orbit span is built once, and the quotient by it extends it;
+    # the other quotient is V^{G_x}
+    assert len(orbit_spans) == 1 and len(quotient_spans) == 2
     assert quotient_spans[-1] is orbit_spans[0]
     assert orbit_spans[0].dim == 9 + 2
 
@@ -227,3 +249,112 @@ def test_tangent_weight_rejects_incomparable():
         tangent_weight(A1, (2,), (1,))  # difference not in the root lattice
     with pytest.raises(ValidationError):
         tangent_weight(A3, (0, 1, 0), (0, 0, 0))
+
+
+# ---------------------------------------------- the adjoint route, an oracle
+
+
+@cache
+def _adjoint(rank):
+    return adjoint_module(make_root_datum(f"A{rank}"))
+
+
+def adjoint_route(m, x, stab):
+    """dim (g/g_x)^{G_x} computed in the adjoint module: the fixed space
+    of the stabilizer modulo g_x, with g_x from stabilizer_lie."""
+    ad = _adjoint(m.rd.rank)
+    gx = RowSpace(ad.dim, liealg.stabilizer_lie(m, x))
+    lie = [liealg.lie_matrix(ad, c) for c in stab.lie_part]
+    return len(liealg.fixed_in_quotient(gx, lie, stab.passing(ad.basis_weights)))
+
+
+def trivial_summand_point(module, point):
+    A2 = make_root_datum("A2")
+    return build_module(A2, module), [Q(c) for c in point], unipotent_radical_spec(A2)
+
+
+def e1_plus_e2():
+    m = build_module(make_root_datum("A2"), "natural(3)")
+    x = [Q(1), Q(1), Q(0)]
+    return m, x, StabilizerSpec(lie_part=tuple(liealg.stabilizer_lie(m, x)))
+
+
+ORACLE_CASES = {
+    **{f"binary-{n}": (lambda n=n: binary_family(n)) for n in range(1, 7)},
+    **{f"multicone-A{r}": (lambda r=r: multicone_point(r)) for r in range(1, 8)},
+    "adjoint-plus-trivial-ext": lambda: trivial_summand_point(
+        "tensor(natural(3),ext(2,natural(3)))", (1, 0, 0, 0, 0, 0, 0, 0, 0)
+    ),
+    "adjoint-plus-trivial-dual": lambda: trivial_summand_point(
+        "tensor(natural(3),dual(natural(3)))", (0, 0, 1, 0, 0, 0, 0, 0, 0)
+    ),
+    "e1-plus-e2": e1_plus_e2,
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_g_mod_gx_fixed_matches_the_adjoint_route(case):
+    m, x, stab = ORACLE_CASES[case]()
+    assert t1_invariant(m, x, stab).dim_g_mod_gx_fixed == adjoint_route(m, x, stab)
+
+
+SWEEP_MODULES = {
+    1: [
+        "natural(2)",
+        "sym(3,natural(2))",
+        "sym(4,natural(2))",
+        "sum(natural(2),sym(2,natural(2)))",
+        "sum(sym(2,natural(2)),sym(4,natural(2)))",
+        "tensor(natural(2),sym(2,natural(2)))",
+    ],
+    2: [
+        "natural(3)",
+        "sum(natural(3),dual(natural(3)))",
+        "sym(2,natural(3))",
+        "tensor(natural(3),dual(natural(3)))",
+    ],
+    3: [
+        "ext(2,natural(4))",
+        "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))",
+        "sum(natural(4),dual(natural(4)))",
+    ],
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_g_mod_gx_fixed_matches_the_adjoint_route_on_a_sweep(data):
+    """Points fixed by the maximal unipotent subgroup, with its Lie part,
+    or random points with their stabilizer_lie Lie part; and up to two
+    congruences that the point passes."""
+    rank = data.draw(st.integers(1, 3))
+    rd = make_root_datum(f"A{rank}")
+    m = build_module(rd, data.draw(st.sampled_from(SWEEP_MODULES[rank])))
+    x = [Q(0)] * m.dim
+    if data.draw(st.booleans()):
+        hw = [v for vs in liealg.highest_weight_vectors(m).values() for v in vs]
+        coeffs = data.draw(st.lists(st.sampled_from([0, 1, 2, -1]), min_size=len(hw), max_size=len(hw)))
+        for c, v in zip(coeffs, hw):
+            for i, val in v.items():
+                x[i] += c * val
+        lie = unipotent_radical_spec(rd).lie_part
+    else:
+        coeffs = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=m.dim, max_size=m.dim))
+        x = [Q(c) for c in coeffs]
+        lie = tuple(liealg.stabilizer_lie(m, x))
+    support = [i for i, c in enumerate(x) if c]
+    diag = []
+    for coeffs in data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), max_size=2)):
+        values = (sum(a * b for a, b in zip(coeffs, m.basis_weights[i])) for i in support)
+        g = reduce(gcd, values, 0)
+        moduli = [d for d in range(1, 7) if g % d == 0] + ([0] if g == 0 else [])
+        diag.append(DiagCongruence(coeffs, data.draw(st.sampled_from(moduli))))
+    stab = StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
+    try:
+        report = t1_invariant(m, x, stab)
+    except ValidationError:
+        # At a point that is not a sum of weight vectors, a survivor may
+        # carry two weights and fail the report's length check; there is
+        # no report to compare then.
+        reject()
+    assert report.dim_g_mod_gx_fixed == adjoint_route(m, x, stab)
