@@ -13,10 +13,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from horomod.channels import law_tangent
-from horomod.monoids import make_weight_monoid
 from horomod.mulaw import law_equations, tangent_at_horospherical
 from horomod.polysys import system_to_text
-from horomod.rootdata import make_root_datum
+from horomod.rootdata import make_root_datum, make_weight_monoid
 
 OUT_DIR = sys.argv[1] if len(sys.argv) > 1 else "equations"
 

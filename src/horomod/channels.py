@@ -23,8 +23,7 @@ from .errors import ResourceError, ValidationError
 from . import linalg
 
 if TYPE_CHECKING:
-    from .monoids import WeightMonoid
-    from .rootdata import RootDatum
+    from .rootdata import RootDatum, WeightMonoid
 
 Weight = Tuple[int, ...]
 

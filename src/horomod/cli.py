@@ -245,7 +245,7 @@ def _cmd_tangent_weight(args):
 
 def _law_monoid(args):
     rd = rootdata.make_root_datum(args.group)
-    return rd, monoids.make_weight_monoid(rd, _parse_weight_list(args.monoid))
+    return rd, rootdata.make_weight_monoid(rd, _parse_weight_list(args.monoid))
 
 
 def _cmd_law_equations(args):
@@ -309,9 +309,9 @@ def _cmd_saturate(args):
     rd = rootdata.make_root_datum(args.group)
     gens = _parse_weight_list(args.generators)
     mon = (
-        monoids.make_root_monoid(rd, gens)
+        rootdata.make_root_monoid(rd, gens)
         if args.root
-        else monoids.make_weight_monoid(rd, gens)
+        else rootdata.make_weight_monoid(rd, gens)
     )
     sat = monoids.saturation(mon)
     payload = {"generators": [list(g) for g in sat.generators]}
@@ -320,7 +320,7 @@ def _cmd_saturate(args):
 
 def _cmd_presentation(args):
     rd = rootdata.make_root_datum(args.group)
-    mon = monoids.make_weight_monoid(rd, _parse_weight_list(args.generators))
+    mon = rootdata.make_weight_monoid(rd, _parse_weight_list(args.generators))
     pres = monoids.semigroup_presentation(mon, args.bound)
     payload = {
         "relations": [

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .liealg import DiagCongruence, StabilizerSpec, build_module, unipotent_radical_spec
-from .rootdata import make_root_datum
+from .rootdata import make_root_datum, make_weight_monoid
 from .tangent import HYPOTHESES, TangentReport, t1_invariant
 
 BINARY_DEGREES = range(1, 7)
@@ -38,11 +38,11 @@ def binary_cone_law_dim(n: int, truncation: int) -> int:
     """Dimension of the linearized law equations of the monoid N*n at the
     graded law, on the window up to truncation, from their linear rows
     alone (channels.law_tangent; the full system of mulaw.law_equations
-    is its oracle in the tests).  The law layers load here, so the
+    is its oracle in the tests).  The law layer loads here, so the
     fixed-space examples never run them."""
-    from . import channels, monoids
+    from . import channels
 
-    mon = monoids.make_weight_monoid(make_root_datum("A1"), [(n,)])
+    mon = make_weight_monoid(make_root_datum("A1"), [(n,)])
     return channels.law_tangent(mon, truncation)[0]
 
 

@@ -15,10 +15,15 @@ tuples with Koszul signs.
 
 The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
-(acting as E_{ji}), then h[i] for i = 1..n-1.  Stabilizer coefficient
-vectors are sparse over this order.  A module carries the action of
-every element of this basis: natural writes the matrix units down, and
-each other construction induces the operators of its factors one by one.
+(acting as E_{ji}), then h[i] for i = 1..n-1.  _off_diagonal states this
+order once; the labels, e, f and the Lie part of u are read off it.
+Stabilizer coefficient vectors are sparse over this order.  A module is
+its root datum, the weights of its basis and the action ops of every
+element of this basis.  natural writes the matrix units down, and each
+other construction induces the operators of its factors one by one.
+Every fixed space comes from fixed_in_quotient: V^U is the fixed space
+of the simple raising operators, and u is given by its r simple root
+vectors, which generate it, so on a u-stable span they fix what u fixes.
 """
 
 from __future__ import annotations
@@ -84,34 +89,39 @@ def _off_diagonal(n: int) -> List[Tuple[int, int]]:
     return upper + [(j, i) for i, j in upper]
 
 
+def _simple(n: int, step: int) -> List[int]:
+    """Positions of the E_{p,p+step} in the Chevalley order: the simple
+    raising e_i for step 1, the simple lowering f_i for step -1."""
+    return [k for k, (p, q) in enumerate(_off_diagonal(n)) if q - p == step]
+
+
+def chevalley_labels(rd: RootDatum) -> List[str]:
+    n = rd.rank + 1
+    labels = [f"{'ef'[p > q]}[{min(p, q) + 1},{max(p, q) + 1}]" for p, q in _off_diagonal(n)]
+    return labels + [f"h[{i}]" for i in range(1, n)]
+
+
 class ExplicitModule(NamedTuple):
     """A module given by the action of the whole Chevalley basis: ops[k]
     is the matrix of the k-th element in chevalley_labels order."""
 
     rd: RootDatum
-    label: str
-    dim: int
     basis_weights: Tuple[Weight, ...]
     ops: Tuple[Matrix, ...]
 
     @property
+    def dim(self) -> int:
+        return len(self.basis_weights)
+
+    @property
     def e(self) -> Tuple[Matrix, ...]:
-        """The simple raising operators e_i = E_{i,i+1}, the e[i,i+1]."""
-        n = self.rd.rank + 1
-        return tuple(self.ops[i * n - i * (i + 1) // 2] for i in range(n - 1))
+        """The simple raising operators e_i = E_{i,i+1}."""
+        return tuple(self.ops[k] for k in _simple(self.rd.rank + 1, 1))
 
     @property
     def f(self) -> Tuple[Matrix, ...]:
-        """The simple lowering operators f_i = E_{i+1,i}, the f[i,i+1]."""
-        n = self.rd.rank + 1
-        upper = n * (n - 1) // 2
-        return tuple(self.ops[upper + i * n - i * (i + 1) // 2] for i in range(n - 1))
-
-    @property
-    def h(self) -> Tuple[Matrix, ...]:
-        """The h_i, which end the basis."""
-        n = self.rd.rank + 1
-        return self.ops[n * (n - 1) :]
+        """The simple lowering operators f_i = E_{i+1,i}."""
+        return tuple(self.ops[k] for k in _simple(self.rd.rank + 1, -1))
 
 
 def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
@@ -123,7 +133,7 @@ def natural(rd: RootDatum) -> ExplicitModule:
     one = Q(1)
     ops = [{q: {p: one}} for p, q in _off_diagonal(n)]
     ops += [{k: {k: one}, k + 1: {k + 1: -one}} for k in range(rd.rank)]
-    return ExplicitModule(rd, f"natural({n})", n, _natural_weights(rd, n), tuple(ops))
+    return ExplicitModule(rd, _natural_weights(rd, n), tuple(ops))
 
 
 def dual(m: ExplicitModule) -> ExplicitModule:
@@ -135,11 +145,7 @@ def dual(m: ExplicitModule) -> ExplicitModule:
         return out
 
     return ExplicitModule(
-        m.rd,
-        f"dual({m.label})",
-        m.dim,
-        tuple(tuple(-c for c in w) for w in m.basis_weights),
-        tuple(neg_t(x) for x in m.ops),
+        m.rd, tuple(tuple(-c for c in w) for w in m.basis_weights), tuple(neg_t(x) for x in m.ops)
     )
 
 
@@ -147,48 +153,40 @@ def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     if a.rd != b.rd:
         raise ValidationError("tensor factors over different root data")
 
+    da, db = a.dim, b.dim
+
     def both(ma: Matrix, mb: Matrix) -> Matrix:
         out: Matrix = {}
         for c, col in ma.items():
-            for j in range(b.dim):
-                out[c * b.dim + j] = {r * b.dim + j: v for r, v in col.items()}
+            for j in range(db):
+                out[c * db + j] = {r * db + j: v for r, v in col.items()}
         for c, col in mb.items():
-            for i in range(a.dim):
-                target = out.setdefault(i * b.dim + c, {})
+            for i in range(da):
+                target = out.setdefault(i * db + c, {})
                 for r, v in col.items():
-                    _add(target, i * b.dim + r, v)
+                    _add(target, i * db + r, v)
         return _nonempty(out)
 
     weights = tuple(
-        tuple(x + y for x, y in zip(a.basis_weights[i], b.basis_weights[j]))
-        for i in range(a.dim)
-        for j in range(b.dim)
+        tuple(x + y for x, y in zip(wa, wb)) for wa in a.basis_weights for wb in b.basis_weights
     )
-    return ExplicitModule(
-        a.rd,
-        f"tensor({a.label},{b.label})",
-        a.dim * b.dim,
-        weights,
-        tuple(both(x, y) for x, y in zip(a.ops, b.ops)),
-    )
+    return ExplicitModule(a.rd, weights, tuple(both(x, y) for x, y in zip(a.ops, b.ops)))
 
 
 def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     if a.rd != b.rd:
         raise ValidationError("sum terms over different root data")
 
+    da = a.dim
+
     def block(ma: Matrix, mb: Matrix) -> Matrix:
         out = dict(ma)
         for c, col in mb.items():
-            out[c + a.dim] = {r + a.dim: v for r, v in col.items()}
+            out[c + da] = {r + da: v for r, v in col.items()}
         return out
 
     return ExplicitModule(
-        a.rd,
-        f"sum({a.label},{b.label})",
-        a.dim + b.dim,
-        a.basis_weights + b.basis_weights,
-        tuple(block(x, y) for x, y in zip(a.ops, b.ops)),
+        a.rd, a.basis_weights + b.basis_weights, tuple(block(x, y) for x, y in zip(a.ops, b.ops))
     )
 
 
@@ -232,9 +230,7 @@ def _power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
         tuple(sum(m.basis_weights[u][i] for u in mono) for i in range(m.rd.rank))
         for mono in basis
     )
-    return ExplicitModule(
-        m.rd, f"{name}({k},{m.label})", len(basis), weights, tuple(induced(x) for x in m.ops)
-    )
+    return ExplicitModule(m.rd, weights, tuple(induced(x) for x in m.ops))
 
 
 def sym(k: int, m: ExplicitModule) -> ExplicitModule:
@@ -299,8 +295,8 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
     """Parse expressions like sum(natural(4),ext(2,natural(4))), then
     build the module.  The nesting depth is bounded before parsing.  The
     parse folds dimensions, checking the cap on each sym and ext and on a
-    sum or tensor product as each term is folded in, so nothing is built
-    until the whole expression parses and fits."""
+    sum or tensor product as each term is folded in, and once more on the
+    whole expression, so nothing is built until it parses and fits."""
     toks = _tokenize(expr)
     depth = 0
     for t in toks:
@@ -378,53 +374,27 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
         eat(")")
         return dim, lambda: reduce(tensor if is_tensor else direct_sum, (t() for t in terms))
 
-    _, build = parse()
+    dim, build = parse()
     if pos != len(toks):
         raise ValidationError("trailing input in module expression")
+    fits(dim)
     return build()
-
-
-# ------------------------------------------------- Chevalley basis order
-
-
-def chevalley_labels(rd: RootDatum) -> List[str]:
-    n = rd.rank + 1
-    labels = [f"e[{i},{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    labels += [f"f[{i},{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    labels += [f"h[{i}]" for i in range(1, n)]
-    return labels
 
 
 # ------------------------------------------------------------ operations
 
 
-def _weight_blocks(m: ExplicitModule) -> Dict[Weight, List[int]]:
-    blocks: Dict[Weight, List[int]] = {}
-    for idx, w in enumerate(m.basis_weights):
-        blocks.setdefault(w, []).append(idx)
-    return blocks
-
-
 def highest_weight_vectors(m: ExplicitModule) -> Dict[Weight, List[Sparse]]:
-    """Basis of the joint kernel of the raising operators, one entry per
-    dominant weight that actually carries highest weight vectors."""
-    blocks = _weight_blocks(m)
+    """V^U, the fixed space of the simple raising operators, which
+    generate u.  A highest weight vector has a dominant weight, and each
+    e_i maps a weight space into one other, so every kernel vector lies in
+    one weight space: they are grouped by the weight of their first
+    coordinate, one entry per dominant weight carrying any."""
+    dominant = [i for i, w in enumerate(m.basis_weights) if all(c >= 0 for c in w)]
     out: Dict[Weight, List[Sparse]] = {}
-    order = sorted(blocks, key=lambda w: (sum(w), w), reverse=True)
-    for chi in order:
-        if any(c < 0 for c in chi):
-            continue
-        src = blocks[chi]
-        # One row per (raising operator, image coordinate).
-        rows: Dict[Tuple[int, int], Sparse] = {}
-        for i, e in enumerate(m.e):
-            for j, s in enumerate(src):
-                for t, val in e.get(s, {}).items():
-                    rows.setdefault((i, t), {})[j] = val
-        kern = RowSpace(len(src), rows.values()).kernel()
-        if kern:
-            out[chi] = [{src[j]: val for j, val in k.items()} for k in kern]
-    return out
+    for v in fixed_in_quotient(RowSpace(m.dim), m.e, dominant):
+        out.setdefault(m.basis_weights[next(iter(v))], []).append(v)
+    return {w: out[w] for w in sorted(out, key=lambda w: (sum(w), w), reverse=True)}
 
 
 class Coinvariants(NamedTuple):
@@ -516,9 +486,11 @@ class StabilizerSpec(NamedTuple):
 
 
 def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
-    """Lie algebra of the standard maximal unipotent subgroup."""
-    n_upper = (rd.rank + 1) * rd.rank // 2
-    return StabilizerSpec(lie_part=tuple({k: Q(1)} for k in range(n_upper)))
+    """Lie algebra of the standard maximal unipotent subgroup, given by
+    its simple root vectors e[i,i+1], which generate it.  Each span that
+    t1 passes to fixed_in_quotient is u-stable, so they cut out the same
+    fixed spaces as all the positive root vectors."""
+    return StabilizerSpec(lie_part=tuple({k: Q(1)} for k in _simple(rd.rank + 1, 1)))
 
 
 def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:

@@ -1,7 +1,8 @@
 """Finitely generated submonoids of weight and root lattices.
 
 Generators are integer tuples: fundamental coordinates for weight
-monoids, simple-root coordinates for root monoids.  Membership is a
+monoids, simple-root coordinates for root monoids; the records and
+their constructors are rootdata's.  Membership is a
 bounded exhaustive search that returns a certificate; when a strictly
 positive grading functional exists the search is exhaustive and a
 negative answer is definitive, otherwise the result carries a
@@ -26,9 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
-from .rootdata import RootDatum
-
-Gen = Tuple[int, ...]
+from .rootdata import Gen
 
 DEFAULT_MEMBERSHIP_BOUND = 64
 _ENUM_CAP = 200_000
@@ -37,38 +36,6 @@ _PAIR_CAP = 100_000
 # Recursion nodes of the membership searches of one membership or
 # minimal_generators call.
 _SEARCH_CAP = 150_000
-
-
-class WeightMonoid(NamedTuple):
-    rd: RootDatum
-    generators: Tuple[Gen, ...]
-
-
-class RootMonoid(NamedTuple):
-    rd: RootDatum
-    generators: Tuple[Gen, ...]
-
-
-def _check_gens(rd: RootDatum, gens: Sequence[Sequence[int]], nonneg: bool) -> Tuple[Gen, ...]:
-    out: List[Gen] = []
-    for g in gens:
-        t = tuple(int(x) for x in g)
-        if len(t) != rd.rank:
-            raise ValidationError(f"generator {t} has wrong length for rank {rd.rank}")
-        if nonneg and any(x < 0 for x in t):
-            raise ValidationError(f"root monoid generator {t} has negative entries")
-        if t in out:
-            raise ValidationError(f"duplicate generator {t}")
-        out.append(t)
-    return tuple(out)
-
-
-def make_weight_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> WeightMonoid:
-    return WeightMonoid(rd, _check_gens(rd, gens, nonneg=False))
-
-
-def make_root_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> RootMonoid:
-    return RootMonoid(rd, _check_gens(rd, gens, nonneg=True))
 
 
 class MembershipResult(NamedTuple):

@@ -39,7 +39,6 @@ from .channels import (
     _triple_top_vectors,
     monoid_window,
 )
-from .monoids import RootMonoid, WeightMonoid, make_root_monoid, make_weight_monoid
 from .polysys import (
     Grade,
     Poly,
@@ -53,7 +52,15 @@ from .polysys import (
     primitive_ints,
     render_poly,
 )
-from .rootdata import RootDatum, make_root_datum, natural_root_coords
+from .rootdata import (
+    RootDatum,
+    RootMonoid,
+    WeightMonoid,
+    make_root_datum,
+    make_root_monoid,
+    make_weight_monoid,
+    natural_root_coords,
+)
 
 Q = Fraction
 

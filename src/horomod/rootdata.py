@@ -14,6 +14,9 @@ i-th fundamental coordinate.  In the epsilon-coordinates e_k = mu_k +
 shift by mu_k = e_k - e_{k+1}, s_i swaps e_i and e_{i+1}.  So the Weyl
 group permutes the epsilon-coordinates: the dominant conjugate sorts
 them in descending order, the antidominant one in ascending order.
+
+The monoid records live here too, with the checks on their generators,
+so that the law layers get them without loading monoids.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ Q = Fraction
 
 Weight = Tuple[int, ...]
 RootVector = Tuple[Q, ...]
+# A monoid generator: fundamental coordinates in a weight monoid,
+# simple-root coordinates in a root monoid.
+Gen = Tuple[int, ...]
 
 # A140 has 9 870 positive roots, the most below 10 000.
 _MAX_RANK = 140
@@ -67,6 +73,38 @@ def check_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
     if len(w) != rd.rank:
         raise ValidationError(f"weight {w} has wrong length for rank {rd.rank}")
     return w
+
+
+class WeightMonoid(NamedTuple):
+    rd: RootDatum
+    generators: Tuple[Gen, ...]
+
+
+class RootMonoid(NamedTuple):
+    rd: RootDatum
+    generators: Tuple[Gen, ...]
+
+
+def _check_gens(rd: RootDatum, gens: Sequence[Sequence[int]], nonneg: bool) -> Tuple[Gen, ...]:
+    out: List[Gen] = []
+    for g in gens:
+        t = tuple(int(x) for x in g)
+        if len(t) != rd.rank:
+            raise ValidationError(f"generator {t} has wrong length for rank {rd.rank}")
+        if nonneg and any(x < 0 for x in t):
+            raise ValidationError(f"root monoid generator {t} has negative entries")
+        if t in out:
+            raise ValidationError(f"duplicate generator {t}")
+        out.append(t)
+    return tuple(out)
+
+
+def make_weight_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> WeightMonoid:
+    return WeightMonoid(rd, _check_gens(rd, gens, nonneg=False))
+
+
+def make_root_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> RootMonoid:
+    return RootMonoid(rd, _check_gens(rd, gens, nonneg=True))
 
 
 def is_dominant(rd: RootDatum, lam: Weight) -> bool:

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
-from horomod.monoids import is_free, make_weight_monoid, minimal_generators, saturation
+from horomod.monoids import is_free, minimal_generators, saturation
 from horomod.mulaw import (
     contract,
     horospherical_law,
@@ -29,7 +29,7 @@ from horomod.repcalc import (
     weight_multiplicities,
     weyl_dim,
 )
-from horomod.rootdata import dominance_leq, make_root_datum
+from horomod.rootdata import dominance_leq, make_root_datum, make_weight_monoid
 
 A1 = make_root_datum("A1")
 A2 = make_root_datum("A2")

@@ -4,8 +4,7 @@ from math import comb, perm
 
 from horomod import channels
 from horomod.channels import ChannelTable, law_tangent
-from horomod.monoids import make_weight_monoid
-from horomod.rootdata import make_root_datum
+from horomod.rootdata import make_root_datum, make_weight_monoid
 
 A1 = make_root_datum("A1")
 

@@ -491,6 +491,28 @@ def test_module_cap_is_checked_as_each_term_is_folded(capsys, monkeypatch, name,
     assert blob["error"]["message"] == f"module dimension {size} exceeds cap 2000"
 
 
+@pytest.mark.parametrize(
+    "argv,size,cap",
+    [
+        (("hwv", "A19", "natural(20)", "--cap", "10"), 20, 10),
+        (("coinv", "A3", "dual(natural(4))", "--cap", "2"), 4, 2),
+        (("hwv", "A3", "sum(natural(4))", "--cap", "3"), 4, 3),
+        (("hwv", "A3", "tensor(natural(4))", "--cap", "3"), 4, 3),
+        (("hwv", "A1", "natural(2)", "--cap", "-1"), 2, -1),
+    ],
+)
+def test_module_cap_is_checked_on_a_term_never_folded(capsys, argv, size, cap):
+    code, blob = run_json(capsys, *argv)
+    assert code == 4
+    assert blob["error"]["message"] == f"module dimension {size} exceeds cap {cap}"
+
+
+def test_module_at_the_cap_is_built(capsys):
+    code, blob = run_json(capsys, "hwv", "A3", "natural(4)", "--cap", "4")
+    assert code == 0
+    assert blob["payload"] == {"(1,0,0)": [["1", "0", "0", "0"]]}
+
+
 def test_a_number_past_the_int_digit_limit_is_too_long(capsys):
     nines = "9" * 4300
     code, blob = run_json(capsys, "hwv", "A1", f"natural({nines}{'9' * 700})")

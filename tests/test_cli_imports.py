@@ -77,8 +77,27 @@ def test_law_tangent_runs_no_full_system_layer():
     out = probe(["law-tangent", "A1", "2", "--truncation", "8"])
     assert out["code"] == 0
     ran = {name for name, did in out["layers"].items() if did}
-    assert {"horomod.channels", "horomod.linalg", "horomod.monoids"} <= ran
-    assert not ran & {"horomod.mulaw", "horomod.polysys"}
+    assert {"horomod.channels", "horomod.linalg", "horomod.rootdata"} <= ran
+    assert not ran & {"horomod.mulaw", "horomod.polysys", "horomod.monoids"}
+
+
+@pytest.mark.parametrize("command", ["law-equations", "orbit-law", "contract", "root-monoid"])
+def test_law_requests_run_no_monoid_layer(tmp_path, command):
+    law = tmp_path / "law.json"
+    argv = {
+        "law-equations": ["law-equations", "A1", "2", "--truncation", "8"],
+        "orbit-law": ["orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "8",
+                      "--output", str(law)],
+        "contract": ["contract", str(law), "2"],
+        "root-monoid": ["root-monoid", str(law)],
+    }
+    if command in ("contract", "root-monoid"):
+        assert probe(argv["orbit-law"])["code"] == 0
+    out = probe(argv[command])
+    assert out["code"] == 0
+    ran = {name for name, did in out["layers"].items() if did}
+    assert {"horomod.mulaw", "horomod.rootdata"} <= ran
+    assert "horomod.monoids" not in ran
 
 
 def test_a_layer_imported_first_is_reused():

@@ -63,21 +63,22 @@ def chevalley_matrices(m):
             upper[(i, j)] = mat_commutator(upper[(i, i + 1)], upper[(i + 1, j)])
             lower[(i, j)] = mat_commutator(lower[(i + 1, j)], lower[(i, i + 1)])
     keys = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return [upper[k] for k in keys] + [lower[k] for k in keys] + list(m.h)
+    return [upper[k] for k in keys] + [lower[k] for k in keys] + list(m.ops[-m.rd.rank:])
 
 
 def check_brackets(m):
     """Assert the defining relations hold on this module."""
     r = m.rd.rank
+    h = m.ops[-r:]
     for i in range(r):
         for j in range(r):
             cij = m.rd.cartan[i][j]
-            assert mat_commutator(m.h[i], m.e[j]) == la.mat_combination([(Q(cij), m.e[j])])
-            assert mat_commutator(m.h[i], m.f[j]) == la.mat_combination([(Q(-cij), m.f[j])])
-            assert mat_commutator(m.e[i], m.f[j]) == (m.h[i] if i == j else {})
+            assert mat_commutator(h[i], m.e[j]) == la.mat_combination([(Q(cij), m.e[j])])
+            assert mat_commutator(h[i], m.f[j]) == la.mat_combination([(Q(-cij), m.f[j])])
+            assert mat_commutator(m.e[i], m.f[j]) == (h[i] if i == j else {})
     for idx, w in enumerate(m.basis_weights):
         for i in range(r):
-            col = m.h[i].get(idx, {})
+            col = h[i].get(idx, {})
             assert set(col) <= {idx}, "h is not diagonal on the weight basis"
             assert col.get(idx, 0) == w[i]
 
@@ -229,6 +230,48 @@ def test_ext_signs():
     assert la.act(m.f[2], {idx[(2, 3)]: Q(1)}) == {}
     # f3 on e1^e3 gives e1^e4
     assert la.act(m.f[2], {idx[(0, 2)]: Q(1)}) == {idx[(0, 3)]: 1}
+
+
+def hwv_by_weight_blocks(m):
+    """Oracle: V^U weight block by weight block, dominant weights in
+    descending (sum, weight) order, each the kernel of the rows of the
+    simple raising operators on that block."""
+    blocks = {}
+    for idx, w in enumerate(m.basis_weights):
+        blocks.setdefault(w, []).append(idx)
+    out = {}
+    for chi in sorted(blocks, key=lambda w: (sum(w), w), reverse=True):
+        if any(c < 0 for c in chi):
+            continue
+        src = blocks[chi]
+        rows = {}
+        for i, e in enumerate(m.e):
+            for j, s in enumerate(src):
+                for t, val in e.get(s, {}).items():
+                    rows.setdefault((i, t), {})[j] = val
+        kern = RowSpace(len(src), rows.values()).kernel()
+        if kern:
+            out[chi] = [{src[j]: val for j, val in k.items()} for k in kern]
+    return out
+
+
+HWV_ORACLE_MODULES = (
+    [(A3, "natural(4)")]
+    + [(A1, expr) for expr in EXPRS_A1]
+    + [(A3, expr) for expr in EXPRS_A3]
+    + [(rda.make_root_datum(f"A{r}"), multicone(r)) for r in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "rd,expr", HWV_ORACLE_MODULES, ids=[f"{rd.label}-{expr}" for rd, expr in HWV_ORACLE_MODULES]
+)
+def test_hwv_matches_the_weight_block_kernel(rd, expr):
+    m = la.build_module(rd, expr)
+    hw = la.highest_weight_vectors(m)
+    want = hwv_by_weight_blocks(m)
+    # Equal as dicts, in the same key order, each weight's vectors in order.
+    assert list(hw.items()) == list(want.items())
 
 
 def test_hwv_tensor_a1():
@@ -460,7 +503,7 @@ def adjoint_module(rd):
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     roots = [tuple(a - b for a, b in zip(nat[p], nat[q])) for p, q in upper + [(j, i) for i, j in upper]]
     weights = tuple(roots) + ((0,) * rd.rank,) * rd.rank
-    return la.ExplicitModule(rd, "adjoint", dim, weights, ops)
+    return la.ExplicitModule(rd, weights, ops)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])

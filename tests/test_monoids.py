@@ -9,14 +9,18 @@ from horomod.errors import ValidationError
 from horomod.monoids import (
     Presentation,
     is_free,
-    make_root_monoid,
-    make_weight_monoid,
     membership,
     minimal_generators,
     saturation,
     semigroup_presentation,
 )
-from horomod.rootdata import make_root_datum, positive_roots, to_root_coords
+from horomod.rootdata import (
+    make_root_datum,
+    make_root_monoid,
+    make_weight_monoid,
+    positive_roots,
+    to_root_coords,
+)
 
 A1 = make_root_datum("A1")
 A2 = make_root_datum("A2")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from horomod import channels
 from horomod.channels import _triple_top_vectors, law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
-from horomod.monoids import make_weight_monoid, minimal_generators
+from horomod.monoids import minimal_generators
 from horomod.mulaw import (
     contract,
     horospherical_law,
@@ -25,7 +25,7 @@ from horomod.mulaw import (
     transvectant,
 )
 from horomod.polysys import canon_to_poly, poly_degree
-from horomod.rootdata import make_root_datum
+from horomod.rootdata import make_root_datum, make_weight_monoid
 
 A1 = make_root_datum("A1")
 

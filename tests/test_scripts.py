@@ -1,5 +1,7 @@
 """The scripts find the package from any working directory."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +34,38 @@ def test_export_equations_from_any_directory(tmp_path):
     written = sorted(p.name for p in (tmp_path / "equations").iterdir())
     assert written == [f"law_system_n{n}_D{4 * n}.txt" for n in range(1, 6)]
     assert [line.rsplit(" ", 1)[1] for line in lines] == ["0", "1", "0", "1", "0"]
+
+
+def load_golden():
+    spec = importlib.util.spec_from_file_location("golden", SCRIPTS / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_set_covers_every_subcommand():
+    from horomod.cli import build_parser
+
+    golden = load_golden()
+    (choices,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    assert sorted(golden.SUBCOMMANDS) == sorted(choices)
+    helped = {tuple(argv) for steps in golden.golden_cases() for argv in steps if argv[-1:] == ["--help"]}
+    assert {(name, "--help") for name in choices} <= helped
+
+
+def test_golden_set_compares_stdout_and_written_files(tmp_path):
+    golden = load_golden()
+    cases = [
+        [["dim", "A2", "1,1"]],
+        [["law-equations", "A1", "1", "--truncation", "3", "--export-system", "system.txt"]],
+        [["orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "8", "--output", "law.json"],
+         ["root-monoid", "law.json"]],
+    ]
+    ours = golden.run_side(golden.SRC, cases)
+    assert [[code for code, _ in r["steps"]] for r in ours] == [[0], [0], [0, 0]]
+    assert sorted(ours[1]["files"]) == ["system.txt"]
+    assert sorted(ours[2]["files"]) == ["law.json"]
+    assert golden.compare(cases, ours, ours) == []
+    changed = json.loads(json.dumps(ours))
+    changed[2]["files"]["law.json"] += " "
+    assert golden.compare(cases, ours, changed) == [cases[2][-1]]
