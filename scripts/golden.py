@@ -269,7 +269,12 @@ def law_cases():
         ["law-equations", "A1", "1", "--truncation", "3", "--export-system", "system.txt"],
         ["law-equations", "A1", "2", "--truncation", "8", "--export-system", "out/system.txt"],
         ["law-equations", "A1", "2", "--truncation", "100"],
+        ["law-equations", "A1", "1", "--truncation", "15"],
+        ["law-equations", "A1", "1", "--truncation", "15", "--export-system", "system.txt"],
+        ["law-equations", "A1", "2;3", "--truncation", "12"],
+        ["law-equations", "A1", "2;3", "--truncation", "12", "--export-system", "system.txt"],
         ["orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "20"],
+        ["orbit-law", "A1", "2", "--form", "1e5000,0,1", "--truncation", "4"],
         ["root-monoid", "missing.json"],
     ]
     forms = {

@@ -74,13 +74,7 @@ def _parse_weight_list(text: str) -> List[Tuple[int, ...]]:
 
 
 def _parse_point(text: str) -> List[Q]:
-    out = []
-    for part in text.split(","):
-        try:
-            out.append(Q(part))
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"malformed rational {part!r}")
-    return out
+    return [linalg.read_rational(part) for part in text.split(",")]
 
 
 def _fmt_weight(w: Sequence[int]) -> str:
@@ -100,6 +94,9 @@ def _load_law(path: str):
         raise ValidationError(f"cannot read law file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"law file {path} is not valid JSON: {exc}")
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep, an integer past the digit limit, or bytes not UTF-8
+        raise ValidationError(f"law file {path} is malformed: {type(exc).__name__}: {exc}")
     try:
         return mulaw.law_from_json_dict(blob)
     except ValidationError:

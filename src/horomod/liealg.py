@@ -36,7 +36,7 @@ from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
-from .linalg import RowSpace, Sparse, sparse
+from .linalg import MAX_DIGITS, RowSpace, Sparse, clip, sparse
 from .rootdata import RootDatum, Weight
 
 Q = Fraction
@@ -246,10 +246,8 @@ def ext(k: int, m: ExplicitModule) -> ExplicitModule:
 _TOKEN_NAMES = {"natural", "dual", "tensor", "sum", "sym", "ext"}
 # Each level of nesting is one recursive call of the parser.
 _MAX_DEPTH = 100
-# Python's default limit on the digits of an int read from a string or
-# printed; a dimension past it is reported by its number of digits.
-_MAX_DIGITS = 4300
-_BIG = 10**_MAX_DIGITS
+# A dimension of more digits than the limit is reported by that limit.
+_BIG = 10**MAX_DIGITS
 
 
 def _binomial(n: int, k: int) -> int:
@@ -259,12 +257,6 @@ def _binomial(n: int, k: int) -> int:
     if d > 0 and ((n // d).bit_length() - 1) * d >= _BIG.bit_length():
         return _BIG
     return comb(n, k)
-
-
-def _clip(token: str) -> str:
-    """token as an error message echoes it: its first 20 characters and
-    "..." if it is longer."""
-    return token if len(token) <= 20 else token[:20] + "..."
 
 
 def _tokenize(expr: str) -> List[str]:
@@ -314,24 +306,24 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
             raise ValidationError("unexpected end of module expression")
         t = toks[pos]
         if expected is not None and t != expected:
-            raise ValidationError(f"expected {expected!r}, got {_clip(t)!r}")
+            raise ValidationError(f"expected {expected!r}, got {clip(t)!r}")
         pos += 1
         return t
 
     def number() -> int:
         t = eat()
-        if t.isdecimal() and len(t) > _MAX_DIGITS:
+        if t.isdecimal() and len(t) > MAX_DIGITS:
             raise ValidationError(
-                f"number {_clip(t)} is too long: {len(t)} digits, at most {_MAX_DIGITS}"
+                f"number {clip(t)} is too long: {len(t)} digits, at most {MAX_DIGITS}"
             )
         try:
             return int(t)
         except ValueError:
-            raise ValidationError(f"expected a number, got {_clip(t)!r}")
+            raise ValidationError(f"expected a number, got {clip(t)!r}")
 
     def fits(dim: int) -> int:
         if dim > cap:
-            shown = dim if dim < _BIG else f"of more than {_MAX_DIGITS} digits"
+            shown = dim if dim < _BIG else f"of more than {MAX_DIGITS} digits"
             raise ResourceError(f"module dimension {shown} exceeds cap {cap}")
         return dim
 
@@ -339,7 +331,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
         """The dimension of the next term, and a function that builds it."""
         name = eat()
         if name not in _TOKEN_NAMES:
-            raise ValidationError(f"unknown construction {_clip(name)!r}")
+            raise ValidationError(f"unknown construction {clip(name)!r}")
         eat("(")
         if name == "natural":
             n = number()

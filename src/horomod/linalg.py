@@ -18,7 +18,14 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .errors import ValidationError
+
 Q = Fraction
+
+# Python's default limit on the digits of an int read from a string or
+# printed.  No number read from outside has a longer run of digits, and
+# no number past it is printed.
+MAX_DIGITS = 4300
 
 Vector = Tuple[Q, ...]
 Sparse = Dict[int, Q]
@@ -29,6 +36,39 @@ def sparse(vec: AnyVector) -> Sparse:
     """The nonzero entries of a dense or {column: value} vector, exact."""
     items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
     return {c: x for c, e in items if (x := e if type(e) is Q else Q(e))}
+
+
+def clip(text: str) -> str:
+    """text as an error message echoes it: its first 20 characters and
+    "..." if it is longer."""
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+def read_rational(text: str) -> Q:
+    """The exact number an integer, p/q or plain decimal spells, each run
+    of digits at most MAX_DIGITS long.  Exponent notation is refused, so
+    no input makes the reader multiply out a power of ten."""
+    body = text.strip()
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    head, sep, tail = body.partition("/" if "/" in body else ".")
+    if sep == ".":
+        ok = (head + tail).isdecimal()
+    else:
+        ok = head.isdecimal() and (not sep or tail.isdecimal())
+    if not ok:
+        raise ValidationError(
+            f"malformed rational {clip(text)!r}: expected an integer, p/q or a plain decimal"
+        )
+    longest = max(len(head), len(tail))
+    if longest > MAX_DIGITS:
+        raise ValidationError(
+            f"number {clip(text)} is too long: {longest} digits, at most {MAX_DIGITS}"
+        )
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"malformed rational {clip(text)!r}: zero denominator")
 
 
 def dense(vec: Mapping[int, Q], ncols: int) -> Vector:

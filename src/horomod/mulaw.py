@@ -7,8 +7,9 @@ channel is fixed to 1, and each coefficient carries the grade
 lam+mu-nu as a natural combination of simple roots.
 
 For rank one everything is explicit: channels are transvectants of
-binary forms, commutativity and associativity expand into an exact
-polynomial system, the linearization at the all-zero point computes
+binary forms, commutativity and associativity expand into a polynomial
+system with integer coefficients, kept in polysys canonical form from
+generation to output, the linearization at the all-zero point computes
 the tangent space with its torus weights, and coordinate rings of
 small orbit closures give honest numeric laws to feed back in.
 
@@ -24,11 +25,12 @@ from the channels layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 from . import linalg
+from .linalg import MAX_DIGITS
 from .channels import (
     ChannelTable,
     _associativity_windows,
@@ -41,12 +43,9 @@ from .channels import (
 )
 from .polysys import (
     Grade,
-    Poly,
+    Mono,
     PolySystem,
-    canon_to_poly,
     canonical_poly,
-    evaluate,
-    linear_part,
     poly_add,
     poly_scale,
     primitive_ints,
@@ -68,6 +67,8 @@ Weight = Tuple[int, ...]
 LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
+# A law value of a numerator or denominator this large is not printed.
+_BIG = 10**MAX_DIGITS
 # Cap on the cost estimate of channels._check_law_cost for the full
 # system.  In-process, the largest window N*n admitted for n = 1..6
 # takes 0.1-0.8 s.
@@ -178,7 +179,16 @@ def horospherical_law(
 
 
 def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
-    """Scale each coefficient of grade g by prod point[k]**g[k]."""
+    """Scale each coefficient of grade g by prod point[k]**g[k].
+
+    For a value a/b and base = p/q, the scaled value in lowest terms has
+    a numerator of at least |p|**exp / b and a denominator of at least
+    q**exp / |a|.  Once either bound, read off bit lengths, reaches
+    10**MAX_DIGITS, law_to_json_dict could not print the result, so it is
+    refused here, before the power is multiplied out.  In rank one this
+    refuses only results past the limit; in higher rank the bound is
+    taken one coordinate at a time, so coordinates that cancel across
+    the product may be refused too."""
     pt = [Q(x) for x in point]
     if len(pt) != law.rd.rank:
         raise ValidationError("contraction point must have one value per simple root")
@@ -187,6 +197,10 @@ def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
         g = coeff_grade(law.rd, key[0], key[1], key[2])
         factor = Q(1)
         for base, exp in zip(pt, g):
+            num_bits = exp * (abs(base.numerator).bit_length() - 1) - val.denominator.bit_length()
+            den_bits = exp * (base.denominator.bit_length() - 1) - abs(val.numerator).bit_length()
+            if max(num_bits, den_bits) >= _BIG.bit_length():
+                raise _too_long("contracted coefficient", key)
             factor *= base ** exp
         if val * factor:
             out[key] = val * factor
@@ -204,7 +218,20 @@ def root_monoid_of_law(law: MultiplicationLaw) -> RootMonoid:
     return make_root_monoid(law.rd, gens)
 
 
+def _too_long(what: str, key: LawKey) -> ResourceError:
+    lam, mu, nu, ch = key
+    return ResourceError(
+        f"{what} lam={list(lam)} mu={list(mu)} nu={list(nu)} channel={ch} "
+        f"has a numerator or denominator of more than {MAX_DIGITS} digits"
+    )
+
+
 def law_to_json_dict(law: MultiplicationLaw) -> dict:
+    """The law as JSON; a value whose numerator or denominator has more
+    than MAX_DIGITS digits, which str could not print, is refused."""
+    for key, val in law.coeffs.items():
+        if abs(val.numerator) >= _BIG or val.denominator >= _BIG:
+            raise _too_long("coefficient", key)
     entries = [
         {
             "lam": list(lam),
@@ -287,7 +314,8 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
         )
         if key in coeffs:
             raise ValidationError(f"duplicate coefficient {key}")
-        coeffs[key] = Q(e["value"])
+        value = e["value"]
+        coeffs[key] = linalg.read_rational(value) if type(value) is str else Q(value)
     return make_law(rd, monoid, _json_int("truncation", data["truncation"]), coeffs)
 
 
@@ -311,7 +339,7 @@ def law_equations_with_kinds(
     names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
     grades: List[Grade] = [(i,) for (_, _, i) in index]
 
-    raw_equations: List[Tuple[Poly, Grade, str]] = [
+    raw_equations: List[Tuple[Dict[Mono, int], Grade, str]] = [
         ({(u,): v for u, v in row.items()}, (i,), "commutativity")
         for row, i in _commutativity_rows(index)
     ]
@@ -380,13 +408,12 @@ def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]
         cols[u] = len(cols)
     spaces = {g: linalg.RowSpace(len(cols)) for g, cols in columns.items()}
     for cp, g in system.equations:
-        poly = canon_to_poly(cp)
-        if () in poly:
+        if any(not m for m, _ in cp):
             raise ValidationError("system is not centered at the all-zero point")
-        lin = linear_part(poly)
+        lin = {m[0]: c for m, c in cp if len(m) == 1}
         if lin:
-            assert all(system.grades[u] == g for (u,) in lin), "linear term off its equation grade"
-            spaces[g].add({columns[g][u]: cval for (u,), cval in lin.items()})
+            assert all(system.grades[u] == g for u in lin), "linear term off its equation grade"
+            spaces[g].add({columns[g][u]: c for u, c in lin.items()})
     weights = tuple(g for g in sorted(spaces) for _ in range(spaces[g].ncols - spaces[g].dim))
     return len(weights), weights
 
@@ -405,10 +432,11 @@ def law_unknown_values(law: MultiplicationLaw) -> Dict[str, Q]:
 def system_residuals(system: PolySystem, values: Mapping[str, Q]) -> Tuple[Q, ...]:
     """Value of each equation at the given coefficient assignment;
     unnamed unknowns count as zero."""
-    point = {
-        i: Q(values.get(name, Q(0))) for i, name in enumerate(system.unknowns)
-    }
-    return tuple(evaluate(canon_to_poly(cp), point) for cp, _ in system.equations)
+    point = [Q(values.get(name, 0)) for name in system.unknowns]
+    return tuple(
+        sum((c * prod(point[u] for u in m) for m, c in cp), Q(0))
+        for cp, _ in system.equations
+    )
 
 
 # ----------------------------------------------------- orbit laws (A1)

@@ -1,16 +1,19 @@
 """Small exact polynomial systems in named unknowns.
 
-Just enough ring arithmetic for generating and linearizing structure
-equations: sparse polynomials over Q in named unknowns, monomials of
-degree at most two, canonical form (monomials sorted by degree then
-unknown name, integer content cleared, leading coefficient positive),
-and a plain-text export with one polynomial per line.
+Just enough ring arithmetic for generating and exporting structure
+equations: sparse polynomials in named unknowns, monomials of degree at
+most two, and canonical form.  A canonical polynomial is a tuple of
+(monomial, integer) pairs: monomials sorted by degree then unknown name,
+integer content cleared, leading coefficient positive.  A PolySystem
+holds its equations in that form only, and every reader reads it as it
+stands.  system_to_text exports one polynomial per line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
@@ -41,24 +44,6 @@ def poly_scale(p: Poly, c) -> Poly:
     return {m: c * v for m, v in p.items()}
 
 
-def poly_degree(p: Poly) -> int:
-    return max((len(m) for m in p), default=0)
-
-
-def linear_part(p: Poly) -> Poly:
-    return {m: c for m, c in p.items() if len(m) == 1}
-
-
-def evaluate(p: Poly, values: Mapping[int, Q]) -> Q:
-    total = Q(0)
-    for m, c in p.items():
-        term = c
-        for idx in m:
-            term *= values.get(idx, Q(0))
-        total += term
-    return total
-
-
 class _SystemFields(NamedTuple):
     unknowns: Tuple[str, ...]
     grades: Tuple[Grade, ...]  # one per unknown
@@ -79,7 +64,7 @@ def _mono_key(names: Sequence[str], m: Mono):
     return (len(m), tuple(names[i] for i in m))
 
 
-def primitive_ints(coeffs: Sequence[Q]) -> List[int]:
+def primitive_ints(coeffs: Sequence[Rational]) -> List[int]:
     """The integer vector proportional to the nonzero rationals coeffs
     with content one and a positive first entry."""
     denlcm = lcm(*(c.denominator for c in coeffs))
@@ -88,7 +73,7 @@ def primitive_ints(coeffs: Sequence[Q]) -> List[int]:
     return [c // content for c in ints]
 
 
-def canonical_poly(p: Poly, names: Sequence[str]) -> CanonPoly:
+def canonical_poly(p: Mapping[Mono, Rational], names: Sequence[str]) -> CanonPoly:
     """Sorted, integer-cleared, positive leading coefficient; () if zero."""
     items = [(m, c) for m, c in p.items() if c]
     if not items:
@@ -98,25 +83,12 @@ def canonical_poly(p: Poly, names: Sequence[str]) -> CanonPoly:
     return tuple((m, c) for (m, _), c in zip(items, ints))
 
 
-def canon_to_poly(cp: CanonPoly) -> Poly:
-    return {m: Q(c) for m, c in cp}
-
-
-def _fmt_coeff(c: Q) -> str:
-    c = Q(c)
-    sign = "+" if c >= 0 else "-"
-    mag = abs(c)
-    if mag.denominator == 1:
-        return f"{sign}{mag.numerator}"
-    return f"{sign}{mag.numerator}/{mag.denominator}"
-
-
 def render_poly(cp: CanonPoly, names: Sequence[str]) -> str:
     if not cp:
         return "0"
     parts = []
     for m, c in cp:
-        term = _fmt_coeff(Q(c))
+        term = f"{c:+d}"
         if m:
             term += "*" + "*".join(names[i] for i in m)
         parts.append(term)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -149,6 +150,150 @@ def test_export_system_format(tmp_path, capsys):
     assert headers[0] == "# unknown m[2,2,1] grade=1*alpha"
     body = [l for l in lines if not l.startswith("#")]
     assert body == blob["payload"]["equations"]
+
+
+# sha256 of the stdout of two law-equations windows and of one exported
+# system, recorded before the equations were kept as integers throughout.
+LAW_EQUATIONS_STDOUT = {
+    ("law-equations", "A1", "1", "--truncation", "15"):
+        "8db561f4e446d934e6ab1b7b177d097100812913723a58650abe58134a7b2873",
+    ("law-equations", "A1", "2;3", "--truncation", "12"):
+        "fe2fcc4e74f63fc5921597492b417538bf019193ca376d8541a9b92680aa6430",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(LAW_EQUATIONS_STDOUT), ids=" ".join)
+def test_law_equations_stdout_is_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == LAW_EQUATIONS_STDOUT[argv]
+
+
+def test_exported_system_is_pinned(tmp_path, capsys):
+    out_file = tmp_path / "system.txt"
+    code, _ = run(capsys, "law-equations", "A1", "2;3", "--truncation", "12", "--export-system", str(out_file))
+    assert code == 0
+    assert sha256(out_file.read_text()) == "b554588f60c1379b9141904feb90d5523478044d332d4c0743f2e74c1821b871"
+
+
+def _law_file(tmp_path, value, generator=2, truncation=4, channel=2):
+    """A law JSON of one coefficient of (g, g) -> 2g - 2*channel, its value
+    spliced in as written, so it may be a JSON integer of any length."""
+    g = generator
+    law = {
+        "rd": {"label": "A1"},
+        "monoid": {"generators": [[g]]},
+        "truncation": truncation,
+        "coeffs": [{"lam": [g], "mu": [g], "nu": [2 * g - 2 * channel], "channel": channel, "value": "VALUE"}],
+    }
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law).replace('"VALUE"', value))
+    return str(path)
+
+
+def _timed(capsys, *argv):
+    start = time.perf_counter()
+    code, blob = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    return code, blob
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["t1", "A1", "natural(2)", "1e100000000,0"],
+        ["orbit-tangent", "A1", "natural(2)", "1,1E100000000"],
+        ["orbit-law", "A1", "2", "--form", "1e5000,0,1", "--truncation", "4"],
+        ["orbit-law", "A1", "2", "--form", "1,0,1", "--form", "1.5e3,0,1", "--truncation", "4"],
+    ],
+)
+def test_exponent_notation_in_a_point_is_refused(capsys, argv):
+    code, blob = _timed(capsys, *argv)
+    assert code == 3
+    assert blob["error"]["type"] == "validation"
+    assert "expected an integer, p/q or a plain decimal" in blob["error"]["message"]
+
+
+def test_a_point_entry_past_the_digit_limit_is_refused(capsys):
+    code, blob = _timed(capsys, "t1", "A1", "natural(2)", "0," + "7" * 4301)
+    assert code == 3
+    assert blob["error"]["message"] == f"number {'7' * 20}... is too long: 4301 digits, at most 4300"
+    code, blob = _timed(capsys, "orbit-tangent", "A1", "natural(2)", "1/" + "3" * 4300 + ",0")
+    assert code == 0
+
+
+def test_law_value_in_exponent_notation_is_refused(tmp_path, capsys):
+    path = _law_file(tmp_path, '"1e100000000"')
+    for argv in (["root-monoid", path], ["contract", path, "2"]):
+        code, blob = _timed(capsys, *argv)
+        assert code == 3, argv
+        assert blob["error"]["message"] == (
+            "malformed rational '1e100000000': expected an integer, p/q or a plain decimal"
+        )
+
+
+def test_law_integer_past_the_digit_limit_is_refused(tmp_path, capsys):
+    path = _law_file(tmp_path, "7" * 5000)
+    code, blob = _timed(capsys, "root-monoid", path)
+    assert code == 3
+    assert blob["error"]["type"] == "validation"
+    assert blob["error"]["message"].startswith(f"law file {path} is malformed: ValueError:")
+    assert "4300" in blob["error"]["message"]
+    # At the limit the integer is read, and printed back.
+    code, blob = _timed(capsys, "contract", _law_file(tmp_path, "7" * 4300), "1")
+    assert code == 0
+    assert blob["payload"]["coeffs"][0]["value"] == "7" * 4300
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [(b"[" * 100000 + b"]" * 100000, "RecursionError"), (b"\xff\xfe{}", "UnicodeDecodeError")],
+    ids=["nested-100000-deep", "not-utf-8"],
+)
+def test_law_file_json_cannot_decode_is_refused(tmp_path, capsys, content, error):
+    path = tmp_path / "law.json"
+    path.write_bytes(content)
+    code, blob = _timed(capsys, "root-monoid", str(path))
+    assert code == 3
+    assert blob["error"]["message"].startswith(f"law file {path} is malformed: {error}:")
+
+
+def test_contraction_past_the_digit_limit_is_refused_before_the_power(tmp_path, capsys):
+    path = _law_file(tmp_path, '"1"', generator=20000, truncation=40000, channel=20000)
+    message = (
+        "contracted coefficient lam=[20000] mu=[20000] nu=[0] channel=20000 "
+        "has a numerator or denominator of more than 4300 digits"
+    )
+    for point in ("2", "1/2", "10" + "0" * 4000):
+        code, blob = _timed(capsys, "contract", path, point)
+        assert code == 4, point
+        assert blob["error"] == {"type": "resource", "message": message}
+    # The power is bounded against the value's own digits, so a result
+    # that cancels down below the limit is printed: 2**20000 / 2**14000.
+    path = _law_file(tmp_path, f'"1/{2**14000}"', generator=20000, truncation=40000, channel=20000)
+    code, blob = _timed(capsys, "contract", path, "2")
+    assert code == 0
+    assert blob["payload"]["coeffs"][0]["value"] == str(2**6000)
+
+
+def test_a_law_value_past_the_digit_limit_is_not_printed(tmp_path, capsys):
+    form = "7" * 3000 + ",0,1"
+    code, blob = _timed(capsys, "orbit-law", "A1", "2", "--form", form, "--truncation", "8")
+    assert code == 4
+    assert blob["error"]["type"] == "resource"
+    message = blob["error"]["message"]
+    assert message.startswith("coefficient lam=[") and message.endswith("of more than 4300 digits")
+    # contract past the limit, where the bound on the power lets it through.
+    path = _law_file(tmp_path, '"' + "7" * 4300 + '"')
+    code, blob = _timed(capsys, "contract", path, "1" + "0" * 10)
+    assert code == 4
+    assert blob["error"]["message"] == (
+        "coefficient lam=[2] mu=[2] nu=[0] channel=2 has a numerator or denominator of more than 4300 digits"
+    )
 
 
 def test_saturate_and_presentation(capsys):

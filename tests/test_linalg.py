@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horomod.linalg import RowSpace, dense, solve
+from horomod.errors import ValidationError
+from horomod.linalg import MAX_DIGITS, RowSpace, dense, read_rational, solve
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -148,3 +149,31 @@ def test_kernel_basis_and_solve_match_sympy():
         assert solve(rows, rhs) == expected
 
     check()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", Q(3)), ("-3/4", Q(-3, 4)), ("+6/4", Q(3, 2)), ("0.25", Q(1, 4)), ("-.5", Q(-1, 2)),
+     ("5.", Q(5)), (" 7 ", Q(7)), ("9" * MAX_DIGITS, Q(10**MAX_DIGITS - 1)),
+     ("1/" + "1" + "0" * (MAX_DIGITS - 1), Q(1, 10 ** (MAX_DIGITS - 1)))],
+)
+def test_read_rational_reads_integers_fractions_and_decimals(text, value):
+    assert read_rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1e5", "1E-3", "2.5e1", "", "-", "1/", "/2", "1/2/3", "1.5/2", "0x10", "1_000", "inf", "nan", "1 /2"]
+)
+def test_read_rational_refuses_other_notation(text):
+    with pytest.raises(ValidationError, match="expected an integer, p/q or a plain decimal"):
+        read_rational(text)
+
+
+def test_read_rational_bounds_each_run_of_digits():
+    with pytest.raises(ValidationError, match=f"too long: {MAX_DIGITS + 1} digits, at most {MAX_DIGITS}"):
+        read_rational("1/" + "3" * (MAX_DIGITS + 1))
+    with pytest.raises(ValidationError, match="zero denominator"):
+        read_rational("1/0")
+    # Two runs at the limit make one exact decimal.
+    x = read_rational("1" * MAX_DIGITS + "." + "1" * MAX_DIGITS)
+    assert x.denominator == 10**MAX_DIGITS

@@ -24,7 +24,7 @@ from horomod.mulaw import (
     tangent_at_horospherical,
     transvectant,
 )
-from horomod.polysys import canon_to_poly, poly_degree
+from horomod.polysys import PolySystem
 from horomod.rootdata import make_root_datum, make_weight_monoid
 
 A1 = make_root_datum("A1")
@@ -156,10 +156,9 @@ def test_equation_system_shape_n2():
     for name in sys_.unknowns:
         assert name.startswith("m[")
     for cp, grade in sys_.equations:
-        poly = canon_to_poly(cp)
-        assert poly_degree(poly) <= 2
-        assert () not in poly
-        for mono in poly:
+        assert all(type(c) is int for _, c in cp)
+        for mono, _ in cp:
+            assert 1 <= len(mono) <= 2
             total = 0
             for idx in mono:
                 total += sys_.grades[idx][0]
@@ -172,9 +171,45 @@ def test_equation_grades_homogeneous_n3():
     assert len(sys_.unknowns) == 7
     assert len(sys_.equations) == 22
     for cp, grade in sys_.equations:
-        poly = canon_to_poly(cp)
-        for mono in poly:
+        for mono, _ in cp:
             assert (sum(sys_.grades[i][0] for i in mono),) == grade
+
+
+def test_tangent_reads_the_linear_terms_per_grade():
+    # a - b at grade 1 and c + a*b at grade 2: the linear rows are a - b
+    # and c, so one grade-1 direction survives.
+    system = PolySystem(
+        ("a", "b", "c"),
+        ((1,), (1,), (2,)),
+        (
+            ((((0,), 1), ((1,), -1)), (1,)),
+            ((((2,), 1), ((0, 1), 1)), (2,)),
+        ),
+    )
+    assert tangent_at_horospherical(system) == (1, ((1,),))
+
+
+def test_tangent_refuses_a_constant_term():
+    system = PolySystem(("a",), ((1,),), (((((), 1), ((0,), 1)), (1,)),))
+    with pytest.raises(ValidationError, match="not centered at the all-zero point"):
+        tangent_at_horospherical(system)
+
+
+def test_residuals_of_a_quadratic_system():
+    # 2x - 3yz and 4y^2 - z - 1 at x = 3, y = 1/2, z = 4; then at x = 1/3,
+    # y = 2, with z unnamed, so read as 0.
+    system = PolySystem(
+        ("x", "y", "z"),
+        ((1,), (1,), (2,)),
+        (
+            ((((0,), 2), ((1, 2), -3)), (2,)),
+            ((((), -1), ((2,), -1), ((1, 1), 4)), (2,)),
+        ),
+    )
+    values = system_residuals(system, {"x": 3, "y": Q(1, 2), "z": 4})
+    assert values == (0, -4)
+    assert all(type(v) is Q for v in values)
+    assert system_residuals(system, {"x": Q(1, 3), "y": 2}) == (Q(2, 3), 15)
 
 
 def test_triple_top_vectors_are_integer_singular_vectors():
