@@ -7,8 +7,9 @@ OTHER_SRC is the src directory of another checkout, for instance of a
 git worktree of HEAD^.  The script builds a fixed, seeded list of
 requests: every subcommand and its --help, the kinds of input the CLI
 fuzz tests draw, t1 at random and U-fixed points with and without
---lie-u and --diag, the flag multicones A2-A8, both examples and the law
-requests.  It runs the whole list through horomod.cli.main once under
+--lie-u and --diag, the flag multicones A2-A8, both examples, the law
+requests and orbit laws drawn as the orbit-law sweep of the tests draws
+them.  It runs the whole list through horomod.cli.main once under
 this checkout's src and once under OTHER_SRC, each side in its own
 subprocess.  Each case runs in a fresh temporary working directory, and
 a case of several requests runs them there in turn: requests that write
@@ -26,6 +27,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
 
@@ -292,6 +294,37 @@ def law_cases():
     return [c if isinstance(c[0], list) else [c] for c in cases]
 
 
+def orbit_law_cases(rng, mulaw, rootdata, errors):
+    """orbit-law requests drawn as the sweep of tests/test_mulaw.py draws
+    them; each law this checkout gives is read back by root-monoid and
+    contract in the same case."""
+    a1 = rootdata.make_root_datum("A1")
+    cases = []
+    for _ in range(300):
+        nbar = rng.randint(1, 6)
+        forms = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            if forms and rng.random() < 0.25:
+                scale = rng.choice([1, -2, Fraction(1, 3)])
+                forms.append([scale * c for c in rng.choice(forms)])
+                continue
+            degree = rng.choice([nbar, nbar, nbar, min(nbar + 2, 7), rng.randint(0, 7)])
+            pool = rng.choice([[0, 1, -1, 2, Fraction(1, 2)], [0, 0, 0, 1, -1]])
+            forms.append([rng.choice(pool) for _ in range(degree + 1)])
+        truncation = rng.randint(0, 16)
+        argv = ["orbit-law", *(f"--form={','.join(map(str, f))}" for f in forms),
+                f"--truncation={truncation}", "--output", "law.json", "--", "A1", str(nbar)]
+        try:
+            mulaw.orbit_law([mulaw.make_binary_form(len(f) - 1, f) for f in forms],
+                            rootdata.make_weight_monoid(a1, [(nbar,)]), truncation)
+        except errors.ValidationError:
+            cases.append([argv])
+            continue
+        point = rng.choice(["2", "-1/3", "0", "5/2"])
+        cases.append([argv, ["root-monoid", "law.json"], ["contract", "--", "law.json", point]])
+    return cases
+
+
 def fixed_cases():
     cases = [[c, "A1", e] for e in EXPRS_A1 for c in ("hwv", "coinv")]
     cases += [[c, "A3", e] for e in EXPRS_A3 for c in ("hwv", "coinv")]
@@ -317,7 +350,7 @@ def golden_cases():
     working directory.  The U-fixed points come from this checkout's
     highest weight vectors."""
     sys.path.insert(0, str(SRC))
-    from horomod import errors, liealg, rootdata
+    from horomod import errors, liealg, mulaw, rootdata
 
     rng = random.Random(SEED)
     single = (
@@ -328,7 +361,7 @@ def golden_cases():
         + point_cases(rng, liealg, rootdata, errors)
         + t1_cases(rng, liealg, rootdata)
     )
-    return [[argv] for argv in single] + law_cases()
+    return [[argv] for argv in single] + law_cases() + orbit_law_cases(rng, mulaw, rootdata, errors)
 
 
 def run_case(main, steps):

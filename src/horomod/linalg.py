@@ -7,8 +7,8 @@ keyed by pivot, and takes vectors either dense (a sequence) or sparse (a
 so rank decisions are never subject to rounding.  Row echelon forms are
 fully reduced with leading entry 1; that form is unique, so every derived
 basis is deterministic.  The package passes RowSpaces and sparse vectors
-between its layers; solve and RowSpace.basis are the only dense views,
-and dense converts a sparse vector where output is formatted.
+between its layers; RowSpace.basis is the only dense view, and dense
+converts a sparse vector where output is formatted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ValidationError
 
@@ -86,20 +86,6 @@ def _subtract(v: Sparse, f: Q, row: Mapping[int, Q]) -> None:
             v[c] = y
         else:
             del v[c]
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One solution of A x = b, or None if inconsistent.
-
-    Free coordinates are set to zero, so the answer is deterministic.
-    """
-    if not rows:
-        return tuple() if all(Q(b) == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    space = RowSpace(ncols + 1, [{**sparse(r), ncols: b} for r, b in zip(rows, rhs)])
-    if ncols in space.rows:
-        return None
-    return dense({pc: row[ncols] for pc, row in space.rows.items() if ncols in row}, ncols)
 
 
 class RowSpace:

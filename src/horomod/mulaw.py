@@ -10,8 +10,10 @@ For rank one everything is explicit: channels are transvectants of
 binary forms, commutativity and associativity expand into a polynomial
 system with integer coefficients, kept in polysys canonical form from
 generation to output, the linearization at the all-zero point computes
-the tangent space with its torus weights, and coordinate rings of
-small orbit closures give honest numeric laws to feed back in.
+the tangent space with its torus weights, and the laws of orbit
+closures, honest numeric points to feed back in, are read off
+transvectants of the powers of the orbit's covariant: exact arithmetic
+on binary forms, with no functions on the group.
 
 The tangent space has two routes.  channels.law_tangent builds only
 the linear rows of the system, grade by grade, with integer
@@ -25,8 +27,8 @@ from the channels layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from math import factorial, perm, prod
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -46,8 +48,6 @@ from .polysys import (
     Mono,
     PolySystem,
     canonical_poly,
-    poly_add,
-    poly_scale,
     primitive_ints,
     render_poly,
 )
@@ -91,6 +91,8 @@ def make_binary_form(degree: int, coeffs: Sequence) -> BinaryForm:
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, i: int) -> BinaryForm:
+    """The i-th transvectant of f and g, of degree f.degree + g.degree
+    - 2i; the 0-th is the product."""
     if i < 0 or i > min(f.degree, g.degree):
         raise ValidationError(f"transvectant index {i} out of range")
     d = f.degree + g.degree - 2 * i
@@ -441,85 +443,6 @@ def system_residuals(system: PolySystem, values: Mapping[str, Q]) -> Tuple[Q, ..
 
 # ----------------------------------------------------- orbit laws (A1)
 
-# Functions on the group are polynomials in the four matrix entries
-# with the relation (top-left)(bottom-right) = 1 + (top-right)(bottom-left);
-# monomials are exponent quadruples reduced so the first and last slots
-# are never both positive.  Sums and scalar multiples keep that form, so
-# they are the polysys ones; products and the sl2 operators reduce.
-
-NFPoly = Dict[Tuple[int, int, int, int], Q]
-
-
-def _nf_into(out: NFPoly, mono: Tuple[int, int, int, int], coef: Q) -> None:
-    p, q, r, s = mono
-    if p and s:
-        t = min(p, s)
-        for k in range(t + 1):
-            _nf_into(out, (p - t, q + k, r + k, s - t), coef * comb(t, k))
-        return
-    v = out.get(mono, Q(0)) + coef
-    if v:
-        out[mono] = v
-    else:
-        out.pop(mono, None)
-
-
-def nf_poly(raw: Mapping[Tuple[int, int, int, int], Q]) -> NFPoly:
-    out: NFPoly = {}
-    for mono, coef in raw.items():
-        if coef:
-            _nf_into(out, mono, coef)
-    return out
-
-
-def nf_mul(f: NFPoly, g: NFPoly) -> NFPoly:
-    out: NFPoly = {}
-    for (p1, q1, r1, s1), c1 in f.items():
-        for (p2, q2, r2, s2), c2 in g.items():
-            _nf_into(out, (p1 + p2, q1 + q2, r1 + r2, s1 + s2), c1 * c2)
-    return out
-
-
-def _op_raise(f: NFPoly) -> NFPoly:
-    out: NFPoly = {}
-    for (p, q, r, s), c in f.items():
-        if p:
-            _nf_into(out, (p - 1, q, r + 1, s), -c * p)
-        if q:
-            _nf_into(out, (p, q - 1, r, s + 1), -c * q)
-    return out
-
-
-def _op_lower(f: NFPoly) -> NFPoly:
-    out: NFPoly = {}
-    for (p, q, r, s), c in f.items():
-        if r:
-            _nf_into(out, (p + 1, q, r - 1, s), -c * r)
-        if s:
-            _nf_into(out, (p, q + 1, r, s - 1), -c * s)
-    return out
-
-
-def _coordinate_pullbacks(form: BinaryForm) -> List[NFPoly]:
-    """Pullback of each linear coordinate along the orbit map of the
-    given vector: entry r is the weight-(2r-n) function picking the
-    y^r coefficient of the moved vector."""
-    n = form.degree
-    out = []
-    for r in range(n + 1):
-        raw: Dict[Tuple[int, int, int, int], Q] = {}
-        for t, vt in enumerate(form.coeffs):
-            if not vt:
-                continue
-            for k in range(r + 1):
-                l = r - k
-                if k > n - t or l > t:
-                    continue
-                mono = (n - t - k, t - l, k, l)
-                raw[mono] = raw.get(mono, Q(0)) + vt * comb(n - t, k) * comb(t, l)
-        out.append(nf_poly(raw))
-    return out
-
 
 def _single_generator(monoid: WeightMonoid) -> int:
     gens = [g for g in monoid.generators if any(g)]
@@ -530,47 +453,41 @@ def _single_generator(monoid: WeightMonoid) -> int:
     return gens[0][0]
 
 
-def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> NFPoly:
-    cands: List[NFPoly] = []
-    for form in forms:
-        pulls = _coordinate_pullbacks(form)
-        for r, pb in enumerate(pulls):
-            if 2 * r - form.degree == nbar and pb:
-                cands.append(pb)
-    if not cands:
+def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> BinaryForm:
+    """Z, the one nonzero summand of degree nbar, scaled to primitive
+    integers whose last nonzero entry is positive.
+
+    A nonzero summand of degree n pulls the coordinates of V(n) back to
+    a copy of V(n) among the functions on SL2, and that copy holds a
+    function of weight nbar when n >= nbar and n = nbar (mod 2).  The
+    raising operator kills it for n = nbar and is injective on it
+    otherwise, so the singular combinations of these functions are the
+    degree-nbar summands plus, in each larger degree, one per linear
+    relation among the summands of that degree; a combination of the
+    latter is the pullback of zero, and vanishes."""
+    by_degree: Dict[int, List[Tuple[Q, ...]]] = {}
+    for f in forms:
+        if any(f.coeffs) and f.degree >= nbar and (f.degree - nbar) % 2 == 0:
+            by_degree.setdefault(f.degree, []).append(f.coeffs)
+    if not by_degree:
         raise ValidationError("no coordinate function of the generator weight")
-    raised = [_op_raise(pb) for pb in cands]
-    rows: Dict[Tuple[int, int, int, int], Dict[int, Q]] = {}  # monomial -> {candidate: coeff}
-    for j, rp in enumerate(raised):
-        for m, c in rp.items():
-            rows.setdefault(m, {})[j] = c
-    kern = linalg.RowSpace(len(cands), rows.values()).kernel()
-    if not kern:
+    tops = by_degree.pop(nbar, [])
+    singular = len(tops) + sum(
+        len(vs) - linalg.RowSpace(n + 1, vs).dim for n, vs in by_degree.items()
+    )
+    if not singular:
         raise ValidationError("no singular covariant of the generator weight")
-    if len(kern) > 1:
+    if singular > 1:
         raise ValidationError(
             "degree-one covariant of the generator weight is not unique; "
             "the orbit closure is not multiplicity-free in this window"
         )
-    z: NFPoly = {}
-    for j, coef in kern[0].items():
-        z = poly_add(z, poly_scale(cands[j], coef))
-    if not z:
+    if not tops:
         raise ValidationError("singular covariant vanished after normalization")
-    monos = sorted(z)
-    return {m: Q(c) for m, c in zip(monos, primitive_ints([z[m] for m in monos]))}
-
-
-def _lowering_basis(top: NFPoly, weight: int) -> List[NFPoly]:
-    basis = [top]
-    for s in range(weight):
-        nxt = poly_scale(_op_lower(basis[-1]), Q(1, weight - s))
-        if not nxt:
-            raise ValidationError("covariant span collapsed while lowering")
-        basis.append(nxt)
-    if _op_lower(basis[-1]):
-        raise ValidationError("covariant does not close into the expected span")
-    return basis
+    v = tops[0]
+    # primitive_ints makes the first entry positive: read v from its end.
+    last = max(j for j, c in enumerate(v) if c)
+    return make_binary_form(nbar, primitive_ints(v[last::-1])[::-1] + [0] * (nbar - last))
 
 
 def orbit_law(
@@ -578,8 +495,19 @@ def orbit_law(
     monoid: WeightMonoid,
     truncation: int,
 ) -> MultiplicationLaw:
-    """Numeric law of the orbit closure of the given vector, read off by
-    multiplying covariant bases as functions on the group."""
+    """Numeric law of the orbit closure of the given vector, read off
+    transvectants of the powers P_a = Z^(a/nbar) of its covariant.
+
+    The weight-a piece of the coordinate ring is the copy of V(a) that
+    P_a spans in the functions on SL2, and a product of functions is the
+    product of the forms they come from.  So the channel-i part of the
+    (a, b) product is transvectant(P_a, P_b, i), which must be k * P_c
+    for c = a+b-2i in the window and zero off it.  The law reads each
+    piece in the lowering basis of its functions, L^s(top)/perm(a, s);
+    through the invariant pairing of binary forms that basis meets the
+    monomial basis of the channel coefficients, and the coefficient is
+    k / (i! perm(a,i) perm(b,i) perm(a+b-i+1,i)), whatever the form.
+    The tests keep the route through functions on SL2 as the oracle."""
     if not _is_a1(monoid.rd):
         raise ValidationError("orbit laws are implemented for rank one")
     if truncation > MAX_ORBIT_TRUNCATION:
@@ -591,94 +519,36 @@ def orbit_law(
         raise ValidationError("zero vector has no orbit law")
     nbar = _single_generator(monoid)
     ints = [w[0] for w in monoid_window(monoid, truncation)]
-    sset = set(ints)
 
     z = _hw_covariant(forms, nbar)
-    bases: Dict[int, List[NFPoly]] = {0: [{(0, 0, 0, 0): Q(1)}]}
-    power: NFPoly = {(0, 0, 0, 0): Q(1)}
-    done = 0
-    for a in ints:
-        if a == 0:
-            continue
-        if a % nbar:
-            raise ValidationError("window weight off the generator lattice")
-        while done < a // nbar:
-            power = nf_mul(power, z)
-            done += 1
-        if not power:
-            raise ValidationError("covariant power vanished; window too large")
-        bases[a] = _lowering_basis(power, a)
+    powers = {0: make_binary_form(0, [1])}
+    for a in ints[1:]:
+        powers[a] = transvectant(powers[a - nbar], z, 0)
 
     coeffs: Dict[LawKey, Q] = {}
-    coeff = ChannelTable()
-    wset = set(ints)
     for a in ints:
         for b in ints:
-            if a + b > truncation or a + b not in wset:
-                continue
+            if a + b > truncation:
+                break
             coeffs[((a,), (b,), (a + b,), 0)] = Q(1)
-            if a == 0 or b == 0:
-                continue
-            channels = [
-                i for i in range(min(a, b) + 1) if a + b - 2 * i in sset
-            ]
-            sol = _solve_pair(a, b, channels, bases, coeff)
-            for i, val in zip(channels, sol):
-                if i and val:
-                    coeffs[((a,), (b,), (a + b - 2 * i,), i)] = val
+            for i in range(1, min(a, b) + 1):
+                c = a + b - 2 * i
+                k = _multiple(transvectant(powers[a], powers[b], i), powers.get(c))
+                if k is None:
+                    raise ValidationError(
+                        f"product of the weight-{a} and weight-{b} pieces does not "
+                        "decompose inside the declared monoid window"
+                    )
+                if k:
+                    scale = factorial(i) * perm(a, i) * perm(b, i) * perm(a + b - i + 1, i)
+                    coeffs[((a,), (b,), (c,), i)] = k / scale
     return make_law(monoid.rd, monoid, truncation, coeffs)
 
 
-def _solve_pair(
-    a: int, b: int, channels: List[int], bases: Dict[int, List[NFPoly]], coeff: ChannelTable
-) -> List[Q]:
-    """Channel values of the (a, b) product: solved on the rows (0, t),
-    then checked on every row pair (s, t), each product formed once;
-    coeff is the orbit law's channel table."""
-    rows: List[List[Q]] = []
-    rhs: List[Q] = []
-    first = [nf_mul(bases[a][0], bases[b][t]) for t in range(min(a, b) + 1)]
-    for t, prod in enumerate(first):
-        terms: List[Tuple[int, Q, NFPoly]] = []
-        for i in channels:
-            k = coeff[a, 0, b, t, i]
-            if not k:
-                continue
-            terms.append((i, Q(k), bases[a + b - 2 * i][t - i]))
-        monos = sorted(set(prod) | {m for _, _, vec in terms for m in vec})
-        for m in monos:
-            row = [Q(0)] * len(channels)
-            for i, k, vec in terms:
-                row[channels.index(i)] += k * vec.get(m, Q(0))
-            rows.append(row)
-            rhs.append(prod.get(m, Q(0)))
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise ValidationError(
-            f"product of the weight-{a} and weight-{b} pieces does not "
-            "decompose inside the declared monoid window"
-        )
-    if sol[channels.index(0)] != 1:
-        raise ValidationError("top-channel normalization failed")
-    for s in range(a + 1):
-        for t in range(b + 1):
-            if s == 0 and t < len(first):
-                prod = first[t]
-            else:
-                prod = nf_mul(bases[a][s], bases[b][t])
-            acc: NFPoly = {}
-            for i, val in zip(channels, sol):
-                if not val:
-                    continue
-                k = coeff[a, s, b, t, i]
-                if not k:
-                    continue
-                m = s + t - i
-                if 0 <= m <= a + b - 2 * i:
-                    acc = poly_add(acc, poly_scale(bases[a + b - 2 * i][m], val * k))
-            if acc != prod:
-                raise ValidationError(
-                    f"decomposition check failed on rows ({s},{t}) for the "
-                    f"({a},{b}) product"
-                )
-    return list(sol)
+def _multiple(t: BinaryForm, p: Optional[BinaryForm]) -> Optional[Q]:
+    """k with t = k * p, taking a missing p as zero; None if there is none."""
+    if p is None:
+        return None if any(t.coeffs) else Q(0)
+    j = next(j for j, c in enumerate(p.coeffs) if c)
+    k = t.coeffs[j] / p.coeffs[j]
+    return k if all(x == k * y for x, y in zip(t.coeffs, p.coeffs)) else None

@@ -1,8 +1,8 @@
 """Small exact polynomial systems in named unknowns.
 
-Just enough ring arithmetic for generating and exporting structure
-equations: sparse polynomials in named unknowns, monomials of degree at
-most two, and canonical form.  A canonical polynomial is a tuple of
+Just enough for generating and exporting structure equations: sparse
+polynomials in named unknowns, monomials of degree at most two, and
+canonical form.  A canonical polynomial is a tuple of
 (monomial, integer) pairs: monomials sorted by degree then unknown name,
 integer content cleared, leading coefficient positive.  A PolySystem
 holds its equations in that form only, and every reader reads it as it
@@ -11,37 +11,15 @@ stands.  system_to_text exports one polynomial per line.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
 
-Q = Fraction
-
 Mono = Tuple[int, ...]  # sorted unknown indices; () is the constant monomial
-Poly = Dict[Mono, Q]
 Grade = Tuple[int, ...]  # degree in the simple roots
 CanonPoly = Tuple[Tuple[Mono, int], ...]
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        v = out.get(m, Q(0)) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    c = Q(c)
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
 
 
 class _SystemFields(NamedTuple):

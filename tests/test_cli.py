@@ -296,6 +296,47 @@ def test_a_law_value_past_the_digit_limit_is_not_printed(tmp_path, capsys):
     )
 
 
+def test_orbit_law_of_the_longest_form_at_the_truncation_cap_is_fast(capsys):
+    """4 300-digit entries at the truncation cap: the law is built from
+    the covariant's powers and refused as too long to print, in time."""
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "orbit-law", "A1", "2", "--form", "7" * 4300 + ",0,1", "--truncation", "16")
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert blob["error"]["message"] == (
+        "coefficient lam=[4] mu=[4] nu=[0] channel=4 has a numerator or denominator of more than 4300 digits"
+    )
+
+
+@st.composite
+def _orbit_law_argv(draw):
+    n = draw(st.integers(1, 6))
+    monoid = draw(st.sampled_from([str(n)] * 6 + ["2;3", "0", "-2"]))
+    forms = []
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        degree = draw(st.sampled_from([n, n, n + 2]) | st.integers(0, 7))
+        entries = [
+            draw(st.sampled_from(["0", "1", "0", "-1", "2", "1/2", "-3/4", "0.5"]))
+            for _ in range(degree + 1)
+        ]
+        if draw(st.integers(0, 7)) == 7:
+            bad = draw(st.sampled_from(["x", "", "1e3", "1/0", "7" * 4301]))
+            entries[draw(st.integers(0, degree))] = bad
+        # One argument, so that argparse takes a leading minus as a value.
+        forms.append("--form=" + ",".join(entries))
+    truncation = draw(st.sampled_from(list(range(17)) + [17, -1]))
+    group = "A2" if draw(st.integers(0, 7)) == 7 else "A1"
+    return ["orbit-law", *forms, f"--truncation={truncation}", "--", group, monoid]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_orbit_law_argv())
+def test_orbit_law_always_ends_in_one_envelope(argv):
+    start = time.perf_counter()
+    assert_one_envelope(argv)
+    assert time.perf_counter() - start < 2
+
+
 def test_saturate_and_presentation(capsys):
     code, blob = run_json(capsys, "saturate", "A1", "2;3")
     assert code == 0

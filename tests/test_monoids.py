@@ -197,12 +197,22 @@ def test_positive_roots_monoid_contains_simples_after_saturation():
     assert sat.generators == ((0, 1), (1, 0))
 
 
+def _solve(cols, y):
+    """One solution of sum x_j cols[j] = y with its free coordinates
+    zero, or None if there is none."""
+    n = len(cols)
+    space = linalg.RowSpace(n + 1, [(*row, b) for row, b in zip(zip(*cols), y)])
+    if n in space.rows:
+        return None
+    return [space.rows[j].get(n, 0) if j in space.rows else 0 for j in range(n)]
+
+
 def _caratheodory(gens, y, r):
     """Reference cone membership: a non-negative solution on some set of
     at most r generators, r the rank of gens."""
     for size in range(1, r + 1):
         for subset in combinations(gens, size):
-            sol = linalg.solve(list(zip(*subset)), y)
+            sol = _solve(subset, y)
             if sol is not None and all(t >= 0 for t in sol):
                 return True
     return False
@@ -246,11 +256,7 @@ SATURATION_CASES = [
 ]
 
 
-def test_saturation_makes_no_linear_solve(monkeypatch):
-    def no_solve(*args):
-        raise AssertionError("saturation called linalg.solve")
-
-    monkeypatch.setattr(monoids.linalg, "solve", no_solve)
+def test_saturation_gives_the_known_generators():
     for make, rd, gens, want in SATURATION_CASES:
         assert saturation(make(rd, gens)).generators == want
 

@@ -1,15 +1,18 @@
 from fractions import Fraction as Q
 from itertools import product
+from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horomod import channels
+from horomod import channels, mulaw
 from horomod.channels import _triple_top_vectors, law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
 from horomod.monoids import minimal_generators
 from horomod.mulaw import (
+    MAX_ORBIT_TRUNCATION,
     contract,
     horospherical_law,
     law_equations,
@@ -24,7 +27,8 @@ from horomod.mulaw import (
     tangent_at_horospherical,
     transvectant,
 )
-from horomod.polysys import PolySystem
+from horomod.linalg import RowSpace
+from horomod.polysys import PolySystem, primitive_ints
 from horomod.rootdata import make_root_datum, make_weight_monoid
 
 A1 = make_root_datum("A1")
@@ -284,6 +288,194 @@ def test_linear_rows_agree_with_the_full_system(gens, top):
             assert law_tangent(mon, d) == tangent_at_horospherical(law_equations(mon, d))
 
 
+# ------------------------------------------- the function-ring route, an oracle
+#
+# Functions on SL2 are polynomials in the four matrix entries with the
+# relation (top-left)(bottom-right) = 1 + (top-right)(bottom-left);
+# monomials are exponent quadruples reduced so the first and last slots
+# are never both positive.  The orbit law is read off products of the
+# lowering bases of covariant powers, solved on the rows (0, t) and
+# checked on every row pair (s, t).
+
+
+def _nf_into(out, mono, coef):
+    p, q, r, s = mono
+    if p and s:
+        t = min(p, s)
+        for k in range(t + 1):
+            _nf_into(out, (p - t, q + k, r + k, s - t), coef * comb(t, k))
+        return
+    v = out.get(mono, Q(0)) + coef
+    if v:
+        out[mono] = v
+    else:
+        out.pop(mono, None)
+
+
+def nf_combination(terms):
+    """The sum of coef * f over the (coef, f) pairs, in normal form."""
+    out = {}
+    for coef, f in terms:
+        for mono, c in f.items():
+            _nf_into(out, mono, coef * c)
+    return out
+
+
+def nf_mul(f, g):
+    out = {}
+    for (p1, q1, r1, s1), c1 in f.items():
+        for (p2, q2, r2, s2), c2 in g.items():
+            _nf_into(out, (p1 + p2, q1 + q2, r1 + r2, s1 + s2), c1 * c2)
+    return out
+
+
+def op_raise(f):
+    out = {}
+    for (p, q, r, s), c in f.items():
+        if p:
+            _nf_into(out, (p - 1, q, r + 1, s), -c * p)
+        if q:
+            _nf_into(out, (p, q - 1, r, s + 1), -c * q)
+    return out
+
+
+def op_lower(f):
+    out = {}
+    for (p, q, r, s), c in f.items():
+        if r:
+            _nf_into(out, (p + 1, q, r - 1, s), -c * r)
+        if s:
+            _nf_into(out, (p, q + 1, r, s - 1), -c * s)
+    return out
+
+
+def coordinate_pullbacks(form):
+    """Pullback of each linear coordinate along the orbit map of the
+    given vector: entry r is the weight-(2r-n) function picking the
+    y^r coefficient of the moved vector."""
+    n = form.degree
+    out = []
+    for r in range(n + 1):
+        raw = {}
+        for t, vt in enumerate(form.coeffs):
+            for k in range(max(0, r - t), min(r, n - t) + 1):
+                if vt:
+                    _nf_into(raw, (n - t - k, t - r + k, k, r - k), vt * comb(n - t, k) * comb(t, r - k))
+        out.append(raw)
+    return out
+
+
+def ring_hw_covariant(forms, nbar):
+    cands = [
+        pb
+        for form in forms
+        for r, pb in enumerate(coordinate_pullbacks(form))
+        if 2 * r - form.degree == nbar and pb
+    ]
+    if not cands:
+        raise ValidationError("no coordinate function of the generator weight")
+    rows = {}  # monomial -> {candidate: coeff}
+    for j, rp in enumerate(op_raise(pb) for pb in cands):
+        for m, c in rp.items():
+            rows.setdefault(m, {})[j] = c
+    kern = RowSpace(len(cands), rows.values()).kernel()
+    if not kern:
+        raise ValidationError("no singular covariant of the generator weight")
+    if len(kern) > 1:
+        raise ValidationError(
+            "degree-one covariant of the generator weight is not unique; "
+            "the orbit closure is not multiplicity-free in this window"
+        )
+    z = nf_combination((coef, cands[j]) for j, coef in kern[0].items())
+    if not z:
+        raise ValidationError("singular covariant vanished after normalization")
+    monos = sorted(z)
+    return {m: Q(c) for m, c in zip(monos, primitive_ints([z[m] for m in monos]))}
+
+
+def lowering_basis(top, weight):
+    basis = [top]
+    for s in range(weight):
+        nxt = nf_combination([(Q(1, weight - s), op_lower(basis[-1]))])
+        if not nxt:
+            raise ValidationError("covariant span collapsed while lowering")
+        basis.append(nxt)
+    if op_lower(basis[-1]):
+        raise ValidationError("covariant does not close into the expected span")
+    return basis
+
+
+def ring_orbit_law(forms, monoid, truncation):
+    """orbit_law by products of covariant bases as functions on SL2."""
+    if truncation > MAX_ORBIT_TRUNCATION:
+        raise ValidationError(f"orbit-law truncation capped at {MAX_ORBIT_TRUNCATION}")
+    if not forms or all(not any(f.coeffs) for f in forms):
+        raise ValidationError("zero vector has no orbit law")
+    nbar = mulaw._single_generator(monoid)
+    ints = [w[0] for w in monoid_window(monoid, truncation)]
+    z = ring_hw_covariant(forms, nbar)
+    bases = {0: [{(0, 0, 0, 0): Q(1)}]}
+    power = {(0, 0, 0, 0): Q(1)}
+    for a in ints[1:]:
+        power = nf_mul(power, z)
+        if not power:
+            raise ValidationError("covariant power vanished; window too large")
+        bases[a] = lowering_basis(power, a)
+    coeffs = {}
+    for a in ints:
+        for b in ints:
+            if a + b > truncation:
+                continue
+            coeffs[((a,), (b,), (a + b,), 0)] = Q(1)
+            if a and b:
+                open_ = [i for i in range(min(a, b) + 1) if a + b - 2 * i in bases]
+                for i, val in zip(open_, ring_solve_pair(a, b, open_, bases)):
+                    if i and val:
+                        coeffs[((a,), (b,), (a + b - 2 * i,), i)] = val
+    return make_law(monoid.rd, monoid, truncation, coeffs)
+
+
+def ring_solve_pair(a, b, open_, bases):
+    """Values of the channels open_ of the (a, b) product: solved on the
+    rows (0, t), then checked on every row pair (s, t)."""
+    coeff = channels.ChannelTable()
+    n = len(open_)
+    space = RowSpace(n + 1)
+    for t in range(min(a, b) + 1):
+        prod = nf_mul(bases[a][0], bases[b][t])
+        terms = [
+            (open_.index(i), coeff[a, 0, b, t, i], bases[a + b - 2 * i][t - i])
+            for i in open_
+            if coeff[a, 0, b, t, i]
+        ]
+        for m in set(prod) | {m for _, _, vec in terms for m in vec}:
+            row = {n: prod.get(m, Q(0))}
+            for col, k, vec in terms:
+                row[col] = row.get(col, 0) + k * vec.get(m, Q(0))
+            space.add(row)
+    if n in space.rows:
+        raise ValidationError(
+            f"product of the weight-{a} and weight-{b} pieces does not "
+            "decompose inside the declared monoid window"
+        )
+    sol = [space.rows[c].get(n, Q(0)) if c in space.rows else Q(0) for c in range(n)]
+    if sol[open_.index(0)] != 1:
+        raise ValidationError("top-channel normalization failed")
+    for s in range(a + 1):
+        for t in range(b + 1):
+            acc = nf_combination(
+                (val * coeff[a, s, b, t, i], bases[a + b - 2 * i][s + t - i])
+                for i, val in zip(open_, sol)
+                if val and coeff[a, s, b, t, i] and 0 <= s + t - i <= a + b - 2 * i
+            )
+            if acc != nf_mul(bases[a][s], bases[b][t]):
+                raise ValidationError(
+                    f"decomposition check failed on rows ({s},{t}) for the "
+                    f"({a},{b}) product"
+                )
+    return sol
+
+
 # ---------------------------------------------------------------- orbit laws
 
 
@@ -313,42 +505,56 @@ def test_orbit_law_satisfies_equations():
     assert all(r == 0 for r in system_residuals(sys_, vals))
 
 
-def test_orbit_law_checks_every_row_pair(monkeypatch):
-    seen = set()
-    channel_coeff = channels._channel_coeff
+def draw_orbit_request(rng):
+    """(nbar, [(degree, coefficients)], truncation): 1-3 summands of
+    degree 0-7, nbar 1-6 and truncation 0-16.  Summands of degree nbar,
+    sparse ones and proportional copies are drawn often, so that every
+    refusal of the covariant and nontrivial laws are reached."""
+    nbar = rng.randint(1, 6)
+    forms = []
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        if forms and rng.random() < 0.25:
+            degree, coeffs = rng.choice(forms)
+            scale = rng.choice([1, -2, Q(1, 3)])
+            forms.append((degree, [scale * c for c in coeffs]))
+            continue
+        degree = rng.choice([nbar, nbar, nbar, min(nbar + 2, 7), rng.randint(0, 7)])
+        pool = rng.choice([[0, 1, -1, 2, Q(1, 2)], [0, 0, 0, 1, -1]])
+        forms.append((degree, [rng.choice(pool) for _ in range(degree + 1)]))
+    return nbar, forms, rng.randint(0, 16)
 
-    def spy(a, s, b, t, i):
-        if (a, b) == (6, 6):
-            seen.add((s, t))
-        return channel_coeff(a, s, b, t, i)
 
-    monkeypatch.setattr(channels, "_channel_coeff", spy)
-    orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], nat2([2]), 12)
-    assert seen == {(s, t) for s in range(7) for t in range(7)}
+def outcome(route, nbar, forms, truncation):
+    try:
+        return route([make_binary_form(d, c) for d, c in forms], nat2([nbar]), truncation).coeffs
+    except ValidationError as exc:
+        return str(exc)
 
 
-def test_orbit_law_forms_each_product_once(monkeypatch):
-    import horomod.mulaw as mulaw
+def test_orbit_law_matches_the_function_ring_route():
+    """Equal coefficients, or equal refusals, on both routes over 150
+    seeded requests."""
+    for seed in range(150):
+        request = draw_orbit_request(Random(seed))
+        assert outcome(orbit_law, *request) == outcome(ring_orbit_law, *request), request
 
-    muls = [0]
-    counts = {}
-    nf_mul, solve_pair = mulaw.nf_mul, mulaw._solve_pair
 
-    def counting_mul(f, g):
-        muls[0] += 1
-        return nf_mul(f, g)
-
-    def counting_pair(a, b, channels, bases, coeff):
-        before = muls[0]
-        out = solve_pair(a, b, channels, bases, coeff)
-        counts[(a, b)] = muls[0] - before
-        return out
-
-    monkeypatch.setattr(mulaw, "nf_mul", counting_mul)
-    monkeypatch.setattr(mulaw, "_solve_pair", counting_pair)
-    orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], nat2([2]), 12)
-    assert counts[(4, 6)] == 5 * 7
-    assert all(n == (a + 1) * (b + 1) for (a, b), n in counts.items())
+@pytest.mark.parametrize(
+    "nbar, forms, message",
+    [
+        (4, [(1, [1, 0])], "no coordinate function of the generator weight"),
+        (2, [(4, [1, 0, 0, 0, 0])], "no singular covariant of the generator weight"),
+        (2, [(2, [1, 0, 1]), (2, [0, 1, 0])], "is not unique"),
+        (2, [(4, [0, 1, 0, 0, 1]), (4, [0, 2, 0, 0, 2])], "singular covariant vanished"),
+        (4, [(4, [1, 0, 1, 0, 0])], "weight-4 and weight-4 pieces does not decompose"),
+    ],
+)
+def test_orbit_law_refusals_match_the_function_ring_route(nbar, forms, message):
+    """Each refusal of the covariant and of the decomposition, reached
+    alike on both routes."""
+    got = outcome(orbit_law, nbar, forms, 8)
+    assert message in got
+    assert got == outcome(ring_orbit_law, nbar, forms, 8)
 
 
 def test_orbit_law_root_monoid():

@@ -6,7 +6,6 @@ from horomod.errors import ValidationError
 from horomod.polysys import (
     PolySystem,
     canonical_poly,
-    poly_add,
     render_poly,
     system_to_text,
 )
@@ -45,11 +44,6 @@ def test_render_constant_and_long_coefficients():
     big = 10**40 + 1
     cp = (((0,), big), ((2,), -big))
     assert render_poly(cp, NAMES) == f"+{big}*m[2,2,1]-{big}*m[2,4,1]"
-
-
-def test_poly_add_drops_a_cancelled_term():
-    p = {(0, 1): Q(2), (2,): Q(-1), (): Q(5)}
-    assert poly_add(p, {(): Q(-5)}) == {(0, 1): Q(2), (2,): Q(-1)}
 
 
 def test_system_requires_matching_grades():
