@@ -15,14 +15,19 @@ subprocess.  Each case runs in a fresh temporary working directory, and
 a case of several requests runs them there in turn: requests that write
 files name them relatively, and the files left behind are compared along
 with the exit code and stdout of every request.  The script prints how
-many requests differ, then each differing argv, and exits 0 either way.
+many requests differ, then each differing argv, then the horomod
+functions that neither a request nor one of the other two scripts
+(reproduce_examples.py, export_equations.py) entered on this checkout's
+side, and exits 0 either way.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
 import random
+import runpy
 import shlex
 import subprocess
 import sys
@@ -32,6 +37,7 @@ from math import comb, gcd
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS = ["reproduce_examples.py", "export_equations.py"]
 SEED = 20031
 
 SUBCOMMANDS = [
@@ -277,6 +283,7 @@ def law_cases():
         ["law-equations", "A1", "2;3", "--truncation", "12", "--export-system", "system.txt"],
         ["orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "20"],
         ["orbit-law", "A1", "2", "--form", "1e5000,0,1", "--truncation", "4"],
+        ["orbit-law", "A1", "2", "--form", "7" * 4300 + ",0,1", "--truncation", "8"],
         ["root-monoid", "missing.json"],
     ]
     forms = {
@@ -386,21 +393,63 @@ def run_case(main, steps):
     return {"steps": out, "files": files}
 
 
+def functions(package):
+    """(file name, first line, qualified name) of every named function
+    and method in the package's sources; a class body is none."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        todo = [compile(path.read_text(encoding="utf-8"), path.name, "exec")]
+        while todo:
+            code = todo.pop()
+            todo += [c for c in code.co_consts if hasattr(c, "co_code")]
+            name = getattr(code, "co_qualname", code.co_name)
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+                out.append((path.name, code.co_firstlineno, f"{path.stem}.{name}"))
+    return sorted(out)
+
+
 def worker(src):
-    """Run the cases read from stdin under src; print the results."""
+    """Run the cases read from stdin under src; print the results and,
+    for this checkout only, the functions that neither a request nor
+    SCRIPTS entered.  Functions run while horomod.cli is imported count
+    as not entered."""
     sys.path.insert(0, src)
     import horomod
     from horomod.cli import main
 
-    if Path(horomod.__file__).resolve().parent.parent != Path(src).resolve():
+    package = Path(horomod.__file__).resolve().parent
+    if package.parent != Path(src).resolve():
         sys.exit(f"horomod loaded from {horomod.__file__}, not from {src}")
     cases = json.load(sys.stdin)
+    ours = package.parent == SRC
+    entered = set()
+
+    def note(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    if ours:
+        sys.setprofile(note)
     results = [run_case(main, steps) for steps in cases]
-    sys.stdout.write(json.dumps(results))
+    if ours:
+        for script in SCRIPTS:
+            path = Path(__file__).resolve().parent / script
+            sys.argv = [str(path)]
+            with tempfile.TemporaryDirectory() as wd, contextlib.redirect_stdout(io.StringIO()):
+                os.chdir(wd)
+                runpy.run_path(str(path), run_name="__main__")
+                os.chdir("/")
+    sys.setprofile(None)
+    seen = {(Path(c.co_filename).name, c.co_firstlineno) for c in entered
+            if Path(c.co_filename).resolve().parent == package}
+    unentered = [name for file, line, name in functions(package) if (file, line) not in seen] if ours else None
+    sys.stdout.write(json.dumps({"results": results, "unentered": unentered}))
 
 
 def run_side(src, cases):
-    """The results of cases under src, from a fresh interpreter."""
+    """The results of cases under src, from a fresh interpreter, and the
+    functions that no request or script entered, or None when src is
+    not this checkout's."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, __file__, "--worker", str(src)],
@@ -408,7 +457,8 @@ def run_side(src, cases):
     )
     if proc.returncode:
         sys.exit(f"the requests failed to run under {src}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    out = json.loads(proc.stdout)
+    return out["results"], out["unentered"]
 
 
 def compare(cases, ours, theirs):
@@ -431,12 +481,16 @@ def main(argv):
         sys.exit(__doc__)
     other = Path(argv[1]).resolve()
     cases = golden_cases()
-    differing = compare(cases, run_side(SRC, cases), run_side(other, cases))
+    ours, unentered = run_side(SRC, cases)
+    differing = compare(cases, ours, run_side(other, cases)[0])
     total = sum(len(steps) for steps in cases)
     print(f"golden: {total} requests in {len(cases)} cases, {SRC} against {other}")
     print(f"golden: {len(differing)} requests differ in exit code, stdout or files")
     for argv in differing:
         print("  " + shlex.join(argv))
+    print(f"golden: {len(unentered)} horomod functions no request or script entered in {SRC}")
+    for name in unentered:
+        print("  " + name)
     return 0
 
 

@@ -152,9 +152,9 @@ def _cmd_dominance(args):
     payload = {"leq": leq}
     if leq:
         diff = tuple(a - b for a, b in zip(lam, mu))
-        payload["difference_root_coords"] = [
-            str(c) for c in rootdata.to_root_coords(rd, diff)
-        ]
+        coords = rootdata.to_root_coords(rd, diff)
+        linalg.check_size("root coordinate", max(abs(c.numerator) for c in coords))
+        payload["difference_root_coords"] = [str(c) for c in coords]
     return payload, {}, None
 
 
@@ -237,6 +237,7 @@ def _cmd_t1(args):
 def _cmd_tangent_weight(args):
     rd = rootdata.make_root_datum(args.group)
     w = tangent.tangent_weight(rd, _parse_weight(args.lam), _parse_weight(args.mu))
+    linalg.check_size("root coordinate", max(w))
     return {"weight_root_coords": list(w)}, {}, None
 
 
@@ -323,7 +324,7 @@ def _cmd_presentation(args):
         "relations": [
             [list(lhs), list(rhs)] for lhs, rhs in pres.relations
         ],
-        "bound_limited": pres.bound_limited,
+        "bound_limited": True,
     }
     return payload, {"bound": args.bound}, None
 

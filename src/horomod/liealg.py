@@ -36,7 +36,7 @@ from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
-from .linalg import MAX_DIGITS, RowSpace, Sparse, clip, sparse
+from .linalg import BIG, MAX_DIGITS, RowSpace, Sparse, check_size, clip, sparse
 from .rootdata import RootDatum, Weight
 
 Q = Fraction
@@ -246,16 +246,14 @@ def ext(k: int, m: ExplicitModule) -> ExplicitModule:
 _TOKEN_NAMES = {"natural", "dual", "tensor", "sum", "sym", "ext"}
 # Each level of nesting is one recursive call of the parser.
 _MAX_DEPTH = 100
-# A dimension of more digits than the limit is reported by that limit.
-_BIG = 10**MAX_DIGITS
 
 
 def _binomial(n: int, k: int) -> int:
-    """comb(n, k); or _BIG once (n/d)^d <= comb(n, k), d = min(k, n - k),
+    """comb(n, k); or BIG once (n/d)^d <= comb(n, k), d = min(k, n - k),
     passes it by bit length, so no binomial that big is multiplied out."""
     d = min(k, n - k)
-    if d > 0 and ((n // d).bit_length() - 1) * d >= _BIG.bit_length():
-        return _BIG
+    if d > 0 and ((n // d).bit_length() - 1) * d >= BIG.bit_length():
+        return BIG
     return comb(n, k)
 
 
@@ -322,10 +320,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
             raise ValidationError(f"expected a number, got {clip(t)!r}")
 
     def fits(dim: int) -> int:
-        if dim > cap:
-            shown = dim if dim < _BIG else f"of more than {MAX_DIGITS} digits"
-            raise ResourceError(f"module dimension {shown} exceeds cap {cap}")
-        return dim
+        return check_size("module dimension", dim, cap)
 
     def parse() -> Tuple[int, Callable[[], ExplicitModule]]:
         """The dimension of the next term, and a function that builds it."""

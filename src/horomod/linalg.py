@@ -7,8 +7,8 @@ keyed by pivot, and takes vectors either dense (a sequence) or sparse (a
 so rank decisions are never subject to rounding.  Row echelon forms are
 fully reduced with leading entry 1; that form is unique, so every derived
 basis is deterministic.  The package passes RowSpaces and sparse vectors
-between its layers; RowSpace.basis is the only dense view, and dense
-converts a sparse vector where output is formatted.
+between its layers; dense converts a sparse vector where output is
+formatted.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 
 Q = Fraction
 
@@ -26,6 +26,8 @@ Q = Fraction
 # printed.  No number read from outside has a longer run of digits, and
 # no number past it is printed.
 MAX_DIGITS = 4300
+# The least number of more than MAX_DIGITS digits.
+BIG = 10**MAX_DIGITS
 
 Vector = Tuple[Q, ...]
 Sparse = Dict[int, Q]
@@ -42,6 +44,18 @@ def clip(text: str) -> str:
     """text as an error message echoes it: its first 20 characters and
     "..." if it is longer."""
     return text if len(text) <= 20 else text[:20] + "..."
+
+
+def check_size(what: str, n: int, cap: Optional[int] = None) -> int:
+    """n, refused when it exceeds cap or has too many digits to print.
+    The message shows n, or "of more than MAX_DIGITS digits" for a
+    number str could not print."""
+    shown = n if n < BIG else f"of more than {MAX_DIGITS} digits"
+    if cap is not None and n > cap:
+        raise ResourceError(f"{what} {shown} exceeds cap {cap}")
+    if n >= BIG:
+        raise ResourceError(f"{what} {shown} cannot be printed")
+    return n
 
 
 def read_rational(text: str) -> Q:
@@ -139,10 +153,6 @@ class RowSpace:
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    def basis(self) -> List[Vector]:
-        """The reduced rows, dense, in pivot order."""
-        return [dense(self.rows[pc], self.ncols) for pc in self.pivots]
 
     def kernel(self) -> List[Sparse]:
         """Right kernel of the rows, one sparse vector per free column in

@@ -1,22 +1,23 @@
-"""Finitely generated submonoids of weight and root lattices.
+"""Saturation and presentations of finitely generated submonoids of
+weight and root lattices.
 
 Generators are integer tuples: fundamental coordinates for weight
 monoids, simple-root coordinates for root monoids; the records and
-their constructors are rootdata's.  Membership is a
-bounded exhaustive search that returns a certificate; when a strictly
-positive grading functional exists the search is exhaustive and a
-negative answer is definitive, otherwise the result carries a
-bound-limited flag.  The grading is the sum of the cone's facet
-normals, computed once per call; it exists exactly when the cone is
-pointed.
+their constructors are rootdata's.
 
 Saturation computes the Hilbert basis of cone(gens) intersect
 lattice(gens) for rank at most 3, in integer lattice coordinates.  The
 lattice points of the generator zonotope box are enumerated by
 back-substitution over the Hermite normal form rows, each level counted
 against a cap before it is built; the cone is described once by integer
-facet normals, so membership is a sign test on each point; and
-minimal_generators keeps the irreducible points.
+facet normals, so membership in the cone is a sign test on each point;
+and the points that are no natural sum of lighter ones are kept.  Sums
+are searched graded by the sum of the cone's facet normals, computed
+once per call; it is positive on every generator exactly when the cone
+is pointed.
+
+Presentations are binomial relations up to a degree bound; nothing is
+claimed past it.
 """
 
 from __future__ import annotations
@@ -29,95 +30,42 @@ from .errors import ResourceError, ValidationError
 from . import linalg
 from .rootdata import Gen
 
-DEFAULT_MEMBERSHIP_BOUND = 64
 _ENUM_CAP = 200_000
 _CONGRUENCE_CAP = 20_000
 _PAIR_CAP = 100_000
-# Recursion nodes of the membership searches of one membership or
-# minimal_generators call.
+# Recursion nodes of the reducibility searches of one saturation call.
 _SEARCH_CAP = 150_000
 
 
-class MembershipResult(NamedTuple):
-    found: bool
-    certificate: Optional[Tuple[int, ...]]
-    bound_limited: bool
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _search(
-    gens: Sequence[Gen], target: Gen, bound: int, budget: List[int], phi: Optional[Gen]
-) -> Tuple[Optional[Tuple[int, ...]], bool]:
-    """First certificate in lexicographic coefficient order, plus a flag
-    telling whether the search was exhaustive.  phi, when not None, is
-    an integer functional positive on every nonzero generator.
-    budget[0] is the number of search nodes left; the search is refused
-    when it runs out."""
+def _is_sum(gens: Sequence[Gen], target: Gen, phi: Gen, budget: List[int]) -> bool:
+    """Is target a natural sum of gens?  phi is an integer grading
+    positive on each of them, so a sum has at most phi(target) // the
+    least phi(gens) terms, and a partial sum never passes target in
+    phi.  budget[0] is the number of search nodes left; the search is
+    refused when it runs out."""
     m = len(gens)
-    exhaustive = False
-    limit = bound
-    if phi is not None:
-        tval = sum(c * x for c, x in zip(phi, target))
-        if tval < 0:
-            return None, True
-        mins = [sum(c * x for c, x in zip(phi, g)) for g in gens if any(g)]
-        if mins:
-            needed = tval // min(mins)
-            if needed <= bound:
-                exhaustive = True
-                limit = min(bound, needed)
-        else:
-            exhaustive = True
-            limit = 0
-
-    coeffs = [0] * m
 
     def rec(i: int, remaining: Gen, terms: int) -> bool:
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceError(f"membership search exceeded {_SEARCH_CAP} nodes")
-        if all(x == 0 for x in remaining):
+        if not any(remaining):
             return True
         if i == m or terms == 0:
             return False
-        g = gens[i]
-        if not any(g):
-            coeffs[i] = 0
-            return rec(i + 1, remaining, terms)
-        for c in range(0, terms + 1):
-            coeffs[i] = c
-            rest = tuple(r - c * x for r, x in zip(remaining, g)) if c else remaining
-            if phi is not None and sum(p * x for p, x in zip(phi, rest)) < 0:
+        for c in range(terms + 1):
+            rest = tuple(r - c * x for r, x in zip(remaining, gens[i])) if c else remaining
+            if _dot(phi, rest) < 0:
                 break
             if rec(i + 1, rest, terms - c):
                 return True
-        coeffs[i] = 0
         return False
 
-    ok = rec(0, target, limit)
-    if ok:
-        return tuple(coeffs), exhaustive
-    return None, exhaustive
-
-
-def membership(
-    monoid, target: Sequence[int], bound: int = DEFAULT_MEMBERSHIP_BOUND
-) -> MembershipResult:
-    """Is target a natural combination of the generators?
-
-    The certificate is the lexicographically first coefficient vector.
-    found=False is definitive only when bound_limited is False.
-    """
-    gens = monoid.generators
-    t = tuple(int(x) for x in target)
-    if gens and len(t) != len(gens[0]):
-        raise ValidationError("target length does not match generators")
-    if not gens:
-        return MembershipResult(not any(t), tuple() if not any(t) else None, False)
-    phi = _grading(gens, _facet_normals(gens, _hnf(gens)))
-    cert, exhaustive = _search(gens, t, bound, [_SEARCH_CAP], phi)
-    if cert is not None:
-        return MembershipResult(True, cert, False)
-    return MembershipResult(False, None, not exhaustive)
+    return rec(0, target, _dot(phi, target) // min(_dot(phi, g) for g in gens))
 
 
 # ------------------------------------------------------------ saturation
@@ -198,7 +146,7 @@ def _facet_normals(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[
         d = lcm(*(x.denominator for x in kernel[0].values()))
         u = tuple(int(kernel[0].get(j, 0) * d) for j in range(n))
         for s in (1, -1):
-            if all(s * sum(a * b for a, b in zip(u, g)) >= 0 for g in gens):
+            if all(s * _dot(u, g) >= 0 for g in gens):
                 normals.add(tuple(s * a for a in u))
     return sorted(normals)
 
@@ -208,7 +156,7 @@ def _grading(gens: Sequence[Gen], normals: Sequence[Gen]) -> Optional[Gen]:
     positive on every nonzero generator.  It is positive on them all
     exactly when the cone is pointed: only 0 lies on every facet."""
     phi = tuple(sum(u[j] for u in normals) for j in range(len(gens[0])))
-    if all(sum(p * x for p, x in zip(phi, g)) > 0 for g in gens if any(g)):
+    if all(_dot(phi, g) > 0 for g in gens if any(g)):
         return phi
     return None
 
@@ -228,42 +176,21 @@ def saturation(monoid):
     candidates = [
         y
         for y in _box_points(gens, basis)
-        if any(y) and all(sum(a * b for a, b in zip(u, y)) >= 0 for u in normals)
+        if any(y) and all(_dot(u, y) >= 0 for u in normals)
     ]
     return type(monoid)(monoid.rd, _irreducible(candidates, phi))
 
 
-def minimal_generators(monoid) -> Tuple[Gen, ...]:
-    """Generators with the reducible ones removed (needs a positive grading)."""
-    gens = [g for g in monoid.generators if any(g)]
-    if not gens:
-        return ()
-    phi = _grading(gens, _facet_normals(gens, _hnf(gens)))
-    if phi is None:
-        raise ValidationError("no strictly positive grading on the generators")
-    return _irreducible(gens, phi)
-
-
 def _irreducible(gens: Sequence[Gen], phi: Gen) -> Tuple[Gen, ...]:
     """The nonzero gens that are no natural sum of other gens, phi a
-    grading positive on each."""
+    grading positive on each.  A sum for g has only terms lighter than
+    g, so searching the kept lighter ones is complete."""
     keep: List[Gen] = []
     budget = [_SEARCH_CAP]
-    for g in sorted(gens, key=lambda v: (sum(p * x for p, x in zip(phi, v)), v)):
-        # phi >= 1 on every generator, so a sum for g has at most phi(g)
-        # terms, all lighter than g: searching keep that far is complete.
-        grade = sum(p * x for p, x in zip(phi, g))
-        if not keep or _search(keep, g, grade, budget, phi)[0] is None:
+    for g in sorted(gens, key=lambda v: (_dot(phi, v), v)):
+        if not keep or not _is_sum(keep, g, phi, budget):
             keep.append(g)
     return tuple(sorted(keep))
-
-
-def is_free(monoid) -> bool:
-    """True iff the minimal generating set is linearly independent over Q."""
-    gens = minimal_generators(monoid)
-    if not gens:
-        return True
-    return linalg.RowSpace(len(gens[0]), gens).dim == len(gens)
 
 
 # ---------------------------------------------------------- presentation
@@ -271,7 +198,6 @@ def is_free(monoid) -> bool:
 
 class Presentation(NamedTuple):
     relations: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
-    bound_limited: bool = True
 
 
 def _congruent(a, b, relations, degree_cap) -> bool:
@@ -302,12 +228,11 @@ def _congruent(a, b, relations, degree_cap) -> bool:
 def semigroup_presentation(monoid, degree_bound: int) -> Presentation:
     """Binomial relations among the generators up to total degree
     degree_bound, thinned to ones not implied by smaller kept relations.
-    The result is always bound-limited: nothing is claimed beyond the
-    degree window."""
+    Nothing is claimed beyond the degree window."""
     gens = monoid.generators
     m = len(gens)
     if m == 0:
-        return Presentation((), True)
+        return Presentation(())
     if comb(max(degree_bound, 0) + m, m) > _ENUM_CAP:
         raise ResourceError("presentation enumeration cap exceeded")
     fibers: Dict[Gen, List[Tuple[int, ...]]] = {}
@@ -344,4 +269,4 @@ def semigroup_presentation(monoid, degree_bound: int) -> Presentation:
         if kept and _congruent(a, b, kept, degree_bound + slack):
             continue
         kept.append((a, b))
-    return Presentation(tuple(kept), True)
+    return Presentation(tuple(kept))

@@ -27,12 +27,12 @@ from the channels layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import factorial, perm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
-from .linalg import MAX_DIGITS
+from .linalg import BIG, MAX_DIGITS
 from .channels import (
     ChannelTable,
     _associativity_windows,
@@ -67,8 +67,6 @@ Weight = Tuple[int, ...]
 LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
-# A law value of a numerator or denominator this large is not printed.
-_BIG = 10**MAX_DIGITS
 # Cap on the cost estimate of channels._check_law_cost for the full
 # system.  In-process, the largest window N*n admitted for n = 1..6
 # takes 0.1-0.8 s.
@@ -90,24 +88,27 @@ def make_binary_form(degree: int, coeffs: Sequence) -> BinaryForm:
     return BinaryForm(degree, co)
 
 
-def transvectant(f: BinaryForm, g: BinaryForm, i: int) -> BinaryForm:
-    """The i-th transvectant of f and g, of degree f.degree + g.degree
-    - 2i; the 0-th is the product."""
-    if i < 0 or i > min(f.degree, g.degree):
-        raise ValidationError(f"transvectant index {i} out of range")
-    d = f.degree + g.degree - 2 * i
+def transvectants(f: BinaryForm, g: BinaryForm, top: int) -> List[BinaryForm]:
+    """The transvectants of f and g of index 0..top, the i-th of degree
+    f.degree + g.degree - 2i; the 0-th is the product.  Each product of
+    a coefficient of f with one of g is formed once, for every index."""
+    if top < 0 or top > min(f.degree, g.degree):
+        raise ValidationError(f"transvectant index {top} out of range")
+    degree = f.degree + g.degree
     coeff = ChannelTable()
-    out = [Q(0)] * (d + 1)
+    out = [[Q(0)] * (degree - 2 * i + 1) for i in range(top + 1)]
     for s, fc in enumerate(f.coeffs):
         if not fc:
             continue
         for t, gc in enumerate(g.coeffs):
             if not gc:
                 continue
-            m = s + t - i
-            if 0 <= m <= d:
-                out[m] += fc * gc * coeff[f.degree, s, g.degree, t, i]
-    return BinaryForm(d, tuple(out))
+            p = fc * gc
+            for i, row in enumerate(out):
+                m = s + t - i
+                if 0 <= m < len(row):
+                    row[m] += p * coeff[f.degree, s, g.degree, t, i]
+    return [BinaryForm(degree - 2 * i, tuple(row)) for i, row in enumerate(out)]
 
 
 # ------------------------------------------------------- law container
@@ -166,20 +167,6 @@ def make_law(
     return MultiplicationLaw(rd, monoid, truncation, table)
 
 
-def horospherical_law(
-    rd: RootDatum, monoid: WeightMonoid, truncation: int
-) -> MultiplicationLaw:
-    window = monoid_window(monoid, truncation)
-    wset = set(window)
-    coeffs: Dict[LawKey, Q] = {}
-    for lam in window:
-        for mu in window:
-            sumw = tuple(a + b for a, b in zip(lam, mu))
-            if sumw in wset:
-                coeffs[(lam, mu, sumw, 0)] = Q(1)
-    return MultiplicationLaw(rd, monoid, truncation, coeffs)
-
-
 def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
     """Scale each coefficient of grade g by prod point[k]**g[k].
 
@@ -201,7 +188,7 @@ def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
         for base, exp in zip(pt, g):
             num_bits = exp * (abs(base.numerator).bit_length() - 1) - val.denominator.bit_length()
             den_bits = exp * (base.denominator.bit_length() - 1) - abs(val.numerator).bit_length()
-            if max(num_bits, den_bits) >= _BIG.bit_length():
+            if max(num_bits, den_bits) >= BIG.bit_length():
                 raise _too_long("contracted coefficient", key)
             factor *= base ** exp
         if val * factor:
@@ -232,7 +219,7 @@ def law_to_json_dict(law: MultiplicationLaw) -> dict:
     """The law as JSON; a value whose numerator or denominator has more
     than MAX_DIGITS digits, which str could not print, is refused."""
     for key, val in law.coeffs.items():
-        if abs(val.numerator) >= _BIG or val.denominator >= _BIG:
+        if abs(val.numerator) >= BIG or val.denominator >= BIG:
             raise _too_long("coefficient", key)
     entries = [
         {
@@ -327,23 +314,14 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
     """Commutativity and associativity constraints on a rank-one law
     window, as an exact polynomial system in the non-top coefficients."""
-    return law_equations_with_kinds(monoid, truncation)[0]
-
-
-def law_equations_with_kinds(
-    monoid: WeightMonoid, truncation: int
-) -> Tuple[PolySystem, Tuple[str, ...]]:
-    """law_equations together with the origin of each equation, in
-    matching order: "commutativity" or "associativity"."""
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
     sset = set(ints)
     coeff = ChannelTable()
     names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
     grades: List[Grade] = [(i,) for (_, _, i) in index]
 
-    raw_equations: List[Tuple[Dict[Mono, int], Grade, str]] = [
-        ({(u,): v for u, v in row.items()}, (i,), "commutativity")
-        for row, i in _commutativity_rows(index)
+    raw_equations: List[Tuple[Dict[Mono, int], Grade]] = [
+        ({(u,): v for u, v in row.items()}, (i,)) for row, i in _commutativity_rows(index)
     ]
 
     for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
@@ -376,16 +354,16 @@ def law_equations_with_kinds(
                         poly[m] = poly.get(m, 0) + sgn * k1 * k2
             poly = {m: v for m, v in poly.items() if v}
             if poly:
-                raw_equations.append((poly, (r,), "associativity"))
+                raw_equations.append((poly, (r,)))
 
     seen = set()
     canon = []
-    for poly, grade, kind in raw_equations:
+    for poly, grade in raw_equations:
         cp = canonical_poly(poly, names)
         if not cp or (cp, grade) in seen:
             continue
         seen.add((cp, grade))
-        canon.append((cp, grade, kind))
+        canon.append((cp, grade))
     canon.sort(
         key=lambda eg: (
             eg[1],
@@ -393,12 +371,7 @@ def law_equations_with_kinds(
             render_poly(eg[0], names),
         )
     )
-    system = PolySystem(
-        tuple(names),
-        tuple(grades),
-        tuple((cp, grade) for cp, grade, _ in canon),
-    )
-    return system, tuple(kind for _, _, kind in canon)
+    return PolySystem(tuple(names), tuple(grades), tuple(canon))
 
 
 def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]]:
@@ -418,27 +391,6 @@ def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]
             spaces[g].add({columns[g][u]: c for u, c in lin.items()})
     weights = tuple(g for g in sorted(spaces) for _ in range(spaces[g].ncols - spaces[g].dim))
     return len(weights), weights
-
-
-def law_unknown_values(law: MultiplicationLaw) -> Dict[str, Q]:
-    if not _is_a1(law.rd):
-        raise ValidationError("unknown naming is defined for rank one")
-    out: Dict[str, Q] = {}
-    for (lam, mu, nu, ch), val in law.coeffs.items():
-        if ch == 0:
-            continue
-        out[f"m[{lam[0]},{mu[0]},{ch}]"] = val
-    return out
-
-
-def system_residuals(system: PolySystem, values: Mapping[str, Q]) -> Tuple[Q, ...]:
-    """Value of each equation at the given coefficient assignment;
-    unnamed unknowns count as zero."""
-    point = [Q(values.get(name, 0)) for name in system.unknowns]
-    return tuple(
-        sum((c * prod(point[u] for u in m) for m, c in cp), Q(0))
-        for cp, _ in system.equations
-    )
 
 
 # ----------------------------------------------------- orbit laws (A1)
@@ -523,7 +475,7 @@ def orbit_law(
     z = _hw_covariant(forms, nbar)
     powers = {0: make_binary_form(0, [1])}
     for a in ints[1:]:
-        powers[a] = transvectant(powers[a - nbar], z, 0)
+        powers[a] = transvectants(powers[a - nbar], z, 0)[0]
 
     coeffs: Dict[LawKey, Q] = {}
     for a in ints:
@@ -531,9 +483,10 @@ def orbit_law(
             if a + b > truncation:
                 break
             coeffs[((a,), (b,), (a + b,), 0)] = Q(1)
+            by_channel = transvectants(powers[a], powers[b], min(a, b))
             for i in range(1, min(a, b) + 1):
                 c = a + b - 2 * i
-                k = _multiple(transvectant(powers[a], powers[b], i), powers.get(c))
+                k = _multiple(by_channel[i], powers.get(c))
                 if k is None:
                     raise ValidationError(
                         f"product of the weight-{a} and weight-{b} pieces does not "

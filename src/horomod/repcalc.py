@@ -6,9 +6,9 @@ integer multiplicities, closed under the Weyl group.
 
 tensor_decompose pushes the weights of one factor against the other
 highest weight and folds them back into the dominant chamber with
-signs; tensor_decompose_oracle multiplies full characters and peels
-highest weights greedily.  The two are independent routes and the test
-suite insists they agree.
+signs.  The test suite keeps an independent route, which multiplies
+full characters and peels highest weights greedily, and insists the two
+agree.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from itertools import accumulate
 from math import prod
 from typing import Dict, List, Tuple
 
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
+from .linalg import BIG, check_size
 from .rootdata import (
     RootDatum,
     Weight,
@@ -41,15 +42,24 @@ def weyl_dim(rd: RootDatum, lam) -> int:
 
     Weyl's product over the positive roots alpha_i + ... + alpha_j of
     (lam + rho, alpha) / (rho, alpha), in integers: with S the prefix
-    sums of lam + 1 (S_0 = 0), the factor is (S_{j+1} - S_i) / (j - i + 1)."""
+    sums of lam + 1 (S_0 = 0), the factor is (S_{j+1} - S_i) / (j - i + 1).
+    A dimension of more digits than can be printed is refused; every
+    factor is at least 1, so once the product passes den * BIG in bit
+    length the rest is not multiplied out."""
     lam = check_weight(rd, lam)
     if not is_dominant(rd, lam):
         raise ValidationError(f"{lam} is not dominant")
     s = list(accumulate((l + 1 for l in lam), initial=0))
     n = len(s)
-    num = prod(s[b] - s[a] for a in range(n) for b in range(a + 1, n))
     den = prod(b - a for a in range(n) for b in range(a + 1, n))
+    bound = den.bit_length() + BIG.bit_length()
+    num = 1
+    for factor in (s[b] - s[a] for a in range(n) for b in range(a + 1, n)):
+        num *= factor
+        if num.bit_length() > bound:
+            break  # num // den is past BIG already
     d, rem = divmod(num, den)
+    check_size("dimension", d)
     assert rem == 0 and d > 0
     return d
 
@@ -170,9 +180,7 @@ def _weyl_orbit(rd: RootDatum, mu: Weight) -> List[Weight]:
 def weight_multiplicities(rd: RootDatum, lam, cap: int = DEFAULT_DIM_CAP) -> CharacterTable:
     """Full character of the simple module with highest weight lam."""
     lam = check_weight(rd, lam)
-    dim = weyl_dim(rd, lam)
-    if dim > cap:
-        raise ResourceError(f"dimension {dim} exceeds cap {cap}")
+    dim = check_size("dimension", weyl_dim(rd, lam), cap)
     table = _dominant_mult(rd, lam)
     char: CharacterTable = {}
     for mu, m in table.items():
@@ -195,8 +203,7 @@ def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Deco
         if not is_dominant(rd, w):
             raise ValidationError(f"{w} is not dominant")
     dl, dm = weyl_dim(rd, lam), weyl_dim(rd, mu)
-    if dl * dm > cap:
-        raise ResourceError(f"tensor dimension {dl * dm} exceeds cap {cap}")
+    check_size("tensor dimension", dl * dm, cap)
     if dm > dl:
         lam, mu = mu, lam
     char = weight_multiplicities(rd, mu, cap=cap)
@@ -210,39 +217,4 @@ def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Deco
         acc[nu] = acc.get(nu, 0) + sign * m
     result = {nu: m for nu, m in acc.items() if m != 0}
     assert all(m > 0 for m in result.values())
-    return result
-
-
-def character_product_peel(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Decomposition:
-    """Brute-force oracle: multiply full characters, peel highest weights.
-
-    Independent of tensor_decompose on purpose; keep it that way.
-    """
-    lam = check_weight(rd, lam)
-    mu = check_weight(rd, mu)
-    dl, dm = weyl_dim(rd, lam), weyl_dim(rd, mu)
-    if dl * dm > cap:
-        raise ResourceError(f"tensor dimension {dl * dm} exceeds cap {cap}")
-    ca = weight_multiplicities(rd, lam, cap=cap)
-    cb = weight_multiplicities(rd, mu, cap=cap)
-    prod: Dict[Weight, int] = {}
-    for wa, ma in ca.items():
-        for wb, mb in cb.items():
-            w = tuple(a + b for a, b in zip(wa, wb))
-            prod[w] = prod.get(w, 0) + ma * mb
-    result: Decomposition = {}
-    while prod:
-        dominant = [w for w, m in prod.items() if m != 0 and is_dominant(rd, w)]
-        assert dominant, "character peel left a non-dominant residue"
-        top = max(dominant, key=lambda w: (sum(to_root_coords(rd, w)), w))
-        m = prod[top]
-        assert m > 0
-        result[top] = m
-        for w, k in weight_multiplicities(rd, top, cap=cap).items():
-            left = prod.get(w, 0) - m * k
-            assert left >= 0
-            if left == 0:
-                prod.pop(w, None)
-            else:
-                prod[w] = left
     return result

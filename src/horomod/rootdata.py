@@ -162,15 +162,6 @@ def _from_epsilon(e: Sequence[int]) -> Weight:
     return tuple(a - b for a, b in zip(e, e[1:]))
 
 
-def lowest_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
-    """Image of the dominant weight lam under the longest Weyl element:
-    its epsilon-coordinates in ascending order."""
-    lam = check_weight(rd, lam)
-    if not is_dominant(rd, lam):
-        raise ValidationError(f"{lam} is not dominant")
-    return _from_epsilon(sorted(_epsilon(lam)))
-
-
 def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, bool]:
     """Dominant Weyl conjugate with the sign of the element used.
 

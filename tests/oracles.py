@@ -1,0 +1,132 @@
+"""Reference routes that only the tests call.
+
+Each is an independent check on a package route, or a value the tests
+compare against; none is reached from the CLI or the scripts.
+"""
+
+from fractions import Fraction as Q
+from math import prod
+from typing import Dict, Mapping, Sequence, Tuple
+
+from horomod import linalg, monoids
+from horomod.channels import _is_a1, monoid_window
+from horomod.errors import ResourceError, ValidationError
+from horomod.mulaw import LawKey, MultiplicationLaw
+from horomod.polysys import PolySystem
+from horomod.repcalc import DEFAULT_DIM_CAP, Decomposition, weight_multiplicities, weyl_dim
+from horomod.rootdata import (
+    Gen,
+    RootDatum,
+    Weight,
+    WeightMonoid,
+    _epsilon,
+    _from_epsilon,
+    check_weight,
+    is_dominant,
+    to_root_coords,
+)
+
+# ---------------------------------------------------------------- monoids
+
+
+def minimal_generators(monoid) -> Tuple[Gen, ...]:
+    """Generators with the reducible ones removed (needs a positive grading)."""
+    gens = [g for g in monoid.generators if any(g)]
+    if not gens:
+        return ()
+    phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._hnf(gens)))
+    if phi is None:
+        raise ValidationError("no strictly positive grading on the generators")
+    return monoids._irreducible(gens, phi)
+
+
+def is_free(monoid) -> bool:
+    """True iff the minimal generating set is linearly independent over Q."""
+    gens = minimal_generators(monoid)
+    if not gens:
+        return True
+    return linalg.RowSpace(len(gens[0]), gens).dim == len(gens)
+
+
+# ---------------------------------------------------------------- laws
+
+
+def horospherical_law(rd: RootDatum, monoid: WeightMonoid, truncation: int) -> MultiplicationLaw:
+    """The graded law X_0: every top channel 1, every other zero."""
+    window = monoid_window(monoid, truncation)
+    wset = set(window)
+    coeffs: Dict[LawKey, Q] = {}
+    for lam in window:
+        for mu in window:
+            sumw = tuple(a + b for a, b in zip(lam, mu))
+            if sumw in wset:
+                coeffs[(lam, mu, sumw, 0)] = Q(1)
+    return MultiplicationLaw(rd, monoid, truncation, coeffs)
+
+
+def law_unknown_values(law: MultiplicationLaw) -> Dict[str, Q]:
+    """The non-top coefficients of a rank-one law, by unknown name."""
+    if not _is_a1(law.rd):
+        raise ValidationError("unknown naming is defined for rank one")
+    out: Dict[str, Q] = {}
+    for (lam, mu, nu, ch), val in law.coeffs.items():
+        if ch == 0:
+            continue
+        out[f"m[{lam[0]},{mu[0]},{ch}]"] = val
+    return out
+
+
+def system_residuals(system: PolySystem, values: Mapping[str, Q]) -> Tuple[Q, ...]:
+    """Value of each equation at the given coefficient assignment;
+    unnamed unknowns count as zero."""
+    point = [Q(values.get(name, 0)) for name in system.unknowns]
+    return tuple(
+        sum((c * prod(point[u] for u in m) for m, c in cp), Q(0))
+        for cp, _ in system.equations
+    )
+
+
+# ---------------------------------------------------------------- weights
+
+
+def lowest_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
+    """Image of the dominant weight lam under the longest Weyl element:
+    its epsilon-coordinates in ascending order."""
+    lam = check_weight(rd, lam)
+    if not is_dominant(rd, lam):
+        raise ValidationError(f"{lam} is not dominant")
+    return _from_epsilon(sorted(_epsilon(lam)))
+
+
+def character_product_peel(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Decomposition:
+    """Multiply full characters, peel highest weights: the peel half of
+    the tensor route pair.  Independent of repcalc.tensor_decompose on
+    purpose; keep it that way."""
+    lam = check_weight(rd, lam)
+    mu = check_weight(rd, mu)
+    dl, dm = weyl_dim(rd, lam), weyl_dim(rd, mu)
+    if dl * dm > cap:
+        raise ResourceError(f"tensor dimension {dl * dm} exceeds cap {cap}")
+    ca = weight_multiplicities(rd, lam, cap=cap)
+    cb = weight_multiplicities(rd, mu, cap=cap)
+    product: Dict[Weight, int] = {}
+    for wa, ma in ca.items():
+        for wb, mb in cb.items():
+            w = tuple(a + b for a, b in zip(wa, wb))
+            product[w] = product.get(w, 0) + ma * mb
+    result: Decomposition = {}
+    while product:
+        dominant = [w for w, m in product.items() if m != 0 and is_dominant(rd, w)]
+        assert dominant, "character peel left a non-dominant residue"
+        top = max(dominant, key=lambda w: (sum(to_root_coords(rd, w)), w))
+        m = product[top]
+        assert m > 0
+        result[top] = m
+        for w, k in weight_multiplicities(rd, top, cap=cap).items():
+            left = product.get(w, 0) - m * k
+            assert left >= 0
+            if left == 0:
+                product.pop(w, None)
+            else:
+                product[w] = left
+    return result

@@ -9,26 +9,27 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 
+from horomod.channels import _commutativity_rows, _law_unknowns
 from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
-from horomod.monoids import is_free, minimal_generators, saturation
+from horomod.monoids import saturation
 from horomod.mulaw import (
     contract,
-    horospherical_law,
     law_equations,
-    law_equations_with_kinds,
-    law_unknown_values,
     make_binary_form,
     orbit_law,
     root_monoid_of_law,
+)
+from horomod.polysys import canonical_poly
+from horomod.repcalc import tensor_decompose, weight_multiplicities, weyl_dim
+from horomod.rootdata import dominance_leq, make_root_datum, make_weight_monoid
+from oracles import (
+    character_product_peel,
+    horospherical_law,
+    is_free,
+    law_unknown_values,
+    minimal_generators,
     system_residuals,
 )
-from horomod.repcalc import (
-    character_product_peel,
-    tensor_decompose,
-    weight_multiplicities,
-    weyl_dim,
-)
-from horomod.rootdata import dominance_leq, make_root_datum, make_weight_monoid
 
 A1 = make_root_datum("A1")
 A2 = make_root_datum("A2")
@@ -179,17 +180,18 @@ def test_criterion_8():
     def body():
         for n in range(1, 6):
             mon = make_weight_monoid(A1, [(n,)])
-            system, kinds = law_equations_with_kinds(mon, 4 * n)
-            assert len(kinds) == len(system.equations)
-            for (cp, grade), kind in zip(system.equations, kinds):
-                deg = max(len(mono) for mono, _ in cp)
-                if kind == "commutativity":
-                    assert deg <= 1
-                else:
-                    assert kind == "associativity" and deg <= 2
+            system = law_equations(mon, 4 * n)
+            for cp, grade in system.equations:
+                assert max(len(mono) for mono, _ in cp) <= 2
                 for mono, _ in cp:
                     total = sum(system.grades[u][0] for u in mono)
                     assert (total,) == grade
+            # Every commutativity equation is in the system, and linear.
+            _, _, index = _law_unknowns(mon, 4 * n, 10**6)
+            for row, i in _commutativity_rows(index):
+                cp = canonical_poly({(u,): v for u, v in row.items()}, system.unknowns)
+                assert (cp, (i,)) in system.equations
+                assert all(len(mono) == 1 for mono, _ in cp)
 
     _gate(8, "equation degrees and grade tags audit clean", body)
 

@@ -422,6 +422,75 @@ def test_dim_of_the_last_fundamental_weight_of_a140_is_fast(capsys):
     assert blob["payload"] == {"dim": 141}
 
 
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dim", "A1", NINES], "dimension of more than 4300 digits cannot be printed"),
+        (["dim", "A140", ",".join(["99"] * 140)], "dimension of more than 4300 digits cannot be printed"),
+        (["weights", "A1", NINES], "dimension of more than 4300 digits cannot be printed"),
+        (["tensor", "A1", NINES, "1"], "dimension of more than 4300 digits cannot be printed"),
+        (["tensor", "A1", NINES[:2200], NINES[:2200]], "tensor dimension of more than 4300 digits exceeds cap 2000"),
+    ],
+    ids=["dim", "dim-A140", "weights", "tensor", "tensor-product"],
+)
+def test_a_dimension_too_long_to_print_is_refused(capsys, argv, message):
+    code, blob = run_json(capsys, *argv)
+    assert code == 4
+    assert blob["error"] == {"type": "resource", "message": message}
+
+
+@st.composite
+def _small_argv(draw):
+    """A request of a subcommand without a module: the rank small or
+    140, weights of the right length or one off, entries small, negative
+    or of 4 300 digits (or 4 301, past what int reads)."""
+    rank = draw(st.sampled_from([1, 1, 2, 3, 4, 140]))
+    group = draw(st.sampled_from([f"A{rank}"] * 6 + ["A0", "B2", "A141"]))
+
+    def entry():
+        return draw(st.sampled_from(["0", "1", "2", "-1", "-3", "99"] * 3 + [NINES, "-" + NINES, NINES + "9"]))
+
+    def weight():
+        length = max(draw(st.sampled_from([rank] * 6 + [rank - 1, rank + 1])), 1)
+        if draw(st.integers(0, 3)) == 0:
+            return ",".join([entry()] * length)
+        return ",".join(entry() for _ in range(length))
+
+    command = draw(st.sampled_from(
+        ["root-datum", "dominance", "tensor", "dim", "weights", "tangent-weight", "presentation"]
+    ))
+    options = []
+    if command in ("tensor", "weights"):
+        # A large cap would admit work past any time bound.
+        options = draw(st.sampled_from([[], ["--cap=10"], ["--cap=-1"]]))
+    if command == "root-datum":
+        args = [group]
+    elif command in ("dim", "weights"):
+        args = [group, weight()]
+    elif command == "presentation":
+        options = [f"--bound={draw(st.sampled_from(['-1', '0', '3', '5', NINES]))}"]
+        args = [group, ";".join(weight() for _ in range(draw(st.integers(0, 3))))]
+    else:
+        args = [group, weight(), weight()]
+    # Options first, so that every entry after "--" is positional.
+    return [command, *options, "--", *args]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_argv())
+@example(["dim", "A1", NINES])
+@example(["dim", "--", "A140", ",".join([NINES] * 140)])
+@example(["dominance", "--", "A3", ",".join(["-" + NINES] * 3), ",".join([NINES] * 3)])
+@example(["tangent-weight", "--", "A3", ",".join([NINES] * 3), ",".join(["-" + NINES] * 3)])
+def test_small_requests_always_end_in_one_envelope(argv):
+    start = time.perf_counter()
+    assert_one_envelope(argv)
+    assert time.perf_counter() - start < 2
+
+
 def test_membership_search_cost_is_capped(capsys):
     # 2.6 million search nodes over 311 membership searches without a cap.
     start = time.perf_counter()

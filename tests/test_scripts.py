@@ -61,7 +61,7 @@ def test_golden_set_compares_stdout_and_written_files(tmp_path):
         [["orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "8", "--output", "law.json"],
          ["root-monoid", "law.json"]],
     ]
-    ours = golden.run_side(golden.SRC, cases)
+    ours, _ = golden.run_side(golden.SRC, cases)
     assert [[code for code, _ in r["steps"]] for r in ours] == [[0], [0], [0, 0]]
     assert sorted(ours[1]["files"]) == ["system.txt"]
     assert sorted(ours[2]["files"]) == ["law.json"]
