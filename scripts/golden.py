@@ -5,20 +5,20 @@
 
 OTHER_SRC is the src directory of another checkout, for instance of a
 git worktree of HEAD^.  The script builds a fixed, seeded list of
-requests: every subcommand and its --help, the kinds of input the CLI
-fuzz tests draw, t1 at random and U-fixed points with and without
---lie-u and --diag, the flag multicones A2-A8, both examples, the law
-requests and orbit laws drawn as the orbit-law sweep of the tests draws
-them.  It runs the whole list through horomod.cli.main once under
+requests: every subcommand and its --help, usage errors, the kinds of
+input the CLI fuzz tests draw, t1 at random and U-fixed points with and
+without --lie-u and --diag, the flag multicones A2-A8, both examples,
+the law requests and orbit laws drawn as the orbit-law sweep of the
+tests draws them.  It runs the whole list through horomod.cli.main once under
 this checkout's src and once under OTHER_SRC, each side in its own
 subprocess.  Each case runs in a fresh temporary working directory, and
 a case of several requests runs them there in turn: requests that write
 files name them relatively, and the files left behind are compared along
-with the exit code and stdout of every request.  The script prints how
-many requests differ, then each differing argv, then the horomod
-functions that neither a request nor one of the other two scripts
-(reproduce_examples.py, export_equations.py) entered on this checkout's
-side, and exits 0 either way.
+with the exit code, stdout and stderr of every request.  The script
+prints how many requests differ, then each differing argv, then the
+horomod functions that neither a request nor one of the other two
+scripts (reproduce_examples.py, export_equations.py) entered on this
+checkout's side, and exits 0 either way.
 """
 
 import contextlib
@@ -257,6 +257,12 @@ def small_cases(rng):
         ["saturate", "A1", "2;3"],
         ["saturate", "A2", "2,0;1,1;0,2"],
     ]
+    # Usage errors, each reported on stderr with exit 2.
+    cases += [
+        [], ["frobnicate"], ["--", "dominance", "A1", "-2", "2"], ["tensor", "A1", "1"],
+        ["dim", "A1", "1", "--frob"], ["dim", "A1", "--=3"], ["tensor", "A1", "1", "1", "--cap", "x"],
+        ["law-tangent", "A1", "2"], ["orbit-law", "A1", "2", "--form", "1,0,1"],
+    ]
     return cases
 
 
@@ -372,18 +378,19 @@ def golden_cases():
 
 
 def run_case(main, steps):
-    """Exit code and stdout of each step, then the files left behind."""
+    """Exit code, stdout and stderr of each step, then the files left
+    behind."""
     out = []
     with tempfile.TemporaryDirectory() as wd:
         os.chdir(wd)
         for argv in steps:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
                 try:
                     code = main(list(argv))
                 except Exception as exc:  # a traceback is a result too
                     code = f"raised {type(exc).__name__}: {exc}"
-            out.append([code, buf.getvalue()])
+            out.append([code, buf.getvalue(), err.getvalue()])
         files = {
             str(p.relative_to(wd)): p.read_text(encoding="utf-8", errors="replace")
             for p in sorted(Path(wd).rglob("*"))
@@ -462,8 +469,8 @@ def run_side(src, cases):
 
 
 def compare(cases, ours, theirs):
-    """The argvs of the requests whose exit code or stdout differ, and of
-    the last request of each case whose files differ."""
+    """The argvs of the requests whose exit code, stdout or stderr
+    differ, and of the last request of each case whose files differ."""
     differing = []
     for steps, a, b in zip(cases, ours, theirs):
         for k, argv in enumerate(steps):
@@ -485,7 +492,7 @@ def main(argv):
     differing = compare(cases, ours, run_side(other, cases)[0])
     total = sum(len(steps) for steps in cases)
     print(f"golden: {total} requests in {len(cases)} cases, {SRC} against {other}")
-    print(f"golden: {len(differing)} requests differ in exit code, stdout or files")
+    print(f"golden: {len(differing)} requests differ in exit code, stdout, stderr or files")
     for argv in differing:
         print("  " + shlex.join(argv))
     print(f"golden: {len(unentered)} horomod functions no request or script entered in {SRC}")

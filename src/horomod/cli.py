@@ -14,7 +14,14 @@ contraction points) can be passed after a literal "--" separator.
 
 The layers load on first use: each is bound here as a lazy module
 whose body runs on its first attribute access, so a request compiles
-only the layers its subcommand calls.
+only the layers its subcommand calls.  The module imports no
+fractions: it names Fraction only in annotations.
+
+The subcommands are declared once, in COMMANDS.  A request whose first
+argument names a subcommand builds that subcommand's parser alone; the
+full parser, built from the same table, answers everything else: the
+top-level help, --version, and every usage error, with the text and
+exit code 2 it always had.
 """
 
 from __future__ import annotations
@@ -23,12 +30,14 @@ import argparse
 import importlib.util
 import json
 import sys
-from fractions import Fraction as Q
 from types import ModuleType
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import ResourceError, ValidationError
+
+if TYPE_CHECKING:
+    from fractions import Fraction as Q
 
 
 def _lazy(name: str) -> ModuleType:
@@ -66,7 +75,9 @@ def _parse_weight(text: str) -> Tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValidationError(f"malformed weight {text!r}: expected comma-separated integers")
+        raise ValidationError(
+            f"malformed weight {linalg.clip(text)!r}: expected comma-separated integers"
+        )
 
 
 def _parse_weight_list(text: str) -> List[Tuple[int, ...]]:
@@ -353,7 +364,78 @@ def _cmd_reproduce_example2(args):
 # ------------------------------------------------------------ wiring
 
 
+_CAP = ("--cap", {"type": int, "default": 2000})
+_TRUNCATION = ("--truncation", {"type": int, "required": True})
+_OUTPUT = ("--output", {"metavar": "FILE"})
+
+# The one declaration of the subcommands: name -> (handler, help,
+# arguments).  An argument is a positional's name, or a flag or name
+# with its add_argument options.  Help lists them in this order.
+COMMANDS = {
+    "root-datum": (_cmd_root_datum, "Cartan matrix and positive roots", ["group"]),
+    "dominance": (_cmd_dominance, "is mu below lam", ["group", "mu", "lam"]),
+    "tensor": (_cmd_tensor, "decompose V(lam) (x) V(mu)", ["group", "lam", "mu", _CAP]),
+    "dim": (_cmd_dim, "dimension of V(lam)", ["group", "lam"]),
+    "weights": (_cmd_weights, "weight multiplicities of V(lam)", ["group", "lam", _CAP]),
+    "hwv": (_cmd_hwv, "highest weight vectors of a built module", ["group", "module", _CAP]),
+    "coinv": (_cmd_coinv, "coinvariants of a built module", ["group", "module", _CAP]),
+    "orbit-tangent": (_cmd_orbit_tangent, "basis of g.x", ["group", "module", "point", _CAP]),
+    "stabilizer": (_cmd_stabilizer, "Lie stabilizer of a point",
+                   ["group", "module", "point", _CAP]),
+    "t1": (_cmd_t1, "invariant deformation report at a point", [
+        "group", "module", "point",
+        ("--lie-u", {"action": "store_true",
+                     "help": "stabilizer Lie part = maximal unipotent"}),
+        ("--diag", {"action": "append",
+                    "help": "weight congruence coeffs:modulus, repeatable"}),
+        _CAP,
+    ]),
+    "tangent-weight": (_cmd_tangent_weight, "lam - mu in root coords", ["group", "lam", "mu"]),
+    "law-equations": (_cmd_law_equations,
+                      "commutativity and associativity system for a rank-one window", [
+        "group", ("monoid", {"help": "semicolon-separated generator weights"}), _TRUNCATION,
+        ("--export-system", {"metavar": "FILE"}),
+    ]),
+    "law-tangent": (_cmd_law_tangent, "linearized solution space at the graded law",
+                    ["group", "monoid", _TRUNCATION]),
+    "contract": (_cmd_contract, "rescale a law toward the graded one", [
+        "law_file", ("point", {"help": "comma-separated rationals, one per simple root"}),
+        _OUTPUT,
+    ]),
+    "root-monoid": (_cmd_root_monoid, "grades of the nonzero coefficients", ["law_file"]),
+    "orbit-law": (_cmd_orbit_law, "law of the closure of the orbit of a binary form", [
+        "group", "monoid",
+        ("--form", {"action": "append", "required": True,
+                    "help": "coefficient list, repeatable per summand"}),
+        _TRUNCATION, _OUTPUT,
+    ]),
+    "saturate": (_cmd_saturate, "Hilbert basis of cone cap lattice", [
+        "group", "generators",
+        ("--root", {"action": "store_true", "help": "generators are root-coordinate vectors"}),
+    ]),
+    "presentation": (_cmd_presentation,
+                     "binomial relations among monoid generators up to a degree bound",
+                     ["group", "generators", ("--bound", {"type": int, "required": True})]),
+    "reproduce-example1": (_cmd_reproduce_example1,
+                           "deformation dims of binary-form cones, n = 1..6", []),
+    "reproduce-example2": (_cmd_reproduce_example2,
+                           "deformation report for the flag-like point in k4 + /\\2 + /\\3", []),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """parser, given the handler and the arguments of subcommand name."""
+    func, _, arguments = COMMANDS[name]
+    parser.set_defaults(func=func)
+    parser.add_argument("--pretty", action="store_true", help="indent output for humans")
+    for arg in arguments:
+        flag, options = (arg, {}) if isinstance(arg, str) else arg
+        parser.add_argument(flag, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every subcommand under "horomod"."""
     parser = argparse.ArgumentParser(
         prog="horomod",
         description="Exact invariants of multiplicity-free module closures.",
@@ -362,126 +444,37 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"horomod {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true",
-                        help="indent output for humans")
-
-    def add(name, func, help_):
-        p = sub.add_parser(name, help=help_, parents=[common])
-        p.set_defaults(func=func)
-        return p
-
-    def with_cap(p):
-        p.add_argument("--cap", type=int, default=2000)
-        return p
-
-    p = add("root-datum", _cmd_root_datum, "Cartan matrix and positive roots")
-    p.add_argument("group")
-
-    p = add("dominance", _cmd_dominance, "is mu below lam")
-    p.add_argument("group")
-    p.add_argument("mu")
-    p.add_argument("lam")
-
-    p = add("tensor", _cmd_tensor, "decompose V(lam) (x) V(mu)")
-    p.add_argument("group")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    with_cap(p)
-
-    p = add("dim", _cmd_dim, "dimension of V(lam)")
-    p.add_argument("group")
-    p.add_argument("lam")
-
-    p = add("weights", _cmd_weights, "weight multiplicities of V(lam)")
-    p.add_argument("group")
-    p.add_argument("lam")
-    with_cap(p)
-
-    p = add("hwv", _cmd_hwv, "highest weight vectors of a built module")
-    p.add_argument("group")
-    p.add_argument("module")
-    with_cap(p)
-
-    p = add("coinv", _cmd_coinv, "coinvariants of a built module")
-    p.add_argument("group")
-    p.add_argument("module")
-    with_cap(p)
-
-    p = add("orbit-tangent", _cmd_orbit_tangent, "basis of g.x")
-    p.add_argument("group")
-    p.add_argument("module")
-    p.add_argument("point")
-    with_cap(p)
-
-    p = add("stabilizer", _cmd_stabilizer, "Lie stabilizer of a point")
-    p.add_argument("group")
-    p.add_argument("module")
-    p.add_argument("point")
-    with_cap(p)
-
-    p = add("t1", _cmd_t1, "invariant deformation report at a point")
-    p.add_argument("group")
-    p.add_argument("module")
-    p.add_argument("point")
-    p.add_argument("--lie-u", action="store_true",
-                   help="stabilizer Lie part = maximal unipotent")
-    p.add_argument("--diag", action="append",
-                   help="weight congruence coeffs:modulus, repeatable")
-    with_cap(p)
-
-    p = add("tangent-weight", _cmd_tangent_weight, "lam - mu in root coords")
-    p.add_argument("group")
-    p.add_argument("lam")
-    p.add_argument("mu")
-
-    p = add("law-equations", _cmd_law_equations,
-            "commutativity and associativity system for a rank-one window")
-    p.add_argument("group")
-    p.add_argument("monoid", help="semicolon-separated generator weights")
-    p.add_argument("--truncation", type=int, required=True)
-    p.add_argument("--export-system", metavar="FILE")
-
-    p = add("law-tangent", _cmd_law_tangent,
-            "linearized solution space at the graded law")
-    p.add_argument("group")
-    p.add_argument("monoid")
-    p.add_argument("--truncation", type=int, required=True)
-
-    p = add("contract", _cmd_contract, "rescale a law toward the graded one")
-    p.add_argument("law_file")
-    p.add_argument("point", help="comma-separated rationals, one per simple root")
-    p.add_argument("--output", metavar="FILE")
-
-    p = add("root-monoid", _cmd_root_monoid, "grades of the nonzero coefficients")
-    p.add_argument("law_file")
-
-    p = add("orbit-law", _cmd_orbit_law,
-            "law of the closure of the orbit of a binary form")
-    p.add_argument("group")
-    p.add_argument("monoid")
-    p.add_argument("--form", action="append", required=True,
-                   help="coefficient list, repeatable per summand")
-    p.add_argument("--truncation", type=int, required=True)
-    p.add_argument("--output", metavar="FILE")
-
-    p = add("saturate", _cmd_saturate, "Hilbert basis of cone cap lattice")
-    p.add_argument("group")
-    p.add_argument("generators")
-    p.add_argument("--root", action="store_true",
-                   help="generators are root-coordinate vectors")
-
-    p = add("presentation", _cmd_presentation,
-            "binomial relations among monoid generators up to a degree bound")
-    p.add_argument("group")
-    p.add_argument("generators")
-    p.add_argument("--bound", type=int, required=True)
-
-    add("reproduce-example1", _cmd_reproduce_example1,
-        "deformation dims of binary-form cones, n = 1..6")
-    add("reproduce-example2", _cmd_reproduce_example2,
-        "deformation report for the flag-like point in k4 + /\\2 + /\\3")
+    for name, (_, help_, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), name)
     return parser
+
+
+class _Refused(Exception):
+    """A subcommand's own parser met an argument list it does not accept."""
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """One subcommand's parser, built alone.  Where argparse would report
+    an error it raises _Refused instead, so that the full parser can
+    report it with the text and usage it always has."""
+
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """argv parsed by its subcommand's parser alone when argv[0] names
+    one and that parser takes all of argv[1:]; else by the full parser,
+    which also prints every usage error and the top-level help."""
+    if argv and argv[0] in COMMANDS:
+        parser = _add_command(_SubcommandParser(prog=f"horomod {argv[0]}"), argv[0])
+        try:
+            args, extra = parser.parse_known_args(argv[1:])
+            if not extra:
+                return args
+        except _Refused:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -494,9 +487,8 @@ def _emit(obj: dict, pretty: bool) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

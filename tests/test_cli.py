@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 import time
 from math import comb
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horomod import __version__, liealg
-from horomod.cli import main
+from horomod import __version__, cli, liealg
+from horomod.cli import build_parser, main
 from horomod.rootdata import make_root_datum
 
 
@@ -25,16 +26,39 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def assert_one_envelope(argv):
-    """main(argv) prints one JSON line, with exit 0 and status ok or with
-    exit 3 or 4 and status error."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert out.getvalue().count("\n") == 1
-    blob = json.loads(out.getvalue())
+def outcome(argv):
+    """Exit code, stdout and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_envelope(code, out):
+    """out is one JSON line, with exit 0 and status ok or with exit 3 or
+    4 and status error."""
+    assert out.count("\n") == 1
+    blob = json.loads(out)
     assert code in (0, 3, 4)
     assert blob["status"] == ("ok" if code == 0 else "error")
+
+
+def assert_one_envelope(argv):
+    code, out, _ = outcome(argv)
+    assert_envelope(code, out)
+
+
+def assert_one_envelope_or_a_usage_error(argv):
+    """main(argv) prints one envelope and nothing on stderr, or exits 2
+    with a usage error on stderr and nothing on stdout."""
+    code, out, err = outcome(argv)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage: horomod")
+        assert ": error: " in err.splitlines()[-1]
+    else:
+        assert err == ""
+        assert_envelope(code, out)
 
 
 def test_tensor_example(capsys):
@@ -76,14 +100,137 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
-def test_usage_exit_code(capsys):
-    assert main(["tensor", "A1", "1"]) == 2
-    capsys.readouterr()
+def assert_usage_error(argv, usage, error):
+    """main(argv) exits 2 with nothing on stdout, and stderr is the usage
+    line(s) starting with usage, then the line starting with error."""
+    code, out, err = outcome(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == usage
+    assert err.splitlines()[-1].startswith(error)
 
 
-def test_unknown_subcommand_exit_code(capsys):
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+TOP_USAGE = "usage: horomod [-h] [--version]"
+
+
+def test_usage_exit_code(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_usage_error(
+        ["tensor", "A1", "1"],
+        "usage: horomod tensor [-h] [--pretty] [--cap CAP] group lam mu",
+        "horomod tensor: error: the following arguments are required: mu",
+    )
+
+
+def test_unknown_subcommand_exit_code(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_usage_error(
+        ["frobnicate"], TOP_USAGE, "horomod: error: argument command: invalid choice: 'frobnicate' ("
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["dim", "A1", "1", "--frob"], "horomod: error: unrecognized arguments: --frob"),
+        (["law-tangent", "A1", "2", "--truncation=3", "x", "--cap=1"],
+         "horomod: error: unrecognized arguments: x --cap=1"),
+        ([], "horomod: error: the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "unknown-arguments", "no-arguments"],
+)
+def test_top_level_usage_errors_are_pinned(monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_usage_error(argv, TOP_USAGE, error)
+
+
+# Each subcommand's usage, its white space collapsed.
+USAGES = {
+    "root-datum": "group",
+    "dominance": "group mu lam",
+    "tensor": "[--cap CAP] group lam mu",
+    "dim": "group lam",
+    "weights": "[--cap CAP] group lam",
+    "hwv": "[--cap CAP] group module",
+    "coinv": "[--cap CAP] group module",
+    "orbit-tangent": "[--cap CAP] group module point",
+    "stabilizer": "[--cap CAP] group module point",
+    "t1": "[--lie-u] [--diag DIAG] [--cap CAP] group module point",
+    "tangent-weight": "group lam mu",
+    "law-equations": "--truncation TRUNCATION [--export-system FILE] group monoid",
+    "law-tangent": "--truncation TRUNCATION group monoid",
+    "contract": "[--output FILE] law_file point",
+    "root-monoid": "law_file",
+    "orbit-law": "--form FORM --truncation TRUNCATION [--output FILE] group monoid",
+    "saturate": "[--root] group generators",
+    "presentation": "--bound BOUND group generators",
+    "reproduce-example1": "",
+    "reproduce-example2": "",
+}
+
+DIM_HELP = """usage: horomod dim [-h] [--pretty] group lam
+
+positional arguments:
+  group
+  lam
+
+options:
+  -h, --help  show this help message and exit
+  --pretty    indent output for humans
+"""
+
+
+def test_every_subcommand_has_a_pinned_usage():
+    assert list(USAGES) == list(build_parser()._actions[-1].choices)
+
+
+@pytest.mark.parametrize("name", list(USAGES))
+def test_subcommand_help_is_pinned(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = outcome([name, "--help"])
+    assert (code, err) == (0, "")
+    usage = " ".join(out.partition("\n\n")[0].split())
+    assert usage == f"usage: horomod {name} [-h] [--pretty] {USAGES[name]}".rstrip()
+    assert "indent output for humans" in out
+    if name == "dim":
+        assert out == DIM_HELP
+
+
+def test_top_level_help_and_version(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = outcome(["-h"])
+    assert (code, err) == (0, "")
+    assert out.startswith(TOP_USAGE + "\n")
+    assert "Exact invariants of multiplicity-free module closures." in out
+    for name in USAGES:
+        assert name in out
+    assert outcome(["--version"]) == (0, f"horomod {__version__}\n", "")
+
+
+# Requests that the full parser answers as before, or that reach it.
+FULL_PARSER_ARGV = [[name, "--help"] for name in USAGES] + [
+    [], ["-h"], ["--version"], ["frobnicate"],
+    ["--", "dominance", "A1", "-2", "2"],
+    ["tensor", "A1", "1"],
+    ["dim", "A1", "1", "--frob"],
+    ["dim", "--version"],
+    ["dim", "A1", "--=3"],
+    ["tensor", "A1", "1", "1", "--cap", "x"],
+    ["tensor", "--help", "--cap", "x"],
+    ["law-tangent", "A1", "2"],
+    ["dominance", "A1", "-2,0", "2"],
+    ["dominance", "--", "A1", "-2", "2"],
+    ["dim", "A2", "1,1", "--pretty"],
+]
+
+
+@pytest.mark.parametrize("argv", FULL_PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_answers_as_the_full_parser_alone(monkeypatch, argv):
+    """The exit code, stdout and stderr of main are those it gives when
+    the full parser parses every request."""
+    monkeypatch.setenv("COLUMNS", "80")
+    ours = outcome(argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert outcome(argv) == ours
 
 
 def test_validation_exit_code(capsys):
@@ -440,6 +587,21 @@ def test_a_dimension_too_long_to_print_is_refused(capsys, argv, message):
     code, blob = run_json(capsys, *argv)
     assert code == 4
     assert blob["error"] == {"type": "resource", "message": message}
+
+
+@pytest.mark.parametrize("command", ["dim", "saturate"])
+@pytest.mark.parametrize(
+    "text, shown",
+    [(NINES + "9", "9" * 20 + "..."), ("1,x", "1,x"), ("b" * 20, "b" * 20)],
+    ids=["4301-digits", "short", "20"],
+)
+def test_a_malformed_weight_is_echoed_clipped(capsys, command, text, shown):
+    code, blob = run_json(capsys, command, "A1", text)
+    assert code == 3
+    assert blob["error"] == {
+        "type": "validation",
+        "message": f"malformed weight {shown!r}: expected comma-separated integers",
+    }
 
 
 @st.composite
@@ -1066,6 +1228,91 @@ def test_law_json_without_cartan_reads_the_label(tmp_path, capsys):
         outputs.append(run(capsys, "contract", str(path), "2"))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
+
+
+# A law JSON field takes one of these in the fuzz below.
+JSON_VALUES = [
+    0, 1, -1, 2, 4, 8, 40, int("7" * 4300), 1.5, True, None, "1", "-3/4", "0.5", "x", "1e3", "7" * 4301,
+    "A1", "A2", "B2", [], [2], [4], [0], [-2], [[2]], [[2], [3]], [[0]], [[2]] * 3, {}, {"lam": [2]},
+]
+
+
+@st.composite
+def _law_file_bytes(draw):
+    """A law file: a law of two coefficients with up to three fields set
+    to a value above, deleted or added, or bytes that hold no law."""
+    if draw(st.integers(0, 7)) == 7:
+        return draw(st.sampled_from(
+            [b"", b"{", b"[]", b"null", b"\xff\xfe{}", b"[" * 5000 + b"]" * 5000, b'{"rd": ' * 3000]
+        ))
+    law = {
+        "rd": {"label": "A1", "cartan": [[2]]},
+        "monoid": {"generators": [[2]]},
+        "truncation": 8,
+        "coeffs": [
+            {"lam": [2], "mu": [2], "nu": [4], "channel": 0, "value": "1"},
+            {"lam": [2], "mu": [2], "nu": [0], "channel": 2, "value": "-3/4"},
+        ],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = law.get("coeffs") if isinstance(law.get("coeffs"), list) else []
+        objects = [law] + [o for o in [law.get("rd"), law.get("monoid"), *coeffs] if isinstance(o, dict)]
+        obj = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(obj) + ["extra"]))
+        if draw(st.integers(0, 3)) == 0:
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(st.sampled_from(JSON_VALUES))
+    return json.dumps(law).encode()
+
+
+@st.composite
+def _law_argv(draw):
+    """A law-equations, law-tangent, contract or root-monoid request, in
+    the shape the parser gets it or with a flag it does not know, with
+    --truncation left out, or with "--" in front.  DIR stands for the
+    directory of the law file and of the files the request writes."""
+    command = draw(st.sampled_from(["law-equations", "law-tangent", "contract", "root-monoid"]))
+    options = []
+    if command.startswith("law-"):
+        group = draw(st.sampled_from(["A1"] * 6 + ["A2", "A0"]))
+        monoid = draw(st.sampled_from(["2", "1", "2;3", "3;4", "1;2", "2;2", "0", "-2", "", ";", "x", "1,1", NINES]))
+        truncations = [8, 12, 6, 10, 4, 14, 15, 2, 0, -1, 40]
+        truncation = draw(st.sampled_from([str(t) for t in truncations] + [NINES, NINES + "9", "x"]))
+        options.append(f"--truncation={truncation}")
+        if command == "law-equations" and draw(st.booleans()):
+            options.append("--export-system=DIR/system.txt")
+        args = [group, monoid]
+    else:
+        args = ["DIR/law.json"]
+        if command == "contract":
+            entries = ["2", "1/2", "-1", "0", "1", "-3/4", "x", "1e3", "1/0", "7" * 4301, "1" + "0" * 40]
+            args.append(",".join(draw(st.sampled_from(entries)) for _ in range(draw(st.integers(1, 2)))))
+            if draw(st.booleans()):
+                options.append("--output=DIR/out.json")
+    argv = [command, *options, "--", *args]
+    shape = draw(st.sampled_from(["as parsed"] * 7 + ["unknown flag", "no truncation", "leading --"]))
+    if shape == "unknown flag":
+        argv.insert(1, draw(st.sampled_from(["--frob", "--truncation", "--cap=3", "-x"])))
+    elif shape == "no truncation":
+        argv = [a for a in argv if not a.startswith("--truncation")]
+    elif shape == "leading --":
+        argv.insert(0, "--")
+    return argv, draw(_law_file_bytes())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_law_argv())
+@example((["root-monoid", "DIR/law.json"], b'{"rd": ' * 3000))
+@example((["law-tangent", "--truncation=4", "--frob", "A1", "2"], b""))
+@example((["--", "law-tangent", "--truncation=4", "A1", "2"], b""))
+def test_law_requests_always_end_in_one_envelope_or_a_usage_error(request):
+    argv, law = request
+    with tempfile.TemporaryDirectory() as wd:
+        Path(wd, "law.json").write_bytes(law)
+        start = time.perf_counter()
+        assert_one_envelope_or_a_usage_error([a.replace("DIR", wd) for a in argv])
+        assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import horomod
+from horomod.cli import COMMANDS
 
 SRC = str(Path(horomod.__file__).resolve().parent.parent)
 
@@ -55,6 +56,41 @@ def test_version_runs_no_layer():
     assert {name for name, ran in out["layers"].items() if ran} == {
         "horomod.cli", "horomod.errors",
     }
+
+
+def test_version_imports_no_fractions():
+    out = probe(["--version"], expr='"fractions" in sys.modules')
+    assert out["code"] == 0
+    assert out["probe"] is False
+
+
+COUNT_PARSERS = """
+import argparse
+parsers = []
+_init = argparse.ArgumentParser.__init__
+def _counted(self, *args, **kwargs):
+    parsers.append(kwargs.get("prog"))
+    _init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = _counted
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (["dim", "A2", "1,1"], ["horomod dim"]),
+        (["law-tangent", "A1", "2", "--truncation", "8"], ["horomod law-tangent"]),
+        (["dim", "A2", "1,1", "--frob"],
+         ["horomod dim", "horomod"] + [f"horomod {name}" for name in COMMANDS]),
+    ],
+    ids=["dim", "law-tangent", "usage-error"],
+)
+def test_a_request_builds_only_its_subcommand_parser(argv, parsers):
+    """A request builds its subcommand's parser alone; an argument that
+    parser does not take brings in the full parser, which reports it."""
+    out = probe(argv, setup=COUNT_PARSERS, expr="parsers")
+    assert out["code"] == (2 if "--frob" in argv else 0)
+    assert out["probe"] == parsers
 
 
 def test_dim_runs_no_lie_algebra_law_or_monoid_layer():

@@ -62,7 +62,7 @@ def test_golden_set_compares_stdout_and_written_files(tmp_path):
          ["root-monoid", "law.json"]],
     ]
     ours, _ = golden.run_side(golden.SRC, cases)
-    assert [[code for code, _ in r["steps"]] for r in ours] == [[0], [0], [0, 0]]
+    assert [[code for code, *_ in r["steps"]] for r in ours] == [[0], [0], [0, 0]]
     assert sorted(ours[1]["files"]) == ["system.txt"]
     assert sorted(ours[2]["files"]) == ["law.json"]
     assert golden.compare(cases, ours, ours) == []
