@@ -8,8 +8,9 @@ git worktree of HEAD^.  The script builds a fixed, seeded list of
 requests: every subcommand and its --help, usage errors, the kinds of
 input the CLI fuzz tests draw, t1 at random and U-fixed points with and
 without --lie-u and --diag, the flag multicones A2-A8, both examples,
-the law requests and orbit laws drawn as the orbit-law sweep of the
-tests draws them.  It runs the whole list through horomod.cli.main once under
+weights and tensor requests up to the default dimension cap, the law
+requests and orbit laws drawn as the orbit-law sweep of the tests draws
+them.  It runs the whole list through horomod.cli.main once under
 this checkout's src and once under OTHER_SRC, each side in its own
 subprocess.  Each case runs in a fresh temporary working directory, and
 a case of several requests runs them there in turn: requests that write
@@ -266,6 +267,30 @@ def small_cases(rng):
     return cases
 
 
+def cap_edge_cases(repcalc, rootdata):
+    """weights requests up to the default cap of 2000, drawn from their
+    own seeded generator: large A1 and A2 weights, middling A3 ones,
+    small ones in ranks 6-8 and fundamental weights of high rank; and
+    tensor requests with a large factor."""
+    rng = random.Random(SEED)
+    cases = [["weights", "A1", "1999"], ["weights", "A2", "60,0"], ["weights", "A2", "0,60"]]
+    for rank, top, count in ((1, 1999, 6), (2, 60, 10), (3, 12, 10), (6, 2, 3), (7, 2, 3), (8, 2, 3)):
+        rd = rootdata.make_root_datum(f"A{rank}")
+        drawn = 0
+        while drawn < count:
+            lam = [rng.randint(0, top) for _ in range(rank)]
+            if repcalc.weyl_dim(rd, lam) <= 2000:
+                cases.append(["weights", f"A{rank}", ",".join(map(str, lam))])
+                drawn += 1
+    for rank, k in ((60, 2), (140, 1), (140, 140)):
+        cases.append(["weights", f"A{rank}", ",".join("1" if j == k else "0" for j in range(1, rank + 1))])
+    cases += [
+        ["tensor", "--cap", "4000", "A1", "1999", "1"],
+        ["tensor", "--cap", "600000", "A2", "8,8", "8,8"],
+    ]
+    return cases
+
+
 def law_cases():
     """The law requests; an orbit law written to a file is read back by
     root-monoid and contract in the same case."""
@@ -363,7 +388,7 @@ def golden_cases():
     working directory.  The U-fixed points come from this checkout's
     highest weight vectors."""
     sys.path.insert(0, str(SRC))
-    from horomod import errors, liealg, mulaw, rootdata
+    from horomod import errors, liealg, mulaw, repcalc, rootdata
 
     rng = random.Random(SEED)
     single = (
@@ -373,6 +398,7 @@ def golden_cases():
         + module_cases(rng)
         + point_cases(rng, liealg, rootdata, errors)
         + t1_cases(rng, liealg, rootdata)
+        + cap_edge_cases(repcalc, rootdata)
     )
     return [[argv] for argv in single] + law_cases() + orbit_law_cases(rng, mulaw, rootdata, errors)
 

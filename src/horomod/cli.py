@@ -135,7 +135,7 @@ def _stab_from_args(rd, args) -> liealg.StabilizerSpec:
             modulus = int(mod)
         except ValueError:
             raise ValidationError(
-                f"malformed congruence {entry!r}: expected coeffs:modulus"
+                f"malformed congruence {linalg.clip(entry)!r}: expected coeffs:modulus"
             )
         diag.append(liealg.DiagCongruence(coeffs=_parse_weight(head), modulus=modulus))
     return liealg.StabilizerSpec(lie_part=lie, diag_part=tuple(diag))

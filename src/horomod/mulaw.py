@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
-from .linalg import BIG, MAX_DIGITS
+from .linalg import BIG, MAX_DIGITS, clip
 from .channels import (
     ChannelTable,
     _associativity_windows,
@@ -243,7 +243,7 @@ def _json_int(field: str, x) -> int:
     """A law JSON integer; floats and booleans are refused, since a
     float is no exact value."""
     if type(x) is not int:
-        raise ValidationError(f"law JSON {field} must be an integer, got {x!r}")
+        raise ValidationError(f"law JSON {field} must be an integer, got {clip(repr(x))}")
     return x
 
 
@@ -264,7 +264,7 @@ def _json_object(where: str, obj, required: Tuple[str, ...], optional: Tuple[str
         raise ValidationError(f"law JSON {where} must be an object, got {type(obj).__name__}")
     for key in obj:
         if key not in required + optional:
-            raise ValidationError(f"unknown key {key!r} in law JSON {where}")
+            raise ValidationError(f"unknown key {clip(repr(key))} in law JSON {where}")
     for key in required:
         if key not in obj:
             raise ValidationError(f"law JSON {where} is missing {key!r}")
@@ -293,7 +293,7 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
         _json_object("coefficient", e, ("lam", "mu", "nu", "channel", "value"), ())
         if type(e["value"]) not in (int, str):
             raise ValidationError(
-                f"law JSON value must be a string or an integer, got {e['value']!r}"
+                f"law JSON value must be a string or an integer, got {clip(repr(e['value']))}"
             )
         key = (
             _json_ints("lam", e["lam"]),
@@ -302,7 +302,7 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
             _json_int("channel", e["channel"]),
         )
         if key in coeffs:
-            raise ValidationError(f"duplicate coefficient {key}")
+            raise ValidationError(f"duplicate coefficient {clip(str(key))}")
         value = e["value"]
         coeffs[key] = linalg.read_rational(value) if type(value) is str else Q(value)
     return make_law(rd, monoid, _json_int("truncation", data["truncation"]), coeffs)

@@ -1,8 +1,20 @@
 """Dimensions, weight multiplicities and tensor product decompositions.
 
-All computations stay in exact rational arithmetic.  Characters are
-plain dicts mapping weights (fundamental coordinates) to positive
-integer multiplicities, closed under the Weyl group.
+Everything is integer arithmetic.  Characters are plain dicts mapping
+weights (fundamental coordinates) to positive integer multiplicities,
+closed under the Weyl group.
+
+Every root datum is of type A_n, so a weight is fixed by its n + 1
+epsilon-coordinates (rootdata), which the Weyl group permutes: its
+content.  The highest weight lam gives the partition p, and the
+multiplicity of a weight of content c is the Kostka number K(p, c), the
+number of Gelfand-Tsetlin patterns with top row p whose row k sums to
+c_1 + ... + c_k.  weight_multiplicities lists the dominant contents (the
+partitions below p in dominance), counts each K(p, c) row by row with a
+memo, and spreads it over the Weyl orbit.  A count expands at most dim
+partial patterns per row, so the character costs at most (dominant
+weights) * rank * dim steps, and dim, the Weyl dimension, is checked
+against its cap before anything is enumerated.
 
 tensor_decompose pushes the weights of one factor against the other
 highest weight and folds them back into the dominant chamber with
@@ -13,10 +25,9 @@ agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import prod
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, Sequence, Set
 
 from .errors import ValidationError
 from .linalg import BIG, check_size
@@ -25,11 +36,10 @@ from .rootdata import (
     Weight,
     check_weight,
     dominant_conjugate,
+    epsilon,
+    from_epsilon,
     is_dominant,
-    to_root_coords,
 )
-
-Q = Fraction
 
 DEFAULT_DIM_CAP = 10_000
 
@@ -64,127 +74,86 @@ def weyl_dim(rd: RootDatum, lam) -> int:
     return d
 
 
-def _inner(rd: RootDatum, mu, nu) -> Q:
-    """Weyl-invariant pairing of two weights in fundamental coordinates."""
-    return sum(Q(m) * x for m, x in zip(mu, to_root_coords(rd, nu)))
+def _dominant_contents(p: Sequence[int]) -> Iterator[Weight]:
+    """The partitions of sum(p) into len(p) parts, zeros allowed, that
+    lie below the partition p in dominance: each prefix sum at most p's.
+    A part is tried only while the parts after it, none larger, can
+    still make up the rest of the sum."""
+    bound = list(accumulate(p))
+    n, total = len(p), bound[-1]
+
+    def extend(head: Weight, s: int, top: int) -> Iterator[Weight]:
+        k = len(head)
+        if k == n:
+            yield head
+            return
+        for c in range(min(top, bound[k] - s), -1, -1):
+            if s + c * (n - k) < total:
+                break
+            yield from extend(head + (c,), s + c, c)
+
+    return extend((), 0, total)
 
 
-def _inner_root(nu: Weight, i: int, j: int) -> int:
-    """(nu, alpha_i + ... + alpha_j) for nu in fundamental coordinates,
-    which pair with the simple roots as the identity (type A is simply
-    laced): the sum of nu_i .. nu_j."""
-    return sum(nu[i : j + 1])
+def _kostka(p: Weight, content: Weight) -> int:
+    """K(p, content), the Gelfand-Tsetlin patterns with top row p whose
+    row k sums to the first k parts of content.  The row below interlaces
+    a row: all its entries but the last range over the interlacing
+    bounds, and the row sum fixes the last."""
+    sums = list(accumulate(content, initial=0))
+    memo: Dict[Weight, int] = {}
+
+    def below(row: Weight) -> int:
+        if len(row) == 1:
+            return 1
+        got = memo.get(row)
+        if got is None:
+            spans = [range(b, a + 1) for a, b in zip(row, row[1:])]
+            target = sums[len(row) - 1]
+            got = 0
+            for head in product(*spans[:-1]):
+                last = target - sum(head)
+                if last in spans[-1]:
+                    got += below(head + (last,))
+            memo[row] = got
+        return got
+
+    return below(p)
 
 
-Step = Tuple[Tuple[int, int], ...]
-
-
-def _positive_roots_fund(rd: RootDatum) -> List[Tuple[int, int, Step]]:
-    """The positive roots alpha_i + ... + alpha_j as (i, j, nonzero
-    fundamental coordinates as (index, value) pairs): the Cartan rows
-    i..j sum to 1 at i and j (2 if i = j) and -1 at i - 1 and j + 1."""
-    n = rd.rank
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            ends = ((i, 1), (j, 1)) if i < j else ((i, 2),)
-            step = ((i - 1, -1),) + ends + ((j + 1, -1),)
-            out.append((i, j, tuple((k, b) for k, b in step if 0 <= k < n)))
-    return out
-
-
-def _shifted(mu: Weight, k: int, step: Step) -> Weight:
-    """mu + k * the root whose nonzero coordinates are step."""
-    nu = list(mu)
-    for p, b in step:
-        nu[p] += k * b
-    return tuple(nu)
-
-
-def dominant_weights_below(
-    rd: RootDatum, lam: Weight, roots: List[Tuple[int, int, Step]]
-) -> List[Weight]:
-    """All dominant mu with lam - mu a natural sum of simple roots;
-    roots is _positive_roots_fund(rd).
-
-    Walks down from lam by positive roots, keeping the dominant results.
-    A dominant weight covers another in dominance order only if their
-    difference is a positive root (Stembridge 1998), so the walk reaches
-    every dominant mu below lam.  A root is subtracted at its at most
-    four nonzero coordinates."""
-    found = {lam}
-    todo = [lam]
-    while todo:
-        mu = todo.pop()
-        for _, _, step in roots:
-            if any(mu[k] < b for k, b in step):
-                continue
-            nu = _shifted(mu, -1, step)
-            if nu not in found:
-                found.add(nu)
-                todo.append(nu)
-    return sorted(found, key=lambda mu: (sum(to_root_coords(rd, mu)), mu), reverse=True)
-
-
-def _dominant_mult(rd: RootDatum, lam: Weight) -> Dict[Weight, int]:
-    """Freudenthal recursion for multiplicities at dominant weights."""
-    roots_fund = _positive_roots_fund(rd)
-    dom = dominant_weights_below(rd, lam, roots_fund)
-    table: Dict[Weight, int] = {lam: 1}
-    dom_set = set(dom)
-    rho_norm = _inner(rd, _shift(lam), _shift(lam))
-
-    for mu in dom:
-        if mu == lam:
-            continue
-        rhs = 0
-        for i, j, step in roots_fund:
-            k = 1
-            while True:
-                nu = _shifted(mu, k, step)
-                conj, _, _ = dominant_conjugate(rd, nu)
-                if conj not in dom_set:
-                    break
-                m = table.get(conj)
-                assert m is not None, "recursion order violated"
-                rhs += m * _inner_root(nu, i, j)
-                k += 1
-        denom = rho_norm - _inner(rd, _shift(mu), _shift(mu))
-        assert denom > 0
-        val = 2 * rhs / denom
-        assert val.denominator == 1 and val > 0
-        table[mu] = int(val)
-    return table
-
-
-def _shift(mu: Weight) -> Tuple[int, ...]:
-    return tuple(m + 1 for m in mu)
-
-
-def _weyl_orbit(rd: RootDatum, mu: Weight) -> List[Weight]:
+def _weyl_orbit(mu: Weight) -> Set[Weight]:
+    """The Weyl orbit of mu.  The simple reflection s_i subtracts mu_i
+    alpha_i, whose fundamental coordinates are 2 at i and -1 at its
+    neighbours: it negates mu_i and adds it to mu_{i-1} and mu_{i+1}."""
     seen = {mu}
     queue = [mu]
     while queue:
         w = queue.pop()
-        for i in range(rd.rank):
-            ci = w[i]
+        for i, ci in enumerate(w):
             if ci == 0:
                 continue
-            r = tuple(c - ci * a for c, a in zip(w, rd.cartan[i]))
+            r = [0, *w, 0]
+            r[i] += ci
+            r[i + 1] = -ci
+            r[i + 2] += ci
+            r = tuple(r[1:-1])
             if r not in seen:
                 seen.add(r)
                 queue.append(r)
-    return sorted(seen)
+    return seen
 
 
 def weight_multiplicities(rd: RootDatum, lam, cap: int = DEFAULT_DIM_CAP) -> CharacterTable:
-    """Full character of the simple module with highest weight lam."""
+    """Full character of the simple module with highest weight lam: the
+    Kostka number of each dominant content, spread over its Weyl orbit.
+    The multiplicities must add up to Weyl's dimension."""
     lam = check_weight(rd, lam)
     dim = check_size("dimension", weyl_dim(rd, lam), cap)
-    table = _dominant_mult(rd, lam)
+    p = tuple(epsilon(lam))
     char: CharacterTable = {}
-    for mu, m in table.items():
-        for w in _weyl_orbit(rd, mu):
+    for content in _dominant_contents(p):
+        m = _kostka(p, content)
+        for w in _weyl_orbit(from_epsilon(content)):
             char[w] = m
     assert sum(char.values()) == dim
     return char

@@ -27,6 +27,7 @@ from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
+from .linalg import clip
 
 Q = Fraction
 
@@ -61,7 +62,7 @@ def make_root_datum(label: str) -> RootDatum:
     cap is checked on the label's digits, before anything is built."""
     m = re.fullmatch(r"A([1-9][0-9]*)", label) if isinstance(label, str) else None
     if not m:
-        raise ValidationError(f"unknown root datum label {label!r}")
+        raise ValidationError(f"unknown root datum label {clip(repr(label))}")
     digits = m.group(1)
     if len(digits) > len(str(_MAX_RANK)) or int(digits) > _MAX_RANK:
         raise ResourceError(f"root datum rank exceeds the cap {_MAX_RANK}")
@@ -71,7 +72,7 @@ def make_root_datum(label: str) -> RootDatum:
 def check_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
     w = tuple(int(x) for x in lam)
     if len(w) != rd.rank:
-        raise ValidationError(f"weight {w} has wrong length for rank {rd.rank}")
+        raise ValidationError(f"weight {clip(str(w))} has wrong length for rank {rd.rank}")
     return w
 
 
@@ -90,11 +91,11 @@ def _check_gens(rd: RootDatum, gens: Sequence[Sequence[int]], nonneg: bool) -> T
     for g in gens:
         t = tuple(int(x) for x in g)
         if len(t) != rd.rank:
-            raise ValidationError(f"generator {t} has wrong length for rank {rd.rank}")
+            raise ValidationError(f"generator {clip(str(t))} has wrong length for rank {rd.rank}")
         if nonneg and any(x < 0 for x in t):
-            raise ValidationError(f"root monoid generator {t} has negative entries")
+            raise ValidationError(f"root monoid generator {clip(str(t))} has negative entries")
         if t in out:
-            raise ValidationError(f"duplicate generator {t}")
+            raise ValidationError(f"duplicate generator {clip(str(t))}")
         out.append(t)
     return tuple(out)
 
@@ -153,12 +154,12 @@ def positive_roots(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def _epsilon(mu: Sequence[int]) -> List[int]:
+def epsilon(mu: Sequence[int]) -> List[int]:
     """The epsilon-coordinates e_1..e_{n+1} of mu: its suffix sums."""
     return list(accumulate(reversed(mu), initial=0))[::-1]
 
 
-def _from_epsilon(e: Sequence[int]) -> Weight:
+def from_epsilon(e: Sequence[int]) -> Weight:
     return tuple(a - b for a, b in zip(e, e[1:]))
 
 
@@ -174,7 +175,7 @@ def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, b
     what the tensor product weight-push needs to discard singular terms.
     """
     mu = check_weight(rd, mu)
-    e = _epsilon(mu)
+    e = epsilon(mu)
     order = sorted(range(len(e)), key=lambda k: -e[k])
     # A permutation of m points with c cycles has parity m - c.
     parity = len(order)
@@ -187,4 +188,4 @@ def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, b
                 seen[k] = True
                 k = order[k]
     top = [e[k] for k in order]
-    return _from_epsilon(top), -1 if parity % 2 else 1, any(a == b for a, b in zip(top, top[1:]))
+    return from_epsilon(top), -1 if parity % 2 else 1, any(a == b for a, b in zip(top, top[1:]))

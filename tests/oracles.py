@@ -19,9 +19,9 @@ from horomod.rootdata import (
     RootDatum,
     Weight,
     WeightMonoid,
-    _epsilon,
-    _from_epsilon,
     check_weight,
+    epsilon,
+    from_epsilon,
     is_dominant,
     to_root_coords,
 )
@@ -95,7 +95,7 @@ def lowest_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
     lam = check_weight(rd, lam)
     if not is_dominant(rd, lam):
         raise ValidationError(f"{lam} is not dominant")
-    return _from_epsilon(sorted(_epsilon(lam)))
+    return from_epsilon(sorted(epsilon(lam)))
 
 
 def character_product_peel(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Decomposition:

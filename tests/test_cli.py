@@ -647,6 +647,7 @@ def _small_argv(draw):
 @example(["dim", "--", "A140", ",".join([NINES] * 140)])
 @example(["dominance", "--", "A3", ",".join(["-" + NINES] * 3), ",".join([NINES] * 3)])
 @example(["tangent-weight", "--", "A3", ",".join([NINES] * 3), ",".join(["-" + NINES] * 3)])
+@example(["weights", "A1", "1999"])
 def test_small_requests_always_end_in_one_envelope(argv):
     start = time.perf_counter()
     assert_one_envelope(argv)
@@ -970,6 +971,28 @@ def test_a_long_token_is_echoed_clipped(capsys, template, message):
         assert blob["error"]["message"] == message.format(shown)
 
 
+LONG_ROW = ",".join([NINES] * 140)
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["root-datum", "x" * 20000], "unknown root datum label 'xxxxxxxxxxxxxxxxxxx..."),
+        (["dim", "A1", ",".join(["1"] * 10000)], "weight (1, 1, 1, 1, 1, 1, 1... has wrong length"),
+        (["presentation", "--bound", "3", "--", "A1", ",".join(["1"] * 10000)], "generator (1, 1, 1, 1, 1, 1, 1..."),
+        (["presentation", "--bound", "3", "--", "A140", f"{LONG_ROW};{LONG_ROW}"], "duplicate generator (9999"),
+        (["saturate", "--root", "--", "A140", ",".join(["-" + NINES] * 140)], "root monoid generator (-999"),
+        (["t1", "A1", "natural(2)", "1,0", "--diag", "1:" + "x" * 20000], "malformed congruence '1:xxxxxxxxxxxxxxxxxx...'"),
+    ],
+    ids=["label", "weight", "generator", "duplicate", "negative", "congruence"],
+)
+def test_a_long_input_is_echoed_clipped(capsys, argv, shown):
+    code, blob = run_json(capsys, *argv)
+    assert code == 3
+    assert blob["error"]["message"].startswith(shown)
+    assert len(blob["error"]["message"]) < 100
+
+
 @st.composite
 def _module_argv(draw):
     rank = draw(st.integers(1, 3))
@@ -1218,6 +1241,27 @@ def test_law_json_root_datum_is_a_type_a_label(tmp_path, capsys, label):
     code, blob = run_json(capsys, "root-monoid", str(path))
     assert code == 3
     assert blob["error"] == {"type": "validation", "message": f"unknown root datum label {label!r}"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("value", [7] * 20000),
+        ("truncation", "7" * 20000),
+        ("rd", {"label": "A1", "x" * 20000: 1}),
+        ("rd", {"label": "x" * 20000}),
+        ("generators", [[2] * 20000]),
+        ("coeffs", [{"lam": [2] * 20000, "mu": [2], "nu": [4], "channel": 0, "value": "1"}] * 2),
+    ],
+    ids=["value", "integer", "key", "label", "generator", "duplicate"],
+)
+def test_law_json_values_are_echoed_clipped(tmp_path, capsys, field, value):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(_law_with(field, value)))
+    code, blob = run_json(capsys, "root-monoid", str(path))
+    assert code == 3
+    assert blob["error"]["type"] == "validation"
+    assert len(blob["error"]["message"]) < 100
 
 
 def test_law_json_without_cartan_reads_the_label(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ResourceError
-from horomod import repcalc, rootdata as rda
+from horomod import liealg, repcalc, rootdata as rda
 from oracles import character_product_peel, lowest_weight
 
 A1 = rda.make_root_datum("A1")
@@ -99,8 +100,7 @@ def test_tensor_routes_agree_a2(lam, mu):
 
 def _dominant_weights_in_box(rd, lam):
     """Oracle: every point of the box of root coordinates of lam - w0 lam,
-    kept when lam minus it is dominant, in the order of
-    dominant_weights_below."""
+    kept when lam minus it is dominant."""
     kmax = rda.to_root_coords(rd, tuple(a - b for a, b in zip(lam, lowest_weight(rd, lam))))
     found = []
     for ks in itertools.product(*(range(int(c) + 1) for c in kmax)):
@@ -110,8 +110,7 @@ def _dominant_weights_in_box(rd, lam):
         )
         if all(c >= 0 for c in mu):
             found.append(mu)
-    found.sort(key=lambda mu: (sum(rda.to_root_coords(rd, mu)), mu), reverse=True)
-    return found
+    return sorted(found)
 
 
 @st.composite
@@ -126,9 +125,31 @@ def _dominant_weight(draw):
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(_dominant_weight())
 def test_dominant_walk_matches_the_box(case):
+    # The dominant weights of the character are those below lam.
     rd, lam = case
-    roots = repcalc._positive_roots_fund(rd)
-    assert repcalc.dominant_weights_below(rd, lam, roots) == _dominant_weights_in_box(rd, lam)
+    char = repcalc.weight_multiplicities(rd, lam, cap=100_000)
+    assert sorted(mu for mu in char if rda.is_dominant(rd, mu)) == _dominant_weights_in_box(rd, lam)
+
+
+def _small_dominant_weights():
+    for rank, top in ((1, 6), (2, 2), (3, 1)):
+        for lam in itertools.product(range(top + 1), repeat=rank):
+            if any(lam):
+                yield rank, lam
+
+
+@pytest.mark.parametrize("rank, lam", _small_dominant_weights())
+def test_character_matches_the_cartan_piece_of_an_explicit_module(rank, lam):
+    """Independent route: V(lam) is the piece of highest weight lam in
+    the tensor product of the sym^{a_j}(ext^j(natural)), a_j = lam_j; its
+    weights are read off the explicit module's reduced weight-vector
+    basis, one basis weight per row at the row's pivot."""
+    rd = rda.make_root_datum(f"A{rank}")
+    natural = f"natural({rank + 1})"
+    factors = [f"sym({a},ext({j + 1},{natural}))" for j, a in enumerate(lam) if a]
+    m = liealg.build_module(rd, f"tensor({','.join(factors)})")
+    (rows,) = [rows for mu, rows in liealg.isotypic_components(m) if mu == lam]
+    assert Counter(m.basis_weights[min(row)] for row in rows) == repcalc.weight_multiplicities(rd, lam)
 
 
 def test_weyl_dim_refuses_past_the_digit_limit_before_multiplying_out():
@@ -156,20 +177,3 @@ def test_weyl_dim_matches_the_product_over_roots(rank):
     top = {1: 9, 2: 5, 3: 3, 4: 2}.get(rank, 1)
     for lam in itertools.product(range(top + 1), repeat=rank):
         assert repcalc.weyl_dim(rd, lam) == _weyl_dim_over_roots(rd, lam)
-
-
-@pytest.mark.parametrize("rank", range(1, 7))
-def test_root_pairing_matches_the_general_pairing(rank):
-    rd = rda.make_root_datum(f"A{rank}")
-    values = {1: range(-4, 5), 2: range(-3, 4), 3: range(-2, 3), 6: (-1, 2)}
-    roots = repcalc._positive_roots_fund(rd)
-    assert len(roots) == rank * (rank + 1) // 2
-    # Each step is the nonzero part of the sum of the Cartan rows i..j.
-    dense = {}
-    for i, j, step in roots:
-        alpha = tuple(sum(rd.cartan[t][c] for t in range(i, j + 1)) for c in range(rank))
-        assert step == tuple((c, a) for c, a in enumerate(alpha) if a)
-        dense[(i, j)] = alpha
-    for nu in itertools.product(values.get(rank, range(-1, 2)), repeat=rank):
-        for (i, j), alpha in dense.items():
-            assert repcalc._inner_root(nu, i, j) == repcalc._inner(rd, nu, alpha)
