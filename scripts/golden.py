@@ -7,10 +7,10 @@ OTHER_SRC is the src directory of another checkout, for instance of a
 git worktree of HEAD^.  The script builds a fixed, seeded list of
 requests: every subcommand and its --help, usage errors, the kinds of
 input the CLI fuzz tests draw, t1 at random and U-fixed points with and
-without --lie-u and --diag, the flag multicones A2-A8, both examples,
-weights and tensor requests up to the default dimension cap, the law
-requests and orbit laws drawn as the orbit-law sweep of the tests draws
-them.  It runs the whole list through horomod.cli.main once under
+without --lie-u and --diag, orbit-tangent, stabilizer and t1 at points
+with fractions, the flag multicones A2-A8, both examples, weights and
+tensor requests up to the default dimension cap, the law requests and
+orbit laws drawn as the orbit-law sweep of the tests draws them.  It runs the whole list through horomod.cli.main once under
 this checkout's src and once under OTHER_SRC, each side in its own
 subprocess.  Each case runs in a fresh temporary working directory, and
 a case of several requests runs them there in turn: requests that write
@@ -216,6 +216,34 @@ def t1_cases(rng, liealg, rootdata):
     return cases
 
 
+def rational_point_cases(liealg, rootdata):
+    """orbit-tangent, stabilizer and t1 at points with fractions, drawn
+    from their own seeded generator: on the t1 modules, at random points
+    of integers, p/q and plain decimals, and at U-fixed points with
+    fractional coefficients, so that RowSpace clears denominators."""
+    rng = random.Random(SEED)
+    entries = ["0"] * 4 + ["1", "-1", "2", "1/2", "-3/4", "7/3", "0.5", "-2.25", "1.125"]
+    cases = []
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        module = rng.choice(T1_MODULES[rank])
+        m = liealg.build_module(rootdata.make_root_datum(f"A{rank}"), module)
+        if rng.random() < 0.5:
+            x = [Fraction(0)] * m.dim
+            for vs in liealg.highest_weight_vectors(m).values():
+                for v in vs:
+                    c = rng.choice([Fraction(1, 2), Fraction(-2, 3), 3, 0])
+                    for i, val in v.items():
+                        x[i] += c * val
+            point = ",".join(map(str, x))
+        else:
+            point = ",".join(rng.choice(entries) for _ in range(m.dim))
+        for command in ("orbit-tangent", "stabilizer", "t1"):
+            flags = ["--lie-u"] if command == "t1" and rng.random() < 0.7 else []
+            cases.append([command, *flags, "--", f"A{rank}", module, point])
+    return cases
+
+
 def saturate_cases(rng):
     cases = []
     for _ in range(60):
@@ -399,6 +427,7 @@ def golden_cases():
         + point_cases(rng, liealg, rootdata, errors)
         + t1_cases(rng, liealg, rootdata)
         + cap_edge_cases(repcalc, rootdata)
+        + rational_point_cases(liealg, rootdata)
     )
     return [[argv] for argv in single] + law_cases() + orbit_law_cases(rng, mulaw, rootdata, errors)
 

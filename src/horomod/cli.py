@@ -93,7 +93,11 @@ def _fmt_weight(w: Sequence[int]) -> str:
 
 
 def _fmt_vec(v: Mapping[int, Q], dim: int) -> List[str]:
-    """A sparse vector, printed densely: the one place vectors densify."""
+    """A sparse vector, printed densely: the one place vectors densify.
+    An entry whose numerator or denominator str could not print is
+    refused."""
+    for x in v.values():
+        linalg.check_size("numerator or denominator", max(abs(x.numerator), x.denominator))
     return [str(c) for c in linalg.dense(v, dim)]
 
 

@@ -1,10 +1,12 @@
-"""Explicit sl_n modules as sparse rational matrices.
+"""Explicit sl_n modules as sparse integer matrices.
 
 Chevalley conventions on the natural module of A_{n-1}: e_i is the
 matrix unit E_{i,i+1}, f_i is E_{i+1,i}, h_i is E_{ii} - E_{i+1,i+1}
-(1-based i).  Vectors are sparse {index: Fraction} dicts (linalg.Sparse)
-and spans are linalg.RowSpaces; the functions here return those, and
-only the CLI densifies, to print.  An operator is the map {column: its
+(1-based i).  Vectors are sparse {index: number} dicts (linalg.Sparse):
+the Chevalley tables hold ints, and a vector holds a Fraction only where
+a point or a value read off a RowSpace has one.  Spans are
+linalg.RowSpaces; the functions here return those, and only the CLI
+densifies, to print.  An operator is the map {column: its
 nonzero entries as a sparse vector}, storing no zeros and no empty
 column, so two operators are equal exactly when == says so, and applying
 one to a vector reads only the columns in the vector's support.
@@ -29,24 +31,24 @@ vectors, which generate it, so on a u-stable span they fix what u fixes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from .linalg import BIG, MAX_DIGITS, RowSpace, Sparse, check_size, clip, sparse
 from .rootdata import RootDatum, Weight
 
-Q = Fraction
+if TYPE_CHECKING:
+    from .linalg import Number
 
 Matrix = Dict[int, Sparse]
 
 DEFAULT_MODULE_DIM_CAP = 2000
 
 
-def _add(col: Sparse, r: int, x: Q) -> None:
+def _add(col: Sparse, r: int, x: Number) -> None:
     """col[r] += x, storing no zero."""
     old = col.get(r)
     total = x if old is None else old + x
@@ -72,7 +74,7 @@ def act(mat: Matrix, vec: Sparse) -> Sparse:
     return {r: v for r, v in out.items() if v}
 
 
-def mat_combination(terms: Sequence[Tuple[Q, Matrix]]) -> Matrix:
+def mat_combination(terms: Sequence[Tuple[Number, Matrix]]) -> Matrix:
     """The sum of s * mat over the (s, mat) terms."""
     out: Matrix = {}
     for s, mat in terms:
@@ -130,9 +132,8 @@ def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
 
 def natural(rd: RootDatum) -> ExplicitModule:
     n = rd.rank + 1
-    one = Q(1)
-    ops = [{q: {p: one}} for p, q in _off_diagonal(n)]
-    ops += [{k: {k: one}, k + 1: {k + 1: -one}} for k in range(rd.rank)]
+    ops = [{q: {p: 1}} for p, q in _off_diagonal(n)]
+    ops += [{k: {k: 1}, k + 1: {k + 1: -1}} for k in range(rd.rank)]
     return ExplicitModule(rd, _natural_weights(rd, n), tuple(ops))
 
 
@@ -477,7 +478,7 @@ def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
     its simple root vectors e[i,i+1], which generate it.  Each span that
     t1 passes to fixed_in_quotient is u-stable, so they cut out the same
     fixed spaces as all the positive root vectors."""
-    return StabilizerSpec(lie_part=tuple({k: Q(1)} for k in _simple(rd.rank + 1, 1)))
+    return StabilizerSpec(lie_part=tuple({k: 1} for k in _simple(rd.rank + 1, 1)))
 
 
 def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
@@ -492,7 +493,7 @@ def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
         (k, c), = coeffs.items()
         if c == 1:
             return mats[k]  # shared with m.ops; callers only read it
-    return mat_combination([(Q(c), mats[k]) for k, c in coeffs.items()])
+    return mat_combination([(c, mats[k]) for k, c in coeffs.items()])
 
 
 def fixed_in_quotient(
@@ -532,7 +533,7 @@ def fixed_in_quotient(
     passing_set = set(passing)
     off_passing = RowSpace(
         span.ncols,
-        [{q: x for q, x in row.items() if q not in passing_set} for row in span.rows.values()],
+        [{q: x for q, x in row.items() if q not in passing_set} for row in span.primitive.values()],
     )
     s_triv_dim = span.dim - off_passing.dim
     reps = [w for w in w_basis if span.add(w)]

@@ -1,26 +1,28 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact Gaussian elimination in integers.
 
-RowSpace is the one Gauss-Jordan kernel of the package.  It keeps each
-reduced row as a sparse dict {column: Fraction} of its nonzero entries,
-keyed by pivot, and takes vectors either dense (a sequence) or sparse (a
-{column: value} mapping).  Everything is computed with exact arithmetic
-so rank decisions are never subject to rounding.  Row echelon forms are
-fully reduced with leading entry 1; that form is unique, so every derived
-basis is deterministic.  The package passes RowSpaces and sparse vectors
-between its layers; dense converts a sparse vector where output is
-formatted.
+RowSpace is the one elimination kernel of the package.  It keeps each
+row as a primitive {column: int} dict of its nonzero entries, keyed by
+pivot, and takes vectors dense (a sequence) or sparse (a {column: value}
+mapping), of ints or Fractions, a vector with fractions scaled by the
+lcm of its denominators.  Elimination cross-multiplies and divides by
+gcds (Bareiss, Math. Comp. 22, 1968), so rank decisions are exact and no
+Fraction is made.  One appears only where a value is read: a residual,
+the kernel, the reduced rows.  The package passes RowSpaces and sparse
+vectors between its layers; dense converts a sparse vector where output
+is formatted.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Mapping
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ResourceError, ValidationError
 
-Q = Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Python's default limit on the digits of an int read from a string or
 # printed.  No number read from outside has a longer run of digits, and
@@ -29,15 +31,17 @@ MAX_DIGITS = 4300
 # The least number of more than MAX_DIGITS digits.
 BIG = 10**MAX_DIGITS
 
-Vector = Tuple[Q, ...]
-Sparse = Dict[int, Q]
+# An exact number: an int, or a Fraction where it is not integral.
+Number = Union[int, "Fraction"]
+Vector = Tuple[Number, ...]
+Sparse = Dict[int, Number]
 AnyVector = Union[Sequence, Mapping[int, object]]
 
 
 def sparse(vec: AnyVector) -> Sparse:
-    """The nonzero entries of a dense or {column: value} vector, exact."""
+    """The nonzero entries of a dense or {column: value} vector."""
     items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-    return {c: x for c, e in items if (x := e if type(e) is Q else Q(e))}
+    return {c: x for c, x in items if x}
 
 
 def clip(text: str) -> str:
@@ -58,10 +62,12 @@ def check_size(what: str, n: int, cap: Optional[int] = None) -> int:
     return n
 
 
-def read_rational(text: str) -> Q:
+def read_rational(text: str) -> Fraction:
     """The exact number an integer, p/q or plain decimal spells, each run
     of digits at most MAX_DIGITS long.  Exponent notation is refused, so
     no input makes the reader multiply out a power of ten."""
+    from fractions import Fraction
+
     body = text.strip()
     if body[:1] in ("+", "-"):
         body = body[1:]
@@ -80,88 +86,139 @@ def read_rational(text: str) -> Q:
             f"number {clip(text)} is too long: {longest} digits, at most {MAX_DIGITS}"
         )
     try:
-        return Q(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValidationError(f"malformed rational {clip(text)!r}: zero denominator")
 
 
-def dense(vec: Mapping[int, Q], ncols: int) -> Vector:
-    out = [Q(0)] * ncols
+def dense(vec: Mapping[int, Number], ncols: int) -> Vector:
+    out: List[Number] = [0] * ncols
     for c, x in vec.items():
         out[c] = x
     return tuple(out)
 
 
-def _subtract(v: Sparse, f: Q, row: Mapping[int, Q]) -> None:
-    """v -= f * row in place, dropping the entries that cancel."""
+def _integral(vec: AnyVector) -> Tuple[Dict[int, int], int]:
+    """(d * vec, d) with d the lcm of the denominators of vec's entries."""
+    v = sparse(vec)
+    if all(type(x) is int for x in v.values()):
+        return v, 1
+    d = lcm(*(x.denominator for x in v.values()))
+    return {c: x.numerator * (d // x.denominator) for c, x in v.items()}, d
+
+
+def _over(v: Dict[int, int], d: int) -> Sparse:
+    """v / d, exact: v itself when d is 1."""
+    if d == 1:
+        return v
+    from fractions import Fraction
+
+    return {c: Fraction(x, d) for c, x in v.items()}
+
+
+def _cancel(u: Dict[int, int], p: int, row: Mapping[int, int]) -> int:
+    """Clear u at column p with row, in place: u becomes e * u - a * row,
+    with e = row[p] and a = u[p] divided by their gcd.  Returns e."""
+    a, e = u[p], row[p]
+    if e != 1:
+        g = gcd(a, e)
+        a, e = a // g, e // g
+        if e != 1:
+            for c in u:
+                u[c] *= e
     for c, x in row.items():
-        y = v.get(c, 0) - f * x
+        y = u.get(c, 0) - a * x
         if y:
-            v[c] = y
+            u[c] = y
         else:
-            del v[c]
+            del u[c]
+    return e
 
 
 class RowSpace:
-    """Incrementally maintained reduced row space.
+    """Incrementally maintained row space, eliminated in integers.
 
-    rows maps each pivot to its row, a dict of nonzero entries with 1 at
-    the pivot and 0 at every other pivot; pivots lists them in order.
-    The reduction of a vector against the rows is linear, so the residual
-    map can double as projection onto a complement.
+    primitive maps each pivot to its row, a primitive integer dict of
+    nonzero entries, positive at the pivot and 0 at every other pivot;
+    pivots lists them in order.  rows is the same rows divided by their
+    pivot entries, the reduced row echelon form, built when first read.
+    The reduction of a vector against the rows is linear, so the
+    residual map can double as projection onto a complement.
     """
 
     def __init__(self, ncols: int, vectors: Iterable[AnyVector] = ()):
         self.ncols = ncols
-        self.rows: Dict[int, Sparse] = {}
+        self.primitive: Dict[int, Dict[int, int]] = {}
         self.pivots: List[int] = []
+        self._rows: Optional[Dict[int, Sparse]] = None
         for vec in vectors:
             self.add(vec)
 
-    def reduce(self, vec: AnyVector) -> Sparse:
-        """The residual of vec, as {column: value} of its nonzeros.
-
-        Every row vanishes at the other pivots, so subtracting one never
-        changes the vector at another pivot: one pass over the pivots in
-        the vector's own support clears them all.
-        """
-        v = sparse(vec)
-        rows = self.rows
+    def _eliminate(self, v: Dict[int, int]) -> int:
+        """Turn the integer vector v, in place, into s times its residual,
+        and return s > 0.  Every row vanishes at the other pivots, so
+        clearing one pivot never changes the vector at another: one pass
+        over the pivots in the vector's own support clears them all."""
+        rows = self.primitive
+        s = 1
         for pc in [c for c in v if c in rows]:
-            _subtract(v, v[pc], rows[pc])
-        return v
+            s *= _cancel(v, pc, rows[pc])
+        return s
+
+    def reduce(self, vec: AnyVector) -> Sparse:
+        """The residual of vec, exact, as {column: value} of its nonzeros."""
+        v, d = _integral(vec)
+        d *= self._eliminate(v)
+        return _over(v, d)
 
     def add(self, vec: AnyVector) -> bool:
         """Insert vec; True if the rank grew."""
-        v = self.reduce(vec)
+        v = _integral(vec)[0]
+        self._eliminate(v)
         if not v:
             return False
         pc = min(v)
-        lead = v[pc]
-        if lead != 1:
-            v = {c: x / lead for c, x in v.items()}
-        for row in self.rows.values():
+        g = gcd(*v.values())
+        g = -g if v[pc] < 0 else g
+        if g != 1:
+            v = {c: x // g for c, x in v.items()}
+        for row in self.primitive.values():
             if pc in row:
-                _subtract(row, row[pc], v)
-        self.rows[pc] = v
+                _cancel(row, pc, v)
+                g = gcd(*row.values())
+                if g != 1:
+                    for c in row:
+                        row[c] //= g
+        self.primitive[pc] = v
         insort(self.pivots, pc)
+        self._rows = None
         return True
 
     def contains(self, vec: AnyVector) -> bool:
-        return not self.reduce(vec)
+        v = _integral(vec)[0]
+        self._eliminate(v)
+        return not v
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
+    @property
+    def rows(self) -> Dict[int, Sparse]:
+        """The reduced rows, keyed by pivot: 1 at the pivot, exact."""
+        if self._rows is None:
+            self._rows = {pc: _over(dict(row), row[pc]) for pc, row in self.primitive.items()}
+        return self._rows
+
     def kernel(self) -> List[Sparse]:
         """Right kernel of the rows, one sparse vector per free column in
-        order: 1 at the free column c and -row[c] at each row's pivot."""
+        order: 1 at the free column c and -row[c] / row[p] at the pivot p
+        of each row."""
         out: Dict[int, Sparse] = {
-            c: {c: Q(1)} for c in range(self.ncols) if c not in self.rows
+            c: {c: 1} for c in range(self.ncols) if c not in self.primitive
         }
         for pc in self.pivots:
-            for c, x in self.rows[pc].items():
-                if c != pc:
-                    out[c][pc] = -x
+            row = self.primitive[pc]
+            for c, x in _over({c: -x for c, x in row.items() if c != pc}, row[pc]).items():
+                out[c][pc] = x
         return list(out.values())

@@ -30,7 +30,7 @@ from math import prod
 from typing import Dict, Iterator, Sequence, Set
 
 from .errors import ValidationError
-from .linalg import BIG, check_size
+from .linalg import BIG, check_size, clip
 from .rootdata import (
     RootDatum,
     Weight,
@@ -58,7 +58,7 @@ def weyl_dim(rd: RootDatum, lam) -> int:
     length the rest is not multiplied out."""
     lam = check_weight(rd, lam)
     if not is_dominant(rd, lam):
-        raise ValidationError(f"{lam} is not dominant")
+        raise ValidationError(f"{clip(str(lam))} is not dominant")
     s = list(accumulate((l + 1 for l in lam), initial=0))
     n = len(s)
     den = prod(b - a for a in range(n) for b in range(a + 1, n))
@@ -170,7 +170,7 @@ def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Deco
     mu = check_weight(rd, mu)
     for w in (lam, mu):
         if not is_dominant(rd, w):
-            raise ValidationError(f"{w} is not dominant")
+            raise ValidationError(f"{clip(str(w))} is not dominant")
     dl, dm = weyl_dim(rd, lam), weyl_dim(rd, mu)
     check_size("tensor dimension", dl * dm, cap)
     if dm > dl:

@@ -22,17 +22,17 @@ so that the law layers get them without loading monoids.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import accumulate
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from .linalg import clip
 
-Q = Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = Tuple[int, ...]
-RootVector = Tuple[Q, ...]
+RootVector = Tuple["Fraction", ...]
 # A monoid generator: fundamental coordinates in a weight monoid,
 # simple-root coordinates in a root monoid.
 Gen = Tuple[int, ...]
@@ -117,9 +117,11 @@ def to_root_coords(rd: RootDatum, lam: Sequence[int]) -> RootVector:
 
     The inverse of the A_n Cartan matrix is symmetric, with entry
     min(i, j) (n + 1 - max(i, j)) / (n + 1) for 1-based i and j."""
+    from fractions import Fraction
+
     n = rd.rank
     return tuple(
-        Q(
+        Fraction(
             sum(min(i, j) * (n + 1 - max(i, j)) * lam[j - 1] for j in range(1, n + 1)),
             n + 1,
         )

@@ -31,7 +31,7 @@ from .liealg import (
     lie_matrix,
     orbit_tangent,
 )
-from .linalg import RowSpace, Sparse
+from .linalg import RowSpace, Sparse, clip
 from .rootdata import RootDatum, Weight, natural_root_coords
 
 RootVector = Tuple[int, ...]
@@ -151,7 +151,8 @@ def _component_weights(
 
 
 def _fmt_congruence(c: DiagCongruence) -> str:
-    return f"{','.join(map(str, c.coeffs))}:{c.modulus}"
+    """c as coeffs:modulus, clipped as an error message echoes it."""
+    return clip(f"{','.join(map(str, c.coeffs))}:{c.modulus}")
 
 
 def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> TangentReport:
@@ -179,7 +180,7 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
         for c in stab.diag_part:
             if not c.passes(w):
                 raise ValidationError(
-                    f"the point has weight {w}, which fails the congruence "
+                    f"the point has weight {clip(str(w))}, which fails the congruence "
                     f"{_fmt_congruence(c)}"
                 )
 
@@ -188,10 +189,10 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
     passing = stab.passing(m.basis_weights)
     fixed = RowSpace(m.dim)
     dim_b = len(fixed_in_quotient(fixed, lie, passing))
-    v_fixed = RowSpace(m.dim, fixed.rows.values())
+    v_fixed = RowSpace(m.dim, fixed.primitive.values())
     tangent = orbit_tangent(m, x)
-    for pc in tangent.pivots:
-        fixed.add(tangent.rows[pc])
+    for row in tangent.primitive.values():
+        fixed.add(row)
     # dim(g.x meet V^{G_x}), read before the quotient below extends tangent.
     dim_a = tangent.dim + dim_b - fixed.dim
     reps = fixed_in_quotient(tangent, lie, passing)

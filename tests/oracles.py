@@ -4,9 +4,10 @@ Each is an independent check on a package route, or a value the tests
 compare against; none is reached from the CLI or the scripts.
 """
 
+from bisect import insort
 from fractions import Fraction as Q
 from math import prod
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from horomod import linalg, monoids
 from horomod.channels import _is_a1, monoid_window
@@ -25,6 +26,68 @@ from horomod.rootdata import (
     is_dominant,
     to_root_coords,
 )
+
+# ---------------------------------------------------------------- linalg
+
+
+def _subtract(v: Dict[int, Q], f: Q, row: Mapping[int, Q]) -> None:
+    """v -= f * row in place, dropping the entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c, 0) - f * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
+
+
+class FractionRowSpace:
+    """Gauss-Jordan over Fraction: the reduced rows themselves, 1 at the
+    pivot and 0 at every other pivot, kept as {column: Fraction} dicts.
+    The oracle of linalg.RowSpace, which eliminates in integers."""
+
+    def __init__(self, ncols: int, vectors=()):
+        self.ncols = ncols
+        self.rows: Dict[int, Dict[int, Q]] = {}
+        self.pivots: List[int] = []
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec) -> Dict[int, Q]:
+        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        v = {c: Q(x) for c, x in items if x}
+        for pc in [c for c in v if c in self.rows]:
+            _subtract(v, v[pc], self.rows[pc])
+        return v
+
+    def add(self, vec) -> bool:
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pc = min(v)
+        lead = v[pc]
+        v = {c: x / lead for c, x in v.items()}
+        for row in self.rows.values():
+            if pc in row:
+                _subtract(row, row[pc], v)
+        self.rows[pc] = v
+        insort(self.pivots, pc)
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def kernel(self) -> List[Dict[int, Q]]:
+        out = {c: {c: Q(1)} for c in range(self.ncols) if c not in self.rows}
+        for pc in self.pivots:
+            for c, x in self.rows[pc].items():
+                if c != pc:
+                    out[c][pc] = -x
+        return list(out.values())
+
 
 # ---------------------------------------------------------------- monoids
 

@@ -580,8 +580,13 @@ NINES = "9" * 4300
         (["weights", "A1", NINES], "dimension of more than 4300 digits cannot be printed"),
         (["tensor", "A1", NINES, "1"], "dimension of more than 4300 digits cannot be printed"),
         (["tensor", "A1", NINES[:2200], NINES[:2200]], "tensor dimension of more than 4300 digits exceeds cap 2000"),
+        # Entries of 4 300 digits make a basis entry of more, which str cannot print.
+        (["orbit-tangent", "--", "A1", "sym(2,natural(2))", f"{NINES},1/{NINES},-{NINES}"],
+         "numerator or denominator of more than 4300 digits cannot be printed"),
+        (["stabilizer", "--", "A1", "sym(2,natural(2))", f"{NINES},1/{NINES},-{NINES}"],
+         "numerator or denominator of more than 4300 digits cannot be printed"),
     ],
-    ids=["dim", "dim-A140", "weights", "tensor", "tensor-product"],
+    ids=["dim", "dim-A140", "weights", "tensor", "tensor-product", "orbit-tangent", "stabilizer"],
 )
 def test_a_dimension_too_long_to_print_is_refused(capsys, argv, message):
     code, blob = run_json(capsys, *argv)
@@ -779,6 +784,33 @@ def _t1_argv(draw):
 @given(_t1_argv())
 def test_t1_always_ends_in_one_envelope(argv):
     assert_one_envelope(argv)
+
+
+@st.composite
+def _point_argv(draw):
+    """orbit-tangent or stabilizer at a point of a fuzz module, of the
+    right length or one off: entries integers, p/q, plain decimals,
+    negatives, of 4 300 digits, or of 4 301 (past what the reader takes)."""
+    rank = draw(st.integers(1, 3))
+    module = draw(st.sampled_from(T1_FUZZ_MODULES[rank]))
+    dim = liealg.build_module(make_root_datum(f"A{rank}"), module).dim
+    length = draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1]))
+    entry = st.sampled_from(
+        ["0"] * 6 + ["1", "-1", "2", "1/2", "-3/4", "0.5", "-2.25", "7/3"]
+        + [NINES, "-" + NINES, "1/" + NINES, NINES + "/7", NINES + "9", "1/" + NINES + "9"]
+    )
+    point = ",".join(draw(entry) for _ in range(length))
+    command = draw(st.sampled_from(["orbit-tangent", "stabilizer"]))
+    return [command, "--", f"A{rank}", module, point]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_point_argv())
+@example(["orbit-tangent", "--", "A1", "natural(2)", f"{NINES}9,1"])
+def test_points_always_end_in_one_envelope(argv):
+    start = time.perf_counter()
+    assert_one_envelope(argv)
+    assert time.perf_counter() - start < 2
 
 
 # Exact payloads of module requests, so that a change of the matrix
@@ -983,8 +1015,15 @@ LONG_ROW = ",".join([NINES] * 140)
         (["presentation", "--bound", "3", "--", "A140", f"{LONG_ROW};{LONG_ROW}"], "duplicate generator (9999"),
         (["saturate", "--root", "--", "A140", ",".join(["-" + NINES] * 140)], "root monoid generator (-999"),
         (["t1", "A1", "natural(2)", "1,0", "--diag", "1:" + "x" * 20000], "malformed congruence '1:xxxxxxxxxxxxxxxxxx...'"),
+        (["dim", "--", "A140", ",".join(["-" + NINES] * 140)], "(-999999999999999999... is not dominant"),
+        (["tensor", "--", "A140", ",".join(["0"] * 140), ",".join(["-" + NINES] * 140)], "(-999999999999999999... is not dominant"),
+        (["t1", "A1", "natural(2)", "1,0", "--diag", ",".join(["1"] * 20000) + ":4"],
+         "congruence 1,1,1,1,1,1,1,1,1,1,... has 20000 coefficients"),
+        (["t1", "A1", "natural(2)", "1,0", "--diag", NINES + ":2"],
+         "the point has weight (1,), which fails the congruence 99999999999999999999..."),
     ],
-    ids=["label", "weight", "generator", "duplicate", "negative", "congruence"],
+    ids=["label", "weight", "generator", "duplicate", "negative", "congruence",
+         "dim-not-dominant", "tensor-not-dominant", "congruence-length", "congruence-fails"],
 )
 def test_a_long_input_is_echoed_clipped(capsys, argv, shown):
     code, blob = run_json(capsys, *argv)

@@ -64,6 +64,22 @@ def test_version_imports_no_fractions():
     assert out["probe"] is False
 
 
+NUMERIC = 'sorted(m for m in ("fractions", "decimal", "numbers") if m in sys.modules)'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["law-tangent", "A1", "2", "--truncation", "8"], ["dim", "A2", "1,1"], ["weights", "A2", "1,1"]],
+    ids=["law-tangent", "dim", "weights"],
+)
+def test_integer_requests_import_no_fractions(argv):
+    """A request that reads and prints no rational loads none of
+    fractions, decimal and numbers: RowSpace eliminates in integers."""
+    out = probe(argv, expr=NUMERIC)
+    assert out["code"] == 0
+    assert out["probe"] == []
+
+
 COUNT_PARSERS = """
 import argparse
 parsers = []

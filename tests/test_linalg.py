@@ -1,10 +1,12 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ValidationError
 from horomod.linalg import MAX_DIGITS, RowSpace, dense, read_rational
+from oracles import FractionRowSpace
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -107,14 +109,61 @@ def test_rref_and_rank_match_sympy():
 @given(matrices())
 def test_integer_rows_give_the_fraction_row_space(mat):
     """{col: int} rows, as channels.law_tangent feeds them, reduce exactly
-    as the same rows given as Fractions, and every stored entry is a
-    Fraction (int / int would be a float)."""
+    as the same rows given as Fractions, and every entry of the reduced
+    rows is an exact int or Fraction, never a float (int / int would be
+    one)."""
     ncols, rows = mat
     ints = RowSpace(ncols, [{c: x for c, x in enumerate(row) if x} for row in rows])
     fracs = RowSpace(ncols, [{c: Q(x) for c, x in enumerate(row) if x} for row in rows])
     assert ints.pivots == fracs.pivots
     assert ints.rows == fracs.rows
-    assert all(type(x) is Q for row in ints.rows.values() for x in row.values())
+    assert all(type(x) in (int, Q) for row in ints.rows.values() for x in row.values())
+
+
+# Two denominators of MAX_DIGITS digits, the longest a point may spell.
+LONG = [Q(1, 10 ** (MAX_DIGITS - 1) + 7), Q(-3, 10**MAX_DIGITS - 1)]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small matrices of integers and fractions, some with denominators
+    of MAX_DIGITS digits, and a probe vector drawn the same way."""
+    ncols = draw(st.integers(1, 6))
+    pool = draw(st.sampled_from([
+        [0, 0, 0, 1, -1, 2, -3],
+        [0, 0, 1, -1, Q(1, 2), Q(-2, 3), Q(5, 6), 4],
+        [0, 0, 0, 1, -2] + LONG,
+    ]))
+    entry = st.sampled_from(pool)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        scale = draw(st.sampled_from([2, -3, Q(1, 3)] + LONG))
+        rows.append([scale * x for x in draw(st.sampled_from(rows))])
+    return ncols, rows, draw(row)
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_integer_elimination_matches_the_fraction_oracle(mat):
+    """pivots, reduced rows, residuals, membership and kernel equal those
+    of Gauss-Jordan over Fraction; every stored row is a primitive
+    integer row, positive at its pivot and 0 at every other pivot."""
+    ncols, rows, probe = mat
+    space, oracle = RowSpace(ncols, rows), FractionRowSpace(ncols, rows)
+    assert space.pivots == oracle.pivots
+    assert space.rows == oracle.rows
+    assert space.kernel() == oracle.kernel()
+    for vec in rows + [probe]:
+        assert space.reduce(vec) == oracle.reduce(vec)
+        assert space.contains(vec) == oracle.contains(vec)
+    assert set(space.primitive) == set(space.pivots)
+    for pc, row in space.primitive.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert row[pc] > 0 and gcd(*row.values()) == 1
+        assert not set(row) & set(space.pivots) - {pc}
+    for sparse_vec in (space.reduce(probe), *space.rows.values(), *space.kernel()):
+        assert all(type(x) in (int, Q) for x in sparse_vec.values())
 
 
 def test_kernel_matches_sympy():
