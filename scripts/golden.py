@@ -16,7 +16,8 @@ subprocess.  Each case runs in a fresh temporary working directory, and
 a case of several requests runs them there in turn: requests that write
 files name them relatively, and the files left behind are compared along
 with the exit code, stdout and stderr of every request.  The script
-prints how many requests differ, then each differing argv, then the
+prints how many requests differ, then each differing argv after its
+exit code under OTHER_SRC and here (3 -> 0, say), then the
 horomod functions that neither a request nor one of the other two
 scripts (reproduce_examples.py, export_equations.py) entered on this
 checkout's side, and exits 0 either way.
@@ -408,6 +409,13 @@ def fixed_cases():
         point = ",".join(["1"] + ["0"] * n)
         cases.append(["t1", "A1", module, point, "--lie-u", "--diag", f"1:{n}"])
         cases.append(["t1", "A1", module, point, "--lie-u"])
+    # U-fixed points whose survivors are not homogeneous for the grading.
+    squares = "tensor(sym(2,natural(2)),sym(2,natural(2)))"
+    cases += [
+        ["t1", "--lie-u", "--", "A1", squares, "2,-1,0,1,0,0,0,0,0"],
+        ["t1", "--lie-u", "--", "A1", squares, "1,-2,1,2,-2,0,1,0,0"],
+        ["t1", "--lie-u", "--", "A2", "tensor(natural(3),natural(3))", "1,1,0,-1,0,0,0,0,0"],
+    ]
     return cases + OVER_CAP
 
 
@@ -523,16 +531,22 @@ def run_side(src, cases):
     return out["results"], out["unentered"]
 
 
-def compare(cases, ours, theirs):
-    """The argvs of the requests whose exit code, stdout or stderr
-    differ, and of the last request of each case whose files differ."""
+def differences(cases, ours, theirs):
+    """(argv, their exit code, our exit code) of each request whose exit
+    code, stdout or stderr differ, and of the last request of each case
+    whose files differ."""
     differing = []
     for steps, a, b in zip(cases, ours, theirs):
         for k, argv in enumerate(steps):
             last = k == len(steps) - 1
             if a["steps"][k] != b["steps"][k] or (last and a["files"] != b["files"]):
-                differing.append(argv)
+                differing.append((argv, b["steps"][k][0], a["steps"][k][0]))
     return differing
+
+
+def compare(cases, ours, theirs):
+    """The argvs of the differing requests."""
+    return [argv for argv, _, _ in differences(cases, ours, theirs)]
 
 
 def main(argv):
@@ -544,12 +558,12 @@ def main(argv):
     other = Path(argv[1]).resolve()
     cases = golden_cases()
     ours, unentered = run_side(SRC, cases)
-    differing = compare(cases, ours, run_side(other, cases)[0])
+    differing = differences(cases, ours, run_side(other, cases)[0])
     total = sum(len(steps) for steps in cases)
     print(f"golden: {total} requests in {len(cases)} cases, {SRC} against {other}")
     print(f"golden: {len(differing)} requests differ in exit code, stdout, stderr or files")
-    for argv in differing:
-        print("  " + shlex.join(argv))
+    for argv, theirs, mine in differing:
+        print(f"  {theirs} -> {mine}  {shlex.join(argv)}")
     print(f"golden: {len(unentered)} horomod functions no request or script entered in {SRC}")
     for name in unentered:
         print("  " + name)

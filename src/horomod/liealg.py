@@ -544,7 +544,10 @@ def fixed_in_quotient(
 def isotypic_components(m: ExplicitModule) -> List[Tuple[Weight, List[Sparse]]]:
     """Decomposition into isotypic pieces: highest weight vectors closed
     under the lowering operators.  Each piece comes with the sparse
-    reduced basis of its span, in pivot order."""
+    reduced basis of its span, in pivot order.  Every basis vector is a
+    T-weight vector, its support inside one weight space: the span is
+    the sum of its intersections with the weight spaces, which lie on
+    disjoint coordinates, so each reduced row lies in one of them."""
     comps = []
     total = 0
     lowering = m.f

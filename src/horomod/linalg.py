@@ -194,11 +194,6 @@ class RowSpace:
         self._rows = None
         return True
 
-    def contains(self, vec: AnyVector) -> bool:
-        v = _integral(vec)[0]
-        self._eliminate(v)
-        return not v
-
     @property
     def dim(self) -> int:
         return len(self.pivots)

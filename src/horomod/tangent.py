@@ -10,6 +10,12 @@ V.  The first needs no adjoint module: xi -> xi.x is a G_x-equivariant
 isomorphism g/g_x -> g.x (eta.x = 0 gives [eta, xi].x = eta.(xi.x), and
 the weights of x pass every congruence), so (g/g_x)^{G_x} is
 g.x meet V^{G_x}, of dimension dim g.x + dim V^{G_x} - dim(V^{G_x} + g.x).
+The weights are the grades of a homogeneous basis of T1(X)^G, a vector
+of the V(lambda)-isotypic piece at T-weight mu having grade lambda - mu.
+At a sum x of highest weight vectors the torus acting through these
+grades fixes x, so every space of the sequence is graded; where the
+classes are not, the graded count can exceed the dimension, and the
+report refuses it.
 The normality and boundary-codimension hypotheses behind the sequence are
 never checked here; they are HYPOTHESES below, which the CLI records in
 the provenance of every report.
@@ -109,45 +115,36 @@ def tangent_weight(rd: RootDatum, lam: Weight, mu: Weight) -> RootVector:
     return coords
 
 
-def _component_weights(
+def _graded_weights(
     m: ExplicitModule,
     comps: Sequence[Tuple[Weight, List[Sparse]]],
-    reps: Sequence[Sparse],
-    v_fixed: RowSpace,
+    survivors: Sequence[Sparse],
+    span: RowSpace,
 ) -> List[RootVector]:
-    """Weights lambda - mu over the isotypic pieces comps of m meeting each
-    representative, each distinct weight of a representative once, though
-    several (piece, T-weight) pairs in its support may give it.  One
-    elimination of [B | reps], the columns of B being the basis vectors
-    of the pieces, gives the coordinates of every representative.  A part
-    inside v_fixed (V^{G_x}) is projected off first: the representative
-    stands for its class modulo V^{G_x}, where that part is zero."""
+    """The weights of the classes of survivors modulo span, sorted.  One
+    elimination of [B | survivors], the columns of B being the basis
+    vectors of the isotypic pieces comps, gives the coordinates that
+    split each survivor into graded pieces; grade by grade, each piece
+    whose residual modulo span raises the rank counts its grade once."""
     cols = [(lam, b) for lam, basis in comps for b in basis]
     n = len(cols)
     by_coord: Dict[int, Sparse] = {}
-    for j, v in enumerate([b for _, b in cols] + list(reps)):
+    for j, v in enumerate([b for _, b in cols] + list(survivors)):
         for r, x in v.items():
             by_coord.setdefault(r, {})[j] = x
-    red = RowSpace(n + len(reps), by_coord.values())
-    if red.pivots != list(range(n)):
-        raise ValidationError("representative escapes the module decomposition")
-    out: List[RootVector] = []
-    for j in range(n, n + len(reps)):
-        weights = set()
-        parts: Dict[Weight, Sparse] = {}
+    red = RowSpace(n + len(survivors), by_coord.values())
+    pieces: List[Tuple[RootVector, Sparse]] = []
+    for j in range(n, n + len(survivors)):
+        parts: Dict[RootVector, Sparse] = {}
         for pc, (lam, b) in enumerate(cols):
             coef = red.rows[pc].get(j)
             if coef:
-                acc = parts.setdefault(lam, {})
+                acc = parts.setdefault(tangent_weight(m.rd, lam, m.basis_weights[next(iter(b))]), {})
                 for r, x in b.items():
                     acc[r] = acc.get(r, 0) + coef * x
-        for lam, part in parts.items():
-            if v_fixed.contains(part):
-                continue
-            for mu in {m.basis_weights[i] for i, v in part.items() if v}:
-                weights.add(tangent_weight(m.rd, lam, mu))
-        out.extend(sorted(weights))
-    return out
+        pieces += parts.items()
+    residuals = RowSpace(span.ncols)
+    return [g for g, part in sorted(pieces, key=lambda p: p[0]) if residuals.add(span.reduce(part))]
 
 
 def _fmt_congruence(c: DiagCongruence) -> str:
@@ -185,11 +182,10 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
                 )
 
     # fixed becomes V^{G_x}, then V^{G_x} + g.x: the span the survivors
-    # are independent of.
+    # and their weights are residuals modulo.
     passing = stab.passing(m.basis_weights)
     fixed = RowSpace(m.dim)
     dim_b = len(fixed_in_quotient(fixed, lie, passing))
-    v_fixed = RowSpace(m.dim, fixed.primitive.values())
     tangent = orbit_tangent(m, x)
     for row in tangent.primitive.values():
         fixed.add(row)
@@ -207,12 +203,9 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
 
     # Classes surviving modulo both the orbit directions and the fixed
     # vectors of the ambient module are the invariant deformations.
-    survivors = [rep for rep in reps if fixed.add(rep)]
-    weights = (
-        _component_weights(m, isotypic_components(m), survivors, v_fixed)
-        if survivors
-        else []
-    )
+    residuals = RowSpace(m.dim)
+    survivors = [rep for rep in reps if residuals.add(fixed.reduce(rep))]
+    weights = _graded_weights(m, isotypic_components(m), survivors, fixed) if survivors else []
     if len(survivors) != dim_t1:
         raise ValidationError(
             "exactness check failed: the cokernel has dimension "
@@ -224,5 +217,5 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
         dim_V_fixed=dim_b,
         dim_normal_fixed=dim_c,
         dim_T1_invariant=dim_t1,
-        weights=tuple(sorted(weights)),
+        weights=tuple(weights),
     )

