@@ -327,6 +327,12 @@ def law_cases():
     for n in range(1, 7):
         for d in (4 * n, 8, 12, 16):
             cases.append(["law-tangent", "A1", str(n), "--truncation", str(d)])
+    # The largest window the cost cap admits for each n, and the next one,
+    # which it refuses.
+    for n, d in enumerate((32, 47, 56, 67, 74, 83), start=1):
+        for top in (d, d + 1):
+            cases.append(["law-tangent", "A1", str(n), "--truncation", str(top)])
+    cases += [["law-tangent", "A1", gens, "--truncation", "20"] for gens in ("1;2", "3;5", "2;5")]
     cases += [
         ["law-tangent", "A1", "2;3", "--truncation", "20"],
         ["law-tangent", "A1", "2;4", "--truncation", "16"],

@@ -7,11 +7,12 @@ coefficients to every law route, each value computed once per call.
 
 This layer also holds what the tangent route needs and nothing else:
 the monoid window, the unknowns m[a,b,i] of a law window, the
-commutativity rows, the singular vectors of the triple products, the
-two bracketings of associativity, the cost check, and law_tangent, the
-linearization at the graded law from the linear rows alone.  The full
-quadratic system, its oracle, is mulaw's, so law_tangent runs neither
-mulaw nor polysys.
+commutativity rows, the associativity windows, the cost check, and
+law_tangent, the linearization at the graded law from the linear rows
+alone, which evaluates each associator on weight vectors of the triple
+product, a few terms per row.  The full quadratic system, its oracle,
+is mulaw's, with the singular vectors and bracketings it pairs each
+window with, so law_tangent runs neither mulaw nor polysys.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ Weight = Tuple[int, ...]
 
 _WINDOW_CAP = 100_000
 # Cap on the cost estimate of _check_law_cost for the linear rows.  In
-# process, the largest window N*n admitted for n = 1..6 takes 0.3-1.1 s.
+# process, the largest window N*n admitted for n = 1..6 takes 0.03-0.27 s.
 _TANGENT_COST_CAP = 100_000_000
 
 
@@ -85,42 +86,6 @@ def monoid_window(monoid: WeightMonoid, bound: int) -> Tuple[Weight, ...]:
 
 def _is_a1(rd: RootDatum) -> bool:
     return rd.rank == 1
-
-
-def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
-    """Spanning set of the singular vectors of weight nu in the triple
-    tensor of forms of degrees a, b, c, keyed by y-exponents: one per
-    admissible splitting through the first two factors.
-
-    The splitting through the degree-e component of the first two
-    factors pairs its m-th lowered image L^m(top)/perm(e, m) with the
-    third factor; each vector is scaled by perm(e, k) > 0, which clears
-    every denominator and leaves integers."""
-    out = []
-    for i0 in range(min(a, b) + 1):
-        e = a + b - 2 * i0
-        k2 = e + c - nu
-        if k2 < 0 or k2 % 2:
-            continue
-        k = k2 // 2
-        if k > min(e, c):
-            continue
-        low = {(j, i0 - j): (-1) ** j * comb(i0, j) for j in range(i0 + 1)}
-        eta: Dict[Tuple[int, int, int], int] = {}
-        for m in range(k + 1):
-            if m:
-                nxt: Dict[Tuple[int, int], int] = {}
-                for (s, t), v in low.items():
-                    if s < a:
-                        nxt[(s + 1, t)] = nxt.get((s + 1, t), 0) + v * (a - s)
-                    if t < b:
-                        nxt[(s, t + 1)] = nxt.get((s, t + 1), 0) + v * (b - t)
-                low = {key: v for key, v in nxt.items() if v}
-            outer = (-1) ** m * comb(k, m) * perm(e - m, k - m)
-            for (s, t), v in low.items():
-                eta[(s, t, k - m)] = outer * v
-        out.append(eta)
-    return out
 
 
 def _triples(pos: List[int], truncation: int) -> Iterable[Tuple[int, int, int]]:
@@ -200,13 +165,6 @@ def _associativity_windows(
                 yield a, b, c, nu, tot // 2
 
 
-def _bracketings(a: int, b: int, c: int, s: int, t: int, u: int, coef: int):
-    """(a.b).c counts positively, a.(b.c) negatively.  Each side as
-    (x, sx, y, sy, z, sz, coef, first): the inner product x.y meets z as
-    the left outer factor when first, else as the right one."""
-    return (a, s, b, t, c, u, coef, True), (b, t, c, u, a, s, -coef, False)
-
-
 def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """mulaw.tangent_at_horospherical(mulaw.law_equations(monoid,
     truncation)), from the linear rows alone.
@@ -216,9 +174,27 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     r is linear exactly when one of its two channels is the top one:
     inner channel 0 and outer r (unknown m[p,q,r]), or inner r and
     outer 0 (unknown m[x,y,r]).  Only those terms are generated, with
-    integer coefficients, into one RowSpace per grade."""
+    integer coefficients, into one RowSpace per grade.
+
+    For any value of the unknowns, the linear associator of a window
+    (a, b, c, nu, r) is a G-map phi from W = V(a) (x) V(b) (x) V(c) to
+    V(nu), so phi(f.W_{nu+2}) lies in f.V(nu)_{nu+2} = 0, f the lowering
+    operator y d/dx.  A weight-nu monomial (s, t, u) of W with s >= 1
+    is the leading term of f applied to (s-1, t, u), with coefficient
+    a - s + 1 != 0, so modulo f.W_{nu+2} it reduces to monomials with
+    s = 0.  Hence phi = 0 exactly when it vanishes on the inputs
+    x^a (x) x^(b-t) y^t (x) x^(c-u) y^u with t + u = r, and each of
+    these rows has at most four terms:
+
+        m[a,b,r] C(a,0,b,t,r) + m[a+b,c,r] C(a+b,t,c,u,r)
+            - m[b,c,r] C(b,t,c,u,r) - m[a,b+c,r] C(a,0,b+c,r,r),
+
+    each kept where its channel lies in the window.  The first is
+    nonzero only at t = r.  A window with a > c is skipped: modulo the
+    commutativity rows, already in its grade's RowSpace, its mirror
+    (c, b, a) gives the same equations.  So each grade's kernel is the
+    one the singular vectors of the triple products give."""
     ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
-    sset = set(ints)
     coeff = ChannelTable()
     columns: Dict[int, Dict[int, int]] = {}  # grade -> {unknown: column}
     for u, (_, _, i) in enumerate(index):
@@ -227,32 +203,29 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     spaces = {i: linalg.RowSpace(len(cols)) for i, cols in columns.items()}
 
     def add(row: Mapping[int, int], r: int) -> None:
-        cols = columns[r]
-        assert all(u in cols for u in row), "linear term off its equation grade"
+        cols = columns[r]  # a term off grade r has no column: KeyError
         spaces[r].add({cols[u]: v for u, v in row.items() if v})
 
     for row, i in _commutativity_rows(index):
         add(row, i)
-    for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
+    for a, b, c, _, r in _associativity_windows(ints, pos, truncation):
         space = spaces.get(r)
-        if space is None or space.dim == space.ncols:
-            continue  # no row of grade r can change the rank
-        for eta in _triple_top_vectors(a, b, c, nu):
+        if a > c or space is None or space.dim == space.ncols:
+            continue  # the mirror window's rows, or none can change the rank
+        # An unknown is indexed exactly when its channel lies in the window.
+        ab, bc = index.get((a, b, r)), index.get((b, c, r))
+        ab_c, a_bc = index.get((a + b, c, r)), index.get((a, b + c, r))
+        for t in range(max(0, r - c), min(b, r) + 1):
+            u = r - t
             row: Dict[int, int] = {}
-            for (s, t, u), coef in eta.items():
-                for x, sx, y, sy, z, sz, sgn, first in _bracketings(a, b, c, s, t, u, coef):
-                    if r <= min(x + y, z):
-                        # x + y <= truncation lies in the window, and the
-                        # outer product lands on p + q - 2r = nu.
-                        if first:
-                            p, sp, q, sq = x + y, sx + sy, z, sz
-                        else:
-                            p, sp, q, sq = z, sz, x + y, sx + sy
-                        key = index[(p, q, r)]
-                        row[key] = row.get(key, 0) + sgn * coeff[p, sp, q, sq, r]
-                    if r <= min(x, y) and x + y - 2 * r in sset:
-                        key = index[(x, y, r)]
-                        row[key] = row.get(key, 0) + sgn * coeff[x, sx, y, sy, r]
+            if ab_c is not None:
+                row[ab_c] = coeff[a + b, t, c, u, r]
+            if a_bc is not None:
+                row[a_bc] = -coeff[a, 0, b + c, r, r]
+            if bc is not None:
+                row[bc] = row.get(bc, 0) - coeff[b, t, c, u, r]
+            if ab is not None and t == r:
+                row[ab] = row.get(ab, 0) + coeff[a, 0, b, r, r]
             add(row, r)
     weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
     return len(weights), weights

@@ -27,7 +27,7 @@ from the channels layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, perm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
@@ -36,11 +36,9 @@ from .linalg import BIG, MAX_DIGITS, clip
 from .channels import (
     ChannelTable,
     _associativity_windows,
-    _bracketings,
     _commutativity_rows,
     _is_a1,
     _law_unknowns,
-    _triple_top_vectors,
     monoid_window,
 )
 from .polysys import (
@@ -309,6 +307,49 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
 
 
 # --------------------------------------------- rank-one equation system
+
+
+def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
+    """Spanning set of the singular vectors of weight nu in the triple
+    tensor of forms of degrees a, b, c, keyed by y-exponents: one per
+    admissible splitting through the first two factors.
+
+    The splitting through the degree-e component of the first two
+    factors pairs its m-th lowered image L^m(top)/perm(e, m) with the
+    third factor; each vector is scaled by perm(e, k) > 0, which clears
+    every denominator and leaves integers."""
+    out = []
+    for i0 in range(min(a, b) + 1):
+        e = a + b - 2 * i0
+        k2 = e + c - nu
+        if k2 < 0 or k2 % 2:
+            continue
+        k = k2 // 2
+        if k > min(e, c):
+            continue
+        low = {(j, i0 - j): (-1) ** j * comb(i0, j) for j in range(i0 + 1)}
+        eta: Dict[Tuple[int, int, int], int] = {}
+        for m in range(k + 1):
+            if m:
+                nxt: Dict[Tuple[int, int], int] = {}
+                for (s, t), v in low.items():
+                    if s < a:
+                        nxt[(s + 1, t)] = nxt.get((s + 1, t), 0) + v * (a - s)
+                    if t < b:
+                        nxt[(s, t + 1)] = nxt.get((s, t + 1), 0) + v * (b - t)
+                low = {key: v for key, v in nxt.items() if v}
+            outer = (-1) ** m * comb(k, m) * perm(e - m, k - m)
+            for (s, t), v in low.items():
+                eta[(s, t, k - m)] = outer * v
+        out.append(eta)
+    return out
+
+
+def _bracketings(a: int, b: int, c: int, s: int, t: int, u: int, coef: int):
+    """(a.b).c counts positively, a.(b.c) negatively.  Each side as
+    (x, sx, y, sy, z, sz, coef, first): the inner product x.y meets z as
+    the left outer factor when first, else as the right one."""
+    return (a, s, b, t, c, u, coef, True), (b, t, c, u, a, s, -coef, False)
 
 
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:

@@ -10,9 +10,17 @@ from math import prod
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from horomod import linalg, monoids
-from horomod.channels import _is_a1, monoid_window
+from horomod.channels import (
+    _TANGENT_COST_CAP,
+    ChannelTable,
+    _associativity_windows,
+    _commutativity_rows,
+    _is_a1,
+    _law_unknowns,
+    monoid_window,
+)
 from horomod.errors import ResourceError, ValidationError
-from horomod.mulaw import LawKey, MultiplicationLaw
+from horomod.mulaw import LawKey, MultiplicationLaw, _bracketings, _triple_top_vectors
 from horomod.polysys import PolySystem
 from horomod.repcalc import DEFAULT_DIM_CAP, Decomposition, weight_multiplicities, weyl_dim
 from horomod.rootdata import (
@@ -125,6 +133,52 @@ def horospherical_law(rd: RootDatum, monoid: WeightMonoid, truncation: int) -> M
             if sumw in wset:
                 coeffs[(lam, mu, sumw, 0)] = Q(1)
     return MultiplicationLaw(rd, monoid, truncation, coeffs)
+
+
+def singular_vector_law_tangent(
+    monoid: WeightMonoid, truncation: int
+) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """channels.law_tangent by pairing each associativity window
+    (a, b, c, nu, r), mirrors included, with every singular vector of
+    weight nu in the triple product, over both bracketings; the linear
+    terms go into one RowSpace per grade, after the commutativity rows."""
+    ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
+    sset = set(ints)
+    coeff = ChannelTable()
+    columns: Dict[int, Dict[int, int]] = {}  # grade -> {unknown: column}
+    for u, (_, _, i) in enumerate(index):
+        cols = columns.setdefault(i, {})
+        cols[u] = len(cols)
+    spaces = {i: linalg.RowSpace(len(cols)) for i, cols in columns.items()}
+
+    def add(row: Mapping[int, int], r: int) -> None:
+        spaces[r].add({columns[r][u]: v for u, v in row.items() if v})
+
+    for row, i in _commutativity_rows(index):
+        add(row, i)
+    for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
+        space = spaces.get(r)
+        if space is None or space.dim == space.ncols:
+            continue  # no row of grade r can change the rank
+        for eta in _triple_top_vectors(a, b, c, nu):
+            row: Dict[int, int] = {}
+            for (s, t, u), coef in eta.items():
+                for x, sx, y, sy, z, sz, sgn, first in _bracketings(a, b, c, s, t, u, coef):
+                    if r <= min(x + y, z):
+                        # x + y <= truncation lies in the window, and the
+                        # outer product lands on p + q - 2r = nu.
+                        if first:
+                            p, sp, q, sq = x + y, sx + sy, z, sz
+                        else:
+                            p, sp, q, sq = z, sz, x + y, sx + sy
+                        key = index[(p, q, r)]
+                        row[key] = row.get(key, 0) + sgn * coeff[p, sp, q, sq, r]
+                    if r <= min(x, y) and x + y - 2 * r in sset:
+                        key = index[(x, y, r)]
+                        row[key] = row.get(key, 0) + sgn * coeff[x, sx, y, sy, r]
+            add(row, r)
+    weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
+    return len(weights), weights
 
 
 def law_unknown_values(law: MultiplicationLaw) -> Dict[str, Q]:

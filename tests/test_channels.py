@@ -2,9 +2,12 @@ from collections import Counter
 from itertools import product
 from math import comb, perm
 
-from horomod import channels
+import pytest
+
+from horomod import channels, mulaw
 from horomod.channels import ChannelTable, law_tangent
 from horomod.rootdata import make_root_datum, make_weight_monoid
+from oracles import singular_vector_law_tangent
 
 A1 = make_root_datum("A1")
 
@@ -47,3 +50,30 @@ def test_law_tangent_evaluates_each_key_once_per_call(monkeypatch):
     # A second call builds its own table.
     law_tangent(mon, 16)
     assert set(calls.values()) == {2}
+
+
+@pytest.mark.parametrize(
+    "gens, top",
+    [((n,), 8 * n) for n in range(1, 7)]
+    + [((1, 2), 20), ((2, 3), 24), ((2, 5), 26), ((3, 5), 28), ((4, 6), 30)],
+)
+def test_weight_vector_rows_agree_with_the_singular_vector_rows(gens, top):
+    """law_tangent, on the s = 0 weight vectors of the windows with
+    a <= c, against its oracle on every singular vector of every window,
+    on each window from the least holding a product up to top."""
+    mon = make_weight_monoid(A1, [(g,) for g in gens])
+    for d in range(2 * min(gens), top + 1):
+        assert law_tangent(mon, d) == singular_vector_law_tangent(mon, d)
+
+
+def test_law_tangent_pairs_with_no_singular_vector(monkeypatch):
+    windows = [(make_weight_monoid(A1, [(g,) for g in gens]), d) for gens, d in (((4,), 9), ((2, 3), 5))]
+    expected = [singular_vector_law_tangent(mon, d) for mon, d in windows]
+    assert expected == [(2, ((2,), (4,))), (2, ((1,), (2,)))]
+
+    def unused(*args):
+        raise AssertionError("law_tangent paired a window with singular vectors")
+
+    monkeypatch.setattr(mulaw, "_triple_top_vectors", unused)
+    assert [law_tangent(mon, d) for mon, d in windows] == expected
+    assert not hasattr(channels, "_triple_top_vectors") and not hasattr(channels, "_bracketings")

@@ -373,6 +373,37 @@ def test_a_point_entry_past_the_digit_limit_is_refused(capsys):
     assert code == 0
 
 
+# Two denominators of 4 300 digits on a module of dimension 21: the
+# eliminations at this point ran for 8 s before it was refused.
+LONG_POINT = ",".join(["1/" + "9" * 4299 + "7", "1/" + "9" * 4299 + "1"] + ["1"] * 19)
+
+
+@pytest.mark.parametrize("command", ["stabilizer", "orbit-tangent", "t1"])
+def test_a_point_of_long_numbers_is_refused_from_its_cost_estimate(capsys, command):
+    start = time.perf_counter()
+    code, blob = run_json(capsys, command, "--", "A3", "sym(2,ext(2,natural(4)))", LONG_POINT)
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert blob["error"] == {
+        "type": "resource",
+        "message": "point cost estimate exceeds the cap 500000000000; "
+        "shorten the numerators and denominators of the point",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit-tangent", "A1", "natural(2)", "1/" + "3" * 4300 + ",0"],
+        ["stabilizer", "A1", "sym(4,natural(2))", "0,1/" + "9" * 4300 + ",0,0," + "9" * 4300],
+        ["t1", "A1", "sym(2,natural(2))", "1/" + "9" * 4300 + ",0,0", "--lie-u"],
+    ],
+)
+def test_long_numbers_on_a_small_module_are_admitted(capsys, argv):
+    code, blob = _timed(capsys, *argv)
+    assert code == 0
+
+
 def test_law_value_in_exponent_notation_is_refused(tmp_path, capsys):
     path = _law_file(tmp_path, '"1e100000000"')
     for argv in (["root-monoid", path], ["contract", path, "2"]):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ResourceError, ValidationError
 from horomod import liealg as la
-from horomod import repcalc, rootdata as rda
+from horomod import repcalc, rootdata as rda, tangent
 from horomod.linalg import RowSpace
 from oracles import lowest_weight
 
@@ -552,3 +552,25 @@ def test_lie_matrix_of_a_unit_vector_is_the_chevalley_matrix():
     )
     with pytest.raises(ValidationError, match="outside the 8 basis elements"):
         la.lie_matrix(m, {8: Q(1)})
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # Two long denominators, and two long numerators.
+        [Q(1, 10**4299 - 3), Q(1, 10**4299 - 9)],
+        [Q(10**4299 - 3), Q(10**4299 - 9)],
+    ],
+)
+def test_a_point_of_long_numbers_is_refused_before_any_elimination(monkeypatch, entries):
+    def unbuilt(*args):
+        raise AssertionError("a RowSpace was built before the point was refused")
+
+    rd = rda.make_root_datum("A3")
+    m = la.build_module(rd, "sym(2,ext(2,natural(4)))")
+    x = entries + [Q(1)] * (m.dim - len(entries))
+    monkeypatch.setattr(la, "RowSpace", unbuilt)
+    monkeypatch.setattr(tangent, "RowSpace", unbuilt)
+    for route in (la.orbit_tangent, la.stabilizer_lie, lambda m, x: tangent.t1_invariant(m, x, la.StabilizerSpec())):
+        with pytest.raises(ResourceError, match="point cost estimate"):
+            route(m, x)

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horomod import channels, mulaw
-from horomod.channels import _triple_top_vectors, law_tangent, monoid_window
+from horomod.channels import law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
 from horomod.mulaw import (
     MAX_ORBIT_TRUNCATION,
     BinaryForm,
+    _triple_top_vectors,
     contract,
     law_equations,
     law_from_json_dict,
