@@ -364,6 +364,14 @@ def law_cases():
                 write = ["orbit-law", "A1", str(n), "--form", form, "--truncation", str(d), "--output", "law.json"]
                 cases.append([write, ["root-monoid", "law.json"], ["contract", "law.json", "2"],
                               ["contract", "law.json", "1/3", "--output", "moved.json"]])
+    # The largest law-equations window the cost cap admits for each n, and
+    # the next one, which it refuses; then the largest for a few monoids of
+    # two generators.
+    for n, d in enumerate((15, 21, 26, 31, 34, 41), start=1):
+        for top in (d, d + 1):
+            cases.append(["law-equations", "A1", str(n), "--truncation", str(top)])
+    for gens, d in (("1;2", 15), ("3;5", 20), ("2;5", 18), ("2;3", 16)):
+        cases.append(["law-equations", "A1", gens, "--truncation", str(d)])
     return [c if isinstance(c[0], list) else [c] for c in cases]
 
 

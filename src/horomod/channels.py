@@ -5,14 +5,13 @@ transvectants of binary forms.  _channel_coeff gives the i-th
 transvectant on a monomial pair, and ChannelTable serves those
 coefficients to every law route, each value computed once per call.
 
-This layer also holds what the tangent route needs and nothing else:
-the monoid window, the unknowns m[a,b,i] of a law window, the
-commutativity rows, the associativity windows, the cost check, and
-law_tangent, the linearization at the graded law from the linear rows
-alone, which evaluates each associator on weight vectors of the triple
-product, a few terms per row.  The full quadratic system, its oracle,
-is mulaw's, with the singular vectors and bracketings it pairs each
-window with, so law_tangent runs neither mulaw nor polysys.
+This layer also holds the monoid window, the unknowns m[a,b,i], the
+commutativity rows, the associativity windows, the cost check, and the
+one expansion of an associator into channel terms, which both law
+routes read: law_tangent, the linearization at the graded law, its
+top-channel terms on weight vectors of the triple product, and
+mulaw.law_equations, the full quadratic system and its oracle, every
+term on singular vectors.  So law_tangent runs neither mulaw nor polysys.
 """
 
 from __future__ import annotations
@@ -27,10 +26,13 @@ if TYPE_CHECKING:
     from .rootdata import RootDatum, WeightMonoid
 
 Weight = Tuple[int, ...]
+Mono = Tuple[int, ...]  # sorted unknown indices, as in polysys
+Term = Tuple[int, int, Mono]  # inner channel, outer channel, unknowns
+Plan = Tuple[int, int, int, List[Term], List[Term]]
 
 _WINDOW_CAP = 100_000
-# Cap on the cost estimate of _check_law_cost for the linear rows.  In
-# process, the largest window N*n admitted for n = 1..6 takes 0.03-0.27 s.
+# Cap on the cost estimate of _check_law_cost for the linear rows.  The largest
+# window admitted for n = 1..6, D = 32..83, takes 0.03-0.17 s in process.
 _TANGENT_COST_CAP = 100_000_000
 
 
@@ -143,14 +145,14 @@ def _law_unknowns(
 
 def _commutativity_rows(
     index: Mapping[Tuple[int, int, int], int]
-) -> Iterable[Tuple[Dict[int, int], int]]:
+) -> Iterable[Tuple[Dict[Mono, int], int]]:
     """The linear equations m[a,b,i] = (-1)^i m[b,a,i], a <= b, as
-    ({unknown: coefficient}, grade i); those that vanish are left out."""
+    ({monomial: coefficient}, grade i); those that vanish are left out."""
     for (a, b, i) in sorted(index):
         if a < b:
-            yield {index[(a, b, i)]: 1, index[(b, a, i)]: -((-1) ** i)}, i
+            yield {(index[(a, b, i)],): 1, (index[(b, a, i)],): -((-1) ** i)}, i
         elif a == b and i % 2:
-            yield {index[(a, b, i)]: 2}, i
+            yield {(index[(a, b, i)],): 2}, i
 
 
 def _associativity_windows(
@@ -165,6 +167,51 @@ def _associativity_windows(
                 yield a, b, c, nu, tot // 2
 
 
+def _associator_plan(
+    index: Mapping[Tuple[int, int, int], int], a: int, b: int, c: int, r: int, inner: Iterable[int]
+) -> Plan:
+    """The grade-r associator (a.b).c - a.(b.c) as (a, b, c, terms of
+    (a.b).c, terms of a.(b.c)): a term (i, r - i, unknowns) for each i
+    in inner whose inner and outer channels lie in the window, channel 0
+    being the fixed top one and any other an unknown."""
+    left: List[Term] = []
+    right: List[Term] = []
+    for i in inner:
+        j = r - i
+        for terms, inner_key, outer_key in (
+            (left, (a, b, i), (a + b - 2 * i, c, j)),
+            (right, (b, c, i), (a, b + c - 2 * i, j)),
+        ):
+            if (i and inner_key not in index) or (j and outer_key not in index):
+                continue
+            mono = (index[inner_key],) if i else ()
+            if j:
+                mono = tuple(sorted(mono + (index[outer_key],)))
+            terms.append((i, j, mono))
+    return a, b, c, left, right
+
+
+def _add_associator(
+    out: Dict[Mono, int], plan: Plan, coeff: ChannelTable, coef: int, stu: Tuple[int, int, int]
+) -> Dict[Mono, int]:
+    """out, {unknowns: coefficient}, plus coef times plan on the monomial
+    x^(a-s) y^s (x) x^(b-t) y^t (x) x^(c-u) y^u, stu = (s, t, u); channel
+    0 is 1 on every pair, and is not looked up."""
+    a, b, c, left, right = plan
+    s, t, u = stu
+    for i, j, mono in left:
+        k = coeff[a, s, b, t, i] if i else 1
+        if k and j:
+            k *= coeff[a + b - 2 * i, s + t - i, c, u, j]
+        out[mono] = out.get(mono, 0) + coef * k
+    for i, j, mono in right:
+        k = coeff[b, t, c, u, i] if i else 1
+        if k and j:
+            k *= coeff[a, s, b + c - 2 * i, t + u - i, j]
+        out[mono] = out.get(mono, 0) - coef * k
+    return out
+
+
 def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """mulaw.tangent_at_horospherical(mulaw.law_equations(monoid,
     truncation)), from the linear rows alone.
@@ -172,9 +219,9 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     At the all-zero point a product of two unknowns vanishes to first
     order, and the top channel is 1.  So an associativity term of grade
     r is linear exactly when one of its two channels is the top one:
-    inner channel 0 and outer r (unknown m[p,q,r]), or inner r and
-    outer 0 (unknown m[x,y,r]).  Only those terms are generated, with
-    integer coefficients, into one RowSpace per grade.
+    inner channel 0 or r.  Only those terms of the associator plan are
+    listed, and their rows go, with integer coefficients, into one
+    RowSpace per grade.
 
     For any value of the unknowns, the linear associator of a window
     (a, b, c, nu, r) is a G-map phi from W = V(a) (x) V(b) (x) V(c) to
@@ -183,28 +230,22 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     is the leading term of f applied to (s-1, t, u), with coefficient
     a - s + 1 != 0, so modulo f.W_{nu+2} it reduces to monomials with
     s = 0.  Hence phi = 0 exactly when it vanishes on the inputs
-    x^a (x) x^(b-t) y^t (x) x^(c-u) y^u with t + u = r, and each of
-    these rows has at most four terms:
-
-        m[a,b,r] C(a,0,b,t,r) + m[a+b,c,r] C(a+b,t,c,u,r)
-            - m[b,c,r] C(b,t,c,u,r) - m[a,b+c,r] C(a,0,b+c,r,r),
-
-    each kept where its channel lies in the window.  The first is
-    nonzero only at t = r.  A window with a > c is skipped: modulo the
-    commutativity rows, already in its grade's RowSpace, its mirror
-    (c, b, a) gives the same equations.  So each grade's kernel is the
-    one the singular vectors of the triple products give."""
+    x^a (x) x^(b-t) y^t (x) x^(c-u) y^u with t + u = r, one row each.
+    A window with a > c is skipped: modulo the commutativity rows,
+    already in its grade's RowSpace, its mirror (c, b, a) gives the
+    same equations.  So each grade's kernel is the one the singular
+    vectors of the triple products give."""
     ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
     coeff = ChannelTable()
-    columns: Dict[int, Dict[int, int]] = {}  # grade -> {unknown: column}
+    columns: Dict[int, Dict[Mono, int]] = {}  # grade -> {unknown: column}
     for u, (_, _, i) in enumerate(index):
         cols = columns.setdefault(i, {})
-        cols[u] = len(cols)
+        cols[(u,)] = len(cols)
     spaces = {i: linalg.RowSpace(len(cols)) for i, cols in columns.items()}
 
-    def add(row: Mapping[int, int], r: int) -> None:
+    def add(row: Mapping[Mono, int], r: int) -> None:
         cols = columns[r]  # a term off grade r has no column: KeyError
-        spaces[r].add({cols[u]: v for u, v in row.items() if v})
+        spaces[r].add({cols[m]: v for m, v in row.items() if v})
 
     for row, i in _commutativity_rows(index):
         add(row, i)
@@ -212,20 +253,8 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
         space = spaces.get(r)
         if a > c or space is None or space.dim == space.ncols:
             continue  # the mirror window's rows, or none can change the rank
-        # An unknown is indexed exactly when its channel lies in the window.
-        ab, bc = index.get((a, b, r)), index.get((b, c, r))
-        ab_c, a_bc = index.get((a + b, c, r)), index.get((a, b + c, r))
+        plan = _associator_plan(index, a, b, c, r, (0, r))
         for t in range(max(0, r - c), min(b, r) + 1):
-            u = r - t
-            row: Dict[int, int] = {}
-            if ab_c is not None:
-                row[ab_c] = coeff[a + b, t, c, u, r]
-            if a_bc is not None:
-                row[a_bc] = -coeff[a, 0, b + c, r, r]
-            if bc is not None:
-                row[bc] = row.get(bc, 0) - coeff[b, t, c, u, r]
-            if ab is not None and t == r:
-                row[ab] = row.get(ab, 0) + coeff[a, 0, b, r, r]
-            add(row, r)
+            add(_add_associator({}, plan, coeff, 1, (0, t, r - t)), r)
     weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
     return len(weights), weights

@@ -20,8 +20,9 @@ the linear rows of the system, grade by grade, with integer
 coefficients; law_equations here builds the full quadratic system, and
 tangent_at_horospherical linearizes it, as the oracle for the first.
 Both refuse a window past a cost estimate before building anything,
-and both read the window, its unknowns and the channel coefficients
-from the channels layer.
+and both read the window, its unknowns, the channel coefficients and
+the one expansion of an associator into channel terms from the
+channels layer.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from . import linalg
 from .linalg import BIG, MAX_DIGITS, clip
 from .channels import (
     ChannelTable,
+    _add_associator,
+    _associator_plan,
     _associativity_windows,
     _commutativity_rows,
     _is_a1,
@@ -65,9 +68,8 @@ Weight = Tuple[int, ...]
 LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
-# Cap on the cost estimate of channels._check_law_cost for the full
-# system.  In-process, the largest window N*n admitted for n = 1..6
-# takes 0.1-0.8 s.
+# Cap on the cost estimate of channels._check_law_cost for the full system.  The
+# largest window admitted for n = 1..6, D = 15..41, takes 0.02-0.25 s in process.
 _SYSTEM_COST_CAP = 1_000_000
 
 
@@ -345,54 +347,22 @@ def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int,
     return out
 
 
-def _bracketings(a: int, b: int, c: int, s: int, t: int, u: int, coef: int):
-    """(a.b).c counts positively, a.(b.c) negatively.  Each side as
-    (x, sx, y, sy, z, sz, coef, first): the inner product x.y meets z as
-    the left outer factor when first, else as the right one."""
-    return (a, s, b, t, c, u, coef, True), (b, t, c, u, a, s, -coef, False)
-
-
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
     """Commutativity and associativity constraints on a rank-one law
-    window, as an exact polynomial system in the non-top coefficients."""
+    window, as an exact polynomial system in the non-top coefficients:
+    the associator of each window, every term, on each singular vector."""
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
-    sset = set(ints)
     coeff = ChannelTable()
     names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
     grades: List[Grade] = [(i,) for (_, _, i) in index]
 
-    raw_equations: List[Tuple[Dict[Mono, int], Grade]] = [
-        ({(u,): v for u, v in row.items()}, (i,)) for row, i in _commutativity_rows(index)
-    ]
-
+    raw_equations = [(row, (i,)) for row, i in _commutativity_rows(index)]
     for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
+        plan = _associator_plan(index, a, b, c, r, range(r + 1))
         for eta in _triple_top_vectors(a, b, c, nu):
-            poly = {}
-            for (s, t, u), coef in eta.items():
-                # The inner product x.y goes through channel i; its result
-                # e meets z in channel j.  Channel 0 is the fixed top one;
-                # any other is an unknown, since e and the outer result
-                # nu lie in the window.
-                for x, sx, y, sy, z, sz, sgn, first in _bracketings(a, b, c, s, t, u, coef):
-                    for i in range(min(x, y) + 1):
-                        j = r - i
-                        e = x + y - 2 * i
-                        if j < 0 or j > min(e, z) or e not in sset:
-                            continue
-                        k1 = coeff[x, sx, y, sy, i]
-                        if not k1:
-                            continue
-                        if first:
-                            p, sp, q, sq = e, sx + sy - i, z, sz
-                        else:
-                            p, sp, q, sq = z, sz, e, sx + sy - i
-                        k2 = coeff[p, sp, q, sq, j]
-                        if not k2:
-                            continue
-                        left = (index[(x, y, i)],) if i else ()
-                        right = (index[(p, q, j)],) if j else ()
-                        m = tuple(sorted(left + right))
-                        poly[m] = poly.get(m, 0) + sgn * k1 * k2
+            poly: Dict[Mono, int] = {}
+            for stu, coef in eta.items():
+                _add_associator(poly, plan, coeff, coef, stu)
             poly = {m: v for m, v in poly.items() if v}
             if poly:
                 raw_equations.append((poly, (r,)))

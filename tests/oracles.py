@@ -20,7 +20,7 @@ from horomod.channels import (
     monoid_window,
 )
 from horomod.errors import ResourceError, ValidationError
-from horomod.mulaw import LawKey, MultiplicationLaw, _bracketings, _triple_top_vectors
+from horomod.mulaw import LawKey, MultiplicationLaw, _triple_top_vectors
 from horomod.polysys import PolySystem
 from horomod.repcalc import DEFAULT_DIM_CAP, Decomposition, weight_multiplicities, weyl_dim
 from horomod.rootdata import (
@@ -155,7 +155,7 @@ def singular_vector_law_tangent(
         spaces[r].add({columns[r][u]: v for u, v in row.items() if v})
 
     for row, i in _commutativity_rows(index):
-        add(row, i)
+        add({u: v for (u,), v in row.items()}, i)
     for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
         space = spaces.get(r)
         if space is None or space.dim == space.ncols:
@@ -163,7 +163,11 @@ def singular_vector_law_tangent(
         for eta in _triple_top_vectors(a, b, c, nu):
             row: Dict[int, int] = {}
             for (s, t, u), coef in eta.items():
-                for x, sx, y, sy, z, sz, sgn, first in _bracketings(a, b, c, s, t, u, coef):
+                # (a.b).c counts positively, a.(b.c) negatively; the inner
+                # product x.y meets z on its right in the first.
+                for x, sx, y, sy, z, sz, sgn, first in (
+                    (a, s, b, t, c, u, coef, True), (b, t, c, u, a, s, -coef, False)
+                ):
                     if r <= min(x + y, z):
                         # x + y <= truncation lies in the window, and the
                         # outer product lands on p + q - 2r = nu.

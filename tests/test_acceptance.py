@@ -189,7 +189,7 @@ def test_criterion_8():
             # Every commutativity equation is in the system, and linear.
             _, _, index = _law_unknowns(mon, 4 * n, 10**6)
             for row, i in _commutativity_rows(index):
-                cp = canonical_poly({(u,): v for u, v in row.items()}, system.unknowns)
+                cp = canonical_poly(row, system.unknowns)
                 assert (cp, (i,)) in system.equations
                 assert all(len(mono) == 1 for mono, _ in cp)
 

@@ -35,7 +35,12 @@ def test_table_returns_the_alternating_sum():
     assert len(table) == len(grid)
 
 
-def test_law_tangent_evaluates_each_key_once_per_call(monkeypatch):
+@pytest.mark.parametrize(
+    "route, top, expected",
+    [(law_tangent, 16, (1, ((2,),))), (mulaw.law_equations, 12, None)],
+    ids=["law_tangent", "law_equations"],
+)
+def test_a_law_route_evaluates_each_key_once_per_call(monkeypatch, route, top, expected):
     calls = Counter()
     channel_coeff = channels._channel_coeff
 
@@ -45,11 +50,60 @@ def test_law_tangent_evaluates_each_key_once_per_call(monkeypatch):
 
     monkeypatch.setattr(channels, "_channel_coeff", counting)
     mon = make_weight_monoid(A1, [(2,)])
-    assert law_tangent(mon, 16) == (1, ((2,),))
+    result = route(mon, top)
+    assert expected is None or result == expected
     assert calls and set(calls.values()) == {1}
     # A second call builds its own table.
-    law_tangent(mon, 16)
+    route(mon, top)
     assert set(calls.values()) == {2}
+
+
+# Every channel of weights up to 18 is an unknown of this window.
+_, _, INDEX = channels._law_unknowns(make_weight_monoid(A1, [(1,)]), 18, 10**9)
+
+
+def _expansion(inner, a, b, c, r, stu):
+    plan = channels._associator_plan(INDEX, a, b, c, r, inner)
+    out = channels._add_associator({}, plan, ChannelTable(), 1, stu)
+    return {m: v for m, v in out.items() if v}
+
+
+def _four_term_row(a, b, c, r, t):
+    """The first-order associator on x^a (x) x^(b-t) y^t (x) x^(c-u) y^u,
+    u = r - t, written out: each unknown's term where it is indexed."""
+    u = r - t
+    terms = [
+        ((a, b, r), _alternating_sum(a, 0, b, t, r) if t == r else 0),
+        ((a + b, c, r), _alternating_sum(a + b, t, c, u, r)),
+        ((b, c, r), -_alternating_sum(b, t, c, u, r)),
+        ((a, b + c, r), -_alternating_sum(a, 0, b + c, r, r)),
+    ]
+    row = Counter()
+    for key, v in terms:
+        if key in INDEX:
+            row[(INDEX[key],)] += v
+    return {m: v for m, v in row.items() if v}
+
+
+def test_the_associator_expansion_on_every_weight_vector():
+    """On a, b, c <= 6, every grade r and every monomial triple (s, t, u)
+    of weight a + b + c - 2r: the first-order terms are the degree-one
+    terms of the full expansion, and at s = 0 they are the four-term
+    row."""
+    checked = 0
+    for a, b, c in product(range(1, 7), repeat=3):
+        for r in range(1, (a + b + c) // 2 + 1):
+            for s, t in product(range(a + 1), range(b + 1)):
+                u = r - s - t
+                if not 0 <= u <= c:
+                    continue
+                first = _expansion((0, r), a, b, c, r, (s, t, u))
+                full = _expansion(range(r + 1), a, b, c, r, (s, t, u))
+                assert first == {m: v for m, v in full.items() if len(m) == 1}
+                if s == 0:
+                    assert first == _four_term_row(a, b, c, r, t)
+                    checked += bool(first)
+    assert checked > 1000
 
 
 @pytest.mark.parametrize(
