@@ -396,8 +396,7 @@ def orbit_law_cases(rng, mulaw, rootdata, errors):
         argv = ["orbit-law", *(f"--form={','.join(map(str, f))}" for f in forms),
                 f"--truncation={truncation}", "--output", "law.json", "--", "A1", str(nbar)]
         try:
-            mulaw.orbit_law([mulaw.make_binary_form(len(f) - 1, f) for f in forms],
-                            rootdata.make_weight_monoid(a1, [(nbar,)]), truncation)
+            mulaw.orbit_law(forms, rootdata.make_weight_monoid(a1, [(nbar,)]), truncation)
         except errors.ValidationError:
             cases.append([argv])
             continue

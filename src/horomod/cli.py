@@ -15,7 +15,8 @@ contraction points) can be passed after a literal "--" separator.
 The layers load on first use: each is bound here as a lazy module
 whose body runs on its first attribute access, so a request compiles
 only the layers its subcommand calls.  The module imports no
-fractions: it names Fraction only in annotations.
+fractions: linalg.read_rational reads each number, as an int where it
+is spelt as one.
 
 The subcommands are declared once, in COMMANDS.  A request whose first
 argument names a subcommand builds that subcommand's parser alone; the
@@ -37,7 +38,7 @@ from . import __version__
 from .errors import ResourceError, ValidationError
 
 if TYPE_CHECKING:
-    from fractions import Fraction as Q
+    from .linalg import Number
 
 
 def _lazy(name: str) -> ModuleType:
@@ -84,7 +85,7 @@ def _parse_weight_list(text: str) -> List[Tuple[int, ...]]:
     return [_parse_weight(part) for part in text.split(";") if part != ""]
 
 
-def _parse_point(text: str) -> List[Q]:
+def _parse_point(text: str) -> List[Number]:
     return [linalg.read_rational(part) for part in text.split(",")]
 
 
@@ -92,7 +93,7 @@ def _fmt_weight(w: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in w) + ")"
 
 
-def _fmt_vec(v: Mapping[int, Q], dim: int) -> List[str]:
+def _fmt_vec(v: Mapping[int, Number], dim: int) -> List[str]:
     """A sparse vector, printed densely: the one place vectors densify.
     An entry whose numerator or denominator str could not print is
     refused."""
@@ -166,9 +167,8 @@ def _cmd_dominance(args):
     leq = rootdata.dominance_leq(rd, mu, lam)
     payload = {"leq": leq}
     if leq:
-        diff = tuple(a - b for a, b in zip(lam, mu))
-        coords = rootdata.to_root_coords(rd, diff)
-        linalg.check_size("root coordinate", max(abs(c.numerator) for c in coords))
+        coords = rootdata.natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
+        linalg.check_size("root coordinate", max(coords))
         payload["difference_root_coords"] = [str(c) for c in coords]
     return payload, {}, None
 
@@ -306,12 +306,8 @@ def _cmd_root_monoid(args):
 
 
 def _cmd_orbit_law(args):
-    rd, mon = _law_monoid(args)
-    forms = []
-    for text in args.form:
-        coeffs = _parse_point(text)
-        forms.append(mulaw.make_binary_form(len(coeffs) - 1, coeffs))
-    law = mulaw.orbit_law(forms, mon, args.truncation)
+    _, mon = _law_monoid(args)
+    law = mulaw.orbit_law([_parse_point(t) for t in args.form], mon, args.truncation)
     payload = mulaw.law_to_json_dict(law)
     if args.output:
         _write_file(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")

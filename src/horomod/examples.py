@@ -11,8 +11,6 @@ build them here and only format the results.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
 from .liealg import DiagCongruence, StabilizerSpec, build_module, unipotent_radical_spec
 from .rootdata import make_root_datum, make_weight_monoid
 from .tangent import HYPOTHESES, TangentReport, t1_invariant
@@ -25,8 +23,8 @@ def binary_cone(n: int) -> TangentReport:
     radical and the n-th roots of unity."""
     rd = make_root_datum("A1")
     m = build_module(rd, f"sym({n},natural(2))")
-    x = [Q(0)] * m.dim
-    x[m.basis_weights.index((n,))] = Q(1)
+    x = [0] * m.dim
+    x[m.basis_weights.index((n,))] = 1
     stab = StabilizerSpec(
         lie_part=unipotent_radical_spec(rd).lie_part,
         diag_part=(DiagCongruence(coeffs=(1,), modulus=n),),
@@ -51,7 +49,7 @@ def flag_point() -> TangentReport:
     unipotent radical."""
     rd = make_root_datum("A3")
     m = build_module(rd, "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))")
-    x = [Q(0)] * m.dim
+    x = [0] * m.dim
     for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        x[m.basis_weights.index(w)] = Q(1)
+        x[m.basis_weights.index(w)] = 1
     return t1_invariant(m, x, unipotent_radical_spec(rd))

@@ -3,10 +3,11 @@
 Chevalley conventions on the natural module of A_{n-1}: e_i is the
 matrix unit E_{i,i+1}, f_i is E_{i+1,i}, h_i is E_{ii} - E_{i+1,i+1}
 (1-based i).  Vectors are sparse {index: number} dicts (linalg.Sparse):
-the Chevalley tables hold ints, and a vector holds a Fraction only where
-a point or a value read off a RowSpace has one.  Spans are
-linalg.RowSpaces; the functions here return those, and only the CLI
-densifies, to print.  An operator is the map {column: its
+the Chevalley tables hold ints, a point read from integers holds ints,
+and a vector holds a Fraction only where a value is not an integer: a
+point entry read from p/q or a decimal, or a value read off a RowSpace.
+Spans are linalg.RowSpaces; the functions here return those, and only
+the CLI densifies, to print.  An operator is the map {column: its
 nonzero entries as a sparse vector}, storing no zeros and no empty
 column, so two operators are equal exactly when == says so, and applying
 one to a vector reads only the columns in the vector's support.

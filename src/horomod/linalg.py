@@ -62,12 +62,12 @@ def check_size(what: str, n: int, cap: Optional[int] = None) -> int:
     return n
 
 
-def read_rational(text: str) -> Fraction:
+def read_rational(text: str) -> Number:
     """The exact number an integer, p/q or plain decimal spells, each run
-    of digits at most MAX_DIGITS long.  Exponent notation is refused, so
-    no input makes the reader multiply out a power of ten."""
-    from fractions import Fraction
-
+    of digits at most MAX_DIGITS long: an int for an integer, a Fraction
+    for p/q or a decimal, even one of integral value.  Exponent notation
+    is refused, so no input makes the reader multiply out a power of
+    ten."""
     body = text.strip()
     if body[:1] in ("+", "-"):
         body = body[1:]
@@ -85,6 +85,10 @@ def read_rational(text: str) -> Fraction:
         raise ValidationError(
             f"number {clip(text)} is too long: {longest} digits, at most {MAX_DIGITS}"
         )
+    if not sep:
+        return int(text)
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -13,7 +13,10 @@ generation to output, the linearization at the all-zero point computes
 the tangent space with its torus weights, and the laws of orbit
 closures, honest numeric points to feed back in, are read off
 transvectants of the powers of the orbit's covariant: exact arithmetic
-on binary forms, with no functions on the group.
+on binary forms, with no functions on the group.  A form is its
+coefficient sequence; integer forms stay int, the covariant and its
+powers are int whatever the form, and a Fraction appears only where a
+value is not an integer: a coefficient of a form or a law.
 
 The tangent space has two routes.  channels.law_tangent builds only
 the linear rows of the system, grade by grade, with integer
@@ -75,40 +78,33 @@ _SYSTEM_COST_CAP = 1_000_000
 
 # ------------------------------------------------------------ binary forms
 
-
-class BinaryForm(NamedTuple):
-    degree: int
-    coeffs: Tuple[Q, ...]  # against x^(d-j) y^j
-
-
-def make_binary_form(degree: int, coeffs: Sequence) -> BinaryForm:
-    co = tuple(Q(c) for c in coeffs)
-    if degree < 0 or len(co) != degree + 1:
-        raise ValidationError("coefficient vector must have length degree+1")
-    return BinaryForm(degree, co)
+# A binary form of degree d is its coefficient sequence against
+# x^(d-j) y^j, j = 0..d, so d is its length less one.
+Form = Sequence[Q]
 
 
-def transvectants(f: BinaryForm, g: BinaryForm, top: int) -> List[BinaryForm]:
+def transvectants(f: Form, g: Form, top: int) -> List[Tuple[Q, ...]]:
     """The transvectants of f and g of index 0..top, the i-th of degree
-    f.degree + g.degree - 2i; the 0-th is the product.  Each product of
-    a coefficient of f with one of g is formed once, for every index."""
-    if top < 0 or top > min(f.degree, g.degree):
+    deg f + deg g - 2i; the 0-th is the product.  Each product of a
+    coefficient of f with one of g is formed once, for every index, and
+    integer forms give integer transvectants."""
+    df, dg = len(f) - 1, len(g) - 1
+    if top < 0 or top > min(df, dg):
         raise ValidationError(f"transvectant index {top} out of range")
-    degree = f.degree + g.degree
     coeff = ChannelTable()
-    out = [[Q(0)] * (degree - 2 * i + 1) for i in range(top + 1)]
-    for s, fc in enumerate(f.coeffs):
+    out = [[0] * (df + dg - 2 * i + 1) for i in range(top + 1)]
+    for s, fc in enumerate(f):
         if not fc:
             continue
-        for t, gc in enumerate(g.coeffs):
+        for t, gc in enumerate(g):
             if not gc:
                 continue
             p = fc * gc
             for i, row in enumerate(out):
                 m = s + t - i
                 if 0 <= m < len(row):
-                    row[m] += p * coeff[f.degree, s, g.degree, t, i]
-    return [BinaryForm(degree - 2 * i, tuple(row)) for i, row in enumerate(out)]
+                    row[m] += p * coeff[df, s, dg, t, i]
+    return [tuple(row) for row in out]
 
 
 # ------------------------------------------------------- law container
@@ -416,7 +412,7 @@ def _single_generator(monoid: WeightMonoid) -> int:
     return gens[0][0]
 
 
-def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> BinaryForm:
+def _hw_covariant(forms: Sequence[Form], nbar: int) -> Tuple[int, ...]:
     """Z, the one nonzero summand of degree nbar, scaled to primitive
     integers whose last nonzero entry is positive.
 
@@ -428,10 +424,11 @@ def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> BinaryForm:
     degree-nbar summands plus, in each larger degree, one per linear
     relation among the summands of that degree; a combination of the
     latter is the pullback of zero, and vanishes."""
-    by_degree: Dict[int, List[Tuple[Q, ...]]] = {}
+    by_degree: Dict[int, List[Form]] = {}
     for f in forms:
-        if any(f.coeffs) and f.degree >= nbar and (f.degree - nbar) % 2 == 0:
-            by_degree.setdefault(f.degree, []).append(f.coeffs)
+        d = len(f) - 1
+        if any(f) and d >= nbar and (d - nbar) % 2 == 0:
+            by_degree.setdefault(d, []).append(f)
     if not by_degree:
         raise ValidationError("no coordinate function of the generator weight")
     tops = by_degree.pop(nbar, [])
@@ -450,11 +447,11 @@ def _hw_covariant(forms: Sequence[BinaryForm], nbar: int) -> BinaryForm:
     v = tops[0]
     # primitive_ints makes the first entry positive: read v from its end.
     last = max(j for j, c in enumerate(v) if c)
-    return make_binary_form(nbar, primitive_ints(v[last::-1])[::-1] + [0] * (nbar - last))
+    return tuple(primitive_ints(v[last::-1])[::-1] + [0] * (nbar - last))
 
 
 def orbit_law(
-    forms: Sequence[BinaryForm],
+    forms: Sequence[Form],
     monoid: WeightMonoid,
     truncation: int,
 ) -> MultiplicationLaw:
@@ -478,13 +475,13 @@ def orbit_law(
             f"orbit-law truncation capped at {MAX_ORBIT_TRUNCATION}"
         )
     forms = list(forms)
-    if not forms or all(not any(f.coeffs) for f in forms):
+    if not forms or all(not any(f) for f in forms):
         raise ValidationError("zero vector has no orbit law")
     nbar = _single_generator(monoid)
     ints = [w[0] for w in monoid_window(monoid, truncation)]
 
     z = _hw_covariant(forms, nbar)
-    powers = {0: make_binary_form(0, [1])}
+    powers = {0: (1,)}
     for a in ints[1:]:
         powers[a] = transvectants(powers[a - nbar], z, 0)[0]
 
@@ -509,10 +506,9 @@ def orbit_law(
     return make_law(monoid.rd, monoid, truncation, coeffs)
 
 
-def _multiple(t: BinaryForm, p: Optional[BinaryForm]) -> Optional[Q]:
+def _multiple(t: Form, p: Optional[Form]) -> Optional[Q]:
     """k with t = k * p, taking a missing p as zero; None if there is none."""
     if p is None:
-        return None if any(t.coeffs) else Q(0)
-    j = next(j for j, c in enumerate(p.coeffs) if c)
-    k = t.coeffs[j] / p.coeffs[j]
-    return k if all(x == k * y for x, y in zip(t.coeffs, p.coeffs)) else None
+        return None if any(t) else 0
+    j = next(j for j, c in enumerate(p) if c)
+    return Q(t[j], p[j]) if all(x * p[j] == t[j] * y for x, y in zip(t, p)) else None

@@ -5,8 +5,10 @@ Conventions.  A weight is a tuple of integers: its coordinates against
 the fundamental weights.  The simple root alpha_i has fundamental
 coordinates equal to the i-th row of the Cartan matrix, so a vector of
 root coordinates x relates to fundamental coordinates v by
-cartan^T . x = v, solved in closed form.  Root coordinates are tuples
-of Fraction since a weight need not lie in the root lattice.
+cartan^T . x = v, solved in closed form.  Root coordinates are read
+only where they are natural, as tuples of ints: the package asks only
+whether a difference of weights is a natural combination of simple
+roots, and which.
 
 The reflection s_i sends mu to mu - mu_i * alpha_i where mu_i is the
 i-th fundamental coordinate.  In the epsilon-coordinates e_k = mu_k +
@@ -23,16 +25,12 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from .linalg import clip
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 Weight = Tuple[int, ...]
-RootVector = Tuple["Fraction", ...]
 # A monoid generator: fundamental coordinates in a weight monoid,
 # simple-root coordinates in a root monoid.
 Gen = Tuple[int, ...]
@@ -112,29 +110,19 @@ def is_dominant(rd: RootDatum, lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 
 
-def to_root_coords(rd: RootDatum, lam: Sequence[int]) -> RootVector:
-    """Coordinates of lam against the simple roots (exact rationals).
-
-    The inverse of the A_n Cartan matrix is symmetric, with entry
-    min(i, j) (n + 1 - max(i, j)) / (n + 1) for 1-based i and j."""
-    from fractions import Fraction
-
-    n = rd.rank
-    return tuple(
-        Fraction(
-            sum(min(i, j) * (n + 1 - max(i, j)) * lam[j - 1] for j in range(1, n + 1)),
-            n + 1,
-        )
-        for i in range(1, n + 1)
-    )
-
-
 def natural_root_coords(rd: RootDatum, lam: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """Root coordinates of lam as integers if all are natural, else None."""
-    coords = to_root_coords(rd, lam)
-    if any(c.denominator != 1 or c < 0 for c in coords):
+    """Coordinates of lam against the simple roots if all are natural,
+    else None.  The inverse of the A_n Cartan matrix is symmetric, with
+    entry min(i, j) (n + 1 - max(i, j)) / (n + 1) for 1-based i and j,
+    so each coordinate is an integer numerator over n + 1."""
+    n1 = rd.rank + 1
+    nums = [
+        sum(min(i, j) * (n1 - max(i, j)) * lam[j - 1] for j in range(1, n1))
+        for i in range(1, n1)
+    ]
+    if any(x < 0 or x % n1 for x in nums):
         return None
-    return tuple(int(c) for c in coords)
+    return tuple(x // n1 for x in nums)
 
 
 def dominance_leq(rd: RootDatum, mu: Sequence[int], lam: Sequence[int]) -> bool:

@@ -32,7 +32,6 @@ from horomod.rootdata import (
     epsilon,
     from_epsilon,
     is_dominant,
-    to_root_coords,
 )
 
 # ---------------------------------------------------------------- linalg
@@ -208,6 +207,18 @@ def system_residuals(system: PolySystem, values: Mapping[str, Q]) -> Tuple[Q, ..
 
 
 # ---------------------------------------------------------------- weights
+
+
+def to_root_coords(rd: RootDatum, lam: Sequence[int]) -> Tuple[Q, ...]:
+    """Coordinates of lam against the simple roots, exact rationals.
+
+    The inverse of the A_n Cartan matrix is symmetric, with entry
+    min(i, j) (n + 1 - max(i, j)) / (n + 1) for 1-based i and j."""
+    n = rd.rank
+    return tuple(
+        Q(sum(min(i, j) * (n + 1 - max(i, j)) * lam[j - 1] for j in range(1, n + 1)), n + 1)
+        for i in range(1, n + 1)
+    )
 
 
 def lowest_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:

@@ -15,7 +15,6 @@ from horomod.monoids import saturation
 from horomod.mulaw import (
     contract,
     law_equations,
-    make_binary_form,
     orbit_law,
     root_monoid_of_law,
 )
@@ -64,11 +63,9 @@ def _test_laws():
     mon2 = make_weight_monoid(A1, [(2,)])
     mon4 = make_weight_monoid(A1, [(4,)])
     return (
-        orbit_law([make_binary_form(2, [Q(1), Q(0), Q(0)])], mon2, 8),
-        orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon2, 8),
-        orbit_law(
-            [make_binary_form(4, [Q(0), Q(0), Q(1), Q(0), Q(0)])], mon4, 12
-        ),
+        orbit_law([(1, 0, 0)], mon2, 8),
+        orbit_law([(1, 0, 1)], mon2, 8),
+        orbit_law([(0, 0, 1, 0, 0)], mon4, 12),
     )
 
 

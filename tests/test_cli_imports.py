@@ -67,14 +67,31 @@ def test_version_imports_no_fractions():
 NUMERIC = 'sorted(m for m in ("fractions", "decimal", "numbers") if m in sys.modules)'
 
 
+FLAG = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["law-tangent", "A1", "2", "--truncation", "8"], ["dim", "A2", "1,1"], ["weights", "A2", "1,1"]],
-    ids=["law-tangent", "dim", "weights"],
+    [
+        ["law-tangent", "A1", "2", "--truncation", "8"],
+        ["dim", "A2", "1,1"],
+        ["weights", "A2", "1,1"],
+        ["reproduce-example1"],
+        ["reproduce-example2"],
+        ["t1", "A3", FLAG, "1,0,0,0,1,0,0,0,0,0,1,0,0,0", "--lie-u"],
+        ["stabilizer", "A1", "natural(2)", "1,0"],
+        ["orbit-tangent", "A1", "natural(2)", "1,0"],
+        ["tangent-weight", "A2", "1,1", "0,0"],
+        ["dominance", "A2", "0,0", "1,1"],
+    ],
+    ids=["law-tangent", "dim", "weights", "reproduce-example1", "reproduce-example2",
+         "t1-flag", "stabilizer", "orbit-tangent", "tangent-weight", "dominance"],
 )
 def test_integer_requests_import_no_fractions(argv):
     """A request that reads and prints no rational loads none of
-    fractions, decimal and numbers: RowSpace eliminates in integers."""
+    fractions, decimal and numbers: integer points are read as ints,
+    root coordinates are computed in integers, and RowSpace eliminates
+    in integers."""
     out = probe(argv, expr=NUMERIC)
     assert out["code"] == 0
     assert out["probe"] == []

@@ -187,10 +187,15 @@ def test_kernel_matches_sympy():
     "text, value",
     [("3", Q(3)), ("-3/4", Q(-3, 4)), ("+6/4", Q(3, 2)), ("0.25", Q(1, 4)), ("-.5", Q(-1, 2)),
      ("5.", Q(5)), (" 7 ", Q(7)), ("9" * MAX_DIGITS, Q(10**MAX_DIGITS - 1)),
-     ("1/" + "1" + "0" * (MAX_DIGITS - 1), Q(1, 10 ** (MAX_DIGITS - 1)))],
+     ("1/" + "1" + "0" * (MAX_DIGITS - 1), Q(1, 10 ** (MAX_DIGITS - 1))),
+     ("7", 7), ("-0", 0), (" +12 ", 12), ("4/2", Q(2)), ("0.5", Q(1, 2))],
 )
 def test_read_rational_reads_integers_fractions_and_decimals(text, value):
-    assert read_rational(text) == value
+    """An integer spelling reads as an int; p/q and a decimal read as a
+    Fraction, even where the value is integral."""
+    x = read_rational(text)
+    assert x == value
+    assert type(x) is (Q if "/" in text or "." in text else int)
 
 
 @pytest.mark.parametrize(

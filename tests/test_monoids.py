@@ -12,7 +12,6 @@ from horomod.rootdata import (
     make_root_monoid,
     make_weight_monoid,
     positive_roots,
-    to_root_coords,
 )
 from oracles import is_free, minimal_generators
 

@@ -12,13 +12,11 @@ from horomod.channels import law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
 from horomod.mulaw import (
     MAX_ORBIT_TRUNCATION,
-    BinaryForm,
     _triple_top_vectors,
     contract,
     law_equations,
     law_from_json_dict,
     law_to_json_dict,
-    make_binary_form,
     make_law,
     orbit_law,
     root_monoid_of_law,
@@ -41,24 +39,24 @@ def nat2(mon):
 
 
 def test_transvectant_index_zero_is_product():
-    f = make_binary_form(2, [Q(1), Q(0), Q(3)])
-    g = make_binary_form(1, [Q(2), Q(-1)])
+    f = (1, 0, 3)
+    g = (2, -1)
     h = transvectants(f, g, 0)[0]
-    assert h.degree == 3
-    assert h.coeffs == (Q(2), Q(-1) + Q(0), Q(-0) + Q(6), Q(-3))
+    assert len(h) - 1 == 3
+    assert h == (Q(2), Q(-1) + Q(0), Q(-0) + Q(6), Q(-3))
 
 
 def test_transvectant_x2_y2_full_contraction():
-    f = make_binary_form(2, [Q(1), Q(0), Q(0)])  # x^2
-    g = make_binary_form(2, [Q(0), Q(0), Q(1)])  # y^2
+    f = (1, 0, 0)  # x^2
+    g = (0, 0, 1)  # y^2
     h = transvectants(f, g, 2)[2]
-    assert h.degree == 0
-    assert h.coeffs == (Q(4),)
+    assert len(h) - 1 == 0
+    assert h == (Q(4),)
 
 
 def test_transvectant_index_out_of_range():
-    f = make_binary_form(2, [Q(1), Q(0), Q(0)])
-    g = make_binary_form(1, [Q(0), Q(1)])
+    f = (1, 0, 0)
+    g = (0, 1)
     with pytest.raises(ValidationError):
         transvectants(f, g, 2)
 
@@ -70,28 +68,28 @@ def forms(draw, max_deg=4):
         Q(draw(st.integers(min_value=-4, max_value=4)), draw(st.integers(min_value=1, max_value=3)))
         for _ in range(d + 1)
     ]
-    return make_binary_form(d, coeffs)
+    return tuple(coeffs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(forms(), forms(), st.integers(min_value=0, max_value=4))
 def test_transvectant_antisymmetry(f, g, i):
-    if i > min(f.degree, g.degree):
+    if i > min(len(f), len(g)) - 1:
         return
     fg = transvectants(f, g, i)[i]
     gf = transvectants(g, f, i)[i]
     sign = (-1) ** i
-    assert fg.coeffs == tuple(sign * c for c in gf.coeffs)
+    assert fg == tuple(sign * c for c in gf)
 
 
 @settings(max_examples=25, deadline=None)
 @given(forms(), st.integers(min_value=1, max_value=3))
 def test_transvectant_odd_self_pairing_vanishes(f, k):
     i = 2 * k - 1
-    if i > f.degree:
+    if i > len(f) - 1:
         return
     h = transvectants(f, f, i)[i]
-    assert all(c == 0 for c in h.coeffs)
+    assert all(c == 0 for c in h)
 
 
 class _CountedQ(Q):
@@ -105,14 +103,26 @@ class _CountedQ(Q):
 
 
 def test_transvectants_form_each_coefficient_product_once():
-    f = BinaryForm(4, tuple(_CountedQ(c) for c in (1, 0, -2, 3, Q(1, 2))))
-    g = make_binary_form(3, [2, 1, 0, 5])
+    f = tuple(_CountedQ(c) for c in (1, 0, -2, 3, Q(1, 2)))
+    g = (2, 1, 0, 5)
     _CountedQ.products = 0
     out = transvectants(f, g, 3)
     # One product per pair of nonzero coefficients, for all four channels.
     assert _CountedQ.products == 4 * 3
-    assert [h.degree for h in out] == [7, 5, 3, 1]
-    assert out[0].coeffs == (2, 1, -4, 9, 4, Q(-19, 2), 15, Q(5, 2))  # the product
+    assert [len(h) - 1 for h in out] == [7, 5, 3, 1]
+    assert out[0] == (2, 1, -4, 9, 4, Q(-19, 2), 15, Q(5, 2))  # the product
+
+
+def test_integer_forms_give_integer_transvectants():
+    """Integer forms give int entries on every channel, equal to those
+    of the same forms written with Fractions; so does the covariant Z,
+    whatever the forms."""
+    f, g = (1, 0, -2, 3, 7), (2, 1, 0, 5)
+    out = transvectants(f, g, 3)
+    assert all(type(c) is int for h in out for c in h)
+    assert out == transvectants(tuple(map(Q, f)), tuple(map(Q, g)), 3)
+    z = mulaw._hw_covariant([(Q(1, 2), 0, Q(-1, 3))], 2)
+    assert z == (-3, 0, 2) and all(type(c) is int for c in z)
 
 
 # ---------------------------------------------------------------- windows, laws
@@ -373,11 +383,11 @@ def coordinate_pullbacks(form):
     """Pullback of each linear coordinate along the orbit map of the
     given vector: entry r is the weight-(2r-n) function picking the
     y^r coefficient of the moved vector."""
-    n = form.degree
+    n = len(form) - 1
     out = []
     for r in range(n + 1):
         raw = {}
-        for t, vt in enumerate(form.coeffs):
+        for t, vt in enumerate(form):
             for k in range(max(0, r - t), min(r, n - t) + 1):
                 if vt:
                     _nf_into(raw, (n - t - k, t - r + k, k, r - k), vt * comb(n - t, k) * comb(t, r - k))
@@ -390,7 +400,7 @@ def ring_hw_covariant(forms, nbar):
         pb
         for form in forms
         for r, pb in enumerate(coordinate_pullbacks(form))
-        if 2 * r - form.degree == nbar and pb
+        if 2 * r - (len(form) - 1) == nbar and pb
     ]
     if not cands:
         raise ValidationError("no coordinate function of the generator weight")
@@ -429,7 +439,7 @@ def ring_orbit_law(forms, monoid, truncation):
     """orbit_law by products of covariant bases as functions on SL2."""
     if truncation > MAX_ORBIT_TRUNCATION:
         raise ValidationError(f"orbit-law truncation capped at {MAX_ORBIT_TRUNCATION}")
-    if not forms or all(not any(f.coeffs) for f in forms):
+    if not forms or all(not any(f) for f in forms):
         raise ValidationError("zero vector has no orbit law")
     nbar = mulaw._single_generator(monoid)
     ints = [w[0] for w in monoid_window(monoid, truncation)]
@@ -501,13 +511,13 @@ def ring_solve_pair(a, b, open_, bases):
 
 def test_orbit_law_of_single_highest_weight_vector_is_horospherical():
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(0)])], mon, 8)
+    law = orbit_law([(1, 0, 0)], mon, 8)
     assert law.coeffs == horospherical_law(A1, mon, 8).coeffs
 
 
 def test_orbit_law_x2_plus_y2():
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     assert law.coeffs[((2,), (2,), (0,), 2)] == Q(1, 6)
     assert ((2,), (2,), (2,), 1) not in law.coeffs
     assert law.coeffs[((4,), (4,), (4,), 2)] == Q(1, 126)
@@ -519,7 +529,7 @@ def test_orbit_law_x2_plus_y2():
 
 def test_orbit_law_satisfies_equations():
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     sys_ = law_equations(mon, 8)
     vals = law_unknown_values(law)
     assert all(r == 0 for r in system_residuals(sys_, vals))
@@ -546,7 +556,7 @@ def draw_orbit_request(rng):
 
 def outcome(route, nbar, forms, truncation):
     try:
-        return route([make_binary_form(d, c) for d, c in forms], nat2([nbar]), truncation).coeffs
+        return route([tuple(c) for _, c in forms], nat2([nbar]), truncation).coeffs
     except ValidationError as exc:
         return str(exc)
 
@@ -579,7 +589,7 @@ def test_orbit_law_refusals_match_the_function_ring_route(nbar, forms, message):
 
 def test_orbit_law_root_monoid():
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     rm = root_monoid_of_law(law)
     assert rm.generators == ((2,), (4,))
     assert minimal_generators(rm) == ((2,),)
@@ -587,7 +597,7 @@ def test_orbit_law_root_monoid():
 
 def test_orbit_law_zero_weight_vector_degree_four():
     mon = nat2([4])
-    form = make_binary_form(4, [Q(0), Q(0), Q(1), Q(0), Q(0)])  # x^2 y^2
+    form = (0, 0, 1, 0, 0)  # x^2 y^2
     law = orbit_law([form], mon, 12)
     assert law.coeffs[((4,), (4,), (4,), 2)] == Q(-1, 504)
     assert law.coeffs[((4,), (4,), (0,), 4)] == Q(1, 17280)
@@ -601,21 +611,21 @@ def test_orbit_law_rejects_vector_with_too_big_orbit():
     # three-dimensional cone whose coordinate ring repeats modules; the
     # decomposition step must fail rather than return a law.
     mon = nat2([4])
-    form = make_binary_form(4, [Q(1), Q(0), Q(1), Q(0), Q(0)])
+    form = (1, 0, 1, 0, 0)
     with pytest.raises(ValidationError):
         orbit_law([form], mon, 8)
 
 
 def test_orbit_law_rejects_zero_vector():
     with pytest.raises(ValidationError):
-        orbit_law([make_binary_form(2, [Q(0), Q(0), Q(0)])], nat2([2]), 8)
+        orbit_law([(0, 0, 0)], nat2([2]), 8)
 
 
 def test_orbit_law_needs_single_generator():
     mon = nat2([2, 3])
     with pytest.raises(ValidationError):
         orbit_law(
-            [make_binary_form(2, [Q(1), Q(0), Q(1)]), make_binary_form(3, [Q(1), Q(0), Q(0), Q(0)])],
+            [(1, 0, 1), (1, 0, 0, 0)],
             mon,
             8,
         )
@@ -623,7 +633,7 @@ def test_orbit_law_needs_single_generator():
 
 def test_orbit_law_truncation_cap():
     with pytest.raises(ValidationError):
-        orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], nat2([2]), 40)
+        orbit_law([(1, 0, 1)], nat2([2]), 40)
 
 
 # ---------------------------------------------------------------- contraction
@@ -631,7 +641,7 @@ def test_orbit_law_truncation_cap():
 
 def test_contract_origin_gives_horospherical():
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     at_zero = contract(law, [Q(0)])
     assert at_zero.coeffs == horospherical_law(A1, mon, 8).coeffs
 
@@ -643,7 +653,7 @@ def test_contract_origin_gives_horospherical():
 )
 def test_contract_is_an_action(s, t):
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     once = contract(contract(law, [s]), [t])
     joint = contract(law, [s * t])
     assert once.coeffs == joint.coeffs
@@ -652,7 +662,7 @@ def test_contract_is_an_action(s, t):
 @pytest.mark.parametrize("s", [Q(1), Q(-2), Q(3, 7)])
 def test_contract_preserves_solutions(s):
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     sys_ = law_equations(mon, 8)
     moved = contract(law, [s])
     vals = law_unknown_values(moved)
@@ -664,7 +674,7 @@ def test_contract_preserves_solutions(s):
 
 def test_law_json_round_trip():
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     blob = law_to_json_dict(law)
     back = law_from_json_dict(blob)
     assert back.coeffs == law.coeffs
@@ -674,6 +684,6 @@ def test_law_json_round_trip():
 
 def test_law_json_values_are_strings():
     mon = nat2([2])
-    law = orbit_law([make_binary_form(2, [Q(1), Q(0), Q(1)])], mon, 8)
+    law = orbit_law([(1, 0, 1)], mon, 8)
     blob = law_to_json_dict(law)
     assert all(isinstance(entry["value"], str) for entry in blob["coeffs"])

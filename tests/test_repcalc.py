@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ResourceError
 from horomod import liealg, repcalc, rootdata as rda
-from oracles import character_product_peel, lowest_weight
+from oracles import character_product_peel, lowest_weight, to_root_coords
 
 A1 = rda.make_root_datum("A1")
 A2 = rda.make_root_datum("A2")
@@ -101,7 +101,7 @@ def test_tensor_routes_agree_a2(lam, mu):
 def _dominant_weights_in_box(rd, lam):
     """Oracle: every point of the box of root coordinates of lam - w0 lam,
     kept when lam minus it is dominant."""
-    kmax = rda.to_root_coords(rd, tuple(a - b for a, b in zip(lam, lowest_weight(rd, lam))))
+    kmax = to_root_coords(rd, tuple(a - b for a, b in zip(lam, lowest_weight(rd, lam))))
     found = []
     for ks in itertools.product(*(range(int(c) + 1) for c in kmax)):
         mu = tuple(

@@ -1,11 +1,12 @@
 from fractions import Fraction as Q
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ResourceError, ValidationError
 from horomod import rootdata as rda
-from oracles import lowest_weight
+from oracles import lowest_weight, to_root_coords
 
 A1 = rda.make_root_datum("A1")
 A2 = rda.make_root_datum("A2")
@@ -32,13 +33,13 @@ def test_rank_cap_admits_a140():
 def test_simple_root_coords_are_cartan_rows():
     for rd in (A1, A2, A3):
         for i in range(rd.rank):
-            x = rda.to_root_coords(rd, rd.cartan[i])
+            x = to_root_coords(rd, rd.cartan[i])
             assert x == tuple(Q(1) if k == i else Q(0) for k in range(rd.rank))
 
 
 def test_root_coords_a2_fundamental():
     # solved by hand: 2x - y = 1, -x + 2y = 0
-    assert rda.to_root_coords(A2, (1, 0)) == (Q(2, 3), Q(1, 3))
+    assert to_root_coords(A2, (1, 0)) == (Q(2, 3), Q(1, 3))
 
 
 def test_dominance_basic():
@@ -94,7 +95,7 @@ def test_dominant_conjugate_is_dominant(mu):
     conj, sign, _ = rda.dominant_conjugate(A3, mu)
     assert rda.is_dominant(A3, conj)
     assert sign in (1, -1)
-    assert rda.to_root_coords(A3, tuple(a - b for a, b in zip(conj, mu)))
+    assert to_root_coords(A3, tuple(a - b for a, b in zip(conj, mu)))
 
 
 @st.composite
@@ -107,9 +108,31 @@ def _type_a_weight(draw):
 @given(_type_a_weight())
 def test_closed_form_root_coords_solve_cartan_transpose(case):
     rd, v = case
-    x = rda.to_root_coords(rd, v)
+    x = to_root_coords(rd, v)
     n = rd.rank
     assert all(sum(rd.cartan[i][j] * x[i] for i in range(n)) == v[j] for j in range(n))
+
+
+def test_natural_root_coords_are_the_oracle_coords_where_natural():
+    """On a seeded grid of A1-A4 weights, sums of -1..3 times each simple
+    root, plus a fundamental weight in a third of them: the oracle's
+    coordinates where they are natural, as ints, and None elsewhere."""
+    rng = Random(0)
+    seen = set()
+    for n in range(1, 5):
+        rd = rda.make_root_datum(f"A{n}")
+        for _ in range(300):
+            ks = [rng.randint(-1, 3) for _ in range(n)]
+            lam = [sum(k * rd.cartan[i][j] for i, k in enumerate(ks)) for j in range(n)]
+            if rng.random() < 1 / 3:
+                lam[rng.randrange(n)] += 1
+            exact = to_root_coords(rd, lam)
+            natural = all(c.denominator == 1 and c >= 0 for c in exact)
+            got = rda.natural_root_coords(rd, lam)
+            assert got == (exact if natural else None), (rd.label, lam)
+            assert got is None or all(type(c) is int for c in got)
+            seen.add(natural)
+    assert seen == {True, False}
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
