@@ -18,9 +18,9 @@ files name them relatively, and the files left behind are compared along
 with the exit code, stdout and stderr of every request.  The script
 prints how many requests differ, then each differing argv after its
 exit code under OTHER_SRC and here (3 -> 0, say), then the
-horomod functions that neither a request nor one of the other two
-scripts (reproduce_examples.py, export_equations.py) entered on this
-checkout's side, and exits 0 either way.
+horomod functions that neither a request nor one of the other
+scripts (SCRIPTS) entered on this checkout's side, and exits 0 either
+way.
 """
 
 import contextlib
@@ -39,7 +39,7 @@ from math import comb, gcd
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SCRIPTS = ["reproduce_examples.py", "export_equations.py"]
+SCRIPTS = ["reproduce_examples.py"]
 SEED = 20031
 
 SUBCOMMANDS = [

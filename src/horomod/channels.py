@@ -3,7 +3,8 @@
 For A1 the Hom channels of V(a) (x) V(b) -> V(a+b-2i) are the
 transvectants of binary forms.  _channel_coeff gives the i-th
 transvectant on a monomial pair, and ChannelTable serves those
-coefficients to every law route, each value computed once per call.
+coefficients to both law routes, each value computed once per call;
+mulaw.transvectants looks each key up once, and calls _channel_coeff.
 
 This layer also holds the monoid window, the unknowns m[a,b,i], the
 commutativity rows, the associativity windows, the cost check, and the
@@ -213,8 +214,9 @@ def _add_associator(
 
 
 def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """mulaw.tangent_at_horospherical(mulaw.law_equations(monoid,
-    truncation)), from the linear rows alone.
+    """The kernel of the linear part of mulaw.law_equations(monoid,
+    truncation) at the all-zero point, as (dim, one grade per kernel
+    direction), from the linear rows alone.
 
     At the all-zero point a product of two unknowns vanishes to first
     order, and the top channel is 1.  So an associativity term of grade

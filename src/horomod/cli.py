@@ -264,15 +264,14 @@ def _law_monoid(args):
 def _cmd_law_equations(args):
     _, mon = _law_monoid(args)
     system = mulaw.law_equations(mon, args.truncation)
+    equations = polysys.equation_texts(system)
     if args.export_system:
-        _write_file(args.export_system, polysys.system_to_text(system))
+        _write_file(args.export_system, polysys.system_to_text(system, equations))
     payload = {
         "unknown_count": len(system.unknowns),
-        "equation_count": len(system.equations),
+        "equation_count": len(equations),
         "unknowns": list(system.unknowns),
-        "equations": [
-            polysys.render_poly(cp, system.unknowns) for cp, _ in system.equations
-        ],
+        "equations": equations,
     }
     if args.export_system:
         payload["exported_to"] = args.export_system

@@ -112,12 +112,13 @@ def _integral(vec: AnyVector) -> Tuple[Dict[int, int], int]:
 
 
 def _over(v: Dict[int, int], d: int) -> Sparse:
-    """v / d, exact: v itself when d is 1."""
+    """v / d, exact: v itself when d is 1, and an int at each entry d
+    divides."""
     if d == 1:
         return v
     from fractions import Fraction
 
-    return {c: Fraction(x, d) for c, x in v.items()}
+    return {c: x // d if x % d == 0 else Fraction(x, d) for c, x in v.items()}
 
 
 def _cancel(u: Dict[int, int], p: int, row: Mapping[int, int]) -> int:

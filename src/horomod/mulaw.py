@@ -20,8 +20,8 @@ value is not an integer: a coefficient of a form or a law.
 
 The tangent space has two routes.  channels.law_tangent builds only
 the linear rows of the system, grade by grade, with integer
-coefficients; law_equations here builds the full quadratic system, and
-tangent_at_horospherical linearizes it, as the oracle for the first.
+coefficients; law_equations here builds the full quadratic system,
+whose linearization in the tests is the oracle for the first.
 Both refuse a window past a cost estimate before building anything,
 and both read the window, its unknowns, the channel coefficients and
 the one expansion of an associator into channel terms from the
@@ -42,19 +42,13 @@ from .channels import (
     _add_associator,
     _associator_plan,
     _associativity_windows,
+    _channel_coeff,
     _commutativity_rows,
     _is_a1,
     _law_unknowns,
     monoid_window,
 )
-from .polysys import (
-    Grade,
-    Mono,
-    PolySystem,
-    canonical_poly,
-    primitive_ints,
-    render_poly,
-)
+from .polysys import Grade, Mono, PolySystem, canonical_poly, primitive_ints
 from .rootdata import (
     RootDatum,
     RootMonoid,
@@ -91,7 +85,6 @@ def transvectants(f: Form, g: Form, top: int) -> List[Tuple[Q, ...]]:
     df, dg = len(f) - 1, len(g) - 1
     if top < 0 or top > min(df, dg):
         raise ValidationError(f"transvectant index {top} out of range")
-    coeff = ChannelTable()
     out = [[0] * (df + dg - 2 * i + 1) for i in range(top + 1)]
     for s, fc in enumerate(f):
         if not fc:
@@ -103,7 +96,7 @@ def transvectants(f: Form, g: Form, top: int) -> List[Tuple[Q, ...]]:
             for i, row in enumerate(out):
                 m = s + t - i
                 if 0 <= m < len(row):
-                    row[m] += p * coeff[df, s, dg, t, i]
+                    row[m] += p * _channel_coeff(df, s, dg, t, i)
     return [tuple(row) for row in out]
 
 
@@ -346,13 +339,14 @@ def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int,
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
     """Commutativity and associativity constraints on a rank-one law
     window, as an exact polynomial system in the non-top coefficients:
-    the associator of each window, every term, on each singular vector."""
+    the associator of each window, every term, on each singular vector.
+    The distinct equations are kept in the order they are generated."""
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
     coeff = ChannelTable()
     names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
     grades: List[Grade] = [(i,) for (_, _, i) in index]
 
-    raw_equations = [(row, (i,)) for row, i in _commutativity_rows(index)]
+    raw_equations = list(_commutativity_rows(index))
     for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
         plan = _associator_plan(index, a, b, c, r, range(r + 1))
         for eta in _triple_top_vectors(a, b, c, nu):
@@ -361,43 +355,9 @@ def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
                 _add_associator(poly, plan, coeff, coef, stu)
             poly = {m: v for m, v in poly.items() if v}
             if poly:
-                raw_equations.append((poly, (r,)))
-
-    seen = set()
-    canon = []
-    for poly, grade in raw_equations:
-        cp = canonical_poly(poly, names)
-        if not cp or (cp, grade) in seen:
-            continue
-        seen.add((cp, grade))
-        canon.append((cp, grade))
-    canon.sort(
-        key=lambda eg: (
-            eg[1],
-            max(len(m) for m, _ in eg[0]),
-            render_poly(eg[0], names),
-        )
-    )
-    return PolySystem(tuple(names), tuple(grades), tuple(canon))
-
-
-def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]]:
-    """Kernel of the degree-one truncation at the all-zero point,
-    reported blockwise per grade."""
-    columns: Dict[Grade, Dict[int, int]] = {}  # grade -> {unknown: column}
-    for u, g in enumerate(system.grades):
-        cols = columns.setdefault(g, {})
-        cols[u] = len(cols)
-    spaces = {g: linalg.RowSpace(len(cols)) for g, cols in columns.items()}
-    for cp, g in system.equations:
-        if any(not m for m, _ in cp):
-            raise ValidationError("system is not centered at the all-zero point")
-        lin = {m[0]: c for m, c in cp if len(m) == 1}
-        if lin:
-            assert all(system.grades[u] == g for u in lin), "linear term off its equation grade"
-            spaces[g].add({columns[g][u]: c for u, c in lin.items()})
-    weights = tuple(g for g in sorted(spaces) for _ in range(spaces[g].ncols - spaces[g].dim))
-    return len(weights), weights
+                raw_equations.append((poly, r))
+    equations = dict.fromkeys((canonical_poly(p, names), (r,)) for p, r in raw_equations)
+    return PolySystem(tuple(names), tuple(grades), tuple(equations))
 
 
 # ----------------------------------------------------- orbit laws (A1)

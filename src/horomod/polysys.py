@@ -5,8 +5,10 @@ polynomials in named unknowns, monomials of degree at most two, and
 canonical form.  A canonical polynomial is a tuple of
 (monomial, integer) pairs: monomials sorted by degree then unknown name,
 integer content cleared, leading coefficient positive.  A PolySystem
-holds its equations in that form only, and every reader reads it as it
-stands.  system_to_text exports one polynomial per line.
+holds its equations in that form only, in the order they were
+generated.  equation_texts renders each equation once, in the one
+order the output shows, and system_to_text exports those texts one per
+line.
 """
 
 from __future__ import annotations
@@ -73,16 +75,27 @@ def render_poly(cp: CanonPoly, names: Sequence[str]) -> str:
     return "".join(parts)
 
 
+def equation_texts(system: PolySystem) -> List[str]:
+    """Each equation rendered once, ordered by grade, then largest
+    monomial degree, then text."""
+    keyed = sorted(
+        (g, max(len(m) for m, _ in cp), render_poly(cp, system.unknowns))
+        for cp, g in system.equations
+    )
+    return [text for _, _, text in keyed]
+
+
 def _grade_str(g: Grade) -> str:
     if len(g) == 1:
         return f"{g[0]}*alpha"
     return "+".join(f"{k}*alpha{i + 1}" for i, k in enumerate(g))
 
 
-def system_to_text(system: PolySystem) -> str:
-    lines = []
-    for name, g in zip(system.unknowns, system.grades):
-        lines.append(f"# unknown {name} grade={_grade_str(g)}")
-    for cp, _ in system.equations:
-        lines.append(render_poly(cp, system.unknowns))
-    return "\n".join(lines) + "\n"
+def system_to_text(system: PolySystem, equations: Sequence[str]) -> str:
+    """One comment line per unknown of system with its grade, then the
+    equation texts, one per line."""
+    lines = [
+        f"# unknown {name} grade={_grade_str(g)}"
+        for name, g in zip(system.unknowns, system.grades)
+    ]
+    return "\n".join(lines + list(equations)) + "\n"

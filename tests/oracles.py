@@ -21,7 +21,7 @@ from horomod.channels import (
 )
 from horomod.errors import ResourceError, ValidationError
 from horomod.mulaw import LawKey, MultiplicationLaw, _triple_top_vectors
-from horomod.polysys import PolySystem
+from horomod.polysys import Grade, PolySystem
 from horomod.repcalc import DEFAULT_DIM_CAP, Decomposition, weight_multiplicities, weyl_dim
 from horomod.rootdata import (
     Gen,
@@ -181,6 +181,26 @@ def singular_vector_law_tangent(
                         row[key] = row.get(key, 0) + sgn * coeff[x, sx, y, sy, r]
             add(row, r)
     weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
+    return len(weights), weights
+
+
+def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]]:
+    """channels.law_tangent from a full system: the kernel of its
+    degree-one truncation at the all-zero point, reported blockwise per
+    grade."""
+    columns: Dict[Grade, Dict[int, int]] = {}  # grade -> {unknown: column}
+    for u, g in enumerate(system.grades):
+        cols = columns.setdefault(g, {})
+        cols[u] = len(cols)
+    spaces = {g: linalg.RowSpace(len(cols)) for g, cols in columns.items()}
+    for cp, g in system.equations:
+        if any(not m for m, _ in cp):
+            raise ValidationError("system is not centered at the all-zero point")
+        lin = {m[0]: c for m, c in cp if len(m) == 1}
+        if lin:
+            assert all(system.grades[u] == g for u in lin), "linear term off its equation grade"
+            spaces[g].add({columns[g][u]: c for u, c in lin.items()})
+    weights = tuple(g for g in sorted(spaces) for _ in range(spaces[g].ncols - spaces[g].dim))
     return len(weights), weights
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horomod import __version__, cli, liealg
+from horomod import __version__, cli, liealg, mulaw, polysys
 from horomod.cli import build_parser, main
-from horomod.rootdata import make_root_datum
+from horomod.rootdata import make_root_datum, make_weight_monoid
 
 
 def run(capsys, *argv):
@@ -297,6 +297,30 @@ def test_export_system_format(tmp_path, capsys):
     assert headers[0] == "# unknown m[2,2,1] grade=1*alpha"
     body = [l for l in lines if not l.startswith("#")]
     assert body == blob["payload"]["equations"]
+
+
+def test_law_equations_render_each_equation_once(tmp_path, capsys, monkeypatch):
+    """The payload and the exported file read one list: each equation is
+    rendered once, and the texts are distinct, ordered by grade, largest
+    monomial degree, then text."""
+    system = mulaw.law_equations(make_weight_monoid(make_root_datum("A1"), [(1,)]), 15)
+    key = {
+        polysys.render_poly(cp, system.unknowns): (g, max(len(m) for m, _ in cp))
+        for cp, g in system.equations
+    }
+    calls = []
+    render = polysys.render_poly
+    monkeypatch.setattr(polysys, "render_poly", lambda *args: calls.append(args) or render(*args))
+    out_file = tmp_path / "system.txt"
+    code, blob = run_json(
+        capsys, "law-equations", "A1", "1", "--truncation", "15", "--export-system", str(out_file)
+    )
+    assert code == 0
+    equations = blob["payload"]["equations"]
+    assert len(calls) == blob["payload"]["equation_count"] == len(system.equations)
+    assert equations == sorted(key, key=lambda text: (*key[text], text))
+    body = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
+    assert body == equations
 
 
 # sha256 of the stdout of two law-equations windows and of one exported

@@ -89,6 +89,17 @@ def test_rows_stay_reduced_and_sparse():
     assert space.kernel() == [{0: 1}, {2: 1}]
 
 
+def test_integral_values_are_ints():
+    """A reduced row, a kernel vector or a residual holds an int at each
+    integral entry, not a Fraction of denominator one."""
+    assert [type(x) for x in RowSpace(2, [[2, 3]]).rows[0].values()] == [int, Q]
+    kernel = RowSpace(3, [[2, 4, 3]]).kernel()
+    assert kernel == [{1: 1, 0: -2}, {2: 1, 0: Q(-3, 2)}]
+    assert [type(x) for x in kernel[0].values()] == [int, int]
+    residual = RowSpace(2, [[1, 0]]).reduce([Q(1, 2), 2])
+    assert residual == {1: 2} and type(residual[1]) is int
+
+
 def test_rref_and_rank_match_sympy():
     sympy = pytest.importorskip("sympy")
 

@@ -20,13 +20,18 @@ from horomod.mulaw import (
     make_law,
     orbit_law,
     root_monoid_of_law,
-    tangent_at_horospherical,
     transvectants,
 )
 from horomod.linalg import RowSpace
 from horomod.polysys import PolySystem, primitive_ints
 from horomod.rootdata import make_root_datum, make_weight_monoid
-from oracles import horospherical_law, law_unknown_values, minimal_generators, system_residuals
+from oracles import (
+    horospherical_law,
+    law_unknown_values,
+    minimal_generators,
+    system_residuals,
+    tangent_at_horospherical,
+)
 
 A1 = make_root_datum("A1")
 

@@ -6,6 +6,7 @@ from horomod.errors import ValidationError
 from horomod.polysys import (
     PolySystem,
     canonical_poly,
+    equation_texts,
     render_poly,
     system_to_text,
 )
@@ -54,10 +55,21 @@ def test_system_requires_matching_grades():
 def test_text_export_layout():
     cp = canonical_poly({(0,): Q(1), (1, 1): Q(-2)}, NAMES)
     sys_ = PolySystem(NAMES, ((1,), (2,), (1,)), ((cp, (2,)),))
-    text = system_to_text(sys_)
+    text = system_to_text(sys_, equation_texts(sys_))
     lines = text.splitlines()
     assert lines[0] == "# unknown m[2,2,1] grade=1*alpha"
     assert lines[1] == "# unknown m[2,2,2] grade=2*alpha"
     assert lines[2] == "# unknown m[2,4,1] grade=1*alpha"
     assert lines[3] == "+1*m[2,2,1]-2*m[2,2,2]*m[2,2,2]"
     assert text.endswith("\n")
+
+
+def test_equation_texts_order_by_grade_degree_then_text():
+    a, b, c = (((0,), 1),), (((1,), 1),), (((0, 0), 1),)
+    sys_ = PolySystem(NAMES, ((1,), (2,), (1,)), ((c, (2,)), (b, (2,)), (a, (2,)), (c, (1,))))
+    assert equation_texts(sys_) == [
+        "+1*m[2,2,1]*m[2,2,1]",
+        "+1*m[2,2,1]",
+        "+1*m[2,2,2]",
+        "+1*m[2,2,1]*m[2,2,1]",
+    ]

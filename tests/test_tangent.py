@@ -14,7 +14,7 @@ from horomod.liealg import (
     unipotent_radical_spec,
 )
 from horomod.linalg import RowSpace
-from horomod.mulaw import law_equations, tangent_at_horospherical
+from horomod.mulaw import law_equations
 from horomod.rootdata import make_root_datum, make_weight_monoid
 from horomod.tangent import (
     TangentReport,
@@ -22,6 +22,7 @@ from horomod.tangent import (
     t1_invariant,
     tangent_weight,
 )
+from oracles import tangent_at_horospherical
 from test_liealg import adjoint_module, multicone
 
 A1 = make_root_datum("A1")
