@@ -9,10 +9,11 @@ requests: every subcommand and its --help, usage errors, the kinds of
 input the CLI fuzz tests draw, t1 at random and U-fixed points with and
 without --lie-u and --diag, orbit-tangent, stabilizer and t1 at points
 with fractions, the flag multicones A2-A8, both examples, weights and
-tensor requests up to the default dimension cap, the law requests and
-orbit laws drawn as the orbit-law sweep of the tests draws them.  It runs the whole list through horomod.cli.main once under
-this checkout's src and once under OTHER_SRC, each side in its own
-subprocess.  Each case runs in a fresh temporary working directory, and
+tensor requests up to the default dimension cap, the law requests,
+orbit laws drawn as the orbit-law sweep of the tests draws them, and
+last a few requests that once ran for seconds (bound_cases).  It runs
+the whole list through horomod.cli.main once under this checkout's src
+and once under OTHER_SRC, each side in its own subprocess.  Each case runs in a fresh temporary working directory, and
 a case of several requests runs them there in turn: requests that write
 files name them relatively, and the files left behind are compared along
 with the exit code, stdout and stderr of every request.  The script
@@ -432,6 +433,18 @@ def fixed_cases():
     return cases + OVER_CAP
 
 
+def bound_cases():
+    """Requests that ran for seconds before their cost was bounded: t1
+    and orbit-tangent at a point of short entries on most coordinates of
+    the A8 flag multicone, drawn from their own seeded generator, and
+    orbit-law at a linear form of 4 300-digit entries."""
+    rng = random.Random(SEED)
+    point = ",".join(str(rng.choice([0, 1, -1, 2])) for _ in range(2**9 - 2))
+    cases = [[c, "A8", multicone(8), point] for c in ("t1", "orbit-tangent")]
+    cases.append(["orbit-law", "A1", "1", "--form", "7" * 4300 + ",1", "--truncation", "16"])
+    return cases
+
+
 def golden_cases():
     """The fixed, seeded list: each case a list of argvs run in one
     working directory.  The U-fixed points come from this checkout's
@@ -450,7 +463,12 @@ def golden_cases():
         + cap_edge_cases(repcalc, rootdata)
         + rational_point_cases(liealg, rootdata)
     )
-    return [[argv] for argv in single] + law_cases() + orbit_law_cases(rng, mulaw, rootdata, errors)
+    return (
+        [[argv] for argv in single]
+        + law_cases()
+        + orbit_law_cases(rng, mulaw, rootdata, errors)
+        + [[argv] for argv in bound_cases()]
+    )
 
 
 def run_case(main, steps):

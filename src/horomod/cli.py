@@ -22,7 +22,8 @@ The subcommands are declared once, in COMMANDS.  A request whose first
 argument names a subcommand builds that subcommand's parser alone; the
 full parser, built from the same table, answers everything else: the
 top-level help, --version, and every usage error, with the text and
-exit code 2 it always had.
+exit code 2 it always had.  For a subcommand that takes a group, main
+builds its root datum as args.rd before the handler runs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from types import ModuleType
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError, ValidationError, check_size, clip
 
 if TYPE_CHECKING:
     from .linalg import Number
@@ -77,7 +78,7 @@ def _parse_weight(text: str) -> Tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(
-            f"malformed weight {linalg.clip(text)!r}: expected comma-separated integers"
+            f"malformed weight {clip(text)!r}: expected comma-separated integers"
         )
 
 
@@ -98,7 +99,7 @@ def _fmt_vec(v: Mapping[int, Number], dim: int) -> List[str]:
     An entry whose numerator or denominator str could not print is
     refused."""
     for x in v.values():
-        linalg.check_size("numerator or denominator", max(abs(x.numerator), x.denominator))
+        check_size("numerator or denominator", max(abs(x.numerator), x.denominator))
     return [str(c) for c in linalg.dense(v, dim)]
 
 
@@ -131,8 +132,8 @@ def _write_file(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
-def _stab_from_args(rd, args) -> liealg.StabilizerSpec:
-    lie = liealg.unipotent_radical_spec(rd).lie_part if args.lie_u else ()
+def _stab_from_args(args) -> liealg.StabilizerSpec:
+    lie = liealg.unipotent_radical_spec(args.rd).lie_part if args.lie_u else ()
     diag = []
     for entry in args.diag or []:
         head, _, mod = entry.partition(":")
@@ -140,7 +141,7 @@ def _stab_from_args(rd, args) -> liealg.StabilizerSpec:
             modulus = int(mod)
         except ValueError:
             raise ValidationError(
-                f"malformed congruence {linalg.clip(entry)!r}: expected coeffs:modulus"
+                f"malformed congruence {clip(entry)!r}: expected coeffs:modulus"
             )
         diag.append(liealg.DiagCongruence(coeffs=_parse_weight(head), modulus=modulus))
     return liealg.StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
@@ -150,54 +151,48 @@ def _stab_from_args(rd, args) -> liealg.StabilizerSpec:
 
 
 def _cmd_root_datum(args):
-    rd = rootdata.make_root_datum(args.group)
     payload = {
-        "label": rd.label,
-        "rank": rd.rank,
-        "cartan": [list(row) for row in rd.cartan],
-        "positive_roots": [list(r) for r in rootdata.positive_roots(rd)],
+        "label": args.rd.label,
+        "rank": args.rd.rank,
+        "cartan": [list(row) for row in args.rd.cartan],
+        "positive_roots": [list(r) for r in rootdata.positive_roots(args.rd)],
     }
     return payload, {}, None
 
 
 def _cmd_dominance(args):
-    rd = rootdata.make_root_datum(args.group)
     lam = _parse_weight(args.lam)
     mu = _parse_weight(args.mu)
-    leq = rootdata.dominance_leq(rd, mu, lam)
+    leq = rootdata.dominance_leq(args.rd, mu, lam)
     payload = {"leq": leq}
     if leq:
-        coords = rootdata.natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
-        linalg.check_size("root coordinate", max(coords))
+        coords = rootdata.natural_root_coords(args.rd, tuple(a - b for a, b in zip(lam, mu)))
+        check_size("root coordinate", max(coords))
         payload["difference_root_coords"] = [str(c) for c in coords]
     return payload, {}, None
 
 
 def _cmd_tensor(args):
-    rd = rootdata.make_root_datum(args.group)
     dec = repcalc.tensor_decompose(
-        rd, _parse_weight(args.lam), _parse_weight(args.mu), cap=args.cap
+        args.rd, _parse_weight(args.lam), _parse_weight(args.mu), cap=args.cap
     )
     payload = {_fmt_weight(w): k for w, k in dec.items()}
     return payload, {"cap": args.cap}, None
 
 
 def _cmd_dim(args):
-    rd = rootdata.make_root_datum(args.group)
-    payload = {"dim": repcalc.weyl_dim(rd, _parse_weight(args.lam))}
+    payload = {"dim": repcalc.weyl_dim(args.rd, _parse_weight(args.lam))}
     return payload, {}, None
 
 
 def _cmd_weights(args):
-    rd = rootdata.make_root_datum(args.group)
-    table = repcalc.weight_multiplicities(rd, _parse_weight(args.lam), cap=args.cap)
+    table = repcalc.weight_multiplicities(args.rd, _parse_weight(args.lam), cap=args.cap)
     payload = {_fmt_weight(w): k for w, k in table.items()}
     return payload, {"cap": args.cap}, None
 
 
 def _cmd_hwv(args):
-    rd = rootdata.make_root_datum(args.group)
-    m = liealg.build_module(rd, args.module, cap=args.cap)
+    m = liealg.build_module(args.rd, args.module, cap=args.cap)
     vecs = liealg.highest_weight_vectors(m)
     payload = {
         _fmt_weight(w): [_fmt_vec(v, m.dim) for v in vs] for w, vs in vecs.items()
@@ -206,8 +201,7 @@ def _cmd_hwv(args):
 
 
 def _cmd_coinv(args):
-    rd = rootdata.make_root_datum(args.group)
-    m = liealg.build_module(rd, args.module, cap=args.cap)
+    m = liealg.build_module(args.rd, args.module, cap=args.cap)
     co = liealg.u_coinvariants(m)
     payload = {
         "dim": co.dim,
@@ -218,8 +212,7 @@ def _cmd_coinv(args):
 
 
 def _cmd_orbit_tangent(args):
-    rd = rootdata.make_root_datum(args.group)
-    m = liealg.build_module(rd, args.module, cap=args.cap)
+    m = liealg.build_module(args.rd, args.module, cap=args.cap)
     span = liealg.orbit_tangent(m, _parse_point(args.point))
     payload = {
         "dim": span.dim,
@@ -229,10 +222,9 @@ def _cmd_orbit_tangent(args):
 
 
 def _cmd_stabilizer(args):
-    rd = rootdata.make_root_datum(args.group)
-    m = liealg.build_module(rd, args.module, cap=args.cap)
+    m = liealg.build_module(args.rd, args.module, cap=args.cap)
     basis = liealg.stabilizer_lie(m, _parse_point(args.point))
-    labels = liealg.chevalley_labels(rd)
+    labels = liealg.chevalley_labels(args.rd)
     payload = {
         "dim": len(basis),
         "labels": labels,
@@ -242,27 +234,24 @@ def _cmd_stabilizer(args):
 
 
 def _cmd_t1(args):
-    rd = rootdata.make_root_datum(args.group)
-    m = liealg.build_module(rd, args.module, cap=args.cap)
-    stab = _stab_from_args(rd, args)
+    m = liealg.build_module(args.rd, args.module, cap=args.cap)
+    stab = _stab_from_args(args)
     report = tangent.t1_invariant(m, _parse_point(args.point), stab)
     return tangent.report_to_json_dict(report), {"cap": args.cap}, tangent.HYPOTHESES
 
 
 def _cmd_tangent_weight(args):
-    rd = rootdata.make_root_datum(args.group)
-    w = tangent.tangent_weight(rd, _parse_weight(args.lam), _parse_weight(args.mu))
-    linalg.check_size("root coordinate", max(w))
+    w = rootdata.tangent_weight(args.rd, _parse_weight(args.lam), _parse_weight(args.mu))
+    check_size("root coordinate", max(w))
     return {"weight_root_coords": list(w)}, {}, None
 
 
 def _law_monoid(args):
-    rd = rootdata.make_root_datum(args.group)
-    return rd, rootdata.make_weight_monoid(rd, _parse_weight_list(args.monoid))
+    return rootdata.make_weight_monoid(args.rd, _parse_weight_list(args.monoid))
 
 
 def _cmd_law_equations(args):
-    _, mon = _law_monoid(args)
+    mon = _law_monoid(args)
     system = mulaw.law_equations(mon, args.truncation)
     equations = polysys.equation_texts(system)
     if args.export_system:
@@ -279,7 +268,7 @@ def _cmd_law_equations(args):
 
 
 def _cmd_law_tangent(args):
-    _, mon = _law_monoid(args)
+    mon = _law_monoid(args)
     dim, weights = channels.law_tangent(mon, args.truncation)
     payload = {"dim": dim, "weights": [list(w) for w in weights]}
     return payload, {"truncation": args.truncation}, None
@@ -305,7 +294,7 @@ def _cmd_root_monoid(args):
 
 
 def _cmd_orbit_law(args):
-    _, mon = _law_monoid(args)
+    mon = _law_monoid(args)
     law = mulaw.orbit_law([_parse_point(t) for t in args.form], mon, args.truncation)
     payload = mulaw.law_to_json_dict(law)
     if args.output:
@@ -314,12 +303,11 @@ def _cmd_orbit_law(args):
 
 
 def _cmd_saturate(args):
-    rd = rootdata.make_root_datum(args.group)
     gens = _parse_weight_list(args.generators)
     mon = (
-        rootdata.make_root_monoid(rd, gens)
+        rootdata.make_root_monoid(args.rd, gens)
         if args.root
-        else rootdata.make_weight_monoid(rd, gens)
+        else rootdata.make_weight_monoid(args.rd, gens)
     )
     sat = monoids.saturation(mon)
     payload = {"generators": [list(g) for g in sat.generators]}
@@ -327,8 +315,7 @@ def _cmd_saturate(args):
 
 
 def _cmd_presentation(args):
-    rd = rootdata.make_root_datum(args.group)
-    mon = rootdata.make_weight_monoid(rd, _parse_weight_list(args.generators))
+    mon = rootdata.make_weight_monoid(args.rd, _parse_weight_list(args.generators))
     pres = monoids.semigroup_presentation(mon, args.bound)
     payload = {
         "relations": [
@@ -496,6 +483,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
     }
     try:
+        if "group" in args:
+            args.rd = rootdata.make_root_datum(args.group)
         payload, bounds, hyps = args.func(args)
     except (ValidationError, ResourceError) as exc:
         kind = "validation" if isinstance(exc, ValidationError) else "resource"

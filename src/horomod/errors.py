@@ -1,7 +1,18 @@
-"""Error types shared across the library.
+"""The error contract shared across the library.
 
 ValidationError maps to CLI exit code 3, ResourceError to exit code 4.
+clip bounds what a message echoes of its input, and check_size refuses
+a number past a cap or past what str can print.
 """
+
+from typing import Optional
+
+# Python's default limit on the digits of an int read from a string or
+# printed.  No number read from outside has a longer run of digits, and
+# no number past it is printed.
+MAX_DIGITS = 4300
+# The least number of more than MAX_DIGITS digits.
+BIG = 10**MAX_DIGITS
 
 
 class ValidationError(ValueError):
@@ -10,3 +21,21 @@ class ValidationError(ValueError):
 
 class ResourceError(RuntimeError):
     """A configured size or iteration cap was exceeded."""
+
+
+def clip(text: str) -> str:
+    """text as an error message echoes it: its first 20 characters and
+    "..." if it is longer."""
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+def check_size(what: str, n: int, cap: Optional[int] = None) -> int:
+    """n, refused when it exceeds cap or has too many digits to print.
+    The message shows n, or "of more than MAX_DIGITS digits" for a
+    number str could not print."""
+    shown = n if n < BIG else f"of more than {MAX_DIGITS} digits"
+    if cap is not None and n > cap:
+        raise ResourceError(f"{what} {shown} exceeds cap {cap}")
+    if n >= BIG:
+        raise ResourceError(f"{what} {shown} cannot be printed")
+    return n

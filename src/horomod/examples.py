@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .liealg import DiagCongruence, StabilizerSpec, build_module, unipotent_radical_spec
 from .rootdata import make_root_datum, make_weight_monoid
-from .tangent import HYPOTHESES, TangentReport, t1_invariant
+from .tangent import TangentReport, t1_invariant
 
 BINARY_DEGREES = range(1, 7)
 

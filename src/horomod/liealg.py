@@ -37,8 +37,8 @@ from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ResourceError, ValidationError
-from .linalg import BIG, MAX_DIGITS, RowSpace, Sparse, check_size, clip, sparse
+from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, check_size, clip
+from .linalg import RowSpace, Sparse, sparse
 from .rootdata import RootDatum, Weight
 
 if TYPE_CHECKING:
@@ -51,7 +51,11 @@ DEFAULT_MODULE_DIM_CAP = 2000
 # 1-12 long numerators or denominators, or of all short ones, on twelve
 # modules of dimension 2-126 (the densest of them dim-21 and dim-45 A2
 # and A3 modules, the sparsest the multicones A3-A6), the points at the
-# cap run orbit-tangent, stabilizer and t1 each in 0.72 s at most.
+# cap run orbit-tangent, stabilizer and t1 each in 0.72 s at most.  At
+# 138 random points of short entries with estimates of 1/5 of the cap
+# to the cap, on the multicones A6-A9 and four other modules of
+# dimension 210-231, the slowest t1 took 2.3 s (A8, support 97 of 510).
+# The flag points of the multicones A2-A11 are admitted.
 _POINT_COST_CAP = 5 * 10**11
 
 
@@ -446,20 +450,32 @@ def _check_point(m: ExplicitModule, x: Sequence) -> Sparse:
     of the distinct numerators of x together, and eliminating to rank
     rho = min(dim, ops) without fractions makes entries of up to rho*h
     bits, ops the Chevalley basis.  The orbit map has dim*ops entries and
-    t1 reduces about dim more vectors of dim entries, so the estimate is
-    dim*(dim+ops) products of that size, each costing (rho*h)^2.  It is
-    read off the point, before any RowSpace is built."""
+    t1 reduces about dim more vectors of dim entries, so the digits cost
+    dim*(dim+ops) products of that size, each costing (rho*h)^2.
+
+    Short entries cost by the support s of x instead.  A Chevalley
+    operator sends a basis vector to a few others, so the orbit vectors
+    have about s nonzeros, and each of the dim+ops vectors the
+    eliminations add clears up to rho pivots on rows that fill in with
+    s as well: about rho*s^2 products per vector, each costing at least
+    a 32-bit word squared.  The estimate is the sum of both costs, read
+    off the point before any RowSpace is built."""
     if len(x) != m.dim:
         raise ValidationError(f"point has length {len(x)}, module dimension {m.dim}")
     vec = sparse(x)
     h = sum(q.bit_length() for q in {v.denominator for v in vec.values()} if q > 1)
     h += sum(p.bit_length() for p in {abs(v.numerator) for v in vec.values()})
     rho = min(m.dim, len(m.ops))
-    if m.dim * (m.dim + len(m.ops)) * (rho * h) ** 2 > _POINT_COST_CAP:
-        raise ResourceError(
-            f"point cost estimate exceeds the cap {_POINT_COST_CAP}; "
+    s = len(vec)
+    digits = m.dim * (rho * h) ** 2
+    support = rho * (32 * s) ** 2
+    if (m.dim + len(m.ops)) * (digits + support) > _POINT_COST_CAP:
+        hint = (
             "shorten the numerators and denominators of the point"
+            if digits >= support
+            else "give the point fewer nonzero entries"
         )
+        raise ResourceError(f"point cost estimate exceeds the cap {_POINT_COST_CAP}; {hint}")
     return vec
 
 

@@ -19,17 +19,10 @@ from collections.abc import Mapping
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import ResourceError, ValidationError
+from .errors import MAX_DIGITS, ValidationError, clip
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-# Python's default limit on the digits of an int read from a string or
-# printed.  No number read from outside has a longer run of digits, and
-# no number past it is printed.
-MAX_DIGITS = 4300
-# The least number of more than MAX_DIGITS digits.
-BIG = 10**MAX_DIGITS
 
 # An exact number: an int, or a Fraction where it is not integral.
 Number = Union[int, "Fraction"]
@@ -42,24 +35,6 @@ def sparse(vec: AnyVector) -> Sparse:
     """The nonzero entries of a dense or {column: value} vector."""
     items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
     return {c: x for c, x in items if x}
-
-
-def clip(text: str) -> str:
-    """text as an error message echoes it: its first 20 characters and
-    "..." if it is longer."""
-    return text if len(text) <= 20 else text[:20] + "..."
-
-
-def check_size(what: str, n: int, cap: Optional[int] = None) -> int:
-    """n, refused when it exceeds cap or has too many digits to print.
-    The message shows n, or "of more than MAX_DIGITS digits" for a
-    number str could not print."""
-    shown = n if n < BIG else f"of more than {MAX_DIGITS} digits"
-    if cap is not None and n > cap:
-        raise ResourceError(f"{what} {shown} exceeds cap {cap}")
-    if n >= BIG:
-        raise ResourceError(f"{what} {shown} cannot be printed")
-    return n
 
 
 def read_rational(text: str) -> Number:

@@ -34,9 +34,8 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ResourceError, ValidationError
+from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, clip
 from . import linalg
-from .linalg import BIG, MAX_DIGITS, clip
 from .channels import (
     ChannelTable,
     _add_associator,
@@ -441,8 +440,13 @@ def orbit_law(
     ints = [w[0] for w in monoid_window(monoid, truncation)]
 
     z = _hw_covariant(forms, nbar)
+    # Z is a power of a linear form when nbar = 1 or its Hessian (Z, Z)_2
+    # vanishes.  So is every P_a then, and two such powers have no
+    # transvectant of index i >= 1: the law is the graded one, and no
+    # power is multiplied out.
+    graded = nbar == 1 or not any(transvectants(z, z, 2)[2])
     powers = {0: (1,)}
-    for a in ints[1:]:
+    for a in [] if graded else ints[1:]:
         powers[a] = transvectants(powers[a - nbar], z, 0)[0]
 
     coeffs: Dict[LawKey, Q] = {}
@@ -451,6 +455,8 @@ def orbit_law(
             if a + b > truncation:
                 break
             coeffs[((a,), (b,), (a + b,), 0)] = Q(1)
+            if graded:
+                continue
             by_channel = transvectants(powers[a], powers[b], min(a, b))
             for i in range(1, min(a, b) + 1):
                 c = a + b - 2 * i

@@ -4,11 +4,17 @@ Everything is integer arithmetic.  Characters are plain dicts mapping
 weights (fundamental coordinates) to positive integer multiplicities,
 closed under the Weyl group.
 
-Every root datum is of type A_n, so a weight is fixed by its n + 1
-epsilon-coordinates (rootdata), which the Weyl group permutes: its
-content.  The highest weight lam gives the partition p, and the
-multiplicity of a weight of content c is the Kostka number K(p, c), the
-number of Gelfand-Tsetlin patterns with top row p whose row k sums to
+Every root datum is of type A_n.  The reflection s_i sends mu to
+mu - mu_i * alpha_i where mu_i is the i-th fundamental coordinate.  In
+the epsilon-coordinates e_k = mu_k + ... + mu_n (k = 1..n+1, so
+e_{n+1} = 0), which fix mu up to a common shift by mu_k = e_k - e_{k+1},
+s_i swaps e_i and e_{i+1}.  So the Weyl group permutes the
+epsilon-coordinates, the content of the weight: the dominant conjugate
+sorts them in descending order, the antidominant one in ascending order.
+
+The highest weight lam gives the partition p, and the multiplicity of a
+weight of content c is the Kostka number K(p, c), the number of
+Gelfand-Tsetlin patterns with top row p whose row k sums to
 c_1 + ... + c_k.  weight_multiplicities lists the dominant contents (the
 partitions below p in dominance), counts each K(p, c) row by row with a
 memo, and spreads it over the Weyl orbit.  A count expands at most dim
@@ -27,24 +33,52 @@ from __future__ import annotations
 
 from itertools import accumulate, product
 from math import prod
-from typing import Dict, Iterator, Sequence, Set
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
-from .errors import ValidationError
-from .linalg import BIG, check_size, clip
-from .rootdata import (
-    RootDatum,
-    Weight,
-    check_weight,
-    dominant_conjugate,
-    epsilon,
-    from_epsilon,
-    is_dominant,
-)
+from .errors import BIG, ValidationError, check_size, clip
+from .rootdata import RootDatum, Weight, check_weight
 
 DEFAULT_DIM_CAP = 10_000
 
 CharacterTable = Dict[Weight, int]
 Decomposition = Dict[Weight, int]
+
+
+def epsilon(mu: Sequence[int]) -> List[int]:
+    """The epsilon-coordinates e_1..e_{n+1} of mu: its suffix sums."""
+    return list(accumulate(reversed(mu), initial=0))[::-1]
+
+
+def from_epsilon(e: Sequence[int]) -> Weight:
+    return tuple(a - b for a, b in zip(e, e[1:]))
+
+
+def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, bool]:
+    """Dominant Weyl conjugate with the sign of the element used.
+
+    The conjugate sorts the epsilon-coordinates in descending order.  A
+    chain of simple reflections at negative coordinates swaps one
+    adjacent strict inversion at each step, so its sign is (-1) to the
+    number of strict inversions: the parity of the stable sort's
+    permutation.  The third component flags a wall (some coordinate of
+    the conjugate zero, that is two equal epsilon-coordinates), which is
+    what the tensor product weight-push needs to discard singular terms.
+    """
+    mu = check_weight(rd, mu)
+    e = epsilon(mu)
+    order = sorted(range(len(e)), key=lambda k: -e[k])
+    # A permutation of m points with c cycles has parity m - c.
+    parity = len(order)
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        if not seen[start]:
+            parity -= 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = order[k]
+    top = [e[k] for k in order]
+    return from_epsilon(top), -1 if parity % 2 else 1, any(a == b for a, b in zip(top, top[1:]))
 
 
 def weyl_dim(rd: RootDatum, lam) -> int:
@@ -57,7 +91,7 @@ def weyl_dim(rd: RootDatum, lam) -> int:
     factor is at least 1, so once the product passes den * BIG in bit
     length the rest is not multiplied out."""
     lam = check_weight(rd, lam)
-    if not is_dominant(rd, lam):
+    if any(c < 0 for c in lam):
         raise ValidationError(f"{clip(str(lam))} is not dominant")
     s = list(accumulate((l + 1 for l in lam), initial=0))
     n = len(s)
@@ -169,7 +203,7 @@ def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Deco
     lam = check_weight(rd, lam)
     mu = check_weight(rd, mu)
     for w in (lam, mu):
-        if not is_dominant(rd, w):
+        if any(c < 0 for c in w):
             raise ValidationError(f"{clip(str(w))} is not dominant")
     dl, dm = weyl_dim(rd, lam), weyl_dim(rd, mu)
     check_size("tensor dimension", dl * dm, cap)

@@ -10,13 +10,6 @@ only where they are natural, as tuples of ints: the package asks only
 whether a difference of weights is a natural combination of simple
 roots, and which.
 
-The reflection s_i sends mu to mu - mu_i * alpha_i where mu_i is the
-i-th fundamental coordinate.  In the epsilon-coordinates e_k = mu_k +
-... + mu_n (k = 1..n+1, so e_{n+1} = 0), which fix mu up to a common
-shift by mu_k = e_k - e_{k+1}, s_i swaps e_i and e_{i+1}.  So the Weyl
-group permutes the epsilon-coordinates: the dominant conjugate sorts
-them in descending order, the antidominant one in ascending order.
-
 The monoid records live here too, with the checks on their generators,
 so that the law layers get them without loading monoids.
 """
@@ -24,11 +17,9 @@ so that the law layers get them without loading monoids.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ResourceError, ValidationError
-from .linalg import clip
+from .errors import ResourceError, ValidationError, clip
 
 Weight = Tuple[int, ...]
 # A monoid generator: fundamental coordinates in a weight monoid,
@@ -106,10 +97,6 @@ def make_root_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> RootMonoid
     return RootMonoid(rd, _check_gens(rd, gens, nonneg=True))
 
 
-def is_dominant(rd: RootDatum, lam: Weight) -> bool:
-    return all(c >= 0 for c in lam)
-
-
 def natural_root_coords(rd: RootDatum, lam: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """Coordinates of lam against the simple roots if all are natural,
     else None.  The inverse of the A_n Cartan matrix is symmetric, with
@@ -132,6 +119,20 @@ def dominance_leq(rd: RootDatum, mu: Sequence[int], lam: Sequence[int]) -> bool:
     return natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu))) is not None
 
 
+def tangent_weight(rd: RootDatum, lam: Weight, mu: Weight) -> Tuple[int, ...]:
+    """Grading character lambda - mu of the deformation moving the
+    highest-weight line of V(lambda) toward a weight-mu direction,
+    in root coordinates."""
+    if len(lam) != rd.rank or len(mu) != rd.rank:
+        raise ValidationError("weights must have one entry per simple root")
+    coords = natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
+    if coords is None:
+        raise ValidationError(
+            f"weight {mu} is not below {lam} in the dominance order"
+        )
+    return coords
+
+
 def positive_roots(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
     """All positive roots alpha_i + ... + alpha_j, in root coordinates."""
     n = rd.rank
@@ -142,40 +143,3 @@ def positive_roots(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
             for j in range(i, n)
         )
     )
-
-
-def epsilon(mu: Sequence[int]) -> List[int]:
-    """The epsilon-coordinates e_1..e_{n+1} of mu: its suffix sums."""
-    return list(accumulate(reversed(mu), initial=0))[::-1]
-
-
-def from_epsilon(e: Sequence[int]) -> Weight:
-    return tuple(a - b for a, b in zip(e, e[1:]))
-
-
-def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, bool]:
-    """Dominant Weyl conjugate with the sign of the element used.
-
-    The conjugate sorts the epsilon-coordinates in descending order.  A
-    chain of simple reflections at negative coordinates swaps one
-    adjacent strict inversion at each step, so its sign is (-1) to the
-    number of strict inversions: the parity of the stable sort's
-    permutation.  The third component flags a wall (some coordinate of
-    the conjugate zero, that is two equal epsilon-coordinates), which is
-    what the tensor product weight-push needs to discard singular terms.
-    """
-    mu = check_weight(rd, mu)
-    e = epsilon(mu)
-    order = sorted(range(len(e)), key=lambda k: -e[k])
-    # A permutation of m points with c cycles has parity m - c.
-    parity = len(order)
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if not seen[start]:
-            parity -= 1
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = order[k]
-    top = [e[k] for k in order]
-    return from_epsilon(top), -1 if parity % 2 else 1, any(a == b for a, b in zip(top, top[1:]))

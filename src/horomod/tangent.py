@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import ValidationError, clip
 from .liealg import (
     DiagCongruence,
     ExplicitModule,
@@ -37,8 +37,8 @@ from .liealg import (
     lie_matrix,
     orbit_tangent,
 )
-from .linalg import RowSpace, Sparse, clip
-from .rootdata import RootDatum, Weight, natural_root_coords
+from .linalg import RowSpace, Sparse
+from .rootdata import Weight, tangent_weight
 
 RootVector = Tuple[int, ...]
 
@@ -99,20 +99,6 @@ def report_to_json_dict(report: TangentReport) -> dict:
         },
         "weights": [list(w) for w in report.weights],
     }
-
-
-def tangent_weight(rd: RootDatum, lam: Weight, mu: Weight) -> RootVector:
-    """Grading character lambda - mu of the deformation moving the
-    highest-weight line of V(lambda) toward a weight-mu direction,
-    in root coordinates."""
-    if len(lam) != rd.rank or len(mu) != rd.rank:
-        raise ValidationError("weights must have one entry per simple root")
-    coords = natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
-    if coords is None:
-        raise ValidationError(
-            f"weight {mu} is not below {lam} in the dominance order"
-        )
-    return coords
 
 
 def _graded_weights(

@@ -22,17 +22,15 @@ from horomod.channels import (
 from horomod.errors import ResourceError, ValidationError
 from horomod.mulaw import LawKey, MultiplicationLaw, _triple_top_vectors
 from horomod.polysys import Grade, PolySystem
-from horomod.repcalc import DEFAULT_DIM_CAP, Decomposition, weight_multiplicities, weyl_dim
-from horomod.rootdata import (
-    Gen,
-    RootDatum,
-    Weight,
-    WeightMonoid,
-    check_weight,
+from horomod.repcalc import (
+    DEFAULT_DIM_CAP,
+    Decomposition,
     epsilon,
     from_epsilon,
-    is_dominant,
+    weight_multiplicities,
+    weyl_dim,
 )
+from horomod.rootdata import Gen, RootDatum, Weight, WeightMonoid, check_weight
 
 # ---------------------------------------------------------------- linalg
 
@@ -245,7 +243,7 @@ def lowest_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
     """Image of the dominant weight lam under the longest Weyl element:
     its epsilon-coordinates in ascending order."""
     lam = check_weight(rd, lam)
-    if not is_dominant(rd, lam):
+    if any(c < 0 for c in lam):
         raise ValidationError(f"{lam} is not dominant")
     return from_epsilon(sorted(epsilon(lam)))
 
@@ -268,7 +266,7 @@ def character_product_peel(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -
             product[w] = product.get(w, 0) + ma * mb
     result: Decomposition = {}
     while product:
-        dominant = [w for w, m in product.items() if m != 0 and is_dominant(rd, w)]
+        dominant = [w for w, m in product.items() if m != 0 and all(c >= 0 for c in w)]
         assert dominant, "character peel left a non-dominant residue"
         top = max(dominant, key=lambda w: (sum(to_root_coords(rd, w)), w))
         m = product[top]

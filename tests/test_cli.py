@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 import time
 from math import comb
@@ -428,6 +429,26 @@ def test_long_numbers_on_a_small_module_are_admitted(capsys, argv):
     assert code == 0
 
 
+# Short entries on most of the 510 coordinates of the A8 flag multicone.
+# Run, t1 takes 7 s and orbit-tangent 0.9 s at this point on a 2-vCPU
+# host, though its digits alone are cheap.
+DENSE_RNG = random.Random(8)
+DENSE_POINT = ",".join(str(DENSE_RNG.choice([0, 1, -1, 2])) for _ in range(510))
+
+
+@pytest.mark.parametrize("command", ["orbit-tangent", "t1"])
+def test_a_dense_point_on_a_large_module_is_refused_from_its_cost_estimate(capsys, command):
+    start = time.perf_counter()
+    code, blob = run_json(capsys, command, "--", "A8", multicone_argv(8)[2], DENSE_POINT)
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert blob["error"] == {
+        "type": "resource",
+        "message": "point cost estimate exceeds the cap 500000000000; "
+        "give the point fewer nonzero entries",
+    }
+
+
 def test_law_value_in_exponent_notation_is_refused(tmp_path, capsys):
     path = _law_file(tmp_path, '"1e100000000"')
     for argv in (["root-monoid", path], ["contract", path, "2"]):
@@ -508,6 +529,17 @@ def test_orbit_law_of_the_longest_form_at_the_truncation_cap_is_fast(capsys):
     assert blob["error"]["message"] == (
         "coefficient lam=[4] mu=[4] nu=[0] channel=4 has a numerator or denominator of more than 4300 digits"
     )
+
+
+def test_orbit_law_of_a_long_linear_form_is_fast(capsys):
+    """A linear form of 4 300-digit entries at the truncation cap has the
+    graded law of any linear form, read without multiplying out its
+    powers (3-4 s when they were)."""
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "orbit-law", "A1", "1", "--form", "7" * 4300 + ",1", "--truncation", "16")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert blob["payload"] == run_json(capsys, "orbit-law", "A1", "1", "--form", "3,1", "--truncation", "16")[1]["payload"]
 
 
 @st.composite

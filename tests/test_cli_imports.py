@@ -134,6 +134,35 @@ def test_dim_runs_no_lie_algebra_law_or_monoid_layer():
     assert not ran & {"horomod.mulaw", "horomod.liealg", "horomod.monoids"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["root-datum", "A2"],
+        ["dominance", "A2", "0,0", "1,1"],
+        ["dim", "A2", "1,1"],
+        ["weights", "A2", "1,1"],
+        ["tensor", "A2", "1,0", "0,1"],
+    ],
+    ids=["root-datum", "dominance", "dim", "weights", "tensor"],
+)
+def test_root_datum_and_character_requests_run_no_linalg(argv):
+    """The error contract lives in errors, so these requests, which
+    eliminate nothing, never run the elimination layer."""
+    out = probe(argv)
+    assert out["code"] == 0
+    ran = {name for name, did in out["layers"].items() if did}
+    assert "horomod.rootdata" in ran
+    assert "horomod.linalg" not in ran
+
+
+def test_tangent_weight_runs_no_lie_algebra_or_tangent_layer():
+    out = probe(["tangent-weight", "A2", "1,1", "0,0"])
+    assert out["code"] == 0
+    ran = {name for name, did in out["layers"].items() if did}
+    assert "horomod.rootdata" in ran
+    assert not ran & {"horomod.liealg", "horomod.tangent", "horomod.linalg"}
+
+
 def test_t1_runs_no_law_layer():
     out = probe(["t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1:2"])
     assert out["code"] == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -574,3 +575,28 @@ def test_a_point_of_long_numbers_is_refused_before_any_elimination(monkeypatch, 
     for route in (la.orbit_tangent, la.stabilizer_lie, lambda m, x: tangent.t1_invariant(m, x, la.StabilizerSpec())):
         with pytest.raises(ResourceError, match="point cost estimate"):
             route(m, x)
+
+
+def test_a_dense_point_on_a_large_module_is_refused_before_any_elimination(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a RowSpace was built before the point was refused")
+
+    m = la.build_module(rda.make_root_datum("A8"), multicone(8))
+    rng = Random(8)
+    x = [rng.choice([0, 1, -1, 2]) for _ in range(m.dim)]
+    monkeypatch.setattr(la, "RowSpace", unbuilt)
+    monkeypatch.setattr(tangent, "RowSpace", unbuilt)
+    for route in (la.orbit_tangent, la.stabilizer_lie, lambda m, x: tangent.t1_invariant(m, x, la.StabilizerSpec())):
+        with pytest.raises(ResourceError, match="give the point fewer nonzero entries"):
+            route(m, x)
+
+
+@pytest.mark.parametrize("r", range(8, 12))
+def test_the_flag_points_of_the_large_multicones_pass_the_point_check(r):
+    """The sum of the highest weight vectors is sparse, so the support
+    term of the estimate admits the flag points up to A11."""
+    m = la.build_module(rda.make_root_datum(f"A{r}"), multicone(r), cap=5000)
+    x = [0] * m.dim
+    for k in range(r):
+        x[m.basis_weights.index(tuple(int(i == k) for i in range(r)))] = 1
+    assert len(la._check_point(m, x)) == r

@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horomod.errors import ValidationError
-from horomod.linalg import MAX_DIGITS, RowSpace, dense, read_rational
+from horomod.errors import MAX_DIGITS, ValidationError
+from horomod.linalg import RowSpace, dense, read_rational
 from oracles import FractionRowSpace
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)

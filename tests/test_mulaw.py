@@ -611,6 +611,30 @@ def test_orbit_law_zero_weight_vector_degree_four():
     assert all(r == 0 for r in system_residuals(sys_, vals))
 
 
+@pytest.mark.parametrize(
+    "nbar, form",
+    [(1, (3, 1)), (2, (1, 2, 1)), (3, (1, -3, 3, -1)), (4, (0, 0, 0, 0, 5))],
+    ids=["linear", "square", "cube", "fourth-power"],
+)
+def test_orbit_law_of_a_power_of_a_linear_form_multiplies_out_no_power(monkeypatch, nbar, form):
+    """A power of a linear form has the graded law: its covariant's
+    powers have no transvectant of index >= 1, so the only one formed is
+    the Hessian of Z, and none for nbar = 1."""
+    tops = []
+
+    def counted(f, g, top):
+        tops.append(top)
+        return transvectants(f, g, top)
+
+    monkeypatch.setattr(mulaw, "transvectants", counted)
+    law = orbit_law([form], nat2([nbar]), 16)
+    assert tops == ([] if nbar == 1 else [2])
+    assert law.coeffs == {
+        ((a,), (b,), (a + b,), 0): 1
+        for a in range(0, 17, nbar) for b in range(0, 17 - a, nbar)
+    }
+
+
 def test_orbit_law_rejects_vector_with_too_big_orbit():
     # x^4 + x^2 y^2 has a finite stabilizer, so its orbit closure is a
     # three-dimensional cone whose coordinate ring repeats modules; the

@@ -128,7 +128,7 @@ def test_dominant_walk_matches_the_box(case):
     # The dominant weights of the character are those below lam.
     rd, lam = case
     char = repcalc.weight_multiplicities(rd, lam, cap=100_000)
-    assert sorted(mu for mu in char if rda.is_dominant(rd, mu)) == _dominant_weights_in_box(rd, lam)
+    assert sorted(mu for mu in char if all(c >= 0 for c in mu)) == _dominant_weights_in_box(rd, lam)
 
 
 def _small_dominant_weights():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ResourceError, ValidationError
 from horomod import rootdata as rda
+from horomod.repcalc import dominant_conjugate
 from oracles import lowest_weight, to_root_coords
 
 A1 = rda.make_root_datum("A1")
@@ -92,8 +93,8 @@ def test_lowest_weight_duality(lam):
 
 @given(st.tuples(small_weight, small_weight, small_weight))
 def test_dominant_conjugate_is_dominant(mu):
-    conj, sign, _ = rda.dominant_conjugate(A3, mu)
-    assert rda.is_dominant(A3, conj)
+    conj, sign, _ = dominant_conjugate(A3, mu)
+    assert all(c >= 0 for c in conj)
     assert sign in (1, -1)
     assert to_root_coords(A3, tuple(a - b for a, b in zip(conj, mu)))
 
@@ -180,6 +181,6 @@ def _small_type_a_weight(draw):
 @given(_small_type_a_weight())
 def test_sorted_chambers_match_the_reflection_walk(case):
     rd, mu = case
-    assert rda.dominant_conjugate(rd, mu) == _reflect_until(rd, mu, want_negative=False)
+    assert dominant_conjugate(rd, mu) == _reflect_until(rd, mu, want_negative=False)
     lam = tuple(abs(c) for c in mu)
     assert lowest_weight(rd, lam) == _reflect_until(rd, lam, want_negative=True)[0]

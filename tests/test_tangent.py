@@ -15,13 +15,8 @@ from horomod.liealg import (
 )
 from horomod.linalg import RowSpace
 from horomod.mulaw import law_equations
-from horomod.rootdata import make_root_datum, make_weight_monoid
-from horomod.tangent import (
-    TangentReport,
-    report_to_json_dict,
-    t1_invariant,
-    tangent_weight,
-)
+from horomod.rootdata import make_root_datum, make_weight_monoid, tangent_weight
+from horomod.tangent import TangentReport, report_to_json_dict, t1_invariant
 from oracles import tangent_at_horospherical
 from test_liealg import adjoint_module, multicone
 
