@@ -7,12 +7,13 @@ coefficients to both law routes, each value computed once per call;
 mulaw.transvectants looks each key up once, and calls _channel_coeff.
 
 This layer also holds the monoid window, the unknowns m[a,b,i], the
-commutativity rows, the associativity windows, the cost check, and the
-one expansion of an associator into channel terms, which both law
-routes read: law_tangent, the linearization at the graded law, its
-top-channel terms on weight vectors of the triple product, and
-mulaw.law_equations, the full quadratic system and its oracle, every
-term on singular vectors.  So law_tangent runs neither mulaw nor polysys.
+commutativity rows, the associativity windows, the cost check, the
+one expansion of an associator into channel terms, and its inputs:
+the weight vectors of the triple product with s = 0.  Both law routes
+read those rows: law_tangent, the linearization at the graded law,
+their top-channel terms, and mulaw.law_equations, the full quadratic
+system and its oracle, every term.  So law_tangent runs neither mulaw
+nor polysys.
 """
 
 from __future__ import annotations
@@ -213,6 +214,19 @@ def _add_associator(
     return out
 
 
+def _weight_vector_rows(
+    index: Mapping[Tuple[int, int, int], int], coeff: ChannelTable,
+    a: int, b: int, c: int, r: int, inner: Iterable[int],
+) -> Iterable[Dict[Mono, int]]:
+    """The grade-r associator plan of the window (a, b, c) over the inner
+    channels in inner, on each weight vector of the triple product with
+    s = 0: the inputs x^a (x) x^(b-t) y^t (x) x^(c-u) y^u with t + u = r,
+    one {unknowns: coefficient} row each, zero entries kept."""
+    plan = _associator_plan(index, a, b, c, r, inner)
+    for t in range(max(0, r - c), min(b, r) + 1):
+        yield _add_associator({}, plan, coeff, 1, (0, t, r - t))
+
+
 def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """The kernel of the linear part of mulaw.law_equations(monoid,
     truncation) at the all-zero point, as (dim, one grade per kernel
@@ -235,8 +249,9 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     x^a (x) x^(b-t) y^t (x) x^(c-u) y^u with t + u = r, one row each.
     A window with a > c is skipped: modulo the commutativity rows,
     already in its grade's RowSpace, its mirror (c, b, a) gives the
-    same equations.  So each grade's kernel is the one the singular
-    vectors of the triple products give."""
+    same equations.  So each grade's kernel is the one every weight-nu
+    input of every window gives; the tests check it against the
+    singular vectors of the triple products."""
     ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
     coeff = ChannelTable()
     columns: Dict[int, Dict[Mono, int]] = {}  # grade -> {unknown: column}
@@ -255,8 +270,7 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
         space = spaces.get(r)
         if a > c or space is None or space.dim == space.ncols:
             continue  # the mirror window's rows, or none can change the rank
-        plan = _associator_plan(index, a, b, c, r, (0, r))
-        for t in range(max(0, r - c), min(b, r) + 1):
-            add(_add_associator({}, plan, coeff, 1, (0, t, r - t)), r)
+        for row in _weight_vector_rows(index, coeff, a, b, c, r, (0, r)):
+            add(row, r)
     weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
     return len(weights), weights

@@ -34,10 +34,11 @@ def binary_cone(n: int) -> TangentReport:
 
 def binary_cone_law_dim(n: int, truncation: int) -> int:
     """Dimension of the linearized law equations of the monoid N*n at the
-    graded law, on the window up to truncation, from their linear rows
-    alone (channels.law_tangent; the full system of mulaw.law_equations
-    is its oracle in the tests).  The law layer loads here, so the
-    fixed-space examples never run them."""
+    graded law, on the window up to truncation, from the linear rows on
+    the s = 0 weight vectors alone (channels.law_tangent; the full
+    system of mulaw.law_equations, on the same inputs, and the singular
+    vectors are its oracles in the tests).  The law layer loads here,
+    so the fixed-space examples never run them."""
     from . import channels
 
     mon = make_weight_monoid(make_root_datum("A1"), [(n,)])

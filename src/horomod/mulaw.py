@@ -8,15 +8,15 @@ lam+mu-nu as a natural combination of simple roots.
 
 For rank one everything is explicit: channels are transvectants of
 binary forms, commutativity and associativity expand into a polynomial
-system with integer coefficients, kept in polysys canonical form from
-generation to output, the linearization at the all-zero point computes
-the tangent space with its torus weights, and the laws of orbit
-closures, honest numeric points to feed back in, are read off
-transvectants of the powers of the orbit's covariant: exact arithmetic
-on binary forms, with no functions on the group.  A form is its
-coefficient sequence; integer forms stay int, the covariant and its
-powers are int whatever the form, and a Fraction appears only where a
-value is not an integer: a coefficient of a form or a law.
+system with integer coefficients, kept as the reduced row-echelon basis
+of each grade's span in polysys canonical form, the linearization at
+the all-zero point computes the tangent space with its torus weights,
+and the laws of orbit closures, honest numeric points to feed back in,
+are read off transvectants of the powers of the orbit's covariant:
+exact arithmetic on binary forms, with no functions on the group.  A
+form is its coefficient sequence; integer forms stay int, the covariant
+and its powers are int whatever the form, and a Fraction appears only
+where a value is not an integer: a coefficient of a form or a law.
 
 The tangent space has two routes.  channels.law_tangent builds only
 the linear rows of the system, grade by grade, with integer
@@ -24,30 +24,30 @@ coefficients; law_equations here builds the full quadratic system,
 whose linearization in the tests is the oracle for the first.
 Both refuse a window past a cost estimate before building anything,
 and both read the window, its unknowns, the channel coefficients and
-the one expansion of an associator into channel terms from the
-channels layer.
+the associator on the s = 0 weight vectors of each window from the
+channels layer; the singular vectors of the triple product are an
+oracle in the tests only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, perm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, clip
 from . import linalg
 from .channels import (
     ChannelTable,
-    _add_associator,
-    _associator_plan,
     _associativity_windows,
     _channel_coeff,
     _commutativity_rows,
     _is_a1,
     _law_unknowns,
+    _weight_vector_rows,
     monoid_window,
 )
-from .polysys import Grade, Mono, PolySystem, canonical_poly, primitive_ints
+from .polysys import Grade, PolySystem, primitive_ints, reduced_equations
 from .rootdata import (
     RootDatum,
     RootMonoid,
@@ -65,7 +65,7 @@ LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
 # Cap on the cost estimate of channels._check_law_cost for the full system.  The
-# largest window admitted for n = 1..6, D = 15..41, takes 0.02-0.25 s in process.
+# largest window admitted for n = 1..6, D = 15..41, takes 0.004-0.19 s in process.
 _SYSTEM_COST_CAP = 1_000_000
 
 
@@ -299,64 +299,21 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
 # --------------------------------------------- rank-one equation system
 
 
-def _triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
-    """Spanning set of the singular vectors of weight nu in the triple
-    tensor of forms of degrees a, b, c, keyed by y-exponents: one per
-    admissible splitting through the first two factors.
-
-    The splitting through the degree-e component of the first two
-    factors pairs its m-th lowered image L^m(top)/perm(e, m) with the
-    third factor; each vector is scaled by perm(e, k) > 0, which clears
-    every denominator and leaves integers."""
-    out = []
-    for i0 in range(min(a, b) + 1):
-        e = a + b - 2 * i0
-        k2 = e + c - nu
-        if k2 < 0 or k2 % 2:
-            continue
-        k = k2 // 2
-        if k > min(e, c):
-            continue
-        low = {(j, i0 - j): (-1) ** j * comb(i0, j) for j in range(i0 + 1)}
-        eta: Dict[Tuple[int, int, int], int] = {}
-        for m in range(k + 1):
-            if m:
-                nxt: Dict[Tuple[int, int], int] = {}
-                for (s, t), v in low.items():
-                    if s < a:
-                        nxt[(s + 1, t)] = nxt.get((s + 1, t), 0) + v * (a - s)
-                    if t < b:
-                        nxt[(s, t + 1)] = nxt.get((s, t + 1), 0) + v * (b - t)
-                low = {key: v for key, v in nxt.items() if v}
-            outer = (-1) ** m * comb(k, m) * perm(e - m, k - m)
-            for (s, t), v in low.items():
-                eta[(s, t, k - m)] = outer * v
-        out.append(eta)
-    return out
-
-
 def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
     """Commutativity and associativity constraints on a rank-one law
     window, as an exact polynomial system in the non-top coefficients:
-    the associator of each window, every term, on each singular vector.
-    The distinct equations are kept in the order they are generated."""
+    the associator of each window, every term, on the weight vectors of
+    its triple product with s = 0, each grade as the reduced basis of
+    its span (polysys.reduced_equations)."""
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
     coeff = ChannelTable()
-    names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
-    grades: List[Grade] = [(i,) for (_, _, i) in index]
-
-    raw_equations = list(_commutativity_rows(index))
-    for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
-        plan = _associator_plan(index, a, b, c, r, range(r + 1))
-        for eta in _triple_top_vectors(a, b, c, nu):
-            poly: Dict[Mono, int] = {}
-            for stu, coef in eta.items():
-                _add_associator(poly, plan, coeff, coef, stu)
-            poly = {m: v for m, v in poly.items() if v}
-            if poly:
-                raw_equations.append((poly, r))
-    equations = dict.fromkeys((canonical_poly(p, names), (r,)) for p, r in raw_equations)
-    return PolySystem(tuple(names), tuple(grades), tuple(equations))
+    names = tuple(f"m[{a},{b},{i}]" for (a, b, i) in index)
+    grades = tuple((i,) for (_, _, i) in index)
+    rows = [(row, (i,)) for row, i in _commutativity_rows(index)]
+    for a, b, c, _, r in _associativity_windows(ints, pos, truncation):
+        for row in _weight_vector_rows(index, coeff, a, b, c, r, range(r + 1)):
+            rows.append((row, (r,)))
+    return PolySystem(names, grades, reduced_equations(rows, names))
 
 
 # ----------------------------------------------------- orbit laws (A1)

@@ -5,8 +5,10 @@ polynomials in named unknowns, monomials of degree at most two, and
 canonical form.  A canonical polynomial is a tuple of
 (monomial, integer) pairs: monomials sorted by degree then unknown name,
 integer content cleared, leading coefficient positive.  A PolySystem
-holds its equations in that form only, in the order they were
-generated.  equation_texts renders each equation once, in the one
+holds its equations in that form only.  reduced_equations turns
+generated rows into the reduced row-echelon basis of each grade's
+span, so a system depends on its spans and not on the route that
+generated them.  equation_texts renders each equation once, in the one
 order the output shows, and system_to_text exports those texts one per
 line.
 """
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from numbers import Rational
-from typing import List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
+from .linalg import RowSpace
 
 Mono = Tuple[int, ...]  # sorted unknown indices; () is the constant monomial
 Grade = Tuple[int, ...]  # degree in the simple roots
@@ -61,6 +64,27 @@ def canonical_poly(p: Mapping[Mono, Rational], names: Sequence[str]) -> CanonPol
     items.sort(key=lambda mc: _mono_key(names, mc[0]))
     ints = primitive_ints([c for _, c in items])
     return tuple((m, c) for (m, _), c in zip(items, ints))
+
+
+def reduced_equations(
+    rows: Iterable[Tuple[Mapping[Mono, int], Grade]], names: Sequence[str]
+) -> Tuple[Tuple[CanonPoly, Grade], ...]:
+    """The reduced row-echelon basis of the span of each grade's integer
+    rows, grades in order, which depends only on the spans.  The columns
+    are the monomials that occur, by descending _mono_key, so each pivot
+    is its row's largest monomial; a basis row is RowSpace.primitive in
+    canonical form."""
+    by_grade: Dict[Grade, List[Mapping[Mono, int]]] = {}
+    for row, g in rows:
+        by_grade.setdefault(g, []).append(row)
+    out = []
+    for g, polys in sorted(by_grade.items()):
+        monos = sorted({m for p in polys for m in p}, key=lambda m: _mono_key(names, m))[::-1]
+        column = {m: j for j, m in enumerate(monos)}
+        space = RowSpace(len(monos), ({column[m]: v for m, v in p.items()} for p in polys))
+        for row in map(space.primitive.get, space.pivots):
+            out.append((canonical_poly({monos[j]: v for j, v in row.items()}, names), g))
+    return tuple(out)
 
 
 def render_poly(cp: CanonPoly, names: Sequence[str]) -> str:

@@ -128,7 +128,7 @@ def tangent_weight(rd: RootDatum, lam: Weight, mu: Weight) -> Tuple[int, ...]:
     coords = natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
     if coords is None:
         raise ValidationError(
-            f"weight {mu} is not below {lam} in the dominance order"
+            f"weight {clip(str(mu))} is not below {clip(str(lam))} in the dominance order"
         )
     return coords
 

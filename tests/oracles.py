@@ -6,13 +6,15 @@ compare against; none is reached from the CLI or the scripts.
 
 from bisect import insort
 from fractions import Fraction as Q
-from math import prod
+from math import comb, perm, prod
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from horomod import linalg, monoids
 from horomod.channels import (
     _TANGENT_COST_CAP,
     ChannelTable,
+    _add_associator,
+    _associator_plan,
     _associativity_windows,
     _commutativity_rows,
     _is_a1,
@@ -20,8 +22,8 @@ from horomod.channels import (
     monoid_window,
 )
 from horomod.errors import ResourceError, ValidationError
-from horomod.mulaw import LawKey, MultiplicationLaw, _triple_top_vectors
-from horomod.polysys import Grade, PolySystem
+from horomod.mulaw import _SYSTEM_COST_CAP, LawKey, MultiplicationLaw
+from horomod.polysys import Grade, Mono, PolySystem, canonical_poly
 from horomod.repcalc import (
     DEFAULT_DIM_CAP,
     Decomposition,
@@ -132,6 +134,63 @@ def horospherical_law(rd: RootDatum, monoid: WeightMonoid, truncation: int) -> M
     return MultiplicationLaw(rd, monoid, truncation, coeffs)
 
 
+def triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
+    """Spanning set of the singular vectors of weight nu in the triple
+    tensor of forms of degrees a, b, c, keyed by y-exponents: one per
+    admissible splitting through the first two factors.
+
+    The splitting through the degree-e component of the first two
+    factors pairs its m-th lowered image L^m(top)/perm(e, m) with the
+    third factor; each vector is scaled by perm(e, k) > 0, which clears
+    every denominator and leaves integers."""
+    out = []
+    for i0 in range(min(a, b) + 1):
+        e = a + b - 2 * i0
+        k2 = e + c - nu
+        if k2 < 0 or k2 % 2:
+            continue
+        k = k2 // 2
+        if k > min(e, c):
+            continue
+        low = {(j, i0 - j): (-1) ** j * comb(i0, j) for j in range(i0 + 1)}
+        eta: Dict[Tuple[int, int, int], int] = {}
+        for m in range(k + 1):
+            if m:
+                nxt: Dict[Tuple[int, int], int] = {}
+                for (s, t), v in low.items():
+                    if s < a:
+                        nxt[(s + 1, t)] = nxt.get((s + 1, t), 0) + v * (a - s)
+                    if t < b:
+                        nxt[(s, t + 1)] = nxt.get((s, t + 1), 0) + v * (b - t)
+                low = {key: v for key, v in nxt.items() if v}
+            outer = (-1) ** m * comb(k, m) * perm(e - m, k - m)
+            for (s, t), v in low.items():
+                eta[(s, t, k - m)] = outer * v
+        out.append(eta)
+    return out
+
+
+def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
+    """The system of mulaw.law_equations before its reduction: the
+    commutativity rows, then the associator of each window, every term,
+    on each singular vector of its triple product, each row in canonical
+    form, as generated and with repeats."""
+    ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
+    coeff = ChannelTable()
+    names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
+    rows = list(_commutativity_rows(index))
+    for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
+        plan = _associator_plan(index, a, b, c, r, range(r + 1))
+        for eta in triple_top_vectors(a, b, c, nu):
+            poly: Dict[Mono, int] = {}
+            for stu, coef in eta.items():
+                _add_associator(poly, plan, coeff, coef, stu)
+            rows.append((poly, r))
+    equations = ((canonical_poly(p, names), (r,)) for p, r in rows)
+    grades = tuple((i,) for (_, _, i) in index)
+    return PolySystem(tuple(names), grades, tuple((cp, g) for cp, g in equations if cp))
+
+
 def singular_vector_law_tangent(
     monoid: WeightMonoid, truncation: int
 ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
@@ -157,7 +216,7 @@ def singular_vector_law_tangent(
         space = spaces.get(r)
         if space is None or space.dim == space.ncols:
             continue  # no row of grade r can change the rank
-        for eta in _triple_top_vectors(a, b, c, nu):
+        for eta in triple_top_vectors(a, b, c, nu):
             row: Dict[int, int] = {}
             for (s, t, u), coef in eta.items():
                 # (a.b).c counts positively, a.(b.c) negatively; the inner

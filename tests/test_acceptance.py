@@ -11,6 +11,7 @@ from itertools import product
 
 from horomod.channels import _commutativity_rows, _law_unknowns
 from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
+from horomod.linalg import RowSpace
 from horomod.monoids import saturation
 from horomod.mulaw import (
     contract,
@@ -18,7 +19,6 @@ from horomod.mulaw import (
     orbit_law,
     root_monoid_of_law,
 )
-from horomod.polysys import canonical_poly
 from horomod.repcalc import tensor_decompose, weight_multiplicities, weyl_dim
 from horomod.rootdata import dominance_leq, make_root_datum, make_weight_monoid
 from oracles import (
@@ -183,12 +183,20 @@ def test_criterion_8():
                 for mono, _ in cp:
                     total = sum(system.grades[u][0] for u in mono)
                     assert (total,) == grade
-            # Every commutativity equation is in the system, and linear.
+            # Every commutativity equation is linear and lies in the span
+            # of its grade's equations.
             _, _, index = _law_unknowns(mon, 4 * n, 10**6)
-            for row, i in _commutativity_rows(index):
-                cp = canonical_poly(row, system.unknowns)
-                assert (cp, (i,)) in system.equations
-                assert all(len(mono) == 1 for mono, _ in cp)
+            rows = list(_commutativity_rows(index))
+            column = {}
+            for p in [dict(cp) for cp, _ in system.equations] + [row for row, _ in rows]:
+                for mono in p:
+                    column.setdefault(mono, len(column))
+            spaces = {}
+            for cp, grade in system.equations:
+                spaces.setdefault(grade, RowSpace(len(column))).add({column[m]: v for m, v in cp})
+            for row, i in rows:
+                assert all(len(mono) == 1 for mono in row)
+                assert not spaces[(i,)].reduce({column[m]: v for m, v in row.items()})
 
     _gate(8, "equation degrees and grade tags audit clean", body)
 

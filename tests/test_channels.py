@@ -7,7 +7,7 @@ import pytest
 from horomod import channels, mulaw
 from horomod.channels import ChannelTable, law_tangent
 from horomod.rootdata import make_root_datum, make_weight_monoid
-from oracles import singular_vector_law_tangent
+from oracles import singular_vector_law_tangent, triple_top_vectors
 
 A1 = make_root_datum("A1")
 
@@ -120,14 +120,25 @@ def test_weight_vector_rows_agree_with_the_singular_vector_rows(gens, top):
         assert law_tangent(mon, d) == singular_vector_law_tangent(mon, d)
 
 
-def test_law_tangent_pairs_with_no_singular_vector(monkeypatch):
+def test_law_tangent_pairs_with_no_singular_vector():
     windows = [(make_weight_monoid(A1, [(g,) for g in gens]), d) for gens, d in (((4,), 9), ((2, 3), 5))]
     expected = [singular_vector_law_tangent(mon, d) for mon, d in windows]
     assert expected == [(2, ((2,), (4,))), (2, ((1,), (2,)))]
-
-    def unused(*args):
-        raise AssertionError("law_tangent paired a window with singular vectors")
-
-    monkeypatch.setattr(mulaw, "_triple_top_vectors", unused)
     assert [law_tangent(mon, d) for mon, d in windows] == expected
-    assert not hasattr(channels, "_triple_top_vectors") and not hasattr(channels, "_bracketings")
+    for module in (channels, mulaw):
+        assert not hasattr(module, "_triple_top_vectors") and not hasattr(module, "_bracketings")
+
+
+def test_triple_top_vectors_are_integer_singular_vectors():
+    """Each vector of the oracle is integer, of weight nu, and killed by
+    the raising operator x d/dy acting on the three factors."""
+    for a, b, c in product(range(1, 6), repeat=3):
+        for nu in range(a + b + c + 1):
+            for eta in triple_top_vectors(a, b, c, nu):
+                assert eta and all(type(v) is int for v in eta.values())
+                assert {s + t + u for s, t, u in eta} == {(a + b + c - nu) // 2}
+                raised = {}
+                for (s, t, u), v in eta.items():
+                    for key, k in (((s - 1, t, u), s), ((s, t - 1, u), t), ((s, t, u - 1), u)):
+                        raised[key] = raised.get(key, 0) + k * v
+                assert not any(raised.values())

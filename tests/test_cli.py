@@ -325,12 +325,13 @@ def test_law_equations_render_each_equation_once(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of the stdout of two law-equations windows and of one exported
-# system, recorded before the equations were kept as integers throughout.
+# system, recorded when the output became the reduced row-echelon basis
+# of each grade's span.
 LAW_EQUATIONS_STDOUT = {
     ("law-equations", "A1", "1", "--truncation", "15"):
-        "8db561f4e446d934e6ab1b7b177d097100812913723a58650abe58134a7b2873",
+        "472316285a188e9e040e8fb3b2a27aaca0b451089c1f9df911f5f733ab7dece4",
     ("law-equations", "A1", "2;3", "--truncation", "12"):
-        "fe2fcc4e74f63fc5921597492b417538bf019193ca376d8541a9b92680aa6430",
+        "9d9094d26e21af3d32112197de8d7a4cdeaf1c96c3268a9db607ffe2402986d3",
 }
 
 
@@ -349,7 +350,7 @@ def test_exported_system_is_pinned(tmp_path, capsys):
     out_file = tmp_path / "system.txt"
     code, _ = run(capsys, "law-equations", "A1", "2;3", "--truncation", "12", "--export-system", str(out_file))
     assert code == 0
-    assert sha256(out_file.read_text()) == "b554588f60c1379b9141904feb90d5523478044d332d4c0743f2e74c1821b871"
+    assert sha256(out_file.read_text()) == "e8b68d1435522cc6cca088e689d8af2bdefe7b55890aa53fea3d4e810684587d"
 
 
 def _law_file(tmp_path, value, generator=2, truncation=4, channel=2):
@@ -1108,9 +1109,12 @@ LONG_ROW = ",".join([NINES] * 140)
          "congruence 1,1,1,1,1,1,1,1,1,1,... has 20000 coefficients"),
         (["t1", "A1", "natural(2)", "1,0", "--diag", NINES + ":2"],
          "the point has weight (1,), which fails the congruence 99999999999999999999..."),
+        (["tangent-weight", "A1", NINES, "0"], "weight (0,) is not below (" + "9" * 19 + "..."),
+        (["tangent-weight", "A1", "0", NINES], "weight (" + "9" * 19 + "... is not below (0,)"),
     ],
     ids=["label", "weight", "generator", "duplicate", "negative", "congruence",
-         "dim-not-dominant", "tensor-not-dominant", "congruence-length", "congruence-fails"],
+         "dim-not-dominant", "tensor-not-dominant", "congruence-length", "congruence-fails",
+         "tangent-weight-lam", "tangent-weight-mu"],
 )
 def test_a_long_input_is_echoed_clipped(capsys, argv, shown):
     code, blob = run_json(capsys, *argv)

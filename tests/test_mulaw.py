@@ -1,5 +1,4 @@
 from fractions import Fraction as Q
-from itertools import product
 from math import comb
 from random import Random
 
@@ -12,7 +11,6 @@ from horomod.channels import law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
 from horomod.mulaw import (
     MAX_ORBIT_TRUNCATION,
-    _triple_top_vectors,
     contract,
     law_equations,
     law_from_json_dict,
@@ -23,12 +21,13 @@ from horomod.mulaw import (
     transvectants,
 )
 from horomod.linalg import RowSpace
-from horomod.polysys import PolySystem, primitive_ints
+from horomod.polysys import PolySystem, primitive_ints, reduced_equations
 from horomod.rootdata import make_root_datum, make_weight_monoid
 from oracles import (
     horospherical_law,
     law_unknown_values,
     minimal_generators,
+    singular_vector_system,
     system_residuals,
     tangent_at_horospherical,
 )
@@ -191,7 +190,7 @@ def test_equation_system_shape_n2():
     mon = nat2([2])
     sys_ = law_equations(mon, 8)
     assert len(sys_.unknowns) == 14
-    assert len(sys_.equations) == 35
+    assert len(sys_.equations) == 24
     for name in sys_.unknowns:
         assert name.startswith("m[")
     for cp, grade in sys_.equations:
@@ -208,7 +207,7 @@ def test_equation_grades_homogeneous_n3():
     mon = nat2([3])
     sys_ = law_equations(mon, 12)
     assert len(sys_.unknowns) == 7
-    assert len(sys_.equations) == 22
+    assert len(sys_.equations) == 8
     for cp, grade in sys_.equations:
         for mono, _ in cp:
             assert (sum(sys_.grades[i][0] for i in mono),) == grade
@@ -249,21 +248,6 @@ def test_residuals_of_a_quadratic_system():
     assert values == (0, -4)
     assert all(type(v) is Q for v in values)
     assert system_residuals(system, {"x": Q(1, 3), "y": 2}) == (Q(2, 3), 15)
-
-
-def test_triple_top_vectors_are_integer_singular_vectors():
-    """Each vector is integer, of weight nu, and killed by the raising
-    operator x d/dy acting on the three factors."""
-    for a, b, c in product(range(1, 6), repeat=3):
-        for nu in range(a + b + c + 1):
-            for eta in _triple_top_vectors(a, b, c, nu):
-                assert eta and all(type(v) is int for v in eta.values())
-                assert {s + t + u for s, t, u in eta} == {(a + b + c - nu) // 2}
-                raised = {}
-                for (s, t, u), v in eta.items():
-                    for key, k in (((s - 1, t, u), s), ((s, t - 1, u), t), ((s, t, u - 1), u)):
-                        raised[key] = raised.get(key, 0) + k * v
-                assert not any(raised.values())
 
 
 def test_tangent_dims_small_families():
@@ -321,6 +305,24 @@ def test_linear_rows_agree_with_the_full_system(gens, top):
             assert str(direct.value) == str(full.value)
         else:
             assert law_tangent(mon, d) == tangent_at_horospherical(law_equations(mon, d))
+
+
+@pytest.mark.parametrize(
+    "gens, windows",
+    [((n,), range(2 * n, 4 * n + 1)) for n in range(1, 7)]
+    + [((1,), [15]), ((2, 3), [12, 16]), ((3, 5), [20]), ((2, 5), [18])],
+)
+def test_law_equations_are_the_reduced_singular_vector_system(gens, windows):
+    """law_equations, on the s = 0 weight vectors, against its oracle on
+    every singular vector of every window: the same reduced basis, tuple
+    for tuple."""
+    mon = nat2(gens)
+    for d in windows:
+        oracle = singular_vector_system(mon, d)
+        system = law_equations(mon, d)
+        assert system.unknowns == oracle.unknowns and system.grades == oracle.grades
+        rows = ((dict(cp), g) for cp, g in oracle.equations)
+        assert system.equations == reduced_equations(rows, oracle.unknowns)
 
 
 # ------------------------------------------- the function-ring route, an oracle

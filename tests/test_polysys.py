@@ -7,6 +7,7 @@ from horomod.polysys import (
     PolySystem,
     canonical_poly,
     equation_texts,
+    reduced_equations,
     render_poly,
     system_to_text,
 )
@@ -33,6 +34,24 @@ def test_canonical_orders_by_degree_then_name():
 def test_canonical_zero():
     assert canonical_poly({}, NAMES) == ()
     assert canonical_poly({(0,): Q(0)}, NAMES) == ()
+
+
+def test_reduced_equations_depend_only_on_the_span():
+    """Each grade's basis, grades in order: the pivot of a row is its
+    largest monomial, m[2,2,2]^2 and then m[2,4,1], and no other row
+    holds it.  A second spanning set, with a zero row, gives the same
+    tuples."""
+    a = {(1, 1): 2, (0,): 2}
+    b = {(1, 1): 1, (2,): -1}
+    expected = (
+        ((((0,), 1),), (1,)),
+        ((((0,), 1), ((1, 1), 1)), (2,)),
+        ((((0,), 1), ((2,), 1)), (2,)),
+    )
+    assert reduced_equations([(a, (2,)), (b, (2,)), ({(0,): -3}, (1,))], NAMES) == expected
+    a_plus_b = {m: a.get(m, 0) + b.get(m, 0) for m in a.keys() | b.keys()}
+    rows = [({(0,): 5, (2,): 0}, (1,)), (b, (2,)), (a_plus_b, (2,)), ({}, (2,)), (a, (2,))]
+    assert reduced_equations(rows, NAMES) == expected
 
 
 def test_render_terms():
