@@ -294,6 +294,19 @@ def small_cases(rng):
         ["dim", "A1", "1", "--frob"], ["dim", "A1", "--=3"], ["tensor", "A1", "1", "1", "--cap", "x"],
         ["law-tangent", "A1", "2"], ["orbit-law", "A1", "2", "--form", "1,0,1"],
     ]
+    # Where the CLI's own reader of plain requests hands over to argparse,
+    # and where it reads flags argparse also reads.
+    cases += [
+        ["law-tangent", "A1", "2", "--trunc", "8"],
+        ["law-tangent", "A1", "2", "--truncation=8"],
+        ["weights", "A2", "1,1", "--cap=3"],
+        ["dim", "A1", "1", "--pretty=1"],
+        ["dim", "--pretty", "A2", "1,1"],
+        ["weights", "A2", "1,1", "--cap", "3", "--cap", "20"],
+        ["reproduce-example1", "--"],
+        ["law-tangent", "A1", "2", "--truncation", "-5"],
+        ["dim", "A1", "--", "--"],
+    ]
     return cases
 
 

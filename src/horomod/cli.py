@@ -18,27 +18,29 @@ only the layers its subcommand calls.  The module imports no
 fractions: linalg.read_rational reads each number, as an int where it
 is spelt as one.
 
-The subcommands are declared once, in COMMANDS.  A request whose first
-argument names a subcommand builds that subcommand's parser alone; the
-full parser, built from the same table, answers everything else: the
-top-level help, --version, and every usage error, with the text and
+The subcommands are declared once, in COMMANDS.  A well-formed request
+whose first argument names a subcommand is read straight off that
+table, and "--version" alone is answered here, so neither imports
+argparse.  The full parser, built from the same table, answers
+everything else: the help and every usage error, with the text and
 exit code 2 it always had.  For a subcommand that takes a group, main
 builds its root datum as args.rd before the handler runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import sys
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import ResourceError, ValidationError, check_size, clip
 
 if TYPE_CHECKING:
+    import argparse
+
     from .linalg import Number
 
 
@@ -350,6 +352,7 @@ def _cmd_reproduce_example2(args):
 # ------------------------------------------------------------ wiring
 
 
+_PRETTY = ("--pretty", {"action": "store_true", "help": "indent output for humans"})
 _CAP = ("--cap", {"type": int, "default": 2000})
 _TRUNCATION = ("--truncation", {"type": int, "required": True})
 _OUTPUT = ("--output", {"metavar": "FILE"})
@@ -409,19 +412,29 @@ COMMANDS = {
 }
 
 
+def _arguments(name: str) -> Tuple[dict, dict]:
+    """The positionals and the flags of subcommand name, each in order
+    and with its add_argument options; --pretty is the first flag."""
+    positionals, flags = {}, {}
+    for arg in [_PRETTY, *COMMANDS[name][2]]:
+        flag, options = (arg, {}) if isinstance(arg, str) else arg
+        (flags if flag.startswith("-") else positionals)[flag] = options
+    return positionals, flags
+
+
 def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """parser, given the handler and the arguments of subcommand name."""
-    func, _, arguments = COMMANDS[name]
-    parser.set_defaults(func=func)
-    parser.add_argument("--pretty", action="store_true", help="indent output for humans")
-    for arg in arguments:
-        flag, options = (arg, {}) if isinstance(arg, str) else arg
+    parser.set_defaults(func=COMMANDS[name][0])
+    positionals, flags = _arguments(name)
+    for flag, options in {**flags, **positionals}.items():
         parser.add_argument(flag, **options)
     return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, with every subcommand under "horomod"."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="horomod",
         description="Exact invariants of multiplicity-free module closures.",
@@ -435,32 +448,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Refused(Exception):
-    """A subcommand's own parser met an argument list it does not accept."""
-
-
-class _SubcommandParser(argparse.ArgumentParser):
-    """One subcommand's parser, built alone.  Where argparse would report
-    an error it raises _Refused instead, so that the full parser can
-    report it with the text and usage it always has."""
-
-    def error(self, message):
-        raise _Refused(message)
-
-
-def _parse(argv: List[str]) -> argparse.Namespace:
-    """argv parsed by its subcommand's parser alone when argv[0] names
-    one and that parser takes all of argv[1:]; else by the full parser,
-    which also prints every usage error and the top-level help."""
-    if argv and argv[0] in COMMANDS:
-        parser = _add_command(_SubcommandParser(prog=f"horomod {argv[0]}"), argv[0])
+def _read(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a request whose first argument names a
+    subcommand, read straight off COMMANDS as that subcommand's parser
+    gives them; or None, which leaves argv to the full parser.  None
+    answers help, a token that starts with "-" and is not one of the
+    subcommand's flags spelt out (so "--", a negative number and an
+    abbreviation), a flag with no value or with a value that starts
+    with "-", a number int() does not read, a required flag left out
+    and a wrong count of positionals."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    positionals, flags = _arguments(argv[0])
+    given, read = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        options = flags.get(flag)
+        if options is None:
+            return None
+        action = options.get("action")
+        if action == "store_true":
+            if eq:
+                return None
+            read[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
         try:
-            args, extra = parser.parse_known_args(argv[1:])
-            if not extra:
-                return args
-        except _Refused:
-            pass
-    return build_parser().parse_args(argv)
+            value = options.get("type", str)(value)
+        except ValueError:
+            return None
+        read[flag] = read.get(flag, []) + [value] if action == "append" else value
+    if len(given) != len(positionals):
+        return None
+    if any(options.get("required") and flag not in read for flag, options in flags.items()):
+        return None
+    values = {"func": COMMANDS[argv[0]][0], **dict(zip(positionals, given))}
+    for flag, options in flags.items():
+        default = False if options.get("action") == "store_true" else options.get("default")
+        values[flag[2:].replace("-", "_")] = read.get(flag, default)
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: List[str]) -> SimpleNamespace:
+    """argv read by _read where it can be; else by the full parser,
+    which also prints the help and every usage error.  "--version"
+    alone prints what the full parser prints for it."""
+    if argv == ["--version"]:
+        sys.stdout.write(f"horomod {__version__}\n")
+        raise SystemExit(0)
+    args = _read(argv)
+    if args is not None:
+        return args
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name in _arguments(args.command)[0]:
+        # argparse 3.10-3.13 hands the last positional [] where a second
+        # "--" follows the first
+        if not isinstance(getattr(args, name), str):
+            parser.error(f"{args.command}: argument {name}: expected one argument")
+    return args
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -483,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
     }
     try:
-        if "group" in args:
+        if "group" in vars(args):
             args.rd = rootdata.make_root_datum(args.group)
         payload, bounds, hyps = args.func(args)
     except (ValidationError, ResourceError) as exc:

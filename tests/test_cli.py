@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,7 +10,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from horomod import __version__, cli, liealg, mulaw, polysys
 from horomod.cli import build_parser, main
@@ -232,6 +233,75 @@ def test_main_answers_as_the_full_parser_alone(monkeypatch, argv):
     ours = outcome(argv)
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
     assert outcome(argv) == ours
+
+
+# Reader tokens: values, some of them subcommand names or numbers int()
+# reads with a sign or a space; and tokens the reader leaves to argparse
+# or must read exactly as it does.
+READER_VALUES = ["A1", "2", "1,0,1", "x", "", "1/2", "8", " 4", "+3", "-5", "dim"]
+READER_ODD = [
+    "--", "-h", "--help", "-2", "--version", "--trunc", "--ca", "--pre", "--frob", "-x",
+    "--pretty=1", "--cap=3", "--cap=x", "--truncation=8", "--truncation=", "--output=",
+    "--diag=1:2", "--form=1,0", "--lie-u", "--root",
+]
+
+
+@st.composite
+def _reader_argv(draw):
+    """A request: its subcommand's positionals and 0-2 of each of its
+    flags, as "--flag value" or "--flag=value", then 0-3 loose tokens,
+    all in a drawn order."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    positionals, flags = cli._arguments(name)
+    groups = [[draw(st.sampled_from(READER_VALUES))] for _ in positionals]
+    for flag, options in flags.items():
+        for _ in range(draw(st.integers(0, 2))):
+            if options.get("action") == "store_true":
+                groups.append([flag])
+            else:
+                value = draw(st.sampled_from(READER_VALUES))
+                groups.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    loose = READER_VALUES + READER_ODD + list(flags)
+    groups += [[token] for token in draw(st.lists(st.sampled_from(loose), max_size=3))]
+    return [name, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@seed(20032)
+@settings(max_examples=600, deadline=None)
+@given(_reader_argv())
+@example(["t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag=1:2", "--diag", "2:3"])
+@example(["orbit-law", "--pretty", "A1", "2", "--form", "1,0,1", "--truncation=8", "--output="])
+@example(["tensor", "A1", "1", "1", "--cap", "3", "--cap=4"])
+def test_the_reader_agrees_with_the_subcommand_parser(argv):
+    """_read either leaves argv to argparse or reads what the
+    subcommand's own argparse parser reads."""
+    args = cli._read(argv)
+    if args is None:
+        return
+    parser = cli._add_command(argparse.ArgumentParser(), argv[0])
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            expected = parser.parse_args(argv[1:])
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}, which the reader read as {args}")
+    assert vars(args) == vars(expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "A1", "--", "--"],
+        ["tensor", "A1", "1", "--", "--"],
+        ["saturate", "A1", "--", "--"],
+        ["stabilizer", "A1", "natural(2)", "--", "--"],
+        ["law-tangent", "--truncation", "8", "A1", "--", "--"],
+    ],
+    ids=["dim", "tensor", "saturate", "stabilizer", "law-tangent"],
+)
+def test_a_second_separator_ends_in_a_usage_error_or_an_envelope(argv):
+    """argparse 3.10-3.13 give the last positional [] where a second "--"
+    follows the first; that is a usage error, not a traceback."""
+    assert_one_envelope_or_a_usage_error(argv)
 
 
 def test_validation_exit_code(capsys):

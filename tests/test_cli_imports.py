@@ -109,21 +109,30 @@ argparse.ArgumentParser.__init__ = _counted
 
 
 @pytest.mark.parametrize(
-    "argv, parsers",
+    "argv",
     [
-        (["dim", "A2", "1,1"], ["horomod dim"]),
-        (["law-tangent", "A1", "2", "--truncation", "8"], ["horomod law-tangent"]),
-        (["dim", "A2", "1,1", "--frob"],
-         ["horomod dim", "horomod"] + [f"horomod {name}" for name in COMMANDS]),
+        ["dim", "A2", "1,1"],
+        ["law-tangent", "A1", "2", "--truncation", "8"],
+        ["t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag=1:2"],
+        ["--version"],
     ],
-    ids=["dim", "law-tangent", "usage-error"],
+    ids=["dim", "law-tangent", "t1", "version"],
 )
-def test_a_request_builds_only_its_subcommand_parser(argv, parsers):
-    """A request builds its subcommand's parser alone; an argument that
-    parser does not take brings in the full parser, which reports it."""
-    out = probe(argv, setup=COUNT_PARSERS, expr="parsers")
-    assert out["code"] == (2 if "--frob" in argv else 0)
-    assert out["probe"] == parsers
+def test_a_plain_request_builds_no_parser(argv):
+    """A well-formed request is read straight off COMMANDS: it builds no
+    ArgumentParser, and argparse, with the gettext and locale it
+    imports, never loads."""
+    out = probe(argv, expr='sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)')
+    assert out["code"] == 0
+    assert out["probe"] == []
+
+
+def test_a_usage_error_builds_the_full_parser_alone():
+    """An argument the reader does not take brings in the full parser,
+    which reports it; no other parser is built."""
+    out = probe(["dim", "A1", "1", "--frob"], setup=COUNT_PARSERS, expr="parsers")
+    assert out["code"] == 2
+    assert out["probe"] == ["horomod"] + [f"horomod {name}" for name in COMMANDS]
 
 
 def test_dim_runs_no_lie_algebra_law_or_monoid_layer():
