@@ -450,11 +450,23 @@ def bound_cases():
     """Requests that ran for seconds before their cost was bounded: t1
     and orbit-tangent at a point of short entries on most coordinates of
     the A8 flag multicone, drawn from their own seeded generator, and
-    orbit-law at a linear form of 4 300-digit entries."""
+    orbit-law at a linear form of 4 300-digit entries; and saturate
+    requests that a capped natural-sum search once refused, of which
+    the last two are still refused, now from an estimate."""
     rng = random.Random(SEED)
     point = ",".join(str(rng.choice([0, 1, -1, 2])) for _ in range(2**9 - 2))
     cases = [[c, "A8", multicone(8), point] for c in ("t1", "orbit-tangent")]
     cases.append(["orbit-law", "A1", "1", "--form", "7" * 4300 + ",1", "--truncation", "16"])
+    for group, gens in [
+        ("A3", "1,0,-2;3,-1,2;3,1,-1;1,3,3"),
+        ("A3", "2,3,2;-3,-3,1;0,-3,0;2,1,1"),
+        ("A3", "0,-3,-1;-1,1,0;3,0,-3;-2,1,-2"),
+        ("A3", "-3,2,-1;-1,-2,0;2,1,-3;-2,1,0"),
+        ("A2", "1,0;1,1;1,1000"),
+        ("A2", "1,0;1,1;1,5000"),
+        ("A3", "1,0,0;0,1,0;0,0,1;50,50,51"),
+    ]:
+        cases.append(["saturate", "--", group, gens])
     return cases
 
 

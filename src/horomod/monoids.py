@@ -10,11 +10,11 @@ lattice(gens) for rank at most 3, in integer lattice coordinates.  The
 lattice points of the generator zonotope box are enumerated by
 back-substitution over the Hermite normal form rows, each level counted
 against a cap before it is built; the cone is described once by integer
-facet normals, so membership in the cone is a sign test on each point;
-and the points that are no natural sum of lighter ones are kept.  Sums
-are searched graded by the sum of the cone's facet normals, computed
-once per call; it is positive on every generator exactly when the cone
-is pointed.
+facet normals, and each point's facet values, computed once, decide
+both membership in the cone (all non-negative) and reducibility (they
+dominate a lighter kept point's).  The points are graded by phi, the
+sum of the facet values; the sum of the normals is positive on every
+generator exactly when the cone is pointed.
 
 Presentations are binomial relations up to a degree bound; nothing is
 claimed past it.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, lcm
+from operator import ge, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
@@ -33,39 +34,13 @@ from .rootdata import Gen
 _ENUM_CAP = 200_000
 _CONGRUENCE_CAP = 20_000
 _PAIR_CAP = 100_000
-# Recursion nodes of the reducibility searches of one saturation call.
-_SEARCH_CAP = 150_000
+# Facet-value comparisons of the reducibility pass of one saturation
+# call, estimated before it starts.
+_REDUCE_CAP = 10_000_000
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _is_sum(gens: Sequence[Gen], target: Gen, phi: Gen, budget: List[int]) -> bool:
-    """Is target a natural sum of gens?  phi is an integer grading
-    positive on each of them, so a sum has at most phi(target) // the
-    least phi(gens) terms, and a partial sum never passes target in
-    phi.  budget[0] is the number of search nodes left; the search is
-    refused when it runs out."""
-    m = len(gens)
-
-    def rec(i: int, remaining: Gen, terms: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceError(f"membership search exceeded {_SEARCH_CAP} nodes")
-        if not any(remaining):
-            return True
-        if i == m or terms == 0:
-            return False
-        for c in range(terms + 1):
-            rest = tuple(r - c * x for r, x in zip(remaining, gens[i])) if c else remaining
-            if _dot(phi, rest) < 0:
-                break
-            if rec(i + 1, rest, terms - c):
-                return True
-        return False
-
-    return rec(0, target, _dot(phi, target) // min(_dot(phi, g) for g in gens))
+    return sum(map(mul, u, v))
 
 
 # ------------------------------------------------------------ saturation
@@ -162,7 +137,17 @@ def _grading(gens: Sequence[Gen], normals: Sequence[Gen]) -> Optional[Gen]:
 
 
 def saturation(monoid):
-    """Hilbert basis of cone(gens) intersect lattice(gens), rank <= 3."""
+    """Hilbert basis of S = cone(gens) intersect lattice(gens), rank <= 3.
+
+    S is saturated, so y in S is reducible iff y - h lies in S for some
+    Hilbert-basis element h != y.  y - h is in the lattice already, so it
+    lies in S exactly when every facet value u . (y - h) is >= 0: when
+    the facet values of y dominate those of h.  The Hilbert basis lies
+    in the zonotope box of gens, so the in-cone box points are taken by
+    phi(y), the sum of their facet values, and each is kept unless its
+    values dominate a kept point's.  That pass compares each point with
+    the lighter ones, facet by facet; the count of comparisons is
+    refused against a cap before it starts."""
     gens = [g for g in monoid.generators if any(g)]
     if not gens:
         return type(monoid)(monoid.rd, ())
@@ -170,26 +155,30 @@ def saturation(monoid):
     if len(basis) > 3:
         raise ValidationError("saturation implemented for lattice rank <= 3")
     normals = _facet_normals(gens, basis)
-    phi = _grading(gens, normals)
-    if phi is None:
+    if _grading(gens, normals) is None:
         raise ValidationError("no strictly positive grading; cone may not be pointed")
-    candidates = [
-        y
-        for y in _box_points(gens, basis)
-        if any(y) and all(_dot(u, y) >= 0 for u in normals)
-    ]
-    return type(monoid)(monoid.rd, _irreducible(candidates, phi))
+    values = {}
+    for y in _box_points(gens, basis):
+        v = tuple(_dot(u, y) for u in normals)
+        if any(y) and min(v) >= 0:
+            values[y] = v
+    n = len(values)
+    cost = n * (n - 1) // 2 * len(normals)
+    if cost > _REDUCE_CAP:
+        raise ResourceError(
+            f"saturation would compare {cost} facet values of {n} cone points,"
+            f" past the cap {_REDUCE_CAP}"
+        )
+    return type(monoid)(monoid.rd, _undominated(values))
 
 
-def _irreducible(gens: Sequence[Gen], phi: Gen) -> Tuple[Gen, ...]:
-    """The nonzero gens that are no natural sum of other gens, phi a
-    grading positive on each.  A sum for g has only terms lighter than
-    g, so searching the kept lighter ones is complete."""
+def _undominated(values: Dict[Gen, Gen]) -> Tuple[Gen, ...]:
+    """The points of values, a map to their facet values, whose values
+    dominate no lighter kept point's, taken by the sum of the values."""
     keep: List[Gen] = []
-    budget = [_SEARCH_CAP]
-    for g in sorted(gens, key=lambda v: (_dot(phi, v), v)):
-        if not keep or not _is_sum(keep, g, phi, budget):
-            keep.append(g)
+    for y in sorted(values, key=lambda y: sum(values[y])):
+        if not any(all(map(ge, values[y], values[h])) for h in keep):
+            keep.append(y)
     return tuple(sorted(keep))
 
 

@@ -99,15 +99,80 @@ class FractionRowSpace:
 # ---------------------------------------------------------------- monoids
 
 
+# Recursion nodes of the reducibility searches of one call.
+SEARCH_CAP = 150_000
+
+
+def _is_sum(gens: Sequence[Gen], target: Gen, phi: Gen, budget: List[int]) -> bool:
+    """Is target a natural sum of gens?  phi is an integer grading
+    positive on each of them, so a sum has at most phi(target) // the
+    least phi(gens) terms, and a partial sum never passes target in
+    phi.  budget[0] is the number of search nodes left; the search is
+    refused when it runs out."""
+    m = len(gens)
+
+    def rec(i: int, remaining: Gen, terms: int) -> bool:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceError("membership search exceeded its node budget")
+        if not any(remaining):
+            return True
+        if i == m or terms == 0:
+            return False
+        for c in range(terms + 1):
+            rest = tuple(r - c * x for r, x in zip(remaining, gens[i])) if c else remaining
+            if monoids._dot(phi, rest) < 0:
+                break
+            if rec(i + 1, rest, terms - c):
+                return True
+        return False
+
+    return rec(0, target, monoids._dot(phi, target) // min(monoids._dot(phi, g) for g in gens))
+
+
+def _irreducible(gens: Sequence[Gen], phi: Gen, cap: int = SEARCH_CAP) -> Tuple[Gen, ...]:
+    """The nonzero gens that are no natural sum of other gens, phi a
+    grading positive on each; the searches share cap nodes.  A sum for
+    g has only terms lighter than g, so searching the kept lighter ones
+    is complete."""
+    keep: List[Gen] = []
+    budget = [cap]
+    for g in sorted(gens, key=lambda v: (monoids._dot(phi, v), v)):
+        if not keep or not _is_sum(keep, g, phi, budget):
+            keep.append(g)
+    return tuple(sorted(keep))
+
+
+def _positive_grading(gens: Sequence[Gen]) -> Gen:
+    phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._hnf(gens)))
+    if phi is None:
+        raise ValidationError("no strictly positive grading on the generators")
+    return phi
+
+
 def minimal_generators(monoid) -> Tuple[Gen, ...]:
     """Generators with the reducible ones removed (needs a positive grading)."""
     gens = [g for g in monoid.generators if any(g)]
     if not gens:
         return ()
-    phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._hnf(gens)))
-    if phi is None:
-        raise ValidationError("no strictly positive grading on the generators")
-    return monoids._irreducible(gens, phi)
+    return _irreducible(gens, _positive_grading(gens))
+
+
+def search_saturation(monoid, cap: int = SEARCH_CAP) -> Tuple[Gen, ...]:
+    """Hilbert basis generators of monoids.saturation's S, by a natural-sum
+    search over the in-cone points of the same zonotope box: the route
+    monoids.saturation replaced.  The searches share cap nodes."""
+    gens = [g for g in monoid.generators if any(g)]
+    if not gens:
+        return ()
+    basis = monoids._hnf(gens)
+    normals = monoids._facet_normals(gens, basis)
+    candidates = [
+        y
+        for y in monoids._box_points(gens, basis)
+        if any(y) and all(monoids._dot(u, y) >= 0 for u in normals)
+    ]
+    return _irreducible(candidates, _positive_grading(gens), cap)
 
 
 def is_free(monoid) -> bool:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from horomod import __version__, cli, liealg, mulaw, polysys
+from horomod import __version__, cli, liealg, monoids, mulaw, polysys
 from horomod.cli import build_parser, main
 from horomod.rootdata import make_root_datum, make_weight_monoid
 
@@ -817,13 +817,44 @@ def test_small_requests_always_end_in_one_envelope(argv):
     assert time.perf_counter() - start < 2
 
 
-def test_membership_search_cost_is_capped(capsys):
-    # 2.6 million search nodes over 311 membership searches without a cap.
+# The Hilbert basis of saturate A3 '1,0,-2;3,-1,2;3,1,-1;1,3,3', as the
+# natural-sum search of tests/oracles.py gives it with no node cap: it
+# takes 398 954 nodes, past that search's default cap of 150 000.
+A3_HILBERT_BASIS = [
+    [1, 0, -2], [1, 0, -1], [1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 2, 2], [1, 3, 3],
+    [2, 0, 1], [2, 1, 2], [2, 2, 3], [3, -1, 2], [3, 0, 2], [3, 1, 3], [3, 2, 4],
+]
+
+
+def test_saturation_answers_without_a_membership_search(capsys):
     start = time.perf_counter()
     code, blob = run_json(capsys, "saturate", "A3", "1,0,-2;3,-1,2;3,1,-1;1,3,3")
     assert time.perf_counter() - start < 2
+    assert code == 0
+    assert blob["payload"]["generators"] == A3_HILBERT_BASIS
+
+
+def test_saturation_cost_is_estimated_before_the_dominance_pass(capsys, monkeypatch):
+    def never(values):
+        raise AssertionError("the dominance pass ran")
+
+    monkeypatch.setattr(monoids, "_undominated", never)
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "saturate", "A2", "1,0;1,1;1,5000")
+    assert time.perf_counter() - start < 2
     assert code == 4
     assert blob["error"]["type"] == "resource"
+    assert blob["error"]["message"] == (
+        "saturation would compare 225135020 facet values of 15005 cone points,"
+        " past the cap 10000000"
+    )
+
+
+def test_saturation_keeps_a_thousand_generators_of_one_cone(capsys):
+    # The cone between (1,0) and (1,1000) over Z^2: every (1,k) is irreducible.
+    code, blob = run_json(capsys, "saturate", "A2", "1,0;1,1;1,1000")
+    assert code == 0
+    assert blob["payload"]["generators"] == [[1, k] for k in range(1001)]
 
 
 def test_saturate_counts_the_lattice_points_it_builds(capsys):

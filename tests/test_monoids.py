@@ -2,10 +2,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from horomod import linalg, monoids
-from horomod.errors import ValidationError
+from horomod.errors import ResourceError, ValidationError
 from horomod.monoids import saturation, semigroup_presentation
 from horomod.rootdata import (
     make_root_datum,
@@ -13,11 +13,12 @@ from horomod.rootdata import (
     make_weight_monoid,
     positive_roots,
 )
-from oracles import is_free, minimal_generators
+from oracles import SEARCH_CAP, _is_sum, is_free, minimal_generators, search_saturation
 
 A1 = make_root_datum("A1")
 A2 = make_root_datum("A2")
 A3 = make_root_datum("A3")
+GROUPS = {1: A1, 2: A2, 3: A3}
 
 
 def test_generator_validation():
@@ -55,7 +56,7 @@ def test_saturation_rank_two_lattice_point_appears():
     # and (1,2) is not a natural combination of the three generators
     gens = [(1, 0), (1, 1), (1, 3)]
     phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._hnf(gens)))
-    assert not monoids._is_sum(gens, (1, 2), phi, [monoids._SEARCH_CAP])
+    assert not _is_sum(gens, (1, 2), phi, [SEARCH_CAP])
     m = make_weight_monoid(A2, gens)
     sat = saturation(m)
     assert sat.generators == ((1, 0), (1, 1), (1, 2), (1, 3))
@@ -182,6 +183,25 @@ def test_facet_test_agrees_with_caratheodory(gens):
         assert all(l <= v <= h for v, l, h in zip(y, lo, hi))
         in_cone = all(sum(a * b for a, b in zip(u, y)) >= 0 for u in normals)
         assert in_cone == _caratheodory(gens, y, len(basis)), (gens, y)
+
+
+@seed(20033)
+@settings(max_examples=60, deadline=None)
+@given(_generator_lists())
+# The natural-sum search needs 162 222 and 268 798 nodes on these two.
+@example([(-3, 2, -1), (-1, -2, 0), (2, 1, -3), (-2, 1, 0)])
+@example([(0, -3, -1), (-1, 1, 0), (3, 0, -3), (-2, 1, -2)])
+def test_saturation_agrees_with_the_membership_search(gens):
+    monoid = make_weight_monoid(GROUPS[len(gens[0])], gens)
+    try:
+        want = search_saturation(monoid, 2 * SEARCH_CAP)
+    except ResourceError:
+        return
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            saturation(monoid)
+        return
+    assert saturation(monoid).generators == want
 
 
 SATURATION_CASES = [
