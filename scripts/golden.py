@@ -20,8 +20,10 @@ with the exit code, stdout and stderr of every request.  The script
 prints how many requests differ, then each differing argv after its
 exit code under OTHER_SRC and here (3 -> 0, say), then the
 horomod functions that neither a request nor one of the other
-scripts (SCRIPTS) entered on this checkout's side, and exits 0 either
-way.
+scripts (SCRIPTS) entered on this checkout's side.  Last it prints each
+request that, on this checkout's side, broke the error contract: it
+ended in a traceback, or in an exit code other than 0, 2, 3 and 4.  It
+exits 1 if there is one and 0 otherwise, whatever the differences.
 """
 
 import contextlib
@@ -600,6 +602,17 @@ def differences(cases, ours, theirs):
     return differing
 
 
+def contract_breaches(cases, results):
+    """(argv, exit code) of each request that ended in a traceback or in
+    an exit code outside the error contract."""
+    return [
+        (argv, step[0])
+        for steps, result in zip(cases, results)
+        for argv, step in zip(steps, result["steps"])
+        if step[0] not in (0, 2, 3, 4)
+    ]
+
+
 def compare(cases, ours, theirs):
     """The argvs of the differing requests."""
     return [argv for argv, _, _ in differences(cases, ours, theirs)]
@@ -623,7 +636,11 @@ def main(argv):
     print(f"golden: {len(unentered)} horomod functions no request or script entered in {SRC}")
     for name in unentered:
         print("  " + name)
-    return 0
+    breaches = contract_breaches(cases, ours)
+    print(f"golden: {len(breaches)} requests in {SRC} end in a traceback or an exit code outside 0, 2, 3, 4")
+    for argv, code in breaches:
+        print(f"  {code}  {shlex.join(argv)}")
+    return 1 if breaches else 0
 
 
 if __name__ == "__main__":

@@ -1,19 +1,19 @@
-"""Rank-one law channels and the linearized law equations.
+"""The rank-one law system: channels, window, unknowns and both law routes.
 
 For A1 the Hom channels of V(a) (x) V(b) -> V(a+b-2i) are the
-transvectants of binary forms.  _channel_coeff gives the i-th
+transvectants of binary forms.  channel_coeff gives the i-th
 transvectant on a monomial pair, and ChannelTable serves those
 coefficients to both law routes, each value computed once per call;
-mulaw.transvectants looks each key up once, and calls _channel_coeff.
+mulaw.transvectants calls channel_coeff for the orbit laws.
 
 This layer also holds the monoid window, the unknowns m[a,b,i], the
 commutativity rows, the associativity windows, the cost check, the
 one expansion of an associator into channel terms, and its inputs:
 the weight vectors of the triple product with s = 0.  Both law routes
 read those rows: law_tangent, the linearization at the graded law,
-their top-channel terms, and mulaw.law_equations, the full quadratic
-system and its oracle, every term.  So law_tangent runs neither mulaw
-nor polysys.
+their top-channel terms, and law_equations, the full quadratic system
+and its oracle, every term.  law_equations imports polysys when it
+runs, so law_tangent runs neither mulaw nor polysys.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .errors import ResourceError, ValidationError
 from . import linalg
 
 if TYPE_CHECKING:
-    from .rootdata import RootDatum, WeightMonoid
+    from .polysys import PolySystem
+    from .rootdata import WeightMonoid
 
 Weight = Tuple[int, ...]
 Mono = Tuple[int, ...]  # sorted unknown indices, as in polysys
@@ -36,9 +37,13 @@ _WINDOW_CAP = 100_000
 # Cap on the cost estimate of _check_law_cost for the linear rows.  The largest
 # window admitted for n = 1..6, D = 32..83, takes 0.03-0.17 s in process.
 _TANGENT_COST_CAP = 100_000_000
+# Cap on the cost estimate of _check_law_cost for the full system.  The
+# largest window admitted for n = 1..6, D = 15..41, takes 0.004-0.31 s in
+# process, best of 5; up to it the time grows about as D^5.6 for n = 1, 2.
+_SYSTEM_COST_CAP = 1_000_000
 
 
-def _channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
+def channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
     """Coefficient of the i-th transvectant on the monomial pair
     (x^(a-s) y^s, x^(b-t) y^t); the result is the single monomial of
     y-exponent s+t-i in degree a+b-2i."""
@@ -56,12 +61,12 @@ def _channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
 
 
 class ChannelTable(dict):
-    """_channel_coeff keyed by (a, s, b, t, i), each value computed on
+    """channel_coeff keyed by (a, s, b, t, i), each value computed on
     its first lookup.  A route builds one table per call, so it holds no
     more than that call looks up and is freed when the call returns."""
 
     def __missing__(self, key: Tuple[int, int, int, int, int]) -> int:
-        value = self[key] = _channel_coeff(*key)
+        value = self[key] = channel_coeff(*key)
         return value
 
 
@@ -86,10 +91,6 @@ def monoid_window(monoid: WeightMonoid, bound: int) -> Tuple[Weight, ...]:
             raise ResourceError("monoid window enumeration cap exceeded")
         frontier = nxt
     return tuple(sorted(seen))
-
-
-def _is_a1(rd: RootDatum) -> bool:
-    return rd.rank == 1
 
 
 def _triples(pos: List[int], truncation: int) -> Iterable[Tuple[int, int, int]]:
@@ -123,7 +124,7 @@ def _law_unknowns(
     cost check against cap.  The multiples of the smallest generator lie
     in the window, so their cost bounds the window's from below and is
     checked before the window is listed."""
-    if not _is_a1(monoid.rd):
+    if monoid.rd.rank != 1:
         raise ValidationError("equation generation is implemented for rank one")
     step = min((g[0] for g in monoid.generators if g[0]), default=0)
     if step > 0:
@@ -228,7 +229,7 @@ def _weight_vector_rows(
 
 
 def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The kernel of the linear part of mulaw.law_equations(monoid,
+    """The kernel of the linear part of law_equations(monoid,
     truncation) at the all-zero point, as (dim, one grade per kernel
     direction), from the linear rows alone.
 
@@ -274,3 +275,22 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
             add(row, r)
     weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
     return len(weights), weights
+
+
+def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
+    """Commutativity and associativity constraints on a rank-one law
+    window, as an exact polynomial system in the non-top coefficients:
+    the associator of each window, every term, on the weight vectors of
+    its triple product with s = 0, each grade as the reduced basis of
+    its span (polysys.reduced_equations)."""
+    from .polysys import PolySystem, reduced_equations
+
+    ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
+    coeff = ChannelTable()
+    names = tuple(f"m[{a},{b},{i}]" for (a, b, i) in index)
+    grades = tuple((i,) for (_, _, i) in index)
+    rows = [(row, (i,)) for row, i in _commutativity_rows(index)]
+    for a, b, c, _, r in _associativity_windows(ints, pos, truncation):
+        for row in _weight_vector_rows(index, coeff, a, b, c, r, range(r + 1)):
+            rows.append((row, (r,)))
+    return PolySystem(names, grades, reduced_equations(rows, names))

@@ -254,7 +254,7 @@ def _law_monoid(args):
 
 def _cmd_law_equations(args):
     mon = _law_monoid(args)
-    system = mulaw.law_equations(mon, args.truncation)
+    system = channels.law_equations(mon, args.truncation)
     equations = polysys.equation_texts(system)
     if args.export_system:
         _write_file(args.export_system, polysys.system_to_text(system, equations))

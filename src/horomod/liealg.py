@@ -38,7 +38,7 @@ from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, check_size, clip
-from .linalg import RowSpace, Sparse, sparse
+from .linalg import RowSpace, Sparse, sparse, transpose
 from .rootdata import RootDatum, Weight
 
 if TYPE_CHECKING:
@@ -150,11 +150,7 @@ def natural(rd: RootDatum) -> ExplicitModule:
 
 def dual(m: ExplicitModule) -> ExplicitModule:
     def neg_t(mat: Matrix) -> Matrix:
-        out: Matrix = {}
-        for c, col in mat.items():
-            for r, v in col.items():
-                out.setdefault(r, {})[c] = -v
-        return out
+        return {r: {c: -v for c, v in row.items()} for r, row in transpose(mat).items()}
 
     return ExplicitModule(
         m.rd, tuple(tuple(-c for c in w) for w in m.basis_weights), tuple(neg_t(x) for x in m.ops)
@@ -434,10 +430,7 @@ def orbit_tangent(m: ExplicitModule, x: Sequence) -> RowSpace:
 def stabilizer_lie(m: ExplicitModule, x: Sequence) -> List[Sparse]:
     """Kernel of xi -> xi.x, as Chevalley coefficient vectors."""
     vec = _check_point(m, x)
-    rows: Dict[int, Sparse] = {}
-    for k, mat in enumerate(m.ops):
-        for r, val in act(mat, vec).items():
-            rows.setdefault(r, {})[k] = val
+    rows = transpose({k: act(mat, vec) for k, mat in enumerate(m.ops)})
     return RowSpace(len(m.ops), rows.values()).kernel()
 
 
@@ -558,12 +551,8 @@ def fixed_in_quotient(
     position = {p: j for j, p in enumerate(passing)}
     rows: List[Sparse] = []
     for mat in lie:
-        by_coord: Dict[int, Sparse] = {}
-        for p, col in mat.items():
-            if p in position:
-                for r, val in span.reduce(col).items():
-                    by_coord.setdefault(r, {})[position[p]] = val
-        rows.extend(by_coord.values())
+        images = {position[p]: span.reduce(col) for p, col in mat.items() if p in position}
+        rows.extend(transpose(images).values())
     w_basis = [
         {passing[j]: val for j, val in k.items()}
         for k in RowSpace(len(passing), rows).kernel()

@@ -37,6 +37,16 @@ def sparse(vec: AnyVector) -> Sparse:
     return {c: x for c, x in items if x}
 
 
+def transpose(columns: Mapping[int, Sparse]) -> Dict[int, Sparse]:
+    """The rows {row: {column: value}} of the matrix whose sparse
+    columns are {column: sparse column}."""
+    rows: Dict[int, Sparse] = {}
+    for c, col in columns.items():
+        for r, x in col.items():
+            rows.setdefault(r, {})[c] = x
+    return rows
+
+
 def read_rational(text: str) -> Number:
     """The exact number an integer, p/q or plain decimal spells, each run
     of digits at most MAX_DIGITS long: an int for an integer, a Fraction

@@ -1,4 +1,4 @@
-"""Graded multiplication laws and their structure equations.
+"""Graded multiplication laws, their JSON form and the laws of orbit closures.
 
 A law is a finite window of structure coefficients c[lam,mu,i] for a
 multiplicity-free weight monoid: the product of the weight-lam and
@@ -7,26 +7,18 @@ channel is fixed to 1, and each coefficient carries the grade
 lam+mu-nu as a natural combination of simple roots.
 
 For rank one everything is explicit: channels are transvectants of
-binary forms, commutativity and associativity expand into a polynomial
-system with integer coefficients, kept as the reduced row-echelon basis
-of each grade's span in polysys canonical form, the linearization at
-the all-zero point computes the tangent space with its torus weights,
-and the laws of orbit closures, honest numeric points to feed back in,
-are read off transvectants of the powers of the orbit's covariant:
-exact arithmetic on binary forms, with no functions on the group.  A
-form is its coefficient sequence; integer forms stay int, the covariant
-and its powers are int whatever the form, and a Fraction appears only
-where a value is not an integer: a coefficient of a form or a law.
+binary forms, and the laws of orbit closures, honest numeric points to
+feed back in, are read off transvectants of the powers of the orbit's
+covariant: exact arithmetic on binary forms, with no functions on the
+group.  A form is its coefficient sequence; integer forms stay int, the
+covariant and its powers are int whatever the form, and a Fraction
+appears only where a value is not an integer: a coefficient of a form
+or a law.
 
-The tangent space has two routes.  channels.law_tangent builds only
-the linear rows of the system, grade by grade, with integer
-coefficients; law_equations here builds the full quadratic system,
-whose linearization in the tests is the oracle for the first.
-Both refuse a window past a cost estimate before building anything,
-and both read the window, its unknowns, the channel coefficients and
-the associator on the s = 0 weight vectors of each window from the
-channels layer; the singular vectors of the triple product are an
-oracle in the tests only.
+The structure equations themselves, the full system and its
+linearization at the all-zero point, are the channels layer's
+(channels.law_equations and channels.law_tangent); this layer reads
+only channel_coeff and monoid_window from it, and no polysys.
 """
 
 from __future__ import annotations
@@ -37,17 +29,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, clip
 from . import linalg
-from .channels import (
-    ChannelTable,
-    _associativity_windows,
-    _channel_coeff,
-    _commutativity_rows,
-    _is_a1,
-    _law_unknowns,
-    _weight_vector_rows,
-    monoid_window,
-)
-from .polysys import Grade, PolySystem, primitive_ints, reduced_equations
+from .channels import channel_coeff, monoid_window
 from .rootdata import (
     RootDatum,
     RootMonoid,
@@ -64,9 +46,6 @@ Weight = Tuple[int, ...]
 LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
-# Cap on the cost estimate of channels._check_law_cost for the full system.  The
-# largest window admitted for n = 1..6, D = 15..41, takes 0.004-0.19 s in process.
-_SYSTEM_COST_CAP = 1_000_000
 
 
 # ------------------------------------------------------------ binary forms
@@ -95,7 +74,7 @@ def transvectants(f: Form, g: Form, top: int) -> List[Tuple[Q, ...]]:
             for i, row in enumerate(out):
                 m = s + t - i
                 if 0 <= m < len(row):
-                    row[m] += p * _channel_coeff(df, s, dg, t, i)
+                    row[m] += p * channel_coeff(df, s, dg, t, i)
     return [tuple(row) for row in out]
 
 
@@ -109,7 +88,7 @@ class MultiplicationLaw(NamedTuple):
     coeffs: Dict[LawKey, Q]
 
 
-def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Grade:
+def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Tuple[int, ...]:
     grade = natural_root_coords(rd, tuple(l + m - n for l, m, n in zip(lam, mu, nu)))
     if grade is None:
         raise ValidationError(
@@ -146,7 +125,7 @@ def make_law(
             raise ValidationError("channel 0 must be exactly the top component")
         if ch == 0 and val != 1:
             raise ValidationError("top-channel coefficient must be 1")
-        if _is_a1(rd):
+        if rd.rank == 1:
             if ch < 0 or ch > min(lam[0], mu[0]) or nu[0] != lam[0] + mu[0] - 2 * ch:
                 raise ValidationError(f"bad channel {ch} for ({lam},{mu})->{nu}")
         if (not any(lam) and nu != mu) or (not any(mu) and nu != lam):
@@ -296,26 +275,6 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
     return make_law(rd, monoid, _json_int("truncation", data["truncation"]), coeffs)
 
 
-# --------------------------------------------- rank-one equation system
-
-
-def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
-    """Commutativity and associativity constraints on a rank-one law
-    window, as an exact polynomial system in the non-top coefficients:
-    the associator of each window, every term, on the weight vectors of
-    its triple product with s = 0, each grade as the reduced basis of
-    its span (polysys.reduced_equations)."""
-    ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
-    coeff = ChannelTable()
-    names = tuple(f"m[{a},{b},{i}]" for (a, b, i) in index)
-    grades = tuple((i,) for (_, _, i) in index)
-    rows = [(row, (i,)) for row, i in _commutativity_rows(index)]
-    for a, b, c, _, r in _associativity_windows(ints, pos, truncation):
-        for row in _weight_vector_rows(index, coeff, a, b, c, r, range(r + 1)):
-            rows.append((row, (r,)))
-    return PolySystem(names, grades, reduced_equations(rows, names))
-
-
 # ----------------------------------------------------- orbit laws (A1)
 
 
@@ -360,10 +319,10 @@ def _hw_covariant(forms: Sequence[Form], nbar: int) -> Tuple[int, ...]:
         )
     if not tops:
         raise ValidationError("singular covariant vanished after normalization")
-    v = tops[0]
-    # primitive_ints makes the first entry positive: read v from its end.
-    last = max(j for j, c in enumerate(v) if c)
-    return tuple(primitive_ints(v[last::-1])[::-1] + [0] * (nbar - last))
+    # The form reversed has its pivot at the form's last nonzero entry,
+    # where its primitive row is positive.
+    (row,) = linalg.RowSpace(nbar + 1, [tops[0][::-1]]).primitive.values()
+    return tuple(row.get(nbar - j, 0) for j in range(nbar + 1))
 
 
 def orbit_law(
@@ -384,7 +343,7 @@ def orbit_law(
     monomial basis of the channel coefficients, and the coefficient is
     k / (i! perm(a,i) perm(b,i) perm(a+b-i+1,i)), whatever the form.
     The tests keep the route through functions on SL2 as the oracle."""
-    if not _is_a1(monoid.rd):
+    if monoid.rd.rank != 1:
         raise ValidationError("orbit laws are implemented for rank one")
     if truncation > MAX_ORBIT_TRUNCATION:
         raise ValidationError(

@@ -10,17 +10,20 @@ generated rows into the reduced row-echelon basis of each grade's
 span, so a system depends on its spans and not on the route that
 generated them.  equation_texts renders each equation once, in the one
 order the output shows, and system_to_text exports those texts one per
-line.
+line.  In the package channels.law_equations alone builds a
+PolySystem, and imports this layer when it runs.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from numbers import Rational
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
 from .linalg import RowSpace
+
+if TYPE_CHECKING:
+    from numbers import Rational
 
 Mono = Tuple[int, ...]  # sorted unknown indices; () is the constant monomial
 Grade = Tuple[int, ...]  # degree in the simple roots

@@ -30,14 +30,13 @@ from .liealg import (
     DiagCongruence,
     ExplicitModule,
     StabilizerSpec,
-    _check_point,
     act,
     fixed_in_quotient,
     isotypic_components,
     lie_matrix,
     orbit_tangent,
 )
-from .linalg import RowSpace, Sparse
+from .linalg import RowSpace, Sparse, sparse, transpose
 from .rootdata import Weight, tangent_weight
 
 RootVector = Tuple[int, ...]
@@ -114,11 +113,8 @@ def _graded_weights(
     whose residual modulo span raises the rank counts its grade once."""
     cols = [(lam, b) for lam, basis in comps for b in basis]
     n = len(cols)
-    by_coord: Dict[int, Sparse] = {}
-    for j, v in enumerate([b for _, b in cols] + list(survivors)):
-        for r, x in v.items():
-            by_coord.setdefault(r, {})[j] = x
-    red = RowSpace(n + len(survivors), by_coord.values())
+    vectors = [b for _, b in cols] + list(survivors)
+    red = RowSpace(len(vectors), transpose(dict(enumerate(vectors))).values())
     pieces: List[Tuple[RootVector, Sparse]] = []
     for j in range(n, n + len(survivors)):
         parts: Dict[RootVector, Sparse] = {}
@@ -154,7 +150,8 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
                 f"congruence {_fmt_congruence(c)} has {len(c.coeffs)} "
                 f"coefficients, expected one per simple root ({m.rd.rank})"
             )
-    point = _check_point(m, x)
+    tangent = orbit_tangent(m, x)  # checks x
+    point = sparse(x)
     lie = [lie_matrix(m, coeffs) for coeffs in stab.lie_part]
     if any(act(mat, point) for mat in lie):
         raise ValidationError("stabilizer Lie part does not annihilate the point")
@@ -172,7 +169,6 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
     passing = stab.passing(m.basis_weights)
     fixed = RowSpace(m.dim)
     dim_b = len(fixed_in_quotient(fixed, lie, passing))
-    tangent = orbit_tangent(m, x)
     for row in tangent.primitive.values():
         fixed.add(row)
     # dim(g.x meet V^{G_x}), read before the quotient below extends tangent.

@@ -11,18 +11,18 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from horomod import linalg, monoids
 from horomod.channels import (
+    _SYSTEM_COST_CAP,
     _TANGENT_COST_CAP,
     ChannelTable,
     _add_associator,
     _associator_plan,
     _associativity_windows,
     _commutativity_rows,
-    _is_a1,
     _law_unknowns,
     monoid_window,
 )
 from horomod.errors import ResourceError, ValidationError
-from horomod.mulaw import _SYSTEM_COST_CAP, LawKey, MultiplicationLaw
+from horomod.mulaw import LawKey, MultiplicationLaw
 from horomod.polysys import Grade, Mono, PolySystem, canonical_poly
 from horomod.repcalc import (
     DEFAULT_DIM_CAP,
@@ -236,7 +236,7 @@ def triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, 
 
 
 def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
-    """The system of mulaw.law_equations before its reduction: the
+    """The system of channels.law_equations before its reduction: the
     commutativity rows, then the associator of each window, every term,
     on each singular vector of its triple product, each row in canonical
     form, as generated and with repeats."""
@@ -328,7 +328,7 @@ def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]
 
 def law_unknown_values(law: MultiplicationLaw) -> Dict[str, Q]:
     """The non-top coefficients of a rank-one law, by unknown name."""
-    if not _is_a1(law.rd):
+    if law.rd.rank != 1:
         raise ValidationError("unknown naming is defined for rank one")
     out: Dict[str, Q] = {}
     for (lam, mu, nu, ch), val in law.coeffs.items():

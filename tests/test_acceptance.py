@@ -9,13 +9,12 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 
-from horomod.channels import _commutativity_rows, _law_unknowns
+from horomod.channels import _commutativity_rows, _law_unknowns, law_equations
 from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
 from horomod.linalg import RowSpace
 from horomod.monoids import saturation
 from horomod.mulaw import (
     contract,
-    law_equations,
     orbit_law,
     root_monoid_of_law,
 )

@@ -37,18 +37,18 @@ def test_table_returns_the_alternating_sum():
 
 @pytest.mark.parametrize(
     "route, top, expected",
-    [(law_tangent, 16, (1, ((2,),))), (mulaw.law_equations, 12, None)],
+    [(law_tangent, 16, (1, ((2,),))), (channels.law_equations, 12, None)],
     ids=["law_tangent", "law_equations"],
 )
 def test_a_law_route_evaluates_each_key_once_per_call(monkeypatch, route, top, expected):
     calls = Counter()
-    channel_coeff = channels._channel_coeff
+    channel_coeff = channels.channel_coeff
 
     def counting(*key):
         calls[key] += 1
         return channel_coeff(*key)
 
-    monkeypatch.setattr(channels, "_channel_coeff", counting)
+    monkeypatch.setattr(channels, "channel_coeff", counting)
     mon = make_weight_monoid(A1, [(2,)])
     result = route(mon, top)
     assert expected is None or result == expected

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from horomod import __version__, cli, liealg, monoids, mulaw, polysys
+from horomod import __version__, channels, cli, liealg, monoids, polysys
 from horomod.cli import build_parser, main
 from horomod.rootdata import make_root_datum, make_weight_monoid
 
@@ -374,7 +374,7 @@ def test_law_equations_render_each_equation_once(tmp_path, capsys, monkeypatch):
     """The payload and the exported file read one list: each equation is
     rendered once, and the texts are distinct, ordered by grade, largest
     monomial degree, then text."""
-    system = mulaw.law_equations(make_weight_monoid(make_root_datum("A1"), [(1,)]), 15)
+    system = channels.law_equations(make_weight_monoid(make_root_datum("A1"), [(1,)]), 15)
     key = {
         polysys.render_poly(cp, system.unknowns): (g, max(len(m) for m, _ in cp))
         for cp, g in system.equations
@@ -1634,7 +1634,7 @@ def test_t1_refuses_a_congruence_of_the_wrong_length_first(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the point was checked before the congruence")
 
-    monkeypatch.setattr("horomod.tangent._check_point", no_work)
+    monkeypatch.setattr("horomod.tangent.orbit_tangent", no_work)
     code, blob = run_json(capsys, "t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1,5:2")
     assert code == 3
     assert blob["error"] == {

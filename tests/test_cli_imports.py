@@ -2,6 +2,7 @@
 interpreter.  A layer whose body has not run is still the lazy module
 type; type() does not trigger the load."""
 
+import ast
 import json
 import os
 import re
@@ -74,6 +75,7 @@ FLAG = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
     "argv",
     [
         ["law-tangent", "A1", "2", "--truncation", "8"],
+        ["law-equations", "A1", "2", "--truncation", "8"],
         ["dim", "A2", "1,1"],
         ["weights", "A2", "1,1"],
         ["reproduce-example1"],
@@ -84,14 +86,14 @@ FLAG = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
         ["tangent-weight", "A2", "1,1", "0,0"],
         ["dominance", "A2", "0,0", "1,1"],
     ],
-    ids=["law-tangent", "dim", "weights", "reproduce-example1", "reproduce-example2",
+    ids=["law-tangent", "law-equations", "dim", "weights", "reproduce-example1", "reproduce-example2",
          "t1-flag", "stabilizer", "orbit-tangent", "tangent-weight", "dominance"],
 )
 def test_integer_requests_import_no_fractions(argv):
     """A request that reads and prints no rational loads none of
     fractions, decimal and numbers: integer points are read as ints,
-    root coordinates are computed in integers, and RowSpace eliminates
-    in integers."""
+    root coordinates are computed in integers, RowSpace eliminates in
+    integers, and the law equations have integer coefficients."""
     out = probe(argv, expr=NUMERIC)
     assert out["code"] == 0
     assert out["probe"] == []
@@ -188,8 +190,9 @@ def test_law_tangent_runs_no_full_system_layer():
     assert not ran & {"horomod.mulaw", "horomod.polysys", "horomod.monoids"}
 
 
-@pytest.mark.parametrize("command", ["law-equations", "orbit-law", "contract", "root-monoid"])
-def test_law_requests_run_no_monoid_layer(tmp_path, command):
+def law_request(tmp_path, command):
+    """The layers a law request ran, in a fresh interpreter; contract
+    and root-monoid read the law that orbit-law writes first."""
     law = tmp_path / "law.json"
     argv = {
         "law-equations": ["law-equations", "A1", "2", "--truncation", "8"],
@@ -202,9 +205,33 @@ def test_law_requests_run_no_monoid_layer(tmp_path, command):
         assert probe(argv["orbit-law"])["code"] == 0
     out = probe(argv[command])
     assert out["code"] == 0
-    ran = {name for name, did in out["layers"].items() if did}
-    assert {"horomod.mulaw", "horomod.rootdata"} <= ran
+    return {name for name, did in out["layers"].items() if did}
+
+
+# The law system lives in channels, with polysys for its output; the
+# other law requests read and write laws through mulaw.
+LAW_LAYERS = {
+    "law-equations": {"horomod.channels", "horomod.polysys", "horomod.rootdata"},
+    "orbit-law": {"horomod.mulaw", "horomod.rootdata"},
+    "contract": {"horomod.mulaw", "horomod.rootdata"},
+    "root-monoid": {"horomod.mulaw", "horomod.rootdata"},
+}
+
+
+@pytest.mark.parametrize("command", list(LAW_LAYERS))
+def test_law_requests_run_no_monoid_layer(tmp_path, command):
+    ran = law_request(tmp_path, command)
+    assert LAW_LAYERS[command] <= ran
     assert "horomod.monoids" not in ran
+    if command == "law-equations":
+        assert "horomod.mulaw" not in ran
+
+
+@pytest.mark.parametrize("command", ["orbit-law", "contract", "root-monoid"])
+def test_orbit_law_requests_run_no_polynomial_layer(tmp_path, command):
+    """mulaw normalizes the covariant with a RowSpace and leaves the
+    equations to channels, so a law read or written never runs polysys."""
+    assert "horomod.polysys" not in law_request(tmp_path, command)
 
 
 def test_a_layer_imported_first_is_reused():
@@ -249,3 +276,26 @@ def test_no_layer_imports_dataclasses():
     assert sources
     for path in sources:
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_layer_reads_another_layers_private_names():
+    """No package module imports an underscore name from another, or
+    reads one as module._name: each private name has one home."""
+    package = Path(horomod.__file__).resolve().parent
+    layers = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        others = layers - {path.stem}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("horomod")):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in others:
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names if _private(name)]
+    assert found == []

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horomod import channels, mulaw
-from horomod.channels import law_tangent, monoid_window
+from horomod.channels import law_equations, law_tangent, monoid_window
 from horomod.errors import ResourceError, ValidationError
 from horomod.mulaw import (
     MAX_ORBIT_TRUNCATION,
     contract,
-    law_equations,
     law_from_json_dict,
     law_to_json_dict,
     make_law,

@@ -14,7 +14,7 @@ from horomod.liealg import (
     unipotent_radical_spec,
 )
 from horomod.linalg import RowSpace
-from horomod.mulaw import law_equations
+from horomod.channels import law_equations
 from horomod.rootdata import make_root_datum, make_weight_monoid, tangent_weight
 from horomod.tangent import TangentReport, report_to_json_dict, t1_invariant
 from oracles import tangent_at_horospherical
