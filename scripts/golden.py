@@ -11,12 +11,16 @@ without --lie-u and --diag, orbit-tangent, stabilizer and t1 at points
 with fractions, the flag multicones A2-A8, both examples, weights and
 tensor requests up to the default dimension cap, the law requests,
 orbit laws drawn as the orbit-law sweep of the tests draws them, and
-last a few requests that once ran for seconds (bound_cases).  It runs
-the whole list through horomod.cli.main once under this checkout's src
-and once under OTHER_SRC, each side in its own subprocess.  Each case runs in a fresh temporary working directory, and
-a case of several requests runs them there in turn: requests that write
-files name them relatively, and the files left behind are compared along
-with the exit code, stdout and stderr of every request.  The script
+a few requests that once ran for seconds (bound_cases), and last
+law files each spoiled in one way, and requests with two bad inputs,
+which show the input read first (input_cases).  It runs the whole list
+through horomod.cli.main once under this checkout's src and once under
+OTHER_SRC, each side in its own subprocess.  Each case runs in a fresh
+temporary working directory, and its steps run there in turn: a step is
+a request, or {"write": NAME, "text": TEXT}, which writes an input file
+for the requests after it.  Requests that write files name them
+relatively, and the files left behind are compared along with the exit
+code, stdout and stderr of every request.  The script
 prints how many requests differ, then each differing argv after its
 exit code under OTHER_SRC and here (3 -> 0, say), then the
 horomod functions that neither a request nor one of the other
@@ -472,6 +476,83 @@ def bound_cases():
     return cases
 
 
+def coefficient(lam, mu, nu, channel, value="1"):
+    return {"lam": [lam], "mu": [mu], "nu": [nu], "channel": channel, "value": value}
+
+
+# A law of the A1 monoid generated by 2, truncated at 4.
+LAW = {
+    "rd": {"label": "A1", "cartan": [[2]]},
+    "monoid": {"generators": [[2]]},
+    "truncation": 4,
+    "coeffs": [coefficient(2, 2, 4, 0), coefficient(2, 2, 0, 2, "1/6")],
+}
+
+
+def law_text(**fields):
+    """LAW as JSON text, with the top-level fields given replaced; None
+    drops a field."""
+    return json.dumps({k: v for k, v in {**LAW, **fields}.items() if v is not None})
+
+
+def spoiled_laws():
+    """Law files each refused in one way, on reading or on checking."""
+    unit = {"rd": {"label": "A2"}, "monoid": {"generators": [[1, 0]]}, "truncation": 6,
+            "coeffs": [{"lam": [0, 0], "mu": [3, 0], "nu": [0, 0], "channel": 1, "value": "1"}]}
+    return [
+        "{",
+        "[" * 100_000,
+        law_text().replace('"truncation": 4', '"truncation": ' + "7" * 4301),
+        "\udcff",
+        "[]",
+        law_text(extra=1),
+        law_text(coeffs=None),
+        law_text(truncation=4.0),
+        law_text(truncation=-1),
+        law_text(rd={"label": "A1", "cartan": [[3]]}),
+        law_text(rd={"label": [1]}),
+        law_text(coeffs=[coefficient(2, 2, 4, 0, 0.5)]),
+        law_text(coeffs=[coefficient(2, 2, 4, 0), coefficient(2, 2, 4, 0)]),
+        law_text(coeffs=[coefficient(2, 2, 0, 1)]),
+        law_text(coeffs=[coefficient(2, 2, 4, 0, "2")]),
+        law_text(coeffs=[coefficient(2, 2, 0, 0)]),
+        law_text(coeffs=[coefficient(2, 4, 6, 0)]),
+        law_text(coeffs=[coefficient(4, 2, 2, 2)]),
+        law_text(coeffs=[coefficient(2, 0, 4, 1)]),
+        json.dumps(unit),
+    ]
+
+
+# Requests with two bad inputs; the error names the one read first.
+TWO_BAD_INPUTS = [
+    ["hwv", "B2", "nat("],
+    ["orbit-tangent", "A1", "nat(", "x"],
+    ["t1", "--diag=1:x", "A1", "sym(2,natural(2))", "x"],
+    ["contract", "missing.json", "x"],
+    ["orbit-law", "A1", "x", "--form", "y", "--truncation", "4"],
+]
+
+
+def input_cases():
+    """Each spoiled law file, written and then read by root-monoid and
+    contract; the good law read by contract at a point of the wrong
+    length and at a malformed one; a malformed congruence; and
+    TWO_BAD_INPUTS."""
+    cases = [
+        [{"write": "law.json", "text": text}, ["root-monoid", "law.json"], ["contract", "law.json", "x"]]
+        for text in spoiled_laws()
+    ]
+    cases.append([{"write": "law.json", "text": law_text()}, ["root-monoid", "law.json"],
+                  ["contract", "law.json", "1,2"], ["contract", "law.json", "x"], ["contract", "law.json", "2"]])
+    cases.append([["t1", "--diag=1:x", "A1", "sym(2,natural(2))", "1,0,0"]])
+    return cases + [[argv] for argv in TWO_BAD_INPUTS]
+
+
+def requests(steps):
+    """The steps of a case that are requests, not files to write."""
+    return [step for step in steps if isinstance(step, list)]
+
+
 def golden_cases():
     """The fixed, seeded list: each case a list of argvs run in one
     working directory.  The U-fixed points come from this checkout's
@@ -495,20 +576,25 @@ def golden_cases():
         + law_cases()
         + orbit_law_cases(rng, mulaw, rootdata, errors)
         + [[argv] for argv in bound_cases()]
+        + input_cases()
     )
 
 
 def run_case(main, steps):
-    """Exit code, stdout and stderr of each step, then the files left
-    behind."""
+    """Exit code, stdout and stderr of each request, then the files left
+    behind.  A file is written as UTF-8, where a lone surrogate stands
+    for a byte that is not."""
     out = []
     with tempfile.TemporaryDirectory() as wd:
         os.chdir(wd)
-        for argv in steps:
+        for step in steps:
+            if isinstance(step, dict):
+                Path(step["write"]).write_text(step["text"], encoding="utf-8", errors="surrogateescape")
+                continue
             buf, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
                 try:
-                    code = main(list(argv))
+                    code = main(list(step))
                 except Exception as exc:  # a traceback is a result too
                     code = f"raised {type(exc).__name__}: {exc}"
             out.append([code, buf.getvalue(), err.getvalue()])
@@ -595,8 +681,9 @@ def differences(cases, ours, theirs):
     whose files differ."""
     differing = []
     for steps, a, b in zip(cases, ours, theirs):
-        for k, argv in enumerate(steps):
-            last = k == len(steps) - 1
+        argvs = requests(steps)
+        for k, argv in enumerate(argvs):
+            last = k == len(argvs) - 1
             if a["steps"][k] != b["steps"][k] or (last and a["files"] != b["files"]):
                 differing.append((argv, b["steps"][k][0], a["steps"][k][0]))
     return differing
@@ -608,7 +695,7 @@ def contract_breaches(cases, results):
     return [
         (argv, step[0])
         for steps, result in zip(cases, results)
-        for argv, step in zip(steps, result["steps"])
+        for argv, step in zip(requests(steps), result["steps"])
         if step[0] not in (0, 2, 3, 4)
     ]
 
@@ -628,7 +715,7 @@ def main(argv):
     cases = golden_cases()
     ours, unentered = run_side(SRC, cases)
     differing = differences(cases, ours, run_side(other, cases)[0])
-    total = sum(len(steps) for steps in cases)
+    total = sum(len(requests(steps)) for steps in cases)
     print(f"golden: {total} requests in {len(cases)} cases, {SRC} against {other}")
     print(f"golden: {len(differing)} requests differ in exit code, stdout, stderr or files")
     for argv, theirs, mine in differing:

@@ -50,7 +50,10 @@ def test_golden_set_covers_every_subcommand():
     golden = load_golden()
     (choices,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
     assert sorted(golden.SUBCOMMANDS) == sorted(choices)
-    helped = {tuple(argv) for steps in golden.golden_cases() for argv in steps if argv[-1:] == ["--help"]}
+    helped = {
+        tuple(argv) for steps in golden.golden_cases() for argv in golden.requests(steps)
+        if argv[-1:] == ["--help"]
+    }
     assert {(name, "--help") for name in choices} <= helped
 
 
@@ -70,3 +73,15 @@ def test_golden_set_compares_stdout_and_written_files(tmp_path):
     changed = json.loads(json.dumps(ours))
     changed[2]["files"]["law.json"] += " "
     assert golden.compare(cases, ours, changed) == [cases[2][-1]]
+
+
+def test_golden_writes_input_files_for_the_requests_after_them():
+    """A write step gives no result of its own; the requests after it
+    read the file, and the file left behind is compared."""
+    golden = load_golden()
+    cases = [[{"write": "law.json", "text": golden.law_text()}, ["root-monoid", "law.json"],
+              {"write": "law.json", "text": "{"}, ["root-monoid", "law.json"]]]
+    ours, _ = golden.run_side(golden.SRC, cases)
+    assert [code for code, *_ in ours[0]["steps"]] == [0, 3]
+    assert ours[0]["files"] == {"law.json": "{"}
+    assert golden.compare(cases, ours, ours) == []
