@@ -317,6 +317,29 @@ def test_resource_exit_code(capsys):
     assert blob["error"]["type"] == "resource"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["hwv", "B2", "nat("], "unknown root datum label 'B2'"),
+        (["orbit-tangent", "A1", "nat(", "x"], "unknown construction 'nat'"),
+        (["t1", "--diag=1:x", "A1", "sym(2,natural(2))", "x"],
+         "malformed congruence '1:x': expected coeffs:modulus"),
+        (["contract", "{missing}", "x"], "cannot read law file {missing}: "),
+        (["orbit-law", "A1", "x", "--form", "y", "--truncation", "4"],
+         "malformed weight 'x': expected comma-separated integers"),
+    ],
+    ids=["group-module", "module-point", "congruence-point", "law-point", "monoid-form"],
+)
+def test_of_two_bad_inputs_the_one_read_first_is_named(tmp_path, capsys, argv, message):
+    """The group is read first, then the module, the monoid, the law
+    file, the congruences and last the point; orbit-law reads its forms
+    after the monoid."""
+    missing = str(tmp_path / "missing.json")
+    code, blob = run_json(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 3
+    assert blob["error"]["message"].startswith(message.format(missing=missing))
+
+
 def test_law_pipeline(tmp_path, capsys):
     law_file = str(tmp_path / "law.json")
     code, blob = run_json(
@@ -328,7 +351,7 @@ def test_law_pipeline(tmp_path, capsys):
     )
     assert code == 0
     assert blob["payload"]["truncation"] == 8
-    on_disk = json.loads(open(law_file).read())
+    on_disk = json.loads(Path(law_file).read_text())
     assert on_disk == blob["payload"]
 
     code, blob = run_json(capsys, "root-monoid", law_file)
@@ -361,7 +384,7 @@ def test_export_system_format(tmp_path, capsys):
         "--export-system", out_file,
     )
     assert code == 0
-    text = open(out_file).read()
+    text = Path(out_file).read_text()
     lines = text.splitlines()
     headers = [l for l in lines if l.startswith("# unknown ")]
     assert len(headers) == blob["payload"]["unknown_count"]
