@@ -23,8 +23,16 @@ whose first argument names a subcommand is read straight off that
 table, and "--version" alone is answered here, so neither imports
 argparse.  The full parser, built from the same table, answers
 everything else: the help and every usage error, with the text and
-exit code 2 it always had.  For a subcommand that takes a group, main
-builds its root datum as args.rd before the handler runs.
+exit code 2 it always had.
+
+Before the handler runs, main reads each input of the request into a
+library object once, in the order _read_inputs gives: the root datum,
+the module, the monoid, the law, the isotropy and the point, so a
+request with two bad inputs names the first.  A handler returns only
+its payload.  main takes the bounds of the provenance from the request
+itself (--cap, --truncation or a law file's truncation, --bound), adds
+the hypotheses to the reports on fixed spaces, and writes --output as
+--pretty prints.
 """
 
 from __future__ import annotations
@@ -149,17 +157,39 @@ def _stab_from_args(args) -> liealg.StabilizerSpec:
     return liealg.StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
 
 
+def _read_inputs(args) -> None:
+    """Read each input the request has into a library object on args,
+    in this order: the root datum rd, the module m under --cap, the
+    monoid mon (of roots under --root), the law (whose truncation
+    becomes the request's), the isotropy stab and last the point x."""
+    given = vars(args)
+    if "group" in given:
+        args.rd = rootdata.make_root_datum(args.group)
+    if "module" in given:
+        args.m = liealg.build_module(args.rd, args.module, cap=args.cap)
+    gens = given.get("monoid", given.get("generators"))
+    if gens is not None:
+        make = rootdata.make_root_monoid if given.get("root") else rootdata.make_weight_monoid
+        args.mon = make(args.rd, _parse_weight_list(gens))
+    if "law_file" in given:
+        args.law = _load_law(args.law_file)
+        args.truncation = args.law.truncation
+    if "diag" in given:
+        args.stab = _stab_from_args(args)
+    if "point" in given:
+        args.x = _parse_point(args.point)
+
+
 # ------------------------------------------------------------ subcommands
 
 
 def _cmd_root_datum(args):
-    payload = {
+    return {
         "label": args.rd.label,
         "rank": args.rd.rank,
         "cartan": [list(row) for row in args.rd.cartan],
         "positive_roots": [list(r) for r in rootdata.positive_roots(args.rd)],
     }
-    return payload, {}, None
 
 
 def _cmd_dominance(args):
@@ -171,93 +201,70 @@ def _cmd_dominance(args):
         coords = rootdata.natural_root_coords(args.rd, tuple(a - b for a, b in zip(lam, mu)))
         check_size("root coordinate", max(coords))
         payload["difference_root_coords"] = [str(c) for c in coords]
-    return payload, {}, None
+    return payload
 
 
 def _cmd_tensor(args):
     dec = repcalc.tensor_decompose(
         args.rd, _parse_weight(args.lam), _parse_weight(args.mu), cap=args.cap
     )
-    payload = {_fmt_weight(w): k for w, k in dec.items()}
-    return payload, {"cap": args.cap}, None
+    return {_fmt_weight(w): k for w, k in dec.items()}
 
 
 def _cmd_dim(args):
-    payload = {"dim": repcalc.weyl_dim(args.rd, _parse_weight(args.lam))}
-    return payload, {}, None
+    return {"dim": repcalc.weyl_dim(args.rd, _parse_weight(args.lam))}
 
 
 def _cmd_weights(args):
     table = repcalc.weight_multiplicities(args.rd, _parse_weight(args.lam), cap=args.cap)
-    payload = {_fmt_weight(w): k for w, k in table.items()}
-    return payload, {"cap": args.cap}, None
+    return {_fmt_weight(w): k for w, k in table.items()}
 
 
 def _cmd_hwv(args):
-    m = liealg.build_module(args.rd, args.module, cap=args.cap)
-    vecs = liealg.highest_weight_vectors(m)
-    payload = {
-        _fmt_weight(w): [_fmt_vec(v, m.dim) for v in vs] for w, vs in vecs.items()
-    }
-    return payload, {"cap": args.cap}, None
+    vecs = liealg.highest_weight_vectors(args.m)
+    return {_fmt_weight(w): [_fmt_vec(v, args.m.dim) for v in vs] for w, vs in vecs.items()}
 
 
 def _cmd_coinv(args):
-    m = liealg.build_module(args.rd, args.module, cap=args.cap)
-    co = liealg.u_coinvariants(m)
-    payload = {
+    co = liealg.u_coinvariants(args.m)
+    return {
         "dim": co.dim,
         "rep_indices": list(co.rep_indices),
         "rep_weights": [_fmt_weight(w) for w in co.rep_weights],
     }
-    return payload, {"cap": args.cap}, None
 
 
 def _cmd_orbit_tangent(args):
-    m = liealg.build_module(args.rd, args.module, cap=args.cap)
-    span = liealg.orbit_tangent(m, _parse_point(args.point))
-    payload = {
+    span = liealg.orbit_tangent(args.m, args.x)
+    return {
         "dim": span.dim,
-        "basis": [_fmt_vec(span.rows[pc], m.dim) for pc in span.pivots],
+        "basis": [_fmt_vec(span.rows[pc], args.m.dim) for pc in span.pivots],
     }
-    return payload, {"cap": args.cap}, None
 
 
 def _cmd_stabilizer(args):
-    m = liealg.build_module(args.rd, args.module, cap=args.cap)
-    basis = liealg.stabilizer_lie(m, _parse_point(args.point))
+    basis = liealg.stabilizer_lie(args.m, args.x)
     labels = liealg.chevalley_labels(args.rd)
-    payload = {
+    return {
         "dim": len(basis),
         "labels": labels,
         "basis": [_fmt_vec(v, len(labels)) for v in basis],
     }
-    return payload, {"cap": args.cap}, None
 
 
 def _cmd_t1(args):
-    m = liealg.build_module(args.rd, args.module, cap=args.cap)
-    stab = _stab_from_args(args)
-    report = tangent.t1_invariant(m, _parse_point(args.point), stab)
-    return tangent.report_to_json_dict(report), {"cap": args.cap}, tangent.HYPOTHESES
+    return tangent.report_to_json_dict(tangent.t1_invariant(args.m, args.x, args.stab))
 
 
 def _cmd_tangent_weight(args):
     w = rootdata.tangent_weight(args.rd, _parse_weight(args.lam), _parse_weight(args.mu))
     check_size("root coordinate", max(w))
-    return {"weight_root_coords": list(w)}, {}, None
-
-
-def _law_monoid(args):
-    return rootdata.make_weight_monoid(args.rd, _parse_weight_list(args.monoid))
+    return {"weight_root_coords": list(w)}
 
 
 def _cmd_law_equations(args):
-    mon = _law_monoid(args)
-    system = channels.law_equations(mon, args.truncation)
+    system = channels.law_equations(args.mon, args.truncation)
     equations = polysys.equation_texts(system)
-    if args.export_system:
-        _write_file(args.export_system, polysys.system_to_text(system, equations))
     payload = {
         "unknown_count": len(system.unknowns),
         "equation_count": len(equations),
@@ -265,67 +272,40 @@ def _cmd_law_equations(args):
         "equations": equations,
     }
     if args.export_system:
+        _write_file(args.export_system, polysys.system_to_text(system, equations))
         payload["exported_to"] = args.export_system
-    return payload, {"truncation": args.truncation}, None
+    return payload
 
 
 def _cmd_law_tangent(args):
-    mon = _law_monoid(args)
-    dim, weights = channels.law_tangent(mon, args.truncation)
-    payload = {"dim": dim, "weights": [list(w) for w in weights]}
-    return payload, {"truncation": args.truncation}, None
+    dim, weights = channels.law_tangent(args.mon, args.truncation)
+    return {"dim": dim, "weights": [list(w) for w in weights]}
 
 
 def _cmd_contract(args):
-    law = _load_law(args.law_file)
-    moved = mulaw.contract(law, _parse_point(args.point))
-    payload = mulaw.law_to_json_dict(moved)
-    if args.output:
-        _write_file(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return payload, {"truncation": law.truncation}, None
+    return mulaw.law_to_json_dict(mulaw.contract(args.law, args.x))
 
 
 def _cmd_root_monoid(args):
-    law = _load_law(args.law_file)
-    rm = mulaw.root_monoid_of_law(law)
-    payload = {
-        "generators": [list(g) for g in rm.generators],
-        "bound_limited": True,
-    }
-    return payload, {"truncation": law.truncation}, None
+    rm = mulaw.root_monoid_of_law(args.law)
+    return {"generators": [list(g) for g in rm.generators], "bound_limited": True}
 
 
 def _cmd_orbit_law(args):
-    mon = _law_monoid(args)
-    law = mulaw.orbit_law([_parse_point(t) for t in args.form], mon, args.truncation)
-    payload = mulaw.law_to_json_dict(law)
-    if args.output:
-        _write_file(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return payload, {"truncation": args.truncation}, None
+    forms = [_parse_point(t) for t in args.form]
+    return mulaw.law_to_json_dict(mulaw.orbit_law(forms, args.mon, args.truncation))
 
 
 def _cmd_saturate(args):
-    gens = _parse_weight_list(args.generators)
-    mon = (
-        rootdata.make_root_monoid(args.rd, gens)
-        if args.root
-        else rootdata.make_weight_monoid(args.rd, gens)
-    )
-    sat = monoids.saturation(mon)
-    payload = {"generators": [list(g) for g in sat.generators]}
-    return payload, {}, None
+    return {"generators": [list(g) for g in monoids.saturation(args.mon).generators]}
 
 
 def _cmd_presentation(args):
-    mon = rootdata.make_weight_monoid(args.rd, _parse_weight_list(args.generators))
-    pres = monoids.semigroup_presentation(mon, args.bound)
-    payload = {
-        "relations": [
-            [list(lhs), list(rhs)] for lhs, rhs in pres.relations
-        ],
+    pres = monoids.semigroup_presentation(args.mon, args.bound)
+    return {
+        "relations": [[list(lhs), list(rhs)] for lhs, rhs in pres.relations],
         "bound_limited": True,
     }
-    return payload, {"bound": args.bound}, None
 
 
 def _cmd_reproduce_example1(args):
@@ -336,17 +316,17 @@ def _cmd_reproduce_example1(args):
         dims.append(report.dim_T1_invariant)
         if report.weights:
             weight_table[str(n)] = [list(w) for w in report.weights]
-    payload = {"dims": dims, "weights": weight_table}
-    return payload, {}, tangent.HYPOTHESES
+    return {"dims": dims, "weights": weight_table}
 
 
 def _cmd_reproduce_example2(args):
     report = examples.flag_point()
-    payload = {
-        "dim": report.dim_T1_invariant,
-        "weights": [list(w) for w in report.weights],
-    }
-    return payload, {}, tangent.HYPOTHESES
+    return {"dim": report.dim_T1_invariant, "weights": [list(w) for w in report.weights]}
+
+
+# The reports on fixed spaces, whose provenance lists the hypotheses
+# they rest on and the code does not check.
+_FIXED_SPACE_REPORTS = (_cmd_t1, _cmd_reproduce_example1, _cmd_reproduce_example2)
 
 
 # ------------------------------------------------------------ wiring
@@ -516,12 +496,11 @@ def _parse(argv: List[str]) -> SimpleNamespace:
     return args
 
 
-def _emit(obj: dict, pretty: bool) -> None:
+def _json(obj: dict, pretty: bool) -> str:
+    """obj as a line of JSON, or indented for --pretty and for a file."""
     if pretty:
-        text = json.dumps(obj, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -536,20 +515,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
     }
     try:
-        if "group" in vars(args):
-            args.rd = rootdata.make_root_datum(args.group)
-        payload, bounds, hyps = args.func(args)
+        _read_inputs(args)
+        payload = args.func(args)
+        if vars(args).get("output"):
+            _write_file(args.output, _json(payload, True))
     except (ValidationError, ResourceError) as exc:
         kind = "validation" if isinstance(exc, ValidationError) else "resource"
-        error = {"type": kind, "message": str(exc)}
-        _emit({"status": "error", "error": error, "provenance": provenance}, args.pretty)
-        return 3 if kind == "validation" else 4
-
-    provenance["bounds"] = bounds
-    if hyps is not None:
-        provenance["hypotheses"] = hyps
-    _emit(
-        {"status": "ok", "payload": payload, "provenance": provenance},
-        args.pretty,
-    )
-    return 0
+        envelope = {"status": "error", "error": {"type": kind, "message": str(exc)}}
+        code = 3 if kind == "validation" else 4
+    else:
+        given = vars(args)
+        provenance["bounds"] = {k: given[k] for k in ("cap", "truncation", "bound") if k in given}
+        if args.func in _FIXED_SPACE_REPORTS:
+            provenance["hypotheses"] = tangent.HYPOTHESES
+        envelope = {"status": "ok", "payload": payload}
+        code = 0
+    sys.stdout.write(_json({**envelope, "provenance": provenance}, args.pretty))
+    return code

@@ -190,6 +190,23 @@ def test_law_tangent_runs_no_full_system_layer():
     assert not ran & {"horomod.mulaw", "horomod.polysys", "horomod.monoids"}
 
 
+@pytest.mark.parametrize(
+    "argv,layer",
+    [
+        (["t1", "A1", "sym(2,natural(2))", "x", "--lie-u"], "horomod.tangent"),
+        (["contract", "{missing}", "2"], "horomod.mulaw"),
+        (["orbit-law", "A1", "x", "--form", "1,0,1", "--truncation", "4"], "horomod.mulaw"),
+    ],
+    ids=["t1-point", "contract-missing-file", "orbit-law-monoid"],
+)
+def test_a_refused_input_runs_no_layer_that_would_read_it(tmp_path, argv, layer):
+    """Every input is read before the handler runs, so a request refused
+    on one never runs the layer that would have worked on it."""
+    out = probe([a.format(missing=tmp_path / "missing.json") for a in argv])
+    assert out["code"] == 3
+    assert not out["layers"][layer]
+
+
 def law_request(tmp_path, command):
     """The layers a law request ran, in a fresh interpreter; contract
     and root-monoid read the law that orbit-law writes first."""
