@@ -5,31 +5,57 @@ degree n, n = 1..6.  The invariant deformation dims are (0,1,0,1,0,0),
 the nonzero ones of weight 2*alpha; the linearized law equations give
 the same dims by an independent route.  Example 2: the rank-three point
 e1 + e1^e2 + e1^e2^e3 in k4 + wedge2 k4 + wedge3 k4, with dim 2 and
-weights a1+a2 and a2+a3.  The CLI, the scripts and the acceptance gate
-build them here and only format the results.
+weights a1+a2 and a2+a3, the A3 case of the flag multicones: the sum of
+the fundamental modules of A_r at the sum of their highest weight
+vectors.  The CLI, the scripts and the acceptance gate build them here
+and only format the results; the tests and the golden set read their
+inputs, each an Example, here.
 """
 
 from __future__ import annotations
 
-from .liealg import DiagCongruence, StabilizerSpec, build_module, unipotent_radical_spec
+from math import comb
+from typing import NamedTuple, Tuple
+
+from .liealg import (
+    DiagCongruence,
+    ExplicitModule,
+    StabilizerSpec,
+    build_module,
+    unipotent_radical_spec,
+)
 from .rootdata import make_root_datum, make_weight_monoid
 from .tangent import TangentReport, t1_invariant
 
 BINARY_DEGREES = range(1, 7)
 
 
+class Example(NamedTuple):
+    """A worked example's input: the root datum's label, the module
+    expression, the point in the module's basis, and the congruences of
+    the isotropy; its Lie part is the unipotent radical."""
+
+    label: str
+    module: str
+    point: Tuple[int, ...]
+    diag: Tuple[DiagCongruence, ...]
+
+    def build(self) -> Tuple[ExplicitModule, Tuple[int, ...], StabilizerSpec]:
+        """The module, the point and the isotropy, as t1_invariant takes them."""
+        rd = make_root_datum(self.label)
+        stab = unipotent_radical_spec(rd)._replace(diag_part=self.diag)
+        return build_module(rd, self.module), self.point, stab
+
+
+def binary_cone_input(n: int) -> Example:
+    """x^n in V(n), the first vector of the basis; the isotropy is the
+    unipotent radical and the n-th roots of unity."""
+    return Example("A1", f"sym({n},natural(2))", (1,) + (0,) * n, (DiagCongruence((1,), n),))
+
+
 def binary_cone(n: int) -> TangentReport:
-    """Fixed-space report at x^n in V(n); the isotropy is the unipotent
-    radical and the n-th roots of unity."""
-    rd = make_root_datum("A1")
-    m = build_module(rd, f"sym({n},natural(2))")
-    x = [0] * m.dim
-    x[m.basis_weights.index((n,))] = 1
-    stab = StabilizerSpec(
-        lie_part=unipotent_radical_spec(rd).lie_part,
-        diag_part=(DiagCongruence(coeffs=(1,), modulus=n),),
-    )
-    return t1_invariant(m, x, stab)
+    """Fixed-space report at x^n in V(n)."""
+    return t1_invariant(*binary_cone_input(n).build())
 
 
 def binary_cone_law_dim(n: int, truncation: int) -> int:
@@ -45,12 +71,18 @@ def binary_cone_law_dim(n: int, truncation: int) -> int:
     return channels.law_tangent(mon, truncation)[0]
 
 
+def flag_multicone(r: int) -> Example:
+    """The A_r flag multicone: the sum of the fundamental modules
+    V(omega_k) = ext(k, natural(r + 1)), k = 1..r, at the sum of their
+    highest weight vectors e1^...^ek, the first vector of each summand's
+    basis; the isotropy is the unipotent radical."""
+    n = r + 1
+    summands = [f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]
+    module = f"sum({','.join(summands)})"
+    point = sum(((1,) + (0,) * (comb(n, k) - 1) for k in range(1, n)), ())
+    return Example(f"A{r}", module, point, ())
+
+
 def flag_point() -> TangentReport:
-    """Fixed-space report at e1 + e1^e2 + e1^e2^e3, isotropy the
-    unipotent radical."""
-    rd = make_root_datum("A3")
-    m = build_module(rd, "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))")
-    x = [0] * m.dim
-    for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        x[m.basis_weights.index(w)] = 1
-    return t1_invariant(m, x, unipotent_radical_spec(rd))
+    """Fixed-space report at e1 + e1^e2 + e1^e2^e3, the A3 flag multicone."""
+    return t1_invariant(*flag_multicone(3).build())

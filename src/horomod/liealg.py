@@ -158,9 +158,7 @@ def dual(m: ExplicitModule) -> ExplicitModule:
 
 
 def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
-    if a.rd != b.rd:
-        raise ValidationError("tensor factors over different root data")
-
+    """a (x) b, over the one root datum build_module builds both on."""
     da, db = a.dim, b.dim
 
     def both(ma: Matrix, mb: Matrix) -> Matrix:
@@ -182,9 +180,7 @@ def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
 
 
 def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
-    if a.rd != b.rd:
-        raise ValidationError("sum terms over different root data")
-
+    """a + b, over the one root datum build_module builds both on."""
     da = a.dim
 
     def block(ma: Matrix, mb: Matrix) -> Matrix:

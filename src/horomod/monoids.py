@@ -191,8 +191,6 @@ class Presentation(NamedTuple):
 
 def _congruent(a, b, relations, degree_cap) -> bool:
     """BFS over rewriting with kept relations, both directions."""
-    if a == b:
-        return True
     moves = []
     for p, q in relations:
         moves.append((p, q))
@@ -247,8 +245,6 @@ def semigroup_presentation(monoid, degree_bound: int) -> Presentation:
             common = tuple(min(a, b) for a, b in zip(x, y))
             xa = tuple(a - c for a, c in zip(x, common))
             yb = tuple(b - c for b, c in zip(y, common))
-            if xa == yb:
-                continue
             pair = tuple(sorted((xa, yb), key=lambda t: (sum(t), t)))
             candidates.add((pair[0], pair[1]))
     ordered = sorted(candidates, key=lambda p: (max(sum(p[0]), sum(p[1])), p))

@@ -16,10 +16,8 @@ PolySystem, and imports this layer when it runs.
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .errors import ValidationError
 from .linalg import RowSpace
 
 if TYPE_CHECKING:
@@ -30,43 +28,26 @@ Grade = Tuple[int, ...]  # degree in the simple roots
 CanonPoly = Tuple[Tuple[Mono, int], ...]
 
 
-class _SystemFields(NamedTuple):
+class PolySystem(NamedTuple):
     unknowns: Tuple[str, ...]
     grades: Tuple[Grade, ...]  # one per unknown
     equations: Tuple[Tuple[CanonPoly, Grade], ...]
-
-
-class PolySystem(_SystemFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.unknowns) != len(self.grades):
-            raise ValidationError("one grade per unknown required")
-        return self
 
 
 def _mono_key(names: Sequence[str], m: Mono):
     return (len(m), tuple(names[i] for i in m))
 
 
-def primitive_ints(coeffs: Sequence[Rational]) -> List[int]:
-    """The integer vector proportional to the nonzero rationals coeffs
-    with content one and a positive first entry."""
-    denlcm = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (denlcm // c.denominator) for c in coeffs]
-    content = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-    return [c // content for c in ints]
-
-
 def canonical_poly(p: Mapping[Mono, Rational], names: Sequence[str]) -> CanonPoly:
-    """Sorted, integer-cleared, positive leading coefficient; () if zero."""
+    """Sorted, integer-cleared, positive leading coefficient; () if zero.
+    The coefficients are the RowSpace primitive row of the sorted
+    coefficients, positive at its pivot, the first entry."""
     items = [(m, c) for m, c in p.items() if c]
     if not items:
         return ()
     items.sort(key=lambda mc: _mono_key(names, mc[0]))
-    ints = primitive_ints([c for _, c in items])
-    return tuple((m, c) for (m, _), c in zip(items, ints))
+    (row,) = RowSpace(len(items), [[c for _, c in items]]).primitive.values()
+    return tuple((m, row[j]) for j, (m, _) in enumerate(items))
 
 
 def reduced_equations(

@@ -6,13 +6,12 @@ import json
 import random
 import tempfile
 import time
-from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from horomod import __version__, channels, cli, liealg, monoids, polysys
+from horomod import __version__, channels, cli, examples, liealg, monoids, polysys
 from horomod.cli import build_parser, main
 from horomod.rootdata import make_root_datum, make_weight_monoid
 
@@ -533,7 +532,7 @@ DENSE_POINT = ",".join(str(DENSE_RNG.choice([0, 1, -1, 2])) for _ in range(510))
 @pytest.mark.parametrize("command", ["orbit-tangent", "t1"])
 def test_a_dense_point_on_a_large_module_is_refused_from_its_cost_estimate(capsys, command):
     start = time.perf_counter()
-    code, blob = run_json(capsys, command, "--", "A8", multicone_argv(8)[2], DENSE_POINT)
+    code, blob = run_json(capsys, command, "--", "A8", examples.flag_multicone(8).module, DENSE_POINT)
     assert time.perf_counter() - start < 1
     assert code == 4
     assert blob["error"] == {
@@ -909,6 +908,11 @@ def test_t1_has_no_hypothesis_flags(capsys, flag):
     assert out == ""
 
 
+def example_args(ex):
+    """The group, module and point of a worked example, as the CLI reads them."""
+    return ex.label, ex.module, ",".join(map(str, ex.point))
+
+
 def multicone_payload(r):
     """Payload of the flag multicone of A_r: V_fixed = g_mod_gx_fixed = r,
     normal_fixed = t1_invariant = r - 1, weights alpha_i + alpha_(i+1)."""
@@ -918,21 +922,10 @@ def multicone_payload(r):
     }
 
 
-def multicone_argv(r):
-    """t1 on the sum of the fundamental modules of A_r at the sum of their
-    highest-weight vectors, which come first in each summand's basis."""
-    n = r + 1
-    parts = [f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]
-    point = []
-    for k in range(1, n):
-        point += [1] + [0] * (comb(n, k) - 1)
-    return ("t1", f"A{r}", "sum(" + ",".join(parts) + ")", ",".join(map(str, point)), "--lie-u")
-
-
 @pytest.mark.parametrize("r", range(2, 8))
 def test_t1_flag_multicone(capsys, r):
     # A7 (module dimension 254) also guards the cost of the sparse kernel.
-    code, blob = run_json(capsys, *multicone_argv(r))
+    code, blob = run_json(capsys, "t1", *example_args(examples.flag_multicone(r)), "--lie-u")
     assert code == 0
     assert blob["payload"] == multicone_payload(r)
 
@@ -941,14 +934,13 @@ def test_t1_flag_multicone(capsys, r):
 def test_t1_flag_multicone_matches_the_reference_payload(capsys, r):
     # The benchmark's reference payloads, read only, in its canonical form.
     ref = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / f"multicone_A{r}.json"
-    code, blob = run_json(capsys, *multicone_argv(r))
+    code, blob = run_json(capsys, "t1", *example_args(examples.flag_multicone(r)), "--lie-u")
     assert code == 0
     got = json.dumps(blob["payload"], sort_keys=True, separators=(",", ":")) + "\n"
     assert got.encode() == ref.read_bytes()
 
 
-FLAG_MODULE = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
-FLAG_POINT = "1,0,0,0,1,0,0,0,0,0,1,0,0,0"
+FLAG = example_args(examples.flag_multicone(3))
 
 
 @pytest.mark.parametrize(
@@ -972,7 +964,7 @@ def test_t1_gives_a_survivor_meeting_two_pieces_its_weight_once(capsys, argv):
 T1_FUZZ_MODULES = {
     1: ["natural(2)", "sym(2,natural(2))", "sym(4,natural(2))", "sum(sym(2,natural(2)),sym(3,natural(2)))"],
     2: ["natural(3)", "sym(2,natural(3))", "tensor(natural(3),dual(natural(3)))"],
-    3: ["ext(2,natural(4))", FLAG_MODULE],
+    3: ["ext(2,natural(4))", FLAG[1]],
 }
 
 
@@ -1056,12 +1048,12 @@ MODULE_PAYLOADS = {
     ("coinv", "A3", "dual(ext(2,natural(4)))"): (
         '{"dim":1,"rep_indices":[0],"rep_weights":["(0,-1,0)"]}'
     ),
-    ("hwv", "A3", "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"): (
+    ("hwv", *FLAG[:2]): (
         '{"(0,0,1)":[["0","0","0","0","0","0","0","0","0","0","1","0","0","0"]],"(0,1,'
         '0)":[["0","0","0","0","1","0","0","0","0","0","0","0","0","0"]],"(1,0,0)":[["1","0",'
         '"0","0","0","0","0","0","0","0","0","0","0","0"]]}'
     ),
-    ("coinv", "A3", "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"): (
+    ("coinv", *FLAG[:2]): (
         '{"dim":3,"rep_indices":[3,9,13],"rep_weights":["(0,0,-1)","(0,-1,0)","(-1,0,0)"]}'
     ),
     ("hwv", "A3", "sym(2,ext(2,natural(4)))"): (
@@ -1080,7 +1072,7 @@ MODULE_PAYLOADS = {
     ("coinv", "A3", "ext(2,sym(2,natural(4)))"): (
         '{"dim":1,"rep_indices":[44],"rep_weights":["(0,-1,-2)"]}'
     ),
-    ("orbit-tangent", "A3", FLAG_MODULE, FLAG_POINT): (
+    ("orbit-tangent", *FLAG): (
         '{"basis":[["1","0","0","0","0","0","0","0","0","0","0","0","0","0"],'
         '["0","1","0","0","0","0","0","0","0","0","0","0","0","0"],'
         '["0","0","1","0","0","0","0","-1","0","0","0","0","0","0"],'
@@ -1091,7 +1083,7 @@ MODULE_PAYLOADS = {
         '["0","0","0","0","0","0","0","0","0","0","1","0","0","0"],'
         '["0","0","0","0","0","0","0","0","0","0","0","1","0","0"]],"dim":9}'
     ),
-    ("stabilizer", "A3", FLAG_MODULE, FLAG_POINT): (
+    ("stabilizer", *FLAG): (
         '{"basis":[["1","0","0","0","0","0","0","0","0","0","0","0","0","0","0"],'
         '["0","1","0","0","0","0","0","0","0","0","0","0","0","0","0"],'
         '["0","0","1","0","0","0","0","0","0","0","0","0","0","0","0"],'

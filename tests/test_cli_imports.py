@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import horomod
+from horomod import examples
 from horomod.cli import COMMANDS
 
 SRC = str(Path(horomod.__file__).resolve().parent.parent)
@@ -68,7 +69,7 @@ def test_version_imports_no_fractions():
 NUMERIC = 'sorted(m for m in ("fractions", "decimal", "numbers") if m in sys.modules)'
 
 
-FLAG = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
+FLAG = examples.flag_multicone(3)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +81,7 @@ FLAG = "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))"
         ["weights", "A2", "1,1"],
         ["reproduce-example1"],
         ["reproduce-example2"],
-        ["t1", "A3", FLAG, "1,0,0,0,1,0,0,0,0,0,1,0,0,0", "--lie-u"],
+        ["t1", FLAG.label, FLAG.module, ",".join(map(str, FLAG.point)), "--lie-u"],
         ["stabilizer", "A1", "natural(2)", "1,0"],
         ["orbit-tangent", "A1", "natural(2)", "1,0"],
         ["tangent-weight", "A2", "1,1", "0,0"],

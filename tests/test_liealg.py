@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from horomod.errors import ResourceError, ValidationError
 from horomod import liealg as la
-from horomod import repcalc, rootdata as rda, tangent
+from horomod import examples, repcalc, rootdata as rda, tangent
 from horomod.linalg import RowSpace
 from oracles import lowest_weight
 
@@ -128,12 +128,6 @@ def sorted_power_ops(name, k, m):
     return ops
 
 
-def multicone(r):
-    """The sum of the fundamental modules of A_r."""
-    n = r + 1
-    return "sum(" + ",".join([f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]) + ")"
-
-
 def fixed_space(m, span, stab):
     """fixed_in_quotient of m modulo span under stab, as t1 calls it."""
     lie = [la.lie_matrix(m, c) for c in stab.lie_part]
@@ -205,9 +199,10 @@ def test_brackets_a3(expr):
 
 @pytest.mark.parametrize("rank", range(1, 8))
 def test_multicone_table_matches_the_commutator_route(rank):
-    rd = rda.make_root_datum(f"A{rank}")
+    ex = examples.flag_multicone(rank)
+    rd = rda.make_root_datum(ex.label)
     check_one_route(la.natural(rd))
-    check_one_route(la.build_module(rd, multicone(rank)))
+    check_one_route(la.build_module(rd, ex.module))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -261,7 +256,7 @@ HWV_ORACLE_MODULES = (
     [(A3, "natural(4)")]
     + [(A1, expr) for expr in EXPRS_A1]
     + [(A3, expr) for expr in EXPRS_A3]
-    + [(rda.make_root_datum(f"A{r}"), multicone(r)) for r in range(1, 8)]
+    + [(rda.make_root_datum(ex.label), ex.module) for ex in map(examples.flag_multicone, range(1, 8))]
 )
 
 
@@ -581,7 +576,7 @@ def test_a_dense_point_on_a_large_module_is_refused_before_any_elimination(monke
     def unbuilt(*args):
         raise AssertionError("a RowSpace was built before the point was refused")
 
-    m = la.build_module(rda.make_root_datum("A8"), multicone(8))
+    m = la.build_module(rda.make_root_datum("A8"), examples.flag_multicone(8).module)
     rng = Random(8)
     x = [rng.choice([0, 1, -1, 2]) for _ in range(m.dim)]
     monkeypatch.setattr(la, "RowSpace", unbuilt)
@@ -595,8 +590,27 @@ def test_a_dense_point_on_a_large_module_is_refused_before_any_elimination(monke
 def test_the_flag_points_of_the_large_multicones_pass_the_point_check(r):
     """The sum of the highest weight vectors is sparse, so the support
     term of the estimate admits the flag points up to A11."""
-    m = la.build_module(rda.make_root_datum(f"A{r}"), multicone(r), cap=5000)
-    x = [0] * m.dim
-    for k in range(r):
-        x[m.basis_weights.index(tuple(int(i == k) for i in range(r)))] = 1
-    assert len(la._check_point(m, x)) == r
+    ex = examples.flag_multicone(r)
+    m = la.build_module(rda.make_root_datum(ex.label), ex.module, cap=5000)
+    assert len(la._check_point(m, ex.point)) == r
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_the_flag_multicone_point_is_the_sum_of_the_highest_weight_vectors(r):
+    """Each summand V(omega_k) of flag_multicone(r) holds exactly one
+    nonzero entry of its point, at the basis vector of weight omega_k,
+    and that basis vector is the highest weight vector of weight omega_k
+    of the module."""
+    ex = examples.flag_multicone(r)
+    rd = rda.make_root_datum(ex.label)
+    m = la.build_module(rd, ex.module)
+    hw = la.highest_weight_vectors(m)
+    start = 0
+    for k in range(1, r + 1):
+        end = start + la.build_module(rd, f"ext({k},natural({r + 1}))").dim
+        (i,) = [j for j in range(start, end) if ex.point[j]]
+        omega = tuple(int(j == k - 1) for j in range(r))
+        assert m.basis_weights[i] == omega
+        assert hw[omega] == [{i: ex.point[i]}]
+        start = end
+    assert start == m.dim == len(ex.point)

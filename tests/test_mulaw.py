@@ -20,7 +20,7 @@ from horomod.mulaw import (
     transvectants,
 )
 from horomod.linalg import RowSpace
-from horomod.polysys import PolySystem, primitive_ints, reduced_equations
+from horomod.polysys import PolySystem, reduced_equations
 from horomod.rootdata import make_root_datum, make_weight_monoid
 from oracles import (
     horospherical_law,
@@ -426,7 +426,8 @@ def ring_hw_covariant(forms, nbar):
     if not z:
         raise ValidationError("singular covariant vanished after normalization")
     monos = sorted(z)
-    return {m: Q(c) for m, c in zip(monos, primitive_ints([z[m] for m in monos]))}
+    (row,) = RowSpace(len(monos), [[z[m] for m in monos]]).primitive.values()
+    return {m: Q(row[j]) for j, m in enumerate(monos)}
 
 
 def lowering_basis(top, weight):

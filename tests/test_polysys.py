@@ -1,8 +1,5 @@
 from fractions import Fraction as Q
 
-import pytest
-
-from horomod.errors import ValidationError
 from horomod.polysys import (
     PolySystem,
     canonical_poly,
@@ -64,11 +61,6 @@ def test_render_constant_and_long_coefficients():
     big = 10**40 + 1
     cp = (((0,), big), ((2,), -big))
     assert render_poly(cp, NAMES) == f"+{big}*m[2,2,1]-{big}*m[2,4,1]"
-
-
-def test_system_requires_matching_grades():
-    with pytest.raises(ValidationError):
-        PolySystem(("a",), (), ())
 
 
 def test_text_export_layout():

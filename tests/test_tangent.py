@@ -18,64 +18,32 @@ from horomod.channels import law_equations
 from horomod.rootdata import make_root_datum, make_weight_monoid, tangent_weight
 from horomod.tangent import TangentReport, report_to_json_dict, t1_invariant
 from oracles import tangent_at_horospherical
-from test_liealg import adjoint_module, multicone
+from test_liealg import adjoint_module
 
 A1 = make_root_datum("A1")
 A3 = make_root_datum("A3")
 
 
-def binary_family(n):
-    """The module, point and stabilizer of the binary cone x^n."""
-    m = build_module(A1, f"sym({n},natural(2))")
-    x = [Q(0)] * m.dim
-    x[m.basis_weights.index((n,))] = Q(1)
-    u = unipotent_radical_spec(A1)
-    stab = StabilizerSpec(
-        lie_part=u.lie_part,
-        diag_part=(DiagCongruence(coeffs=(1,), modulus=n),),
-    )
-    return m, x, stab
-
-
-def binary_family_report(n):
-    return t1_invariant(*binary_family(n))
-
-
-def multicone_point(r):
-    """The sum of the fundamental modules of A_r, the sum of their
-    highest-weight vectors, and the maximal unipotent stabilizer."""
-    rd = make_root_datum(f"A{r}")
-    m = build_module(rd, multicone(r))
-    x = [Q(0)] * m.dim
-    for k in range(r):
-        x[m.basis_weights.index(tuple(int(i == k) for i in range(r)))] = Q(1)
-    return m, x, unipotent_radical_spec(rd)
-
-
-def flag_point_report():
-    return t1_invariant(*multicone_point(3))
-
-
 def test_binary_family_dims():
-    dims = [binary_family_report(n).dim_T1_invariant for n in range(1, 7)]
+    dims = [examples.binary_cone(n).dim_T1_invariant for n in range(1, 7)]
     assert dims == [0, 1, 0, 1, 0, 0]
 
 
 def test_binary_family_weights():
-    assert binary_family_report(2).weights == ((2,),)
-    assert binary_family_report(4).weights == ((2,),)
-    assert binary_family_report(3).weights == ()
+    assert examples.binary_cone(2).weights == ((2,),)
+    assert examples.binary_cone(4).weights == ((2,),)
+    assert examples.binary_cone(3).weights == ()
 
 
 def test_binary_family_agrees_with_law_linearization():
     for n in range(1, 5):
         mon = make_weight_monoid(A1, [(n,)])
         dim, _ = tangent_at_horospherical(law_equations(mon, 4 * n))
-        assert dim == binary_family_report(n).dim_T1_invariant
+        assert dim == examples.binary_cone(n).dim_T1_invariant
 
 
 def test_flag_point_dim_and_weights():
-    rep = flag_point_report()
+    rep = examples.flag_point()
     assert rep.dim_T1_invariant == 2
     assert rep.weights == ((0, 1, 1), (1, 1, 0))
 
@@ -132,26 +100,13 @@ def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
     assert orbit_spans[0].dim == 9 + 2
 
 
-def test_report_identity_enforced():
-    with pytest.raises(ValidationError):
-        TangentReport(
-            dim_g_mod_gx_fixed=1,
-            dim_V_fixed=1,
-            dim_normal_fixed=1,
-            dim_T1_invariant=0,
-            weights=(),
-        )
-
-
-def test_report_refuses_a_weight_list_of_the_wrong_length():
-    with pytest.raises(ValidationError, match="2 tangent weights"):
-        TangentReport(
-            dim_g_mod_gx_fixed=1,
-            dim_V_fixed=2,
-            dim_normal_fixed=2,
-            dim_T1_invariant=1,
-            weights=((0, 0), (1, 1)),
-        )
+def test_t1_refuses_a_weight_count_that_differs_from_the_dimension(monkeypatch):
+    """The one check of the report that can fail is t1_invariant's: a
+    graded count of survivors that differs from dim T1^G."""
+    graded = tangent._graded_weights
+    monkeypatch.setattr(tangent, "_graded_weights", lambda *args: graded(*args) + [(1, 1, 1)])
+    with pytest.raises(ValidationError, match="^3 tangent weights for an invariant deformation space of dimension 2$"):
+        examples.flag_point()
 
 
 @pytest.mark.parametrize(
@@ -174,7 +129,7 @@ def test_weights_ignore_the_trivial_summand(module, point):
 
 
 def test_report_json_layout():
-    blob = report_to_json_dict(flag_point_report())
+    blob = report_to_json_dict(examples.flag_point())
     assert blob["dims"]["t1_invariant"] == 2
     assert blob["weights"] == [[0, 1, 1], [1, 1, 0]]
     assert set(blob) == {"dims", "weights"}
@@ -197,13 +152,7 @@ def test_diagonal_part_must_fix_the_point(monkeypatch, n):
         raise AssertionError("fixed space computed for a point the group moves")
 
     monkeypatch.setattr(tangent, "fixed_in_quotient", unreached)
-    m = build_module(A1, f"sym({n},natural(2))")
-    x = [Q(0)] * m.dim
-    x[m.basis_weights.index((n,))] = Q(1)
-    stab = StabilizerSpec(
-        lie_part=unipotent_radical_spec(A1).lie_part,
-        diag_part=(DiagCongruence((1,), 3),),
-    )
+    m, x, stab = examples.binary_cone_input(n)._replace(diag=(DiagCongruence((1,), 3),)).build()
     with pytest.raises(ValidationError, match=rf"weight \({n},\), which fails the congruence 1:3"):
         t1_invariant(m, x, stab)
 
@@ -212,13 +161,10 @@ def test_diagonal_part_must_fix_the_point(monkeypatch, n):
 def test_stabilizer_lie_output_is_the_lie_part_at_x_to_the_n(n):
     # stabilizer_lie returns sparse Chevalley coefficient vectors, which
     # StabilizerSpec takes unchanged; at x^n they span the radical, e.
-    m = build_module(A1, f"sym({n},natural(2))")
-    x = [Q(0)] * m.dim
-    x[m.basis_weights.index((n,))] = Q(1)
+    m, x, stab = examples.binary_cone_input(n).build()
     lie = tuple(liealg.stabilizer_lie(m, x))
-    assert lie == unipotent_radical_spec(A1).lie_part
-    stab = StabilizerSpec(lie_part=lie, diag_part=(DiagCongruence((1,), n),))
-    assert t1_invariant(m, x, stab) == binary_family_report(n)
+    assert lie == stab.lie_part
+    assert t1_invariant(m, x, stab._replace(lie_part=lie)) == examples.binary_cone(n)
 
 
 def test_stabilizer_lie_output_is_the_lie_part_at_e1_plus_e2():
@@ -275,8 +221,8 @@ def e1_plus_e2():
 
 
 ORACLE_CASES = {
-    **{f"binary-{n}": (lambda n=n: binary_family(n)) for n in range(1, 7)},
-    **{f"multicone-A{r}": (lambda r=r: multicone_point(r)) for r in range(1, 8)},
+    **{f"binary-{n}": examples.binary_cone_input(n).build for n in range(1, 7)},
+    **{f"multicone-A{r}": examples.flag_multicone(r).build for r in range(1, 8)},
     "adjoint-plus-trivial-ext": lambda: trivial_summand_point(
         "tensor(natural(3),ext(2,natural(3)))", (1, 0, 0, 0, 0, 0, 0, 0, 0)
     ),
@@ -381,8 +327,8 @@ def with_all_of_u(stab, rd):
 
 
 U_ORACLE_CASES = {
-    **{f"binary-{n}": (lambda n=n: binary_family(n)) for n in range(1, 7)},
-    **{f"multicone-A{r}": (lambda r=r: multicone_point(r)) for r in range(1, 8)},
+    **{f"binary-{n}": examples.binary_cone_input(n).build for n in range(1, 7)},
+    **{f"multicone-A{r}": examples.flag_multicone(r).build for r in range(1, 8)},
     "adjoint-plus-trivial-ext": ORACLE_CASES["adjoint-plus-trivial-ext"],
     "adjoint-plus-trivial-dual": ORACLE_CASES["adjoint-plus-trivial-dual"],
 }
@@ -396,7 +342,7 @@ def test_simple_root_vectors_give_the_report_of_all_of_u(case):
 
 
 def test_the_flag_point_report_is_that_of_all_of_u():
-    m, x, stab = multicone_point(3)
+    m, x, stab = examples.flag_multicone(3).build()
     assert examples.flag_point() == t1_invariant(m, x, with_all_of_u(stab, m.rd))
 
 
