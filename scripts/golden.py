@@ -25,8 +25,9 @@ relatively, and the files left behind are compared along with the exit
 code, stdout and stderr of every request.  The script
 prints how many requests differ, then each differing argv after its
 exit code under OTHER_SRC and here (3 -> 0, say), then the
-horomod functions that neither a request nor one of the other
-scripts (SCRIPTS) entered on this checkout's side, and how many of them
+horomod functions that neither the import of horomod.cli, a request
+nor one of the other scripts (SCRIPTS) entered on this checkout's
+side, and how many of them
 are outside UNENTERED_ALLOWED: such a function is a dead helper.  Last
 it prints each request that, on this checkout's side, broke the error
 contract: it ended in a traceback, or in an exit code other than 0, 2,
@@ -51,11 +52,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPTS = ["reproduce_examples.py"]
-# The package functions that may stay unentered: cli._lazy runs while
-# horomod.cli is imported, and liealg.lie_matrix reaches mat_combination
-# only for a Lie part with a coefficient other than 1, which only the
-# tests give.
-UNENTERED_ALLOWED = {"cli._lazy", "liealg.mat_combination"}
+# The package functions that may stay unentered: liealg.lie_matrix
+# reaches mat_combination only for a Lie part with a coefficient other
+# than 1, which only the tests give.
+UNENTERED_ALLOWED = {"liealg.mat_combination"}
 SEED = 20031
 
 SUBCOMMANDS = [
@@ -520,10 +520,12 @@ def spoiled_laws():
         "[]",
         law_text(extra=1),
         law_text(coeffs=None),
+        law_text(coeffs={}),
         law_text(truncation=4.0),
         law_text(truncation=-1),
         law_text(rd={"label": "A1", "cartan": [[3]]}),
         law_text(rd={"label": [1]}),
+        law_text(monoid={"generators": [[1]]}, truncation=1_000_000),
         law_text(coeffs=[coefficient(2, 2, 4, 0, 0.5)]),
         law_text(coeffs=[coefficient(2, 2, 4, 0), coefficient(2, 2, 4, 0)]),
         law_text(coeffs=[coefficient(2, 2, 0, 1)]),
@@ -546,13 +548,17 @@ TWO_BAD_INPUTS = [
 ]
 
 
+# Two denominators of 4 300 digits on a module of dimension 21.
+LONG_POINT = ",".join(["1/" + "9" * 4299 + "7", "1/" + "9" * 4299 + "1"] + ["1"] * 19)
+
 # Refusals of input that no other request reaches, each an envelope with
 # exit 3 or 4: weights of the wrong length and weights that are not
 # dominant; a module expression with trailing input, nested 101 deep,
 # holding a 4 301-digit number, or of a dimension with more than 4 300
-# digits; a zero denominator; monoids off the ranges of law-tangent,
-# orbit-law, saturate and presentation; and a Weyl dimension with more
-# than 4 300 digits.
+# digits; a zero denominator, a point entry of 4 301 digits and a point
+# past the cost cap; monoids off the ranges of law-tangent, orbit-law,
+# saturate and presentation; and a Weyl dimension with more than 4 300
+# digits.
 REFUSALS = [
     ["dim", "A2", "1"],
     ["dominance", "A2", "1", "1,0"],
@@ -566,6 +572,8 @@ REFUSALS = [
     ["hwv", "A1", f"sym({'1' * 4301},natural(2))"],
     ["hwv", "A1", "sym(20000,sym(20000,natural(2)))", "--cap", "100000"],
     ["orbit-tangent", "A1", "natural(2)", "1/0,1"],
+    ["t1", "A1", "natural(2)", "0," + "7" * 4301],
+    ["stabilizer", "--", "A3", "sym(2,ext(2,natural(4)))", LONG_POINT],
     ["law-tangent", "A1", "--truncation", "4", "--", "-2"],
     ["orbit-law", "A2", "1,0", "--form", "1,0", "--truncation", "4"],
     ["orbit-law", "A1", "1;2", "--form", "1,0", "--truncation", "4"],
@@ -578,14 +586,20 @@ REFUSALS = [
 def input_cases():
     """Each spoiled law file, written and then read by root-monoid and
     contract; the good law read by contract at a point of the wrong
-    length and at a malformed one; a malformed congruence; and
-    TWO_BAD_INPUTS."""
+    length and at a malformed one; a law with a zero coefficient, which
+    is dropped; a law of generator 20 000 whose contraction at 2 passes
+    the digit limit; a malformed congruence; and TWO_BAD_INPUTS."""
     cases = [
         [{"write": "law.json", "text": text}, ["root-monoid", "law.json"], ["contract", "law.json", "x"]]
         for text in spoiled_laws()
     ]
     cases.append([{"write": "law.json", "text": law_text()}, ["root-monoid", "law.json"],
                   ["contract", "law.json", "1,2"], ["contract", "law.json", "x"], ["contract", "law.json", "2"]])
+    zero = law_text(coeffs=[coefficient(2, 2, 4, 0), coefficient(2, 2, 0, 2, "0")])
+    cases.append([{"write": "law.json", "text": zero}, ["contract", "law.json", "2"]])
+    wide = law_text(monoid={"generators": [[20000]]}, truncation=40000,
+                    coeffs=[coefficient(20000, 20000, 0, 20000)])
+    cases.append([{"write": "law.json", "text": wide}, ["contract", "law.json", "2"]])
     cases.append([["t1", "--diag=1:x", "A1", "sym(2,natural(2))", "1,0,0"]])
     return cases + [[argv] for argv in TWO_BAD_INPUTS]
 
@@ -667,18 +681,9 @@ def functions(package):
 
 def worker(src):
     """Run the cases read from stdin under src; print the results and,
-    for this checkout only, the functions that neither a request nor
-    SCRIPTS entered.  Functions run while horomod.cli is imported count
-    as not entered."""
-    sys.path.insert(0, src)
-    import horomod
-    from horomod.cli import main
-
-    package = Path(horomod.__file__).resolve().parent
-    if package.parent != Path(src).resolve():
-        sys.exit(f"horomod loaded from {horomod.__file__}, not from {src}")
-    cases = json.load(sys.stdin)
-    ours = package.parent == SRC
+    for this checkout only, the functions that neither the import of
+    horomod.cli, a request nor SCRIPTS entered."""
+    ours = Path(src).resolve() == SRC
     entered = set()
 
     def note(frame, event, arg):
@@ -687,6 +692,14 @@ def worker(src):
 
     if ours:
         sys.setprofile(note)
+    sys.path.insert(0, src)
+    import horomod
+    from horomod.cli import main
+
+    package = Path(horomod.__file__).resolve().parent
+    if package.parent != Path(src).resolve():
+        sys.exit(f"horomod loaded from {horomod.__file__}, not from {src}")
+    cases = json.load(sys.stdin)
     results = [run_case(main, steps) for steps in cases]
     if ours:
         for script in SCRIPTS:

@@ -44,7 +44,7 @@ from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ResourceError, ValidationError, check_size, clip
+from .errors import DIM_CAP, ResourceError, ValidationError, check_size, clip
 
 if TYPE_CHECKING:
     import argparse
@@ -226,11 +226,11 @@ def _cmd_hwv(args):
 
 
 def _cmd_coinv(args):
-    co = liealg.u_coinvariants(args.m)
+    reps = liealg.u_coinvariants(args.m)
     return {
-        "dim": co.dim,
-        "rep_indices": list(co.rep_indices),
-        "rep_weights": [_fmt_weight(w) for w in co.rep_weights],
+        "dim": len(reps),
+        "rep_indices": list(reps),
+        "rep_weights": [_fmt_weight(args.m.basis_weights[i]) for i in reps],
     }
 
 
@@ -301,9 +301,9 @@ def _cmd_saturate(args):
 
 
 def _cmd_presentation(args):
-    pres = monoids.semigroup_presentation(args.mon, args.bound)
+    relations = monoids.semigroup_presentation(args.mon, args.bound)
     return {
-        "relations": [[list(lhs), list(rhs)] for lhs, rhs in pres.relations],
+        "relations": [[list(lhs), list(rhs)] for lhs, rhs in relations],
         "bound_limited": True,
     }
 
@@ -333,7 +333,7 @@ _FIXED_SPACE_REPORTS = (_cmd_t1, _cmd_reproduce_example1, _cmd_reproduce_example
 
 
 _PRETTY = ("--pretty", {"action": "store_true", "help": "indent output for humans"})
-_CAP = ("--cap", {"type": int, "default": 2000})
+_CAP = ("--cap", {"type": int, "default": DIM_CAP})
 _TRUNCATION = ("--truncation", {"type": int, "required": True})
 _OUTPUT = ("--output", {"metavar": "FILE"})
 

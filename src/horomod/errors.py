@@ -2,7 +2,8 @@
 
 ValidationError maps to CLI exit code 3, ResourceError to exit code 4.
 clip bounds what a message echoes of its input, and check_size refuses
-a number past a cap or past what str can print.
+a number past a cap or past what str can print.  DIM_CAP is the
+default cap on every dimension: of a module, a character or a product.
 """
 
 from typing import Optional
@@ -13,6 +14,7 @@ from typing import Optional
 MAX_DIGITS = 4300
 # The least number of more than MAX_DIGITS digits.
 BIG = 10**MAX_DIGITS
+DIM_CAP = 2000
 
 
 class ValidationError(ValueError):

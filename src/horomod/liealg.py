@@ -11,10 +11,10 @@ the CLI densifies, to print.  An operator is the map {column: its
 nonzero entries as a sparse vector}, storing no zeros and no empty
 column, so two operators are equal exactly when == says so, and applying
 one to a vector reads only the columns in the vector's support.
-Constructions: natural, dual, tensor, sum, sym, ext, all with
-deterministic bases: tensor indices in row-major order, sym on sorted
-monomials in lexicographic order, ext on strictly increasing index
-tuples with Koszul signs.
+Constructions: natural, dual, tensor, sum, and power for sym and ext,
+all with deterministic bases: tensor indices in row-major order, sym on
+sorted monomials in lexicographic order, ext on strictly increasing
+index tuples with Koszul signs.
 
 The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
@@ -37,7 +37,7 @@ from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, check_size, clip
+from .errors import BIG, DIM_CAP, MAX_DIGITS, ResourceError, ValidationError, check_size, clip
 from .linalg import RowSpace, Sparse, sparse, transpose
 from .rootdata import RootDatum, Weight
 
@@ -46,7 +46,6 @@ if TYPE_CHECKING:
 
 Matrix = Dict[int, Sparse]
 
-DEFAULT_MODULE_DIM_CAP = 2000
 # Cap on the cost estimate of _check_point.  In process, at points of
 # 1-12 long numerators or denominators, or of all short ones, on twelve
 # modules of dimension 2-126 (the densest of them dim-21 and dim-45 A2
@@ -194,7 +193,7 @@ def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     )
 
 
-def _power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
+def power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
     """Degree-k power of m: sym on the sorted index tuples, ext on the
     strictly increasing ones.  An operator replaces one factor at a time,
     and the new factor moves from position pos to the position j among
@@ -237,14 +236,6 @@ def _power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
     return ExplicitModule(m.rd, weights, tuple(induced(x) for x in m.ops))
 
 
-def sym(k: int, m: ExplicitModule) -> ExplicitModule:
-    return _power("sym", k, m)
-
-
-def ext(k: int, m: ExplicitModule) -> ExplicitModule:
-    return _power("ext", k, m)
-
-
 # ---------------------------------------------------------------- parser
 
 _TOKEN_NAMES = {"natural", "dual", "tensor", "sum", "sym", "ext"}
@@ -285,7 +276,7 @@ def _char_kind(ch: str) -> str:
     return "s" if ch.isspace() else "p"
 
 
-def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) -> ExplicitModule:
+def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule:
     """Parse expressions like sum(natural(4),ext(2,natural(4))), then
     build the module.  The nesting depth is bounded before parsing.  The
     parse folds dimensions, checking the cap on each sym and ext and on a
@@ -349,11 +340,10 @@ def build_module(rd: RootDatum, expr: str, cap: int = DEFAULT_MODULE_DIM_CAP) ->
             eat(",")
             dim, inner = parse()
             eat(")")
-            if name == "sym":
-                return fits(_binomial(dim + k - 1, k)), lambda: sym(k, inner())
-            if k > dim:
+            if name == "ext" and k > dim:
                 raise ValidationError("ext degree out of range")
-            return fits(_binomial(dim, k)), lambda: ext(k, inner())
+            n = dim + k - 1 if name == "sym" else dim
+            return fits(_binomial(n, k)), lambda: power(name, k, inner())
         is_tensor = name == "tensor"
         dim, first = parse()
         terms = [first]
@@ -388,14 +378,9 @@ def highest_weight_vectors(m: ExplicitModule) -> Dict[Weight, List[Sparse]]:
     return {w: out[w] for w in sorted(out, key=lambda w: (sum(w), w), reverse=True)}
 
 
-class Coinvariants(NamedTuple):
-    dim: int
-    rep_indices: Tuple[int, ...]
-    rep_weights: Tuple[Weight, ...]
-
-
-def u_coinvariants(m: ExplicitModule) -> Coinvariants:
-    """Quotient of the module by the span of all raising images.
+def u_coinvariants(m: ExplicitModule) -> Tuple[int, ...]:
+    """The U-coinvariants: the basis indices off the pivots of the span
+    of all raising images, whose images form a basis of the quotient.
 
     Images of the simple raising operators already span the images of
     every positive root vector, since each of those is an iterated
@@ -406,12 +391,7 @@ def u_coinvariants(m: ExplicitModule) -> Coinvariants:
         for col in e.values():
             span.add(col)
     pivot_set = set(span.pivots)
-    reps = tuple(i for i in range(m.dim) if i not in pivot_set)
-    return Coinvariants(
-        dim=m.dim - span.dim,
-        rep_indices=reps,
-        rep_weights=tuple(m.basis_weights[i] for i in reps),
-    )
+    return tuple(i for i in range(m.dim) if i not in pivot_set)
 
 
 def orbit_tangent(m: ExplicitModule, x: Sequence) -> RowSpace:

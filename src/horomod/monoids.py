@@ -16,8 +16,8 @@ dominate a lighter kept point's).  The points are graded by phi, the
 sum of the facet values; the sum of the normals is positive on every
 generator exactly when the cone is pointed.
 
-Presentations are binomial relations up to a degree bound; nothing is
-claimed past it.
+A presentation is the tuple of its binomial relations up to a degree
+bound, each a pair of exponent vectors; nothing is claimed past it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, lcm
 from operator import ge, mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -184,9 +184,8 @@ def _undominated(values: Dict[Gen, Gen]) -> Tuple[Gen, ...]:
 
 # ---------------------------------------------------------- presentation
 
-
-class Presentation(NamedTuple):
-    relations: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+# Two exponent vectors over the generators with the same product.
+Relation = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def _congruent(a, b, relations, degree_cap) -> bool:
@@ -212,14 +211,14 @@ def _congruent(a, b, relations, degree_cap) -> bool:
     return False
 
 
-def semigroup_presentation(monoid, degree_bound: int) -> Presentation:
+def semigroup_presentation(monoid, degree_bound: int) -> Tuple[Relation, ...]:
     """Binomial relations among the generators up to total degree
     degree_bound, thinned to ones not implied by smaller kept relations.
     Nothing is claimed beyond the degree window."""
     gens = monoid.generators
     m = len(gens)
     if m == 0:
-        return Presentation(())
+        return ()
     if comb(max(degree_bound, 0) + m, m) > _ENUM_CAP:
         raise ResourceError("presentation enumeration cap exceeded")
     fibers: Dict[Gen, List[Tuple[int, ...]]] = {}
@@ -248,10 +247,10 @@ def semigroup_presentation(monoid, degree_bound: int) -> Presentation:
             pair = tuple(sorted((xa, yb), key=lambda t: (sum(t), t)))
             candidates.add((pair[0], pair[1]))
     ordered = sorted(candidates, key=lambda p: (max(sum(p[0]), sum(p[1])), p))
-    kept: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    kept: List[Relation] = []
     slack = max((max(sum(p), sum(q)) for p, q in ordered), default=0)
     for a, b in ordered:
         if kept and _congruent(a, b, kept, degree_bound + slack):
             continue
         kept.append((a, b))
-    return Presentation(tuple(kept))
+    return tuple(kept)

@@ -20,7 +20,7 @@ partitions below p in dominance), counts each K(p, c) row by row with a
 memo, and spreads it over the Weyl orbit.  A count expands at most dim
 partial patterns per row, so the character costs at most (dominant
 weights) * rank * dim steps, and dim, the Weyl dimension, is checked
-against its cap before anything is enumerated.
+against its cap (errors.DIM_CAP by default) before anything is counted.
 
 tensor_decompose pushes the weights of one factor against the other
 highest weight and folds them back into the dominant chamber with
@@ -35,10 +35,8 @@ from itertools import accumulate, product
 from math import prod
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
-from .errors import BIG, ValidationError, check_size, clip
+from .errors import BIG, DIM_CAP, ValidationError, check_size, clip
 from .rootdata import RootDatum, Weight, check_weight
-
-DEFAULT_DIM_CAP = 10_000
 
 CharacterTable = Dict[Weight, int]
 Decomposition = Dict[Weight, int]
@@ -177,7 +175,7 @@ def _weyl_orbit(mu: Weight) -> Set[Weight]:
     return seen
 
 
-def weight_multiplicities(rd: RootDatum, lam, cap: int = DEFAULT_DIM_CAP) -> CharacterTable:
+def weight_multiplicities(rd: RootDatum, lam, cap: int = DIM_CAP) -> CharacterTable:
     """Full character of the simple module with highest weight lam: the
     Kostka number of each dominant content, spread over its Weyl orbit.
     The multiplicities must add up to Weyl's dimension."""
@@ -193,7 +191,7 @@ def weight_multiplicities(rd: RootDatum, lam, cap: int = DEFAULT_DIM_CAP) -> Cha
     return char
 
 
-def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Decomposition:
+def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DIM_CAP) -> Decomposition:
     """Decomposition of V(lam) (x) V(mu) into simple summands.
 
     Weight-push method: for every weight eps of the smaller factor,

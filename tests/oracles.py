@@ -21,11 +21,10 @@ from horomod.channels import (
     _law_unknowns,
     monoid_window,
 )
-from horomod.errors import ResourceError, ValidationError
+from horomod.errors import DIM_CAP, ResourceError, ValidationError
 from horomod.mulaw import LawKey, MultiplicationLaw
 from horomod.polysys import Grade, Mono, PolySystem, canonical_poly
 from horomod.repcalc import (
-    DEFAULT_DIM_CAP,
     Decomposition,
     epsilon,
     from_epsilon,
@@ -372,7 +371,7 @@ def lowest_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
     return from_epsilon(sorted(epsilon(lam)))
 
 
-def character_product_peel(rd: RootDatum, lam, mu, cap: int = DEFAULT_DIM_CAP) -> Decomposition:
+def character_product_peel(rd: RootDatum, lam, mu, cap: int = DIM_CAP) -> Decomposition:
     """Multiply full characters, peel highest weights: the peel half of
     the tensor route pair.  Independent of repcalc.tensor_decompose on
     purpose; keep it that way."""

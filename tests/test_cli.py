@@ -1134,7 +1134,7 @@ def test_module_cap_is_checked_as_each_term_is_folded(capsys, monkeypatch, name,
 
     # Each term has dimension 1140; the first two already pass the cap,
     # which is refused before any term is built.
-    monkeypatch.setattr(liealg, "_power", unbuilt)
+    monkeypatch.setattr(liealg, "power", unbuilt)
     expr = name + "(" + ",".join(["ext(3,natural(20))"] * terms) + ")"
     start = time.perf_counter()
     code, blob = run_json(capsys, "coinv", "A19", expr)

@@ -85,3 +85,19 @@ def test_golden_writes_input_files_for_the_requests_after_them():
     assert [code for code, *_ in ours[0]["steps"]] == [0, 3]
     assert ours[0]["files"] == {"law.json": "{"}
     assert golden.compare(cases, ours, ours) == []
+
+
+def test_golden_refusals_end_in_an_error_envelope(tmp_path, monkeypatch, capsys):
+    """Every request of golden.REFUSALS and golden.TWO_BAD_INPUTS ends in
+    a JSON error with exit 3 (validation) or 4 (resource), as their
+    comments say; the golden run itself checks only exit 0, 2, 3 or 4."""
+    from horomod.cli import main
+
+    golden = load_golden()
+    monkeypatch.chdir(tmp_path)
+    for argv in golden.REFUSALS + golden.TWO_BAD_INPUTS:
+        code = main(list(argv))
+        blob = json.loads(capsys.readouterr().out)
+        assert code in (3, 4), argv
+        assert blob["status"] == "error", argv
+        assert blob["error"]["type"] == ("validation" if code == 3 else "resource"), argv
