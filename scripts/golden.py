@@ -24,12 +24,11 @@ for the requests after it.  Requests that write files name them
 relatively, and the files left behind are compared along with the exit
 code, stdout and stderr of every request.  The script
 prints how many requests differ, then each differing argv after its
-exit code under OTHER_SRC and here (3 -> 0, say), then the
-horomod functions that neither the import of horomod.cli, a request
-nor one of the other scripts (SCRIPTS) entered on this checkout's
-side, and how many of them
-are outside UNENTERED_ALLOWED: such a function is a dead helper.  Last
-it prints each request that, on this checkout's side, broke the error
+exit code under OTHER_SRC and here (3 -> 0, say), then how many
+horomod functions neither the import of horomod.cli, a request nor one
+of the other scripts (SCRIPTS) entered on this checkout's side, and
+each of them: such a function is a dead helper, and none is allowed.
+Last it prints each request that, on this checkout's side, broke the error
 contract: it ended in a traceback, or in an exit code other than 0, 2,
 3 and 4.  It exits 1 if there is such a request or a dead helper, and 0
 otherwise, whatever the differences.
@@ -52,10 +51,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPTS = ["reproduce_examples.py"]
-# The package functions that may stay unentered: liealg.lie_matrix
-# reaches mat_combination only for a Lie part with a coefficient other
-# than 1, which only the tests give.
-UNENTERED_ALLOWED = {"liealg.mat_combination"}
 SEED = 20031
 
 SUBCOMMANDS = [
@@ -301,8 +296,12 @@ def small_cases(rng):
         ["presentation", "A1", "2;3", "--bound", "6"],
         ["presentation", "A2", "1,0;0,1;1,1", "--bound", "3"],
         ["presentation", "A1", "1;2;3;4;5", "--bound", "12"],
+        ["presentation", "A1", "", "--bound", "3"],
+        ["presentation", "A1", "3;4;5", "--bound", "8"],
         ["saturate", "A1", "2;3"],
+        ["saturate", "A1", "0"],
         ["saturate", "A2", "2,0;1,1;0,2"],
+        ["saturate", "A3", "1,0,0;2,0,0;0,1,0;0,0,1"],
     ]
     # Usage errors, each reported on stderr with exit 2.
     cases += [
@@ -557,8 +556,8 @@ LONG_POINT = ",".join(["1/" + "9" * 4299 + "7", "1/" + "9" * 4299 + "1"] + ["1"]
 # holding a 4 301-digit number, or of a dimension with more than 4 300
 # digits; a zero denominator, a point entry of 4 301 digits and a point
 # past the cost cap; monoids off the ranges of law-tangent, orbit-law,
-# saturate and presentation; and a Weyl dimension with more than 4 300
-# digits.
+# saturate and presentation; a saturation past its enumeration cap; and
+# a Weyl dimension with more than 4 300 digits.
 REFUSALS = [
     ["dim", "A2", "1"],
     ["dominance", "A2", "1", "1,0"],
@@ -579,6 +578,7 @@ REFUSALS = [
     ["orbit-law", "A1", "1;2", "--form", "1,0", "--truncation", "4"],
     ["saturate", "A4", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"],
     ["presentation", "A1", "1;2;3;4;5;6;7;8;9;10", "--bound", "20"],
+    ["saturate", "A2", "1,0;0,1;600,601"],
     ["dim", "A140", ",".join([str(10**40)] * 140)],
 ]
 
@@ -756,11 +756,6 @@ def contract_breaches(cases, results):
     ]
 
 
-def compare(cases, ours, theirs):
-    """The argvs of the differing requests."""
-    return [argv for argv, _, _ in differences(cases, ours, theirs)]
-
-
 def main(argv):
     if len(argv) == 3 and argv[1] == "--worker":
         worker(argv[2])
@@ -779,13 +774,11 @@ def main(argv):
     print(f"golden: {len(unentered)} horomod functions no request or script entered in {SRC}")
     for name in unentered:
         print("  " + name)
-    dead = [name for name in unentered if name not in UNENTERED_ALLOWED]
-    print(f"golden: {len(dead)} of them outside {', '.join(sorted(UNENTERED_ALLOWED))}")
     breaches = contract_breaches(cases, ours)
     print(f"golden: {len(breaches)} requests in {SRC} end in a traceback or an exit code outside 0, 2, 3, 4")
     for argv, code in breaches:
         print(f"  {code}  {shlex.join(argv)}")
-    return 1 if breaches or dead else 0
+    return 1 if breaches or unentered else 0
 
 
 if __name__ == "__main__":

@@ -84,17 +84,6 @@ def act(mat: Matrix, vec: Sparse) -> Sparse:
     return {r: v for r, v in out.items() if v}
 
 
-def mat_combination(terms: Sequence[Tuple[Number, Matrix]]) -> Matrix:
-    """The sum of s * mat over the (s, mat) terms."""
-    out: Matrix = {}
-    for s, mat in terms:
-        for c, col in mat.items():
-            acc = out.setdefault(c, {})
-            for r, x in col.items():
-                _add(acc, r, s * x)
-    return _nonempty(out)
-
-
 def _off_diagonal(n: int) -> List[Tuple[int, int]]:
     """The (p, q) of the E_pq among the Chevalley basis, 0-based, in order."""
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -500,11 +489,13 @@ def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
         raise ValidationError(
             f"stabilizer vector index {bad[0]} is outside the {len(mats)} basis elements"
         )
-    if len(coeffs) == 1:
-        (k, c), = coeffs.items()
-        if c == 1:
-            return mats[k]  # shared with m.ops; callers only read it
-    return mat_combination([(c, mats[k]) for k, c in coeffs.items()])
+    out: Matrix = {}
+    for k, s in coeffs.items():
+        for c, col in mats[k].items():
+            acc = out.setdefault(c, {})
+            for r, x in col.items():
+                _add(acc, r, s * x)
+    return _nonempty(out)
 
 
 def fixed_in_quotient(

@@ -49,8 +49,6 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 def _hnf(rows: Sequence[Gen]) -> List[List[int]]:
     """Row Hermite normal form over the integers (nonzero rows)."""
     mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
     ncols = len(mat[0])
     r = 0
     for c in range(ncols):
@@ -109,8 +107,6 @@ def _facet_normals(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[
     fixed, when no generator is negative on it.  The kept ones include
     every facet, so a point of the span lies in the cone iff all are
     non-negative on it."""
-    if not basis:
-        return []
     n = len(gens[0])
     perp = linalg.RowSpace(n, basis).kernel()
     normals = set()

@@ -82,7 +82,6 @@ def transvectants(f: Form, g: Form, top: int) -> List[Tuple[Q, ...]]:
 
 
 class MultiplicationLaw(NamedTuple):
-    rd: RootDatum
     monoid: WeightMonoid
     truncation: int
     coeffs: Dict[LawKey, Q]
@@ -98,7 +97,6 @@ def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Tuple[int
 
 
 def make_law(
-    rd: RootDatum,
     monoid: WeightMonoid,
     truncation: int,
     coeffs: Mapping[LawKey, object],
@@ -120,18 +118,18 @@ def make_law(
             raise ValidationError(
                 f"pair ({lam},{mu}) exceeds the truncation window"
             )
-        coeff_grade(rd, lam, mu, nu)  # raises if nu > lam+mu in root order
+        coeff_grade(monoid.rd, lam, mu, nu)  # raises if nu > lam+mu in root order
         if (nu == sumw) != (ch == 0):
             raise ValidationError("channel 0 must be exactly the top component")
         if ch == 0 and val != 1:
             raise ValidationError("top-channel coefficient must be 1")
-        if rd.rank == 1:
+        if monoid.rd.rank == 1:
             if ch < 0 or ch > min(lam[0], mu[0]) or nu[0] != lam[0] + mu[0] - 2 * ch:
                 raise ValidationError(f"bad channel {ch} for ({lam},{mu})->{nu}")
         if (not any(lam) and nu != mu) or (not any(mu) and nu != lam):
             raise ValidationError("multiplication by the unit component must be trivial")
         table[(lam, mu, nu, ch)] = val
-    return MultiplicationLaw(rd, monoid, truncation, table)
+    return MultiplicationLaw(monoid, truncation, table)
 
 
 def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
@@ -146,11 +144,11 @@ def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
     taken one coordinate at a time, so coordinates that cancel across
     the product may be refused too."""
     pt = [Q(x) for x in point]
-    if len(pt) != law.rd.rank:
+    if len(pt) != law.monoid.rd.rank:
         raise ValidationError("contraction point must have one value per simple root")
     out: Dict[LawKey, Q] = {}
     for key, val in law.coeffs.items():
-        g = coeff_grade(law.rd, key[0], key[1], key[2])
+        g = coeff_grade(law.monoid.rd, key[0], key[1], key[2])
         factor = Q(1)
         for base, exp in zip(pt, g):
             num_bits = exp * (abs(base.numerator).bit_length() - 1) - val.denominator.bit_length()
@@ -160,18 +158,18 @@ def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
             factor *= base ** exp
         if val * factor:
             out[key] = val * factor
-    return MultiplicationLaw(law.rd, law.monoid, law.truncation, out)
+    return MultiplicationLaw(law.monoid, law.truncation, out)
 
 
 def root_monoid_of_law(law: MultiplicationLaw) -> RootMonoid:
     gens = sorted(
         {
-            coeff_grade(law.rd, lam, mu, nu)
+            coeff_grade(law.monoid.rd, lam, mu, nu)
             for (lam, mu, nu, ch) in law.coeffs
             if ch != 0
         }
     )
-    return make_root_monoid(law.rd, gens)
+    return make_root_monoid(law.monoid.rd, gens)
 
 
 def _too_long(what: str, key: LawKey) -> ResourceError:
@@ -199,7 +197,7 @@ def law_to_json_dict(law: MultiplicationLaw) -> dict:
         for (lam, mu, nu, ch) in sorted(law.coeffs)
     ]
     return {
-        "rd": {"label": law.rd.label, "cartan": [list(r) for r in law.rd.cartan]},
+        "rd": {"label": law.monoid.rd.label, "cartan": [list(r) for r in law.monoid.rd.cartan]},
         "monoid": {"generators": [list(g) for g in law.monoid.generators]},
         "truncation": law.truncation,
         "coeffs": entries,
@@ -272,7 +270,7 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
             raise ValidationError(f"duplicate coefficient {clip(str(key))}")
         value = e["value"]
         coeffs[key] = linalg.read_rational(value) if type(value) is str else Q(value)
-    return make_law(rd, monoid, _json_int("truncation", data["truncation"]), coeffs)
+    return make_law(monoid, _json_int("truncation", data["truncation"]), coeffs)
 
 
 # ----------------------------------------------------- orbit laws (A1)
@@ -385,7 +383,7 @@ def orbit_law(
                 if k:
                     scale = factorial(i) * perm(a, i) * perm(b, i) * perm(a + b - i + 1, i)
                     coeffs[((a,), (b,), (c,), i)] = k / scale
-    return make_law(monoid.rd, monoid, truncation, coeffs)
+    return make_law(monoid, truncation, coeffs)
 
 
 def _multiple(t: Form, p: Optional[Form]) -> Optional[Q]:

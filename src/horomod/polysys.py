@@ -72,8 +72,6 @@ def reduced_equations(
 
 
 def render_poly(cp: CanonPoly, names: Sequence[str]) -> str:
-    if not cp:
-        return "0"
     parts = []
     for m, c in cp:
         term = f"{c:+d}"
@@ -93,17 +91,11 @@ def equation_texts(system: PolySystem) -> List[str]:
     return [text for _, _, text in keyed]
 
 
-def _grade_str(g: Grade) -> str:
-    if len(g) == 1:
-        return f"{g[0]}*alpha"
-    return "+".join(f"{k}*alpha{i + 1}" for i, k in enumerate(g))
-
-
 def system_to_text(system: PolySystem, equations: Sequence[str]) -> str:
     """One comment line per unknown of system with its grade, then the
     equation texts, one per line."""
     lines = [
-        f"# unknown {name} grade={_grade_str(g)}"
+        f"# unknown {name} grade={g[0]}*alpha"
         for name, g in zip(system.unknowns, system.grades)
     ]
     return "\n".join(lines + list(equations)) + "\n"

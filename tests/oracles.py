@@ -185,7 +185,7 @@ def is_free(monoid) -> bool:
 # ---------------------------------------------------------------- laws
 
 
-def horospherical_law(rd: RootDatum, monoid: WeightMonoid, truncation: int) -> MultiplicationLaw:
+def horospherical_law(monoid: WeightMonoid, truncation: int) -> MultiplicationLaw:
     """The graded law X_0: every top channel 1, every other zero."""
     window = monoid_window(monoid, truncation)
     wset = set(window)
@@ -195,7 +195,7 @@ def horospherical_law(rd: RootDatum, monoid: WeightMonoid, truncation: int) -> M
             sumw = tuple(a + b for a, b in zip(lam, mu))
             if sumw in wset:
                 coeffs[(lam, mu, sumw, 0)] = Q(1)
-    return MultiplicationLaw(rd, monoid, truncation, coeffs)
+    return MultiplicationLaw(monoid, truncation, coeffs)
 
 
 def triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, int, int], int]]:
@@ -327,7 +327,7 @@ def tangent_at_horospherical(system: PolySystem) -> Tuple[int, Tuple[Grade, ...]
 
 def law_unknown_values(law: MultiplicationLaw) -> Dict[str, Q]:
     """The non-top coefficients of a rank-one law, by unknown name."""
-    if law.rd.rank != 1:
+    if law.monoid.rd.rank != 1:
         raise ValidationError("unknown naming is defined for rank one")
     out: Dict[str, Q] = {}
     for (lam, mu, nu, ch), val in law.coeffs.items():

@@ -143,12 +143,12 @@ def test_criterion_6():
         for n in range(1, 6):
             mon = make_weight_monoid(A1, [(n,)])
             system = law_equations(mon, 4 * n)
-            hor = horospherical_law(A1, mon, 4 * n)
+            hor = horospherical_law(mon, 4 * n)
             resid = system_residuals(system, law_unknown_values(hor))
             assert all(r == 0 for r in resid)
         sample = (Q(2), Q(-1, 3), Q(5))
         for law in _test_laws():
-            hor = horospherical_law(A1, law.monoid, law.truncation)
+            hor = horospherical_law(law.monoid, law.truncation)
             assert contract(law, [Q(0)]).coeffs == hor.coeffs
             assert contract(law, [Q(1)]).coeffs == law.coeffs
             for s in sample:

@@ -72,11 +72,13 @@ def check_brackets(m):
     """Assert the defining relations hold on this module."""
     r = m.rd.rank
     h = m.ops[-r:]
+    labels = la.chevalley_labels(m.rd)
     for i in range(r):
         for j in range(r):
             cij = m.rd.cartan[i][j]
-            assert mat_commutator(h[i], m.e[j]) == la.mat_combination([(Q(cij), m.e[j])])
-            assert mat_commutator(h[i], m.f[j]) == la.mat_combination([(Q(-cij), m.f[j])])
+            e, f = (labels.index(f"{x}[{j + 1},{j + 2}]") for x in "ef")
+            assert mat_commutator(h[i], m.e[j]) == la.lie_matrix(m, {e: Q(cij)})
+            assert mat_commutator(h[i], m.f[j]) == la.lie_matrix(m, {f: Q(-cij)})
             assert mat_commutator(m.e[i], m.f[j]) == (h[i] if i == j else {})
     for idx, w in enumerate(m.basis_weights):
         for i in range(r):
@@ -542,11 +544,14 @@ def test_lie_matrix_of_a_unit_vector_is_the_chevalley_matrix():
     m = la.build_module(A2, "sum(natural(3),ext(2,natural(3)))")
     mats = m.ops
     for k, mat in enumerate(mats):
-        assert la.lie_matrix(m, {k: Q(1)}) is mat
-    assert la.lie_matrix(m, {1: Q(3)}) == la.mat_combination([(Q(3), mats[1])])
-    assert la.lie_matrix(m, {0: Q(2), 3: Q(-1)}) == la.mat_combination(
-        [(Q(2), mats[0]), (Q(-1), mats[3])]
-    )
+        assert la.lie_matrix(m, {k: Q(1)}) == mat
+    for coeffs in ({1: Q(3)}, {0: Q(2), 3: Q(-1)}):
+        mat = la.lie_matrix(m, coeffs)
+        assert mat == pruned(mat)
+        for b in range(len(m.basis_weights)):
+            images = [la.act(mats[k], {b: c}) for k, c in coeffs.items()]
+            expected = {r: sum(v.get(r, 0) for v in images) for r in set().union(*images)}
+            assert la.act(mat, {b: 1}) == {r: x for r, x in expected.items() if x}
     with pytest.raises(ValidationError, match="outside the 8 basis elements"):
         la.lie_matrix(m, {8: Q(1)})
 

@@ -144,7 +144,7 @@ def test_monoid_window_needs_dominant_generators():
 
 def test_horospherical_law_entries():
     mon = nat2([2])
-    law = horospherical_law(A1, mon, 6)
+    law = horospherical_law(mon, 6)
     assert all(ch == 0 for (_, _, _, ch) in law.coeffs)
     assert all(v == 1 for v in law.coeffs.values())
     # every admissible pair within the window carries its top entry
@@ -156,28 +156,28 @@ def test_horospherical_law_entries():
 def test_make_law_rejects_non_unit_top():
     mon = nat2([2])
     with pytest.raises(ValidationError):
-        make_law(A1, mon, 4, {((2,), (2,), (4,), 0): Q(2)})
+        make_law(mon, 4, {((2,), (2,), (4,), 0): Q(2)})
 
 
 def test_make_law_rejects_alien_channel():
     mon = nat2([2])
-    base = {k: Q(1) for k in horospherical_law(A1, mon, 4).coeffs}
+    base = {k: Q(1) for k in horospherical_law(mon, 4).coeffs}
     base[((2,), (2,), (4,), 1)] = Q(1)  # channel 1 must land in V(2), not V(4)
     with pytest.raises(ValidationError):
-        make_law(A1, mon, 4, base)
+        make_law(mon, 4, base)
 
 
 def test_make_law_rejects_weight_outside_monoid():
     mon = nat2([2])
-    base = {k: Q(1) for k in horospherical_law(A1, mon, 6).coeffs}
+    base = {k: Q(1) for k in horospherical_law(mon, 6).coeffs}
     base[((2,), (2,), (3,), 0)] = Q(1)
     with pytest.raises(ValidationError):
-        make_law(A1, mon, 6, base)
+        make_law(mon, 6, base)
 
 
 def test_law_grades_and_contract_identity():
     mon = nat2([2])
-    law = horospherical_law(A1, mon, 8)
+    law = horospherical_law(mon, 8)
     same = contract(law, [Q(5)])
     assert same.coeffs == law.coeffs
 
@@ -469,7 +469,7 @@ def ring_orbit_law(forms, monoid, truncation):
                 for i, val in zip(open_, ring_solve_pair(a, b, open_, bases)):
                     if i and val:
                         coeffs[((a,), (b,), (a + b - 2 * i,), i)] = val
-    return make_law(monoid.rd, monoid, truncation, coeffs)
+    return make_law(monoid, truncation, coeffs)
 
 
 def ring_solve_pair(a, b, open_, bases):
@@ -519,7 +519,7 @@ def ring_solve_pair(a, b, open_, bases):
 def test_orbit_law_of_single_highest_weight_vector_is_horospherical():
     mon = nat2([2])
     law = orbit_law([(1, 0, 0)], mon, 8)
-    assert law.coeffs == horospherical_law(A1, mon, 8).coeffs
+    assert law.coeffs == horospherical_law(mon, 8).coeffs
 
 
 def test_orbit_law_x2_plus_y2():
@@ -674,7 +674,7 @@ def test_contract_origin_gives_horospherical():
     mon = nat2([2])
     law = orbit_law([(1, 0, 1)], mon, 8)
     at_zero = contract(law, [Q(0)])
-    assert at_zero.coeffs == horospherical_law(A1, mon, 8).coeffs
+    assert at_zero.coeffs == horospherical_law(mon, 8).coeffs
 
 
 @settings(max_examples=20, deadline=None)

@@ -69,10 +69,10 @@ def test_golden_set_compares_stdout_and_written_files(tmp_path):
     assert [[code for code, *_ in r["steps"]] for r in ours] == [[0], [0], [0, 0]]
     assert sorted(ours[1]["files"]) == ["system.txt"]
     assert sorted(ours[2]["files"]) == ["law.json"]
-    assert golden.compare(cases, ours, ours) == []
+    assert [argv for argv, *_ in golden.differences(cases, ours, ours)] == []
     changed = json.loads(json.dumps(ours))
     changed[2]["files"]["law.json"] += " "
-    assert golden.compare(cases, ours, changed) == [cases[2][-1]]
+    assert [argv for argv, *_ in golden.differences(cases, ours, changed)] == [cases[2][-1]]
 
 
 def test_golden_writes_input_files_for_the_requests_after_them():
@@ -84,7 +84,17 @@ def test_golden_writes_input_files_for_the_requests_after_them():
     ours, _ = golden.run_side(golden.SRC, cases)
     assert [code for code, *_ in ours[0]["steps"]] == [0, 3]
     assert ours[0]["files"] == {"law.json": "{"}
-    assert golden.compare(cases, ours, ours) == []
+    assert [argv for argv, *_ in golden.differences(cases, ours, ours)] == []
+
+
+def test_golden_reports_the_functions_no_request_entered():
+    """A dim request enters the import of horomod.cli and weyl_dim, and
+    no saturation, so only the functions it never reaches are reported."""
+    golden = load_golden()
+    _, unentered = golden.run_side(golden.SRC, [[["dim", "A2", "1,1"]]])
+    assert "monoids.saturation" in unentered
+    assert "repcalc.weyl_dim" not in unentered
+    assert "cli._lazy" not in unentered
 
 
 def test_golden_refusals_end_in_an_error_envelope(tmp_path, monkeypatch, capsys):

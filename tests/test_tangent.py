@@ -84,8 +84,8 @@ def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
     monkeypatch.setattr(liealg, "stabilizer_lie", unreached)
     assert examples.flag_point().dim_T1_invariant == 2
     # The Chevalley table is built with the module: a unit Lie
-    # generator's matrix is its table entry.
-    assert all(mat is m.ops[k] for m, (k,), mat in lie_calls)
+    # generator's matrix equals its table entry.
+    assert all(mat == m.ops[k] for m, (k,), mat in lie_calls)
     assert len(isotypic_args) <= 1
     # one matrix per Lie generator (3 for the unipotent radical of A3,
     # one per simple root), all on the module itself: no adjoint module
