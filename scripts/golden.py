@@ -8,14 +8,15 @@ git worktree of HEAD^.  The script builds a fixed, seeded list of
 requests: every subcommand and its --help, usage errors, the kinds of
 input the CLI fuzz tests draw, t1 at random and U-fixed points with and
 without --lie-u and --diag, orbit-tangent, stabilizer and t1 at points
-with fractions, the flag multicones A2-A8, both examples, weights and
-tensor requests up to the default dimension cap, the law requests,
-orbit laws drawn as the orbit-law sweep of the tests draws them, and
-a few requests that once ran for seconds (bound_cases), law files
-each spoiled in one way, and requests with two bad inputs, which show
-the input read first (input_cases), and last the refusals of input that
-no other request reaches (REFUSALS).  The worked examples come from
-horomod.examples.  It runs the whole list
+with fractions, hwv, coinv and the point requests on 3-factor tensors
+and on sums that hold a tensor, the flag multicones A2-A8, both
+examples, weights and tensor requests up to the default dimension cap,
+the law requests, orbit laws drawn as the orbit-law sweep of the tests
+draws them, and a few requests that once ran for seconds (bound_cases),
+law files each spoiled in one way, and requests with two bad inputs,
+which show the input read first (input_cases), and last the refusals of
+input that no other request reaches (REFUSALS).  The worked examples
+come from horomod.examples.  It runs the whole list
 through horomod.cli.main once under this checkout's src and once under
 OTHER_SRC, each side in its own subprocess.  Each case runs in a fresh
 temporary working directory, and its steps run there in turn: a step is
@@ -102,6 +103,18 @@ T1_MODULES = {
         "ext(2,natural(4))",
         EXPRS_A3[4],  # the A3 flag multicone
         "sum(natural(4),dual(natural(4)))",
+    ],
+}
+
+# A 3-factor tensor and a sum that holds a tensor, by group.
+NARY_MODULES = {
+    "A1": [
+        "tensor(natural(2),natural(2),natural(2))",
+        "sum(natural(2),tensor(natural(2),sym(2,natural(2))),dual(natural(2)))",
+    ],
+    "A2": [
+        "tensor(natural(3),dual(natural(3)),natural(3))",
+        "sum(natural(3),tensor(natural(3),dual(natural(3))),ext(2,natural(3)))",
     ],
 }
 
@@ -254,6 +267,26 @@ def rational_point_cases(liealg, rootdata):
         for command in ("orbit-tangent", "stabilizer", "t1"):
             flags = ["--lie-u"] if command == "t1" and rng.random() < 0.7 else []
             cases.append([command, *flags, "--", f"A{rank}", module, point])
+    return cases
+
+
+def nary_cases(liealg, rootdata):
+    """hwv and coinv on NARY_MODULES; t1 --lie-u at the sum of their
+    highest weight vectors; orbit-tangent and stabilizer there and at
+    the point -1, 0, 1, -1, 0, 1, ..."""
+    cases = []
+    for label, exprs in NARY_MODULES.items():
+        for expr in exprs:
+            m = liealg.build_module(rootdata.make_root_datum(label), expr)
+            x = [0] * m.dim
+            for vs in liealg.highest_weight_vectors(m).values():
+                for v in vs:
+                    for i, val in v.items():
+                        x[i] += val
+            hw = ",".join(map(str, x))
+            ramp = ",".join(str(i % 3 - 1) for i in range(m.dim))
+            cases += [["hwv", label, expr], ["coinv", label, expr], ["t1", "--lie-u", "--", label, expr, hw]]
+            cases += [[c, "--", label, expr, p] for c in ("orbit-tangent", "stabilizer") for p in (hw, ramp)]
     return cases
 
 
@@ -467,13 +500,14 @@ def fixed_cases(examples):
 def bound_cases(examples):
     """Requests that ran for seconds before their cost was bounded: t1
     and orbit-tangent at a point of short entries on most coordinates of
-    the A8 flag multicone, drawn from their own seeded generator, and
+    the A8 flag multicone, drawn from their own seeded generator, with
+    stabilizer there, which is cheap, and
     orbit-law at a linear form of 4 300-digit entries; and saturate
     requests that a capped natural-sum search once refused, of which
     the last two are still refused, now from an estimate."""
     rng = random.Random(SEED)
     point = ",".join(str(rng.choice([0, 1, -1, 2])) for _ in range(2**9 - 2))
-    cases = [[c, "A8", examples.flag_multicone(8).module, point] for c in ("t1", "orbit-tangent")]
+    cases = [[c, "A8", examples.flag_multicone(8).module, point] for c in ("t1", "orbit-tangent", "stabilizer")]
     cases.append(["orbit-law", "A1", "1", "--form", "7" * 4300 + ",1", "--truncation", "16"])
     for group, gens in [
         ("A3", "1,0,-2;3,-1,2;3,1,-1;1,3,3"),
@@ -626,6 +660,7 @@ def golden_cases():
         + t1_cases(rng, liealg, rootdata)
         + cap_edge_cases(repcalc, rootdata)
         + rational_point_cases(liealg, rootdata)
+        + nary_cases(liealg, rootdata)
     )
     return (
         [[argv] for argv in single]

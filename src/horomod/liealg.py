@@ -11,10 +11,12 @@ the CLI densifies, to print.  An operator is the map {column: its
 nonzero entries as a sparse vector}, storing no zeros and no empty
 column, so two operators are equal exactly when == says so, and applying
 one to a vector reads only the columns in the vector's support.
-Constructions: natural, dual, tensor, sum, and power for sym and ext,
-all with deterministic bases: tensor indices in row-major order, sym on
-sorted monomials in lexicographic order, ext on strictly increasing
-index tuples with Koszul signs.
+The constructions are natural, dual, one block sum and one induction:
+direct_sum places the operators of all its terms in blocks, and _induce
+acts on sorted index tuples of a module by the Leibniz rule.  tensor
+induces from the block sum of its factors on one index per factor, in
+row-major order; power induces sym on sorted tuples and ext on strictly
+increasing ones with Koszul signs, both in lexicographic order.
 
 The full Chevalley basis of sl_n is ordered: e[i,j] for i < j in
 lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
@@ -22,8 +24,7 @@ lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
 order once; the labels, e, f and the Lie part of u are read off it.
 Stabilizer coefficient vectors are sparse over this order.  A module is
 its root datum, the weights of its basis and the action ops of every
-element of this basis.  natural writes the matrix units down, and each
-other construction induces the operators of its factors one by one.
+element of this basis.
 Every fixed space comes from fixed_in_quotient: V^U is the fixed space
 of the simple raising operators, and u is given by its r simple root
 vectors, which generate it, so on a u-stable span they fix what u fixes.
@@ -32,8 +33,7 @@ vectors, which generate it, so on a u-stable span they fix what u fixes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import accumulate, combinations, combinations_with_replacement, groupby, product
 from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -54,7 +54,11 @@ Matrix = Dict[int, Sparse]
 # 138 random points of short entries with estimates of 1/5 of the cap
 # to the cap, on the multicones A6-A9 and four other modules of
 # dimension 210-231, the slowest t1 took 2.3 s (A8, support 97 of 510).
-# The flag points of the multicones A2-A11 are admitted.
+# With its own fill term, stabilizer at 320 points of both kinds, with
+# estimates from 1/5 of the cap to the cap on those modules, took 0.84 s
+# at most (dim-210 A20, support 51), and 0.13 s at most at the dense A8
+# points it admits.  The flag points of the multicones A2-A11 are
+# admitted.
 _POINT_COST_CAP = 5 * 10**11
 
 
@@ -145,51 +149,43 @@ def dual(m: ExplicitModule) -> ExplicitModule:
     )
 
 
-def tensor(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
-    """a (x) b, over the one root datum build_module builds both on."""
-    da, db = a.dim, b.dim
-
-    def both(ma: Matrix, mb: Matrix) -> Matrix:
-        out: Matrix = {}
-        for c, col in ma.items():
-            for j in range(db):
-                out[c * db + j] = {r * db + j: v for r, v in col.items()}
-        for c, col in mb.items():
-            for i in range(da):
-                target = out.setdefault(i * db + c, {})
-                for r, v in col.items():
-                    _add(target, i * db + r, v)
-        return _nonempty(out)
-
-    weights = tuple(
-        tuple(x + y for x, y in zip(wa, wb)) for wa in a.basis_weights for wb in b.basis_weights
-    )
-    return ExplicitModule(a.rd, weights, tuple(both(x, y) for x, y in zip(a.ops, b.ops)))
+def direct_sum(*terms: ExplicitModule) -> ExplicitModule:
+    """The sum of terms, over the one root datum build_module builds them
+    on: each operator is the block sum of the terms' operators."""
+    ops: List[Matrix] = [{} for _ in terms[0].ops]
+    offset = 0
+    for t in terms:
+        for out, mat in zip(ops, t.ops):
+            for c, col in mat.items():
+                out[c + offset] = {r + offset: v for r, v in col.items()}
+        offset += t.dim
+    weights = tuple(w for t in terms for w in t.basis_weights)
+    return ExplicitModule(terms[0].rd, weights, tuple(ops))
 
 
-def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
-    """a + b, over the one root datum build_module builds both on."""
-    da = a.dim
-
-    def block(ma: Matrix, mb: Matrix) -> Matrix:
-        out = dict(ma)
-        for c, col in mb.items():
-            out[c + da] = {r + da: v for r, v in col.items()}
-        return out
-
-    return ExplicitModule(
-        a.rd, a.basis_weights + b.basis_weights, tuple(block(x, y) for x, y in zip(a.ops, b.ops))
-    )
+def tensor(*factors: ExplicitModule) -> ExplicitModule:
+    """The tensor product of factors, induced from their block sum on the
+    tuples of one index per factor, in row-major order."""
+    ends = list(accumulate(f.dim for f in factors))
+    basis = product(*(range(end - f.dim, end) for f, end in zip(factors, ends)))
+    return _induce(direct_sum(*factors), list(basis), False)
 
 
 def power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
     """Degree-k power of m: sym on the sorted index tuples, ext on the
-    strictly increasing ones.  An operator replaces one factor at a time,
-    and the new factor moves from position pos to the position j among
-    the others that bisection finds; in ext the term carries the Koszul
-    sign (-1)^|pos - j|, and a repeated index drops it."""
+    strictly increasing ones, each in lexicographic order."""
     alternating = name == "ext"
-    basis = list((combinations if alternating else combinations_with_replacement)(range(m.dim), k))
+    basis = (combinations if alternating else combinations_with_replacement)(range(m.dim), k)
+    return _induce(m, list(basis), alternating)
+
+
+def _induce(m: ExplicitModule, basis: List[Tuple[int, ...]], alternating: bool) -> ExplicitModule:
+    """The module on basis, sorted index tuples of m, where each operator
+    of m acts by the Leibniz rule: it replaces one factor at a time, and
+    the new factor moves from position pos to the position j among the
+    others that bisection finds.  An alternating term carries the Koszul
+    sign (-1)^|pos - j|, and a repeated index drops it.  Every replaced
+    tuple must lie in basis."""
     index = {mono: i for i, mono in enumerate(basis)}
     # containing[u]: the (tuple index, position) of each occurrence of u
     containing: Dict[int, List[Tuple[int, int]]] = {}
@@ -207,7 +203,7 @@ def power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
                 for v, val, negated in terms:
                     b = bisect_left(mono, v)
                     if alternating:
-                        if b != pos and b < k and mono[b] == v:
+                        if b != pos and b < len(mono) and mono[b] == v:
                             continue
                         if (pos - b + (b > pos)) & 1:  # j = b - (b > pos)
                             val = negated
@@ -342,7 +338,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule
             dim = fits(dim * d if is_tensor else dim + d)
             terms.append(term)
         eat(")")
-        return dim, lambda: reduce(tensor if is_tensor else direct_sum, (t() for t in terms))
+        return dim, lambda: (tensor if is_tensor else direct_sum)(*(t() for t in terms))
 
     dim, build = parse()
     if pos != len(toks):
@@ -394,12 +390,12 @@ def orbit_tangent(m: ExplicitModule, x: Sequence) -> RowSpace:
 
 def stabilizer_lie(m: ExplicitModule, x: Sequence) -> List[Sparse]:
     """Kernel of xi -> xi.x, as Chevalley coefficient vectors."""
-    vec = _check_point(m, x)
+    vec = _check_point(m, x, stabilizer=True)
     rows = transpose({k: act(mat, vec) for k, mat in enumerate(m.ops)})
     return RowSpace(len(m.ops), rows.values()).kernel()
 
 
-def _check_point(m: ExplicitModule, x: Sequence) -> Sparse:
+def _check_point(m: ExplicitModule, x: Sequence, stabilizer: bool = False) -> Sparse:
     """x as a sparse vector, after checking its length and the cost
     estimate of the eliminations at x against _POINT_COST_CAP.
 
@@ -416,15 +412,17 @@ def _check_point(m: ExplicitModule, x: Sequence) -> Sparse:
     have about s nonzeros, and each of the dim+ops vectors the
     eliminations add clears up to rho pivots on rows that fill in with
     s as well: about rho*s^2 products per vector, each costing at least
-    a 32-bit word squared.  The estimate is the sum of both costs, read
-    off the point before any RowSpace is built."""
+    a 32-bit word squared.  The stabilizer eliminates the rows of the
+    orbit map instead, which have ops columns, so there they fill in
+    with min(s, ops).  The estimate is the sum of both costs, read off
+    the point before any RowSpace is built."""
     if len(x) != m.dim:
         raise ValidationError(f"point has length {len(x)}, module dimension {m.dim}")
     vec = sparse(x)
     h = sum(q.bit_length() for q in {v.denominator for v in vec.values()} if q > 1)
     h += sum(p.bit_length() for p in {abs(v.numerator) for v in vec.values()})
     rho = min(m.dim, len(m.ops))
-    s = len(vec)
+    s = min(len(vec), len(m.ops)) if stabilizer else len(vec)
     digits = m.dim * (rho * h) ** 2
     support = rho * (32 * s) ** 2
     if (m.dim + len(m.ops)) * (digits + support) > _POINT_COST_CAP:

@@ -524,7 +524,7 @@ def test_long_numbers_on_a_small_module_are_admitted(capsys, argv):
 
 # Short entries on most of the 510 coordinates of the A8 flag multicone.
 # Run, t1 takes 7 s and orbit-tangent 0.9 s at this point on a 2-vCPU
-# host, though its digits alone are cheap.
+# host, though its digits alone are cheap; stabilizer takes 0.07 s.
 DENSE_RNG = random.Random(8)
 DENSE_POINT = ",".join(str(DENSE_RNG.choice([0, 1, -1, 2])) for _ in range(510))
 
@@ -540,6 +540,17 @@ def test_a_dense_point_on_a_large_module_is_refused_from_its_cost_estimate(capsy
         "message": "point cost estimate exceeds the cap 500000000000; "
         "give the point fewer nonzero entries",
     }
+
+
+def test_a_dense_point_on_a_large_module_has_a_cheap_stabilizer(capsys):
+    """The stabilizer eliminates the rows of the orbit map, which have
+    only ops columns, so its estimate admits the point t1 refuses."""
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "stabilizer", "--", "A8", examples.flag_multicone(8).module, DENSE_POINT)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert blob["payload"]["dim"] == 0
+    assert blob["payload"]["basis"] == []
 
 
 def test_law_value_in_exponent_notation_is_refused(tmp_path, capsys):

@@ -176,6 +176,8 @@ EXPRS_A1 = [
     "sym(3,natural(2))",
     "tensor(natural(2),natural(2))",
     "sum(natural(2),sym(2,natural(2)))",
+    "tensor(natural(2),natural(2),natural(2))",
+    "sum(natural(2),tensor(natural(2),sym(2,natural(2))),dual(natural(2)))",
 ]
 
 EXPRS_A3 = [
@@ -186,6 +188,7 @@ EXPRS_A3 = [
     "sum(natural(4),ext(2,natural(4)),ext(3,natural(4)))",
     "sym(2,ext(2,natural(4)))",
     "ext(2,sym(2,natural(4)))",
+    "tensor(natural(4),dual(natural(4)),ext(2,natural(4)))",
 ]
 
 
@@ -205,6 +208,23 @@ def test_multicone_table_matches_the_commutator_route(rank):
     rd = rda.make_root_datum(ex.label)
     check_one_route(la.natural(rd))
     check_one_route(la.build_module(rd, ex.module))
+
+
+@pytest.mark.parametrize(
+    "rd,exprs",
+    [
+        (A1, ["natural(2)", "sym(2,natural(2))", "dual(natural(2))"]),
+        (A2, ["natural(3)", "dual(natural(3))", "ext(2,natural(3))"]),
+    ],
+)
+def test_three_terms_at_once_match_two_folds(rd, exprs):
+    """tensor and direct_sum of three terms equal the pairwise folds,
+    operator by operator and in weights."""
+    a, b, c = (la.build_module(rd, e) for e in exprs)
+    for build in (la.tensor, la.direct_sum):
+        once, folded = build(a, b, c), build(build(a, b), c)
+        assert once.basis_weights == folded.basis_weights
+        assert once.ops == folded.ops
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -587,7 +607,7 @@ def test_a_dense_point_on_a_large_module_is_refused_before_any_elimination(monke
     x = [rng.choice([0, 1, -1, 2]) for _ in range(m.dim)]
     monkeypatch.setattr(la, "RowSpace", unbuilt)
     monkeypatch.setattr(tangent, "RowSpace", unbuilt)
-    for route in (la.orbit_tangent, la.stabilizer_lie, lambda m, x: tangent.t1_invariant(m, x, la.StabilizerSpec())):
+    for route in (la.orbit_tangent, lambda m, x: tangent.t1_invariant(m, x, la.StabilizerSpec())):
         with pytest.raises(ResourceError, match="give the point fewer nonzero entries"):
             route(m, x)
 
