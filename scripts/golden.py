@@ -589,9 +589,10 @@ LONG_POINT = ",".join(["1/" + "9" * 4299 + "7", "1/" + "9" * 4299 + "1"] + ["1"]
 # dominant; a module expression with trailing input, nested 101 deep,
 # holding a 4 301-digit number, or of a dimension with more than 4 300
 # digits; a zero denominator, a point entry of 4 301 digits and a point
-# past the cost cap; monoids off the ranges of law-tangent, orbit-law,
-# saturate and presentation; a saturation past its enumeration cap; and
-# a Weyl dimension with more than 4 300 digits.
+# past the cost cap; a negative congruence modulus; monoids off the
+# ranges of law-tangent, orbit-law, saturate and presentation; a
+# saturation past its enumeration cap; and a Weyl dimension with more
+# than 4 300 digits.
 REFUSALS = [
     ["dim", "A2", "1"],
     ["dominance", "A2", "1", "1,0"],
@@ -607,6 +608,7 @@ REFUSALS = [
     ["orbit-tangent", "A1", "natural(2)", "1/0,1"],
     ["t1", "A1", "natural(2)", "0," + "7" * 4301],
     ["stabilizer", "--", "A3", "sym(2,ext(2,natural(4)))", LONG_POINT],
+    ["t1", "A1", "natural(2)", "1,0", "--diag=1:-1"],
     ["law-tangent", "A1", "--truncation", "4", "--", "-2"],
     ["orbit-law", "A2", "1,0", "--form", "1,0", "--truncation", "4"],
     ["orbit-law", "A1", "1;2", "--form", "1,0", "--truncation", "4"],

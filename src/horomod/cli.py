@@ -153,6 +153,10 @@ def _stab_from_args(args) -> liealg.StabilizerSpec:
             raise ValidationError(
                 f"malformed congruence {clip(entry)!r}: expected coeffs:modulus"
             )
+        if modulus < 0:
+            raise ValidationError(
+                f"malformed congruence {clip(entry)!r}: the modulus must be 0 or positive"
+            )
         diag.append(liealg.DiagCongruence(coeffs=_parse_weight(head), modulus=modulus))
     return liealg.StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
 
@@ -187,7 +191,7 @@ def _cmd_root_datum(args):
     return {
         "label": args.rd.label,
         "rank": args.rd.rank,
-        "cartan": [list(row) for row in args.rd.cartan],
+        "cartan": [list(row) for row in rootdata.cartan_matrix(args.rd)],
         "positive_roots": [list(r) for r in rootdata.positive_roots(args.rd)],
     }
 

@@ -34,6 +34,7 @@ from .rootdata import (
     RootDatum,
     RootMonoid,
     WeightMonoid,
+    cartan_matrix,
     make_root_datum,
     make_root_monoid,
     make_weight_monoid,
@@ -196,8 +197,9 @@ def law_to_json_dict(law: MultiplicationLaw) -> dict:
         }
         for (lam, mu, nu, ch) in sorted(law.coeffs)
     ]
+    rd = law.monoid.rd
     return {
-        "rd": {"label": law.monoid.rd.label, "cartan": [list(r) for r in law.monoid.rd.cartan]},
+        "rd": {"label": rd.label, "cartan": [list(r) for r in cartan_matrix(rd)]},
         "monoid": {"generators": [list(g) for g in law.monoid.generators]},
         "truncation": law.truncation,
         "coeffs": entries,
@@ -249,7 +251,7 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
     rd = make_root_datum(rdinfo["label"])
     if "cartan" in rdinfo:
         cartan = _json_list("cartan", rdinfo["cartan"])
-        if tuple(_json_ints("cartan", row) for row in cartan) != rd.cartan:
+        if tuple(_json_ints("cartan", row) for row in cartan) != cartan_matrix(rd):
             raise ValidationError(f"law JSON cartan is not the Cartan matrix of {rd.label}")
     gens = _json_list("generators", mondata["generators"])
     monoid = make_weight_monoid(rd, [_json_ints("generator", g) for g in gens])

@@ -8,20 +8,18 @@ integer content cleared, leading coefficient positive.  A PolySystem
 holds its equations in that form only.  reduced_equations turns
 generated rows into the reduced row-echelon basis of each grade's
 span, so a system depends on its spans and not on the route that
-generated them.  equation_texts renders each equation once, in the one
-order the output shows, and system_to_text exports those texts one per
-line.  In the package channels.law_equations alone builds a
-PolySystem, and imports this layer when it runs.
+generated them; each equation is read off the grade's one elimination.
+equation_texts renders each equation once, in the one order the output
+shows, and system_to_text exports those texts one per line.  In the
+package channels.law_equations alone builds a PolySystem, and imports
+this layer when it runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .linalg import RowSpace
-
-if TYPE_CHECKING:
-    from numbers import Rational
 
 Mono = Tuple[int, ...]  # sorted unknown indices; () is the constant monomial
 Grade = Tuple[int, ...]  # degree in the simple roots
@@ -38,26 +36,15 @@ def _mono_key(names: Sequence[str], m: Mono):
     return (len(m), tuple(names[i] for i in m))
 
 
-def canonical_poly(p: Mapping[Mono, Rational], names: Sequence[str]) -> CanonPoly:
-    """Sorted, integer-cleared, positive leading coefficient; () if zero.
-    The coefficients are the RowSpace primitive row of the sorted
-    coefficients, positive at its pivot, the first entry."""
-    items = [(m, c) for m, c in p.items() if c]
-    if not items:
-        return ()
-    items.sort(key=lambda mc: _mono_key(names, mc[0]))
-    (row,) = RowSpace(len(items), [[c for _, c in items]]).primitive.values()
-    return tuple((m, row[j]) for j, (m, _) in enumerate(items))
-
-
 def reduced_equations(
     rows: Iterable[Tuple[Mapping[Mono, int], Grade]], names: Sequence[str]
 ) -> Tuple[Tuple[CanonPoly, Grade], ...]:
     """The reduced row-echelon basis of the span of each grade's integer
     rows, grades in order, which depends only on the spans.  The columns
     are the monomials that occur, by descending _mono_key, so each pivot
-    is its row's largest monomial; a basis row is RowSpace.primitive in
-    canonical form."""
+    is its row's largest monomial.  A basis row is its RowSpace.primitive
+    row, of content 1, read by descending column and negated where its
+    smallest monomial has a negative coefficient: canonical form."""
     by_grade: Dict[Grade, List[Mapping[Mono, int]]] = {}
     for row, g in rows:
         by_grade.setdefault(g, []).append(row)
@@ -67,7 +54,9 @@ def reduced_equations(
         column = {m: j for j, m in enumerate(monos)}
         space = RowSpace(len(monos), ({column[m]: v for m, v in p.items()} for p in polys))
         for row in map(space.primitive.get, space.pivots):
-            out.append((canonical_poly({monos[j]: v for j, v in row.items()}, names), g))
+            cols = sorted(row, reverse=True)
+            sign = -1 if row[cols[0]] < 0 else 1
+            out.append((tuple((monos[j], sign * row[j]) for j in cols), g))
     return tuple(out)
 
 

@@ -1,6 +1,8 @@
 """Root data of type A, weights in fundamental coordinates, and dominance order.
 
-Every root datum is A_n, named by its label "An", n <= _MAX_RANK.
+Every root datum is A_n, named by its label "An", n <= _MAX_RANK, and
+holds only its label and rank: cartan_matrix builds the matrix where it
+is printed or checked.
 Conventions.  A weight is a tuple of integers: its coordinates against
 the fundamental weights.  The simple root alpha_i has fundamental
 coordinates equal to the i-th row of the Cartan matrix, so a vector of
@@ -32,14 +34,12 @@ _MAX_RANK = 140
 
 class RootDatum(NamedTuple):
     label: str
-    cartan: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.cartan)
+    rank: int
 
 
-def _type_a_cartan(n: int) -> Tuple[Tuple[int, ...], ...]:
+def cartan_matrix(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
+    """The Cartan matrix of A_n, built where it is printed or checked."""
+    n = rd.rank
     return tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
         for i in range(n)
@@ -55,7 +55,7 @@ def make_root_datum(label: str) -> RootDatum:
     digits = m.group(1)
     if len(digits) > len(str(_MAX_RANK)) or int(digits) > _MAX_RANK:
         raise ResourceError(f"root datum rank exceeds the cap {_MAX_RANK}")
-    return RootDatum(label, _type_a_cartan(int(digits)))
+    return RootDatum(label, int(digits))
 
 
 def check_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:

@@ -23,7 +23,7 @@ from horomod.channels import (
 )
 from horomod.errors import DIM_CAP, ResourceError, ValidationError
 from horomod.mulaw import LawKey, MultiplicationLaw
-from horomod.polysys import Grade, Mono, PolySystem, canonical_poly
+from horomod.polysys import Grade, Mono, PolySystem
 from horomod.repcalc import (
     Decomposition,
     epsilon,
@@ -237,8 +237,8 @@ def triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, 
 def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
     """The system of channels.law_equations before its reduction: the
     commutativity rows, then the associator of each window, every term,
-    on each singular vector of its triple product, each row in canonical
-    form, as generated and with repeats."""
+    on each singular vector of its triple product, each row as
+    generated, with repeats and without zero rows."""
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
     coeff = ChannelTable()
     names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
@@ -250,9 +250,9 @@ def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
             for stu, coef in eta.items():
                 _add_associator(poly, plan, coeff, coef, stu)
             rows.append((poly, r))
-    equations = ((canonical_poly(p, names), (r,)) for p, r in rows)
+    equations = ((tuple((m, c) for m, c in p.items() if c), (r,)) for p, r in rows)
     grades = tuple((i,) for (_, _, i) in index)
-    return PolySystem(tuple(names), grades, tuple((cp, g) for cp, g in equations if cp))
+    return PolySystem(tuple(names), grades, tuple((e, g) for e, g in equations if e))
 
 
 def singular_vector_law_tangent(

@@ -760,6 +760,16 @@ def test_dim_of_the_last_fundamental_weight_of_a140_is_fast(capsys):
     assert blob["payload"] == {"dim": 141}
 
 
+def test_a_request_on_a140_builds_no_cartan_matrix(capsys, monkeypatch):
+    def no_matrix(rd):
+        raise AssertionError("the Cartan matrix was built")
+
+    monkeypatch.setattr("horomod.rootdata.cartan_matrix", no_matrix)
+    code, blob = run_json(capsys, "dim", "A140", ",".join(["1"] + ["0"] * 139))
+    assert code == 0
+    assert blob["payload"] == {"dim": 141}
+
+
 NINES = "9" * 4300
 
 
@@ -1653,6 +1663,15 @@ def test_t1_refuses_a_modulus_that_is_not_an_integer(capsys):
     assert blob["error"] == {
         "type": "validation",
         "message": "malformed congruence '1:x': expected coeffs:modulus",
+    }
+
+
+def test_t1_refuses_a_negative_modulus(capsys):
+    code, blob = run_json(capsys, "t1", "A1", "natural(2)", "1,0", "--diag=1:-1")
+    assert code == 3
+    assert blob["error"] == {
+        "type": "validation",
+        "message": "malformed congruence '1:-1': the modulus must be 0 or positive",
     }
 
 

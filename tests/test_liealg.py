@@ -73,9 +73,10 @@ def check_brackets(m):
     r = m.rd.rank
     h = m.ops[-r:]
     labels = la.chevalley_labels(m.rd)
+    cartan = rda.cartan_matrix(m.rd)
     for i in range(r):
         for j in range(r):
-            cij = m.rd.cartan[i][j]
+            cij = cartan[i][j]
             e, f = (labels.index(f"{x}[{j + 1},{j + 2}]") for x in "ef")
             assert mat_commutator(h[i], m.e[j]) == la.lie_matrix(m, {e: Q(cij)})
             assert mat_commutator(h[i], m.f[j]) == la.lie_matrix(m, {f: Q(-cij)})

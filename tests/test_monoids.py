@@ -8,6 +8,7 @@ from horomod import linalg, monoids
 from horomod.errors import ResourceError, ValidationError
 from horomod.monoids import saturation, semigroup_presentation
 from horomod.rootdata import (
+    cartan_matrix,
     make_root_datum,
     make_root_monoid,
     make_weight_monoid,
@@ -37,7 +38,7 @@ def test_saturation_numerical_semigroup():
 
 
 def test_saturation_already_saturated():
-    alpha = tuple(int(x) for x in A1.cartan[0])
+    alpha = cartan_matrix(A1)[0]
     m = make_weight_monoid(A1, [tuple(2 * x for x in alpha)])
     sat = saturation(m)
     assert sat.generators == ((2 * alpha[0],),)  # lattice is 2*alpha*Z

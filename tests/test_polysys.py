@@ -1,8 +1,6 @@
-from fractions import Fraction as Q
-
+from horomod import polysys
 from horomod.polysys import (
     PolySystem,
-    canonical_poly,
     equation_texts,
     reduced_equations,
     render_poly,
@@ -12,25 +10,30 @@ from horomod.polysys import (
 NAMES = ("m[2,2,1]", "m[2,2,2]", "m[2,4,1]")
 
 
-def test_canonical_clears_content_and_sign():
-    p = {(1,): Q(-2, 3), (0,): Q(-4, 3)}
-    cp = canonical_poly(p, NAMES)
-    # sorted by name: m[2,2,1] before m[2,2,2]; leading coefficient positive
-    assert cp == (((0,), 2), ((1,), 1))
-    assert all(type(c) is int for _, c in cp)
-    # Integer input, as the law equations are generated, gives the same form.
-    assert canonical_poly({(1,): -3, (0,): -6}, NAMES) == cp
-
-
 def test_canonical_orders_by_degree_then_name():
-    p = {(1, 1): Q(1), (2,): Q(1), (0,): Q(1)}
-    cp = canonical_poly(p, NAMES)
+    ((cp, _),) = reduced_equations([({(1, 1): 1, (2,): 1, (0,): 1}, (1,))], NAMES)
     assert [m for m, _ in cp] == [(0,), (2,), (1, 1)]
 
 
-def test_canonical_zero():
-    assert canonical_poly({}, NAMES) == ()
-    assert canonical_poly({(0,): Q(0)}, NAMES) == ()
+def test_a_negative_smallest_monomial_is_negated():
+    """The primitive row is positive at its pivot, the largest monomial
+    m[2,2,2]^2; canonical form is positive at the smallest, m[2,2,1]."""
+    rows = [({(1, 1): 2, (0,): -4}, (2,))]
+    assert reduced_equations(rows, NAMES) == (((((0,), 2), ((1, 1), -1)), (2,)),)
+
+
+def test_reduced_equations_build_one_rowspace_per_grade(monkeypatch):
+    built = []
+
+    class Counted(polysys.RowSpace):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(polysys, "RowSpace", Counted)
+    rows = [({(0,): 1, (1,): 2}, (1,)), ({(2,): -1}, (1,)), ({(1, 1): 3, (0,): 1}, (2,))]
+    assert len(reduced_equations(rows, NAMES)) == 3
+    assert len(built) == 2
 
 
 def test_reduced_equations_depend_only_on_the_span():
@@ -64,7 +67,7 @@ def test_render_constant_and_long_coefficients():
 
 
 def test_text_export_layout():
-    cp = canonical_poly({(0,): Q(1), (1, 1): Q(-2)}, NAMES)
+    cp = (((0,), 1), ((1, 1), -2))
     sys_ = PolySystem(NAMES, ((1,), (2,), (1,)), ((cp, (2,)),))
     text = system_to_text(sys_, equation_texts(sys_))
     lines = text.splitlines()

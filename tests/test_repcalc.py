@@ -45,9 +45,10 @@ def test_weight_multiplicities_a3_wedge2():
 
 def test_character_weyl_symmetric():
     char = repcalc.weight_multiplicities(A2, (2, 1))
+    cartan = rda.cartan_matrix(A2)
     for w, m in char.items():
         for i in range(2):
-            r = tuple(c - w[i] * a for c, a in zip(w, A2.cartan[i]))
+            r = tuple(c - w[i] * a for c, a in zip(w, cartan[i]))
             assert char[r] == m
 
 
@@ -102,10 +103,11 @@ def _dominant_weights_in_box(rd, lam):
     """Oracle: every point of the box of root coordinates of lam - w0 lam,
     kept when lam minus it is dominant."""
     kmax = to_root_coords(rd, tuple(a - b for a, b in zip(lam, lowest_weight(rd, lam))))
+    cartan = rda.cartan_matrix(rd)
     found = []
     for ks in itertools.product(*(range(int(c) + 1) for c in kmax)):
         mu = tuple(
-            lam[j] - sum(ks[t] * rd.cartan[t][j] for t in range(rd.rank))
+            lam[j] - sum(ks[t] * cartan[t][j] for t in range(rd.rank))
             for j in range(rd.rank)
         )
         if all(c >= 0 for c in mu):
