@@ -215,6 +215,18 @@ def congruence_flags(rng, rank, weights):
     return flags
 
 
+def hw_sum(liealg, m, coeff):
+    """The sum of the highest weight vectors of m, each times a fresh
+    coeff(), drawn in the order highest_weight_vectors lists them."""
+    x = [0] * m.dim
+    for vs in liealg.highest_weight_vectors(m).values():
+        for v in vs:
+            c = coeff()
+            for i, val in v.items():
+                x[i] += c * val
+    return x
+
+
 def t1_cases(rng, liealg, rootdata):
     """t1 on the fuzz and sweep modules, at U-fixed points (combinations
     of highest weight vectors) and at random points, some of the wrong
@@ -225,13 +237,7 @@ def t1_cases(rng, liealg, rootdata):
         module = rng.choice(T1_MODULES[rank])
         m = liealg.build_module(rootdata.make_root_datum(f"A{rank}"), module)
         if rng.random() < 0.5:
-            x = [0] * m.dim
-            for vs in liealg.highest_weight_vectors(m).values():
-                for v in vs:
-                    c = rng.choice([0, 1, 2, -1])
-                    for i, val in v.items():
-                        x[i] += c * val
-            point = [str(c) for c in x]
+            point = [str(c) for c in hw_sum(liealg, m, lambda: rng.choice([0, 1, 2, -1]))]
         else:
             length = rng.choice([m.dim] * 6 + [m.dim - 1, m.dim + 1])
             point = [str(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(length)]
@@ -255,13 +261,8 @@ def rational_point_cases(liealg, rootdata):
         module = rng.choice(T1_MODULES[rank])
         m = liealg.build_module(rootdata.make_root_datum(f"A{rank}"), module)
         if rng.random() < 0.5:
-            x = [Fraction(0)] * m.dim
-            for vs in liealg.highest_weight_vectors(m).values():
-                for v in vs:
-                    c = rng.choice([Fraction(1, 2), Fraction(-2, 3), 3, 0])
-                    for i, val in v.items():
-                        x[i] += c * val
-            point = ",".join(map(str, x))
+            coeffs = [Fraction(1, 2), Fraction(-2, 3), 3, 0]
+            point = ",".join(map(str, hw_sum(liealg, m, lambda: rng.choice(coeffs))))
         else:
             point = ",".join(rng.choice(entries) for _ in range(m.dim))
         for command in ("orbit-tangent", "stabilizer", "t1"):
@@ -278,12 +279,7 @@ def nary_cases(liealg, rootdata):
     for label, exprs in NARY_MODULES.items():
         for expr in exprs:
             m = liealg.build_module(rootdata.make_root_datum(label), expr)
-            x = [0] * m.dim
-            for vs in liealg.highest_weight_vectors(m).values():
-                for v in vs:
-                    for i, val in v.items():
-                        x[i] += val
-            hw = ",".join(map(str, x))
+            hw = ",".join(map(str, hw_sum(liealg, m, lambda: 1)))
             ramp = ",".join(str(i % 3 - 1) for i in range(m.dim))
             cases += [["hwv", label, expr], ["coinv", label, expr], ["t1", "--lie-u", "--", label, expr, hw]]
             cases += [[c, "--", label, expr, p] for c in ("orbit-tangent", "stabilizer") for p in (hw, ramp)]
@@ -589,7 +585,8 @@ LONG_POINT = ",".join(["1/" + "9" * 4299 + "7", "1/" + "9" * 4299 + "1"] + ["1"]
 # dominant; a module expression with trailing input, nested 101 deep,
 # holding a 4 301-digit number, or of a dimension with more than 4 300
 # digits; a zero denominator, a point entry of 4 301 digits and a point
-# past the cost cap; a negative congruence modulus; monoids off the
+# past the cost cap; a negative congruence modulus; a weight entry and a
+# modulus spelt 1_0, which int() alone would read; monoids off the
 # ranges of law-tangent, orbit-law, saturate and presentation; a
 # saturation past its enumeration cap; and a Weyl dimension with more
 # than 4 300 digits.
@@ -609,6 +606,12 @@ REFUSALS = [
     ["t1", "A1", "natural(2)", "0," + "7" * 4301],
     ["stabilizer", "--", "A3", "sym(2,ext(2,natural(4)))", LONG_POINT],
     ["t1", "A1", "natural(2)", "1,0", "--diag=1:-1"],
+    ["dim", "A1", "1_0"],
+    ["tensor", "A1", "1_0", "1"],
+    ["saturate", "A1", "1_0;3"],
+    ["law-tangent", "A1", "1_0", "--truncation", "40"],
+    ["t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1_0:2"],
+    ["t1", "A1", "sym(2,natural(2))", "0,1,0", "--diag", "1:1_0"],
     ["law-tangent", "A1", "--truncation", "4", "--", "-2"],
     ["orbit-law", "A2", "1,0", "--form", "1,0", "--truncation", "4"],
     ["orbit-law", "A1", "1;2", "--form", "1,0", "--truncation", "4"],

@@ -83,17 +83,21 @@ tangent = _lazy("tangent")
 # ------------------------------------------------------------ parsing helpers
 
 
+def _read_int(text: str) -> int:
+    """int(text) of an optional sign and decimal digits only, as
+    linalg.read_rational reads an integer: int() alone reads 1_0 too."""
+    if not text.strip().lstrip("+-").isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_weight(text: str) -> Tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(_read_int(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(
             f"malformed weight {clip(text)!r}: expected comma-separated integers"
         )
-
-
-def _parse_weight_list(text: str) -> List[Tuple[int, ...]]:
-    return [_parse_weight(part) for part in text.split(";") if part != ""]
 
 
 def _parse_point(text: str) -> List[Number]:
@@ -148,7 +152,7 @@ def _stab_from_args(args) -> liealg.StabilizerSpec:
     for entry in args.diag or []:
         head, _, mod = entry.partition(":")
         try:
-            modulus = int(mod)
+            modulus = _read_int(mod)
         except ValueError:
             raise ValidationError(
                 f"malformed congruence {clip(entry)!r}: expected coeffs:modulus"
@@ -174,7 +178,7 @@ def _read_inputs(args) -> None:
     gens = given.get("monoid", given.get("generators"))
     if gens is not None:
         make = rootdata.make_root_monoid if given.get("root") else rootdata.make_weight_monoid
-        args.mon = make(args.rd, _parse_weight_list(gens))
+        args.mon = make(args.rd, [_parse_weight(part) for part in gens.split(";") if part != ""])
     if "law_file" in given:
         args.law = _load_law(args.law_file)
         args.truncation = args.law.truncation

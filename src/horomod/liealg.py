@@ -23,8 +23,9 @@ lexicographic order (e[i,j] acting as E_{ij}), then f[i,j] for i < j
 (acting as E_{ji}), then h[i] for i = 1..n-1.  _off_diagonal states this
 order once; the labels, e, f and the Lie part of u are read off it.
 Stabilizer coefficient vectors are sparse over this order.  A module is
-its root datum, the weights of its basis and the action ops of every
-element of this basis.
+its root datum, the weights of its basis and the action ops of this
+basis; _module reads the weights off the diagonal h_k, so each
+construction states only how the operators act.
 Every fixed space comes from fixed_in_quotient: V^U is the fixed space
 of the simple raising operators, and u is given by its r simple root
 vectors, which generate it, so on a u-stable span they fix what u fixes.
@@ -129,24 +130,25 @@ class ExplicitModule(NamedTuple):
         return tuple(self.ops[k] for k in _simple(self.rd.rank + 1, -1))
 
 
-def _natural_weights(rd: RootDatum, n: int) -> Tuple[Weight, ...]:
-    return tuple(tuple((j == i) - (j == i + 1) for i in range(rd.rank)) for j in range(n))
+def _module(rd: RootDatum, dim: int, ops: Sequence[Matrix]) -> ExplicitModule:
+    """The module of dim basis vectors acted on by ops, with weights the
+    columns of the diagonals of the h_k, the last rank ops."""
+    diagonals = [[h[j][j] if j in h else 0 for j in range(dim)] for h in ops[-rd.rank :]]
+    return ExplicitModule(rd, tuple(zip(*diagonals)), tuple(ops))
 
 
 def natural(rd: RootDatum) -> ExplicitModule:
     n = rd.rank + 1
     ops = [{q: {p: 1}} for p, q in _off_diagonal(n)]
     ops += [{k: {k: 1}, k + 1: {k + 1: -1}} for k in range(rd.rank)]
-    return ExplicitModule(rd, _natural_weights(rd, n), tuple(ops))
+    return _module(rd, n, ops)
 
 
 def dual(m: ExplicitModule) -> ExplicitModule:
     def neg_t(mat: Matrix) -> Matrix:
         return {r: {c: -v for c, v in row.items()} for r, row in transpose(mat).items()}
 
-    return ExplicitModule(
-        m.rd, tuple(tuple(-c for c in w) for w in m.basis_weights), tuple(neg_t(x) for x in m.ops)
-    )
+    return _module(m.rd, m.dim, [neg_t(x) for x in m.ops])
 
 
 def direct_sum(*terms: ExplicitModule) -> ExplicitModule:
@@ -159,8 +161,7 @@ def direct_sum(*terms: ExplicitModule) -> ExplicitModule:
             for c, col in mat.items():
                 out[c + offset] = {r + offset: v for r, v in col.items()}
         offset += t.dim
-    weights = tuple(w for t in terms for w in t.basis_weights)
-    return ExplicitModule(terms[0].rd, weights, tuple(ops))
+    return _module(terms[0].rd, offset, ops)
 
 
 def tensor(*factors: ExplicitModule) -> ExplicitModule:
@@ -214,11 +215,7 @@ def _induce(m: ExplicitModule, basis: List[Tuple[int, ...]], alternating: bool) 
                     _add(target, index[new], val)
         return _nonempty(out)
 
-    weights = tuple(
-        tuple(sum(m.basis_weights[u][i] for u in mono) for i in range(m.rd.rank))
-        for mono in basis
-    )
-    return ExplicitModule(m.rd, weights, tuple(induced(x) for x in m.ops))
+    return _module(m.rd, len(basis), [induced(x) for x in m.ops])
 
 
 # ---------------------------------------------------------------- parser

@@ -9,8 +9,8 @@ mu - mu_i * alpha_i where mu_i is the i-th fundamental coordinate.  In
 the epsilon-coordinates e_k = mu_k + ... + mu_n (k = 1..n+1, so
 e_{n+1} = 0), which fix mu up to a common shift by mu_k = e_k - e_{k+1},
 s_i swaps e_i and e_{i+1}.  So the Weyl group permutes the
-epsilon-coordinates, the content of the weight: the dominant conjugate
-sorts them in descending order, the antidominant one in ascending order.
+epsilon-coordinates, the content of the weight: the orbit is the distinct
+orderings of the content, and the dominant conjugate sorts it descending.
 
 The highest weight lam gives the partition p, and the multiplicity of a
 weight of content c is the Kostka number K(p, c), the number of
@@ -31,9 +31,11 @@ agree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate, product
 from math import prod
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from operator import sub
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BIG, DIM_CAP, ValidationError, check_size, clip
 from .rootdata import RootDatum, Weight, check_weight
@@ -48,7 +50,7 @@ def epsilon(mu: Sequence[int]) -> List[int]:
 
 
 def from_epsilon(e: Sequence[int]) -> Weight:
-    return tuple(a - b for a, b in zip(e, e[1:]))
+    return tuple(map(sub, e, e[1:]))
 
 
 def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, bool]:
@@ -153,26 +155,22 @@ def _kostka(p: Weight, content: Weight) -> int:
     return below(p)
 
 
-def _weyl_orbit(mu: Weight) -> Set[Weight]:
-    """The Weyl orbit of mu.  The simple reflection s_i subtracts mu_i
-    alpha_i, whose fundamental coordinates are 2 at i and -1 at its
-    neighbours: it negates mu_i and adds it to mu_{i-1} and mu_{i+1}."""
-    seen = {mu}
-    queue = [mu]
-    while queue:
-        w = queue.pop()
-        for i, ci in enumerate(w):
-            if ci == 0:
-                continue
-            r = [0, *w, 0]
-            r[i] += ci
-            r[i + 1] = -ci
-            r[i + 2] += ci
-            r = tuple(r[1:-1])
-            if r not in seen:
-                seen.add(r)
-                queue.append(r)
-    return seen
+def _weyl_orbit(content: Sequence[int]) -> Iterator[Weight]:
+    """The Weyl orbit of the weight of this content: its distinct
+    orderings in fundamental coordinates, from the ascending one by the
+    next-permutation step.  At the last ascent e_i < e_{i+1}, the entries
+    after i descend: reverse them, then swap e_i with the first above it."""
+    e = sorted(content)
+    while True:
+        yield from_epsilon(e)
+        i = len(e) - 2
+        while i >= 0 and e[i] >= e[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        e[i + 1 :] = reversed(e[i + 1 :])
+        j = bisect_right(e, e[i], i + 1)
+        e[i], e[j] = e[j], e[i]
 
 
 def weight_multiplicities(rd: RootDatum, lam, cap: int = DIM_CAP) -> CharacterTable:
@@ -185,7 +183,7 @@ def weight_multiplicities(rd: RootDatum, lam, cap: int = DIM_CAP) -> CharacterTa
     char: CharacterTable = {}
     for content in _dominant_contents(p):
         m = _kostka(p, content)
-        for w in _weyl_orbit(from_epsilon(content)):
+        for w in _weyl_orbit(content):
             char[w] = m
     assert sum(char.values()) == dim
     return char

@@ -1675,6 +1675,34 @@ def test_t1_refuses_a_negative_modulus(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["dim", "A1", "1_0"], "malformed weight '1_0': expected comma-separated integers"),
+        (["tensor", "A1", "1_0", "1"], "malformed weight '1_0': expected comma-separated integers"),
+        (["saturate", "A1", "1_0;3"], "malformed weight '1_0': expected comma-separated integers"),
+        (
+            ["law-tangent", "A1", "1_0", "--truncation", "40"],
+            "malformed weight '1_0': expected comma-separated integers",
+        ),
+        (
+            ["t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1_0:2"],
+            "malformed weight '1_0': expected comma-separated integers",
+        ),
+        (
+            ["t1", "A1", "sym(2,natural(2))", "0,1,0", "--diag", "1:1_0"],
+            "malformed congruence '1:1_0': expected coeffs:modulus",
+        ),
+    ],
+)
+def test_an_integer_is_a_sign_and_decimal_digits_only(capsys, argv, message):
+    """A weight entry and a congruence are read as a point entry is, so
+    an underscore that int() would skip is refused."""
+    code, blob = run_json(capsys, *argv)
+    assert code == 3
+    assert blob["error"] == {"type": "validation", "message": message}
+
+
 def test_t1_refuses_a_congruence_of_the_wrong_length_first(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the point was checked before the congruence")

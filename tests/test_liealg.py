@@ -1,5 +1,5 @@
 from fractions import Fraction as Q
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from random import Random
 
@@ -226,6 +226,44 @@ def test_three_terms_at_once_match_two_folds(rd, exprs):
         once, folded = build(a, b, c), build(build(a, b), c)
         assert once.basis_weights == folded.basis_weights
         assert once.ops == folded.ops
+
+
+WEIGHT_RULE_MODULES = (
+    [(A1, expr) for expr in EXPRS_A1]
+    + [(A3, expr) for expr in EXPRS_A3]
+    + [(rda.make_root_datum(ex.label), ex.module) for ex in map(examples.flag_multicone, range(2, 7))]
+)
+
+
+@pytest.mark.parametrize(
+    "rd,expr", WEIGHT_RULE_MODULES, ids=[f"{rd.label}-{expr}" for rd, expr in WEIGHT_RULE_MODULES]
+)
+def test_weights_read_off_the_cartan_operators_follow_the_construction_rules(rd, expr):
+    """Oracle: the weight rule of each construction, applied in its
+    documented basis order.  natural has the eps_j in fundamental
+    coordinates, dual negates, direct_sum concatenates, and tensor and
+    power add the weights over each index tuple."""
+    r = rd.rank
+    m = la.build_module(rd, expr)
+    nat = la.natural(rd)
+
+    def summed(factors, basis):
+        return tuple(
+            tuple(sum(w[u][i] for w, u in zip(factors, mono)) for i in range(r)) for mono in basis
+        )
+
+    eps = tuple(tuple((j == i) - (j == i + 1) for i in range(r)) for j in range(r + 1))
+    assert nat.basis_weights == eps
+    assert la.dual(m).basis_weights == tuple(tuple(-c for c in w) for w in m.basis_weights)
+    terms = (nat, m, la.dual(nat))
+    assert la.direct_sum(*terms).basis_weights == sum((t.basis_weights for t in terms), ())
+    for factors in ((m, nat), terms):
+        basis = product(*(range(f.dim) for f in factors))
+        assert la.tensor(*factors).basis_weights == summed([f.basis_weights for f in factors], basis)
+    for k in range(4 if m.dim <= 20 else 3):
+        for name, tuples in (("sym", combinations_with_replacement), ("ext", combinations)):
+            basis = list(tuples(range(m.dim), k))
+            assert la.power(name, k, m).basis_weights == summed([m.basis_weights] * k, basis)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -152,6 +153,32 @@ def test_character_matches_the_cartan_piece_of_an_explicit_module(rank, lam):
     m = liealg.build_module(rd, f"tensor({','.join(factors)})")
     (rows,) = [rows for mu, rows in liealg.isotypic_components(m) if mu == lam]
     assert Counter(m.basis_weights[min(row)] for row in rows) == repcalc.weight_multiplicities(rd, lam)
+
+
+def _small_contents():
+    """The descending contents of A1-A3 with entries 0..3."""
+    for rank in (1, 2, 3):
+        for content in itertools.combinations_with_replacement(range(3, -1, -1), rank + 1):
+            yield rank, content
+
+
+@pytest.mark.parametrize("rank, content", _small_contents())
+def test_weyl_orbit_lists_each_weight_once(rank, content):
+    """The orbit has no repeat, which no character would show, since a
+    repeat overwrites its own entry; it has the multinomial count of the
+    content; and it is the set of weights of a box whose dominant
+    conjugate has this content."""
+    rd = rda.make_root_datum(f"A{rank}")
+    orbit = list(repcalc._weyl_orbit(content))
+    assert len(orbit) == len(set(orbit))
+    count = math.factorial(len(content))
+    for c in set(content):
+        count //= math.factorial(content.count(c))
+    assert len(orbit) == count
+    top = repcalc.from_epsilon(sorted(content, reverse=True))
+    side = range(content[-1] - content[0], content[0] - content[-1] + 1)
+    box = {w for w in itertools.product(side, repeat=rank) if repcalc.dominant_conjugate(rd, w)[0] == top}
+    assert set(orbit) == box
 
 
 def test_weyl_dim_refuses_past_the_digit_limit_before_multiplying_out():
