@@ -12,7 +12,8 @@ with fractions, hwv, coinv and the point requests on 3-factor tensors
 and on sums that hold a tensor, the flag multicones A2-A8, both
 examples, weights and tensor requests up to the default dimension cap,
 the law requests, orbit laws drawn as the orbit-law sweep of the tests
-draws them, and a few requests that once ran for seconds (bound_cases),
+draws them, a few requests that once ran for seconds or overflowed
+the stack (bound_cases),
 law files each spoiled in one way, and requests with two bad inputs,
 which show the input read first (input_cases), and last the refusals of
 input that no other request reaches (REFUSALS).  The worked examples
@@ -350,6 +351,9 @@ def small_cases(rng):
         ["reproduce-example1", "--"],
         ["law-tangent", "A1", "2", "--truncation", "-5"],
         ["dim", "A1", "--", "--"],
+        ["weights", "A2", "1,1", "--cap", "1_0"],
+        ["law-tangent", "A1", "2", "--truncation", "1_6"],
+        ["presentation", "A1", "1;2", "--bound", "1_0"],
     ]
     return cases
 
@@ -497,14 +501,21 @@ def bound_cases(examples):
     """Requests that ran for seconds before their cost was bounded: t1
     and orbit-tangent at a point of short entries on most coordinates of
     the A8 flag multicone, drawn from their own seeded generator, with
-    stabilizer there, which is cheap, and
-    orbit-law at a linear form of 4 300-digit entries; and saturate
+    stabilizer there, which is cheap;
+    orbit-law at a linear form of 4 300-digit entries, and at a form of
+    weight 1 000 whose window holds no positive weight; a presentation
+    of 1 000 generators at bound 0, and a saturation of 300 generators
+    whose box passes the cap; and saturate
     requests that a capped natural-sum search once refused, of which
     the last two are still refused, now from an estimate."""
     rng = random.Random(SEED)
     point = ",".join(str(rng.choice([0, 1, -1, 2])) for _ in range(2**9 - 2))
     cases = [[c, "A8", examples.flag_multicone(8).module, point] for c in ("t1", "orbit-tangent", "stabilizer")]
     cases.append(["orbit-law", "A1", "1", "--form", "7" * 4300 + ",1", "--truncation", "16"])
+    cases.append(["orbit-law", "A1", "1000", "--form", ",".join(["1"] * 1001), "--truncation", "16"])
+    cases.append(["presentation", "A1", ";".join(str(k) for k in range(1, 1001)), "--bound", "0"])
+    box = [f"{a},{b},{c}" for a in range(-4, 5) for b in range(-4, 5) for c in range(-4, 5)]
+    cases.append(["saturate", "--", "A3", ";".join(box[:300])])
     for group, gens in [
         ("A3", "1,0,-2;3,-1,2;3,1,-1;1,3,3"),
         ("A3", "2,3,2;-3,-3,1;0,-3,0;2,1,1"),
@@ -627,7 +638,8 @@ def input_cases():
     contract; the good law read by contract at a point of the wrong
     length and at a malformed one; a law with a zero coefficient, which
     is dropped; a law of generator 20 000 whose contraction at 2 passes
-    the digit limit; a malformed congruence; and TWO_BAD_INPUTS."""
+    the digit limit; a law of 10 000 generators read by root-monoid; a
+    malformed congruence; and TWO_BAD_INPUTS."""
     cases = [
         [{"write": "law.json", "text": text}, ["root-monoid", "law.json"], ["contract", "law.json", "x"]]
         for text in spoiled_laws()
@@ -639,6 +651,8 @@ def input_cases():
     wide = law_text(monoid={"generators": [[20000]]}, truncation=40000,
                     coeffs=[coefficient(20000, 20000, 0, 20000)])
     cases.append([{"write": "law.json", "text": wide}, ["contract", "law.json", "2"]])
+    many = law_text(monoid={"generators": [[k] for k in range(1, 10_001)]}, coeffs=[])
+    cases.append([{"write": "law.json", "text": many}, ["root-monoid", "law.json"]])
     cases.append([["t1", "--diag=1:x", "A1", "sym(2,natural(2))", "1,0,0"]])
     return cases + [[argv] for argv in TWO_BAD_INPUTS]
 

@@ -83,9 +83,10 @@ tangent = _lazy("tangent")
 # ------------------------------------------------------------ parsing helpers
 
 
-def _read_int(text: str) -> int:
+def integer(text: str) -> int:
     """int(text) of an optional sign and decimal digits only, as
-    linalg.read_rational reads an integer: int() alone reads 1_0 too."""
+    linalg.read_rational reads an integer: int() alone reads 1_0 too.
+    Also the integer flags' type; argparse's usage error names it."""
     if not text.strip().lstrip("+-").isdecimal():
         raise ValueError(text)
     return int(text)
@@ -93,7 +94,7 @@ def _read_int(text: str) -> int:
 
 def _parse_weight(text: str) -> Tuple[int, ...]:
     try:
-        return tuple(_read_int(p) for p in text.split(","))
+        return tuple(integer(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(
             f"malformed weight {clip(text)!r}: expected comma-separated integers"
@@ -152,7 +153,7 @@ def _stab_from_args(args) -> liealg.StabilizerSpec:
     for entry in args.diag or []:
         head, _, mod = entry.partition(":")
         try:
-            modulus = _read_int(mod)
+            modulus = integer(mod)
         except ValueError:
             raise ValidationError(
                 f"malformed congruence {clip(entry)!r}: expected coeffs:modulus"
@@ -202,11 +203,9 @@ def _cmd_root_datum(args):
 
 def _cmd_dominance(args):
     lam = _parse_weight(args.lam)
-    mu = _parse_weight(args.mu)
-    leq = rootdata.dominance_leq(args.rd, mu, lam)
-    payload = {"leq": leq}
-    if leq:
-        coords = rootdata.natural_root_coords(args.rd, tuple(a - b for a, b in zip(lam, mu)))
+    coords = rootdata.root_coords_below(args.rd, _parse_weight(args.mu), lam)
+    payload = {"leq": coords is not None}
+    if coords is not None:
         check_size("root coordinate", max(coords))
         payload["difference_root_coords"] = [str(c) for c in coords]
     return payload
@@ -341,8 +340,8 @@ _FIXED_SPACE_REPORTS = (_cmd_t1, _cmd_reproduce_example1, _cmd_reproduce_example
 
 
 _PRETTY = ("--pretty", {"action": "store_true", "help": "indent output for humans"})
-_CAP = ("--cap", {"type": int, "default": DIM_CAP})
-_TRUNCATION = ("--truncation", {"type": int, "required": True})
+_CAP = ("--cap", {"type": integer, "default": DIM_CAP})
+_TRUNCATION = ("--truncation", {"type": integer, "required": True})
 _OUTPUT = ("--output", {"metavar": "FILE"})
 
 # The one declaration of the subcommands: name -> (handler, help,
@@ -392,7 +391,7 @@ COMMANDS = {
     ]),
     "presentation": (_cmd_presentation,
                      "binomial relations among monoid generators up to a degree bound",
-                     ["group", "generators", ("--bound", {"type": int, "required": True})]),
+                     ["group", "generators", ("--bound", {"type": integer, "required": True})]),
     "reproduce-example1": (_cmd_reproduce_example1,
                            "deformation dims of binary-form cones, n = 1..6", []),
     "reproduce-example2": (_cmd_reproduce_example2,
@@ -443,7 +442,7 @@ def _read(argv: List[str]) -> Optional[SimpleNamespace]:
     answers help, a token that starts with "-" and is not one of the
     subcommand's flags spelt out (so "--", a negative number and an
     abbreviation), a flag with no value or with a value that starts
-    with "-", a number int() does not read, a required flag left out
+    with "-", a number integer() does not read, a required flag left out
     and a wrong count of positionals."""
     if not argv or argv[0] not in COMMANDS:
         return None

@@ -7,14 +7,14 @@ their constructors are rootdata's.
 
 Saturation computes the Hilbert basis of cone(gens) intersect
 lattice(gens) for rank at most 3, in integer lattice coordinates.  The
-lattice points of the generator zonotope box are enumerated by
+lattice points of the generator zonotope box are enumerated first, by
 back-substitution over the Hermite normal form rows, each level counted
-against a cap before it is built; the cone is described once by integer
-facet normals, and each point's facet values, computed once, decide
-both membership in the cone (all non-negative) and reducibility (they
-dominate a lighter kept point's).  The points are graded by phi, the
-sum of the facet values; the sum of the normals is positive on every
-generator exactly when the cone is pointed.
+against a cap before it is built; then the cone is described once by
+integer facet normals, and each point's facet values, computed once,
+decide both membership in the cone (all non-negative) and reducibility
+(they dominate a lighter kept point's).  The points are graded by phi,
+the sum of the facet values; the sum of the normals is positive on
+every generator exactly when the cone is pointed.
 
 A presentation is the tuple of its binomial relations up to a degree
 bound, each a pair of exponent vectors; nothing is claimed past it.
@@ -22,7 +22,7 @@ bound, each a pair of exponent vectors; nothing is claimed past it.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 from operator import ge, mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -150,11 +150,12 @@ def saturation(monoid):
     basis = _hnf(gens)
     if len(basis) > 3:
         raise ValidationError("saturation implemented for lattice rank <= 3")
+    points = _box_points(gens, basis)
     normals = _facet_normals(gens, basis)
     if _grading(gens, normals) is None:
         raise ValidationError("no strictly positive grading; cone may not be pointed")
     values = {}
-    for y in _box_points(gens, basis):
+    for y in points:
         v = tuple(_dot(u, y) for u in normals)
         if any(y) and min(v) >= 0:
             values[y] = v
@@ -217,25 +218,19 @@ def semigroup_presentation(monoid, degree_bound: int) -> Tuple[Relation, ...]:
         return ()
     if comb(max(degree_bound, 0) + m, m) > _ENUM_CAP:
         raise ResourceError("presentation enumeration cap exceeded")
+    # An exponent vector is a multiset of generator indices; m is slack.
+    zero = (0,) * len(gens[0])
     fibers: Dict[Gen, List[Tuple[int, ...]]] = {}
-
-    def rec(i, acc, left):
-        if i == m:
-            val = tuple(
-                sum(a * g[j] for a, g in zip(acc, gens)) for j in range(len(gens[0]))
-            )
-            fibers.setdefault(val, []).append(tuple(acc))
-            return
-        for c in range(left + 1):
-            rec(i + 1, acc + [c], left - c)
-
-    rec(0, [], degree_bound)
-    if sum(comb(len(exps), 2) for exps in fibers.values()) > _PAIR_CAP:
+    for picks in combinations_with_replacement(range(m + 1), max(degree_bound, 0)):
+        val = tuple(map(sum, zip(zero, *(gens[i] for i in picks if i < m))))
+        fibers.setdefault(val, []).append(picks)
+    if sum(comb(len(fiber), 2) for fiber in fibers.values()) > _PAIR_CAP:
         raise ResourceError("presentation candidate-pair cap exceeded")
     candidates = set()
-    for val, exps in fibers.items():
-        if len(exps) < 2:
+    for fiber in fibers.values():
+        if len(fiber) < 2:
             continue
+        exps = [tuple(map(picks.count, range(m))) for picks in fiber]
         for x, y in combinations(sorted(exps), 2):
             common = tuple(min(a, b) for a, b in zip(x, y))
             xa = tuple(a - c for a, c in zip(x, common))

@@ -359,8 +359,8 @@ def orbit_law(
     # Z is a power of a linear form when nbar = 1 or its Hessian (Z, Z)_2
     # vanishes.  So is every P_a then, and two such powers have no
     # transvectant of index i >= 1: the law is the graded one, and no
-    # power is multiplied out.
-    graded = nbar == 1 or not any(transvectants(z, z, 2)[2])
+    # power is multiplied out; so too in a window holding the unit alone.
+    graded = nbar == 1 or len(ints) == 1 or not any(transvectants(z, z, 2)[2])
     powers = {0: (1,)}
     for a in [] if graded else ints[1:]:
         powers[a] = transvectants(powers[a - nbar], z, 0)[0]

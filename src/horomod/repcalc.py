@@ -22,11 +22,12 @@ partial patterns per row, so the character costs at most (dominant
 weights) * rank * dim steps, and dim, the Weyl dimension, is checked
 against its cap (errors.DIM_CAP by default) before anything is counted.
 
-tensor_decompose pushes the weights of one factor against the other
-highest weight and folds them back into the dominant chamber with
-signs.  The test suite keeps an independent route, which multiplies
-full characters and peels highest weights greedily, and insists the two
-agree.
+weyl_dim is the one dominance rule.  tensor_decompose computes each
+factor's Weyl dimension once, pushes the weights of the smaller factor
+against the other highest weight and folds them back into the dominant
+chamber with signs.  The test suite keeps an independent route, which
+multiplies full characters and peels highest weights greedily, and
+insists the two agree.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def from_epsilon(e: Sequence[int]) -> Weight:
     return tuple(map(sub, e, e[1:]))
 
 
-def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, bool]:
+def dominant_conjugate(mu: Weight) -> Tuple[Weight, int, bool]:
     """Dominant Weyl conjugate with the sign of the element used.
 
     The conjugate sorts the epsilon-coordinates in descending order.  A
@@ -64,7 +65,6 @@ def dominant_conjugate(rd: RootDatum, mu: Sequence[int]) -> Tuple[Weight, int, b
     the conjugate zero, that is two equal epsilon-coordinates), which is
     what the tensor product weight-push needs to discard singular terms.
     """
-    mu = check_weight(rd, mu)
     e = epsilon(mu)
     order = sorted(range(len(e)), key=lambda k: -e[k])
     # A permutation of m points with c cycles has parity m - c.
@@ -176,9 +176,12 @@ def _weyl_orbit(content: Sequence[int]) -> Iterator[Weight]:
 def weight_multiplicities(rd: RootDatum, lam, cap: int = DIM_CAP) -> CharacterTable:
     """Full character of the simple module with highest weight lam: the
     Kostka number of each dominant content, spread over its Weyl orbit.
-    The multiplicities must add up to Weyl's dimension."""
-    lam = check_weight(rd, lam)
-    dim = check_size("dimension", weyl_dim(rd, lam), cap)
+    The multiplicities must add up to Weyl's dimension, which checks lam."""
+    return _character(lam, check_size("dimension", weyl_dim(rd, lam), cap))
+
+
+def _character(lam: Weight, dim: int) -> CharacterTable:
+    """The character of V(lam), for lam dominant of Weyl dimension dim."""
     p = tuple(epsilon(lam))
     char: CharacterTable = {}
     for content in _dominant_contents(p):
@@ -198,18 +201,14 @@ def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DIM_CAP) -> Decompositio
     """
     lam = check_weight(rd, lam)
     mu = check_weight(rd, mu)
-    for w in (lam, mu):
-        if any(c < 0 for c in w):
-            raise ValidationError(f"{clip(str(w))} is not dominant")
     dl, dm = weyl_dim(rd, lam), weyl_dim(rd, mu)
     check_size("tensor dimension", dl * dm, cap)
     if dm > dl:
-        lam, mu = mu, lam
-    char = weight_multiplicities(rd, mu, cap=cap)
+        lam, mu, dm = mu, lam, dl
     acc: Dict[Weight, int] = {}
-    for eps, m in char.items():
+    for eps, m in _character(mu, dm).items():
         shifted = tuple(l + e + 1 for l, e in zip(lam, eps))
-        conj, sign, wall = dominant_conjugate(rd, shifted)
+        conj, sign, wall = dominant_conjugate(shifted)
         if wall:
             continue
         nu = tuple(c - 1 for c in conj)

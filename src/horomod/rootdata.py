@@ -4,13 +4,13 @@ Every root datum is A_n, named by its label "An", n <= _MAX_RANK, and
 holds only its label and rank: cartan_matrix builds the matrix where it
 is printed or checked.
 Conventions.  A weight is a tuple of integers: its coordinates against
-the fundamental weights.  The simple root alpha_i has fundamental
-coordinates equal to the i-th row of the Cartan matrix, so a vector of
-root coordinates x relates to fundamental coordinates v by
-cartan^T . x = v, solved in closed form.  Root coordinates are read
-only where they are natural, as tuples of ints: the package asks only
-whether a difference of weights is a natural combination of simple
-roots, and which.
+the fundamental weights, of the shape check_weight alone checks.  The
+simple root alpha_i has fundamental coordinates equal to the i-th row
+of the Cartan matrix, so a vector of root coordinates x relates to
+fundamental coordinates v by cartan^T . x = v, solved in closed form.
+Root coordinates are read only where they are natural, as tuples of
+ints: the package asks only whether mu lies below lam in the dominance
+order, and by which roots, and root_coords_below answers it.
 
 The monoid records live here too, with the checks on their generators,
 so that the law layers get them without loading monoids.
@@ -19,7 +19,7 @@ so that the law layers get them without loading monoids.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError, clip
 
@@ -58,10 +58,11 @@ def make_root_datum(label: str) -> RootDatum:
     return RootDatum(label, int(digits))
 
 
-def check_weight(rd: RootDatum, lam: Sequence[int]) -> Weight:
+def check_weight(rd: RootDatum, lam: Sequence[int], what: str = "weight") -> Weight:
+    """lam as ints, one per simple root; what names it in the refusal."""
     w = tuple(int(x) for x in lam)
     if len(w) != rd.rank:
-        raise ValidationError(f"weight {clip(str(w))} has wrong length for rank {rd.rank}")
+        raise ValidationError(f"{what} {clip(str(w))} has wrong length for rank {rd.rank}")
     return w
 
 
@@ -76,16 +77,14 @@ class RootMonoid(NamedTuple):
 
 
 def _check_gens(rd: RootDatum, gens: Sequence[Sequence[int]], nonneg: bool) -> Tuple[Gen, ...]:
-    out: List[Gen] = []
+    out: Dict[Gen, None] = {}  # the generators seen, in order
     for g in gens:
-        t = tuple(int(x) for x in g)
-        if len(t) != rd.rank:
-            raise ValidationError(f"generator {clip(str(t))} has wrong length for rank {rd.rank}")
+        t = check_weight(rd, g, "generator")
         if nonneg and any(x < 0 for x in t):
             raise ValidationError(f"root monoid generator {clip(str(t))} has negative entries")
         if t in out:
             raise ValidationError(f"duplicate generator {clip(str(t))}")
-        out.append(t)
+        out[t] = None
     return tuple(out)
 
 
@@ -112,20 +111,19 @@ def natural_root_coords(rd: RootDatum, lam: Sequence[int]) -> Optional[Tuple[int
     return tuple(x // n1 for x in nums)
 
 
-def dominance_leq(rd: RootDatum, mu: Sequence[int], lam: Sequence[int]) -> bool:
-    """True iff lam - mu is a sum of simple roots with natural coefficients."""
+def root_coords_below(rd: RootDatum, mu: Sequence[int], lam: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """lam - mu in simple-root coordinates when mu lies below lam in the
+    dominance order, every coordinate natural; else None."""
     mu = check_weight(rd, mu)
     lam = check_weight(rd, lam)
-    return natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu))) is not None
+    return natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
 
 
 def tangent_weight(rd: RootDatum, lam: Weight, mu: Weight) -> Tuple[int, ...]:
     """Grading character lambda - mu of the deformation moving the
     highest-weight line of V(lambda) toward a weight-mu direction,
     in root coordinates."""
-    if len(lam) != rd.rank or len(mu) != rd.rank:
-        raise ValidationError("weights must have one entry per simple root")
-    coords = natural_root_coords(rd, tuple(a - b for a, b in zip(lam, mu)))
+    coords = root_coords_below(rd, mu, lam)
     if coords is None:
         raise ValidationError(
             f"weight {clip(str(mu))} is not below {clip(str(lam))} in the dominance order"

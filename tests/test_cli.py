@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -1309,6 +1310,12 @@ def test_tangent_weight_negative_entries(capsys):
     assert blob["payload"]["weight_root_coords"] == [1, 1, 0]
 
 
+def test_tangent_weight_names_a_weight_of_the_wrong_length(capsys):
+    code, blob = run_json(capsys, "tangent-weight", "A2", "1", "0,0")
+    assert code == 3
+    assert blob["error"] == {"type": "validation", "message": "weight (1,) has wrong length for rank 2"}
+
+
 def test_pretty_is_indented(capsys):
     code, out = run(capsys, "dim", "A1", "4", "--pretty")
     assert code == 0
@@ -1701,6 +1708,40 @@ def test_an_integer_is_a_sign_and_decimal_digits_only(capsys, argv, message):
     code, blob = run_json(capsys, *argv)
     assert code == 3
     assert blob["error"] == {"type": "validation", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "A2", "1,1", "--cap", "1_0"],
+        ["law-tangent", "A1", "2", "--truncation", "1_6"],
+        ["presentation", "A1", "1;2", "--bound", "1_0"],
+    ],
+)
+def test_an_integer_flag_is_read_as_a_weight_entry_is(argv):
+    """--cap, --truncation and --bound take the reader of weight entries,
+    so 1_0 there is a usage error that names the reader."""
+    code, out, err = outcome(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f": invalid integer value: '{argv[-1]}'")
+
+
+def test_presentation_at_bound_zero_takes_a_thousand_generators(capsys):
+    gens = ";".join(str(k) for k in range(1, 1001))
+    code, blob = run_json(capsys, "presentation", "A1", gens, "--bound", "0")
+    assert code == 0
+    assert blob["payload"] == {"relations": [], "bound_limited": True}
+
+
+def test_saturation_refuses_a_large_box_before_the_facet_search(capsys, monkeypatch):
+    def never(gens, basis):
+        raise AssertionError("the facet search ran")
+
+    monkeypatch.setattr(monoids, "_facet_normals", never)
+    gens = list(itertools.product(range(-4, 5), repeat=3))[:600]
+    code, blob = run_json(capsys, "saturate", "--", "A3", ";".join(",".join(map(str, g)) for g in gens))
+    assert code == 4
+    assert blob["error"] == {"type": "resource", "message": "saturation enumeration cap exceeded"}
 
 
 def test_t1_refuses_a_congruence_of_the_wrong_length_first(capsys, monkeypatch):

@@ -534,6 +534,15 @@ def test_orbit_law_x2_plus_y2():
     assert law.coeffs[((4,), (2,), (2,), 2)] == Q(1, 30)
 
 
+def test_orbit_law_of_a_window_with_no_positive_weight_forms_no_transvectant(monkeypatch):
+    calls = []
+    transvectants = mulaw.transvectants
+    monkeypatch.setattr(mulaw, "transvectants", lambda *args: calls.append(args) or transvectants(*args))
+    law = orbit_law([(1,) * 8], nat2([7]), 6)
+    assert calls == []
+    assert law.coeffs == {((0,), (0,), (0,), 0): 1}
+
+
 def test_orbit_law_satisfies_equations():
     mon = nat2([2])
     law = orbit_law([(1, 0, 1)], mon, 8)

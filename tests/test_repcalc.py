@@ -80,6 +80,14 @@ def test_oracle_matches_closed_form():
 dom_a2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 
+def test_tensor_decompose_computes_each_weyl_dimension_once(monkeypatch):
+    calls = []
+    weyl_dim = repcalc.weyl_dim
+    monkeypatch.setattr(repcalc, "weyl_dim", lambda rd, lam: calls.append(lam) or weyl_dim(rd, lam))
+    assert repcalc.tensor_decompose(A2, (2, 0), (0, 1)) == {(2, 1): 1, (1, 0): 1}
+    assert calls == [(2, 0), (0, 1)]
+
+
 @settings(deadline=None, max_examples=40)
 @given(dom_a2, dom_a2)
 def test_tensor_conservation_and_cartan(lam, mu):
@@ -89,7 +97,7 @@ def test_tensor_conservation_and_cartan(lam, mu):
     top = tuple(a + b for a, b in zip(lam, mu))
     assert dec[top] == 1
     for nu in dec:
-        assert rda.dominance_leq(A2, nu, top)
+        assert rda.root_coords_below(A2, nu, top) is not None
 
 
 @settings(deadline=None, max_examples=25)
@@ -177,7 +185,7 @@ def test_weyl_orbit_lists_each_weight_once(rank, content):
     assert len(orbit) == count
     top = repcalc.from_epsilon(sorted(content, reverse=True))
     side = range(content[-1] - content[0], content[0] - content[-1] + 1)
-    box = {w for w in itertools.product(side, repeat=rank) if repcalc.dominant_conjugate(rd, w)[0] == top}
+    box = {w for w in itertools.product(side, repeat=rank) if repcalc.dominant_conjugate(w)[0] == top}
     assert set(orbit) == box
 
 

@@ -44,10 +44,10 @@ def test_root_coords_a2_fundamental():
 
 
 def test_dominance_basic():
-    assert rda.dominance_leq(A2, (0, 0), (1, 1))
-    assert not rda.dominance_leq(A2, (0, 1), (1, 0))
-    assert rda.dominance_leq(A1, (0,), (2,))
-    assert not rda.dominance_leq(A1, (1,), (2,))  # parity
+    assert rda.root_coords_below(A2, (0, 0), (1, 1)) is not None
+    assert rda.root_coords_below(A2, (0, 1), (1, 0)) is None
+    assert rda.root_coords_below(A1, (0,), (2,)) is not None
+    assert rda.root_coords_below(A1, (1,), (2,)) is None  # parity
 
 
 def test_lowest_weight_values():
@@ -69,7 +69,7 @@ small_weight = st.integers(min_value=-6, max_value=6)
 
 @given(st.tuples(small_weight, small_weight), st.tuples(small_weight, small_weight))
 def test_dominance_antisymmetric(a, b):
-    if rda.dominance_leq(A2, a, b) and rda.dominance_leq(A2, b, a):
+    if rda.root_coords_below(A2, a, b) is not None and rda.root_coords_below(A2, b, a) is not None:
         assert a == b
 
 
@@ -79,21 +79,21 @@ def test_dominance_antisymmetric(a, b):
     st.tuples(small_weight, small_weight),
 )
 def test_dominance_transitive(a, b, c):
-    if rda.dominance_leq(A2, a, b) and rda.dominance_leq(A2, b, c):
-        assert rda.dominance_leq(A2, a, c)
+    if rda.root_coords_below(A2, a, b) is not None and rda.root_coords_below(A2, b, c) is not None:
+        assert rda.root_coords_below(A2, a, c) is not None
 
 
 @given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)))
 def test_lowest_weight_duality(lam):
     low = lowest_weight(A3, lam)
-    assert rda.dominance_leq(A3, low, lam)
+    assert rda.root_coords_below(A3, low, lam) is not None
     dual = tuple(-c for c in low)
     assert lowest_weight(A3, dual) == tuple(-c for c in lam)
 
 
 @given(st.tuples(small_weight, small_weight, small_weight))
 def test_dominant_conjugate_is_dominant(mu):
-    conj, sign, _ = dominant_conjugate(A3, mu)
+    conj, sign, _ = dominant_conjugate(mu)
     assert all(c >= 0 for c in conj)
     assert sign in (1, -1)
     assert to_root_coords(A3, tuple(a - b for a, b in zip(conj, mu)))
@@ -184,6 +184,6 @@ def _small_type_a_weight(draw):
 @given(_small_type_a_weight())
 def test_sorted_chambers_match_the_reflection_walk(case):
     rd, mu = case
-    assert dominant_conjugate(rd, mu) == _reflect_until(rd, mu, want_negative=False)
+    assert dominant_conjugate(mu) == _reflect_until(rd, mu, want_negative=False)
     lam = tuple(abs(c) for c in mu)
     assert lowest_weight(rd, lam) == _reflect_until(rd, lam, want_negative=True)[0]
