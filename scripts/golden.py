@@ -503,9 +503,10 @@ def bound_cases(examples):
     the A8 flag multicone, drawn from their own seeded generator, with
     stabilizer there, which is cheap;
     orbit-law at a linear form of 4 300-digit entries, and at a form of
-    weight 1 000 whose window holds no positive weight; a presentation
-    of 1 000 generators at bound 0, and a saturation of 300 generators
-    whose box passes the cap; and saturate
+    weight 1 000 whose window holds no positive weight; presentations
+    of 1 000 generators at bounds 0 and 1 and of one generator at bound
+    100 000, and a saturation of 300 generators whose box passes the
+    cap; and saturate
     requests that a capped natural-sum search once refused, of which
     the last two are still refused, now from an estimate."""
     rng = random.Random(SEED)
@@ -513,7 +514,8 @@ def bound_cases(examples):
     cases = [[c, "A8", examples.flag_multicone(8).module, point] for c in ("t1", "orbit-tangent", "stabilizer")]
     cases.append(["orbit-law", "A1", "1", "--form", "7" * 4300 + ",1", "--truncation", "16"])
     cases.append(["orbit-law", "A1", "1000", "--form", ",".join(["1"] * 1001), "--truncation", "16"])
-    cases.append(["presentation", "A1", ";".join(str(k) for k in range(1, 1001)), "--bound", "0"])
+    cases += [["presentation", "A1", ";".join(str(k) for k in range(1, 1001)), "--bound", b] for b in "01"]
+    cases.append(["presentation", "A1", "1", "--bound", "100000"])
     box = [f"{a},{b},{c}" for a in range(-4, 5) for b in range(-4, 5) for c in range(-4, 5)]
     cases.append(["saturate", "--", "A3", ";".join(box[:300])])
     for group, gens in [
@@ -585,6 +587,9 @@ TWO_BAD_INPUTS = [
     ["t1", "--diag=1:x", "A1", "sym(2,natural(2))", "x"],
     ["contract", "missing.json", "x"],
     ["orbit-law", "A1", "x", "--form", "y", "--truncation", "4"],
+    ["tensor", "A1", "--", "-1", "1,0"],
+    ["tensor", "A1", "9" * 4300, "-1"],
+    ["saturate", "--", "A2", "1000,1000;-1000,-1000;1,0;0,1"],
 ]
 
 

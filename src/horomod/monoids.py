@@ -22,10 +22,10 @@ bound, each a pair of exponent vectors; nothing is claimed past it.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby, repeat
 from math import comb, lcm
-from operator import ge, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import ge, mul, sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -52,11 +52,7 @@ def _hnf(rows: Sequence[Gen]) -> List[List[int]]:
     ncols = len(mat[0])
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
@@ -187,10 +183,7 @@ Relation = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 def _congruent(a, b, relations, degree_cap) -> bool:
     """BFS over rewriting with kept relations, both directions."""
-    moves = []
-    for p, q in relations:
-        moves.append((p, q))
-        moves.append((q, p))
+    moves = [move for p, q in relations for move in ((p, q), (q, p))]
     seen = {a}
     queue = [a]
     while queue:
@@ -208,6 +201,19 @@ def _congruent(a, b, relations, degree_cap) -> bool:
     return False
 
 
+def _exponent_vectors(m: int, b: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """The exponent vectors over m generators of degree at most b, each as
+    its pairs (generator, exponent > 0).  A vector is a lattice path of m
+    bars and b stars, read by the rarer symbol, so it costs min(m, b):
+    the stars before each bar, or each star's bar, m for the slack."""
+    if m <= b:
+        for cuts in combinations_with_replacement(range(b + 1), m):
+            yield tuple((i, e) for i, e in enumerate(map(sub, cuts, (0,) + cuts)) if e)
+    else:
+        for picks in combinations_with_replacement(range(m + 1), b):
+            yield tuple((i, len(list(run))) for i, run in groupby(picks) if i < m)
+
+
 def semigroup_presentation(monoid, degree_bound: int) -> Tuple[Relation, ...]:
     """Binomial relations among the generators up to total degree
     degree_bound, thinned to ones not implied by smaller kept relations.
@@ -218,25 +224,22 @@ def semigroup_presentation(monoid, degree_bound: int) -> Tuple[Relation, ...]:
         return ()
     if comb(max(degree_bound, 0) + m, m) > _ENUM_CAP:
         raise ResourceError("presentation enumeration cap exceeded")
-    # An exponent vector is a multiset of generator indices; m is slack.
-    zero = (0,) * len(gens[0])
-    fibers: Dict[Gen, List[Tuple[int, ...]]] = {}
-    for picks in combinations_with_replacement(range(m + 1), max(degree_bound, 0)):
-        val = tuple(map(sum, zip(zero, *(gens[i] for i in picks if i < m))))
-        fibers.setdefault(val, []).append(picks)
+    rank = range(len(gens[0]))
+    fibers: Dict[Gen, List[Tuple[Tuple[int, int], ...]]] = {}
+    for vec in _exponent_vectors(m, max(degree_bound, 0)):
+        val = tuple(sum(e * gens[i][j] for i, e in vec) for j in rank)
+        fibers.setdefault(val, []).append(vec)
     if sum(comb(len(fiber), 2) for fiber in fibers.values()) > _PAIR_CAP:
         raise ResourceError("presentation candidate-pair cap exceeded")
     candidates = set()
     for fiber in fibers.values():
         if len(fiber) < 2:
             continue
-        exps = [tuple(map(picks.count, range(m))) for picks in fiber]
+        exps = [tuple(map(dict(vec).get, range(m), repeat(0))) for vec in fiber]
         for x, y in combinations(sorted(exps), 2):
-            common = tuple(min(a, b) for a, b in zip(x, y))
-            xa = tuple(a - c for a, c in zip(x, common))
-            yb = tuple(b - c for b, c in zip(y, common))
-            pair = tuple(sorted((xa, yb), key=lambda t: (sum(t), t)))
-            candidates.add((pair[0], pair[1]))
+            xa = tuple(max(a - b, 0) for a, b in zip(x, y))
+            yb = tuple(max(b - a, 0) for a, b in zip(x, y))
+            candidates.add(tuple(sorted((xa, yb), key=lambda t: (sum(t), t))))
     ordered = sorted(candidates, key=lambda p: (max(sum(p[0]), sum(p[1])), p))
     kept: List[Relation] = []
     slack = max((max(sum(p), sum(q)) for p, q in ordered), default=0)

@@ -197,7 +197,8 @@ def tensor_decompose(rd: RootDatum, lam, mu, cap: int = DIM_CAP) -> Decompositio
 
     Weight-push method: for every weight eps of the smaller factor,
     reflect lam + eps + rho to the dominant chamber; wall hits drop out
-    and the sign of the reflecting element weights the count.
+    and the sign of the reflecting element weights the count.  Both
+    shapes are checked before weyl_dim refuses either factor.
     """
     lam = check_weight(rd, lam)
     mu = check_weight(rd, mu)

@@ -1733,6 +1733,32 @@ def test_presentation_at_bound_zero_takes_a_thousand_generators(capsys):
     assert blob["payload"] == {"relations": [], "bound_limited": True}
 
 
+def test_presentation_of_one_generator_at_a_high_bound(capsys):
+    """One generator and bound 100 000: each exponent vector is one pair,
+    not a tuple as long as the bound."""
+    code, blob = run_json(capsys, "presentation", "A1", "1", "--bound", "100000")
+    assert code == 0
+    assert blob["payload"] == {"relations": [], "bound_limited": True}
+
+
+def test_tensor_refuses_the_first_factor_before_the_second(capsys):
+    """weyl_dim is the one dominance rule and checks one factor whole,
+    dominance and size, before the other: an unprintable first dimension
+    is refused before a second factor that is not dominant."""
+    code, blob = run_json(capsys, "tensor", "A1", "9" * 4300, "-1")
+    assert code == 4
+    assert blob["error"] == {
+        "type": "resource",
+        "message": "dimension of more than 4300 digits cannot be printed",
+    }
+
+
+def test_saturation_of_a_cone_that_is_not_pointed_meets_the_box_cap_first(capsys):
+    code, blob = run_json(capsys, "saturate", "--", "A2", "1000,1000;-1000,-1000;1,0;0,1")
+    assert code == 4
+    assert blob["error"] == {"type": "resource", "message": "saturation enumeration cap exceeded"}
+
+
 def test_saturation_refuses_a_large_box_before_the_facet_search(capsys, monkeypatch):
     def never(gens, basis):
         raise AssertionError("the facet search ran")

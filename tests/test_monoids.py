@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -119,6 +119,17 @@ def test_presentation_deduplicates_shifted_relations():
     m = make_weight_monoid(A1, [(1,), (2,)])
     pres = semigroup_presentation(m, degree_bound=4)
     assert pres == (((0, 1), (2, 0)),)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
+def test_exponent_vectors_are_the_window_each_in_min_steps(m, b):
+    """Each exponent vector of total degree at most b comes once, as at
+    most min(m, b) positive (generator, exponent) pairs."""
+    vecs = list(monoids._exponent_vectors(m, b))
+    dense = [tuple(dict(v).get(i, 0) for i in range(m)) for v in vecs]
+    assert sorted(dense) == [x for x in product(range(b + 1), repeat=m) if sum(x) <= b]
+    assert all(len(v) <= min(m, b) and all(e > 0 for _, e in v) for v in vecs)
 
 
 @settings(max_examples=20, deadline=None)
