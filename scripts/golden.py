@@ -506,9 +506,13 @@ def bound_cases(examples):
     weight 1 000 whose window holds no positive weight; presentations
     of 1 000 generators at bounds 0 and 1 and of one generator at bound
     100 000, and a saturation of 300 generators whose box passes the
-    cap; and saturate
-    requests that a capped natural-sum search once refused, of which
-    the last two are still refused, now from an estimate."""
+    cap; coinv on the 501-dimensional A1 symmetric power, whose
+    induction once walked every copy of a repeated factor; a
+    presentation of 120 seeded A2 generators, whose thinning passes its
+    cap; stabilizer at e1 of the natural modules of A9 and A10 under
+    --cap 100, whose printed bases fit in 100^2 entries and do not; and
+    saturate requests that a capped natural-sum search once refused, of
+    which the last two are still refused, now from an estimate."""
     rng = random.Random(SEED)
     point = ",".join(str(rng.choice([0, 1, -1, 2])) for _ in range(2**9 - 2))
     cases = [[c, "A8", examples.flag_multicone(8).module, point] for c in ("t1", "orbit-tangent", "stabilizer")]
@@ -518,6 +522,16 @@ def bound_cases(examples):
     cases.append(["presentation", "A1", "1", "--bound", "100000"])
     box = [f"{a},{b},{c}" for a in range(-4, 5) for b in range(-4, 5) for c in range(-4, 5)]
     cases.append(["saturate", "--", "A3", ";".join(box[:300])])
+    cases.append(["coinv", "A1", "sym(500,natural(2))"])
+    seeded, gens = random.Random(1), []
+    while len(gens) < 120:
+        g = f"{seeded.randint(0, 100)},{seeded.randint(0, 100)}"
+        if g not in gens:
+            gens.append(g)
+    cases.append(["presentation", "A2", ";".join(gens), "--bound", "2"])
+    for r in (9, 10):
+        e1 = ",".join(["1"] + ["0"] * r)
+        cases.append(["stabilizer", "--cap", "100", f"A{r}", f"natural({r + 1})", e1])
     for group, gens in [
         ("A3", "1,0,-2;3,-1,2;3,1,-1;1,3,3"),
         ("A3", "2,3,2;-3,-3,1;0,-3,0;2,1,1"),
@@ -598,7 +612,8 @@ LONG_POINT = ",".join(["1/" + "9" * 4299 + "7", "1/" + "9" * 4299 + "1"] + ["1"]
 
 # Refusals of input that no other request reaches, each an envelope with
 # exit 3 or 4: weights of the wrong length and weights that are not
-# dominant; a module expression with trailing input, nested 101 deep,
+# dominant; a module expression with trailing input, one that ends
+# early, one with a comma and no term after it, one nested 101 deep,
 # holding a 4 301-digit number, or of a dimension with more than 4 300
 # digits; a zero denominator, a point entry of 4 301 digits and a point
 # past the cost cap; a negative congruence modulus; a weight entry and a
@@ -615,6 +630,9 @@ REFUSALS = [
     ["tensor", "A1", "--", "1", "-1"],
     ["weights", "A1", "--", "-1"],
     ["hwv", "A1", "natural(2) x"],
+    ["hwv", "A1", "natural(2))"],
+    ["hwv", "A1", "sum(natural(2)"],
+    ["hwv", "A1", "sum(natural(2),)"],
     ["hwv", "A1", "dual(" * 100 + "natural(2)" + ")" * 100],
     ["hwv", "A1", f"sym({'1' * 4301},natural(2))"],
     ["hwv", "A1", "sym(20000,sym(20000,natural(2)))", "--cap", "100000"],

@@ -12,14 +12,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
+from horomod.examples import BINARY_DEGREES, binary_cone_input, binary_cone_law_dim, flag_multicone
 
 
 def print_binary_family():
     print("binary-form cones, closure of the orbit of x^n in V(n)")
     print(f"{'n':>3} {'T1 dim':>7} {'law dim':>8}  weights")
     for n in BINARY_DEGREES:
-        report = binary_cone(n)
+        report = binary_cone_input(n).report()
         law_txt = str(binary_cone_law_dim(n, 4 * n)) if n <= 5 else "-"
         ws = " ".join(f"{w[0]}*alpha" for w in report.weights) or "-"
         print(f"{n:>3} {report.dim_T1_invariant:>7} {law_txt:>8}  {ws}")
@@ -27,7 +27,7 @@ def print_binary_family():
 
 
 def print_flag_point():
-    report = flag_point()
+    report = flag_multicone(3).report()
     print("rank-three point e1 + e1^e2 + e1^e2^e3")
     print(f"  T1 dim   {report.dim_T1_invariant}")
     for w in report.weights:

@@ -2,9 +2,10 @@
 
 For A1 the Hom channels of V(a) (x) V(b) -> V(a+b-2i) are the
 transvectants of binary forms.  channel_coeff gives the i-th
-transvectant on a monomial pair, and ChannelTable serves those
-coefficients to both law routes, each value computed once per call;
-mulaw.transvectants calls channel_coeff for the orbit laws.
+transvectant on a monomial pair.  Each law route wraps it in its own
+functools.cache, so every coefficient is computed once per call and the
+memo is freed when the call returns; mulaw.transvectants calls
+channel_coeff for the orbit laws.
 
 This layer also holds the monoid window, the unknowns m[a,b,i], the
 commutativity rows, the associativity windows, the cost check, the
@@ -18,8 +19,9 @@ runs, so law_tangent runs neither mulaw nor polysys.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, perm
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import ResourceError, ValidationError
 from . import linalg
@@ -32,6 +34,7 @@ Weight = Tuple[int, ...]
 Mono = Tuple[int, ...]  # sorted unknown indices, as in polysys
 Term = Tuple[int, int, Mono]  # inner channel, outer channel, unknowns
 Plan = Tuple[int, int, int, List[Term], List[Term]]
+Coeff = Callable[[int, int, int, int, int], int]  # channel_coeff or a memo of it
 
 _WINDOW_CAP = 100_000
 # Cap on the cost estimate of _check_law_cost for the linear rows.  The largest
@@ -58,16 +61,6 @@ def channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
             * perm(t, i - j)
         )
     return total
-
-
-class ChannelTable(dict):
-    """channel_coeff keyed by (a, s, b, t, i), each value computed on
-    its first lookup.  A route builds one table per call, so it holds no
-    more than that call looks up and is freed when the call returns."""
-
-    def __missing__(self, key: Tuple[int, int, int, int, int]) -> int:
-        value = self[key] = channel_coeff(*key)
-        return value
 
 
 def monoid_window(monoid: WeightMonoid, bound: int) -> Tuple[Weight, ...]:
@@ -195,7 +188,7 @@ def _associator_plan(
 
 
 def _add_associator(
-    out: Dict[Mono, int], plan: Plan, coeff: ChannelTable, coef: int, stu: Tuple[int, int, int]
+    out: Dict[Mono, int], plan: Plan, coeff: Coeff, coef: int, stu: Tuple[int, int, int]
 ) -> Dict[Mono, int]:
     """out, {unknowns: coefficient}, plus coef times plan on the monomial
     x^(a-s) y^s (x) x^(b-t) y^t (x) x^(c-u) y^u, stu = (s, t, u); channel
@@ -203,20 +196,20 @@ def _add_associator(
     a, b, c, left, right = plan
     s, t, u = stu
     for i, j, mono in left:
-        k = coeff[a, s, b, t, i] if i else 1
+        k = coeff(a, s, b, t, i) if i else 1
         if k and j:
-            k *= coeff[a + b - 2 * i, s + t - i, c, u, j]
+            k *= coeff(a + b - 2 * i, s + t - i, c, u, j)
         out[mono] = out.get(mono, 0) + coef * k
     for i, j, mono in right:
-        k = coeff[b, t, c, u, i] if i else 1
+        k = coeff(b, t, c, u, i) if i else 1
         if k and j:
-            k *= coeff[a, s, b + c - 2 * i, t + u - i, j]
+            k *= coeff(a, s, b + c - 2 * i, t + u - i, j)
         out[mono] = out.get(mono, 0) - coef * k
     return out
 
 
 def _weight_vector_rows(
-    index: Mapping[Tuple[int, int, int], int], coeff: ChannelTable,
+    index: Mapping[Tuple[int, int, int], int], coeff: Coeff,
     a: int, b: int, c: int, r: int, inner: Iterable[int],
 ) -> Iterable[Dict[Mono, int]]:
     """The grade-r associator plan of the window (a, b, c) over the inner
@@ -254,7 +247,7 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     input of every window gives; the tests check it against the
     singular vectors of the triple products."""
     ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
-    coeff = ChannelTable()
+    coeff = cache(channel_coeff)
     columns: Dict[int, Dict[Mono, int]] = {}  # grade -> {unknown: column}
     for u, (_, _, i) in enumerate(index):
         cols = columns.setdefault(i, {})
@@ -286,7 +279,7 @@ def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
     from .polysys import PolySystem, reduced_equations
 
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
-    coeff = ChannelTable()
+    coeff = cache(channel_coeff)
     names = tuple(f"m[{a},{b},{i}]" for (a, b, i) in index)
     grades = tuple((i,) for (_, _, i) in index)
     rows = [(row, (i,)) for row, i in _commutativity_rows(index)]

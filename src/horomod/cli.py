@@ -252,6 +252,8 @@ def _cmd_orbit_tangent(args):
 def _cmd_stabilizer(args):
     basis = liealg.stabilizer_lie(args.m, args.x)
     labels = liealg.chevalley_labels(args.rd)
+    # Every other printed basis has at most dim x dim entries, dim <= cap.
+    check_size("stabilizer basis entry count", len(basis) * len(labels), args.cap**2)
     return {
         "dim": len(basis),
         "labels": labels,
@@ -319,7 +321,7 @@ def _cmd_reproduce_example1(args):
     dims = []
     weight_table = {}
     for n in examples.BINARY_DEGREES:
-        report = examples.binary_cone(n)
+        report = examples.binary_cone_input(n).report()
         dims.append(report.dim_T1_invariant)
         if report.weights:
             weight_table[str(n)] = [list(w) for w in report.weights]
@@ -327,7 +329,7 @@ def _cmd_reproduce_example1(args):
 
 
 def _cmd_reproduce_example2(args):
-    report = examples.flag_point()
+    report = examples.flag_multicone(3).report()
     return {"dim": report.dim_T1_invariant, "weights": [list(w) for w in report.weights]}
 
 

@@ -7,9 +7,9 @@ the same dims by an independent route.  Example 2: the rank-three point
 e1 + e1^e2 + e1^e2^e3 in k4 + wedge2 k4 + wedge3 k4, with dim 2 and
 weights a1+a2 and a2+a3, the A3 case of the flag multicones: the sum of
 the fundamental modules of A_r at the sum of their highest weight
-vectors.  The CLI, the scripts and the acceptance gate build them here
-and only format the results; the tests and the golden set read their
-inputs, each an Example, here.
+vectors.  Each input is an Example, which the tests and the golden set
+read here; the CLI, the scripts and the acceptance gate run its
+Example.report and only format the result.
 """
 
 from __future__ import annotations
@@ -46,16 +46,15 @@ class Example(NamedTuple):
         stab = unipotent_radical_spec(rd)._replace(diag_part=self.diag)
         return build_module(rd, self.module), self.point, stab
 
+    def report(self) -> TangentReport:
+        """The fixed-space report at the example's point."""
+        return t1_invariant(*self.build())
+
 
 def binary_cone_input(n: int) -> Example:
     """x^n in V(n), the first vector of the basis; the isotropy is the
     unipotent radical and the n-th roots of unity."""
     return Example("A1", f"sym({n},natural(2))", (1,) + (0,) * n, (DiagCongruence((1,), n),))
-
-
-def binary_cone(n: int) -> TangentReport:
-    """Fixed-space report at x^n in V(n)."""
-    return t1_invariant(*binary_cone_input(n).build())
 
 
 def binary_cone_law_dim(n: int, truncation: int) -> int:
@@ -81,8 +80,3 @@ def flag_multicone(r: int) -> Example:
     module = f"sum({','.join(summands)})"
     point = sum(((1,) + (0,) * (comb(n, k) - 1) for k in range(1, n)), ())
     return Example(f"A{r}", module, point, ())
-
-
-def flag_point() -> TangentReport:
-    """Fixed-space report at e1 + e1^e2 + e1^e2^e3, the A3 flag multicone."""
-    return t1_invariant(*flag_multicone(3).build())

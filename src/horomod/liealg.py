@@ -13,8 +13,9 @@ column, so two operators are equal exactly when == says so, and applying
 one to a vector reads only the columns in the vector's support.
 The constructions are natural, dual, one block sum and one induction:
 direct_sum places the operators of all its terms in blocks, and _induce
-acts on sorted index tuples of a module by the Leibniz rule.  tensor
-induces from the block sum of its factors on one index per factor, in
+acts on sorted index tuples of a module by the Leibniz rule, with one
+term per run of equal factors, times the run's length.  tensor induces
+from the block sum of its factors on one index per factor, in
 row-major order; power induces sym on sorted tuples and ext on strictly
 increasing ones with Koszul signs, both in lexicographic order.
 
@@ -182,37 +183,35 @@ def power(name: str, k: int, m: ExplicitModule) -> ExplicitModule:
 
 def _induce(m: ExplicitModule, basis: List[Tuple[int, ...]], alternating: bool) -> ExplicitModule:
     """The module on basis, sorted index tuples of m, where each operator
-    of m acts by the Leibniz rule: it replaces one factor at a time, and
-    the new factor moves from position pos to the position j among the
-    others that bisection finds.  An alternating term carries the Koszul
-    sign (-1)^|pos - j|, and a repeated index drops it.  Every replaced
-    tuple must lie in basis."""
+    of m acts by the Leibniz rule: it replaces one factor at a time.  The
+    copies of a repeated factor give one term, times their number: the
+    new factor goes from the run's first position pos to the position j
+    among the others that bisection finds.  An alternating term carries
+    the Koszul sign (-1)^(pos - j), and a repeated index drops it.  Every
+    replaced tuple must lie in basis."""
     index = {mono: i for i, mono in enumerate(basis)}
-    # containing[u]: the (tuple index, position) of each occurrence of u
-    containing: Dict[int, List[Tuple[int, int]]] = {}
+    # runs[u]: (tuple index, first position, length, other factors) per run of u
+    runs: Dict[int, List[Tuple[int, int, int, Tuple[int, ...]]]] = {}
     for ci, mono in enumerate(basis):
-        for pos, u in enumerate(mono):
-            containing.setdefault(u, []).append((ci, pos))
+        pos = 0
+        for u, run in groupby(mono):
+            length = len(list(run))
+            runs.setdefault(u, []).append((ci, pos, length, mono[:pos] + mono[pos + 1 :]))
+            pos += length
 
     def induced(mat: Matrix) -> Matrix:
         out: Matrix = {}
         for u, col in mat.items():
-            terms = [(v, val, -val) for v, val in col.items()]
-            for ci, pos in containing.get(u, ()):
-                mono = basis[ci]
+            for ci, pos, length, rest in runs.get(u, ()):
                 target = out.setdefault(ci, {})
-                for v, val, negated in terms:
-                    b = bisect_left(mono, v)
+                for v, val in col.items():
+                    j = bisect_left(rest, v)
                     if alternating:
-                        if b != pos and b < len(mono) and mono[b] == v:
+                        if rest[j : j + 1] == (v,):
                             continue
-                        if (pos - b + (b > pos)) & 1:  # j = b - (b > pos)
-                            val = negated
-                    if b > pos:
-                        new = mono[:pos] + mono[pos + 1 : b] + (v,) + mono[b:]
-                    else:
-                        new = mono[:b] + (v,) + mono[b:pos] + mono[pos + 1 :]
-                    _add(target, index[new], val)
+                        if (pos - j) & 1:
+                            val = -val
+                    _add(target, index[rest[:j] + (v,) + rest[j:]], val * length)
         return _nonempty(out)
 
     return _module(m.rd, len(basis), [induced(x) for x in m.ops])
@@ -270,19 +269,14 @@ def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule
         depth += (t == "(") - (t == ")")
         if depth > _MAX_DEPTH:
             raise ResourceError(f"module expression nests deeper than {_MAX_DEPTH}")
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return toks[pos] if pos < len(toks) else None
+    toks.reverse()
 
     def eat(expected: Optional[str] = None) -> str:
-        nonlocal pos
-        if pos >= len(toks):
+        if not toks:
             raise ValidationError("unexpected end of module expression")
-        t = toks[pos]
+        t = toks.pop()
         if expected is not None and t != expected:
             raise ValidationError(f"expected {expected!r}, got {clip(t)!r}")
-        pos += 1
         return t
 
     def number() -> int:
@@ -329,7 +323,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule
         is_tensor = name == "tensor"
         dim, first = parse()
         terms = [first]
-        while peek() == ",":
+        while toks[-1:] == [","]:
             eat(",")
             d, term = parse()
             dim = fits(dim * d if is_tensor else dim + d)
@@ -338,7 +332,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule
         return dim, lambda: (tensor if is_tensor else direct_sum)(*(t() for t in terms))
 
     dim, build = parse()
-    if pos != len(toks):
+    if toks:
         raise ValidationError("trailing input in module expression")
     fits(dim)
     return build()

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Mapping
+from functools import cached_property
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import MAX_DIGITS, ValidationError, clip
 
@@ -140,7 +141,6 @@ class RowSpace:
         self.ncols = ncols
         self.primitive: Dict[int, Dict[int, int]] = {}
         self.pivots: List[int] = []
-        self._rows: Optional[Dict[int, Sparse]] = None
         for vec in vectors:
             self.add(vec)
 
@@ -181,19 +181,18 @@ class RowSpace:
                         row[c] //= g
         self.primitive[pc] = v
         insort(self.pivots, pc)
-        self._rows = None
+        self.__dict__.pop("rows", None)
         return True
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
+    @cached_property
     def rows(self) -> Dict[int, Sparse]:
-        """The reduced rows, keyed by pivot: 1 at the pivot, exact."""
-        if self._rows is None:
-            self._rows = {pc: _over(dict(row), row[pc]) for pc, row in self.primitive.items()}
-        return self._rows
+        """The reduced rows, keyed by pivot: 1 at the pivot, exact; kept
+        until add grows the rank."""
+        return {pc: _over(dict(row), row[pc]) for pc, row in self.primitive.items()}
 
     def kernel(self) -> List[Sparse]:
         """Right kernel of the rows, one sparse vector per free column in

@@ -33,6 +33,7 @@ insists the two agree.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cache
 from itertools import accumulate, product
 from math import prod
 from operator import sub
@@ -135,21 +136,18 @@ def _kostka(p: Weight, content: Weight) -> int:
     a row: all its entries but the last range over the interlacing
     bounds, and the row sum fixes the last."""
     sums = list(accumulate(content, initial=0))
-    memo: Dict[Weight, int] = {}
 
+    @cache
     def below(row: Weight) -> int:
         if len(row) == 1:
             return 1
-        got = memo.get(row)
-        if got is None:
-            spans = [range(b, a + 1) for a, b in zip(row, row[1:])]
-            target = sums[len(row) - 1]
-            got = 0
-            for head in product(*spans[:-1]):
-                last = target - sum(head)
-                if last in spans[-1]:
-                    got += below(head + (last,))
-            memo[row] = got
+        spans = [range(b, a + 1) for a, b in zip(row, row[1:])]
+        target = sums[len(row) - 1]
+        got = 0
+        for head in product(*spans[:-1]):
+            last = target - sum(head)
+            if last in spans[-1]:
+                got += below(head + (last,))
         return got
 
     return below(p)

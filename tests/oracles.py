@@ -5,6 +5,7 @@ compare against; none is reached from the CLI or the scripts.
 """
 
 from bisect import insort
+from functools import cache
 from fractions import Fraction as Q
 from math import comb, perm, prod
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -13,12 +14,12 @@ from horomod import linalg, monoids
 from horomod.channels import (
     _SYSTEM_COST_CAP,
     _TANGENT_COST_CAP,
-    ChannelTable,
     _add_associator,
     _associator_plan,
     _associativity_windows,
     _commutativity_rows,
     _law_unknowns,
+    channel_coeff,
     monoid_window,
 )
 from horomod.errors import DIM_CAP, ResourceError, ValidationError
@@ -240,7 +241,7 @@ def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
     on each singular vector of its triple product, each row as
     generated, with repeats and without zero rows."""
     ints, pos, index = _law_unknowns(monoid, truncation, _SYSTEM_COST_CAP)
-    coeff = ChannelTable()
+    coeff = cache(channel_coeff)
     names = [f"m[{a},{b},{i}]" for (a, b, i) in index]
     rows = list(_commutativity_rows(index))
     for a, b, c, nu, r in _associativity_windows(ints, pos, truncation):
@@ -264,7 +265,7 @@ def singular_vector_law_tangent(
     terms go into one RowSpace per grade, after the commutativity rows."""
     ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
     sset = set(ints)
-    coeff = ChannelTable()
+    coeff = cache(channel_coeff)
     columns: Dict[int, Dict[int, int]] = {}  # grade -> {unknown: column}
     for u, (_, _, i) in enumerate(index):
         cols = columns.setdefault(i, {})
@@ -296,10 +297,10 @@ def singular_vector_law_tangent(
                         else:
                             p, sp, q, sq = z, sz, x + y, sx + sy
                         key = index[(p, q, r)]
-                        row[key] = row.get(key, 0) + sgn * coeff[p, sp, q, sq, r]
+                        row[key] = row.get(key, 0) + sgn * coeff(p, sp, q, sq, r)
                     if r <= min(x, y) and x + y - 2 * r in sset:
                         key = index[(x, y, r)]
-                        row[key] = row.get(key, 0) + sgn * coeff[x, sx, y, sy, r]
+                        row[key] = row.get(key, 0) + sgn * coeff(x, sx, y, sy, r)
             add(row, r)
     weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
     return len(weights), weights

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 from horomod.channels import _commutativity_rows, _law_unknowns, law_equations
-from horomod.examples import BINARY_DEGREES, binary_cone, binary_cone_law_dim, flag_point
+from horomod.examples import BINARY_DEGREES, binary_cone_input, binary_cone_law_dim, flag_multicone
 from horomod.linalg import RowSpace
 from horomod.monoids import saturation
 from horomod.mulaw import (
@@ -49,7 +49,7 @@ def _gate(num, desc, body, limit=None):
 
 @lru_cache(maxsize=None)
 def _t1_dims():
-    return tuple(binary_cone(n).dim_T1_invariant for n in BINARY_DEGREES)
+    return tuple(binary_cone_input(n).report().dim_T1_invariant for n in BINARY_DEGREES)
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +99,7 @@ def test_criterion_2():
 
 def test_criterion_3():
     def body():
-        report = flag_point()
+        report = flag_multicone(3).report()
         assert report.dim_T1_invariant == 2
         assert report.weights == ((0, 1, 1), (1, 1, 0))
 

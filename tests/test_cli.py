@@ -4,7 +4,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -1739,6 +1742,46 @@ def test_presentation_of_one_generator_at_a_high_bound(capsys):
     code, blob = run_json(capsys, "presentation", "A1", "1", "--bound", "100000")
     assert code == 0
     assert blob["payload"] == {"relations": [], "bound_limited": True}
+
+
+def test_presentation_thinning_of_many_generators_is_refused_within_seconds():
+    """150 seeded A2 generators at bound 2: the thinning searches share
+    one budget of move checks, so the request ends in exit 4 instead of
+    running for minutes.  A subprocess, so a hang fails the test."""
+    rng = random.Random(1)
+    gens = []
+    while len(gens) < 150:
+        g = (rng.randint(0, 100), rng.randint(0, 100))
+        if g not in gens:
+            gens.append(g)
+    argv = ["presentation", "A2", ";".join(f"{a},{b}" for a, b in gens), "--bound", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "horomod", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["error"]["message"].startswith("presentation thinning cap exceeded")
+
+
+@pytest.mark.parametrize("rank, code", [(43, 0), (44, 4)])
+def test_stabilizer_refuses_a_basis_of_more_than_cap_squared_entries(capsys, monkeypatch, rank, code):
+    """At e1 of natural(n) the stabilizer has n^2 - n - 1 vectors over
+    n^2 - 1 labels: 3 659 085 entries for A43, 4 005 496 for A44, against
+    the default cap's square, 4 000 000.  The refusal comes before any
+    vector is printed."""
+    fmt = cli._fmt_vec
+    if code:
+        def fmt(v, dim):
+            raise AssertionError("a vector was printed")
+    monkeypatch.setattr(cli, "_fmt_vec", fmt)
+    n = rank + 1
+    code_got, out = run(capsys, "stabilizer", f"A{rank}", f"natural({n})", ",".join(["1"] + ["0"] * rank))
+    assert code_got == code
+    blob = json.loads(out)
+    if code:
+        assert blob["error"]["message"] == "stabilizer basis entry count 4005496 exceeds cap 4000000"
+    else:
+        assert blob["payload"]["dim"] == n * n - n - 1
 
 
 def test_tensor_refuses_the_first_factor_before_the_second(capsys):

@@ -281,6 +281,18 @@ def test_power_signs_match_a_full_sort_on_a_power_of_a_power():
     assert list(la.power("sym", 2, inner).ops) == sorted_power_ops("sym", 2, inner)
 
 
+def test_a_symmetric_power_adds_one_term_per_run_of_equal_factors(monkeypatch):
+    """Each copy of a repeated factor gives the same term, so the
+    induction adds it once per run: at most twice dim entries per
+    operator of A1 sym(200), where one per copy makes about 200^2 / 2."""
+    calls = []
+    add = la._add
+    monkeypatch.setattr(la, "_add", lambda *args: calls.append(1) or add(*args))
+    m = la.build_module(rda.make_root_datum("A1"), "sym(200,natural(2))")
+    assert m.dim == 201
+    assert len(calls) <= 2 * m.dim * len(m.ops)
+
+
 def test_ext_signs():
     m = la.build_module(A3, "ext(2,natural(4))")
     # f3 sends e3 to e4, so on e3^e4 the only term is e4^e4 = 0

@@ -89,6 +89,18 @@ def test_rows_stay_reduced_and_sparse():
     assert space.kernel() == [{0: 1}, {2: 1}]
 
 
+@PROPERTY
+@given(matrices(min_rows=1))
+def test_rows_read_before_an_add_are_read_again_after_it(mat):
+    """rows is kept once read; an add drops it, so the next read is the
+    reduced rows of the grown space."""
+    ncols, rows = mat
+    space = RowSpace(ncols, rows[:-1])
+    space.rows
+    space.add(rows[-1])
+    assert space.rows == RowSpace(ncols, rows).rows
+
+
 def test_integral_values_are_ints():
     """A reduced row, a kernel vector or a residual holds an int at each
     integral entry, not a Fraction of denominator one."""

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from functools import cache
 from math import comb
 from random import Random
 
@@ -475,15 +476,15 @@ def ring_orbit_law(forms, monoid, truncation):
 def ring_solve_pair(a, b, open_, bases):
     """Values of the channels open_ of the (a, b) product: solved on the
     rows (0, t), then checked on every row pair (s, t)."""
-    coeff = channels.ChannelTable()
+    coeff = cache(channels.channel_coeff)
     n = len(open_)
     space = RowSpace(n + 1)
     for t in range(min(a, b) + 1):
         prod = nf_mul(bases[a][0], bases[b][t])
         terms = [
-            (open_.index(i), coeff[a, 0, b, t, i], bases[a + b - 2 * i][t - i])
+            (open_.index(i), coeff(a, 0, b, t, i), bases[a + b - 2 * i][t - i])
             for i in open_
-            if coeff[a, 0, b, t, i]
+            if coeff(a, 0, b, t, i)
         ]
         for m in set(prod) | {m for _, _, vec in terms for m in vec}:
             row = {n: prod.get(m, Q(0))}
@@ -501,9 +502,9 @@ def ring_solve_pair(a, b, open_, bases):
     for s in range(a + 1):
         for t in range(b + 1):
             acc = nf_combination(
-                (val * coeff[a, s, b, t, i], bases[a + b - 2 * i][s + t - i])
+                (val * coeff(a, s, b, t, i), bases[a + b - 2 * i][s + t - i])
                 for i, val in zip(open_, sol)
-                if val and coeff[a, s, b, t, i] and 0 <= s + t - i <= a + b - 2 * i
+                if val and coeff(a, s, b, t, i) and 0 <= s + t - i <= a + b - 2 * i
             )
             if acc != nf_mul(bases[a][s], bases[b][t]):
                 raise ValidationError(

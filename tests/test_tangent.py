@@ -25,25 +25,25 @@ A3 = make_root_datum("A3")
 
 
 def test_binary_family_dims():
-    dims = [examples.binary_cone(n).dim_T1_invariant for n in range(1, 7)]
+    dims = [examples.binary_cone_input(n).report().dim_T1_invariant for n in range(1, 7)]
     assert dims == [0, 1, 0, 1, 0, 0]
 
 
 def test_binary_family_weights():
-    assert examples.binary_cone(2).weights == ((2,),)
-    assert examples.binary_cone(4).weights == ((2,),)
-    assert examples.binary_cone(3).weights == ()
+    assert examples.binary_cone_input(2).report().weights == ((2,),)
+    assert examples.binary_cone_input(4).report().weights == ((2,),)
+    assert examples.binary_cone_input(3).report().weights == ()
 
 
 def test_binary_family_agrees_with_law_linearization():
     for n in range(1, 5):
         mon = make_weight_monoid(A1, [(n,)])
         dim, _ = tangent_at_horospherical(law_equations(mon, 4 * n))
-        assert dim == examples.binary_cone(n).dim_T1_invariant
+        assert dim == examples.binary_cone_input(n).report().dim_T1_invariant
 
 
 def test_flag_point_dim_and_weights():
-    rep = examples.flag_point()
+    rep = examples.flag_multicone(3).report()
     assert rep.dim_T1_invariant == 2
     assert rep.weights == ((0, 1, 1), (1, 1, 0))
 
@@ -82,7 +82,7 @@ def test_t1_builds_chevalley_and_isotypic_split_once(monkeypatch):
     monkeypatch.setattr(tangent, "orbit_tangent", recorded_orbit)
     monkeypatch.setattr(tangent, "fixed_in_quotient", recorded_quotient)
     monkeypatch.setattr(liealg, "stabilizer_lie", unreached)
-    assert examples.flag_point().dim_T1_invariant == 2
+    assert examples.flag_multicone(3).report().dim_T1_invariant == 2
     # The Chevalley table is built with the module: a unit Lie
     # generator's matrix equals its table entry.
     assert all(mat == m.ops[k] for m, (k,), mat in lie_calls)
@@ -106,7 +106,7 @@ def test_t1_refuses_a_weight_count_that_differs_from_the_dimension(monkeypatch):
     graded = tangent._graded_weights
     monkeypatch.setattr(tangent, "_graded_weights", lambda *args: graded(*args) + [(1, 1, 1)])
     with pytest.raises(ValidationError, match="^3 tangent weights for an invariant deformation space of dimension 2$"):
-        examples.flag_point()
+        examples.flag_multicone(3).report()
 
 
 @pytest.mark.parametrize(
@@ -129,7 +129,7 @@ def test_weights_ignore_the_trivial_summand(module, point):
 
 
 def test_report_json_layout():
-    blob = report_to_json_dict(examples.flag_point())
+    blob = report_to_json_dict(examples.flag_multicone(3).report())
     assert blob["dims"]["t1_invariant"] == 2
     assert blob["weights"] == [[0, 1, 1], [1, 1, 0]]
     assert set(blob) == {"dims", "weights"}
@@ -164,7 +164,7 @@ def test_stabilizer_lie_output_is_the_lie_part_at_x_to_the_n(n):
     m, x, stab = examples.binary_cone_input(n).build()
     lie = tuple(liealg.stabilizer_lie(m, x))
     assert lie == stab.lie_part
-    assert t1_invariant(m, x, stab._replace(lie_part=lie)) == examples.binary_cone(n)
+    assert t1_invariant(m, x, stab._replace(lie_part=lie)) == examples.binary_cone_input(n).report()
 
 
 def test_stabilizer_lie_output_is_the_lie_part_at_e1_plus_e2():
@@ -343,7 +343,7 @@ def test_simple_root_vectors_give_the_report_of_all_of_u(case):
 
 def test_the_flag_point_report_is_that_of_all_of_u():
     m, x, stab = examples.flag_multicone(3).build()
-    assert examples.flag_point() == t1_invariant(m, x, with_all_of_u(stab, m.rd))
+    assert examples.flag_multicone(3).report() == t1_invariant(m, x, with_all_of_u(stab, m.rd))
 
 
 def report_or_message(m, x, stab):
