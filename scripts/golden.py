@@ -55,13 +55,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPTS = ["reproduce_examples.py"]
 SEED = 20031
 
-SUBCOMMANDS = [
-    "root-datum", "dominance", "tensor", "dim", "weights", "hwv", "coinv",
-    "orbit-tangent", "stabilizer", "t1", "tangent-weight", "law-equations",
-    "law-tangent", "contract", "root-monoid", "orbit-law", "saturate",
-    "presentation", "reproduce-example1", "reproduce-example2",
-]
-
 EXPRS_A1 = [
     "natural(2)",
     "dual(natural(2))",
@@ -302,9 +295,10 @@ def weight(rng, rank, low):
     return ",".join(str(rng.randint(low, 2)) for _ in range(rank))
 
 
-def small_cases(rng):
-    """The subcommands without a module, on small and on refused inputs."""
-    cases = [["--version"], ["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+def small_cases(rng, cli):
+    """Every subcommand's help, read off cli.COMMANDS, and the subcommands
+    without a module, on small and on refused inputs."""
+    cases = [["--version"], ["--help"]] + [[name, "--help"] for name in cli.COMMANDS]
     for r in range(1, 6):
         cases.append(["root-datum", f"A{r}"])
     cases += [["root-datum", label] for label in ("A0", "B2", "A141", "A" + "9" * 40)]
@@ -497,6 +491,17 @@ def fixed_cases(examples):
     return cases + OVER_CAP
 
 
+def seeded_generators(count, top):
+    """count distinct nonzero A2 generators of entries 0..top, drawn by
+    random.Random(1)."""
+    seeded, gens = random.Random(1), []
+    while len(gens) < count:
+        g = f"{seeded.randint(0, top)},{seeded.randint(0, top)}"
+        if g != "0,0" and g not in gens:
+            gens.append(g)
+    return ";".join(gens)
+
+
 def bound_cases(examples):
     """Requests that ran for seconds before their cost was bounded: t1
     and orbit-tangent at a point of short entries on most coordinates of
@@ -507,9 +512,9 @@ def bound_cases(examples):
     of 1 000 generators at bounds 0 and 1 and of one generator at bound
     100 000, and a saturation of 300 generators whose box passes the
     cap; coinv on the 501-dimensional A1 symmetric power, whose
-    induction once walked every copy of a repeated factor; a
-    presentation of 120 seeded A2 generators, whose thinning passes its
-    cap; stabilizer at e1 of the natural modules of A9 and A10 under
+    induction once walked every copy of a repeated factor; presentations
+    of 120 seeded A2 generators, whose thinning passes its cap, and of
+    630, whose candidate pairs pass theirs; stabilizer at e1 of the natural modules of A9 and A10 under
     --cap 100, whose printed bases fit in 100^2 entries and do not; and
     saturate requests that a capped natural-sum search once refused, of
     which the last two are still refused, now from an estimate."""
@@ -523,12 +528,8 @@ def bound_cases(examples):
     box = [f"{a},{b},{c}" for a in range(-4, 5) for b in range(-4, 5) for c in range(-4, 5)]
     cases.append(["saturate", "--", "A3", ";".join(box[:300])])
     cases.append(["coinv", "A1", "sym(500,natural(2))"])
-    seeded, gens = random.Random(1), []
-    while len(gens) < 120:
-        g = f"{seeded.randint(0, 100)},{seeded.randint(0, 100)}"
-        if g not in gens:
-            gens.append(g)
-    cases.append(["presentation", "A2", ";".join(gens), "--bound", "2"])
+    for count, top in ((120, 100), (630, 400)):
+        cases.append(["presentation", "A2", seeded_generators(count, top), "--bound", "2"])
     for r in (9, 10):
         e1 = ",".join(["1"] + ["0"] * r)
         cases.append(["stabilizer", "--cap", "100", f"A{r}", f"natural({r + 1})", e1])
@@ -591,6 +592,8 @@ def spoiled_laws():
         law_text(coeffs=[coefficient(4, 2, 2, 2)]),
         law_text(coeffs=[coefficient(2, 0, 4, 1)]),
         json.dumps(unit),
+        law_text(coeffs=[{**coefficient(2, 2, 4, 0), "lam": [2] * 2000}]),
+        law_text(coeffs=[coefficient(2, 2, 0, int("9" * 4000))]),
     ]
 
 
@@ -690,12 +693,12 @@ def golden_cases():
     working directory.  The U-fixed points come from this checkout's
     highest weight vectors."""
     sys.path.insert(0, str(SRC))
-    from horomod import errors, examples, liealg, mulaw, repcalc, rootdata
+    from horomod import cli, errors, examples, liealg, mulaw, repcalc, rootdata
 
     rng = random.Random(SEED)
     single = (
         fixed_cases(examples)
-        + small_cases(rng)
+        + small_cases(rng, cli)
         + saturate_cases(rng)
         + module_cases(rng)
         + point_cases(rng, liealg, rootdata, errors)

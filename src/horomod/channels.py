@@ -19,6 +19,7 @@ runs, so law_tangent runs neither mulaw nor polysys.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from math import comb, perm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -124,8 +125,8 @@ def _law_unknowns(
         _check_law_cost(range(step, truncation + 1, step), truncation, cap)
     ints = [w[0] for w in monoid_window(monoid, truncation)]
     sset = set(ints)
-    pos = [x for x in ints if x >= 1]
-    if not any(x + y <= truncation for x in pos for y in pos):
+    pos = ints[1:]  # the window lists 0 first
+    if not pos or 2 * pos[0] > truncation:
         raise ValidationError("truncation too small to contain any generator product")
     _check_law_cost(pos, truncation, cap)
     index: Dict[Tuple[int, int, int], int] = {}
@@ -144,7 +145,7 @@ def _commutativity_rows(
 ) -> Iterable[Tuple[Dict[Mono, int], int]]:
     """The linear equations m[a,b,i] = (-1)^i m[b,a,i], a <= b, as
     ({monomial: coefficient}, grade i); those that vanish are left out."""
-    for (a, b, i) in sorted(index):
+    for (a, b, i) in index:
         if a < b:
             yield {(index[(a, b, i)],): 1, (index[(b, a, i)],): -((-1) ** i)}, i
         elif a == b and i % 2:
@@ -187,24 +188,23 @@ def _associator_plan(
     return a, b, c, left, right
 
 
-def _add_associator(
-    out: Dict[Mono, int], plan: Plan, coeff: Coeff, coef: int, stu: Tuple[int, int, int]
-) -> Dict[Mono, int]:
-    """out, {unknowns: coefficient}, plus coef times plan on the monomial
-    x^(a-s) y^s (x) x^(b-t) y^t (x) x^(c-u) y^u, stu = (s, t, u); channel
-    0 is 1 on every pair, and is not looked up."""
+def _add_associator(plan: Plan, coeff: Coeff, stu: Tuple[int, int, int]) -> Dict[Mono, int]:
+    """plan on the monomial x^(a-s) y^s (x) x^(b-t) y^t (x) x^(c-u) y^u,
+    stu = (s, t, u), as a fresh {unknowns: coefficient} row, zero
+    entries kept; channel 0 is 1 on every pair, and is not looked up."""
     a, b, c, left, right = plan
     s, t, u = stu
+    out: Dict[Mono, int] = {}
     for i, j, mono in left:
         k = coeff(a, s, b, t, i) if i else 1
         if k and j:
             k *= coeff(a + b - 2 * i, s + t - i, c, u, j)
-        out[mono] = out.get(mono, 0) + coef * k
+        out[mono] = out.get(mono, 0) + k
     for i, j, mono in right:
         k = coeff(b, t, c, u, i) if i else 1
         if k and j:
             k *= coeff(a, s, b + c - 2 * i, t + u - i, j)
-        out[mono] = out.get(mono, 0) - coef * k
+        out[mono] = out.get(mono, 0) - k
     return out
 
 
@@ -218,7 +218,7 @@ def _weight_vector_rows(
     one {unknowns: coefficient} row each, zero entries kept."""
     plan = _associator_plan(index, a, b, c, r, inner)
     for t in range(max(0, r - c), min(b, r) + 1):
-        yield _add_associator({}, plan, coeff, 1, (0, t, r - t))
+        yield _add_associator(plan, coeff, (0, t, r - t))
 
 
 def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
@@ -230,8 +230,9 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     order, and the top channel is 1.  So an associativity term of grade
     r is linear exactly when one of its two channels is the top one:
     inner channel 0 or r.  Only those terms of the associator plan are
-    listed, and their rows go, with integer coefficients, into one
-    RowSpace per grade.
+    listed.  Each is one unknown of grade r, so each row goes, with
+    integer coefficients, into that grade's RowSpace, whose columns are
+    the unknowns' own indices.
 
     For any value of the unknowns, the linear associator of a window
     (a, b, c, nu, r) is a G-map phi from W = V(a) (x) V(b) (x) V(c) to
@@ -248,25 +249,20 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     singular vectors of the triple products."""
     ints, pos, index = _law_unknowns(monoid, truncation, _TANGENT_COST_CAP)
     coeff = cache(channel_coeff)
-    columns: Dict[int, Dict[Mono, int]] = {}  # grade -> {unknown: column}
-    for u, (_, _, i) in enumerate(index):
-        cols = columns.setdefault(i, {})
-        cols[(u,)] = len(cols)
-    spaces = {i: linalg.RowSpace(len(cols)) for i, cols in columns.items()}
+    unknowns = Counter(i for _, _, i in index)  # grade -> number of unknowns
+    spaces = {i: linalg.RowSpace(len(index)) for i in unknowns}
 
     def add(row: Mapping[Mono, int], r: int) -> None:
-        cols = columns[r]  # a term off grade r has no column: KeyError
-        spaces[r].add({cols[m]: v for m, v in row.items() if v})
+        spaces[r].add({u: v for (u,), v in row.items() if v})
 
     for row, i in _commutativity_rows(index):
         add(row, i)
     for a, b, c, _, r in _associativity_windows(ints, pos, truncation):
-        space = spaces.get(r)
-        if a > c or space is None or space.dim == space.ncols:
+        if a > c or r not in spaces or spaces[r].dim == unknowns[r]:
             continue  # the mirror window's rows, or none can change the rank
         for row in _weight_vector_rows(index, coeff, a, b, c, r, (0, r)):
             add(row, r)
-    weights = tuple((r,) for r in sorted(spaces) for _ in range(spaces[r].ncols - spaces[r].dim))
+    weights = tuple((r,) for r in sorted(spaces) for _ in range(unknowns[r] - spaces[r].dim))
     return len(weights), weights
 
 

@@ -115,7 +115,7 @@ def _fmt_vec(v: Mapping[int, Number], dim: int) -> List[str]:
     refused."""
     for x in v.values():
         check_size("numerator or denominator", max(abs(x.numerator), x.denominator))
-    return [str(c) for c in linalg.dense(v, dim)]
+    return [str(v.get(c, 0)) for c in range(dim)]
 
 
 def _load_law(path: str):
@@ -245,7 +245,7 @@ def _cmd_orbit_tangent(args):
     span = liealg.orbit_tangent(args.m, args.x)
     return {
         "dim": span.dim,
-        "basis": [_fmt_vec(span.rows[pc], args.m.dim) for pc in span.pivots],
+        "basis": [_fmt_vec(row, args.m.dim) for row in span.rows.values()],
     }
 
 

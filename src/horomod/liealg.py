@@ -235,26 +235,17 @@ def _binomial(n: int, k: int) -> int:
 
 def _tokenize(expr: str) -> List[str]:
     """Runs of digits and runs of letters are tokens, and so is each of
-    "(", ")" and ","; whitespace separates them."""
+    "(", ")" and ","; whitespace separates them.  Each character is
+    keyed once: "0" for a digit, "a" for a letter, else itself."""
     out: List[str] = []
-    for kind, run in groupby(expr, _char_kind):
-        text = "".join(run)
-        if kind in ("d", "a"):
-            out.append(text)
-        elif kind == "p":
-            bad = [ch for ch in text if ch not in "(),"]
-            if bad:
-                raise ValidationError(f"bad character {bad[0]!r} in module expression")
-            out.extend(text)
+    for key, run in groupby(expr, lambda ch: "0" if ch.isdigit() else "a" if ch.isalpha() else ch):
+        if key in ("0", "a"):
+            out.append("".join(run))
+        elif key in "(),":
+            out.extend(run)
+        elif not key.isspace():
+            raise ValidationError(f"bad character {key!r} in module expression")
     return out
-
-
-def _char_kind(ch: str) -> str:
-    if ch.isdigit():
-        return "d"
-    if ch.isalpha():
-        return "a"
-    return "s" if ch.isspace() else "p"
 
 
 def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule:
@@ -366,8 +357,7 @@ def u_coinvariants(m: ExplicitModule) -> Tuple[int, ...]:
     for e in m.e:
         for col in e.values():
             span.add(col)
-    pivot_set = set(span.pivots)
-    return tuple(i for i in range(m.dim) if i not in pivot_set)
+    return tuple(i for i in range(m.dim) if i not in span.primitive)
 
 
 def orbit_tangent(m: ExplicitModule, x: Sequence) -> RowSpace:
@@ -547,7 +537,7 @@ def isotypic_components(m: ExplicitModule) -> List[Tuple[Weight, List[Sparse]]]:
                 img = act(f, v)
                 if space.add(img):
                     queue.append(img)
-        comps.append((lam, [space.rows[pc] for pc in space.pivots]))
+        comps.append((lam, list(space.rows.values())))
         total += space.dim
     assert total == m.dim, "module did not split into isotypic pieces"
     return comps

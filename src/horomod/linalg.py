@@ -7,14 +7,13 @@ mapping), of ints or Fractions, a vector with fractions scaled by the
 lcm of its denominators.  Elimination cross-multiplies and divides by
 gcds (Bareiss, Math. Comp. 22, 1968), so rank decisions are exact and no
 Fraction is made.  One appears only where a value is read: a residual,
-the kernel, the reduced rows.  The package passes RowSpaces and sparse
-vectors between its layers; dense converts a sparse vector where output
-is formatted.
+the kernel, the reduced rows, which rows lists in pivot order.  The
+package passes RowSpaces and sparse vectors between its layers; only the
+CLI densifies a vector, where it prints one.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Mapping
 from functools import cached_property
 from math import gcd, lcm
@@ -27,7 +26,6 @@ if TYPE_CHECKING:
 
 # An exact number: an int, or a Fraction where it is not integral.
 Number = Union[int, "Fraction"]
-Vector = Tuple[Number, ...]
 Sparse = Dict[int, Number]
 AnyVector = Union[Sequence, Mapping[int, object]]
 
@@ -81,13 +79,6 @@ def read_rational(text: str) -> Number:
         raise ValidationError(f"malformed rational {clip(text)!r}: zero denominator")
 
 
-def dense(vec: Mapping[int, Number], ncols: int) -> Vector:
-    out: List[Number] = [0] * ncols
-    for c, x in vec.items():
-        out[c] = x
-    return tuple(out)
-
-
 def _integral(vec: AnyVector) -> Tuple[Dict[int, int], int]:
     """(d * vec, d) with d the lcm of the denominators of vec's entries."""
     v = sparse(vec)
@@ -130,9 +121,9 @@ class RowSpace:
     """Incrementally maintained row space, eliminated in integers.
 
     primitive maps each pivot to its row, a primitive integer dict of
-    nonzero entries, positive at the pivot and 0 at every other pivot;
-    pivots lists them in order.  rows is the same rows divided by their
-    pivot entries, the reduced row echelon form, built when first read.
+    nonzero entries, positive at the pivot and 0 at every other pivot.
+    rows is the same rows divided by their pivot entries, in pivot
+    order: the reduced row echelon form, built when first read.
     The reduction of a vector against the rows is linear, so the
     residual map can double as projection onto a complement.
     """
@@ -140,7 +131,6 @@ class RowSpace:
     def __init__(self, ncols: int, vectors: Iterable[AnyVector] = ()):
         self.ncols = ncols
         self.primitive: Dict[int, Dict[int, int]] = {}
-        self.pivots: List[int] = []
         for vec in vectors:
             self.add(vec)
 
@@ -180,19 +170,18 @@ class RowSpace:
                     for c in row:
                         row[c] //= g
         self.primitive[pc] = v
-        insort(self.pivots, pc)
         self.__dict__.pop("rows", None)
         return True
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self.primitive)
 
     @cached_property
     def rows(self) -> Dict[int, Sparse]:
-        """The reduced rows, keyed by pivot: 1 at the pivot, exact; kept
-        until add grows the rank."""
-        return {pc: _over(dict(row), row[pc]) for pc, row in self.primitive.items()}
+        """The reduced rows, keyed by pivot in increasing order: 1 at the
+        pivot, exact; kept until add grows the rank."""
+        return {pc: _over(dict(row), row[pc]) for pc, row in sorted(self.primitive.items())}
 
     def kernel(self) -> List[Sparse]:
         """Right kernel of the rows, one sparse vector per free column in
@@ -201,8 +190,7 @@ class RowSpace:
         out: Dict[int, Sparse] = {
             c: {c: 1} for c in range(self.ncols) if c not in self.primitive
         }
-        for pc in self.pivots:
-            row = self.primitive[pc]
+        for pc, row in sorted(self.primitive.items()):
             for c, x in _over({c: -x for c, x in row.items() if c != pc}, row[pc]).items():
                 out[c][pc] = x
         return list(out.values())

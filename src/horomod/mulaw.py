@@ -88,11 +88,16 @@ class MultiplicationLaw(NamedTuple):
     coeffs: Dict[LawKey, Q]
 
 
+def _pair(lam: Weight, mu: Weight) -> str:
+    """(lam,mu) as a message echoes it, each weight clipped."""
+    return f"({clip(str(lam))},{clip(str(mu))})"
+
+
 def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Tuple[int, ...]:
     grade = natural_root_coords(rd, tuple(l + m - n for l, m, n in zip(lam, mu, nu)))
     if grade is None:
         raise ValidationError(
-            f"grade of ({lam},{mu})->{nu} is not a natural root combination"
+            f"grade of {_pair(lam, mu)}->{clip(str(nu))} is not a natural root combination"
         )
     return grade
 
@@ -113,12 +118,10 @@ def make_law(
             continue
         for w in (lam, mu, nu):
             if w not in window:
-                raise ValidationError(f"weight {w} outside the monoid window")
+                raise ValidationError(f"weight {clip(str(w))} outside the monoid window")
         sumw = tuple(a + b for a, b in zip(lam, mu))
         if sumw not in window:
-            raise ValidationError(
-                f"pair ({lam},{mu}) exceeds the truncation window"
-            )
+            raise ValidationError(f"pair {_pair(lam, mu)} exceeds the truncation window")
         coeff_grade(monoid.rd, lam, mu, nu)  # raises if nu > lam+mu in root order
         if (nu == sumw) != (ch == 0):
             raise ValidationError("channel 0 must be exactly the top component")
@@ -126,7 +129,9 @@ def make_law(
             raise ValidationError("top-channel coefficient must be 1")
         if monoid.rd.rank == 1:
             if ch < 0 or ch > min(lam[0], mu[0]) or nu[0] != lam[0] + mu[0] - 2 * ch:
-                raise ValidationError(f"bad channel {ch} for ({lam},{mu})->{nu}")
+                raise ValidationError(
+                    f"bad channel {clip(str(ch))} for {_pair(lam, mu)}->{clip(str(nu))}"
+                )
         if (not any(lam) and nu != mu) or (not any(mu) and nu != lam):
             raise ValidationError("multiplication by the unit component must be trivial")
         table[(lam, mu, nu, ch)] = val
@@ -174,9 +179,9 @@ def root_monoid_of_law(law: MultiplicationLaw) -> RootMonoid:
 
 
 def _too_long(what: str, key: LawKey) -> ResourceError:
-    lam, mu, nu, ch = key
+    lam, mu, nu, ch = (clip(str(x)) for x in (*map(list, key[:3]), key[3]))
     return ResourceError(
-        f"{what} lam={list(lam)} mu={list(mu)} nu={list(nu)} channel={ch} "
+        f"{what} lam={lam} mu={mu} nu={nu} channel={ch} "
         f"has a numerator or denominator of more than {MAX_DIGITS} digits"
     )
 

@@ -53,7 +53,7 @@ def reduced_equations(
         monos = sorted({m for p in polys for m in p}, key=lambda m: _mono_key(names, m))[::-1]
         column = {m: j for j, m in enumerate(monos)}
         space = RowSpace(len(monos), ({column[m]: v for m, v in p.items()} for p in polys))
-        for row in map(space.primitive.get, space.pivots):
+        for _, row in sorted(space.primitive.items()):
             cols = sorted(row, reverse=True)
             sign = -1 if row[cols[0]] < 0 else 1
             out.append((tuple((monos[j], sign * row[j]) for j in cols), g))

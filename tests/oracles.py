@@ -144,7 +144,7 @@ def _irreducible(gens: Sequence[Gen], phi: Gen, cap: int = SEARCH_CAP) -> Tuple[
 
 
 def _positive_grading(gens: Sequence[Gen]) -> Gen:
-    phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._hnf(gens)))
+    phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._echelon(gens)))
     if phi is None:
         raise ValidationError("no strictly positive grading on the generators")
     return phi
@@ -165,7 +165,7 @@ def search_saturation(monoid, cap: int = SEARCH_CAP) -> Tuple[Gen, ...]:
     gens = [g for g in monoid.generators if any(g)]
     if not gens:
         return ()
-    basis = monoids._hnf(gens)
+    basis = monoids._echelon(gens)
     normals = monoids._facet_normals(gens, basis)
     candidates = [
         y
@@ -249,7 +249,8 @@ def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
         for eta in triple_top_vectors(a, b, c, nu):
             poly: Dict[Mono, int] = {}
             for stu, coef in eta.items():
-                _add_associator(poly, plan, coeff, coef, stu)
+                for m, v in _add_associator(plan, coeff, stu).items():
+                    poly[m] = poly.get(m, 0) + coef * v
             rows.append((poly, r))
     equations = ((tuple((m, c) for m, c in p.items() if c), (r,)) for p, r in rows)
     grades = tuple((i,) for (_, _, i) in index)

@@ -62,7 +62,7 @@ _, _, INDEX = channels._law_unknowns(make_weight_monoid(A1, [(1,)]), 18, 10**9)
 
 def _expansion(inner, a, b, c, r, stu):
     plan = channels._associator_plan(INDEX, a, b, c, r, inner)
-    out = channels._add_associator({}, plan, channel_coeff, 1, stu)
+    out = channels._add_associator(plan, channel_coeff, stu)
     return {m: v for m, v in out.items() if v}
 
 

@@ -1529,16 +1529,21 @@ def test_law_json_root_datum_is_a_type_a_label(tmp_path, capsys, label):
         ("rd", {"label": "x" * 20000}),
         ("generators", [[2] * 20000]),
         ("coeffs", [{"lam": [2] * 20000, "mu": [2], "nu": [4], "channel": 0, "value": "1"}] * 2),
+        ("coeffs", [{"lam": [2] * 2000, "mu": [2], "nu": [4], "channel": 0, "value": "1"}]),
+        ("coeffs", [{"lam": [2], "mu": [2], "nu": [0], "channel": int("9" * 4000), "value": "1"}]),
     ],
-    ids=["value", "integer", "key", "label", "generator", "duplicate"],
+    ids=["value", "integer", "key", "label", "generator", "duplicate", "window-weight", "channel"],
 )
 def test_law_json_values_are_echoed_clipped(tmp_path, capsys, field, value):
+    """The last two are read, then refused by the law checks."""
     path = tmp_path / "law.json"
     path.write_text(json.dumps(_law_with(field, value)))
-    code, blob = run_json(capsys, "root-monoid", str(path))
+    code, out = run(capsys, "root-monoid", str(path))
+    blob = json.loads(out)
     assert code == 3
     assert blob["error"]["type"] == "validation"
     assert len(blob["error"]["message"]) < 100
+    assert len(out.encode()) < 1000
 
 
 def test_law_json_without_cartan_reads_the_label(tmp_path, capsys):
@@ -1744,23 +1749,38 @@ def test_presentation_of_one_generator_at_a_high_bound(capsys):
     assert blob["payload"] == {"relations": [], "bound_limited": True}
 
 
-def test_presentation_thinning_of_many_generators_is_refused_within_seconds():
-    """150 seeded A2 generators at bound 2: the thinning searches share
-    one budget of move checks, so the request ends in exit 4 instead of
-    running for minutes.  A subprocess, so a hang fails the test."""
+def _seeded_presentation(count, top, timeout):
+    """Exit code and message of presentation A2 at bound 2 on count
+    distinct nonzero generators of entries 0..top drawn by
+    random.Random(1).  A subprocess, so a hang fails the test."""
     rng = random.Random(1)
     gens = []
-    while len(gens) < 150:
-        g = (rng.randint(0, 100), rng.randint(0, 100))
-        if g not in gens:
+    while len(gens) < count:
+        g = (rng.randint(0, top), rng.randint(0, top))
+        if any(g) and g not in gens:
             gens.append(g)
     argv = ["presentation", "A2", ";".join(f"{a},{b}" for a, b in gens), "--bound", "2"]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "horomod", *argv], env=env, capture_output=True, text=True, timeout=10
+        [sys.executable, "-m", "horomod", *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
-    assert proc.returncode == 4
-    assert json.loads(proc.stdout)["error"]["message"].startswith("presentation thinning cap exceeded")
+    return proc.returncode, json.loads(proc.stdout)["error"]["message"]
+
+
+def test_presentation_thinning_of_many_generators_is_refused_within_seconds():
+    """150 seeded A2 generators at bound 2: the thinning searches share
+    one budget of move checks, so the request ends in exit 4 instead of
+    running for minutes."""
+    code, message = _seeded_presentation(150, 100, timeout=10)
+    assert code == 4
+    assert message.startswith("presentation thinning cap exceeded")
+
+
+def test_presentation_pairs_of_many_generators_are_refused_within_seconds():
+    """630 seeded A2 generators at bound 2 give 53 939 candidate pairs of
+    630 entries each: the pair cap counts pairs times generators, so the
+    request ends in exit 4 before any pair is formed."""
+    assert _seeded_presentation(630, 400, timeout=5) == (4, "presentation candidate-pair cap exceeded")
 
 
 @pytest.mark.parametrize("rank, code", [(43, 0), (44, 4)])

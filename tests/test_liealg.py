@@ -478,7 +478,7 @@ def test_fixed_in_quotient_binary_forms():
 def test_fixed_in_quotient_slfour():
     m, x0 = x0_slfour()
     span = la.orbit_tangent(m, x0)
-    named = RowSpace(14, [span.rows[pc] for pc in span.pivots])
+    named = RowSpace(14, list(span.rows.values()))
     reps = fixed_space(m, span, la.unipotent_radical_spec(A3))
     assert len(reps) == 2
     # classes of e1^e4 (index 6) and e2^e3 (index 7) span the fixed space;

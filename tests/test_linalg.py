@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horomod.errors import MAX_DIGITS, ValidationError
-from horomod.linalg import RowSpace, dense, read_rational
+from horomod.linalg import RowSpace, read_rational
 from oracles import FractionRowSpace
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -25,9 +25,13 @@ def matrices(draw, min_rows=0):
     return ncols, rows
 
 
+def dense(vec, ncols):
+    return tuple(vec.get(c, 0) for c in range(ncols))
+
+
 def _basis(space):
     """The reduced rows, dense, in pivot order."""
-    return [dense(space.rows[pc], space.ncols) for pc in space.pivots]
+    return [dense(row, space.ncols) for row in space.rows.values()]
 
 
 def _times(row, vec):
@@ -39,13 +43,13 @@ def _times(row, vec):
 def test_rref_is_idempotent_and_ignores_row_order(mat, rnd):
     ncols, rows = mat
     space = RowSpace(ncols, rows)
-    red, pivots = _basis(space), space.pivots
+    red, pivots = _basis(space), list(space.rows)
     again = RowSpace(ncols, red)
-    assert (_basis(again), again.pivots) == (red, pivots)
+    assert (_basis(again), list(again.rows)) == (red, pivots)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     reordered = RowSpace(ncols, shuffled)
-    assert (_basis(reordered), reordered.pivots) == (red, pivots)
+    assert (_basis(reordered), list(reordered.rows)) == (red, pivots)
     for row, pc in zip(red, pivots):
         assert row[pc] == 1 and all(x == 0 for x in row[:pc])
         assert all(other[pc] == 0 for other in red if other is not row)
@@ -68,7 +72,7 @@ def test_dense_and_sparse_input_give_one_row_space(mat, probe):
     from_dense = RowSpace(ncols, rows)
     from_sparse = RowSpace(ncols, [{c: x for c, x in enumerate(row) if x} for row in rows])
     assert from_dense.rows == from_sparse.rows
-    assert from_dense.pivots == from_sparse.pivots
+    assert list(from_dense.rows) == list(from_sparse.rows)
     assert _basis(from_dense) == _basis(from_sparse)
     vec = probe[:ncols]
     residual = from_dense.reduce(vec)
@@ -83,7 +87,7 @@ def test_rows_stay_reduced_and_sparse():
     assert space.add([0, 1, 0, 0])
     assert not space.add({1: Q(5), 3: Q(-7)})
     assert not space.add([0, 0, 0, 0])
-    assert space.pivots == [1, 3]
+    assert list(space.rows) == [1, 3]
     assert space.rows == {1: {1: 1}, 3: {3: 1}}
     assert _basis(space) == [(0, 1, 0, 0), (0, 0, 0, 1)]
     assert space.kernel() == [{0: 1}, {2: 1}]
@@ -99,6 +103,19 @@ def test_rows_read_before_an_add_are_read_again_after_it(mat):
     space.rows
     space.add(rows[-1])
     assert space.rows == RowSpace(ncols, rows).rows
+
+
+@PROPERTY
+@given(matrices(min_rows=1), st.randoms(use_true_random=False))
+def test_rows_are_keyed_in_increasing_pivot_order(mat, rnd):
+    """Whatever order the rows are added in, rows lists the pivots in
+    increasing order."""
+    ncols, rows = mat
+    rnd.shuffle(rows)
+    space = RowSpace(ncols)
+    for row in rows:
+        space.add(row)
+    assert list(space.rows) == sorted(space.primitive)
 
 
 def test_integral_values_are_ints():
@@ -122,7 +139,7 @@ def test_rref_and_rank_match_sympy():
         red, pivots = sympy.Matrix(rows).rref()
         expected = [tuple(Q(int(x.p), int(x.q)) for x in red.row(i)) for i in range(len(pivots))]
         space = RowSpace(ncols, rows)
-        assert (_basis(space), space.pivots) == (expected, list(pivots))
+        assert (_basis(space), list(space.rows)) == (expected, list(pivots))
         assert space.dim == len(pivots)
 
     check()
@@ -138,7 +155,7 @@ def test_integer_rows_give_the_fraction_row_space(mat):
     ncols, rows = mat
     ints = RowSpace(ncols, [{c: x for c, x in enumerate(row) if x} for row in rows])
     fracs = RowSpace(ncols, [{c: Q(x) for c, x in enumerate(row) if x} for row in rows])
-    assert ints.pivots == fracs.pivots
+    assert list(ints.rows) == list(fracs.rows)
     assert ints.rows == fracs.rows
     assert all(type(x) in (int, Q) for row in ints.rows.values() for x in row.values())
 
@@ -174,17 +191,17 @@ def test_integer_elimination_matches_the_fraction_oracle(mat):
     integer row, positive at its pivot and 0 at every other pivot."""
     ncols, rows, probe = mat
     space, oracle = RowSpace(ncols, rows), FractionRowSpace(ncols, rows)
-    assert space.pivots == oracle.pivots
+    assert list(space.rows) == oracle.pivots
     assert space.rows == oracle.rows
     assert space.kernel() == oracle.kernel()
     for vec in rows + [probe]:
         assert space.reduce(vec) == oracle.reduce(vec)
         assert (not space.reduce(vec)) == oracle.contains(vec)
-    assert set(space.primitive) == set(space.pivots)
+    assert set(space.primitive) == set(space.rows)
     for pc, row in space.primitive.items():
         assert all(type(x) is int and x for x in row.values())
         assert row[pc] > 0 and gcd(*row.values()) == 1
-        assert not set(row) & set(space.pivots) - {pc}
+        assert not set(row) & set(space.rows) - {pc}
     for sparse_vec in (space.reduce(probe), *space.rows.values(), *space.kernel()):
         assert all(type(x) in (int, Q) for x in sparse_vec.values())
 
