@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -275,6 +276,8 @@ def _reader_argv(draw):
 @example(["t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag=1:2", "--diag", "2:3"])
 @example(["orbit-law", "--pretty", "A1", "2", "--form", "1,0,1", "--truncation=8", "--output="])
 @example(["tensor", "A1", "1", "1", "--cap", "3", "--cap=4"])
+@example(["dominance", "--pretty", "A1", "--", "-2", "--pretty"])
+@example(["dim", "A1", "1", "--pretty", "--"])
 def test_the_reader_agrees_with_the_subcommand_parser(argv):
     """_read either leaves argv to argparse or reads what the
     subcommand's own argparse parser reads."""
@@ -288,6 +291,29 @@ def test_the_reader_agrees_with_the_subcommand_parser(argv):
     except SystemExit:
         pytest.fail(f"argparse refuses {argv}, which the reader read as {args}")
     assert vars(args) == vars(expected)
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["dominance", "A1", "--", "-2", "2"],
+         '{"payload":{"difference_root_coords":["2"],"leq":true},"provenance":{"bounds":{},'
+         '"command":"horomod dominance A1 -- -2 2","version":"%s"},"status":"ok"}'),
+        (["saturate", "--", "A2", "1,-10;-1,11"],
+         '{"payload":{"generators":[[-1,11],[1,-10]]},"provenance":{"bounds":{},'
+         '"command":"horomod saturate -- A2 1,-10;-1,11","version":"%s"},"status":"ok"}'),
+    ],
+    ids=["dominance", "saturate"],
+)
+def test_a_request_past_a_separator_builds_no_full_parser(capsys, monkeypatch, argv, line):
+    """Every token after the first "--" is a positional, so the reader
+    reads the request and the envelope is the full parser's."""
+
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, *argv) == (0, line % __version__ + "\n")
 
 
 @pytest.mark.parametrize(
@@ -1749,6 +1775,69 @@ def test_presentation_of_one_generator_at_a_high_bound(capsys):
     assert blob["payload"] == {"relations": [], "bound_limited": True}
 
 
+def _python(*args, cwd=None, timeout=30):
+    """The interpreter run on args as its own process, with this
+    checkout's src on its path and 80 columns; its text output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=timeout
+    )
+
+
+# A request ending in each exit code, and one writing each kind of file.
+ENTRY_ARGV = [
+    ["dim", "A2", "1,1"],
+    ["tensor", "A1", "1"],
+    ["dim", "A1", "1,2"],
+    ["tensor", "A2", "9,9", "9,9", "--cap", "10"],
+    ["orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "8", "--output", "law.json"],
+    ["law-equations", "A1", "2", "--truncation", "8", "--export-system", "system.txt"],
+]
+ENTRY_IDS = ["exit-0", "exit-2", "exit-3", "exit-4", "output", "export-system"]
+
+
+def test_only_the_process_entry_freezes_the_collector_at_exit(capsys, monkeypatch):
+    """main(argv) registers nothing; main() registers gc.freeze once."""
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    assert run(capsys, "dim", "A2", "1,1")[0] == 0
+    assert registered == []
+    monkeypatch.setattr(sys, "argv", ["horomod", "dim", "A2", "1,1"])
+    assert main() == 0
+    assert registered == [gc.freeze]
+    assert capsys.readouterr().out.startswith('{"payload":{"dim":8}')
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGV[:4], ids=ENTRY_IDS[:4])
+def test_python_m_horomod_leaves_its_objects_frozen_at_exit(tmp_path, argv):
+    """An atexit hook registered before horomod runs as __main__ runs
+    after every hook horomod registers: by then the collector is
+    frozen, whichever exit code the request ends in."""
+    probe = (
+        "import atexit, gc, runpy\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "runpy.run_module('horomod', run_name='__main__')\n"
+    )
+    proc = _python("-c", probe, *argv, cwd=tmp_path)
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGV, ids=ENTRY_IDS)
+def test_python_m_horomod_answers_as_main_in_process(tmp_path, monkeypatch, argv):
+    """python -m horomod gives main(argv)'s exit code, stdout and stderr,
+    and writes the same files."""
+    monkeypatch.setenv("COLUMNS", "80")
+    process, in_process = tmp_path / "process", tmp_path / "in-process"
+    process.mkdir()
+    in_process.mkdir()
+    proc = _python("-m", "horomod", *argv, cwd=process)
+    monkeypatch.chdir(in_process)
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome(argv)
+    files = [{path.name: path.read_text() for path in d.iterdir()} for d in (process, in_process)]
+    assert files[0] == files[1]
+    assert len(files[0]) == (argv[-2] in ("--output", "--export-system"))
+
+
 def _seeded_presentation(count, top, timeout):
     """Exit code and message of presentation A2 at bound 2 on count
     distinct nonzero generators of entries 0..top drawn by
@@ -1760,10 +1849,7 @@ def _seeded_presentation(count, top, timeout):
         if any(g) and g not in gens:
             gens.append(g)
     argv = ["presentation", "A2", ";".join(f"{a},{b}" for a, b in gens), "--bound", "2"]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "horomod", *argv], env=env, capture_output=True, text=True, timeout=timeout
-    )
+    proc = _python("-m", "horomod", *argv, timeout=timeout)
     return proc.returncode, json.loads(proc.stdout)["error"]["message"]
 
 
