@@ -509,8 +509,9 @@ def bound_cases(examples):
     stabilizer there, which is cheap;
     orbit-law at a linear form of 4 300-digit entries, and at a form of
     weight 1 000 whose window holds no positive weight; presentations
-    of 1 000 generators at bounds 0 and 1 and of one generator at bound
-    100 000, and a saturation of 300 generators whose box passes the
+    of 1 000 generators at bounds 0 and 1, of one generator at bound
+    100 000 and of 2 000 generators at a bound of 4 000 digits, whose
+    count of exponent vectors was once multiplied out, and a saturation of 300 generators whose box passes the
     cap; coinv on the 501-dimensional A1 symmetric power, whose
     induction once walked every copy of a repeated factor; presentations
     of 120 seeded A2 generators, whose thinning passes its cap, and of
@@ -525,6 +526,7 @@ def bound_cases(examples):
     cases.append(["orbit-law", "A1", "1000", "--form", ",".join(["1"] * 1001), "--truncation", "16"])
     cases += [["presentation", "A1", ";".join(str(k) for k in range(1, 1001)), "--bound", b] for b in "01"]
     cases.append(["presentation", "A1", "1", "--bound", "100000"])
+    cases.append(["presentation", "A1", ";".join(str(k) for k in range(1, 2001)), "--bound", "9" * 4000])
     box = [f"{a},{b},{c}" for a in range(-4, 5) for b in range(-4, 5) for c in range(-4, 5)]
     cases.append(["saturate", "--", "A3", ";".join(box[:300])])
     cases.append(["coinv", "A1", "sym(500,natural(2))"])
@@ -622,8 +624,8 @@ LONG_POINT = ",".join(["1/" + "9" * 4299 + "7", "1/" + "9" * 4299 + "1"] + ["1"]
 # past the cost cap; a negative congruence modulus; a weight entry and a
 # modulus spelt 1_0, which int() alone would read; monoids off the
 # ranges of law-tangent, orbit-law, saturate and presentation; a
-# saturation past its enumeration cap; and a Weyl dimension with more
-# than 4 300 digits.
+# saturation past its enumeration cap, and three whose box spans pass
+# 2^63 points; and a Weyl dimension with more than 4 300 digits.
 REFUSALS = [
     ["dim", "A2", "1"],
     ["dominance", "A2", "1", "1,0"],
@@ -655,6 +657,9 @@ REFUSALS = [
     ["saturate", "A4", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"],
     ["presentation", "A1", "1;2;3;4;5;6;7;8;9;10", "--bound", "20"],
     ["saturate", "A2", "1,0;0,1;600,601"],
+    ["saturate", "A1", "1;9223372036854775807"],
+    ["saturate", "A2", f"{'9' * 25},1;1,{'9' * 25}"],
+    ["saturate", "--root", "A2", f"1,0;{'9' * 25},{'9' * 25}"],
     ["dim", "A140", ",".join([str(10**40)] * 140)],
 ]
 

@@ -29,7 +29,7 @@ from . import linalg
 
 if TYPE_CHECKING:
     from .polysys import PolySystem
-    from .rootdata import WeightMonoid
+    from .rootdata import Monoid
 
 Weight = Tuple[int, ...]
 Mono = Tuple[int, ...]  # sorted unknown indices, as in polysys
@@ -64,7 +64,7 @@ def channel_coeff(a: int, s: int, b: int, t: int, i: int) -> int:
     return total
 
 
-def monoid_window(monoid: WeightMonoid, bound: int) -> Tuple[Weight, ...]:
+def monoid_window(monoid: Monoid, bound: int) -> Tuple[Weight, ...]:
     """Monoid elements with every fundamental coordinate <= bound."""
     gens = [g for g in monoid.generators if any(g)]
     if any(x < 0 for g in gens for x in g):
@@ -111,7 +111,7 @@ def _check_law_cost(pos: Sequence[int], truncation: int, cap: int) -> None:
 
 
 def _law_unknowns(
-    monoid: WeightMonoid, truncation: int, cap: int
+    monoid: Monoid, truncation: int, cap: int
 ) -> Tuple[List[int], List[int], Dict[Tuple[int, int, int], int]]:
     """Window weights, positive window weights and the index of each
     unknown m[a,b,i] (of grade i) of a rank-one law window, after the
@@ -221,7 +221,7 @@ def _weight_vector_rows(
         yield _add_associator(plan, coeff, (0, t, r - t))
 
 
-def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+def law_tangent(monoid: Monoid, truncation: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """The kernel of the linear part of law_equations(monoid,
     truncation) at the all-zero point, as (dim, one grade per kernel
     direction), from the linear rows alone.
@@ -266,7 +266,7 @@ def law_tangent(monoid: WeightMonoid, truncation: int) -> Tuple[int, Tuple[Tuple
     return len(weights), weights
 
 
-def law_equations(monoid: WeightMonoid, truncation: int) -> PolySystem:
+def law_equations(monoid: Monoid, truncation: int) -> PolySystem:
     """Commutativity and associativity constraints on a rank-one law
     window, as an exact polynomial system in the non-top coefficients:
     the associator of each window, every term, on the weight vectors of

@@ -2,10 +2,12 @@
 
 ValidationError maps to CLI exit code 3, ResourceError to exit code 4.
 clip bounds what a message echoes of its input, and check_size refuses
-a number past a cap or past what str can print.  DIM_CAP is the
-default cap on every dimension: of a module, a character or a product.
+a number past a cap or past what str can print; binomial is comb capped
+at BIG, so no count is multiplied out past it.  DIM_CAP is the default
+cap on every dimension: of a module, a character or a product.
 """
 
+from math import comb
 from typing import Optional
 
 # Python's default limit on the digits of an int read from a string or
@@ -29,6 +31,15 @@ def clip(text: str) -> str:
     """text as an error message echoes it: its first 20 characters and
     "..." if it is longer."""
     return text if len(text) <= 20 else text[:20] + "..."
+
+
+def binomial(n: int, k: int) -> int:
+    """comb(n, k); or BIG once (n/d)^d <= comb(n, k), d = min(k, n - k),
+    passes it by bit length, so no binomial that big is multiplied out."""
+    d = min(k, n - k)
+    if d > 0 and ((n // d).bit_length() - 1) * d >= BIG.bit_length():
+        return BIG
+    return comb(n, k)
 
 
 def check_size(what: str, n: int, cap: Optional[int] = None) -> int:

@@ -10,7 +10,8 @@ Spans are linalg.RowSpaces; the functions here return those, and only
 the CLI densifies, to print.  An operator is the map {column: its
 nonzero entries as a sparse vector}, storing no zeros and no empty
 column, so two operators are equal exactly when == says so, and applying
-one to a vector reads only the columns in the vector's support.
+one to a vector reads only the columns in the vector's support.  act is
+the one sum of sparse columns: lie_matrix forms each column with it.
 The constructions are natural, dual, one block sum and one induction:
 direct_sum places the operators of all its terms in blocks, and _induce
 acts on sorted index tuples of a module by the Leibniz rule, with one
@@ -36,10 +37,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, combinations, combinations_with_replacement, groupby, product
-from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BIG, DIM_CAP, MAX_DIGITS, ResourceError, ValidationError, check_size, clip
+from .errors import DIM_CAP, MAX_DIGITS, ResourceError, ValidationError, binomial, check_size, clip
 from .linalg import RowSpace, Sparse, sparse, transpose
 from .rootdata import RootDatum, Weight
 
@@ -224,15 +224,6 @@ _TOKEN_NAMES = {"natural", "dual", "tensor", "sum", "sym", "ext"}
 _MAX_DEPTH = 100
 
 
-def _binomial(n: int, k: int) -> int:
-    """comb(n, k); or BIG once (n/d)^d <= comb(n, k), d = min(k, n - k),
-    passes it by bit length, so no binomial that big is multiplied out."""
-    d = min(k, n - k)
-    if d > 0 and ((n // d).bit_length() - 1) * d >= BIG.bit_length():
-        return BIG
-    return comb(n, k)
-
-
 def _tokenize(expr: str) -> List[str]:
     """Runs of digits and runs of letters are tokens, and so is each of
     "(", ")" and ","; whitespace separates them.  Each character is
@@ -310,7 +301,7 @@ def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule
             if name == "ext" and k > dim:
                 raise ValidationError("ext degree out of range")
             n = dim + k - 1 if name == "sym" else dim
-            return fits(_binomial(n, k)), lambda: power(name, k, inner())
+            return fits(binomial(n, k)), lambda: power(name, k, inner())
         is_tensor = name == "tensor"
         dim, first = parse()
         terms = [first]
@@ -468,12 +459,8 @@ def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
         raise ValidationError(
             f"stabilizer vector index {bad[0]} is outside the {len(mats)} basis elements"
         )
-    out: Matrix = {}
-    for k, s in coeffs.items():
-        for c, col in mats[k].items():
-            acc = out.setdefault(c, {})
-            for r, x in col.items():
-                _add(acc, r, s * x)
+    columns = dict.fromkeys(c for k in coeffs for c in mats[k])
+    out = {c: act({k: mats[k][c] for k in coeffs if c in mats[k]}, coeffs) for c in columns}
     return _nonempty(out)
 
 

@@ -4,9 +4,9 @@ RowSpace is the one elimination kernel of the package.  It keeps each
 row as a primitive {column: int} dict of its nonzero entries, keyed by
 pivot, and takes vectors dense (a sequence) or sparse (a {column: value}
 mapping), of ints or Fractions, a vector with fractions scaled by the
-lcm of its denominators.  Elimination cross-multiplies and divides by
-gcds (Bareiss, Math. Comp. 22, 1968), so rank decisions are exact and no
-Fraction is made.  One appears only where a value is read: a residual,
+lcm of its denominators (integral).  Elimination cross-multiplies and
+divides by gcds (Bareiss, Math. Comp. 22, 1968), so rank decisions are
+exact and no Fraction is made.  One appears only where a value is read: a residual,
 the kernel, the reduced rows, which rows lists in pivot order.  The
 package passes RowSpaces and sparse vectors between its layers; only the
 CLI densifies a vector, where it prints one.
@@ -79,7 +79,7 @@ def read_rational(text: str) -> Number:
         raise ValidationError(f"malformed rational {clip(text)!r}: zero denominator")
 
 
-def _integral(vec: AnyVector) -> Tuple[Dict[int, int], int]:
+def integral(vec: AnyVector) -> Tuple[Dict[int, int], int]:
     """(d * vec, d) with d the lcm of the denominators of vec's entries."""
     v = sparse(vec)
     if all(type(x) is int for x in v.values()):
@@ -147,13 +147,13 @@ class RowSpace:
 
     def reduce(self, vec: AnyVector) -> Sparse:
         """The residual of vec, exact, as {column: value} of its nonzeros."""
-        v, d = _integral(vec)
+        v, d = integral(vec)
         d *= self._eliminate(v)
         return _over(v, d)
 
     def add(self, vec: AnyVector) -> bool:
         """Insert vec; True if the rank grew."""
-        v = _integral(vec)[0]
+        v = integral(vec)[0]
         self._eliminate(v)
         if not v:
             return False

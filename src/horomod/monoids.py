@@ -2,35 +2,35 @@
 weight and root lattices.
 
 Generators are integer tuples: fundamental coordinates for weight
-monoids, simple-root coordinates for root monoids; the records and
-their constructors are rootdata's.
+monoids, simple-root coordinates for root monoids; the one record,
+rootdata.Monoid, and its constructors are rootdata's.
 
 Saturation computes the Hilbert basis of cone(gens) intersect
 lattice(gens) for rank at most 3, in integer lattice coordinates.  The
 lattice points of the generator zonotope box are enumerated first, by
-back-substitution over integer echelon rows, each level counted
-against a cap before it is built; then the cone is described once by
-integer facet normals, and each point's facet values, computed once,
-decide both membership in the cone (all non-negative) and reducibility
-(they dominate a lighter kept point's).  The points are graded by phi,
-the sum of the facet values; the sum of the normals is positive on
-every generator exactly when the cone is pointed.
+back-substitution over integer echelon rows, each level counted in
+integers against a cap before it is built; then the cone is described
+once by integer facet normals, and each point's facet values, computed
+once, decide both membership in the cone (all non-negative) and
+reducibility (they dominate a lighter kept point's).  The points are
+graded by phi, the sum of the facet values; the sum of the normals is
+positive on every generator exactly when the cone is pointed.
 
 A presentation is the tuple of its binomial relations up to a degree
 bound, each a pair of exponent vectors; nothing is claimed past it.
-The candidate pairs, times the generators, are counted against a cap
-before any is formed, and the searches that thin the relations share
-one budget of move checks.
+The exponent vectors (errors.binomial) and the candidate pairs, times
+the generators, are counted against caps before any is formed, and the
+searches that thin the relations share one budget of move checks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, groupby, repeat
-from math import comb, lcm
+from math import comb
 from operator import ge, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError, ValidationError, binomial
 from . import linalg
 from .rootdata import Gen
 
@@ -96,7 +96,7 @@ def _box_points(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[Gen
     for row in basis:
         c, p = next((c, x) for c, x in enumerate(row) if x)
         spans = [(y, range(-((y[c] - lo[c]) // p), (hi[c] - y[c]) // p + 1)) for y in points]
-        if sum(len(zs) for _, zs in spans) > _ENUM_CAP:
+        if sum(max(0, zs.stop - zs.start) for _, zs in spans) > _ENUM_CAP:
             raise ResourceError("saturation enumeration cap exceeded")
         points = [tuple(a + z * b for a, b in zip(y, row)) for y, zs in spans for z in zs]
     return [y for y in points if all(l <= v <= h for v, l, h in zip(y, lo, hi))]
@@ -106,10 +106,10 @@ def _facet_normals(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[
     """Integer inequalities u . y >= 0 cutting cone(gens) out of its span.
 
     Each candidate is the one-dimensional kernel of r - 1 generators and
-    the complement of the span, r = len(basis); it is kept, with its sign
-    fixed, when no generator is negative on it.  The kept ones include
-    every facet, so a point of the span lies in the cone iff all are
-    non-negative on it."""
+    the complement of the span, r = len(basis), made integral; it is
+    kept, with its sign fixed, when no generator is negative on it.  The
+    kept ones include every facet, so a point of the span lies in the
+    cone iff all are non-negative on it."""
     n = len(gens[0])
     perp = linalg.RowSpace(n, basis).kernel()
     normals = set()
@@ -117,8 +117,7 @@ def _facet_normals(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[
         kernel = linalg.RowSpace(n, list(subset) + perp).kernel()
         if len(kernel) != 1:
             continue
-        d = lcm(*(x.denominator for x in kernel[0].values()))
-        u = tuple(int(kernel[0].get(j, 0) * d) for j in range(n))
+        u = tuple(map(linalg.integral(kernel[0])[0].get, range(n), repeat(0)))
         for s in (1, -1):
             if all(s * _dot(u, g) >= 0 for g in gens):
                 normals.add(tuple(s * a for a in u))
@@ -149,7 +148,7 @@ def saturation(monoid):
     refused against a cap before it starts."""
     gens = [g for g in monoid.generators if any(g)]
     if not gens:
-        return type(monoid)(monoid.rd, ())
+        return monoid._replace(generators=())
     basis = _echelon(gens)
     if len(basis) > 3:
         raise ValidationError("saturation implemented for lattice rank <= 3")
@@ -169,7 +168,7 @@ def saturation(monoid):
             f"saturation would compare {cost} facet values of {n} cone points,"
             f" past the cap {_REDUCE_CAP}"
         )
-    return type(monoid)(monoid.rd, _undominated(values))
+    return monoid._replace(generators=_undominated(values))
 
 
 def _undominated(values: Dict[Gen, Gen]) -> Tuple[Gen, ...]:
@@ -239,7 +238,7 @@ def semigroup_presentation(monoid, degree_bound: int) -> Tuple[Relation, ...]:
     m = len(gens)
     if m == 0:
         return ()
-    if comb(max(degree_bound, 0) + m, m) > _ENUM_CAP:
+    if binomial(max(degree_bound, 0) + m, m) > _ENUM_CAP:
         raise ResourceError("presentation enumeration cap exceeded")
     rank = range(len(gens[0]))
     fibers: Dict[Gen, List[Tuple[Tuple[int, int], ...]]] = {}

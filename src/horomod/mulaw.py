@@ -31,9 +31,8 @@ from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, clip
 from . import linalg
 from .channels import channel_coeff, monoid_window
 from .rootdata import (
+    Monoid,
     RootDatum,
-    RootMonoid,
-    WeightMonoid,
     cartan_matrix,
     make_root_datum,
     make_root_monoid,
@@ -83,7 +82,7 @@ def transvectants(f: Form, g: Form, top: int) -> List[Tuple[Q, ...]]:
 
 
 class MultiplicationLaw(NamedTuple):
-    monoid: WeightMonoid
+    monoid: Monoid
     truncation: int
     coeffs: Dict[LawKey, Q]
 
@@ -103,7 +102,7 @@ def coeff_grade(rd: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> Tuple[int
 
 
 def make_law(
-    monoid: WeightMonoid,
+    monoid: Monoid,
     truncation: int,
     coeffs: Mapping[LawKey, object],
 ) -> MultiplicationLaw:
@@ -167,7 +166,7 @@ def contract(law: MultiplicationLaw, point: Sequence) -> MultiplicationLaw:
     return MultiplicationLaw(law.monoid, law.truncation, out)
 
 
-def root_monoid_of_law(law: MultiplicationLaw) -> RootMonoid:
+def root_monoid_of_law(law: MultiplicationLaw) -> Monoid:
     gens = sorted(
         {
             coeff_grade(law.monoid.rd, lam, mu, nu)
@@ -283,7 +282,7 @@ def law_from_json_dict(data: dict) -> MultiplicationLaw:
 # ----------------------------------------------------- orbit laws (A1)
 
 
-def _single_generator(monoid: WeightMonoid) -> int:
+def _single_generator(monoid: Monoid) -> int:
     gens = [g for g in monoid.generators if any(g)]
     if len(gens) != 1:
         raise ValidationError(
@@ -332,7 +331,7 @@ def _hw_covariant(forms: Sequence[Form], nbar: int) -> Tuple[int, ...]:
 
 def orbit_law(
     forms: Sequence[Form],
-    monoid: WeightMonoid,
+    monoid: Monoid,
     truncation: int,
 ) -> MultiplicationLaw:
     """Numeric law of the orbit closure of the given vector, read off

@@ -12,8 +12,8 @@ Root coordinates are read only where they are natural, as tuples of
 ints: the package asks only whether mu lies below lam in the dominance
 order, and by which roots, and root_coords_below answers it.
 
-The monoid records live here too, with the checks on their generators,
-so that the law layers get them without loading monoids.
+One Monoid record serves weight and root monoids; their constructors
+check the generators here, so the law layers need not load monoids.
 """
 
 from __future__ import annotations
@@ -66,12 +66,7 @@ def check_weight(rd: RootDatum, lam: Sequence[int], what: str = "weight") -> Wei
     return w
 
 
-class WeightMonoid(NamedTuple):
-    rd: RootDatum
-    generators: Tuple[Gen, ...]
-
-
-class RootMonoid(NamedTuple):
+class Monoid(NamedTuple):
     rd: RootDatum
     generators: Tuple[Gen, ...]
 
@@ -88,12 +83,12 @@ def _check_gens(rd: RootDatum, gens: Sequence[Sequence[int]], nonneg: bool) -> T
     return tuple(out)
 
 
-def make_weight_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> WeightMonoid:
-    return WeightMonoid(rd, _check_gens(rd, gens, nonneg=False))
+def make_weight_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> Monoid:
+    return Monoid(rd, _check_gens(rd, gens, nonneg=False))
 
 
-def make_root_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> RootMonoid:
-    return RootMonoid(rd, _check_gens(rd, gens, nonneg=True))
+def make_root_monoid(rd: RootDatum, gens: Sequence[Sequence[int]]) -> Monoid:
+    return Monoid(rd, _check_gens(rd, gens, nonneg=True))
 
 
 def natural_root_coords(rd: RootDatum, lam: Sequence[int]) -> Optional[Tuple[int, ...]]:

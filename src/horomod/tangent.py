@@ -80,22 +80,21 @@ def _graded_weights(
     """The weights of the classes of survivors modulo span, sorted.  One
     elimination of [B | survivors], the columns of B being the basis
     vectors of the isotypic pieces comps, gives the coordinates that
-    split each survivor into graded pieces; grade by grade, each piece
-    whose residual modulo span raises the rank counts its grade once."""
+    split each survivor into graded pieces, one act over B per grade;
+    grade by grade, each piece whose residual modulo span raises the
+    rank counts its grade once."""
     cols = [(lam, b) for lam, basis in comps for b in basis]
-    n = len(cols)
-    vectors = [b for _, b in cols] + list(survivors)
-    red = RowSpace(len(vectors), transpose(dict(enumerate(vectors))).values())
+    vectors = dict(enumerate([b for _, b in cols] + list(survivors)))
+    red = RowSpace(len(vectors), transpose(vectors).values())
     pieces: List[Tuple[RootVector, Sparse]] = []
-    for j in range(n, n + len(survivors)):
-        parts: Dict[RootVector, Sparse] = {}
+    for j in range(len(cols), len(vectors)):
+        coords: Dict[RootVector, Sparse] = {}
         for pc, (lam, b) in enumerate(cols):
             coef = red.rows[pc].get(j)
             if coef:
-                acc = parts.setdefault(tangent_weight(m.rd, lam, m.basis_weights[next(iter(b))]), {})
-                for r, x in b.items():
-                    acc[r] = acc.get(r, 0) + coef * x
-        pieces += parts.items()
+                grade = tangent_weight(m.rd, lam, m.basis_weights[next(iter(b))])
+                coords.setdefault(grade, {})[pc] = coef
+        pieces += [(grade, act(vectors, part)) for grade, part in coords.items()]
     residuals = RowSpace(span.ncols)
     return [g for g, part in sorted(pieces, key=lambda p: p[0]) if residuals.add(span.reduce(part))]
 

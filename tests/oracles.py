@@ -32,7 +32,7 @@ from horomod.repcalc import (
     weight_multiplicities,
     weyl_dim,
 )
-from horomod.rootdata import Gen, RootDatum, Weight, WeightMonoid, check_weight
+from horomod.rootdata import Gen, RootDatum, Weight, Monoid, check_weight
 
 # ---------------------------------------------------------------- linalg
 
@@ -186,7 +186,7 @@ def is_free(monoid) -> bool:
 # ---------------------------------------------------------------- laws
 
 
-def horospherical_law(monoid: WeightMonoid, truncation: int) -> MultiplicationLaw:
+def horospherical_law(monoid: Monoid, truncation: int) -> MultiplicationLaw:
     """The graded law X_0: every top channel 1, every other zero."""
     window = monoid_window(monoid, truncation)
     wset = set(window)
@@ -235,7 +235,7 @@ def triple_top_vectors(a: int, b: int, c: int, nu: int) -> List[Dict[Tuple[int, 
     return out
 
 
-def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
+def singular_vector_system(monoid: Monoid, truncation: int) -> PolySystem:
     """The system of channels.law_equations before its reduction: the
     commutativity rows, then the associator of each window, every term,
     on each singular vector of its triple product, each row as
@@ -258,7 +258,7 @@ def singular_vector_system(monoid: WeightMonoid, truncation: int) -> PolySystem:
 
 
 def singular_vector_law_tangent(
-    monoid: WeightMonoid, truncation: int
+    monoid: Monoid, truncation: int
 ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """channels.law_tangent by pairing each associativity window
     (a, b, c, nu, r), mirrors included, with every singular vector of

@@ -739,6 +739,10 @@ def _saturate_argv(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_saturate_argv())
 @example(["saturate", "--", "A2", "1,0;3,1;3,2;1,-1"])
+# Box spans past 2^63 points, which len(range) cannot count.
+@example(["saturate", "A1", "1;9223372036854775807"])
+@example(["saturate", "A2", f"{'9' * 25},1;1,{'9' * 25}"])
+@example(["saturate", "--root", "A2", f"1,0;{'9' * 25},{'9' * 25}"])
 def test_saturate_always_ends_in_an_envelope(argv):
     assert_one_envelope(argv)
 
@@ -750,10 +754,15 @@ def test_saturate_finds_a_grading_past_small_coefficients(capsys):
     assert blob["payload"]["generators"] == [[-1, 11], [1, -10]]
 
 
-@pytest.mark.parametrize("bound", ["12", "30"])
-def test_presentation_cost_is_refused_up_front(capsys, bound):
+@pytest.mark.parametrize("gens, bound", [
+    pytest.param("1;2;3;4;5", "12", id="12"),
+    pytest.param("1;2;3;4;5", "30", id="30"),
+    # The count of exponent vectors has about 8 million digits here.
+    pytest.param(";".join(map(str, range(1, 2001))), "9" * 4000, id="2000-gens-4000-digits"),
+])
+def test_presentation_cost_is_refused_up_front(capsys, gens, bound):
     start = time.perf_counter()
-    code, blob = run_json(capsys, "presentation", "A1", "1;2;3;4;5", "--bound", bound)
+    code, blob = run_json(capsys, "presentation", "A1", gens, "--bound", bound)
     assert time.perf_counter() - start < 2
     assert code == 4
     assert blob["error"]["type"] == "resource"
