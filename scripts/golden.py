@@ -27,9 +27,9 @@ relatively, and the files left behind are compared along with the exit
 code, stdout and stderr of every request.  The script
 prints how many requests differ, then each differing argv after its
 exit code under OTHER_SRC and here (3 -> 0, say), then how many
-horomod functions neither the import of horomod.cli, a request nor one
-of the other scripts (SCRIPTS) entered on this checkout's side, and
-each of them: such a function is a dead helper, and none is allowed.
+horomod functions neither the import of horomod.cli nor a request
+entered on this checkout's side, and each of them: such a function is
+a dead helper, and none is allowed.
 Last it prints each request that, on this checkout's side, broke the error
 contract: it ended in a traceback, or in an exit code other than 0, 2,
 3 and 4.  It exits 1 if there is such a request or a dead helper, and 0
@@ -42,7 +42,6 @@ import io
 import json
 import os
 import random
-import runpy
 import shlex
 import subprocess
 import sys
@@ -52,7 +51,6 @@ from math import gcd
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SCRIPTS = ["reproduce_examples.py"]
 SEED = 20031
 
 EXPRS_A1 = [
@@ -502,13 +500,24 @@ def seeded_generators(count, top):
     return ";".join(gens)
 
 
+def seeded_forms(count, digits):
+    """--form arguments of count binary forms of degree count, with
+    entries of the given number of digits (0-9 for one), drawn by
+    random.Random(1)."""
+    seeded = random.Random(1)
+    lo, hi = (0, 9) if digits == 1 else (10 ** (digits - 1), 10**digits - 1)
+    return [f"--form={','.join(str(seeded.randint(lo, hi)) for _ in range(count + 1))}" for _ in range(count)]
+
+
 def bound_cases(examples):
     """Requests that ran for seconds before their cost was bounded: t1
     and orbit-tangent at a point of short entries on most coordinates of
     the A8 flag multicone, drawn from their own seeded generator, with
     stabilizer there, which is cheap;
     orbit-law at a linear form of 4 300-digit entries, and at a form of
-    weight 1 000 whose window holds no positive weight; presentations
+    weight 1 000 whose window holds no positive weight, and at 200
+    seeded forms of one-digit entries and 26 of 300-digit ones, whose
+    linear relations were once counted with no bound; presentations
     of 1 000 generators at bounds 0 and 1, of one generator at bound
     100 000 and of 2 000 generators at a bound of 4 000 digits, whose
     count of exponent vectors was once multiplied out, and a saturation of 300 generators whose box passes the
@@ -524,6 +533,8 @@ def bound_cases(examples):
     cases = [[c, "A8", examples.flag_multicone(8).module, point] for c in ("t1", "orbit-tangent", "stabilizer")]
     cases.append(["orbit-law", "A1", "1", "--form", "7" * 4300 + ",1", "--truncation", "16"])
     cases.append(["orbit-law", "A1", "1000", "--form", ",".join(["1"] * 1001), "--truncation", "16"])
+    for count, digits in ((200, 1), (26, 300)):
+        cases.append(["orbit-law", "A1", "2", *seeded_forms(count, digits), "--truncation", "4"])
     cases += [["presentation", "A1", ";".join(str(k) for k in range(1, 1001)), "--bound", b] for b in "01"]
     cases.append(["presentation", "A1", "1", "--bound", "100000"])
     cases.append(["presentation", "A1", ";".join(str(k) for k in range(1, 2001)), "--bound", "9" * 4000])
@@ -767,7 +778,7 @@ def functions(package):
 def worker(src):
     """Run the cases read from stdin under src; print the results and,
     for this checkout only, the functions that neither the import of
-    horomod.cli, a request nor SCRIPTS entered."""
+    horomod.cli nor a request entered."""
     ours = Path(src).resolve() == SRC
     entered = set()
 
@@ -786,14 +797,6 @@ def worker(src):
         sys.exit(f"horomod loaded from {horomod.__file__}, not from {src}")
     cases = json.load(sys.stdin)
     results = [run_case(main, steps) for steps in cases]
-    if ours:
-        for script in SCRIPTS:
-            path = Path(__file__).resolve().parent / script
-            sys.argv = [str(path)]
-            with tempfile.TemporaryDirectory() as wd, contextlib.redirect_stdout(io.StringIO()):
-                os.chdir(wd)
-                runpy.run_path(str(path), run_name="__main__")
-                os.chdir("/")
     sys.setprofile(None)
     seen = {(Path(c.co_filename).name, c.co_firstlineno) for c in entered
             if Path(c.co_filename).resolve().parent == package}
@@ -803,7 +806,7 @@ def worker(src):
 
 def run_side(src, cases):
     """The results of cases under src, from a fresh interpreter, and the
-    functions that no request or script entered, or None when src is
+    functions that no request entered, or None when src is
     not this checkout's."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
@@ -856,7 +859,7 @@ def main(argv):
     print(f"golden: {len(differing)} requests differ in exit code, stdout, stderr or files")
     for argv, theirs, mine in differing:
         print(f"  {theirs} -> {mine}  {shlex.join(argv)}")
-    print(f"golden: {len(unentered)} horomod functions no request or script entered in {SRC}")
+    print(f"golden: {len(unentered)} horomod functions no request entered in {SRC}")
     for name in unentered:
         print("  " + name)
     breaches = contract_breaches(cases, ours)

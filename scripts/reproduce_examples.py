@@ -12,15 +12,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from horomod.examples import BINARY_DEGREES, binary_cone_input, binary_cone_law_dim, flag_multicone
+from horomod.channels import law_tangent
+from horomod.examples import BINARY_DEGREES, binary_cone_input, flag_multicone
+from horomod.rootdata import make_root_datum, make_weight_monoid
 
 
 def print_binary_family():
     print("binary-form cones, closure of the orbit of x^n in V(n)")
     print(f"{'n':>3} {'T1 dim':>7} {'law dim':>8}  weights")
+    a1 = make_root_datum("A1")
     for n in BINARY_DEGREES:
         report = binary_cone_input(n).report()
-        law_txt = str(binary_cone_law_dim(n, 4 * n)) if n <= 5 else "-"
+        law_txt = str(law_tangent(make_weight_monoid(a1, [(n,)]), 4 * n)[0]) if n <= 5 else "-"
         ws = " ".join(f"{w[0]}*alpha" for w in report.weights) or "-"
         print(f"{n:>3} {report.dim_T1_invariant:>7} {law_txt:>8}  {ws}")
     print()

@@ -24,7 +24,7 @@ from .liealg import (
     build_module,
     unipotent_radical_spec,
 )
-from .rootdata import make_root_datum, make_weight_monoid
+from .rootdata import make_root_datum
 from .tangent import TangentReport, t1_invariant
 
 BINARY_DEGREES = range(1, 7)
@@ -55,19 +55,6 @@ def binary_cone_input(n: int) -> Example:
     """x^n in V(n), the first vector of the basis; the isotropy is the
     unipotent radical and the n-th roots of unity."""
     return Example("A1", f"sym({n},natural(2))", (1,) + (0,) * n, (DiagCongruence((1,), n),))
-
-
-def binary_cone_law_dim(n: int, truncation: int) -> int:
-    """Dimension of the linearized law equations of the monoid N*n at the
-    graded law, on the window up to truncation, from the linear rows on
-    the s = 0 weight vectors alone (channels.law_tangent; the full
-    system of channels.law_equations, on the same inputs, and the
-    singular vectors are its oracles in the tests).  The law layer
-    loads here, so the fixed-space examples never run it."""
-    from . import channels
-
-    mon = make_weight_monoid(make_root_datum("A1"), [(n,)])
-    return channels.law_tangent(mon, truncation)[0]
 
 
 def flag_multicone(r: int) -> Example:

@@ -37,14 +37,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, combinations, combinations_with_replacement, groupby, product
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DIM_CAP, MAX_DIGITS, ResourceError, ValidationError, binomial, check_size, clip
 from .linalg import RowSpace, Sparse, sparse, transpose
 from .rootdata import RootDatum, Weight
-
-if TYPE_CHECKING:
-    from .linalg import Number
 
 Matrix = Dict[int, Sparse]
 
@@ -62,16 +59,6 @@ Matrix = Dict[int, Sparse]
 # points it admits.  The flag points of the multicones A2-A11 are
 # admitted.
 _POINT_COST_CAP = 5 * 10**11
-
-
-def _add(col: Sparse, r: int, x: Number) -> None:
-    """col[r] += x, storing no zero."""
-    old = col.get(r)
-    total = x if old is None else old + x
-    if total:
-        col[r] = total
-    elif old is not None:
-        del col[r]
 
 
 def _nonempty(mat: Matrix) -> Matrix:
@@ -211,7 +198,12 @@ def _induce(m: ExplicitModule, basis: List[Tuple[int, ...]], alternating: bool) 
                             continue
                         if (pos - j) & 1:
                             val = -val
-                    _add(target, index[rest[:j] + (v,) + rest[j:]], val * length)
+                    r = index[rest[:j] + (v,) + rest[j:]]
+                    total = target.get(r, 0) + val * length
+                    if total:
+                        target[r] = total
+                    else:
+                        del target[r]
         return _nonempty(out)
 
     return _module(m.rd, len(basis), [induced(x) for x in m.ops])

@@ -15,7 +15,6 @@ CLI densifies a vector, where it prints one.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -123,7 +122,7 @@ class RowSpace:
     primitive maps each pivot to its row, a primitive integer dict of
     nonzero entries, positive at the pivot and 0 at every other pivot.
     rows is the same rows divided by their pivot entries, in pivot
-    order: the reduced row echelon form, built when first read.
+    order: the reduced row echelon form, built on each read.
     The reduction of a vector against the rows is linear, so the
     residual map can double as projection onto a complement.
     """
@@ -170,17 +169,16 @@ class RowSpace:
                     for c in row:
                         row[c] //= g
         self.primitive[pc] = v
-        self.__dict__.pop("rows", None)
         return True
 
     @property
     def dim(self) -> int:
         return len(self.primitive)
 
-    @cached_property
+    @property
     def rows(self) -> Dict[int, Sparse]:
         """The reduced rows, keyed by pivot in increasing order: 1 at the
-        pivot, exact; kept until add grows the rank."""
+        pivot, exact; built on each read."""
         return {pc: _over(dict(row), row[pc]) for pc, row in sorted(self.primitive.items())}
 
     def kernel(self) -> List[Sparse]:

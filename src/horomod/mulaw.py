@@ -13,7 +13,7 @@ covariant: exact arithmetic on binary forms, with no functions on the
 group.  A form is its coefficient sequence; integer forms stay int, the
 covariant and its powers are int whatever the form, and a Fraction
 appears only where a value is not an integer: a coefficient of a form
-or a law.
+or a law.  Relations among the forms are counted under _COVARIANT_COST_CAP.
 
 The structure equations themselves, the full system and its
 linearization at the all-zero point, are the channels layer's
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial, perm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, clip
+from .errors import BIG, MAX_DIGITS, ResourceError, ValidationError, check_size, clip
 from . import linalg
 from .channels import channel_coeff, monoid_window
 from .rootdata import (
@@ -46,6 +46,13 @@ Weight = Tuple[int, ...]
 LawKey = Tuple[Weight, Weight, Weight, int]
 
 MAX_ORBIT_TRUNCATION = 16
+
+# Cap on _hw_covariant's estimate for the relations of k forms of degree
+# n, of rank rho = min(k, n + 1): k rho (3(n + 1) - 2 rho) products, as row
+# supports shrink, each of cost (rho h + 1024)^2, h the bits of the longest
+# cleared entry.  At the cap (Python 3.11, 2 vCPUs) blocks of 1- to 4 300-
+# digit entries took at most 1.2 s; 120-350 one-digit forms took 0.4-35 s.
+_COVARIANT_COST_CAP = 3 * 10**12
 
 
 # ------------------------------------------------------------ binary forms
@@ -311,6 +318,12 @@ def _hw_covariant(forms: Sequence[Form], nbar: int) -> Tuple[int, ...]:
     if not by_degree:
         raise ValidationError("no coordinate function of the generator weight")
     tops = by_degree.pop(nbar, [])
+    cost = 0
+    for n, vs in by_degree.items():
+        rho = min(len(vs), n + 1)
+        h = max(abs(x).bit_length() for f in vs for x in linalg.integral(f)[0].values())
+        cost += len(vs) * rho * (3 * n + 3 - 2 * rho) * (rho * h + 1024) ** 2
+    check_size("covariant cost estimate", cost, _COVARIANT_COST_CAP)
     singular = len(tops) + sum(
         len(vs) - linalg.RowSpace(n + 1, vs).dim for n, vs in by_degree.items()
     )

@@ -85,12 +85,12 @@ def _graded_weights(
     rank counts its grade once."""
     cols = [(lam, b) for lam, basis in comps for b in basis]
     vectors = dict(enumerate([b for _, b in cols] + list(survivors)))
-    red = RowSpace(len(vectors), transpose(vectors).values())
+    rows = RowSpace(len(vectors), transpose(vectors).values()).rows
     pieces: List[Tuple[RootVector, Sparse]] = []
     for j in range(len(cols), len(vectors)):
         coords: Dict[RootVector, Sparse] = {}
         for pc, (lam, b) in enumerate(cols):
-            coef = red.rows[pc].get(j)
+            coef = rows[pc].get(j)
             if coef:
                 grade = tangent_weight(m.rd, lam, m.basis_weights[next(iter(b))])
                 coords.setdefault(grade, {})[pc] = coef

@@ -9,8 +9,8 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 
-from horomod.channels import _commutativity_rows, _law_unknowns, law_equations
-from horomod.examples import BINARY_DEGREES, binary_cone_input, binary_cone_law_dim, flag_multicone
+from horomod.channels import _commutativity_rows, _law_unknowns, law_equations, law_tangent
+from horomod.examples import BINARY_DEGREES, binary_cone_input, flag_multicone
 from horomod.linalg import RowSpace
 from horomod.monoids import saturation
 from horomod.mulaw import (
@@ -54,7 +54,7 @@ def _t1_dims():
 
 @lru_cache(maxsize=None)
 def _law_dims(scale):
-    return tuple(binary_cone_law_dim(n, scale * n) for n in BINARY_DEGREES)
+    return tuple(law_tangent(make_weight_monoid(A1, [(n,)]), scale * n)[0] for n in BINARY_DEGREES)
 
 
 @lru_cache(maxsize=None)

@@ -676,6 +676,31 @@ def test_orbit_law_of_a_long_linear_form_is_fast(capsys):
     assert blob["payload"] == run_json(capsys, "orbit-law", "A1", "1", "--form", "3,1", "--truncation", "16")[1]["payload"]
 
 
+def _seeded_forms(count, digits):
+    """--form arguments of count binary forms of degree count, with
+    entries of the given number of digits (0-9 for one), drawn by
+    random.Random(1)."""
+    rng = random.Random(1)
+    lo, hi = (0, 9) if digits == 1 else (10 ** (digits - 1), 10**digits - 1)
+    return [f"--form={','.join(str(rng.randint(lo, hi)) for _ in range(count + 1))}" for _ in range(count)]
+
+
+@pytest.mark.parametrize("count, digits", [(250, 1), (350, 1), (40, 300)])
+def test_orbit_law_refuses_costly_form_eliminations_up_front(capsys, monkeypatch, count, digits):
+    """Counting the linear relations among many forms of one degree took
+    7 to 35 s on 2 vCPUs before it exited 3; its cost estimate refuses
+    it before any RowSpace is built."""
+    def no_rowspace(*args):
+        raise AssertionError("a RowSpace was built")
+
+    monkeypatch.setattr("horomod.linalg.RowSpace", no_rowspace)
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "orbit-law", "A1", "2", *_seeded_forms(count, digits), "--truncation", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert blob["error"]["type"] == "resource"
+
+
 @st.composite
 def _orbit_law_argv(draw):
     n = draw(st.integers(1, 6))

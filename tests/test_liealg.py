@@ -286,8 +286,8 @@ def test_a_symmetric_power_adds_one_term_per_run_of_equal_factors(monkeypatch):
     induction adds it once per run: at most twice dim entries per
     operator of A1 sym(200), where one per copy makes about 200^2 / 2."""
     calls = []
-    add = la._add
-    monkeypatch.setattr(la, "_add", lambda *args: calls.append(1) or add(*args))
+    bisect_left = la.bisect_left
+    monkeypatch.setattr(la, "bisect_left", lambda *args: calls.append(1) or bisect_left(*args))
     m = la.build_module(rda.make_root_datum("A1"), "sym(200,natural(2))")
     assert m.dim == 201
     assert len(calls) <= 2 * m.dim * len(m.ops)

@@ -96,8 +96,8 @@ def test_rows_stay_reduced_and_sparse():
 @PROPERTY
 @given(matrices(min_rows=1))
 def test_rows_read_before_an_add_are_read_again_after_it(mat):
-    """rows is kept once read; an add drops it, so the next read is the
-    reduced rows of the grown space."""
+    """rows is built on each read, so a read after an add is the reduced
+    rows of the grown space."""
     ncols, rows = mat
     space = RowSpace(ncols, rows[:-1])
     space.rows

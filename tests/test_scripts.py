@@ -36,14 +36,6 @@ def load_golden():
     return module
 
 
-def test_golden_runs_every_other_script():
-    """golden.SCRIPTS names every script but golden.py itself, so its
-    report of the functions no request or script entered stays true."""
-    golden = load_golden()
-    others = sorted(p.name for p in SCRIPTS.iterdir() if p.is_file() and p.name != "golden.py")
-    assert sorted(golden.SCRIPTS) == others
-
-
 def test_golden_set_covers_every_subcommand():
     from horomod.cli import build_parser
 
