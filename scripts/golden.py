@@ -25,8 +25,9 @@ a request, or {"write": NAME, "text": TEXT}, which writes an input file
 for the requests after it.  Requests that write files name them
 relatively, and the files left behind are compared along with the exit
 code, stdout and stderr of every request.  The script
-prints how many requests differ, then each differing argv after its
-exit code under OTHER_SRC and here (3 -> 0, say), then how many
+prints how many requests differ, then each differing request after its
+exit code under OTHER_SRC and here (3 -> 0, say), as its case index and
+its argv with each argument clipped as error messages clip, then how many
 horomod functions neither the import of horomod.cli nor a request
 entered on this checkout's side, and each of them: such a function is
 a dead helper, and none is allowed.
@@ -820,28 +821,36 @@ def run_side(src, cases):
 
 
 def differences(cases, ours, theirs):
-    """(argv, their exit code, our exit code) of each request whose exit
-    code, stdout or stderr differ, and of the last request of each case
-    whose files differ."""
+    """(argv, their exit code, our exit code, case index) of each request
+    whose exit code, stdout or stderr differ, and of the last request of
+    each case whose files differ."""
     differing = []
-    for steps, a, b in zip(cases, ours, theirs):
+    for case, (steps, a, b) in enumerate(zip(cases, ours, theirs)):
         argvs = requests(steps)
         for k, argv in enumerate(argvs):
             last = k == len(argvs) - 1
             if a["steps"][k] != b["steps"][k] or (last and a["files"] != b["files"]):
-                differing.append((argv, b["steps"][k][0], a["steps"][k][0]))
+                differing.append((argv, b["steps"][k][0], a["steps"][k][0], case))
     return differing
 
 
 def contract_breaches(cases, results):
-    """(argv, exit code) of each request that ended in a traceback or in
-    an exit code outside the error contract."""
+    """(argv, exit code, case index) of each request that ended in a
+    traceback or in an exit code outside the error contract."""
     return [
-        (argv, step[0])
-        for steps, result in zip(cases, results)
+        (argv, step[0], case)
+        for case, (steps, result) in enumerate(zip(cases, results))
         for argv, step in zip(requests(steps), result["steps"])
         if step[0] not in (0, 2, 3, 4)
     ]
+
+
+def shown(argv, case):
+    """The case index and argv as the report prints them: each argument
+    clipped as horomod's error messages clip what they echo."""
+    from horomod.errors import clip
+
+    return f"case {case}: {shlex.join(clip(arg) for arg in argv)}"
 
 
 def main(argv):
@@ -857,15 +866,15 @@ def main(argv):
     total = sum(len(requests(steps)) for steps in cases)
     print(f"golden: {total} requests in {len(cases)} cases, {SRC} against {other}")
     print(f"golden: {len(differing)} requests differ in exit code, stdout, stderr or files")
-    for argv, theirs, mine in differing:
-        print(f"  {theirs} -> {mine}  {shlex.join(argv)}")
+    for argv, theirs, mine, case in differing:
+        print(f"  {theirs} -> {mine}  {shown(argv, case)}")
     print(f"golden: {len(unentered)} horomod functions no request entered in {SRC}")
     for name in unentered:
         print("  " + name)
     breaches = contract_breaches(cases, ours)
     print(f"golden: {len(breaches)} requests in {SRC} end in a traceback or an exit code outside 0, 2, 3, 4")
-    for argv, code in breaches:
-        print(f"  {code}  {shlex.join(argv)}")
+    for argv, code, case in breaches:
+        print(f"  {code}  {shown(argv, case)}")
     return 1 if breaches or unentered else 0
 
 

@@ -1,6 +1,4 @@
-import sys
-
 from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -35,17 +35,17 @@ the hypotheses to the reports on fixed spaces, and writes --output as
 --pretty prints.
 
 Run as the process entry, with no argv (as python -m horomod and the
-horomod script call it), main freezes the collector at exit: the
-shutdown collections then skip every object, and the OS takes back
-the memory they would free, about a tenth of a short request.
+horomod script call it), main runs the atexit hooks, flushes and ends
+with os._exit once the envelope is out, so the interpreter frees no
+module and no object.  A reader that closes the pipe early gets exit 1.
 """
 
 from __future__ import annotations
 
 import atexit
-import gc
 import importlib.util
 import json
+import os
 import sys
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
@@ -530,13 +530,21 @@ def _json(obj: dict, pretty: bool) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Answer argv, or sys.argv[1:] when argv is None, and return the
     exit code.  Only the process entry (argv None) ends with the
-    request, so only it freezes the collector at exit; a caller that
-    passes argv, such as the tests, scripts/golden.py and
-    perfbench/traced.py, goes on running with its collector as it was."""
+    request, so only it calls os._exit, after the atexit hooks and the
+    flushes; a caller that passes argv, such as the tests,
+    scripts/golden.py and perfbench/traced.py, goes on running."""
     if argv is None:
-        # atexit handlers run before the shutdown collections
-        atexit.register(gc.freeze)
-        argv = sys.argv[1:]
+        try:
+            code = main(sys.argv[1:])
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe: the rest goes to os.devnull, exit 1
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
+        atexit._run_exitfuncs()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
     argv = list(argv)
     try:
         args = _parse(argv)

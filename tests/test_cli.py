@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import gc
 import hashlib
 import io
 import itertools
@@ -1809,16 +1808,24 @@ def test_presentation_of_one_generator_at_a_high_bound(capsys):
     assert blob["payload"] == {"relations": [], "bound_limited": True}
 
 
+def _entry_env():
+    """os.environ with this checkout's src on the path, 80 columns, and
+    no PYTHONUNBUFFERED: a child's stdout is block-buffered into its
+    pipe, so a missing flush shows."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "COLUMNS": "80"}
+
+
 def _python(*args, cwd=None, timeout=30):
-    """The interpreter run on args as its own process, with this
-    checkout's src on its path and 80 columns; its text output."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "COLUMNS": "80"}
+    """The interpreter run on args as its own process, in _entry_env();
+    its text output."""
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *args], env=_entry_env(), cwd=cwd, capture_output=True, text=True, timeout=timeout
     )
 
 
-# A request ending in each exit code, and one writing each kind of file.
+# A request ending in each exit code, one writing each kind of file, and
+# one whose stdout (52 037 bytes) is larger than the stdout buffer.
 ENTRY_ARGV = [
     ["dim", "A2", "1,1"],
     ["tensor", "A1", "1"],
@@ -1826,34 +1833,66 @@ ENTRY_ARGV = [
     ["tensor", "A2", "9,9", "9,9", "--cap", "10"],
     ["orbit-law", "A1", "2", "--form", "1,0,1", "--truncation", "8", "--output", "law.json"],
     ["law-equations", "A1", "2", "--truncation", "8", "--export-system", "system.txt"],
+    ["law-equations", "A1", "1", "--truncation", "12"],
 ]
-ENTRY_IDS = ["exit-0", "exit-2", "exit-3", "exit-4", "output", "export-system"]
+ENTRY_IDS = ["exit-0", "exit-2", "exit-3", "exit-4", "output", "export-system", "large-stdout"]
+EXIT_CODES = [0, 2, 3, 4]
 
 
-def test_only_the_process_entry_freezes_the_collector_at_exit(capsys, monkeypatch):
-    """main(argv) registers nothing; main() registers gc.freeze once."""
-    registered = []
-    monkeypatch.setattr(cli.atexit, "register", registered.append)
+class Exited(Exception):
+    """Raised by the os._exit spy in place of ending the test process."""
+
+
+@pytest.mark.parametrize("argv,code", zip(ENTRY_ARGV, EXIT_CODES), ids=ENTRY_IDS[:4])
+def test_only_the_process_entry_ends_with_os_exit(capsys, monkeypatch, argv, code):
+    """main(argv) returns its code and calls no os._exit; main() runs
+    the atexit hooks, then calls os._exit once with the code, when
+    stdout already holds the envelope."""
+    expected = outcome(argv)
+    assert expected[0] == code
+    calls = []
+
+    def exit_(status):
+        calls.append((status, capsys.readouterr().out))
+        raise Exited
+
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("hooks"))
     assert run(capsys, "dim", "A2", "1,1")[0] == 0
-    assert registered == []
-    monkeypatch.setattr(sys, "argv", ["horomod", "dim", "A2", "1,1"])
-    assert main() == 0
-    assert registered == [gc.freeze]
-    assert capsys.readouterr().out.startswith('{"payload":{"dim":8}')
+    assert calls == []
+    monkeypatch.setattr(sys, "argv", ["horomod", *argv])
+    with pytest.raises(Exited):
+        main()
+    assert calls == ["hooks", (code, expected[1])]
 
 
-@pytest.mark.parametrize("argv", ENTRY_ARGV[:4], ids=ENTRY_IDS[:4])
-def test_python_m_horomod_leaves_its_objects_frozen_at_exit(tmp_path, argv):
-    """An atexit hook registered before horomod runs as __main__ runs
-    after every hook horomod registers: by then the collector is
-    frozen, whichever exit code the request ends in."""
+@pytest.mark.parametrize("argv,code", zip(ENTRY_ARGV, EXIT_CODES), ids=ENTRY_IDS[:4])
+def test_python_m_horomod_runs_an_earlier_atexit_hook(tmp_path, argv, code):
+    """An atexit hook registered before horomod runs as __main__ still
+    runs, after the envelope, whichever exit code the request ends in."""
     probe = (
-        "import atexit, gc, runpy\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "import atexit, runpy\n"
+        "atexit.register(lambda: print('hook ran'))\n"
         "runpy.run_module('horomod', run_name='__main__')\n"
     )
     proc = _python("-c", probe, *argv, cwd=tmp_path)
-    assert proc.stdout.splitlines()[-1] == "frozen True"
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[-1] == "hook ran"
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+    """law-equations A1 1 --truncation 15 prints 202 756 bytes, more than
+    a pipe holds; the reader takes 20 of them and closes the pipe."""
+    argv = ["law-equations", "A1", "1", "--truncation", "15"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "horomod", *argv],
+        env=_entry_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(20) == b'{"payload":{"equatio'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", ENTRY_ARGV, ids=ENTRY_IDS)

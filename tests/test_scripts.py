@@ -63,7 +63,16 @@ def test_golden_set_compares_stdout_and_written_files(tmp_path):
     assert [argv for argv, *_ in golden.differences(cases, ours, ours)] == []
     changed = json.loads(json.dumps(ours))
     changed[2]["files"]["law.json"] += " "
-    assert [argv for argv, *_ in golden.differences(cases, ours, changed)] == [cases[2][-1]]
+    assert golden.differences(cases, ours, changed) == [(cases[2][-1], 0, 0, 2)]
+
+
+def test_golden_report_shows_the_case_and_each_argument_clipped():
+    """A differing request of 10 001 form characters prints as one short
+    line: its case index, then each argument cut to 20 characters and
+    "..."."""
+    golden = load_golden()
+    argv = ["orbit-law", "A1", "2", "--form=" + "1," * 5000 + "1", "--truncation", "4"]
+    assert golden.shown(argv, 17) == "case 17: orbit-law A1 2 --form=1,1,1,1,1,1,1... --truncation 4"
 
 
 def test_golden_writes_input_files_for_the_requests_after_them():
