@@ -652,6 +652,8 @@ REFUSALS = [
     ["hwv", "A1", "sum(natural(2),)"],
     ["hwv", "A1", "dual(" * 100 + "natural(2)" + ")" * 100],
     ["hwv", "A1", f"sym({'1' * 4301},natural(2))"],
+    ["hwv", "A1", "sym(\u00b2,natural(2))"],
+    ["hwv", "A1", "natural(\u0663)"],
     ["hwv", "A1", "sym(20000,sym(20000,natural(2)))", "--cap", "100000"],
     ["orbit-tangent", "A1", "natural(2)", "1/0,1"],
     ["t1", "A1", "natural(2)", "0," + "7" * 4301],

@@ -35,9 +35,10 @@ the hypotheses to the reports on fixed spaces, and writes --output as
 --pretty prints.
 
 Run as the process entry, with no argv (as python -m horomod and the
-horomod script call it), main runs the atexit hooks, flushes and ends
-with os._exit once the envelope is out, so the interpreter frees no
-module and no object.  A reader that closes the pipe early gets exit 1.
+horomod script call it), main writes through a block-buffered stdout,
+runs the atexit hooks, flushes and ends with os._exit once the envelope
+is out, so the interpreter frees no module and no object.  A reader
+that closes the pipe early gets exit 1, under PYTHONUNBUFFERED=1 too.
 """
 
 from __future__ import annotations
@@ -126,9 +127,14 @@ def _fmt_vec(v: Mapping[int, Number], dim: int) -> List[str]:
 
 
 def _load_law(path: str):
+    """The law in the file at path, read, decoded and converted in one
+    try, so each refusal of the file ends in a ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
+        return mulaw.law_from_json_dict(blob)
+    except ValidationError:
+        raise
     except OSError as exc:
         raise ValidationError(f"cannot read law file {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -136,14 +142,6 @@ def _load_law(path: str):
     except (RecursionError, ValueError) as exc:
         # nesting too deep, an integer past the digit limit, or bytes not UTF-8
         raise ValidationError(f"law file {path} is malformed: {type(exc).__name__}: {exc}")
-    try:
-        return mulaw.law_from_json_dict(blob)
-    except ValidationError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(
-            f"law file {path} is malformed: {type(exc).__name__}: {exc}"
-        )
 
 
 def _write_file(path: str, text: str) -> None:
@@ -530,10 +528,15 @@ def _json(obj: dict, pretty: bool) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Answer argv, or sys.argv[1:] when argv is None, and return the
     exit code.  Only the process entry (argv None) ends with the
-    request, so only it calls os._exit, after the atexit hooks and the
-    flushes; a caller that passes argv, such as the tests,
-    scripts/golden.py and perfbench/traced.py, goes on running."""
+    request, so only it reopens stdout block-buffered and calls
+    os._exit, after the atexit hooks and the flushes; a caller that
+    passes argv, such as the tests, scripts/golden.py and
+    perfbench/traced.py, goes on running."""
     if argv is None:
+        # block-buffered also under PYTHONUNBUFFERED=1, so that a short
+        # write to a closed pipe raises BrokenPipeError, not passes unseen
+        out = sys.stdout
+        sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors, closefd=False)
         try:
             code = main(sys.argv[1:])
             sys.stdout.flush()

@@ -39,8 +39,8 @@ from bisect import bisect_left
 from itertools import accumulate, combinations, combinations_with_replacement, groupby, product
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DIM_CAP, MAX_DIGITS, ResourceError, ValidationError, binomial, check_size, clip
-from .linalg import RowSpace, Sparse, sparse, transpose
+from .errors import DIM_CAP, ResourceError, ValidationError, binomial, check_size, clip
+from .linalg import RowSpace, Sparse, read_rational, sparse, transpose
 from .rootdata import RootDatum, Weight
 
 Matrix = Dict[int, Sparse]
@@ -236,7 +236,8 @@ def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule
     build the module.  The nesting depth is bounded before parsing.  The
     parse folds dimensions, checking the cap on each sym and ext and on a
     sum or tensor product as each term is folded in, and once more on the
-    whole expression, so nothing is built until it parses and fits."""
+    whole expression, so nothing is built until it parses and fits.  A
+    number is a run of decimal digits, which linalg.read_rational reads."""
     toks = _tokenize(expr)
     depth = 0
     for t in toks:
@@ -255,14 +256,9 @@ def build_module(rd: RootDatum, expr: str, cap: int = DIM_CAP) -> ExplicitModule
 
     def number() -> int:
         t = eat()
-        if t.isdecimal() and len(t) > MAX_DIGITS:
-            raise ValidationError(
-                f"number {clip(t)} is too long: {len(t)} digits, at most {MAX_DIGITS}"
-            )
-        try:
-            return int(t)
-        except ValueError:
+        if not t.isdecimal():
             raise ValidationError(f"expected a number, got {clip(t)!r}")
+        return read_rational(t)
 
     def fits(dim: int) -> int:
         return check_size("module dimension", dim, cap)
@@ -446,11 +442,6 @@ def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
 def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
     """The action of the sparse Chevalley coefficient vector coeffs."""
     mats = m.ops
-    bad = [k for k in coeffs if not 0 <= k < len(mats)]
-    if bad:
-        raise ValidationError(
-            f"stabilizer vector index {bad[0]} is outside the {len(mats)} basis elements"
-        )
     columns = dict.fromkeys(c for k in coeffs for c in mats[k])
     out = {c: act({k: mats[k][c] for k in coeffs if c in mats[k]}, coeffs) for c in columns}
     return _nonempty(out)

@@ -66,10 +66,9 @@ def transvectants(f: Form, g: Form, top: int) -> List[Tuple[Q, ...]]:
     """The transvectants of f and g of index 0..top, the i-th of degree
     deg f + deg g - 2i; the 0-th is the product.  Each product of a
     coefficient of f with one of g is formed once, for every index, and
-    integer forms give integer transvectants."""
+    integer forms give integer transvectants.  The caller keeps top in
+    0..min(deg f, deg g), as orbit_law does with its own degrees."""
     df, dg = len(f) - 1, len(g) - 1
-    if top < 0 or top > min(df, dg):
-        raise ValidationError(f"transvectant index {top} out of range")
     out = [[0] * (df + dg - 2 * i + 1) for i in range(top + 1)]
     for s, fc in enumerate(f):
         if not fc:

@@ -1700,6 +1700,46 @@ def test_law_requests_always_end_in_one_envelope_or_a_usage_error(request):
         assert time.perf_counter() - start < 2
 
 
+# Any JSON value: what json.dumps writes, NaN and Infinity included.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+LAW_FIELDS = [
+    "top level", "rd", "monoid", "truncation", "coeffs", "cartan", "generators",
+    "coefficient", "lam", "mu", "nu", "channel", "value",
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(JSON, st.builds(_law_with, st.sampled_from(LAW_FIELDS), JSON)))
+def test_any_json_as_a_law_file_ends_in_an_envelope(blob):
+    """An arbitrary JSON document, or a valid law with one field replaced
+    by an arbitrary value: root-monoid and contract at 2 each end in one
+    envelope, with exit 0, 3 or 4."""
+    with tempfile.TemporaryDirectory() as wd:
+        path = str(Path(wd, "law.json"))
+        Path(path).write_text(json.dumps(blob))
+        assert_one_envelope(["root-monoid", path])
+        assert_one_envelope(["contract", path, "2"])
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("sym(\u00b2,natural(2))", "expected a number, got '\u00b2'"),
+        ("sym(1\u00b2,natural(2))", "expected a number, got '1\u00b2'"),
+        ("natural(\u0663)", "natural(3) does not match rank 1 datum"),
+    ],
+)
+def test_module_numbers_in_non_ascii_digits(capsys, expr, message):
+    """A superscript digit is no number; an Arabic-Indic three is 3."""
+    code, blob = run_json(capsys, "hwv", "A1", expr)
+    assert code == 3
+    assert blob["error"] == {"type": "validation", "message": message}
+
+
 @pytest.mark.parametrize(
     "label", ["A141", "A100000", pytest.param("A" + "1" * 5000, id="A-5000-digits")]
 )
@@ -1844,21 +1884,22 @@ class Exited(Exception):
 
 
 @pytest.mark.parametrize("argv,code", zip(ENTRY_ARGV, EXIT_CODES), ids=ENTRY_IDS[:4])
-def test_only_the_process_entry_ends_with_os_exit(capsys, monkeypatch, argv, code):
+def test_only_the_process_entry_ends_with_os_exit(capfd, monkeypatch, argv, code):
     """main(argv) returns its code and calls no os._exit; main() runs
     the atexit hooks, then calls os._exit once with the code, when
-    stdout already holds the envelope."""
+    stdout already holds the envelope.  capfd, not capsys: main() writes
+    to the file descriptor of sys.stdout."""
     expected = outcome(argv)
     assert expected[0] == code
     calls = []
 
     def exit_(status):
-        calls.append((status, capsys.readouterr().out))
+        calls.append((status, capfd.readouterr().out))
         raise Exited
 
     monkeypatch.setattr(cli.os, "_exit", exit_)
     monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("hooks"))
-    assert run(capsys, "dim", "A2", "1,1")[0] == 0
+    assert run(capfd, "dim", "A2", "1,1")[0] == 0
     assert calls == []
     monkeypatch.setattr(sys, "argv", ["horomod", *argv])
     with pytest.raises(Exited):
@@ -1880,19 +1921,30 @@ def test_python_m_horomod_runs_an_earlier_atexit_hook(tmp_path, argv, code):
     assert proc.stdout.splitlines()[-1] == "hook ran"
 
 
-def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+def _close_the_pipe_early(env):
     """law-equations A1 1 --truncation 15 prints 202 756 bytes, more than
-    a pipe holds; the reader takes 20 of them and closes the pipe."""
+    a pipe holds; the reader takes 20 of them and closes the pipe.  The
+    process exits 1 with nothing on stderr."""
     argv = ["law-equations", "A1", "1", "--truncation", "15"]
     with subprocess.Popen(
         [sys.executable, "-m", "horomod", *argv],
-        env=_entry_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         assert proc.stdout.read(20) == b'{"payload":{"equatio'
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=30) == 1
     assert err == b""
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+    _close_the_pipe_early(_entry_env())
+
+
+def test_a_closed_pipe_gets_exit_1_under_pythonunbuffered_too():
+    """With PYTHONUNBUFFERED=1 the interpreter's stdout drops a short
+    write; the process entry writes through a buffer that raises."""
+    _close_the_pipe_early({**_entry_env(), "PYTHONUNBUFFERED": "1"})
 
 
 @pytest.mark.parametrize("argv", ENTRY_ARGV, ids=ENTRY_IDS)

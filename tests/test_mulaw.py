@@ -58,13 +58,6 @@ def test_transvectant_x2_y2_full_contraction():
     assert h == (Q(4),)
 
 
-def test_transvectant_index_out_of_range():
-    f = (1, 0, 0)
-    g = (0, 1)
-    with pytest.raises(ValidationError):
-        transvectants(f, g, 2)
-
-
 @st.composite
 def forms(draw, max_deg=4):
     d = draw(st.integers(min_value=0, max_value=max_deg))
