@@ -19,8 +19,9 @@ which show the input read first (input_cases), and last the refusals of
 input that no other request reaches (REFUSALS).  The worked examples
 come from horomod.examples.  It runs the whole list
 through horomod.cli.main once under this checkout's src and once under
-OTHER_SRC, each side in its own subprocess.  Each case runs in a fresh
-temporary working directory, and its steps run there in turn: a step is
+OTHER_SRC, each side in its own subprocess, the two at once.  Each case
+runs in a fresh temporary working directory, and its steps run there
+in turn: a step is
 a request, or {"write": NAME, "text": TEXT}, which writes an input file
 for the requests after it.  Requests that write files name them
 relatively, and the files left behind are compared along with the exit
@@ -30,7 +31,9 @@ exit code under OTHER_SRC and here (3 -> 0, say), as its case index and
 its argv with each argument clipped as error messages clip, then how many
 horomod functions neither the import of horomod.cli nor a request
 entered on this checkout's side, and each of them: such a function is
-a dead helper, and none is allowed.
+a dead helper, and none is allowed.  The functions are the code objects
+of the horomod modules that side imported, matched by identity to the
+code that ran, so no source file is read again.
 Last it prints each request that, on this checkout's side, broke the error
 contract: it ended in a traceback, or in an exit code other than 0, 2,
 3 and 4.  It exits 1 if there is such a request or a dead helper, and 0
@@ -38,7 +41,6 @@ otherwise, whatever the differences.
 """
 
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -47,9 +49,11 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import CodeType
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEED = 20031
@@ -763,19 +767,30 @@ def run_case(main, steps):
     return {"steps": out, "files": files}
 
 
-def functions(package):
-    """(file name, first line, qualified name) of every named function
-    and method in the package's sources; a class body is none."""
-    out = []
-    for path in sorted(package.glob("*.py")):
-        todo = [compile(path.read_text(encoding="utf-8"), path.name, "exec")]
+def functions(modules):
+    """{code object: qualified name} of every named function and method
+    of the modules: their functions, the methods and property getters of
+    their classes, and the named functions nested in any of these, each
+    kept where it was compiled from its module's file, in file and line
+    order.  The code objects are those the modules run, so an edit to a
+    source file afterwards changes nothing here."""
+    out = {}
+    for module in modules:
+        stem = module.__name__.rpartition(".")[2]
+        todo = []
+        for obj in vars(module).values():
+            for member in vars(obj).values() if isinstance(obj, type) else [obj]:
+                for attr in ("fget", "__func__", "__wrapped__"):
+                    member = getattr(member, attr, member)
+                code = getattr(member, "__code__", None)
+                if isinstance(code, CodeType):
+                    todo.append(code)
         while todo:
             code = todo.pop()
-            todo += [c for c in code.co_consts if hasattr(c, "co_code")]
-            name = getattr(code, "co_qualname", code.co_name)
-            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
-                out.append((path.name, code.co_firstlineno, f"{path.stem}.{name}"))
-    return sorted(out)
+            todo += [c for c in code.co_consts if isinstance(c, CodeType)]
+            if code.co_filename == module.__file__ and not code.co_name.startswith("<"):
+                out[code] = f"{stem}.{getattr(code, 'co_qualname', code.co_name)}"
+    return dict(sorted(out.items(), key=lambda item: (item[0].co_filename, item[0].co_firstlineno)))
 
 
 def worker(src):
@@ -795,15 +810,15 @@ def worker(src):
     import horomod
     from horomod.cli import main
 
-    package = Path(horomod.__file__).resolve().parent
-    if package.parent != Path(src).resolve():
+    if Path(horomod.__file__).resolve().parent.parent != Path(src).resolve():
         sys.exit(f"horomod loaded from {horomod.__file__}, not from {src}")
     cases = json.load(sys.stdin)
     results = [run_case(main, steps) for steps in cases]
     sys.setprofile(None)
-    seen = {(Path(c.co_filename).name, c.co_firstlineno) for c in entered
-            if Path(c.co_filename).resolve().parent == package}
-    unentered = [name for file, line, name in functions(package) if (file, line) not in seen] if ours else None
+    unentered = None
+    if ours:
+        modules = [m for name, m in sys.modules.items() if name.startswith("horomod.")]
+        unentered = [name for code, name in functions(modules).items() if code not in entered]
     sys.stdout.write(json.dumps({"results": results, "unentered": unentered}))
 
 
@@ -863,8 +878,9 @@ def main(argv):
         sys.exit(__doc__)
     other = Path(argv[1]).resolve()
     cases = golden_cases()
-    ours, unentered = run_side(SRC, cases)
-    differing = differences(cases, ours, run_side(other, cases)[0])
+    with ThreadPoolExecutor(2) as pool:
+        (ours, unentered), (theirs, _) = pool.map(run_side, (SRC, other), (cases, cases))
+    differing = differences(cases, ours, theirs)
     total = sum(len(requests(steps)) for steps in cases)
     print(f"golden: {total} requests in {len(cases)} cases, {SRC} against {other}")
     print(f"golden: {len(differing)} requests differ in exit code, stdout, stderr or files")

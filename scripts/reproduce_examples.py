@@ -2,7 +2,7 @@
 """Print the two worked reproductions as small tables.
 
 Runs the deformation computation for the binary-form cones (n = 1..6),
-the matching law-linearization dimensions (n = 1..5, window D = 4n),
+the matching law-linearization dimensions (n = 1..6, window D = 4n),
 and the rank-three point in k4 + wedge2 + wedge3.
 """
 
@@ -23,21 +23,21 @@ def print_binary_family():
     a1 = make_root_datum("A1")
     for n in BINARY_DEGREES:
         report = binary_cone_input(n).report()
-        law_txt = str(law_tangent(make_weight_monoid(a1, [(n,)]), 4 * n)[0]) if n <= 5 else "-"
-        ws = " ".join(f"{w[0]}*alpha" for w in report.weights) or "-"
-        print(f"{n:>3} {report.dim_T1_invariant:>7} {law_txt:>8}  {ws}")
+        law_dim = law_tangent(make_weight_monoid(a1, [(n,)]), 4 * n)[0]
+        ws = " ".join(f"{w[0]}*alpha" for w in report["weights"]) or "-"
+        print(f"{n:>3} {report['dims']['t1_invariant']:>7} {law_dim:>8}  {ws}")
     print()
 
 
 def print_flag_point():
     report = flag_multicone(3).report()
     print("rank-three point e1 + e1^e2 + e1^e2^e3")
-    print(f"  T1 dim   {report.dim_T1_invariant}")
-    for w in report.weights:
+    print(f"  T1 dim   {report['dims']['t1_invariant']}")
+    for w in report["weights"]:
         pretty = "+".join(
             f"a{i + 1}" for i, c in enumerate(w) for _ in range(c)
         )
-        print(f"  weight   {pretty}  (root coords {list(w)})")
+        print(f"  weight   {pretty}  (root coords {w})")
     print()
 
 

@@ -158,7 +158,7 @@ def _stab_from_args(args) -> liealg.StabilizerSpec:
     for entry in args.diag or []:
         head, _, mod = entry.partition(":")
         try:
-            modulus = integer(mod)
+            coeffs, modulus = tuple(integer(p) for p in head.split(",")), integer(mod)
         except ValueError:
             raise ValidationError(
                 f"malformed congruence {clip(entry)!r}: expected coeffs:modulus"
@@ -167,7 +167,7 @@ def _stab_from_args(args) -> liealg.StabilizerSpec:
             raise ValidationError(
                 f"malformed congruence {clip(entry)!r}: the modulus must be 0 or positive"
             )
-        diag.append(liealg.DiagCongruence(coeffs=_parse_weight(head), modulus=modulus))
+        diag.append(liealg.DiagCongruence(coeffs=coeffs, modulus=modulus))
     return liealg.StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
 
 
@@ -267,7 +267,7 @@ def _cmd_stabilizer(args):
 
 
 def _cmd_t1(args):
-    return tangent.report_to_json_dict(tangent.t1_invariant(args.m, args.x, args.stab))
+    return tangent.t1_invariant(args.m, args.x, args.stab)
 
 
 def _cmd_tangent_weight(args):
@@ -327,15 +327,15 @@ def _cmd_reproduce_example1(args):
     weight_table = {}
     for n in examples.BINARY_DEGREES:
         report = examples.binary_cone_input(n).report()
-        dims.append(report.dim_T1_invariant)
-        if report.weights:
-            weight_table[str(n)] = [list(w) for w in report.weights]
+        dims.append(report["dims"]["t1_invariant"])
+        if report["weights"]:
+            weight_table[str(n)] = report["weights"]
     return {"dims": dims, "weights": weight_table}
 
 
 def _cmd_reproduce_example2(args):
     report = examples.flag_multicone(3).report()
-    return {"dim": report.dim_T1_invariant, "weights": [list(w) for w in report.weights]}
+    return {"dim": report["dims"]["t1_invariant"], "weights": report["weights"]}
 
 
 # The reports on fixed spaces, whose provenance lists the hypotheses

@@ -25,7 +25,7 @@ from .liealg import (
     unipotent_radical_spec,
 )
 from .rootdata import make_root_datum
-from .tangent import TangentReport, t1_invariant
+from .tangent import t1_invariant
 
 BINARY_DEGREES = range(1, 7)
 
@@ -46,8 +46,8 @@ class Example(NamedTuple):
         stab = unipotent_radical_spec(rd)._replace(diag_part=self.diag)
         return build_module(rd, self.module), self.point, stab
 
-    def report(self) -> TangentReport:
-        """The fixed-space report at the example's point."""
+    def report(self) -> dict:
+        """The t1 payload at the example's point."""
         return t1_invariant(*self.build())
 
 

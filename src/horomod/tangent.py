@@ -15,9 +15,8 @@ of the V(lambda)-isotypic piece at T-weight mu having grade lambda - mu.
 At a sum x of highest weight vectors the torus acting through these
 grades fixes x, so every space of the sequence is graded; where the
 classes are not, the graded count can exceed the dimension.
-t1_invariant, not the report, refuses a weight count that differs from
-the dimension: TangentReport is a plain record of what t1_invariant
-computed.
+t1_invariant refuses a weight count that differs from the dimension,
+and returns the t1 payload itself.
 The normality and boundary-codimension hypotheses behind the sequence are
 never checked here; they are HYPOTHESES below, which the CLI records in
 the provenance of every report.
@@ -25,7 +24,7 @@ the provenance of every report.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError, clip
 from .liealg import (
@@ -47,28 +46,6 @@ RootVector = Tuple[int, ...]
 # codimension at least two.  The worked examples satisfy this; the code
 # does not check it, so every t1 report carries it in its provenance.
 HYPOTHESES = {"normal": True, "boundary_codim_ge_2": True}
-
-
-class TangentReport(NamedTuple):
-    """The fixed-space dimensions and the tangent weights."""
-
-    dim_g_mod_gx_fixed: int
-    dim_V_fixed: int
-    dim_normal_fixed: int
-    dim_T1_invariant: int
-    weights: Tuple[RootVector, ...]
-
-
-def report_to_json_dict(report: TangentReport) -> dict:
-    return {
-        "dims": {
-            "g_mod_gx_fixed": report.dim_g_mod_gx_fixed,
-            "V_fixed": report.dim_V_fixed,
-            "normal_fixed": report.dim_normal_fixed,
-            "t1_invariant": report.dim_T1_invariant,
-        },
-        "weights": [list(w) for w in report.weights],
-    }
 
 
 def _graded_weights(
@@ -104,9 +81,11 @@ def _fmt_congruence(c: DiagCongruence) -> str:
     return clip(f"{','.join(map(str, c.coeffs))}:{c.modulus}")
 
 
-def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> TangentReport:
+def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> dict:
     """Invariant deformation dimensions of the orbit closure of x, with
-    isotropy described by stab.
+    isotropy described by stab, as the t1 payload: the dimensions of
+    (g/g_x)^{G_x}, V^{G_x}, (V/g.x)^{G_x} and T1(X)^G under "dims", and
+    the sorted tangent weights, each a list of root coordinates.
 
     Each congruence of the diagonalizable part of stab must have one
     coefficient per simple root, its Lie part must annihilate x, and
@@ -169,10 +148,7 @@ def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> Tangen
             f"deformation space of dimension {dim_t1}"
         )
 
-    return TangentReport(
-        dim_g_mod_gx_fixed=dim_a,
-        dim_V_fixed=dim_b,
-        dim_normal_fixed=dim_c,
-        dim_T1_invariant=dim_t1,
-        weights=tuple(weights),
-    )
+    return {
+        "dims": {"g_mod_gx_fixed": dim_a, "V_fixed": dim_b, "normal_fixed": dim_c, "t1_invariant": dim_t1},
+        "weights": [list(w) for w in weights],
+    }

@@ -49,7 +49,7 @@ def _gate(num, desc, body, limit=None):
 
 @lru_cache(maxsize=None)
 def _t1_dims():
-    return tuple(binary_cone_input(n).report().dim_T1_invariant for n in BINARY_DEGREES)
+    return tuple(binary_cone_input(n).report()["dims"]["t1_invariant"] for n in BINARY_DEGREES)
 
 
 @lru_cache(maxsize=None)
@@ -100,8 +100,8 @@ def test_criterion_2():
 def test_criterion_3():
     def body():
         report = flag_multicone(3).report()
-        assert report.dim_T1_invariant == 2
-        assert report.weights == ((0, 1, 1), (1, 1, 0))
+        assert report["dims"]["t1_invariant"] == 2
+        assert report["weights"] == [[0, 1, 1], [1, 1, 0]]
 
     _gate(3, "rank-three point: dim 2, weights a1+a2 and a2+a3", body, limit=10.0)
 

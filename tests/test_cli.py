@@ -1801,7 +1801,7 @@ def test_t1_refuses_a_negative_modulus(capsys):
         ),
         (
             ["t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1_0:2"],
-            "malformed weight '1_0': expected comma-separated integers",
+            "malformed congruence '1_0:2': expected coeffs:modulus",
         ),
         (
             ["t1", "A1", "sym(2,natural(2))", "0,1,0", "--diag", "1:1_0"],

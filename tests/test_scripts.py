@@ -24,7 +24,7 @@ def test_reproduce_examples_from_any_directory(tmp_path):
     table = [line.split()[:3] for line in lines[2:8]]
     assert table == [
         ["1", "0", "0"], ["2", "1", "1"], ["3", "0", "0"],
-        ["4", "1", "1"], ["5", "0", "0"], ["6", "0", "-"],
+        ["4", "1", "1"], ["5", "0", "0"], ["6", "0", "0"],
     ]
     assert "  T1 dim   2" in lines
 
@@ -95,6 +95,24 @@ def test_golden_reports_the_functions_no_request_entered():
     assert "monoids.saturation" in unentered
     assert "repcalc.weyl_dim" not in unentered
     assert "cli._lazy" not in unentered
+
+
+def test_golden_lists_the_functions_from_the_code_that_ran(monkeypatch):
+    """The lister reads the imported modules' code objects, not their
+    sources: with no file to read it still lists a function, a nested
+    function and a property getter, each by the code object that runs."""
+    from horomod import cli, liealg
+
+    golden = load_golden()
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a source file was read")
+
+    monkeypatch.setattr(Path, "read_text", unread)
+    listed = golden.functions([cli, liealg])
+    (parse,) = [c for c in liealg.build_module.__code__.co_consts if getattr(c, "co_name", None) == "parse"]
+    assert {cli._lazy.__code__, parse, liealg.ExplicitModule.dim.fget.__code__} <= set(listed)
+    assert listed[cli._lazy.__code__] == "cli._lazy"
 
 
 def test_golden_refusals_end_in_an_error_envelope(tmp_path, monkeypatch, capsys):
