@@ -133,12 +133,8 @@ def example_args(ex):
 
 
 def t1_argv(ex):
-    """t1 on a worked example: --lie-u for the unipotent radical, and
-    --diag for each congruence of the isotropy."""
-    argv = ["t1", *example_args(ex), "--lie-u"]
-    for c in ex.diag:
-        argv += ["--diag", f"{','.join(map(str, c.coeffs))}:{c.modulus}"]
-    return argv
+    """t1 on a worked example, with --lie-u for the unipotent radical."""
+    return ["t1", *example_args(ex), "--lie-u"]
 
 
 def random_expr(rng, rank, depth=0):
@@ -466,8 +462,9 @@ def orbit_law_cases(rng, mulaw, rootdata, errors):
 
 def fixed_cases(examples):
     """The pinned modules; the worked examples of horomod.examples, the
-    flag multicones A2-A8 and the binary cones, with and without their
-    congruence; and points whose survivors are not homogeneous."""
+    flag multicones A2-A8 and the binary cones x^n, with and without the
+    congruence 1:n that their isotropy passes; and points whose
+    survivors are not homogeneous."""
     flag = examples.flag_multicone(3)
     cases = [[c, "A1", e] for e in EXPRS_A1 for c in ("hwv", "coinv")]
     cases += [[c, "A3", e] for e in EXPRS_A3 for c in ("hwv", "coinv")]
@@ -481,9 +478,9 @@ def fixed_cases(examples):
             cases.append([c, ex.label, ex.module])
         for c in ("orbit-tangent", "stabilizer"):
             cases.append([c, *example_args(ex)])
-    for ex in map(examples.binary_cone_input, examples.BINARY_DEGREES):
-        cases.append(t1_argv(ex))
-        cases.append(t1_argv(ex._replace(diag=())))
+    for n in examples.BINARY_DEGREES:
+        ex = examples.binary_cone_input(n)
+        cases += [t1_argv(ex) + ["--diag", f"1:{n}"], t1_argv(ex)]
     # U-fixed points whose survivors are not homogeneous for the grading.
     squares = "tensor(sym(2,natural(2)),sym(2,natural(2)))"
     cases += [

@@ -27,12 +27,12 @@ with the text and exit code 2 it always had.
 
 Before the handler runs, main reads each input of the request into a
 library object once, in the order _read_inputs gives: the root datum,
-the module, the monoid, the law, the isotropy and the point, so a
-request with two bad inputs names the first.  A handler returns only
-its payload.  main takes the bounds of the provenance from the request
-itself (--cap, --truncation or a law file's truncation, --bound), adds
-the hypotheses to the reports on fixed spaces, and writes --output as
---pretty prints.
+the module, the monoid, the law, the --diag congruences and the point,
+so a request with two bad inputs names the first.  A handler returns
+only its payload.  main takes the bounds of the provenance from the
+request itself (--cap, --truncation or a law file's truncation,
+--bound), adds the hypotheses to the reports on fixed spaces, and
+writes --output as --pretty prints.
 
 Run as the process entry, with no argv (as python -m horomod and the
 horomod script call it), main writes through a block-buffered stdout,
@@ -152,10 +152,10 @@ def _write_file(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
-def _stab_from_args(args) -> liealg.StabilizerSpec:
-    lie = liealg.unipotent_radical_spec(args.rd).lie_part if args.lie_u else ()
-    diag = []
-    for entry in args.diag or []:
+def _read_congruences(entries: Sequence[str]) -> List[Tuple[Tuple[int, ...], int]]:
+    """The --diag entries as (coeffs, modulus) pairs."""
+    out = []
+    for entry in entries:
         head, _, mod = entry.partition(":")
         try:
             coeffs, modulus = tuple(integer(p) for p in head.split(",")), integer(mod)
@@ -167,15 +167,15 @@ def _stab_from_args(args) -> liealg.StabilizerSpec:
             raise ValidationError(
                 f"malformed congruence {clip(entry)!r}: the modulus must be 0 or positive"
             )
-        diag.append(liealg.DiagCongruence(coeffs=coeffs, modulus=modulus))
-    return liealg.StabilizerSpec(lie_part=lie, diag_part=tuple(diag))
+        out.append((coeffs, modulus))
+    return out
 
 
 def _read_inputs(args) -> None:
     """Read each input the request has into a library object on args,
     in this order: the root datum rd, the module m under --cap, the
     monoid mon (of roots under --root), the law (whose truncation
-    becomes the request's), the isotropy stab and last the point x."""
+    becomes the request's), the --diag congruences and last the point x."""
     given = vars(args)
     if "group" in given:
         args.rd = rootdata.make_root_datum(args.group)
@@ -189,7 +189,7 @@ def _read_inputs(args) -> None:
         args.law = _load_law(args.law_file)
         args.truncation = args.law.truncation
     if "diag" in given:
-        args.stab = _stab_from_args(args)
+        args.congruences = _read_congruences(args.diag or [])
     if "point" in given:
         args.x = _parse_point(args.point)
 
@@ -267,7 +267,8 @@ def _cmd_stabilizer(args):
 
 
 def _cmd_t1(args):
-    return tangent.t1_invariant(args.m, args.x, args.stab)
+    lie = liealg.unipotent_radical_spec(args.rd) if args.lie_u else ()
+    return tangent.t1_invariant(args.m, args.x, lie, args.congruences)
 
 
 def _cmd_tangent_weight(args):

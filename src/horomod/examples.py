@@ -17,13 +17,8 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Tuple
 
-from .liealg import (
-    DiagCongruence,
-    ExplicitModule,
-    StabilizerSpec,
-    build_module,
-    unipotent_radical_spec,
-)
+from .liealg import ExplicitModule, build_module, unipotent_radical_spec
+from .linalg import Sparse
 from .rootdata import make_root_datum
 from .tangent import t1_invariant
 
@@ -32,19 +27,17 @@ BINARY_DEGREES = range(1, 7)
 
 class Example(NamedTuple):
     """A worked example's input: the root datum's label, the module
-    expression, the point in the module's basis, and the congruences of
-    the isotropy; its Lie part is the unipotent radical."""
+    expression and the point in the module's basis.  The Lie part of the
+    isotropy is the unipotent radical; t1 computes its torus part."""
 
     label: str
     module: str
     point: Tuple[int, ...]
-    diag: Tuple[DiagCongruence, ...]
 
-    def build(self) -> Tuple[ExplicitModule, Tuple[int, ...], StabilizerSpec]:
-        """The module, the point and the isotropy, as t1_invariant takes them."""
+    def build(self) -> Tuple[ExplicitModule, Tuple[int, ...], Tuple[Sparse, ...]]:
+        """The module, the point and the Lie part, as t1_invariant takes them."""
         rd = make_root_datum(self.label)
-        stab = unipotent_radical_spec(rd)._replace(diag_part=self.diag)
-        return build_module(rd, self.module), self.point, stab
+        return build_module(rd, self.module), self.point, unipotent_radical_spec(rd)
 
     def report(self) -> dict:
         """The t1 payload at the example's point."""
@@ -53,8 +46,8 @@ class Example(NamedTuple):
 
 def binary_cone_input(n: int) -> Example:
     """x^n in V(n), the first vector of the basis; the isotropy is the
-    unipotent radical and the n-th roots of unity."""
-    return Example("A1", f"sym({n},natural(2))", (1,) + (0,) * n, (DiagCongruence((1,), n),))
+    unipotent radical and T_x, the n-th roots of unity."""
+    return Example("A1", f"sym({n},natural(2))", (1,) + (0,) * n)
 
 
 def flag_multicone(r: int) -> Example:
@@ -66,4 +59,4 @@ def flag_multicone(r: int) -> Example:
     summands = [f"natural({n})"] + [f"ext({k},natural({n}))" for k in range(2, n)]
     module = f"sum({','.join(summands)})"
     point = sum(((1,) + (0,) * (comb(n, k) - 1) for k in range(1, n)), ())
-    return Example(f"A{r}", module, point, ())
+    return Example(f"A{r}", module, point)

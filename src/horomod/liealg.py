@@ -398,45 +398,13 @@ def _check_point(m: ExplicitModule, x: Sequence, stabilizer: bool = False) -> Sp
 # ------------------------------------------------------------ stabilizers
 
 
-class DiagCongruence(NamedTuple):
-    """Integer functional on weights plus a modulus.
-
-    Modulus 0 demands the value vanish exactly (a torus factor);
-    modulus d demands the value be divisible by d (a finite cyclic
-    diagonalizable factor).
-    """
-
-    coeffs: Tuple[int, ...]
-    modulus: int
-
-    def passes(self, w: Weight) -> bool:
-        val = sum(c * x for c, x in zip(self.coeffs, w))
-        if self.modulus == 0:
-            return val == 0
-        return val % self.modulus == 0
-
-
-class StabilizerSpec(NamedTuple):
-    """Generators of an isotropy group: a Lie algebra part given by
-    sparse Chevalley coefficient vectors (as stabilizer_lie returns
-    them), and a diagonalizable part given by weight congruences."""
-
-    lie_part: Tuple[Sparse, ...] = ()
-    diag_part: Tuple[DiagCongruence, ...] = ()
-
-    def passing(self, weights: Sequence[Weight]) -> List[int]:
-        """Indices of the weights that pass every congruence."""
-        return [
-            i for i, w in enumerate(weights) if all(c.passes(w) for c in self.diag_part)
-        ]
-
-
-def unipotent_radical_spec(rd: RootDatum) -> StabilizerSpec:
+def unipotent_radical_spec(rd: RootDatum) -> Tuple[Sparse, ...]:
     """Lie algebra of the standard maximal unipotent subgroup, given by
-    its simple root vectors e[i,i+1], which generate it.  Each span that
-    t1 passes to fixed_in_quotient is u-stable, so they cut out the same
-    fixed spaces as all the positive root vectors."""
-    return StabilizerSpec(lie_part=tuple({k: 1} for k in _simple(rd.rank + 1, 1)))
+    its simple root vectors e[i,i+1] as sparse Chevalley coefficient
+    vectors, which generate it.  Each span that t1 passes to
+    fixed_in_quotient is u-stable, so they cut out the same fixed spaces
+    as all the positive root vectors."""
+    return tuple({k: 1} for k in _simple(rd.rank + 1, 1))
 
 
 def lie_matrix(m: ExplicitModule, coeffs: Sparse) -> Matrix:
@@ -452,7 +420,8 @@ def fixed_in_quotient(
 ) -> List[Sparse]:
     """Fixed subspace of M / span under a stabilizer whose Lie part acts
     on M by the matrices lie, and whose diagonalizable part fixes the
-    basis vectors passing (StabilizerSpec.passing) and no others.
+    basis vectors passing, those of the weights it acts trivially on,
+    and no others.
 
     The span must be stable under the stabilizer (true for orbit
     tangents at the stabilized point); fixedness of a class means the

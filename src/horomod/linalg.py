@@ -9,7 +9,9 @@ divides by gcds (Bareiss, Math. Comp. 22, 1968), so rank decisions are
 exact and no Fraction is made.  One appears only where a value is read: a residual,
 the kernel, the reduced rows, which rows lists in pivot order.  The
 package passes RowSpaces and sparse vectors between its layers; only the
-CLI densifies a vector, where it prints one.
+CLI densifies a vector, where it prints one.  The one integer-lattice
+rule is echelon, a basis of the lattice some integer vectors span, with
+in_lattice, its membership test.
 """
 
 from __future__ import annotations
@@ -192,3 +194,44 @@ class RowSpace:
             for c, x in _over({c: -x for c, x in row.items() if c != pc}, row[pc]).items():
                 out[c][pc] = x
         return list(out.values())
+
+
+def echelon(rows: Iterable[Sequence[int]]) -> List[List[int]]:
+    """An integer row echelon basis of the lattice the rows span: pivots
+    positive and strictly increasing, each row 0 before its pivot; no
+    rows for the zero lattice."""
+    mat = [list(r) for r in rows if any(r)]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        again = True
+        while again:
+            again = False
+            for i in range(r + 1, len(mat)):
+                if mat[i][c] == 0:
+                    continue
+                q = mat[i][c] // mat[r][c]
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+                if mat[i][c] != 0:
+                    mat[r], mat[i] = mat[i], mat[r]
+                    again = True
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        r += 1
+    return mat[:r]
+
+
+def in_lattice(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """Whether v is an integer combination of the echelon rows basis.
+    Later rows vanish at the pivot of each row, so once the earlier rows
+    are taken off, its coefficient is the floor quotient there, and a
+    remainder is left for good."""
+    v = list(v)
+    for row in basis:
+        c = next(c for c, x in enumerate(row) if x)
+        q = v[c] // row[c]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)

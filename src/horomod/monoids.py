@@ -56,40 +56,13 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 # ------------------------------------------------------------ saturation
 
 
-def _echelon(rows: Sequence[Gen]) -> List[List[int]]:
-    """An integer row echelon basis of the lattice the rows span: pivots
-    positive and strictly increasing, each row 0 before its pivot."""
-    mat = [list(r) for r in rows if any(r)]
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        again = True
-        while again:
-            again = False
-            for i in range(r + 1, len(mat)):
-                if mat[i][c] == 0:
-                    continue
-                q = mat[i][c] // mat[r][c]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                if mat[i][c] != 0:
-                    mat[r], mat[i] = mat[i], mat[r]
-                    again = True
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-        r += 1
-    return mat[:r]
-
-
 def _box_points(gens: Sequence[Gen], basis: Sequence[Sequence[int]]) -> List[Gen]:
-    """The points of the lattice spanned by the _echelon rows basis inside the
-    zonotope box lo..hi of gens, by back-substitution.  Later rows vanish
-    at the pivot of row k, so once z_k is chosen that coordinate is final
-    and bounds z_k in integers.  The number of points each level builds
-    is checked against the cap before the level is built."""
+    """The points of the lattice spanned by the linalg.echelon rows basis
+    inside the zonotope box lo..hi of gens, by back-substitution.  Later
+    rows vanish at the pivot of row k, so once z_k is chosen that
+    coordinate is final and bounds z_k in integers.  The number of
+    points each level builds is checked against the cap before the
+    level is built."""
     lo = [sum(min(0, x) for x in col) for col in zip(*gens)]
     hi = [sum(max(0, x) for x in col) for col in zip(*gens)]
     points = [tuple([0] * len(lo))]
@@ -149,7 +122,7 @@ def saturation(monoid):
     gens = [g for g in monoid.generators if any(g)]
     if not gens:
         return monoid._replace(generators=())
-    basis = _echelon(gens)
+    basis = linalg.echelon(gens)
     if len(basis) > 3:
         raise ValidationError("saturation implemented for lattice rank <= 3")
     points = _box_points(gens, basis)

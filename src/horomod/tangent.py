@@ -8,8 +8,11 @@ reduces the invariant part of the deformation space of an orbit closure
 to three fixed-space dimensions, all computed in exact arithmetic inside
 V.  The first needs no adjoint module: xi -> xi.x is a G_x-equivariant
 isomorphism g/g_x -> g.x (eta.x = 0 gives [eta, xi].x = eta.(xi.x), and
-the weights of x pass every congruence), so (g/g_x)^{G_x} is
-g.x meet V^{G_x}, of dimension dim g.x + dim V^{G_x} - dim(V^{G_x} + g.x).
+the torus part of G_x fixes x), so (g/g_x)^{G_x} is g.x meet V^{G_x}, of
+dimension dim g.x + dim V^{G_x} - dim(V^{G_x} + g.x).  The torus part is
+T_x, the common kernel of the support weights S of x: by the duality of
+diagonalizable groups it fixes exactly the basis vectors whose weight
+lies in the lattice Z.S, which linalg.echelon and in_lattice decide.
 The weights are the grades of a homogeneous basis of T1(X)^G, a vector
 of the V(lambda)-isotypic piece at T-weight mu having grade lambda - mu.
 At a sum x of highest weight vectors the torus acting through these
@@ -28,16 +31,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError, clip
 from .liealg import (
-    DiagCongruence,
     ExplicitModule,
-    StabilizerSpec,
     act,
     fixed_in_quotient,
     isotypic_components,
     lie_matrix,
     orbit_tangent,
 )
-from .linalg import RowSpace, Sparse, sparse, transpose
+from .linalg import RowSpace, Sparse, echelon, in_lattice, sparse, transpose
 from .rootdata import Weight, tangent_weight
 
 RootVector = Tuple[int, ...]
@@ -76,46 +77,59 @@ def _graded_weights(
     return [g for g, part in sorted(pieces, key=lambda p: p[0]) if residuals.add(span.reduce(part))]
 
 
-def _fmt_congruence(c: DiagCongruence) -> str:
-    """c as coeffs:modulus, clipped as an error message echoes it."""
-    return clip(f"{','.join(map(str, c.coeffs))}:{c.modulus}")
+def _fmt_congruence(coeffs: Sequence[int], modulus: int) -> str:
+    """A congruence as coeffs:modulus, clipped as an error message echoes it."""
+    return clip(f"{','.join(map(str, coeffs))}:{modulus}")
 
 
-def t1_invariant(m: ExplicitModule, x: Sequence, stab: StabilizerSpec) -> dict:
+def t1_invariant(
+    m: ExplicitModule,
+    x: Sequence,
+    lie_part: Sequence[Sparse],
+    congruences: Sequence[Tuple[Sequence[int], int]] = (),
+) -> dict:
     """Invariant deformation dimensions of the orbit closure of x, with
-    isotropy described by stab, as the t1 payload: the dimensions of
+    isotropy generated by the Lie part lie_part (sparse Chevalley
+    coefficient vectors) and T_x, as the t1 payload: the dimensions of
     (g/g_x)^{G_x}, V^{G_x}, (V/g.x)^{G_x} and T1(X)^G under "dims", and
     the sorted tangent weights, each a list of root coordinates.
 
-    Each congruence of the diagonalizable part of stab must have one
-    coefficient per simple root, its Lie part must annihilate x, and
-    every weight of x must pass each congruence (all checked).
-    Normality of the closure and boundary codimension at least two are
-    the caller's responsibility.
+    The Lie part must annihilate x.  Each congruence (coeffs, modulus)
+    must have one coefficient per simple root, and every weight of x
+    must pass it: its value at the weight vanishes for modulus 0 and is
+    divisible by the modulus otherwise (all checked).  The congruences
+    change nothing else: the weights that pass them form a lattice that
+    contains S, so it contains Z.S, and the group they describe lies in
+    T_x.  Normality of the closure and boundary codimension at least two
+    are the caller's responsibility.
     """
-    for c in stab.diag_part:
-        if len(c.coeffs) != m.rd.rank:
+    for coeffs, modulus in congruences:
+        if len(coeffs) != m.rd.rank:
             raise ValidationError(
-                f"congruence {_fmt_congruence(c)} has {len(c.coeffs)} "
+                f"congruence {_fmt_congruence(coeffs, modulus)} has {len(coeffs)} "
                 f"coefficients, expected one per simple root ({m.rd.rank})"
             )
     tangent = orbit_tangent(m, x)  # checks x
     point = sparse(x)
-    lie = [lie_matrix(m, coeffs) for coeffs in stab.lie_part]
+    lie = [lie_matrix(m, coeffs) for coeffs in lie_part]
     if any(act(mat, point) for mat in lie):
         raise ValidationError("stabilizer Lie part does not annihilate the point")
     for i in point:
         w = m.basis_weights[i]
-        for c in stab.diag_part:
-            if not c.passes(w):
+        for coeffs, modulus in congruences:
+            value = sum(c * a for c, a in zip(coeffs, w))
+            if value % modulus if modulus else value:
                 raise ValidationError(
                     f"the point has weight {clip(str(w))}, which fails the congruence "
-                    f"{_fmt_congruence(c)}"
+                    f"{_fmt_congruence(coeffs, modulus)}"
                 )
 
+    # The basis vectors T_x fixes.  Where S is {0} or empty, T_x is T,
+    # and echelon gives no rows: only the weight-zero vectors pass.
+    lattice = echelon({m.basis_weights[i] for i in point})
+    passing = [i for i, w in enumerate(m.basis_weights) if in_lattice(lattice, w)]
     # fixed becomes V^{G_x}, then V^{G_x} + g.x: the span the survivors
     # and their weights are residuals modulo.
-    passing = stab.passing(m.basis_weights)
     fixed = RowSpace(m.dim)
     dim_b = len(fixed_in_quotient(fixed, lie, passing))
     for row in tangent.primitive.values():

@@ -144,7 +144,7 @@ def _irreducible(gens: Sequence[Gen], phi: Gen, cap: int = SEARCH_CAP) -> Tuple[
 
 
 def _positive_grading(gens: Sequence[Gen]) -> Gen:
-    phi = monoids._grading(gens, monoids._facet_normals(gens, monoids._echelon(gens)))
+    phi = monoids._grading(gens, monoids._facet_normals(gens, linalg.echelon(gens)))
     if phi is None:
         raise ValidationError("no strictly positive grading on the generators")
     return phi
@@ -165,7 +165,7 @@ def search_saturation(monoid, cap: int = SEARCH_CAP) -> Tuple[Gen, ...]:
     gens = [g for g in monoid.generators if any(g)]
     if not gens:
         return ()
-    basis = monoids._echelon(gens)
+    basis = linalg.echelon(gens)
     normals = monoids._facet_normals(gens, basis)
     candidates = [
         y

@@ -985,6 +985,30 @@ def test_t1_subcommand(capsys):
     assert blob["provenance"]["hypotheses"] == {"normal": True, "boundary_codim_ge_2": True}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lie-u", "A1", "sym(3,natural(2))", "1,0,0,0"],
+        ["--lie-u", "--", "A2", "sym(2,natural(3))", "1,0,0,0,0,0"],
+        ["A2", "natural(3)", "0,0,1"],
+    ],
+    ids=["x-cubed", "a2-sym2", "e3-no-lie-part"],
+)
+def test_t1_takes_the_torus_part_of_the_isotropy_from_the_point(capsys, argv):
+    """The torus part of G_x is T_x, the common kernel of the support
+    weights S, which fixes only the basis vectors whose weight lies in
+    Z.S: at x^3 the cube roots of unity, in Sym^2 of k^3 at x_1^2 the
+    kernel of 2*omega_1, and at e3 of k^3 the kernel of its weight, so
+    V^{G_x} is the line of e3 even with no Lie part.  None of the three
+    deforms, with or without --diag."""
+    code, blob = run_json(capsys, "t1", *argv)
+    assert code == 0
+    assert blob["payload"] == {
+        "dims": {"g_mod_gx_fixed": 1, "V_fixed": 1, "normal_fixed": 0, "t1_invariant": 0},
+        "weights": [],
+    }
+
+
 @pytest.mark.parametrize("flag", ["--no-normal", "--no-small-boundary"])
 def test_t1_has_no_hypothesis_flags(capsys, flag):
     code, out = run(capsys, "t1", "A1", "sym(2,natural(2))", "1,0,0", "--lie-u", "--diag", "1:2", flag)

@@ -131,10 +131,12 @@ def sorted_power_ops(name, k, m):
     return ops
 
 
-def fixed_space(m, span, stab):
-    """fixed_in_quotient of m modulo span under stab, as t1 calls it."""
-    lie = [la.lie_matrix(m, c) for c in stab.lie_part]
-    return la.fixed_in_quotient(span, lie, stab.passing(m.basis_weights))
+def fixed_space(m, span, lie_part, passing=None):
+    """fixed_in_quotient of m modulo span under the Lie part lie_part,
+    as t1 calls it, with the torus part fixing the basis vectors passing
+    (all of them by default)."""
+    lie = [la.lie_matrix(m, c) for c in lie_part]
+    return la.fixed_in_quotient(span, lie, list(range(m.dim)) if passing is None else passing)
 
 
 def test_natural_shapes():
@@ -448,14 +450,12 @@ def test_stabilizer_top_monomial():
 
 
 def test_fixed_subspace_congruence():
-    # mod-n torus component on degree-n binary forms, Lie part e
+    # mod-n torus component on degree-n binary forms, Lie part e: the
+    # n-th roots of unity fix the basis vectors of weight divisible by n
     for n, expected in [(2, 1), (3, 1), (4, 1)]:
         m = la.build_module(A1, f"sym({n},natural(2))")
-        stab = la.StabilizerSpec(
-            lie_part=({0: Q(1)},),
-            diag_part=(la.DiagCongruence((1,), n),),
-        )
-        fixed = fixed_space(m, RowSpace(m.dim), stab)
+        passing = [i for i, (w,) in enumerate(m.basis_weights) if w % n == 0]
+        fixed = fixed_space(m, RowSpace(m.dim), ({0: Q(1)},), passing)
         assert len(fixed) == expected
         assert fixed[0] == {0: 1}
 
@@ -465,11 +465,8 @@ def test_fixed_in_quotient_binary_forms():
     for n, want in expected.items():
         m = la.build_module(A1, f"sym({n},natural(2))")
         x = unit(m.dim, (0, 1))
-        stab = la.StabilizerSpec(
-            lie_part=({0: Q(1)},),
-            diag_part=(la.DiagCongruence((1,), n),),
-        )
-        reps = fixed_space(m, la.orbit_tangent(m, x), stab)
+        passing = [i for i, (w,) in enumerate(m.basis_weights) if w % n == 0]
+        reps = fixed_space(m, la.orbit_tangent(m, x), ({0: Q(1)},), passing)
         assert len(reps) == want, f"n={n}"
         if n in (2, 4):
             assert reps == [{2: 1}]
@@ -642,7 +639,7 @@ def test_a_point_of_long_numbers_is_refused_before_any_elimination(monkeypatch, 
     x = entries + [Q(1)] * (m.dim - len(entries))
     monkeypatch.setattr(la, "RowSpace", unbuilt)
     monkeypatch.setattr(tangent, "RowSpace", unbuilt)
-    for route in (la.orbit_tangent, la.stabilizer_lie, lambda m, x: tangent.t1_invariant(m, x, la.StabilizerSpec())):
+    for route in (la.orbit_tangent, la.stabilizer_lie, lambda m, x: tangent.t1_invariant(m, x, ())):
         with pytest.raises(ResourceError, match="point cost estimate"):
             route(m, x)
 
@@ -656,7 +653,7 @@ def test_a_dense_point_on_a_large_module_is_refused_before_any_elimination(monke
     x = [rng.choice([0, 1, -1, 2]) for _ in range(m.dim)]
     monkeypatch.setattr(la, "RowSpace", unbuilt)
     monkeypatch.setattr(tangent, "RowSpace", unbuilt)
-    for route in (la.orbit_tangent, lambda m, x: tangent.t1_invariant(m, x, la.StabilizerSpec())):
+    for route in (la.orbit_tangent, lambda m, x: tangent.t1_invariant(m, x, ())):
         with pytest.raises(ResourceError, match="give the point fewer nonzero entries"):
             route(m, x)
 

@@ -1,11 +1,12 @@
 from fractions import Fraction as Q
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from horomod.errors import MAX_DIGITS, ValidationError
-from horomod.linalg import RowSpace, read_rational
+from horomod.linalg import RowSpace, echelon, in_lattice, read_rational
 from oracles import FractionRowSpace
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -254,3 +255,105 @@ def test_read_rational_bounds_each_run_of_digits():
     # Two runs at the limit make one exact decimal.
     x = read_rational("1" * MAX_DIGITS + "." + "1" * MAX_DIGITS)
     assert x.denominator == 10**MAX_DIGITS
+
+
+# ------------------------------------------------ the integer-lattice rule
+
+
+def _det(mat):
+    """The determinant of a small square integer matrix, by expansion
+    along the first row."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in mat[1:]]) for j, a in enumerate(mat[0]) if a)
+
+
+def _divisor(rows, ncols):
+    """The rank r of the integer rows and the gcd of their r x r minors.
+    Of two lattices of one rank, one inside the other, the gcd is the
+    index times the larger one's, so they are equal exactly when the
+    two agree."""
+    rows = [list(r) for r in rows]
+    for r in range(min(len(rows), ncols), 0, -1):
+        g = 0
+        for rs in combinations(rows, r):
+            for cs in combinations(range(ncols), r):
+                g = gcd(g, _det([[row[c] for c in cs] for row in rs]))
+        if g:
+            return r, g
+    return 0, 1
+
+
+def _in_span(rows, v):
+    """Whether v lies in the lattice of the integer rows, by minors."""
+    return _divisor(rows, len(v)) == _divisor(list(rows) + [v], len(v))
+
+
+@st.composite
+def lattices(draw):
+    """Up to four integer vectors of 1-3 entries in -3..3, zero vectors
+    and repeats allowed, and a vector to test, of entries in -4..4."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    rows = draw(st.lists(vec, max_size=4))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    return rows, draw(st.tuples(*[st.integers(-4, 4)] * n))
+
+
+@PROPERTY
+@given(lattices())
+def test_echelon_rows_have_increasing_positive_pivots(lat):
+    """What monoids._box_points and in_lattice rely on: pivots positive
+    and strictly increasing, each row 0 before its pivot, spanning the
+    rows' lattice, of their rank."""
+    rows, v = lat
+    basis = echelon(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(row[c] > 0 for row, c in zip(basis, pivots))
+    assert len(basis) == RowSpace(len(v), rows).dim
+    assert all(_in_span(rows, b) for b in basis)
+    assert all(_in_span(basis, r) for r in rows)
+
+
+@PROPERTY
+@given(lattices())
+def test_in_lattice_agrees_with_the_minors(lat):
+    rows, v = lat
+    assert in_lattice(echelon(rows), v) == _in_span(rows, v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lattices())
+def test_in_lattice_finds_every_small_combination(lat):
+    """Each integer combination of the rows with coefficients in -2..2
+    lies in the lattice, found by brute force over the box."""
+    rows, v = lat
+    basis = echelon(rows)
+    for coeffs in product(range(-2, 3), repeat=len(rows)):
+        point = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(v))]
+        assert in_lattice(basis, point)
+
+
+def test_the_zero_lattice_has_no_echelon_rows():
+    """Only zero rows, as at a point whose support weights are all 0,
+    give the zero lattice: no rows, and only the zero vector in it."""
+    assert echelon([]) == echelon([(0, 0), (0, 0)]) == []
+    assert in_lattice([], (0, 0))
+    assert not in_lattice([], (0, 1))
+
+
+@pytest.mark.parametrize(
+    "rows, inside, outside",
+    [
+        ([(3,)], [(0,), (-6,), (9,)], [(1,), (-2,)]),
+        ([(2, 1), (0, 3)], [(2, 4), (4, -1), (0, 0)], [(1, 0), (0, 1), (2, 0)]),
+        ([(4, 6), (6, 9)], [(2, 3), (-4, -6)], [(1, 1), (1, 2)]),
+    ],
+)
+def test_in_lattice_by_hand(rows, inside, outside):
+    basis = echelon(rows)
+    assert all(in_lattice(basis, v) for v in inside)
+    assert not any(in_lattice(basis, v) for v in outside)
+
